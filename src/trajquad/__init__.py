@@ -48,7 +48,6 @@ from .greens import (  # noqa: F401
     shift_from_boundary,
 )
 from .oscpert import (  # noqa: F401
-    GammaTable,
     PerturbSeries,
     gamma_even,
     gamma_odd,

@@ -182,9 +182,3 @@ def adaptive_integral(f, a: float, b: float, tol: float = 1e-12,
     whole = simpson(a, b, fa, fm, fb)
     return recurse(a, b, fa, fm, fb, whole, tol, max_depth)
 
-
-def richardson_pair(coarse: float, fine: float, order: int = 2):
-    """Extrapolated value and error estimate from a half-step refinement."""
-    factor = 2.0 ** order
-    value = (factor * fine - coarse) / (factor - 1.0)
-    return value, abs(fine - coarse) / (factor - 1.0)

@@ -10,8 +10,16 @@ triangular recursion built from two exact rational tables:
             and for m = 0, otherwise ∏_{j=m+1}^{n}(2j-1) / (m·(2g)^(n-m+1)).
     γ_mn  : the odd-power analogue, (n!/m!) / ((2m+1)·g^(n-m+1)) for m ≤ n.
 
-Everything is exact: entries are polynomials in ĝ = 1/g over ℚ, and the
-series is solved order by order in ε with no truncation other than the
+Everything is exact.  Every table entry, every e^{-τ} coefficient and every
+energy shift is a single ĝ-monomial c·ĝ^s (ĝ = 1/g, c rational) whose power
+s is fixed by scaling, so the recursion runs on the rationals c alone and
+the power is attached once, when the series is assembled:
+
+    Γ_mn, γ_mn          s = n - m + 1
+    even  a_n(k), Δ(k)  s = k(p+1) - n,        Δ(k) with n = 1
+    odd   b_x(k), Δ(k)  s = (k(2p+3) - x) / 2,  Δ(k) with x = 2
+
+The series is solved order by order in ε with no truncation other than the
 requested order.  The energy shift obeys εΔ = -a₁ (even) and εΔ = -b₂
 (odd); odd perturbations shift the energy only at even ε-orders.
 
@@ -22,9 +30,11 @@ monomials, which is how the tables are verified independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
+from .errors import MethodError
 from .exactalg import VAR_EPS, VAR_GHAT, VAR_X, MultiPoly
 
 _G = (VAR_GHAT,)
@@ -36,58 +46,52 @@ def _ghat_power(coeff: Fraction, power: int) -> MultiPoly:
     return MultiPoly.monomial(coeff, {VAR_GHAT: power}, _G)
 
 
-def gamma_even(m: int, n: int) -> MultiPoly:
-    """Even-power table entry Γ_mn as a polynomial in ĝ."""
+@cache
+def _even_column(n: int) -> tuple[tuple[int, Fraction], ...]:
+    """Nonzero Γ_mn coefficients of column n as (m, c) pairs, m = 1..n."""
+    out = []
+    num = 1
+    for m in range(n, 0, -1):
+        out.append((m, Fraction(num, m * 2 ** (n - m + 1))))
+        num *= 2 * m - 1
+    return tuple(reversed(out))
+
+
+@cache
+def _odd_column(n: int) -> tuple[tuple[int, Fraction], ...]:
+    """γ_mn coefficients of column n as (m, c) pairs, m = 0..n."""
+    out = []
+    num = 1
+    for m in range(n, -1, -1):
+        out.append((m, Fraction(num, 2 * m + 1)))
+        num *= m
+    return tuple(reversed(out))
+
+
+def _table_entry(column, m: int, n: int) -> MultiPoly:
     if m < 0 or n < 0:
         raise ValueError("table indices must be non-negative")
-    if m == 0 or m > n:
-        return MultiPoly.zero(_G)
-    num = Fraction(1)
-    for j in range(m + 1, n + 1):
-        num *= 2 * j - 1
-    coeff = num / (m * Fraction(2) ** (n - m + 1))
-    return _ghat_power(coeff, n - m + 1)
+    for row, coeff in column(n):
+        if row == m:
+            return _ghat_power(coeff, n - m + 1)
+    return MultiPoly.zero(_G)
+
+
+def gamma_even(m: int, n: int) -> MultiPoly:
+    """Even-power table entry Γ_mn as a ĝ-monomial."""
+    return _table_entry(_even_column, m, n)
 
 
 def gamma_odd(m: int, n: int) -> MultiPoly:
-    """Odd-power table entry γ_mn as a polynomial in ĝ."""
-    if m < 0 or n < 0:
-        raise ValueError("table indices must be non-negative")
-    if m > n:
-        return MultiPoly.zero(_G)
-    num = Fraction(1)
-    for j in range(m + 1, n + 1):
-        num *= j
-    coeff = num / (2 * m + 1)
-    return _ghat_power(coeff, n - m + 1)
-
-
-@dataclass(frozen=True)
-class GammaTable:
-    """Memoized view of one table; built once, never mutated afterwards."""
-
-    kind: str  # "even" or "odd"
-    max_n: int
-    entries: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        fn = gamma_even if self.kind == "even" else gamma_odd
-        for n in range(self.max_n + 1):
-            for m in range(self.max_n + 1):
-                self.entries[(m, n)] = fn(m, n)
-
-    def value(self, m: int, n: int) -> MultiPoly:
-        entry = self.entries.get((m, n))
-        if entry is None:
-            entry = (gamma_even if self.kind == "even" else gamma_odd)(m, n)
-        return entry
+    """Odd-power table entry γ_mn as a ĝ-monomial."""
+    return _table_entry(_odd_column, m, n)
 
 
 @dataclass
 class PerturbSeries:
     """Exact ε-series: energy shifts Δ(k) and e^{-τ} monomial coefficients.
 
-    ``delta[k-1]`` is Δ(k) as a polynomial in ĝ, with the full shift
+    ``delta[k-1]`` is Δ(k) as a ĝ-monomial, with the full shift
     εΔ = Σ_k ε^k Δ(k).  ``coeffs[k-1]`` maps a monomial power to its
     ε^k coefficient: for even parity the key n stands for x^(2n), for
     odd parity the key is the x-power itself.
@@ -134,8 +138,45 @@ class PerturbSeries:
         return total
 
 
-def _zero() -> MultiPoly:
-    return MultiPoly.zero(_G)
+def _recurse(order: int, shift: int, chain, delta_key: int, check) -> list:
+    """Rational coefficients of e^{-τ} for ε-orders 0..order.
+
+    Order k applies the resolvent chain to the source
+    -x^(perturbation)·e^{-τ}(k-1) + Σ_i Δ(k-i)·e^{-τ}(i); ``shift`` is
+    the perturbation's power in key units and ``chain(key)`` yields the
+    (key, coefficient) pairs of the chain acting on one monomial.  Each
+    order is passed to ``check(k, level)`` before it is used, and
+    Δ(k) = -level[delta_key].
+    """
+    levels = [{0: Fraction(1)}]
+    delta = [Fraction(0)]
+    for k in range(1, order + 1):
+        source = {key + shift: -c for key, c in levels[k - 1].items()}
+        for i in range(1, k):
+            d = delta[k - i]
+            if d:
+                for key, c in levels[i].items():
+                    source[key] = source.get(key, 0) + c * d
+        level: dict[int, Fraction] = {}
+        for key, c in source.items():
+            for out, g in chain(key):
+                level[out] = level.get(out, 0) + c * g
+        level = {key: v for key, v in level.items() if v}
+        check(k, level)
+        levels.append(level)
+        delta.append(-level.get(delta_key, 0))
+    return levels
+
+
+def _assemble(parity: str, p: int, levels: list, delta_key: int,
+              power) -> PerturbSeries:
+    """Attach ĝ^power(k, key) to every rational coefficient of levels[1:]."""
+    coeffs, delta = [], []
+    for k, level in enumerate(levels[1:], start=1):
+        coeffs.append({key: _ghat_power(c, power(k, key)) for key, c in level.items()})
+        delta.append(_ghat_power(-level.get(delta_key, 0), power(k, delta_key)))
+    return PerturbSeries(parity=parity, p=p, order=len(coeffs), delta=delta,
+                         coeffs=coeffs)
 
 
 def solve_even(p: int, order: int) -> PerturbSeries:
@@ -148,37 +189,22 @@ def solve_even(p: int, order: int) -> PerturbSeries:
         raise ValueError("even perturbation needs p >= 1")
     if order < 0:
         raise ValueError("order must be non-negative")
-    table = GammaTable("even", max_n=(order + 1) * (p + 1) + 1)
-    a: list[dict[int, MultiPoly]] = []   # a[k-1][n]
-    delta: list[MultiPoly] = []          # delta[k-1]
-    for k in range(1, order + 1):
-        new: dict[int, MultiPoly] = {}
-        if k == 1:
-            for n in range(1, p + 1):
-                entry = -table.value(n, p)
-                if entry:
-                    new[n] = entry
-        else:
-            prev = a[k - 2]
-            for l, a_prev in prev.items():
-                for n in range(1, l + p + 1):
-                    g_entry = table.value(n, l + p)
-                    if g_entry:
-                        new[n] = new.get(n, _zero()) - a_prev * g_entry
-            for i in range(1, k):
-                j = k - i
-                if j < 1 or j > len(delta):
-                    continue
-                for l, a_i in a[i - 1].items():
-                    for n in range(1, l + 1):
-                        g_entry = table.value(n, l)
-                        if g_entry:
-                            new[n] = new.get(n, _zero()) + a_i * delta[j - 1] * g_entry
-        new = {n: v for n, v in new.items() if v}
-        assert all(n <= k * p for n in new), "even support bound violated"
-        a.append(new)
-        delta.append(-new.get(1, _zero()))
-    return PerturbSeries(parity="even", p=p, order=order, delta=delta, coeffs=a)
+
+    def check(k, level):
+        if any(n > k * p for n in level):
+            raise MethodError(f"even support bound violated at order {k}")
+
+    # keys n stand for x^(2n); the chain on x^(2n) is column n of Γ
+    levels = _recurse(order, p, _even_column, 1, check)
+    return _assemble("even", p, levels, 1, lambda k, n: k * (p + 1) - n)
+
+
+def _odd_chain(power: int):
+    """(x-power, coefficient) pairs of the resolvent chain acting on x^power."""
+    half = power // 2
+    if power % 2:
+        return ((2 * m + 1, c) for m, c in _odd_column(half))
+    return ((2 * m, c) for m, c in _even_column(half))
 
 
 def solve_odd(p: int, order: int) -> PerturbSeries:
@@ -191,62 +217,16 @@ def solve_odd(p: int, order: int) -> PerturbSeries:
         raise ValueError("odd perturbation needs p >= 0")
     if order < 0:
         raise ValueError("order must be non-negative")
-    even_table = GammaTable("even", max_n=(order + 1) * (2 * p + 2))
-    odd_table = GammaTable("odd", max_n=(order + 1) * (2 * p + 2))
-    b: list[dict[int, MultiPoly]] = []   # b[k-1][x-power]
-    delta: list[MultiPoly] = []
-    for k in range(1, order + 1):
-        new: dict[int, MultiPoly] = {}
-        if k == 1:
-            for m in range(0, p + 1):
-                entry = -odd_table.value(m, p)
-                if entry:
-                    new[2 * m + 1] = entry
-        elif k % 2 == 0:
-            prev = b[k - 2]
-            for power, b_prev in prev.items():
-                l = (power - 1) // 2
-                for m in range(1, l + p + 2):
-                    g_entry = even_table.value(m, l + p + 1)
-                    if g_entry:
-                        new[2 * m] = new.get(2 * m, _zero()) - b_prev * g_entry
-            for i in range(2, k - 1, 2):
-                j = k - i
-                for power, b_i in b[i - 1].items():
-                    l = power // 2
-                    for m in range(1, l + 1):
-                        g_entry = even_table.value(m, l)
-                        if g_entry:
-                            new[2 * m] = new.get(2 * m, _zero()) + \
-                                b_i * delta[j - 1] * g_entry
-        else:
-            prev = b[k - 2]
-            for power, b_prev in prev.items():
-                l = power // 2
-                for m in range(0, l + p + 1):
-                    g_entry = odd_table.value(m, l + p)
-                    if g_entry:
-                        new[2 * m + 1] = new.get(2 * m + 1, _zero()) - b_prev * g_entry
-            for i in range(1, k, 2):
-                j = k - i
-                if j % 2 == 1 or j < 2:
-                    continue
-                for power, b_i in b[i - 1].items():
-                    l = (power - 1) // 2
-                    for m in range(0, l + 1):
-                        g_entry = odd_table.value(m, l)
-                        if g_entry:
-                            new[2 * m + 1] = new.get(2 * m + 1, _zero()) + \
-                                b_i * delta[j - 1] * g_entry
-        new = {n: v for n, v in new.items() if v}
-        assert all(n <= k * (2 * p + 1) for n in new), "odd support bound violated"
-        assert all(n % 2 == k % 2 for n in new), "parity structure violated"
-        b.append(new)
-        if k % 2 == 0:
-            delta.append(-new.get(2, _zero()))
-        else:
-            delta.append(_zero())
-    return PerturbSeries(parity="odd", p=p, order=order, delta=delta, coeffs=b)
+
+    def check(k, level):
+        if any(x > k * (2 * p + 1) for x in level):
+            raise MethodError(f"odd support bound violated at order {k}")
+        if any(x % 2 != k % 2 for x in level):
+            raise MethodError(f"parity structure violated at order {k}")
+
+    levels = _recurse(order, 2 * p + 1, _odd_chain, 2, check)
+    # floor division only matters at odd k, where Δ(k) = 0
+    return _assemble("odd", p, levels, 2, lambda k, x: (k * (2 * p + 3) - x) // 2)
 
 
 # --------------------------------------------------------------------------
@@ -286,13 +266,15 @@ def operator_chain_even(n: int, max_steps: int = 200):
     returned as a polynomial in ĝ alongside the summed polynomial part.
     """
     cur, blocked = _apply_c(MultiPoly.monomial(1, {VAR_X: 2 * n}, _XG))
-    assert not blocked
+    if blocked:
+        raise MethodError("even chain blocked at its first step")
     total = cur
     for _ in range(max_steps):
         candidate = -_kinetic(cur)
         cur, blocked = _apply_c(candidate)
         if blocked:
-            assert not cur, "constant appeared before the chain terminated"
+            if cur:
+                raise MethodError("constant appeared before the chain terminated")
             return total, blocked
         if not cur:
             return total, MultiPoly.zero(_G)
@@ -303,11 +285,13 @@ def operator_chain_even(n: int, max_steps: int = 200):
 def operator_chain_odd(n: int, max_steps: int = 200) -> MultiPoly:
     """Iterate (-CT)^m C on x^(2n+1); odd chains terminate without leftovers."""
     cur, blocked = _apply_c(MultiPoly.monomial(1, {VAR_X: 2 * n + 1}, _XG))
-    assert not blocked
+    if blocked:
+        raise MethodError("odd chain blocked at its first step")
     total = cur
     for _ in range(max_steps):
         cur, blocked = _apply_c(-_kinetic(cur))
-        assert not blocked, "odd chain produced a constant"
+        if blocked:
+            raise MethodError("odd chain produced a constant")
         if not cur:
             return total
         total = total + cur

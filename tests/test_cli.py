@@ -126,3 +126,17 @@ class TestGoldenFiles:
             ["--command", "coulomb", "--potential", "r^2", "--order", "8",
              "--g", "1", "--eps", "0.001"], tmp_path)
         assert got == (GOLDEN / "coulomb_r2_order8.csv").read_bytes()
+
+    def test_perturb_even_high_order_golden(self, tmp_path):
+        got = self._regenerate(
+            "even.csv",
+            ["--command", "perturb", "--parity", "even", "--p", "2",
+             "--order", "20", "--g", "1"], tmp_path)
+        assert got == (GOLDEN / "perturb_even_p2_order20.csv").read_bytes()
+
+    def test_perturb_odd_high_order_golden(self, tmp_path):
+        got = self._regenerate(
+            "odd.csv",
+            ["--command", "perturb", "--parity", "odd", "--p", "1",
+             "--order", "14", "--g", "1"], tmp_path)
+        assert got == (GOLDEN / "perturb_odd_p1_order14.csv").read_bytes()

@@ -1,12 +1,14 @@
 """Oscillator ε-series: table values, recursions, operator-chain checks."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
+from trajquad import oscpert
+from trajquad.errors import MethodError
 from trajquad.exactalg import VAR_EPS, VAR_GHAT, VAR_X, MultiPoly, parse_poly
 from trajquad.oscpert import (
-    GammaTable,
     gamma_even,
     gamma_odd,
     operator_chain_even,
@@ -55,10 +57,14 @@ class TestTables:
             assert gamma_odd(0, n) == ghat(fact, n + 1)
 
     def test_table_cache_matches_direct(self):
-        table = GammaTable("even", max_n=6)
-        for m in range(7):
+        for column, entry in ((oscpert._even_column, gamma_even),
+                              (oscpert._odd_column, gamma_odd)):
             for n in range(7):
-                assert table.value(m, n) == gamma_even(m, n)
+                cached = dict(column(n))
+                for m in range(7):
+                    expected = ghat(cached[m], n - m + 1) if m in cached \
+                        else MultiPoly.zero((VAR_GHAT,))
+                    assert entry(m, n) == expected
 
 
 class TestEvenSeries:
@@ -94,6 +100,19 @@ class TestEvenSeries:
         series = solve_even(p=3, order=3)
         for k, table in enumerate(series.coeffs, start=1):
             assert all(n <= 3 * k for n in table)
+
+    def test_quartic_bender_wu_large_order(self):
+        # Δ(k) at g = 1 against (-1)^(k+1) √6 π^(-3/2) 3^k Γ(k+½),
+        # whose ratio tends to 1 - 95/(72k) (Bender & Wu, 1969)
+        series = solve_even(p=2, order=24)
+
+        def gap(k):
+            leading = (-1) ** (k + 1) * math.sqrt(6) * math.pi ** -1.5 \
+                * 3 ** k * math.gamma(k + 0.5)
+            return abs(series.delta_value(k, 1.0) / leading - (1 - 95 / (72 * k)))
+
+        assert gap(24) < 0.005
+        assert gap(24) < gap(16)
 
     def test_exp_tau_coefficient_helper(self):
         series = solve_even(p=2, order=2)
@@ -139,6 +158,20 @@ class TestOddSeries:
         # known cubic result: ΔE = -(11/8) ε²/g⁴ at leading order
         series = solve_odd(p=1, order=2)
         assert series.delta[1] == ghat(Fraction(-11, 8), 4)
+
+
+class TestInvariants:
+    @pytest.mark.parametrize("column, solver, p", [
+        ("_even_column", solve_even, 2),
+        ("_odd_column", solve_odd, 1),
+    ])
+    def test_support_bound_violation_raises(self, monkeypatch, column, solver, p):
+        # a table entry with m > n pushes the first order past its support
+        real = getattr(oscpert, column)
+        monkeypatch.setattr(oscpert, column,
+                            lambda n: real(n) + ((n + 1, Fraction(1)),))
+        with pytest.raises(MethodError, match="support bound"):
+            solver(p, 1)
 
 
 class TestOperatorChains:
