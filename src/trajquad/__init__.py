@@ -22,13 +22,8 @@ __version__ = "0.1.0"
 from .exactalg import (  # noqa: F401
     MultiPoly,
     Rational,
-    angular_average,
-    differentiate,
     grad_dot,
-    integrate_r,
-    laplacian,
     parse_poly,
-    poly_arith,
 )
 from .trajectory import (  # noqa: F401
     AxisBundle,

@@ -6,14 +6,21 @@ embeds the resolved config echo and the library version, so identical
 configs reproduce identical files: byte-identical on the exact-rational
 paths (perturb/coulomb/stark), within printed tolerance elsewhere.
 
-Exit codes: 0 ok, 1 config error, 2 method breakdown (e.g. a radial
-log singularity), 3 tolerance failure (an identity check above bound).
+The command table ``_COMMANDS`` and the parameter table ``_PARAMS`` are
+the single source of truth: the command list and the flags derive from
+them, and ``RunConfig`` alone converts and checks values.
+
+Exit codes: 0 ok, 1 config error (any invalid value, format or command),
+2 method breakdown (e.g. a radial log singularity), 3 tolerance failure
+(an identity check above bound; the report is still written).  argparse
+itself exits 2 only on malformed argv, such as a flag without its value.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -28,10 +35,16 @@ from . import oracle as oracle_mod
 from . import oscpert as oscpert_mod
 from . import trajectory as trajectory_mod
 
-COMMANDS = ("gexpand", "perturb", "coulomb", "stark", "greens-check",
-            "excited", "oracle")
-
 RUE = (VAR_R, VAR_U, VAR_EPS)
+FORMATS = ("csv", "json")
+
+
+def _finite(value) -> float:
+    """float() that also rejects nan and ±inf."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError("not finite")
+    return x
 
 
 def _positive(x) -> bool:
@@ -42,52 +55,24 @@ def _non_negative(x) -> bool:
     return x >= 0
 
 
-# command -> key -> (type, default, validator); required keys default to None
-_SCHEMAS = {
-    "gexpand": {
-        "potential": (str, None, None),
-        "x-max": (float, 2.5, _positive),
-        "n": (int, 2001, lambda v: v >= 16),
-        "order": (int, 3, lambda v: 0 <= v <= gexpand_mod.MAX_ORDER),
-        "g": (float, 1.0, _positive),
-        "origin": (float, 0.0, None),
-        "direction": (int, 1, lambda v: v in (-1, 1)),
-    },
-    "perturb": {
-        "parity": (str, None, lambda v: v in ("even", "odd")),
-        "p": (int, None, _non_negative),
-        "order": (int, 2, _non_negative),
-        "g": (float, 1.0, _positive),
-    },
-    "coulomb": {
-        "potential": (str, "r^2", None),
-        "order": (int, 8, lambda v: v >= 1),
-        "g": (float, 1.0, _positive),
-        "eps": (float, 0.0, None),
-    },
-    "stark": {
-        "order": (int, 12, lambda v: v >= 2),
-        "g": (float, 1.0, _positive),
-        "eps": (float, 0.0, None),
-    },
-    "greens-check": {
-        "g": (float, 1.0, _positive),
-        "n": (int, 4001, lambda v: v >= 101),
-        "half-width": (float, 8.0, _positive),
-    },
-    "excited": {
-        "freqs": (str, "1", None),
-        "occupations": (str, None, None),
-    },
-    "oracle": {
-        "potential": (str, None, None),
-        "mode": (str, "1d", lambda v: v in ("1d", "radial")),
-        "domain": (float, 8.0, _positive),
-        "n": (int, 1200, lambda v: v >= 200),
-        "k": (int, 1, _positive),
-        "g": (float, 1.0, _positive),
-        "eps": (float, 0.0, None),
-    },
+# key -> (type, help); each key has the same type in every command
+_PARAMS = {
+    "potential": (str, "polynomial in x (or r)"),
+    "x-max": (_finite, "trajectory extent"),
+    "n": (int, "grid point count"),
+    "order": (int, "expansion order"),
+    "g": (_finite, "potential scale g"),
+    "origin": (_finite, "potential minimum"),
+    "direction": (int, "trajectory direction ±1"),
+    "parity": (str, "even or odd"),
+    "p": (int, "perturbation half-degree"),
+    "eps": (_finite, "perturbation strength ε"),
+    "half-width": (_finite, "greens grid half width"),
+    "freqs": (str, "comma-separated frequencies"),
+    "occupations": (str, "semicolon-separated occupation tuples"),
+    "mode": (str, "oracle mode: 1d or radial"),
+    "domain": (_finite, "oracle half width (1d) or r_max (radial)"),
+    "k": (int, "eigenvalue count (oracle)"),
 }
 
 
@@ -101,17 +86,17 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        schema = _SCHEMAS[self.command]
+        schema = _COMMANDS[self.command][1]
         unknown = set(self.parameters) - set(schema)
         if unknown:
             raise ConfigError(f"unknown keys for {self.command}: {sorted(unknown)}")
         resolved = {}
-        for key, (kind, default, check) in schema.items():
+        for key, (default, check) in schema.items():
             value = self.parameters.get(key, default)
             if value is None:
                 raise ConfigError(f"{self.command} requires --{key}")
             try:
-                value = kind(value)
+                value = _PARAMS[key][0](value)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
             if check is not None and not check(value):
@@ -132,10 +117,6 @@ class RunConfig:
         return cls(command=command, parameters=data)
 
 
-def _echo(config: RunConfig) -> dict:
-    return {"version": __version__, "config": config.to_dict()}
-
-
 def parse_config_echo(text: str) -> RunConfig:
     """Recover the RunConfig from an emitted CSV or JSON document."""
     stripped = text.lstrip()
@@ -145,11 +126,6 @@ def parse_config_echo(text: str) -> RunConfig:
         if line.startswith("# config: "):
             return RunConfig.from_dict(json.loads(line[len("# config: "):]))
     raise ConfigError("no config echo found")
-
-
-def _csv_header(config: RunConfig) -> list:
-    return [f"# trajquad {__version__}",
-            f"# config: {json.dumps(config.to_dict(), sort_keys=True)}"]
 
 
 def _run_gexpand(p: dict):
@@ -171,7 +147,7 @@ def _run_gexpand(p: dict):
     for i, x in enumerate(grid.nodes):
         lines.append(",".join([repr(float(x))] +
                               [repr(float(s[i])) for s in sol.s_terms]))
-    return payload, lines
+    return payload, lines, None
 
 
 def _run_perturb(p: dict):
@@ -188,7 +164,7 @@ def _run_perturb(p: dict):
                "shift_polynomial": series.shift_polynomial().render()}
     lines = ["k,delta_exact,delta_at_g"]
     lines += [f"{r['k']},\"{r['delta_exact']}\",{r['delta_at_g']!r}" for r in rows]
-    return payload, lines
+    return payload, lines, None
 
 
 def _coulomb_tables(sol, g: float, eps: float):
@@ -204,7 +180,7 @@ def _coulomb_tables(sol, g: float, eps: float):
         lines.append(f"{n},\"{e.render()}\",\"{s.render()}\"")
     lines.append(f"assembled_symbolic,\"{sol.assemble_energy_symbolic()}\"")
     lines.append(f"assembled_energy,{assembled['E']!r}")
-    return payload, lines
+    return payload, lines, None
 
 
 def _run_coulomb(p: dict):
@@ -224,12 +200,12 @@ def _run_greens_check(p: dict):
     lines = ["identity,grid,max_residual,tolerance,pass"]
     lines += [f"{r['identity']},{r['grid']},{r['max_residual']!r},"
               f"{r['tolerance']!r},{r['pass']}" for r in report]
-    if not all(r["pass"] for r in report):
-        worst = max(report, key=lambda r: r["max_residual"] / r["tolerance"])
-        raise ToleranceError(
-            f"identity {worst['identity']} at {worst['max_residual']:.3e} "
-            f"exceeds {worst['tolerance']:.0e}", payload, lines)
-    return payload, lines
+    if all(r["pass"] for r in report):
+        return payload, lines, None
+    worst = max(report, key=lambda r: r["max_residual"] / r["tolerance"])
+    return payload, lines, (f"identity {worst['identity']} at "
+                            f"{worst['max_residual']:.3e} exceeds "
+                            f"{worst['tolerance']:.0e}")
 
 
 def _run_excited(p: dict):
@@ -255,7 +231,7 @@ def _run_excited(p: dict):
     lines = ["occupation,E0,E1,chi0,chi1,multiplet"]
     lines += [f"\"{','.join(map(str, r['occupation']))}\",{r['E0']},{r['E1']},"
               f"\"{r['chi0']}\",\"{r['chi1']}\",{r['multiplet']}" for r in rows]
-    return payload, lines
+    return payload, lines, None
 
 
 def _run_oracle(p: dict):
@@ -274,26 +250,69 @@ def _run_oracle(p: dict):
     lines = ["k,eigenvalue,error_estimate"]
     lines += [f"{k},{e!r},{c!r}" for k, (e, c) in
               enumerate(zip(result.eigenvalues, result.convergence))]
-    return payload, lines
+    return payload, lines, None
 
 
-_RUNNERS = {
-    "gexpand": _run_gexpand,
-    "perturb": _run_perturb,
-    "coulomb": _run_coulomb,
-    "stark": _run_stark,
-    "greens-check": _run_greens_check,
-    "excited": _run_excited,
-    "oracle": _run_oracle,
+# command -> (runner, key -> (default, validator)); required keys default to
+# None.  A runner returns (payload, csv lines, failure message or None).
+_COMMANDS = {
+    "gexpand": (_run_gexpand, {
+        "potential": (None, None),
+        "x-max": (2.5, _positive),
+        "n": (2001, lambda v: v >= 16),
+        "order": (3, lambda v: 0 <= v <= gexpand_mod.MAX_ORDER),
+        "g": (1.0, _positive),
+        "origin": (0.0, None),
+        "direction": (1, lambda v: v in (-1, 1)),
+    }),
+    "perturb": (_run_perturb, {
+        "parity": (None, lambda v: v in ("even", "odd")),
+        "p": (None, _non_negative),
+        "order": (2, _non_negative),
+        "g": (1.0, _positive),
+    }),
+    "coulomb": (_run_coulomb, {
+        "potential": ("r^2", None),
+        "order": (8, lambda v: v >= 1),
+        "g": (1.0, _positive),
+        "eps": (0.0, None),
+    }),
+    "stark": (_run_stark, {
+        "order": (12, lambda v: v >= 2),
+        "g": (1.0, _positive),
+        "eps": (0.0, None),
+    }),
+    "greens-check": (_run_greens_check, {
+        "g": (1.0, _positive),
+        "n": (4001, lambda v: v >= 101),
+        "half-width": (8.0, _positive),
+    }),
+    "excited": (_run_excited, {
+        "freqs": ("1", None),
+        "occupations": (None, None),
+    }),
+    "oracle": (_run_oracle, {
+        "potential": (None, None),
+        "mode": ("1d", lambda v: v in ("1d", "radial")),
+        "domain": (8.0, _positive),
+        "n": (1200, lambda v: v >= 200),
+        "k": (1, _positive),
+        "g": (1.0, _positive),
+        "eps": (0.0, None),
+    }),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def _write(out, fmt: str, config: RunConfig, payload: dict, lines: list) -> None:
     if fmt == "json":
-        document = {**_echo(config), "results": payload}
+        document = {"version": __version__, "config": config.to_dict(),
+                    "results": payload}
         text = json.dumps(document, indent=2, sort_keys=True) + "\n"
     else:
-        text = "\n".join(_csv_header(config) + lines) + "\n"
+        header = [f"# trajquad {__version__}",
+                  f"# config: {json.dumps(config.to_dict(), sort_keys=True)}"]
+        text = "\n".join(header + lines) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -302,14 +321,16 @@ def _write(out, fmt: str, config: RunConfig, payload: dict, lines: list) -> None
 
 
 def run(config: RunConfig, out=None, fmt: str = "csv") -> int:
-    """Execute one command, emit its artifact, return the exit status."""
+    """Execute one command and emit its artifact, also when a check fails."""
+    if fmt not in FORMATS:
+        raise ConfigError(f"unknown format {fmt!r}")
     try:
-        payload, lines = _RUNNERS[config.command](config.parameters)
-    except ToleranceError as exc:
-        if len(exc.args) == 3:
-            _write(out, fmt, config, exc.args[1], exc.args[2])
-        raise
+        payload, lines, failure = _COMMANDS[config.command][0](config.parameters)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     _write(out, fmt, config, payload, lines)
+    if failure is not None:
+        raise ToleranceError(failure)
     return 0
 
 
@@ -318,27 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="trajquad",
         description="Trajectory-quadrature energies, series and checks")
     parser.add_argument("--config", help="JSON config file (flags override it)")
-    parser.add_argument("--command", choices=COMMANDS)
+    parser.add_argument("--command", help="one of " + ", ".join(COMMANDS))
     parser.add_argument("--out", help="output path (stdout when omitted)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--g", type=float, help="potential scale g")
-    parser.add_argument("--eps", type=float, help="perturbation strength ε")
-    parser.add_argument("--order", type=int, help="expansion order")
-    parser.add_argument("--potential", help="polynomial in x (or r)")
-    parser.add_argument("--x-max", type=float, help="trajectory extent")
-    parser.add_argument("--origin", type=float, help="potential minimum")
-    parser.add_argument("--direction", type=int, help="trajectory direction ±1")
-    parser.add_argument("--n", type=int, help="grid point count")
-    parser.add_argument("--k", type=int, help="eigenvalue count (oracle)")
-    parser.add_argument("--parity", choices=("even", "odd"))
-    parser.add_argument("--p", type=int, help="perturbation half-degree")
-    parser.add_argument("--half-width", type=float, help="greens grid half width")
-    parser.add_argument("--mode", choices=("1d", "radial"), help="oracle mode")
-    parser.add_argument("--domain", type=float,
-                        help="oracle half width (1d) or r_max (radial)")
-    parser.add_argument("--freqs", help="comma-separated frequencies")
-    parser.add_argument("--occupations",
-                        help="semicolon-separated occupation tuples")
+    parser.add_argument("--format", default="csv", help=" or ".join(FORMATS))
+    for key, (_, help_text) in _PARAMS.items():
+        parser.add_argument(f"--{key}", dest=key, help=help_text)
     return parser
 
 
@@ -352,14 +357,8 @@ def _config_from_args(args) -> RunConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-    flag_keys = {"g": "g", "eps": "eps", "order": "order",
-                 "potential": "potential", "x_max": "x-max", "n": "n",
-                 "k": "k", "parity": "parity", "p": "p",
-                 "half_width": "half-width", "mode": "mode",
-                 "domain": "domain", "freqs": "freqs", "origin": "origin",
-                 "direction": "direction", "occupations": "occupations"}
-    for attr, key in flag_keys.items():
-        value = getattr(args, attr)
+    for key in _PARAMS:
+        value = getattr(args, key)
         if value is not None:
             data[key] = value
     if args.command:
@@ -378,7 +377,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except ToleranceError as exc:
-        print(f"tolerance failure: {exc.args[0]}", file=sys.stderr)
+        print(f"tolerance failure: {exc}", file=sys.stderr)
         return 3
     except MethodError as exc:
         print(f"method breakdown: {exc}", file=sys.stderr)

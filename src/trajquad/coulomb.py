@@ -66,10 +66,6 @@ class CoulombSolution:
         """(g-power, E_n) pairs for the non-zero energy coefficients."""
         return [(-(2 * n - 4), e) for n, e in enumerate(self.e_terms) if e]
 
-    def wave_exponent_weights(self):
-        """(g-power, S_n) pairs for the non-zero exponent terms."""
-        return [(-(2 * n - 2), s) for n, s in enumerate(self.s_terms) if s]
-
     def assemble_energy_symbolic(self) -> str:
         """Rendered energy with explicit g powers, lowest order first."""
         pieces = []

@@ -350,22 +350,6 @@ class MultiPoly:
 
     # ------------------------------------------------------------ evaluation
 
-    def substitute(self, var: str, value) -> "MultiPoly":
-        """Exact substitution of a rational value for one variable."""
-        value = _as_fraction(value)
-        if var not in self.variables:
-            return self
-        i = self._index(var)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.terms.items():
-            k = exps[i]
-            if k < 0 and value == 0:
-                raise ZeroDivisionError(f"substituting 0 for {var!r} with exponent {k}")
-            factor = value ** k
-            key = exps[:i] + (0,) + exps[i + 1:]
-            out[key] = out.get(key, Fraction(0)) + coeff * factor
-        return MultiPoly(out, self.variables)
-
     def evaluate(self, assignments: Mapping[str, float]) -> float:
         """Floating-point evaluation; every variable must be assigned."""
         missing = [v for v in self.variables if v not in assignments and self.depends_on(v)]
@@ -417,25 +401,6 @@ class MultiPoly:
         return f"MultiPoly({self.render()!r})"
 
 
-def poly_arith(a: MultiPoly, b: MultiPoly, op: str) -> MultiPoly:
-    """Named arithmetic entry point: op is one of add, sub, mul."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def differentiate(p: MultiPoly, var: str) -> MultiPoly:
-    return p.differentiate(var)
-
-
-def laplacian(p: MultiPoly, geometry: str) -> MultiPoly:
-    return p.laplacian(geometry)
-
-
 def grad_dot(a: MultiPoly, b: MultiPoly, geometry: str) -> MultiPoly:
     """Exact ∇a·∇b in the named geometry.
 
@@ -456,14 +421,6 @@ def grad_dot(a: MultiPoly, b: MultiPoly, geometry: str) -> MultiPoly:
                          * bb.differentiate(VAR_U)).shifted(VAR_R, -2)
         return out
     raise ValueError(f"unknown geometry {geometry!r}")
-
-
-def angular_average(p: MultiPoly) -> MultiPoly:
-    return p.angular_average()
-
-
-def integrate_r(p: MultiPoly) -> MultiPoly:
-    return p.integrate_r()
 
 
 _NUMBER_RE = re.compile(r"^[0-9]+(/[0-9]+|\.[0-9]*)?$|^\.[0-9]+$")

@@ -48,18 +48,6 @@ class SeriesSolution:
     rhs_terms: list = field(default_factory=list)
     grading: str = "ginv"
 
-    def to_csv(self, path) -> None:
-        """Energy table followed by the per-node S_k table."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("k,E_k\n")
-            for k, e in enumerate(self.e_terms):
-                fh.write(f"{k},{e!r}\n")
-            fh.write("x," + ",".join(f"S_{k}" for k in
-                                     range(1, self.order + 1)) + "\n")
-            for i, x in enumerate(self.grid.nodes):
-                row = [repr(float(x))] + [repr(float(s[i])) for s in self.s_terms]
-                fh.write(",".join(row) + "\n")
-
 
 def e0(grid: TrajectoryGrid) -> float:
     """Leading energy ½(∇²S₀) at the origin = ½√(v''(0)) in 1-D."""

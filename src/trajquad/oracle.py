@@ -111,6 +111,22 @@ def _solve_grid(v_vals: np.ndarray, h: float, k: int) -> list:
     return _bisect_eigenvalues(diag, off, k)
 
 
+def _richardson(grid_values: Callable[[int], tuple], n: int, k: int):
+    """The h²-Richardson step shared by both solvers.
+
+    Solves on n and 2n points and returns the extrapolants, their
+    |E_2n - E_n|/3 estimates, and the fine grid's potential values and
+    spacing, which the caller's edge check inspects.
+    """
+    v1, h1 = grid_values(n)
+    v2, h2 = grid_values(2 * n)
+    pairs = list(zip(_solve_grid(v1, h1, k), _solve_grid(v2, h2, k)))
+    values = tuple((4.0 * ef - ec) / 3.0 for ec, ef in pairs)
+    errors = tuple(abs(ef - ec) / 3.0 + 1e-14 * (1.0 + abs(ef))
+                   for ec, ef in pairs)
+    return values, errors, v2, h2
+
+
 def _edge_check(v_vals: np.ndarray, h: float, lam: float,
                 sides: str = "both") -> None:
     diag = 1.0 / h ** 2 + v_vals
@@ -144,18 +160,11 @@ def solve_1d(potential: Callable[[float], float], domain: tuple, n: int,
         x = a + h * np.arange(1, m + 1)
         return np.array([potential(xi) for xi in x]), h
 
-    v1, h1 = grid_values(n)
-    v2, h2 = grid_values(2 * n)
-    coarse = _solve_grid(v1, h1, k)
-    fine = _solve_grid(v2, h2, k)
-    values, errors = [], []
-    for ec, ef in zip(coarse, fine):
-        values.append((4.0 * ef - ec) / 3.0)
-        errors.append(abs(ef - ec) / 3.0 + 1e-14 * (1.0 + abs(ef)))
+    values, errors, v2, h2 = _richardson(grid_values, n, k)
     for lam in values:
         _edge_check(v2, h2, lam, sides="both")
-    return EigenResult(eigenvalues=tuple(values), domain=(a, b), points=n,
-                       convergence=tuple(errors))
+    return EigenResult(eigenvalues=values, domain=(a, b), points=n,
+                       convergence=errors)
 
 
 def solve_radial(g: float, u_potential: Callable[[float], float], eps: float,
@@ -177,15 +186,10 @@ def solve_radial(g: float, u_potential: Callable[[float], float], eps: float,
         vals = np.array([-g ** 2 / ri + eps * u_potential(ri) for ri in r])
         return vals, h
 
-    v1, h1 = grid_values(n)
-    v2, h2 = grid_values(2 * n)
-    coarse = _solve_grid(v1, h1, 1)
-    fine = _solve_grid(v2, h2, 1)
-    value = (4.0 * fine[0] - coarse[0]) / 3.0
-    error = abs(fine[0] - coarse[0]) / 3.0 + 1e-14 * (1.0 + abs(fine[0]))
-    _edge_check(v2, h2, value, sides="right")
-    return EigenResult(eigenvalues=(value,), domain=(0.0, r_max), points=n,
-                       convergence=(error,))
+    values, errors, v2, h2 = _richardson(grid_values, n, 1)
+    _edge_check(v2, h2, values[0], sides="right")
+    return EigenResult(eigenvalues=values, domain=(0.0, r_max), points=n,
+                       convergence=errors)
 
 
 def sturm_count(potential: Callable[[float], float], domain: tuple, n: int,

@@ -115,12 +115,6 @@ class TrajectoryGrid:
         """dS₀/d(arc) = √(2v) ≥ 0 in trajectory coordinates."""
         return np.sqrt(np.maximum(self.grad2, 0.0))
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("x,s0,grad2,lap_s0,time\n")
-            for row in zip(self.nodes, self.s0, self.grad2, self.lap_s0, self.time):
-                fh.write(",".join(repr(float(c)) for c in row) + "\n")
-
 
 _KINK_SLACK = 1e3 * np.finfo(float).eps
 

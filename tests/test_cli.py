@@ -7,6 +7,7 @@ import pytest
 
 from trajquad.cli import RunConfig, main, parse_config_echo
 from trajquad.errors import ConfigError
+from trajquad.greens import identity_report
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -96,6 +97,28 @@ class TestMain:
     def test_config_error_exit_code(self, capsys):
         assert main(["--command", "stark", "--order", "1"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        # non-finite floats, which would run to a nan result
+        ["--command", "stark", "--eps", "nan"],
+        ["--command", "stark", "--g", "inf"],
+        ["--command", "oracle", "--mode", "radial", "--potential", "r",
+         "--eps", "inf"],
+        # bad choices and types, once rejected by argparse with exit 2
+        ["--command", "perturb", "--parity", "foo", "--p", "2"],
+        ["--command", "stark", "--order", "abc"],
+        ["--command", "stark", "--format", "xml"],
+        ["--command", "frobnicate"],
+        # library input errors, once ValueError tracebacks
+        ["--command", "coulomb", "--potential", "2r"],
+        ["--command", "coulomb", "--potential", "r^-1"],
+        ["--command", "excited", "--freqs", "1,2", "--occupations", "1"],
+    ])
+    def test_invalid_input_exits_1(self, argv, capsys):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: ")
+
     def test_method_error_exit_code(self, tmp_path, capsys):
         # degenerate minimum: v'' = 0 at the origin
         assert main(["--command", "gexpand", "--potential", "x^4"]) == 2
@@ -105,6 +128,22 @@ class TestMain:
         code = main(["--command", "greens-check", "--out", str(out)])
         assert code == 0
         assert "dbar_hermite_l4" in out.read_text()
+
+
+    def test_tolerance_failure_writes_full_report(self, tmp_path, capsys):
+        out = tmp_path / "greens.csv"
+        assert main(["--command", "greens-check", "--g", "2", "--n", "401",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("tolerance failure: identity ")
+        text = out.read_text()
+        assert parse_config_echo(text) == RunConfig("greens-check",
+                                                    {"g": 2, "n": 401})
+        lines = text.splitlines()
+        assert lines[2] == "identity,grid,max_residual,tolerance,pass"
+        rows = [line.split(",") for line in lines[3:]]
+        expected = [r["identity"] for r in identity_report(2.0, 401)]
+        assert [row[0] for row in rows] == expected
+        assert "False" in [row[-1] for row in rows]
 
 
 class TestGoldenFiles:

@@ -112,14 +112,6 @@ class TestBuildGrid:
         assert np.all(np.isinf(grid.time[k:]))
         assert np.all(np.isfinite(grid.time[1:k]))
 
-    def test_csv_roundtrip(self, tmp_path):
-        grid = build_grid(harmonic(), 2.0, 101)
-        path = tmp_path / "grid.csv"
-        grid.to_csv(path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "x,s0,grad2,lap_s0,time"
-        assert len(rows) == 102
-
     def test_minimum_node_count(self):
         with pytest.raises(ValueError):
             build_grid(harmonic(), 1.0, 8)
