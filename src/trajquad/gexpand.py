@@ -77,6 +77,12 @@ class _Towers:
         self.length_scale = 1.0 / np.sqrt(nu)
         self.patch = int(min(max(12, round(0.02 * self.length_scale / h)),
                              self.n // 8))
+        # the patch interpolant needs six distinct band nodes; on tiny grids
+        # the rounded band repeats one, and Neville would divide by zero
+        self.band = np.linspace(self.patch, 3 * self.patch, 6).astype(int)
+        if len(set(self.band.tolist())) < 6:
+            raise HierarchyBreakdown(
+                f"grid too coarse for the origin patch ({self.n} nodes)")
         # V^(m)(a) = direction^m v^(m)(x); analytically missing levels are
         # extended by grid differentiation of the last available one.
         self.v_der = []
@@ -84,14 +90,13 @@ class _Towers:
             if m <= pot.depth:
                 fn = pot.derivatives[m]
                 sign = self.direction ** m
-                self.v_der.append(np.array([sign * fn(x) for x in grid.nodes]))
+                self.v_der.append(sign * fn(grid.nodes))
             else:
                 self.v_der.append(derivative(self.v_der[-1], self.arc))
         self.s = {0: self._s0_tower(order + 1)}
 
     def _patched(self, out: np.ndarray) -> np.ndarray:
-        band = np.linspace(self.patch, 3 * self.patch, 6).astype(int)
-        xs, ys = self.arc[band], out[band]
+        xs, ys = self.arc[self.band], out[self.band]
         for i in range(self.patch):
             out[i] = neville_at(xs, ys, self.arc[i])
         return out

@@ -4,12 +4,20 @@ Every grid in the package is uniform, so the workhorses below use fixed
 5-point stencils whose weights are derived once, exactly, from Lagrange
 interpolation: first and second derivatives are 4th-order accurate and the
 cumulative integral integrates quartics exactly (5th-order composite).
-Edge nodes use shifted one-sided stencils of the same width.
+Edge nodes use shifted one-sided stencils of the same width.  The
+stencils run as whole-array kernels: every interior node is one row of a
+``sliding_window_view(y, 5) @ weights`` product, and only the two edge
+nodes at each end take their own one-sided weights.
 
 ``adaptive_integral`` is a plain adaptive Simpson rule used where the
 integrand is a callable rather than a sampled array (trajectory panels,
 radial moments); panels are bisected until the Richardson error estimate
-drops below the tolerance.
+drops below the tolerance.  ``adaptive_panels`` integrates every panel of
+a partition at once with the same rule: the first bisection level runs on
+arrays (five integrand calls in all), and only the panels whose first
+error estimate misses the tolerance recurse, through the same scalar
+helper.  The arithmetic is identical, so each panel's value is bitwise
+equal to ``adaptive_integral`` on that panel.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def _lagrange_poly(offsets, j):
@@ -100,14 +109,17 @@ def derivative(y: np.ndarray, x: np.ndarray, order: int = 1) -> np.ndarray:
     if n < 5:
         raise ValueError("need at least five samples")
     h = grid_spacing(np.asarray(x, dtype=float))
-    table = _D1_WEIGHTS if order == 1 else _D2_WEIGHTS
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
+    table = _D1_WEIGHTS if order == 1 else _D2_WEIGHTS
     out = np.empty(n)
-    for i in range(n):
-        c = min(max(i, 2), n - 3)   # stencil center clipped to the interior
-        w = table[i - (c - 2)]
-        out[i] = w @ y[c - 2:c + 3]
+    # interior nodes sit at the centre (offset 2) of their window; the two
+    # edge nodes at each end share the first or last window off-centre
+    out[2:n - 2] = sliding_window_view(y, 5) @ table[2]
+    out[0] = table[0] @ y[:5]
+    out[1] = table[1] @ y[:5]
+    out[n - 2] = table[3] @ y[n - 5:]
+    out[n - 1] = table[4] @ y[n - 5:]
     return out / h ** order
 
 
@@ -123,11 +135,14 @@ def cumulative_integral(y: np.ndarray, x: np.ndarray, start: int = 0) -> np.ndar
     if n < 5:
         raise ValueError("need at least five samples")
     h = grid_spacing(x)
+    # interval [i, i+1] on the window starting at node s = clip(i-2, 0, n-5):
+    # windows 0..n-5 serve intervals 2..n-3 at offset 2, and the first and
+    # last window also serve intervals 0, 1 and n-2 off-centre
     inc = np.empty(n - 1)
-    for i in range(n - 1):
-        s = min(max(i - 2, 0), n - 5)   # leftmost stencil node
-        w = _CUM_WEIGHTS[i - s]
-        inc[i] = w @ y[s:s + 5]
+    inc[2:n - 2] = sliding_window_view(y, 5) @ _CUM_WEIGHTS[2]
+    inc[0] = _CUM_WEIGHTS[0] @ y[:5]
+    inc[1] = _CUM_WEIGHTS[1] @ y[:5]
+    inc[n - 2] = _CUM_WEIGHTS[3] @ y[n - 5:]
     inc *= h
     out = np.empty(n)
     out[start] = 0.0
@@ -155,30 +170,66 @@ def extrapolate_to_zero(xs, ys) -> float:
     return neville_at(xs, ys, 0.0)
 
 
+def _simpson(lo, hi, flo, fmid, fhi):
+    return (hi - lo) * (flo + 4.0 * fmid + fhi) / 6.0
+
+
+def _bisect(f, lo, hi, flo, fmid, fhi, whole):
+    """One Simpson bisection step; works on scalars and on arrays alike.
+
+    Returns the midpoint, the two new quarter-point samples, both half-panel
+    Simpson values and the Richardson error estimate of their sum.
+    """
+    mid = 0.5 * (lo + hi)
+    flm = f(0.5 * (lo + mid))
+    frm = f(0.5 * (mid + hi))
+    left = _simpson(lo, mid, flo, flm, fmid)
+    right = _simpson(mid, hi, fmid, frm, fhi)
+    return mid, flm, frm, left, right, (left + right - whole) / 15.0
+
+
+def _recurse(f, lo, hi, flo, fmid, fhi, whole, eps, depth):
+    """Adaptive Simpson on one panel whose ends and midpoint are sampled."""
+    mid, flm, frm, left, right, err = _bisect(f, lo, hi, flo, fmid, fhi, whole)
+    if depth <= 0 or abs(err) <= eps:
+        return left + right + err
+    return (_recurse(f, lo, mid, flo, flm, fmid, left, eps / 2.0, depth - 1)
+            + _recurse(f, mid, hi, fmid, frm, fhi, right, eps / 2.0, depth - 1))
+
+
 def adaptive_integral(f, a: float, b: float, tol: float = 1e-12,
                       max_depth: int = 40) -> float:
     """Adaptive Simpson quadrature of a callable on [a, b]."""
     if a == b:
         return 0.0
-
-    def simpson(lo, hi, flo, fmid, fhi):
-        return (hi - lo) * (flo + 4.0 * fmid + fhi) / 6.0
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, eps, depth):
-        mid = 0.5 * (lo + hi)
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        flm = f(lmid)
-        frm = f(rmid)
-        left = simpson(lo, mid, flo, flm, fmid)
-        right = simpson(mid, hi, fmid, frm, fhi)
-        err = (left + right - whole) / 15.0
-        if depth <= 0 or abs(err) <= eps:
-            return left + right + err
-        return (recurse(lo, mid, flo, flm, fmid, left, eps / 2.0, depth - 1)
-                + recurse(mid, hi, fmid, frm, fhi, right, eps / 2.0, depth - 1))
-
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, max_depth)
+    whole = _simpson(a, b, fa, fm, fb)
+    return _recurse(f, a, b, fa, fm, fb, whole, tol, max_depth)
 
+
+def adaptive_panels(f, edges: np.ndarray, tol: float = 1e-12,
+                    max_depth: int = 40) -> np.ndarray:
+    """``adaptive_integral`` of every panel [edges[i], edges[i+1]] at once.
+
+    ``f`` must accept arrays.  The whole-panel rule and the first bisection
+    take five array calls of ``f`` in total; only the panels whose first
+    error estimate misses ``tol`` recurse further, one at a time, with the
+    arithmetic of ``adaptive_integral``, so every entry is bitwise equal to
+    the scalar result (a zero-width panel of a finite ``f`` gives 0.0 by
+    the same arithmetic, with an error estimate of 0).
+    """
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    mid = 0.5 * (lo + hi)
+    flo, fmid, fhi = f(lo), f(mid), f(hi)
+    whole = _simpson(lo, hi, flo, fmid, fhi)
+    _, flm, frm, left, right, err = _bisect(f, lo, hi, flo, fmid, fhi, whole)
+    out = left + right + err
+    if max_depth > 0:
+        for i in np.flatnonzero(~(np.abs(err) <= tol)):
+            a, m, b = lo[i].item(), mid[i].item(), hi[i].item()
+            out[i] = (_recurse(f, a, m, flo[i], flm[i], fmid[i], left[i],
+                               tol / 2.0, max_depth - 1)
+                      + _recurse(f, m, b, fmid[i], frm[i], fhi[i], right[i],
+                                 tol / 2.0, max_depth - 1))
+    return out

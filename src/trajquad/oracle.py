@@ -12,6 +12,8 @@ inverse iteration only to confirm that the box was wide enough.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,19 +35,20 @@ class EigenResult:
         return self.eigenvalues[k]
 
 
-def _sturm_count(diag, off2, lam: float) -> int:
-    """Number of eigenvalues of the tridiagonal matrix below lam."""
+def _sturm_count(diag, off2: float, lam: float) -> int:
+    """Number of eigenvalues below lam of the tridiagonal matrix.
+
+    ``diag`` is the diagonal as a list and ``off2`` the square of the
+    constant off-diagonal.  The pivot starts at +inf so that the first
+    row's ``off2 / q`` term is exactly 0.
+    """
     count = 0
-    q = 1.0
-    tiny = 1e-300
-    for i in range(len(diag)):
-        if i == 0:
-            q = diag[0] - lam
-        else:
-            q = diag[i] - lam - off2[i - 1] / q
+    q = math.inf
+    for d in diag:
+        q = d - lam - off2 / q
         if q == 0.0:
-            q = tiny
-        if q < 0.0:
+            q = 1e-300
+        elif q < 0.0:
             count += 1
     return count
 
@@ -53,9 +56,7 @@ def _sturm_count(diag, off2, lam: float) -> int:
 def _bisect_eigenvalues(diag: np.ndarray, off: float, k: int,
                         tol: float = 1e-12) -> list:
     """Bracket the k lowest eigenvalues to width tol (abs + rel)."""
-    off2_val = off * off
-    n = len(diag)
-    off2 = [off2_val] * (n - 1)
+    off2 = off * off
     dlist = diag.tolist()
     radius = 2.0 * abs(off)
     lo0 = float(np.min(diag)) - radius
@@ -84,23 +85,26 @@ def _inverse_iteration(diag: np.ndarray, off: float, lam: float) -> np.ndarray:
     """
     n = len(diag)
     shift = lam + 1e-6 * (1.0 + abs(lam))
+    a = memoryview(diag - shift)
     u = np.ones(n) / np.sqrt(n)
     for _ in range(5):
-        a = diag - shift
-        # Thomas forward sweep with constant off-diagonal
-        cp = np.empty(n - 1)
-        dp = np.empty(n)
-        cp[0] = off / a[0]
-        dp[0] = u[0] / a[0]
-        for i in range(1, n):
-            denom = a[i] - off * cp[i - 1]
-            if i < n - 1:
-                cp[i] = off / denom
-            dp[i] = (u[i] - off * dp[i - 1]) / denom
-        v = np.empty(n)
-        v[-1] = dp[-1]
-        for i in range(n - 2, -1, -1):
-            v[i] = dp[i] - cp[i] * v[i + 1]
+        # Thomas sweeps with constant off-diagonal on Python floats, read
+        # from memoryviews and stored as raw doubles (no float objects kept)
+        rhs = memoryview(u)
+        c, d = off / a[0], rhs[0] / a[0]
+        cp, dp = array("d", [c]), array("d", [d])
+        for ai, ri in zip(a[1:], rhs[1:]):
+            denom = ai - off * c
+            d = (ri - off * d) / denom
+            c = off / denom
+            cp.append(c)
+            dp.append(d)
+        x = dp[-1]
+        v = array("d", [x])
+        for c, d in zip(reversed(cp[:-1]), reversed(dp[:-1])):
+            x = d - c * x
+            v.append(x)
+        v = np.frombuffer(v)[::-1]
         u = v / np.linalg.norm(v)
     return u
 
@@ -199,5 +203,4 @@ def sturm_count(potential: Callable[[float], float], domain: tuple, n: int,
     h = (b - a) / (n + 1)
     x = a + h * np.arange(1, n + 1)
     diag = (1.0 / h ** 2 + np.array([potential(xi) for xi in x])).tolist()
-    off2 = [(0.5 / h ** 2) ** 2] * (n - 1)
-    return _sturm_count(diag, off2, lam)
+    return _sturm_count(diag, (0.5 / h ** 2) ** 2, lam)

@@ -31,7 +31,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import DegenerateMinimum, InvalidPotential
 from .exactalg import VAR_X, MultiPoly, parse_poly
-from .numerics import adaptive_integral, extrapolate_to_zero
+from .numerics import adaptive_panels, extrapolate_to_zero
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,10 @@ class Potential1D:
 
     ``derivatives[m]`` evaluates v^(m); polynomial potentials carry the
     full stack (the hierarchy differentiates analytically as deep as it
-    needs), black-box ones the required minimum of two.
+    needs), black-box ones the required minimum of two.  Every callable is
+    evaluated on whole node arrays: ``from_poly`` builds array-valued
+    polynomials and ``from_callables`` wraps scalar user callables in
+    ``np.vectorize``, so one array path serves both.
     """
 
     derivatives: tuple
@@ -77,7 +80,7 @@ class Potential1D:
         stack = []
         cur = coeffs
         for _ in range(max(len(coeffs) + 1, 10)):
-            stack.append((lambda c: lambda x: float(npoly.polyval(x, c)))(cur))
+            stack.append((lambda c: lambda x: npoly.polyval(x, c))(cur))
             cur = npoly.polyder(cur) if len(cur) > 1 else np.zeros(1)
         return cls(derivatives=tuple(stack), origin=origin, source=poly)
 
@@ -86,7 +89,9 @@ class Potential1D:
                        higher: Sequence[Callable[[float], float]] = ()) -> "Potential1D":
         if dv is None or d2v is None:
             raise InvalidPotential("black-box potentials must supply two derivatives")
-        return cls(derivatives=(v, dv, d2v, *higher), origin=origin)
+        derivatives = tuple(np.vectorize(fn, otypes=[float])
+                            for fn in (v, dv, d2v, *higher))
+        return cls(derivatives=derivatives, origin=origin)
 
 
 @dataclass
@@ -144,60 +149,47 @@ def build_grid(potential: Potential1D, x_max: float, n: int,
         raise DegenerateMinimum("v''(origin) must be positive")
 
     nodes = origin + direction * np.linspace(0.0, x_max, n)
-    vv = np.array([potential.v(x) for x in nodes])
+    vv = potential.v(nodes)
     if np.min(vv) < -1e-10 * max(1.0, np.max(np.abs(vv))):
         raise InvalidPotential(
             f"v < 0 at x = {nodes[int(np.argmin(vv))]:.6g}")
     vv = np.maximum(vv, 0.0)
     grad2 = 2.0 * vv
     speed = np.sqrt(grad2)
+    dvv = potential.dv(nodes)
 
     scale = max(1.0, float(np.max(grad2)))
-    kinks = [i for i in range(1, n - 1)
-             if grad2[i] < _KINK_SLACK * scale
-             and potential.dv(nodes[i - 1]) * potential.dv(nodes[i + 1]) < 0.0]
+    kinks = (1 + np.flatnonzero((grad2[1:-1] < _KINK_SLACK * scale)
+                                & (dvv[:-2] * dvv[2:] < 0.0))).tolist()
 
-    def integrand(x: float) -> float:
-        return math.sqrt(max(2.0 * potential.v(x), 0.0))
+    def integrand(x):
+        return np.sqrt(np.maximum(2.0 * potential.v(x), 0.0))
 
-    s0 = np.empty(n)
-    s0[0] = 0.0
-    for i in range(n - 1):
-        inc = adaptive_integral(integrand, nodes[i], nodes[i + 1],
-                                tol=panel_tol, max_depth=max_refine)
-        s0[i + 1] = s0[i] + abs(inc)
+    inc = adaptive_panels(integrand, nodes, tol=panel_tol, max_depth=max_refine)
+    s0 = np.concatenate(([0.0], np.cumsum(np.abs(inc))))
 
-    lap = np.empty(n)
+    lap = np.full(n, np.nan)
+    fast = speed > math.sqrt(_KINK_SLACK * scale)
+    lap[fast] = direction * dvv[fast] / speed[fast]
     lap[0] = math.sqrt(curvature)
-    for i in range(1, n):
-        if speed[i] > math.sqrt(_KINK_SLACK * scale):
-            lap[i] = direction * potential.dv(nodes[i]) / speed[i]
+    arc = np.abs(nodes - nodes[0])
+    for i in np.flatnonzero(np.isnan(lap)):
+        back = [j for j in range(max(1, i - 4), i) if not np.isnan(lap[j])]
+        if len(back) >= 2:
+            lap[i] = extrapolate_to_zero(
+                [arc[j] - arc[i] for j in back], [lap[j] for j in back])
         else:
-            lap[i] = np.nan
-    for i in range(1, n):
-        if np.isnan(lap[i]):
-            back = [j for j in range(max(1, i - 4), i) if not np.isnan(lap[j])]
-            if len(back) >= 2:
-                arc = np.abs(nodes - nodes[0])
-                lap[i] = extrapolate_to_zero(
-                    [arc[j] - arc[i] for j in back], [lap[j] for j in back])
-            else:
-                lap[i] = lap[0]
+            lap[i] = lap[0]
 
-    time = np.empty(n)
-    time[0] = np.nan
+    # time is measured from node 1 and diverges from the first kink on, so
+    # it accumulates the panels between node 1 and the node before the kink
+    time = np.full(n, math.inf)
+    time[:2] = np.nan, 0.0
     first_kink = kinks[0] if kinks else n
-    t = 0.0
-    for i in range(1, n):
-        if i > 1:
-            if i - 1 >= first_kink or i >= first_kink:
-                t = math.inf
-            if math.isfinite(t):
-                t += abs(adaptive_integral(
-                    lambda x: 1.0 / max(math.sqrt(max(2.0 * potential.v(x), 0.0)),
-                                        1e-300),
-                    nodes[i - 1], nodes[i], tol=1e-10, max_depth=20))
-        time[i] = t
+    if first_kink > 2:
+        dt = adaptive_panels(lambda x: 1.0 / np.maximum(integrand(x), 1e-300),
+                             nodes[1:first_kink], tol=1e-10, max_depth=20)
+        time[2:first_kink] = np.cumsum(np.abs(dt))
 
     return TrajectoryGrid(nodes=nodes, s0=s0, grad2=grad2, lap_s0=lap,
                           time=time, kinks=kinks, direction=direction,

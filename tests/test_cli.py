@@ -1,6 +1,7 @@
 """CLI: config validation, round-trip, exit codes, golden files."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,15 @@ class TestMain:
     def test_method_error_exit_code(self, tmp_path, capsys):
         # degenerate minimum: v'' = 0 at the origin
         assert main(["--command", "gexpand", "--potential", "x^4"]) == 2
+
+    def test_coarse_gexpand_breaks_down_without_warning(self, capsys):
+        # at 17 nodes the origin patch band would repeat a node (0/0 in
+        # Neville); it must fail cleanly, not warn on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--command", "gexpand", "--potential",
+                         "0.5*x^2 + 0.1*x^4", "--n", "17"]) == 2
+        assert capsys.readouterr().err.startswith("method breakdown: ")
 
     def test_greens_check_passes(self, tmp_path):
         out = tmp_path / "greens.csv"

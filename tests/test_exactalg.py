@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajquad.errors import LogSingularity, VariableMismatch
 from trajquad.exactalg import (
@@ -21,6 +23,14 @@ from trajquad.exactalg import (
 
 RU = (VAR_R, VAR_U)
 RUE = (VAR_R, VAR_U, VAR_EPS)
+XRUEG = (VAR_X, VAR_R, VAR_U, VAR_EPS, VAR_GHAT)
+
+# sparse polynomials in (x, r, u, ε, ĝ); only r takes negative exponents
+_EXPONENTS = st.tuples(st.integers(0, 6), st.integers(-6, 6),
+                       *[st.integers(0, 6)] * 3)
+_COEFFS = st.fractions(max_denominator=10 ** 6).filter(bool)
+sparse_polys = st.dictionaries(_EXPONENTS, _COEFFS, max_size=6).map(
+    lambda terms: MultiPoly(terms, XRUEG))
 
 
 def P(text, variables=None):
@@ -177,6 +187,12 @@ class TestGrammar:
             if not p:
                 continue
             assert parse_poly(p.render(), RUE) == p
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(sparse_polys)
+    def test_roundtrip_fuzzed(self, p):
+        assert parse_poly(p.render()) == p
 
     def test_laurent_only_for_r(self):
         with pytest.raises(VariableMismatch):
