@@ -15,9 +15,9 @@ radial moments); panels are bisected until the Richardson error estimate
 drops below the tolerance.  ``adaptive_panels`` integrates every panel of
 a partition at once with the same rule: the first bisection level runs on
 arrays (five integrand calls in all), and only the panels whose first
-error estimate misses the tolerance recurse, through the same scalar
-helper.  The arithmetic is identical, so each panel's value is bitwise
-equal to ``adaptive_integral`` on that panel.
+error estimate misses the tolerance are handed to ``adaptive_integral``.
+The arithmetic is identical, so each panel's value is bitwise equal to
+``adaptive_integral`` on that panel.
 """
 
 from __future__ import annotations
@@ -213,23 +213,19 @@ def adaptive_panels(f, edges: np.ndarray, tol: float = 1e-12,
 
     ``f`` must accept arrays.  The whole-panel rule and the first bisection
     take five array calls of ``f`` in total; only the panels whose first
-    error estimate misses ``tol`` recurse further, one at a time, with the
-    arithmetic of ``adaptive_integral``, so every entry is bitwise equal to
-    the scalar result (a zero-width panel of a finite ``f`` gives 0.0 by
-    the same arithmetic, with an error estimate of 0).
+    error estimate misses ``tol`` go on, one at a time, through
+    ``adaptive_integral`` itself (which repeats their first level on
+    scalars), so every entry is bitwise equal to the scalar result (a
+    zero-width panel of a finite ``f`` gives 0.0 by the same arithmetic,
+    with an error estimate of 0).
     """
     edges = np.asarray(edges, dtype=float)
     lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)
     flo, fmid, fhi = f(lo), f(mid), f(hi)
     whole = _simpson(lo, hi, flo, fmid, fhi)
-    _, flm, frm, left, right, err = _bisect(f, lo, hi, flo, fmid, fhi, whole)
+    left, right, err = _bisect(f, lo, hi, flo, fmid, fhi, whole)[3:]
     out = left + right + err
-    if max_depth > 0:
-        for i in np.flatnonzero(~(np.abs(err) <= tol)):
-            a, m, b = lo[i].item(), mid[i].item(), hi[i].item()
-            out[i] = (_recurse(f, a, m, flo[i], flm[i], fmid[i], left[i],
-                               tol / 2.0, max_depth - 1)
-                      + _recurse(f, m, b, fmid[i], frm[i], fhi[i], right[i],
-                                 tol / 2.0, max_depth - 1))
+    for i in np.flatnonzero(~(np.abs(err) <= tol)):
+        out[i] = adaptive_integral(f, lo[i].item(), hi[i].item(), tol, max_depth)
     return out

@@ -86,18 +86,25 @@ def _inverse_iteration(diag: np.ndarray, off: float, lam: float) -> np.ndarray:
     n = len(diag)
     shift = lam + 1e-6 * (1.0 + abs(lam))
     a = memoryview(diag - shift)
+    # Thomas sweeps with constant off-diagonal on Python floats, read from
+    # memoryviews and stored as raw doubles (no float objects kept); the
+    # pivots and upper factors depend on the shift only, so they are
+    # computed once and each iteration runs just the forward and back
+    # substitution
+    c = off / a[0]
+    cp, pivots = array("d", [c]), array("d", [a[0]])
+    for ai in a[1:]:
+        denom = ai - off * c
+        c = off / denom
+        cp.append(c)
+        pivots.append(denom)
     u = np.ones(n) / np.sqrt(n)
     for _ in range(5):
-        # Thomas sweeps with constant off-diagonal on Python floats, read
-        # from memoryviews and stored as raw doubles (no float objects kept)
         rhs = memoryview(u)
-        c, d = off / a[0], rhs[0] / a[0]
-        cp, dp = array("d", [c]), array("d", [d])
-        for ai, ri in zip(a[1:], rhs[1:]):
-            denom = ai - off * c
+        d = rhs[0] / pivots[0]
+        dp = array("d", [d])
+        for ri, denom in zip(rhs[1:], pivots[1:]):
             d = (ri - off * d) / denom
-            c = off / denom
-            cp.append(c)
             dp.append(d)
         x = dp[-1]
         v = array("d", [x])

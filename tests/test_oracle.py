@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from trajquad.errors import DomainTooSmall
-from trajquad.oracle import solve_1d, solve_radial, sturm_count
+from trajquad.oracle import (_inverse_iteration, solve_1d, solve_radial,
+                             sturm_count)
 
 
 class TestSolve1D:
@@ -43,6 +44,21 @@ class TestSolve1D:
     def test_domain_too_small(self):
         with pytest.raises(DomainTooSmall):
             solve_1d(lambda x: 0.5 * x * x, (-2, 2), 400, 2)
+
+    @pytest.mark.parametrize("state", [0, 1, 2])
+    def test_inverse_iteration_matches_dense_eigenvector(self, state):
+        x = np.linspace(-5.0, 5.0, 300)
+        h = x[1] - x[0]
+        diag = 1.0 / h ** 2 + 0.5 * x * x + 0.05 * x ** 4
+        off = -0.5 / h ** 2
+        values, vectors = np.linalg.eigh(np.diag(diag) + off * np.eye(300, k=1)
+                                         + off * np.eye(300, k=-1))
+        want = vectors[:, state] * np.sign(vectors[150, state] or 1.0)
+        got = _inverse_iteration(diag, off, values[state])
+        got = got * np.sign(got[150] or 1.0)
+        assert np.max(np.abs(got - want)) < 1e-10
+        # the edge amplitudes the domain check reads, to a relative 1e-6
+        assert got[[0, -1]] == pytest.approx(want[[0, -1]], rel=1e-6)
 
     def test_minimum_points(self):
         with pytest.raises(ValueError):
