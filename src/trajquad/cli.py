@@ -97,7 +97,7 @@ class RunConfig:
                 raise ConfigError(f"{self.command} requires --{key}")
             try:
                 value = _PARAMS[key][0](value)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
             if check is not None and not check(value):
                 raise ConfigError(f"value out of range for {key!r}: {value!r}")
@@ -176,9 +176,9 @@ def _coulomb_tables(sol, g: float, eps: float):
         "assembled_energy": assembled["E"],
     }
     lines = ["n,E_n,S_n"]
-    for n, (e, s) in enumerate(zip(sol.e_terms, sol.s_terms)):
-        lines.append(f"{n},\"{e.render()}\",\"{s.render()}\"")
-    lines.append(f"assembled_symbolic,\"{sol.assemble_energy_symbolic()}\"")
+    lines += [f"{n},\"{e}\",\"{s}\"" for n, (e, s)
+              in enumerate(zip(payload["e_terms"], payload["s_terms"]))]
+    lines.append(f"assembled_symbolic,\"{payload['assembled_symbolic']}\"")
     lines.append(f"assembled_energy,{assembled['E']!r}")
     return payload, lines, None
 

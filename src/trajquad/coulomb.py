@@ -25,6 +25,13 @@ radial integration raises LogSingularity rather than truncating.
 All S_n, E_n are exact polynomials in (r, u = cos a, ε); each order mixes
 several ε powers, so comparisons against single-ε results go through
 ``MultiPoly.coeff_of``.
+
+The recursion does each piece of exact arithmetic once.  ∂_r S_m, ∂_u S_m
+and (1-u²)∂_u S_m are formed when S_m is made and reused by every later
+order.  The sum in K_n is symmetric under m ↔ n-m, so each unordered pair
+is multiplied once, off-diagonal pairs counted twice, and the ½ is applied
+to the finished sum.  ``defining_residuals`` checks the result through
+``grad_dot``, independently of these shortcuts.
 """
 
 from __future__ import annotations
@@ -92,7 +99,7 @@ def _eps_part(poly: MultiPoly, k: int) -> MultiPoly:
 
 
 def _half(poly: MultiPoly) -> MultiPoly:
-    return MultiPoly.const(Fraction(1, 2), poly.variables) * poly
+    return poly * Fraction(1, 2)
 
 
 def solve_perturbed(u_poly: MultiPoly, order: int) -> CoulombSolution:
@@ -106,10 +113,16 @@ def solve_perturbed(u_poly: MultiPoly, order: int) -> CoulombSolution:
     s_terms = [MultiPoly.var(VAR_R, RUE)]
     e_terms = [MultiPoly.const(Fraction(-1, 2), RUE)]
     eps = MultiPoly.var(VAR_EPS, RUE)
+    one_minus_u2 = MultiPoly.const(1, RUE) - MultiPoly.var(VAR_U, RUE) ** 2
+    # (∂_r S_m, ∂_u S_m, (1-u²)∂_u S_m) for 1 <= m < order, made with S_m
+    grads = [None]
     for n in range(1, order + 1):
-        k_n = _half(s_terms[n - 1].laplacian(RADIAL_POLAR))
-        for m in range(1, n):
-            k_n = k_n - _half(grad_dot(s_terms[m], s_terms[n - m], RADIAL_POLAR))
+        total = s_terms[n - 1].laplacian(RADIAL_POLAR)
+        for m in range(1, n // 2 + 1):
+            (dr_a, _, w_a), (dr_b, du_b, _) = grads[m], grads[n - m]
+            dot = dr_a * dr_b + (w_a * du_b).shifted(VAR_R, -2)
+            total = total - (dot if 2 * m == n else 2 * dot)
+        k_n = total * Fraction(1, 2)
         if n == 1:
             k_n = k_n - MultiPoly.monomial(1, {VAR_R: -1}, RUE)
         if n == 2:
@@ -118,6 +131,9 @@ def solve_perturbed(u_poly: MultiPoly, order: int) -> CoulombSolution:
         s_n = (k_n - e_n).integrate_r()
         s_terms.append(s_n)
         e_terms.append(e_n)
+        if n < order:
+            du = s_n.differentiate(VAR_U)
+            grads.append((s_n.differentiate(VAR_R), du, one_minus_u2 * du))
     sol = CoulombSolution(u_perturbation=u_poly, order=order,
                           s_terms=s_terms, e_terms=e_terms)
     _check_invariants(sol)
@@ -222,12 +238,13 @@ def integral_shift_check(sol: CoulombSolution, g: float, eps: float) -> ShiftChe
     if sol.order < 3:
         raise ValueError("need the full ε-linear wave function (order >= 3)")
 
+    linear = [(g ** (-(2 * n - 2)), part) for n in range(1, sol.order + 1)
+              if (part := sol.s_terms[n].coeff_of(VAR_EPS, 1))]
+
     def a_profile(r: float) -> float:
         total = 0.0
-        for n in range(1, sol.order + 1):
-            part = sol.s_terms[n].coeff_of(VAR_EPS, 1)
-            if part:
-                total += g ** (-(2 * n - 2)) * part.evaluate({VAR_R: r, VAR_U: 0.0})
+        for weight, part in linear:
+            total += weight * part.evaluate({VAR_R: r, VAR_U: 0.0})
         return total
 
     def u_of(r: float) -> float:

@@ -17,6 +17,15 @@ A canonical text rendering ("-21/8 * ε^2 * ĝ^5") and a round-trip parser
 for the same grammar serve the CLI and the golden tests.  Terms are ordered
 graded-lexicographically: by total degree, then by exponents in the fixed
 variable order x < r < u < ε < ĝ (other symbols sort after these by name).
+
+``MultiPoly(terms, variables)`` validates user input: it sorts the
+variables, checks exponent lengths and Laurent signs, converts and sums
+coefficients.  Operator results skip that work and go through the private
+``MultiPoly._make(terms, variables)``, whose contract is: ``variables`` is
+already in collation order, every key is an int tuple of matching length,
+every coefficient is a ``Fraction``; ``_make`` only drops zero
+coefficients.  The one operator that can produce a negative exponent,
+``shifted``, checks the Laurent rule itself before building its result.
 """
 
 from __future__ import annotations
@@ -92,8 +101,17 @@ class MultiPoly:
                 if e < 0 and name not in _LAURENT_OK:
                     raise VariableMismatch(
                         f"negative exponent on non-Laurent variable {name!r}")
-            store[exps] = store.get(exps, Fraction(0)) + coeff
-        self.terms = {e: c for e, c in store.items() if c != 0}
+            c = store.get(exps)
+            store[exps] = coeff if c is None else c + coeff
+        self.terms = {e: c for e, c in store.items() if c}
+
+    @classmethod
+    def _make(cls, terms: dict, variables: tuple) -> "MultiPoly":
+        """Trusted constructor for operator results (see the module docstring)."""
+        poly = object.__new__(cls)
+        poly.variables = variables
+        poly.terms = {e: c for e, c in terms.items() if c}
+        return poly
 
     # ---------------------------------------------------------------- build
 
@@ -125,10 +143,12 @@ class MultiPoly:
 
     def embedded(self, variables: Iterable[str]) -> "MultiPoly":
         """Re-express over a superset of the current variables."""
-        names = tuple(variables)
+        names = tuple(sorted(variables, key=_var_key))
         if set(self.variables) - set(names):
             raise VariableMismatch(
                 f"cannot embed {self.variables!r} into {names!r}")
+        if len(set(names)) != len(names):
+            raise VariableMismatch(f"duplicate variable in {names!r}")
         pos = {v: i for i, v in enumerate(names)}
         new_terms: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in self.terms.items():
@@ -136,7 +156,7 @@ class MultiPoly:
             for v, e in zip(self.variables, exps):
                 row[pos[v]] = e
             new_terms[tuple(row)] = coeff
-        return MultiPoly(new_terms, names)
+        return MultiPoly._make(new_terms, names)
 
     @staticmethod
     def _aligned(a: "MultiPoly", b: "MultiPoly"):
@@ -166,19 +186,25 @@ class MultiPoly:
         a, b = self._aligned(self, rhs)
         out = dict(a.terms)
         for exps, coeff in b.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return MultiPoly(out, a.variables)
+            c = out.get(exps)
+            out[exps] = coeff if c is None else c + coeff
+        return MultiPoly._make(out, a.variables)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly({e: -c for e, c in self.terms.items()}, self.variables)
+        return MultiPoly._make({e: -c for e, c in self.terms.items()}, self.variables)
 
     def __sub__(self, other):
         rhs = self._coerced(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        a, b = self._aligned(self, rhs)
+        out = dict(a.terms)
+        for exps, coeff in b.terms.items():
+            c = out.get(exps)
+            out[exps] = -coeff if c is None else c - coeff
+        return MultiPoly._make(out, a.variables)
 
     def __rsub__(self, other):
         rhs = self._coerced(other)
@@ -187,16 +213,20 @@ class MultiPoly:
         return rhs + (-self)
 
     def __mul__(self, other):
-        rhs = self._coerced(other)
-        if rhs is None:
+        if isinstance(other, (int, Fraction)):
+            return MultiPoly._make({e: c * other for e, c in self.terms.items()},
+                                   self.variables)
+        if not isinstance(other, MultiPoly):
             return NotImplemented
-        a, b = self._aligned(self, rhs)
+        a, b = self._aligned(self, other)
+        add = int.__add__
         out: dict[tuple[int, ...], Fraction] = {}
         for ea, ca in a.terms.items():
             for eb, cb in b.terms.items():
-                key = tuple(i + j for i, j in zip(ea, eb))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return MultiPoly(out, a.variables)
+                key = tuple(map(add, ea, eb))
+                c = out.get(key)
+                out[key] = ca * cb if c is None else c + ca * cb
+        return MultiPoly._make(out, a.variables)
 
     __rmul__ = __mul__
 
@@ -242,12 +272,9 @@ class MultiPoly:
     def coeff_of(self, var: str, power: int) -> "MultiPoly":
         """Polynomial coefficient of var**power, over the same variables."""
         i = self._index(var)
-        kept = {}
-        for exps, coeff in self.terms.items():
-            if exps[i] == power:
-                key = exps[:i] + (0,) + exps[i + 1:]
-                kept[key] = kept.get(key, Fraction(0)) + coeff
-        return MultiPoly(kept, self.variables)
+        kept = {exps[:i] + (0,) + exps[i + 1:]: coeff
+                for exps, coeff in self.terms.items() if exps[i] == power}
+        return MultiPoly._make(kept, self.variables)
 
     def constant(self) -> Fraction:
         """The constant term (all exponents zero)."""
@@ -278,18 +305,18 @@ class MultiPoly:
             k = exps[i]
             if k == 0:
                 continue
-            key = exps[:i] + (k - 1,) + exps[i + 1:]
-            out[key] = out.get(key, Fraction(0)) + coeff * k
-        return MultiPoly(out, self.variables)
+            out[exps[:i] + (k - 1,) + exps[i + 1:]] = coeff * k
+        return MultiPoly._make(out, self.variables)
 
     def shifted(self, var: str, delta: int) -> "MultiPoly":
         """Multiply by var**delta through an exponent shift."""
         i = self._index(var)
-        out = {}
-        for exps, coeff in self.terms.items():
-            key = exps[:i] + (exps[i] + delta,) + exps[i + 1:]
-            out[key] = coeff
-        return MultiPoly(out, self.variables)
+        if var not in _LAURENT_OK and any(e[i] + delta < 0 for e in self.terms):
+            raise VariableMismatch(
+                f"negative exponent on non-Laurent variable {var!r}")
+        out = {exps[:i] + (exps[i] + delta,) + exps[i + 1:]: coeff
+               for exps, coeff in self.terms.items()}
+        return MultiPoly._make(out, self.variables)
 
     def integrate_r(self) -> "MultiPoly":
         """Radial antiderivative with zero integration constant.
@@ -306,9 +333,8 @@ class MultiPoly:
         out = {}
         for exps, coeff in self.terms.items():
             k = exps[i]
-            key = exps[:i] + (k + 1,) + exps[i + 1:]
-            out[key] = coeff / (k + 1)
-        return MultiPoly(out, self.variables)
+            out[exps[:i] + (k + 1,) + exps[i + 1:]] = coeff / (k + 1)
+        return MultiPoly._make(out, self.variables)
 
     def laplacian(self, geometry: str) -> "MultiPoly":
         """Exact Laplacian in the named geometry.
@@ -345,8 +371,10 @@ class MultiPoly:
             if k % 2 == 1:
                 continue
             key = exps[:i] + (0,) + exps[i + 1:]
-            out[key] = out.get(key, Fraction(0)) + coeff / (k + 1)
-        return MultiPoly(out, self.variables)
+            v = coeff / (k + 1)
+            c = out.get(key)
+            out[key] = v if c is None else c + v
+        return MultiPoly._make(out, self.variables)
 
     # ------------------------------------------------------------ evaluation
 

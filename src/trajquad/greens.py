@@ -23,6 +23,7 @@ the CLI as JSON-able records.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,23 +82,37 @@ def harmonic_profile(g: float, n: int = 4001, half_width: float | None = None,
 
 def hermite_coefficients(l: int) -> list:
     """Integer coefficients of H_l, ascending powers, via the recurrence."""
+    return list(_hermite_coefficients(l))
+
+
+@functools.cache
+def _hermite_coefficients(l: int) -> tuple:
     if l < 0:
         raise ValueError("Hermite index must be non-negative")
     prev = [1]
     if l == 0:
-        return prev
+        return tuple(prev)
     cur = [0, 2]
     for k in range(1, l):
         nxt = [0] + [2 * c for c in cur]
         for j, c in enumerate(prev):
             nxt[j] -= 2 * k * c
         prev, cur = cur, nxt
-    return cur
+    return tuple(cur)
 
 
 def hermite_value(l: int, z):
-    """H_l evaluated with exact integer coefficients (Horner)."""
-    coeffs = hermite_coefficients(l)
+    """H_l evaluated with exact integer coefficients (Horner).
+
+    A scalar ``z`` runs on Python floats: the same IEEE operations as the
+    array path, without an array per call of a scalar integrand.
+    """
+    coeffs = _hermite_coefficients(l)
+    if isinstance(z, (int, float)):
+        acc = 0.0
+        for c in reversed(coeffs):
+            acc = acc * z + c
+        return acc
     out = np.zeros_like(np.asarray(z, dtype=float))
     for c in reversed(coeffs):
         out = out * z + c

@@ -13,10 +13,11 @@ descend).
 
 ∇²S₀ = direction·v'/√(2v) away from the origin and √(v''(origin)) at the
 origin itself.  Where -v has another maximum on the path, √(2v) vanishes
-and ∇S₀ develops a kink: such nodes are flagged, quadrature panels split
-there, the Laplacian entry is extrapolated from the approach side, and
+and ∇S₀ develops a kink: a kink on a node flags that node, one between two
+nodes flags the first node past it; quadrature panels split at a node
+kink, the Laplacian entry is extrapolated from the approach side, and
 the classical time, which diverges logarithmically at a kink, is +inf
-from the kink onwards.  Time also diverges at the origin, so it is
+from the flagged node onwards.  Time also diverges at the origin, so it is
 measured from the first node and the origin entry is NaN.
 """
 
@@ -124,6 +125,35 @@ class TrajectoryGrid:
 _KINK_SLACK = 1e3 * np.finfo(float).eps
 
 
+def _kinks_between_nodes(potential: Potential1D, nodes: np.ndarray,
+                         dvv: np.ndarray, direction: int, on_nodes: list,
+                         slack: float) -> list:
+    """Kinks at a double zero of v that falls between two nodes.
+
+    Along the trajectory v falls then rises across such a zero, so
+    dv/d(arc) = direction·v' changes sign from - to + between nodes i and
+    i+1.  The sign change is bisected to the minimum, and when 2v there
+    is below ``slack`` the kink is flagged at i+1, the first node past
+    it.  Pairs next to a kink already flagged on a node, and the panel
+    at the origin, are skipped.
+    """
+    slope = direction * dvv
+    taken = set(on_nodes)
+    pairs = [i for i in (np.flatnonzero((slope[1:-1] < 0.0) & (slope[2:] > 0.0))
+                         + 1).tolist()
+             if i not in taken and i + 1 not in taken]
+    if not pairs:
+        return []
+    falling, rising = nodes[pairs], nodes[[i + 1 for i in pairs]]
+    for _ in range(40):
+        mid = 0.5 * (falling + rising)
+        down = direction * potential.dv(mid) < 0.0
+        falling = np.where(down, mid, falling)
+        rising = np.where(down, rising, mid)
+    low = 2.0 * potential.v(0.5 * (falling + rising))
+    return [i + 1 for i, v in zip(pairs, low.tolist()) if v < slack]
+
+
 def build_grid(potential: Potential1D, x_max: float, n: int,
                direction: int = 1, panel_tol: float = 1e-12,
                max_refine: int = 30) -> TrajectoryGrid:
@@ -161,6 +191,9 @@ def build_grid(potential: Potential1D, x_max: float, n: int,
     scale = max(1.0, float(np.max(grad2)))
     kinks = (1 + np.flatnonzero((grad2[1:-1] < _KINK_SLACK * scale)
                                 & (dvv[:-2] * dvv[2:] < 0.0))).tolist()
+    kinks += _kinks_between_nodes(potential, nodes, dvv, direction, kinks,
+                                  _KINK_SLACK * scale)
+    kinks.sort()
 
     def integrand(x):
         return np.sqrt(np.maximum(2.0 * potential.v(x), 0.0))

@@ -5,12 +5,32 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trajquad.cli import RunConfig, main, parse_config_echo
+from trajquad.cli import _COMMANDS, _PARAMS, RunConfig, main, parse_config_echo
 from trajquad.errors import ConfigError
 from trajquad.greens import identity_report
 
 GOLDEN = Path(__file__).parent / "golden"
+
+_VALUES = st.one_of(
+    st.none(), st.text(max_size=8), st.integers(), st.floats(),
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), 10 ** 400,
+                     -1, 0, 1, 2.5, "1", "2.5", "1e400", "nan", "-inf", "even",
+                     "1d", "r^2", "0.5*x^2"]))
+
+
+@st.composite
+def run_configs(draw):
+    """A command with parameters drawn mostly from its own keys."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    keys = draw(st.lists(st.sampled_from(sorted(_COMMANDS[command][1])),
+                         max_size=7, unique=True))
+    stray = draw(st.one_of(st.just(()), st.just(()), st.just(()),
+                           st.tuples(st.sampled_from(sorted(_PARAMS))),
+                           st.tuples(st.text(max_size=6))))
+    return command, {key: draw(_VALUES) for key in (*keys, *stray)}
 
 
 class TestRunConfig:
@@ -41,6 +61,20 @@ class TestRunConfig:
         cfg = RunConfig("perturb", {"parity": "even", "p": 2, "order": 2})
         again = RunConfig.from_dict(cfg.to_dict())
         assert again == cfg
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(run_configs())
+    def test_fuzzed_parameters_construct_or_raise_config_error(self, case):
+        command, params = case
+        try:
+            cfg = RunConfig(command, params)
+        except ConfigError:
+            return
+        for key, value in cfg.parameters.items():
+            assert value is not None
+            if isinstance(value, float):
+                assert value == value and abs(value) != float("inf")
 
 
 class TestMain:
@@ -119,6 +153,15 @@ class TestMain:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("config error: ")
+
+    @pytest.mark.parametrize("text", ['{"command": "stark", "order": 1e400}',
+                                      '{"command": "stark", "g": 1e400}'])
+    def test_overflowing_config_value_exits_1(self, text, tmp_path, capsys):
+        # JSON reads 1e400 as inf, which int() rejects with OverflowError
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_method_error_exit_code(self, tmp_path, capsys):
         # degenerate minimum: v'' = 0 at the origin

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajquad.coulomb import (
     assemble,
@@ -13,6 +15,7 @@ from trajquad.coulomb import (
     solve_perturbed,
     solve_stark,
 )
+from trajquad.errors import LogSingularity
 from trajquad.exactalg import VAR_EPS, VAR_R, VAR_U, MultiPoly, parse_poly
 
 RUE = (VAR_R, VAR_U, VAR_EPS)
@@ -30,6 +33,11 @@ def quadratic():
 @pytest.fixture(scope="module")
 def stark():
     return solve_stark(12)
+
+
+@pytest.fixture(scope="module")
+def stark30():
+    return solve_stark(30)
 
 
 class TestIsotropic:
@@ -128,6 +136,19 @@ class TestStark:
         for k in (13, 14, 15, 16, 17):
             assert not sol.e_terms[k]
 
+    def test_eighth_order_literature_coefficient(self, stark30):
+        # the hydrogen hyperpolarizability series continues with
+        # -(13012777803/16384)F⁸ (Silverstone 1978; Alliluev & Malkin 1974)
+        assert stark30.e_terms[24] == P("-13012777803/16384 * eps^8")
+        for k in range(19, 24):
+            assert not stark30.e_terms[k]
+
+    def test_tenth_order_regression(self, stark30):
+        # pinned from this recursion, not from the literature
+        assert stark30.e_terms[30] == P("-25497693122265/131072 * eps^10")
+        for k in range(25, 30):
+            assert not stark30.e_terms[k]
+
     def test_minimum_order(self):
         with pytest.raises(ValueError):
             solve_stark(1)
@@ -209,3 +230,23 @@ class TestRandomizedResiduals:
         u_poly = P("r + 1/2 * r * u")
         sol = solve_perturbed(u_poly, 6)
         assert all(not r for r in defining_residuals(sol))
+
+    # U = Σ c·r^a·u^b with a >= 1 and b <= a + 1; the residuals come from
+    # grad_dot, which the recursion's own cached ∇S products do not use
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(st.dictionaries(
+        st.integers(1, 3).flatmap(
+            lambda a: st.tuples(st.just(a), st.integers(0, a + 1), st.just(0))),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+        min_size=1, max_size=3))
+    def test_random_anisotropic_fuzzed(self, terms):
+        sol = solve_perturbed(MultiPoly(terms, RUE), 6)
+        assert all(not r for r in defining_residuals(sol))
+
+    @pytest.mark.parametrize("text", ["r * u^3", "r^2 * u^4 + r"])
+    def test_high_angular_degree_breaks_down(self, text):
+        # r^a·u^b with b > a + 1 feeds an r^-1 source into a later order,
+        # which the radial rule cannot absorb: a clean breakdown
+        with pytest.raises(LogSingularity):
+            solve_perturbed(P(text), 6)

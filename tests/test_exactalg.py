@@ -17,6 +17,7 @@ from trajquad.exactalg import (
     VAR_U,
     VAR_X,
     MultiPoly,
+    _var_key,
     grad_dot,
     parse_poly,
 )
@@ -105,6 +106,63 @@ class TestCalculus:
     def test_integrate_r_log_singularity(self):
         with pytest.raises(LogSingularity, match="u"):
             P("u * r^-1", RU).integrate_r()
+
+
+def assert_canonical(p):
+    """Variables in collation order, Fraction coefficients, no zero stored."""
+    assert p.variables == tuple(sorted(p.variables, key=_var_key))
+    for exps, coeff in p.terms.items():
+        assert type(coeff) is Fraction and coeff != 0
+        assert len(exps) == len(p.variables)
+
+
+class TestTrustedResults:
+    """Operator results are built without revalidation; pin what they keep."""
+
+    def test_shift_to_negative_eps_power_raises(self):
+        p = P("eps * r + 2 * eps * u", RUE)
+        with pytest.raises(VariableMismatch):
+            p.shifted(VAR_EPS, -2)
+        with pytest.raises(VariableMismatch):
+            P("eps * r", RUE).shifted(VAR_EPS, -1).shifted(VAR_EPS, -1)
+        assert p.shifted(VAR_EPS, -1) == P("r + 2 * u", RUE)
+        assert P("r", RUE).shifted(VAR_R, -3) == P("r^-2", RUE)
+
+    def test_cancellation_stores_no_zero(self):
+        p = P("1/3 * eps * r^2 - u + 5", RUE)
+        one = MultiPoly.const(1, RUE)
+        u = MultiPoly.var(VAR_U, RUE)
+        for zero in (p - p, p + (-p), (one + u) * (one - u) - (one - u * u),
+                     p * 0, 0 * p, p * Fraction(0), -p - (-p),
+                     P("3 * eps", RUE).coeff_of(VAR_EPS, 1) - 3):
+            assert zero.terms == {}
+            assert not zero and zero == MultiPoly.zero(RUE)
+
+    def test_embedding_sorts_variables(self):
+        p = P("x^2 + ĝ").embedded((VAR_GHAT, VAR_EPS, VAR_X))
+        assert p.variables == (VAR_X, VAR_EPS, VAR_GHAT)
+        assert p == P("x^2 + ĝ")
+        with pytest.raises(VariableMismatch):
+            P("x").embedded((VAR_X, VAR_R, VAR_X))
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(sparse_polys, sparse_polys,
+           st.fractions(max_denominator=50, min_value=-5, max_value=5))
+    def test_every_operator_result_is_canonical(self, a, b, c):
+        results = [a + b, a - b, -a, a * b, a * c, c * a, a - a,
+                   a.coeff_of(VAR_R, 1), a.differentiate(VAR_R),
+                   a.differentiate(VAR_U), a.shifted(VAR_R, -2),
+                   a.shifted(VAR_EPS, 3), a.angular_average(),
+                   a.laplacian(RADIAL_POLAR), grad_dot(a, b, RADIAL_POLAR),
+                   MultiPoly({e[1:3]: v for e, v in a.terms.items()}, RU)
+                   .embedded((VAR_GHAT, VAR_U, VAR_X, VAR_R))]
+        if not a.coeff_of(VAR_R, -1):
+            results.append(a.integrate_r())
+        for p in results:
+            assert_canonical(p)
+        assert a - b == a + (-b)
+        assert a * c == a * MultiPoly.const(c, XRUEG)
 
 
 def random_poly(rng, variables, max_terms=4, max_deg=3):

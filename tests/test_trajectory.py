@@ -1,5 +1,7 @@
 """Trajectory grids: S₀ quadrature, kinks, convergence order, bundles."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,29 @@ class TestBuildGrid:
         assert np.isinf(grid.time[k])
         assert np.all(np.isinf(grid.time[k:]))
         assert np.all(np.isfinite(grid.time[1:k]))
+
+    def test_kink_between_nodes(self):
+        # v = ⅛x²(x-2)² has its double zero at x = 2, between nodes 1333
+        # and 1334; the panel across it diverges, so time is +inf from 1334
+        pot = Potential1D.from_poly("0.5*x^2 - 0.5*x^3 + 0.125*x^4")
+        start = time.perf_counter()
+        grid = build_grid(pot, 3.0, 2001)
+        elapsed = time.perf_counter() - start
+        assert grid.kinks == [1334]
+        assert grid.nodes[1333] < 2.0 < grid.nodes[1334]
+        assert np.all(np.isinf(grid.time[1334:]))
+        assert np.all(np.isfinite(grid.time[1:1334]))
+        assert elapsed < 0.1
+        mirrored = build_grid(Potential1D.from_poly(
+            "0.5*x^2 + 0.5*x^3 + 0.125*x^4"), 3.0, 2001, direction=-1)
+        assert mirrored.kinks == [1334]
+
+    def test_positive_minimum_is_not_a_kink(self):
+        # v = x²(½ - ½x + 0.13x²) dips to a positive minimum near x = 2
+        pot = Potential1D.from_poly("0.5*x^2 - 0.5*x^3 + 0.13*x^4")
+        grid = build_grid(pot, 3.0, 2001)
+        assert grid.kinks == []
+        assert np.all(np.isfinite(grid.time[1:]))
 
     def test_minimum_node_count(self):
         with pytest.raises(ValueError):
