@@ -104,17 +104,11 @@ def _hermite_coefficients(l: int) -> tuple:
 def hermite_value(l: int, z):
     """H_l evaluated with exact integer coefficients (Horner).
 
-    A scalar ``z`` runs on Python floats: the same IEEE operations as the
-    array path, without an array per call of a scalar integrand.
+    Starting from the float 0.0, a scalar ``z`` runs on Python floats and
+    an array ``z`` broadcasts, with no array made per scalar call.
     """
-    coeffs = _hermite_coefficients(l)
-    if isinstance(z, (int, float)):
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * z + c
-        return acc
-    out = np.zeros_like(np.asarray(z, dtype=float))
-    for c in reversed(coeffs):
+    out = 0.0
+    for c in reversed(_hermite_coefficients(l)):
         out = out * z + c
     return out
 

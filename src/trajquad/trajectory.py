@@ -125,33 +125,30 @@ class TrajectoryGrid:
 _KINK_SLACK = 1e3 * np.finfo(float).eps
 
 
-def _kinks_between_nodes(potential: Potential1D, nodes: np.ndarray,
-                         dvv: np.ndarray, direction: int, on_nodes: list,
-                         slack: float) -> list:
-    """Kinks at a double zero of v that falls between two nodes.
+def _kinks(potential: Potential1D, nodes: np.ndarray, grad2: np.ndarray,
+           dvv: np.ndarray, direction: int, slack: float) -> list:
+    """Nodes flagged as kinks: double zeros of v along the trajectory.
 
-    Along the trajectory v falls then rises across such a zero, so
-    dv/d(arc) = direction·v' changes sign from - to + between nodes i and
-    i+1.  The sign change is bisected to the minimum, and when 2v there
-    is below ``slack`` the kink is flagged at i+1, the first node past
-    it.  Pairs next to a kink already flagged on a node, and the panel
-    at the origin, are skipped.
+    Across a double zero v falls then rises, so dv/d(arc) = direction·v'
+    changes sign from - to + between nodes i and i+1 (the panel at the
+    origin excluded).  The sign change is bisected to the minimum; when
+    2v there is below ``slack`` the kink is flagged at node i if it sits
+    on that node (2v(nodes[i]) < slack) and at i+1, the first node past
+    it, otherwise.
     """
     slope = direction * dvv
-    taken = set(on_nodes)
-    pairs = [i for i in (np.flatnonzero((slope[1:-1] < 0.0) & (slope[2:] > 0.0))
-                         + 1).tolist()
-             if i not in taken and i + 1 not in taken]
-    if not pairs:
+    pairs = np.flatnonzero((slope[1:-1] < 0.0) & (slope[2:] >= 0.0)) + 1
+    if not pairs.size:
         return []
-    falling, rising = nodes[pairs], nodes[[i + 1 for i in pairs]]
+    falling, rising = nodes[pairs], nodes[pairs + 1]
     for _ in range(40):
         mid = 0.5 * (falling + rising)
         down = direction * potential.dv(mid) < 0.0
         falling = np.where(down, mid, falling)
         rising = np.where(down, rising, mid)
     low = 2.0 * potential.v(0.5 * (falling + rising))
-    return [i + 1 for i, v in zip(pairs, low.tolist()) if v < slack]
+    return [i if grad2[i] < slack else i + 1
+            for i, v in zip(pairs.tolist(), low.tolist()) if v < slack]
 
 
 def build_grid(potential: Potential1D, x_max: float, n: int,
@@ -189,11 +186,7 @@ def build_grid(potential: Potential1D, x_max: float, n: int,
     dvv = potential.dv(nodes)
 
     scale = max(1.0, float(np.max(grad2)))
-    kinks = (1 + np.flatnonzero((grad2[1:-1] < _KINK_SLACK * scale)
-                                & (dvv[:-2] * dvv[2:] < 0.0))).tolist()
-    kinks += _kinks_between_nodes(potential, nodes, dvv, direction, kinks,
-                                  _KINK_SLACK * scale)
-    kinks.sort()
+    kinks = _kinks(potential, nodes, grad2, dvv, direction, _KINK_SLACK * scale)
 
     def integrand(x):
         return np.sqrt(np.maximum(2.0 * potential.v(x), 0.0))

@@ -1,7 +1,5 @@
 """Trajectory grids: S₀ quadrature, kinks, convergence order, bundles."""
 
-import time
-
 import numpy as np
 import pytest
 
@@ -118,17 +116,32 @@ class TestBuildGrid:
         # v = ⅛x²(x-2)² has its double zero at x = 2, between nodes 1333
         # and 1334; the panel across it diverges, so time is +inf from 1334
         pot = Potential1D.from_poly("0.5*x^2 - 0.5*x^3 + 0.125*x^4")
-        start = time.perf_counter()
-        grid = build_grid(pot, 3.0, 2001)
-        elapsed = time.perf_counter() - start
+        calls = []
+
+        def v(x):
+            calls.append(x)
+            return pot.v(x)
+
+        counted = Potential1D(derivatives=(v,) + pot.derivatives[1:])
+        grid = build_grid(counted, 3.0, 2001)
         assert grid.kinks == [1334]
         assert grid.nodes[1333] < 2.0 < grid.nodes[1334]
         assert np.all(np.isinf(grid.time[1334:]))
         assert np.all(np.isfinite(grid.time[1:1334]))
-        assert elapsed < 0.1
+        # an unflagged kink sends the time panel across x = 2 to depth 20:
+        # ~487k calls of v instead of ~1.6k
+        assert len(calls) < 10_000
         mirrored = build_grid(Potential1D.from_poly(
             "0.5*x^2 + 0.5*x^3 + 0.125*x^4"), 3.0, 2001, direction=-1)
         assert mirrored.kinks == [1334]
+
+    def test_kink_on_last_node(self):
+        # the double zero at x = 2 is the last node: time diverges there
+        pot = Potential1D.from_poly("0.5*x^2 - 0.5*x^3 + 0.125*x^4")
+        grid = build_grid(pot, 2.0, 2001)
+        assert grid.kinks == [2000]
+        assert np.isinf(grid.time[-1])
+        assert np.all(np.isfinite(grid.time[1:-1]))
 
     def test_positive_minimum_is_not_a_kink(self):
         # v = x²(½ - ½x + 0.13x²) dips to a positive minimum near x = 2
