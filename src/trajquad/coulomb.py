@@ -67,7 +67,6 @@ class CoulombSolution:
     order: int
     s_terms: list
     e_terms: list
-    grading: str = "coulomb"
 
     def energy_weights(self):
         """(g-power, E_n) pairs for the non-zero energy coefficients."""
@@ -106,6 +105,11 @@ def solve_perturbed(u_poly: MultiPoly, order: int) -> CoulombSolution:
     """Run the radial recursion for a polynomial perturbation U(r, u).
 
     U must vanish at r = 0 (no constant shift and no bare angular term).
+    Not every such U runs: a term r^a·u^b with b > a + 1 feeds an r^-1
+    source into a later order and the run stops with ``LogSingularity``.
+    Terms with b ≤ a + 1 and a ≤ 3 run to order 6; r·u³, r²·u⁴ and r³·u⁵
+    break down cleanly (``tests/test_coulomb.py``,
+    ``TestRandomizedResiduals::test_high_angular_degree_breaks_down``).
     """
     u_poly = u_poly.embedded(RUE)
     if u_poly.min_degree(VAR_R) < 1 and u_poly:

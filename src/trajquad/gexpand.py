@@ -44,9 +44,7 @@ class SeriesSolution:
     order: int
     e_terms: list
     s_terms: list
-    s_prime: list = field(default_factory=list)
     rhs_terms: list = field(default_factory=list)
-    grading: str = "ginv"
 
 
 def e0(grid: TrajectoryGrid) -> float:
@@ -173,7 +171,7 @@ def hierarchy(grid: TrajectoryGrid, order: int) -> SeriesSolution:
         raise HierarchyBreakdown("∇S₀ vanishes away from the origin")
 
     sol = SeriesSolution(grid=grid, order=order, e_terms=[e0(grid)],
-                         s_terms=[], s_prime=[], rhs_terms=[])
+                         s_terms=[], rhs_terms=[])
     if order == 0:
         return sol
 
@@ -182,10 +180,8 @@ def hierarchy(grid: TrajectoryGrid, order: int) -> SeriesSolution:
     for k in range(1, order + 1):
         e_prev = sol.e_terms[k - 1]
         towers.add_slope(k, e_prev, height=order + 1 - k)
-        sk_prime = towers.s[k][0]
-        sol.s_prime.append(sk_prime)
         sol.rhs_terms.append(towers.bracket(k, 0) - e_prev)
-        sol.s_terms.append(cumulative_integral(sk_prime, arc, start=0))
+        sol.s_terms.append(cumulative_integral(towers.s[k][0], arc, start=0))
         sol.e_terms.append(towers.energy(k + 1))
     return sol
 

@@ -10,6 +10,13 @@ triangular recursion built from two exact rational tables:
             and for m = 0, otherwise ∏_{j=m+1}^{n}(2j-1) / (m·(2g)^(n-m+1)).
     γ_mn  : the odd-power analogue, (n!/m!) / ((2m+1)·g^(n-m+1)) for m ≤ n.
 
+Both tables have product form and neither is stored: the chain acts on a
+whole source Σ s_n x^(2n) (x^(2n+1) for γ) as one O(n) suffix sweep on
+the ĝ-free rationals,
+
+    Γ :  T_m = s_m + (2m+1)/2·T_{m+1},  image T_m/(2m)    for m ≥ 1,
+    γ :  U_m = s_m + (m+1)·U_{m+1},     image U_m/(2m+1)  for m ≥ 0.
+
 Everything is exact.  Every table entry, every e^{-τ} coefficient and every
 energy shift is a single ĝ-monomial c·ĝ^s (ĝ = 1/g, c rational) whose power
 s is fixed by scaling, so the recursion runs on the rationals c alone and
@@ -32,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 from .errors import MethodError
 from .exactalg import VAR_EPS, VAR_GHAT, VAR_X, MultiPoly
@@ -46,45 +52,41 @@ def _ghat_power(coeff: Fraction, power: int) -> MultiPoly:
     return MultiPoly.monomial(coeff, {VAR_GHAT: power}, _G)
 
 
-@cache
-def _even_column(n: int) -> tuple[tuple[int, Fraction], ...]:
-    """Nonzero Γ_mn coefficients of column n as (m, c) pairs, m = 1..n."""
-    out = []
-    num = 1
-    for m in range(n, 0, -1):
-        out.append((m, Fraction(num, m * 2 ** (n - m + 1))))
-        num *= 2 * m - 1
-    return tuple(reversed(out))
+def _chain_even(source: dict) -> dict:
+    """Γ on a source keyed by n ↔ x^(2n); nonzero image entries, same keys."""
+    level, acc = {}, Fraction(0)
+    for m in range(max(source, default=0), 0, -1):
+        acc = acc * Fraction(2 * m + 1, 2) + source.get(m, 0)
+        if acc:
+            level[m] = acc / (2 * m)
+    return level
 
 
-@cache
-def _odd_column(n: int) -> tuple[tuple[int, Fraction], ...]:
-    """γ_mn coefficients of column n as (m, c) pairs, m = 0..n."""
-    out = []
-    num = 1
-    for m in range(n, -1, -1):
-        out.append((m, Fraction(num, 2 * m + 1)))
-        num *= m
-    return tuple(reversed(out))
+def _chain_odd(source: dict) -> dict:
+    """γ on a source keyed by n ↔ x^(2n+1); nonzero image entries, same keys."""
+    level, acc = {}, Fraction(0)
+    for m in range(max(source, default=-1), -1, -1):
+        acc = acc * (m + 1) + source.get(m, 0)
+        if acc:
+            level[m] = acc / (2 * m + 1)
+    return level
 
 
-def _table_entry(column, m: int, n: int) -> MultiPoly:
+def _table_entry(chain, m: int, n: int) -> MultiPoly:
     if m < 0 or n < 0:
         raise ValueError("table indices must be non-negative")
-    for row, coeff in column(n):
-        if row == m:
-            return _ghat_power(coeff, n - m + 1)
-    return MultiPoly.zero(_G)
+    coeff = chain({n: Fraction(1)}).get(m)
+    return _ghat_power(coeff, n - m + 1) if coeff else MultiPoly.zero(_G)
 
 
 def gamma_even(m: int, n: int) -> MultiPoly:
     """Even-power table entry Γ_mn as a ĝ-monomial."""
-    return _table_entry(_even_column, m, n)
+    return _table_entry(_chain_even, m, n)
 
 
 def gamma_odd(m: int, n: int) -> MultiPoly:
     """Odd-power table entry γ_mn as a ĝ-monomial."""
-    return _table_entry(_odd_column, m, n)
+    return _table_entry(_chain_odd, m, n)
 
 
 @dataclass
@@ -109,9 +111,7 @@ class PerturbSeries:
     def shift_value(self, eps: float, g: float, order: int | None = None) -> float:
         """Numeric εΔ truncated at the given ε-order."""
         order = self.order if order is None else order
-        ginv = 1.0 / g
-        return sum(self.delta[k - 1].evaluate({VAR_GHAT: ginv}) * eps ** k
-                   for k in range(1, order + 1))
+        return sum(self.delta_value(k, g) * eps ** k for k in range(1, order + 1))
 
     def total_energy(self, eps: float, g: float, order: int | None = None) -> float:
         """Ground energy g/2 plus the truncated shift."""
@@ -127,10 +127,10 @@ class PerturbSeries:
     def exp_minus_tau_coeff(self, power: int) -> MultiPoly:
         """Coefficient of x^power in e^{-τ}, exact in (ε, ĝ)."""
         total = MultiPoly.zero(_EG)
+        if self.parity == "even" and power % 2 == 1:
+            return total
+        key = power // 2 if self.parity == "even" else power
         for k, table in enumerate(self.coeffs, start=1):
-            key = power // 2 if self.parity == "even" else power
-            if self.parity == "even" and power % 2 == 1:
-                return total
             entry = table.get(key)
             if entry is not None:
                 total = total + entry.embedded(_EG) * \
@@ -143,9 +143,9 @@ def _recurse(order: int, shift: int, chain, delta_key: int, check) -> list:
 
     Order k applies the resolvent chain to the source
     -x^(perturbation)·e^{-τ}(k-1) + Σ_i Δ(k-i)·e^{-τ}(i); ``shift`` is
-    the perturbation's power in key units and ``chain(key)`` yields the
-    (key, coefficient) pairs of the chain acting on one monomial.  Each
-    order is passed to ``check(k, level)`` before it is used, and
+    the perturbation's power in key units and ``chain(source)`` returns the
+    chain's image of the whole source, same keys, zero entries dropped.
+    Each order is passed to ``check(k, level)`` before it is used, and
     Δ(k) = -level[delta_key].
     """
     levels = [{0: Fraction(1)}]
@@ -157,11 +157,7 @@ def _recurse(order: int, shift: int, chain, delta_key: int, check) -> list:
             if d:
                 for key, c in levels[i].items():
                     source[key] = source.get(key, 0) + c * d
-        level: dict[int, Fraction] = {}
-        for key, c in source.items():
-            for out, g in chain(key):
-                level[out] = level.get(out, 0) + c * g
-        level = {key: v for key, v in level.items() if v}
+        level = chain(source)
         check(k, level)
         levels.append(level)
         delta.append(-level.get(delta_key, 0))
@@ -194,17 +190,16 @@ def solve_even(p: int, order: int) -> PerturbSeries:
         if any(n > k * p for n in level):
             raise MethodError(f"even support bound violated at order {k}")
 
-    # keys n stand for x^(2n); the chain on x^(2n) is column n of Γ
-    levels = _recurse(order, p, _even_column, 1, check)
+    # keys n stand for x^(2n), so the chain is Γ itself
+    levels = _recurse(order, p, _chain_even, 1, check)
     return _assemble("even", p, levels, 1, lambda k, n: k * (p + 1) - n)
 
 
-def _odd_chain(power: int):
-    """(x-power, coefficient) pairs of the resolvent chain acting on x^power."""
-    half = power // 2
-    if power % 2:
-        return ((2 * m + 1, c) for m, c in _odd_column(half))
-    return ((2 * m, c) for m, c in _even_column(half))
+def _chain_x(source: dict) -> dict:
+    """Chain on a source keyed by x-power: Γ on its even part, γ on its odd."""
+    even = _chain_even({x // 2: c for x, c in source.items() if x % 2 == 0})
+    odd = _chain_odd({x // 2: c for x, c in source.items() if x % 2})
+    return {2 * m: c for m, c in even.items()} | {2 * m + 1: c for m, c in odd.items()}
 
 
 def solve_odd(p: int, order: int) -> PerturbSeries:
@@ -224,7 +219,7 @@ def solve_odd(p: int, order: int) -> PerturbSeries:
         if any(x % 2 != k % 2 for x in level):
             raise MethodError(f"parity structure violated at order {k}")
 
-    levels = _recurse(order, 2 * p + 1, _odd_chain, 2, check)
+    levels = _recurse(order, 2 * p + 1, _chain_x, 2, check)
     # floor division only matters at odd k, where Δ(k) = 0
     return _assemble("odd", p, levels, 2, lambda k, x: (k * (2 * p + 3) - x) // 2)
 

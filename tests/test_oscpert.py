@@ -56,15 +56,31 @@ class TestTables:
                 fact *= j
             assert gamma_odd(0, n) == ghat(fact, n + 1)
 
-    def test_table_cache_matches_direct(self):
-        for column, entry in ((oscpert._even_column, gamma_even),
-                              (oscpert._odd_column, gamma_odd)):
-            for n in range(7):
-                cached = dict(column(n))
-                for m in range(7):
-                    expected = ghat(cached[m], n - m + 1) if m in cached \
-                        else MultiPoly.zero((VAR_GHAT,))
-                    assert entry(m, n) == expected
+    def test_tables_match_closed_forms(self):
+        # Γ_mn = ∏_{j=m+1}^{n}(2j-1) / (m·2^(n-m+1)) ĝ^(n-m+1), zero for m = 0
+        # or m > n; γ_mn = (n!/m!) / (2m+1) ĝ^(n-m+1), zero for m > n
+        zero = MultiPoly.zero((VAR_GHAT,))
+        for n in range(31):
+            for m in range(31):
+                if m > n:
+                    assert gamma_even(m, n) == zero
+                    assert gamma_odd(m, n) == zero
+                    continue
+                odd = Fraction(math.factorial(n), math.factorial(m) * (2 * m + 1))
+                assert gamma_odd(m, n) == ghat(odd, n - m + 1)
+                if m == 0:
+                    assert gamma_even(m, n) == zero
+                    continue
+                prod = math.prod(2 * j - 1 for j in range(m + 1, n + 1))
+                even = Fraction(prod, m * 2 ** (n - m + 1))
+                assert gamma_even(m, n) == ghat(even, n - m + 1)
+
+    def test_negative_indices_raise(self):
+        for entry in (gamma_even, gamma_odd):
+            with pytest.raises(ValueError):
+                entry(-1, 2)
+            with pytest.raises(ValueError):
+                entry(0, -1)
 
 
 class TestEvenSeries:
@@ -103,16 +119,27 @@ class TestEvenSeries:
 
     def test_quartic_bender_wu_large_order(self):
         # Δ(k) at g = 1 against (-1)^(k+1) √6 π^(-3/2) 3^k Γ(k+½),
-        # whose ratio tends to 1 - 95/(72k) (Bender & Wu, 1969)
-        series = solve_even(p=2, order=24)
+        # whose ratio tends to 1 - 95/(72k) (Bender & Wu, Phys. Rev. 184
+        # (1969) 1231)
+        series = solve_even(p=2, order=80)
+
+        def ratio(k):
+            # r_k in log space: Δ(80) and its leading form are near 1e155
+            (coeff,) = series.delta[k - 1].terms.values()
+            assert (coeff > 0) == (k % 2 == 1)
+            log_delta = math.log(abs(coeff.numerator)) - math.log(coeff.denominator)
+            log_leading = 0.5 * math.log(6) - 1.5 * math.log(math.pi) \
+                + k * math.log(3) + math.lgamma(k + 0.5)
+            return math.exp(log_delta - log_leading)
 
         def gap(k):
-            leading = (-1) ** (k + 1) * math.sqrt(6) * math.pi ** -1.5 \
-                * 3 ** k * math.gamma(k + 0.5)
-            return abs(series.delta_value(k, 1.0) / leading - (1 - 95 / (72 * k)))
+            return abs(ratio(k) - (1 - 95 / (72 * k)))
 
         assert gap(24) < 0.005
         assert gap(24) < gap(16)
+        # c_k = (1 - r_k)·k = 95/72 + O(1/k); one Richardson step removes the 1/k
+        c40, c80 = ((1 - ratio(k)) * k for k in (40, 80))
+        assert 2 * c80 - c40 == pytest.approx(95 / 72, rel=0.003)
 
     def test_exp_tau_coefficient_helper(self):
         series = solve_even(p=2, order=2)
@@ -161,17 +188,26 @@ class TestOddSeries:
 
 
 class TestInvariants:
-    @pytest.mark.parametrize("column, solver, p", [
-        ("_even_column", solve_even, 2),
-        ("_odd_column", solve_odd, 1),
+    @pytest.mark.parametrize("chain, solver, p", [
+        ("_chain_even", solve_even, 2),
+        ("_chain_x", solve_odd, 1),
     ])
-    def test_support_bound_violation_raises(self, monkeypatch, column, solver, p):
-        # a table entry with m > n pushes the first order past its support
-        real = getattr(oscpert, column)
-        monkeypatch.setattr(oscpert, column,
-                            lambda n: real(n) + ((n + 1, Fraction(1)),))
+    def test_support_bound_violation_raises(self, monkeypatch, chain, solver, p):
+        # an image key above the source's largest pushes the first order
+        # past its support; +2 keeps the key's parity
+        real = getattr(oscpert, chain)
+        monkeypatch.setattr(oscpert, chain,
+                            lambda source: {**real(source), max(source) + 2: Fraction(1)})
         with pytest.raises(MethodError, match="support bound"):
             solver(p, 1)
+
+    def test_odd_parity_violation_raises(self, monkeypatch):
+        # an even x-power at the first (odd) order, inside the support bound
+        real = oscpert._chain_x
+        monkeypatch.setattr(oscpert, "_chain_x",
+                            lambda source: {**real(source), 0: Fraction(1)})
+        with pytest.raises(MethodError, match="parity structure"):
+            solve_odd(1, 1)
 
 
 class TestOperatorChains:
