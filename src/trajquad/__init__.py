@@ -9,7 +9,7 @@ oscpert    exact ε-series for the harmonic oscillator with a monomial
            perturbation (the Γ/γ recursion tables)
 coulomb    closed-form recursion for the perturbed Coulomb ground state,
            including the uniform-field (Stark) chain
-trajectory classical-action grids for 1-D and separable potentials
+trajectory classical-action grids along one axis
 gexpand    the g⁻¹ hierarchy S₁..S₃, E₀..E₃ by quadrature
 greens     single-trajectory Green's operators and their identity checks
 excited    excited-state classification and first corrections
@@ -26,11 +26,9 @@ from .exactalg import (  # noqa: F401
     parse_poly,
 )
 from .trajectory import (  # noqa: F401
-    AxisBundle,
     Potential1D,
     TrajectoryGrid,
     build_grid,
-    separable_compose,
 )
 from .gexpand import SeriesSolution, assemble_energy, e0, hierarchy  # noqa: F401
 from .greens import (  # noqa: F401

@@ -153,8 +153,6 @@ def _run_gexpand(p: dict):
 def _run_perturb(p: dict):
     solver = oscpert_mod.solve_even if p["parity"] == "even" \
         else oscpert_mod.solve_odd
-    if p["parity"] == "even" and p["p"] < 1:
-        raise ConfigError("even perturbations need p >= 1")
     series = solver(p["p"], p["order"])
     rows = []
     for k, delta in enumerate(series.delta, start=1):

@@ -379,7 +379,11 @@ class MultiPoly:
     # ------------------------------------------------------------ evaluation
 
     def evaluate(self, assignments: Mapping[str, float]) -> float:
-        """Floating-point evaluation; every variable must be assigned."""
+        """Floating-point evaluation; every variable must be assigned.
+
+        Values may be floats or float arrays, which broadcast; an all-float
+        assignment gives a Python float.
+        """
         missing = [v for v in self.variables if v not in assignments and self.depends_on(v)]
         if missing:
             raise VariableMismatch(f"no value supplied for {missing!r}")
@@ -388,7 +392,7 @@ class MultiPoly:
             term = float(coeff)
             for v, k in zip(self.variables, exps):
                 if k:
-                    term *= float(assignments[v]) ** k
+                    term *= assignments[v] ** k
             total += term
         return total
 

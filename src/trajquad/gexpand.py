@@ -25,13 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
+from typing import Sequence
 
 import numpy as np
 
 from .errors import HierarchyBreakdown
-from .numerics import (cumulative_integral, derivative, extrapolate_to_zero,
-                       neville_at)
-from .trajectory import AxisBundle, TrajectoryGrid
+from .numerics import cumulative_integral, derivative, neville_at
+from .trajectory import TrajectoryGrid
 
 MAX_ORDER = 3
 
@@ -148,8 +148,8 @@ class _Towers:
         idx = sorted({max(6, int(np.searchsorted(a, t))) for t in targets})
         if len(idx) < 4:
             raise HierarchyBreakdown("grid too coarse for the origin ladder")
-        first = extrapolate_to_zero(a[idx], values[idx])
-        second = extrapolate_to_zero(a[idx[1:]], values[idx[1:]])
+        first = neville_at(a[idx], values[idx], 0.0)
+        second = neville_at(a[idx[1:]], values[idx[1:]], 0.0)
         scale = max(1.0, float(np.max(np.abs(values[idx]))))
         if abs(first - second) > 1e-4 * scale + 1e-9:
             raise HierarchyBreakdown(
@@ -214,9 +214,12 @@ class SeparableSolution:
         return sum(g ** (1 - k) * e for k, e in enumerate(self.e_terms))
 
 
-def hierarchy_separable(bundle: AxisBundle, order: int) -> SeparableSolution:
-    """Run the hierarchy per axis and sum E_k across axes."""
-    sols = [hierarchy(axis, order) for axis in bundle.axes]
+def hierarchy_separable(axes: Sequence[TrajectoryGrid],
+                        order: int) -> SeparableSolution:
+    """Run the hierarchy on each axis's grid and sum E_k across axes."""
+    if not axes:
+        raise ValueError("need at least one axis")
+    sols = [hierarchy(axis, order) for axis in axes]
     e_totals = [sum(s.e_terms[k] for s in sols)
                 for k in range(len(sols[0].e_terms))]
     return SeparableSolution(solutions=sols, e_terms=e_totals)

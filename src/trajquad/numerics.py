@@ -165,11 +165,6 @@ def neville_at(xs, ys, x: float) -> float:
     return p[0]
 
 
-def extrapolate_to_zero(xs, ys) -> float:
-    """Neville polynomial extrapolation of (xs, ys) samples to x = 0."""
-    return neville_at(xs, ys, 0.0)
-
-
 def _simpson(lo, hi, flo, fmid, fhi):
     return (hi - lo) * (flo + 4.0 * fmid + fhi) / 6.0
 

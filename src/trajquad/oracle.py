@@ -1,9 +1,12 @@
 """Independent brute-force Schrödinger eigensolver for validation.
 
 Second-order central differences on a uniform grid with Dirichlet walls
-give a symmetric tridiagonal matrix; its lowest eigenvalues are bracketed
-by bisection on the Sturm sign-change count, which is deterministic,
-library-free and much simpler than the series machinery it checks.
+give a symmetric tridiagonal matrix.  Its diagonal comes from one call of
+the potential on the whole node array, so every potential passed here
+takes an array and returns an array (or one scalar, which is broadcast).
+The lowest eigenvalues are bracketed by bisection on the Sturm
+sign-change count, which is deterministic, library-free and much simpler
+than the series machinery it checks.
 Each solve runs at two resolutions (n and 2n); the h² Richardson
 extrapolation supplies both the reported eigenvalue and its error
 estimate.  The eigenvector of the fine grid is recovered afterwards by
@@ -19,7 +22,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainTooSmall
+from .errors import DomainTooSmall, InvalidPotential
+
+# V on an array of nodes: an array of values, or one scalar for every node
+_Potential = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -53,9 +59,8 @@ def _sturm_count(diag, off2: float, lam: float) -> int:
     return count
 
 
-def _bisect_eigenvalues(diag: np.ndarray, off: float, k: int,
-                        tol: float = 1e-12) -> list:
-    """Bracket the k lowest eigenvalues to width tol (abs + rel)."""
+def _bisect_eigenvalues(diag: np.ndarray, off: float, k: int) -> list:
+    """Bracket the k lowest eigenvalues to width 1e-12 (abs + rel)."""
     off2 = off * off
     dlist = diag.tolist()
     radius = 2.0 * abs(off)
@@ -70,7 +75,7 @@ def _bisect_eigenvalues(diag: np.ndarray, off: float, k: int,
                 hi = mid
             else:
                 lo = mid
-            if hi - lo <= tol * (1.0 + abs(mid)):
+            if hi - lo <= 1e-12 * (1.0 + abs(mid)):
                 break
         values.append(0.5 * (lo + hi))
     return values
@@ -116,46 +121,46 @@ def _inverse_iteration(diag: np.ndarray, off: float, lam: float) -> np.ndarray:
     return u
 
 
-def _solve_grid(v_vals: np.ndarray, h: float, k: int) -> list:
-    diag = 1.0 / h ** 2 + v_vals
-    off = -0.5 / h ** 2
-    return _bisect_eigenvalues(diag, off, k)
+def _dirichlet(potential: _Potential, a: float, b: float, m: int) -> tuple:
+    """Diagonal of -½d²/dx² + V on the m interior nodes of (a, b), and h."""
+    h = (b - a) / (m + 1)
+    x = a + h * np.arange(1, m + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = np.broadcast_to(1.0 / h ** 2 + potential(x), (m,))
+    if not np.all(np.isfinite(diag)):
+        raise InvalidPotential("potential is not finite on the oracle grid")
+    return diag, h
 
 
-def _richardson(grid_values: Callable[[int], tuple], n: int, k: int):
-    """The h²-Richardson step shared by both solvers.
+def _solve(potential: _Potential, a: float, b: float, n: int, k: int,
+           walls: list) -> EigenResult:
+    """The k lowest eigenvalues, h²-Richardson extrapolated from n, 2n nodes.
 
-    Solves on n and 2n points and returns the extrapolants, their
-    |E_2n - E_n|/3 estimates, and the fine grid's potential values and
-    spacing, which the caller's edge check inspects.
+    Each estimate is |E_2n - E_n|/3.  ``walls`` indexes the fine-grid nodes
+    next to the walls where every eigenvector must have decayed to 1e-8 of
+    its peak; otherwise the box is too small.
     """
-    v1, h1 = grid_values(n)
-    v2, h2 = grid_values(2 * n)
-    pairs = list(zip(_solve_grid(v1, h1, k), _solve_grid(v2, h2, k)))
+    diag, h = _dirichlet(potential, a, b, n)
+    coarse = _bisect_eigenvalues(diag, -0.5 / h ** 2, k)
+    diag, h = _dirichlet(potential, a, b, 2 * n)
+    off = -0.5 / h ** 2
+    pairs = list(zip(coarse, _bisect_eigenvalues(diag, off, k)))
     values = tuple((4.0 * ef - ec) / 3.0 for ec, ef in pairs)
     errors = tuple(abs(ef - ec) / 3.0 + 1e-14 * (1.0 + abs(ef))
                    for ec, ef in pairs)
-    return values, errors, v2, h2
+    for lam in values:
+        u = np.abs(_inverse_iteration(diag, off, lam))
+        peak, edge = float(np.max(u)), float(np.max(u[walls]))
+        if edge > 1e-8 * peak:
+            raise DomainTooSmall(
+                f"edge amplitude {edge:.2e} of peak {peak:.2e}")
+    return EigenResult(eigenvalues=values, domain=(a, b), points=n,
+                       convergence=errors)
 
 
-def _edge_check(v_vals: np.ndarray, h: float, lam: float,
-                sides: str = "both") -> None:
-    diag = 1.0 / h ** 2 + v_vals
-    u = _inverse_iteration(diag, -0.5 / h ** 2, lam)
-    peak = float(np.max(np.abs(u)))
-    edges = []
-    if sides in ("both", "left"):
-        edges.append(abs(u[0]))
-    if sides in ("both", "right"):
-        edges.append(abs(u[-1]))
-    if max(edges) > 1e-8 * peak:
-        raise DomainTooSmall(
-            f"edge amplitude {max(edges):.2e} of peak {peak:.2e}")
-
-
-def solve_1d(potential: Callable[[float], float], domain: tuple, n: int,
+def solve_1d(potential: _Potential, domain: tuple, n: int,
              k: int = 1) -> EigenResult:
-    """Lowest k eigenvalues of -½d²/dx² + V with Dirichlet walls.
+    """Lowest k eigenvalues of -½d²/dx² + V(x) with Dirichlet walls.
 
     Solved at n and 2n interior points; eigenvalues are the h²-Richardson
     extrapolants with |E_2n - E_n|/3 as the per-eigenvalue estimate.
@@ -165,21 +170,11 @@ def solve_1d(potential: Callable[[float], float], domain: tuple, n: int,
     a, b = float(domain[0]), float(domain[1])
     if not b > a:
         raise ValueError("empty domain")
-
-    def grid_values(m: int):
-        h = (b - a) / (m + 1)
-        x = a + h * np.arange(1, m + 1)
-        return np.array([potential(xi) for xi in x]), h
-
-    values, errors, v2, h2 = _richardson(grid_values, n, k)
-    for lam in values:
-        _edge_check(v2, h2, lam, sides="both")
-    return EigenResult(eigenvalues=values, domain=(a, b), points=n,
-                       convergence=errors)
+    return _solve(potential, a, b, n, k, [0, -1])
 
 
-def solve_radial(g: float, u_potential: Callable[[float], float], eps: float,
-                 r_max: float, n: int) -> EigenResult:
+def solve_radial(g: float, u_potential: _Potential, eps: float, r_max: float,
+                 n: int) -> EigenResult:
     """Ground eigenvalue of -½u'' + [-g²/r + εU(r)]u, u(0) = u(r_max) = 0.
 
     Uniform grid on (0, r_max); the node at r = 0 is a Dirichlet ghost, so
@@ -190,24 +185,12 @@ def solve_radial(g: float, u_potential: Callable[[float], float], eps: float,
         raise ValueError("oracle needs at least 200 points")
     if r_max * g ** 2 < 5.0:
         raise DomainTooSmall("r_max·g² too small for a bound Coulomb state")
-
-    def grid_values(m: int):
-        h = r_max / (m + 1)
-        r = h * np.arange(1, m + 1)
-        vals = np.array([-g ** 2 / ri + eps * u_potential(ri) for ri in r])
-        return vals, h
-
-    values, errors, v2, h2 = _richardson(grid_values, n, 1)
-    _edge_check(v2, h2, values[0], sides="right")
-    return EigenResult(eigenvalues=values, domain=(0.0, r_max), points=n,
-                       convergence=errors)
+    return _solve(lambda r: -g ** 2 / r + eps * u_potential(r), 0.0, r_max,
+                  n, 1, [-1])
 
 
-def sturm_count(potential: Callable[[float], float], domain: tuple, n: int,
+def sturm_count(potential: _Potential, domain: tuple, n: int,
                 lam: float) -> int:
     """Eigenvalue count below lam (internal consistency hook for tests)."""
-    a, b = float(domain[0]), float(domain[1])
-    h = (b - a) / (n + 1)
-    x = a + h * np.arange(1, n + 1)
-    diag = (1.0 / h ** 2 + np.array([potential(xi) for xi in x])).tolist()
-    return _sturm_count(diag, (0.5 / h ** 2) ** 2, lam)
+    diag, h = _dirichlet(potential, float(domain[0]), float(domain[1]), n)
+    return _sturm_count(diag.tolist(), (0.5 / h ** 2) ** 2, lam)

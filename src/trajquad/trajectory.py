@@ -1,4 +1,4 @@
-"""Classical trajectory data at e = 0+ for 1-D and separable potentials.
+"""Classical trajectory data at e = 0+ along one axis.
 
 The Hamilton–Jacobi exponent of the leading wave-function factor solves
 (dS₀/dx)² = 2v, so in one dimension S₀ is exact by quadrature:
@@ -32,7 +32,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import DegenerateMinimum, InvalidPotential
 from .exactalg import VAR_X, MultiPoly, parse_poly
-from .numerics import adaptive_panels, extrapolate_to_zero
+from .numerics import adaptive_panels, neville_at
 
 
 @dataclass(frozen=True)
@@ -202,8 +202,8 @@ def build_grid(potential: Potential1D, x_max: float, n: int,
     for i in np.flatnonzero(np.isnan(lap)):
         back = [j for j in range(max(1, i - 4), i) if not np.isnan(lap[j])]
         if len(back) >= 2:
-            lap[i] = extrapolate_to_zero(
-                [arc[j] - arc[i] for j in back], [lap[j] for j in back])
+            lap[i] = neville_at(
+                [arc[j] - arc[i] for j in back], [lap[j] for j in back], 0.0)
         else:
             lap[i] = lap[0]
 
@@ -220,25 +220,3 @@ def build_grid(potential: Potential1D, x_max: float, n: int,
     return TrajectoryGrid(nodes=nodes, s0=s0, grad2=grad2, lap_s0=lap,
                           time=time, kinks=kinks, direction=direction,
                           potential=potential)
-
-
-@dataclass
-class AxisBundle:
-    """Per-axis trajectory grids of a separable potential.
-
-    The action and every expansion order are axis-wise sums, so the
-    hierarchy runs on each grid independently and energies add.
-    """
-
-    axes: list
-
-    def __len__(self):
-        return len(self.axes)
-
-
-def separable_compose(axes: Sequence[TrajectoryGrid]) -> AxisBundle:
-    """Bundle per-axis grids; a single axis gives the identity bundle."""
-    axes = list(axes)
-    if not axes:
-        raise ValueError("need at least one axis")
-    return AxisBundle(axes=axes)

@@ -140,6 +140,7 @@ class TestMain:
          "--eps", "inf"],
         # bad choices and types, once rejected by argparse with exit 2
         ["--command", "perturb", "--parity", "foo", "--p", "2"],
+        ["--command", "perturb", "--parity", "even", "--p", "0"],
         ["--command", "stark", "--order", "abc"],
         ["--command", "stark", "--format", "xml"],
         ["--command", "frobnicate"],
@@ -166,6 +167,21 @@ class TestMain:
     def test_method_error_exit_code(self, tmp_path, capsys):
         # degenerate minimum: v'' = 0 at the origin
         assert main(["--command", "gexpand", "--potential", "x^4"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--command", "oracle", "--potential", "x^9", "--domain", "1e40"],
+        ["--command", "oracle", "--mode", "radial", "--potential", "r^5",
+         "--domain", "1e80"],
+    ])
+    def test_overflowing_oracle_potential_exits_2(self, argv, capsys):
+        # V overflows on the grid; the oracle must not report a nan
+        # eigenvalue with exit 0, nor warn or raise on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--n", "200"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("method breakdown: potential is not finite")
 
     def test_coarse_gexpand_breaks_down_without_warning(self, capsys):
         # at 17 nodes the origin patch band would repeat a node (0/0 in

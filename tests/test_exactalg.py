@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -259,3 +260,18 @@ class TestGrammar:
     def test_evaluate(self):
         p = P("1/2 * x^2 + x^4")
         assert p.evaluate({VAR_X: 2.0}) == pytest.approx(18.0)
+
+    def test_evaluate_broadcasts_arrays(self):
+        # the oracle samples a potential on its whole grid in one call.
+        # NumPy's SIMD power and libm's pow round differently on a few
+        # percent of inputs, by one ulp, so the positive terms below agree
+        # to 4 ulp, not bitwise
+        p = parse_poly("r^-2 + 2 + r^2 + r * u^2 + 3/7 * r^3 * ε + 5/3 * r^5",
+                       RUE)
+        r = np.linspace(0.05, 4.0, 1001)
+        got = p.evaluate({VAR_R: r, VAR_U: 0.3, VAR_EPS: 1.5})
+        want = [p.evaluate({VAR_R: float(ri), VAR_U: 0.3, VAR_EPS: 1.5})
+                for ri in r]
+        assert all(type(w) is float for w in want)
+        np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps,
+                                   atol=0)

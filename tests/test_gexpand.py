@@ -11,7 +11,7 @@ from trajquad.gexpand import (
     hierarchy_separable,
     pde_residual,
 )
-from trajquad.trajectory import Potential1D, build_grid, separable_compose
+from trajquad.trajectory import Potential1D, build_grid
 
 
 def grid_for(text, x_max=2.5, n=2001, origin=0.0, direction=1):
@@ -124,21 +124,25 @@ class TestBreakdown:
 class TestSeparable:
     def test_harmonic_axes_sum(self):
         axes = [grid_for("0.5*x^2", 3.0, 801), grid_for("0.5*x^2", 3.0, 801)]
-        combined = hierarchy_separable(separable_compose(axes), 2)
+        combined = hierarchy_separable(axes, 2)
         assert combined.e_terms[0] == pytest.approx(1.0)  # N/2 with N = 2
         assert combined.energy(5.0) == pytest.approx(5.0, abs=1e-7)
 
     def test_mixed_frequencies(self):
         axes = [grid_for("0.5*x^2", 3.0, 801), grid_for("2*x^2", 2.0, 801)]
-        combined = hierarchy_separable(separable_compose(axes), 1)
+        combined = hierarchy_separable(axes, 1)
         assert combined.e_terms[0] == pytest.approx(1.5)  # ν/2 summed
 
     def test_axiswise_equals_summed_energies(self):
         # separable total E_k is the sum of per-axis E_k by construction;
         # check against independently run axes
         axes = [grid_for("0.5*x^2 + 0.1*x^4"), grid_for("0.5*x^2 + 0.05*x^4")]
-        combined = hierarchy_separable(separable_compose(axes), 2)
+        combined = hierarchy_separable(axes, 2)
         singles = [hierarchy(a, 2) for a in axes]
         for k in range(3):
             total = sum(s.e_terms[k] for s in singles)
             assert combined.e_terms[k] == pytest.approx(total, abs=1e-12)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            hierarchy_separable([], 1)

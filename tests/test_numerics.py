@@ -14,8 +14,7 @@ import pytest
 
 from trajquad.numerics import (_CUM_WEIGHTS, _D1_WEIGHTS, _D2_WEIGHTS,
                                adaptive_integral, adaptive_panels,
-                               cumulative_integral, derivative,
-                               extrapolate_to_zero)
+                               cumulative_integral, derivative, neville_at)
 from trajquad.trajectory import Potential1D, build_grid
 
 SIZES = (5, 6, 7, 16, 1001)
@@ -154,8 +153,8 @@ def scalar_grid(pot, x_max, n, direction):
     for i in range(1, n):
         if np.isnan(lap[i]):
             back = [j for j in range(max(1, i - 4), i) if not np.isnan(lap[j])]
-            lap[i] = extrapolate_to_zero([arc[j] - arc[i] for j in back],
-                                         [lap[j] for j in back]) \
+            lap[i] = neville_at([arc[j] - arc[i] for j in back],
+                                [lap[j] for j in back], 0.0) \
                 if len(back) >= 2 else lap[0]
     time = np.empty(n)
     time[0] = np.nan

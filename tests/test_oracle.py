@@ -41,6 +41,15 @@ class TestSolve1D:
         assert sturm_count(pot, (-8, 8), 800, mid) == 2
         assert sturm_count(pot, (-8, 8), 800, 0.0) == 0
 
+    def test_sturm_count_scalar_potential(self):
+        # V = 0 returned as one scalar: the free box, whose eigenvalues are
+        # (1/h²)(1 - cos(jπ/(n+1))), j = 1..n
+        n, length = 300, 4.0
+        h = length / (n + 1)
+        box = [(1.0 - np.cos(j * np.pi / (n + 1))) / h ** 2 for j in (2, 3)]
+        assert sturm_count(lambda x: 0.0, (0, length), n, sum(box) / 2) == 2
+        assert sturm_count(lambda x: 0.0, (0, length), n, 0.0) == 0
+
     def test_domain_too_small(self):
         with pytest.raises(DomainTooSmall):
             solve_1d(lambda x: 0.5 * x * x, (-2, 2), 400, 2)
@@ -90,3 +99,33 @@ class TestSolveRadial:
     def test_small_box_rejected(self):
         with pytest.raises(DomainTooSmall):
             solve_radial(1.0, lambda r: 0.0, 0.0, 3.0, 400)
+
+
+class _CountingPotential:
+    """Harmonic well that records the shape of every call."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def __call__(self, x):
+        self.shapes.append(np.shape(x))
+        return 0.5 * x * x
+
+
+class TestSamplesOnce:
+    """Every grid samples its potential in one call on the node array."""
+
+    def test_solve_1d(self):
+        pot = _CountingPotential()
+        solve_1d(pot, (-8, 8), 400, 2)
+        assert pot.shapes == [(400,), (800,)]
+
+    def test_solve_radial(self):
+        pot = _CountingPotential()
+        solve_radial(1.0, pot, 1e-3, 25.0, 300)
+        assert pot.shapes == [(300,), (600,)]
+
+    def test_sturm_count(self):
+        pot = _CountingPotential()
+        sturm_count(pot, (-8, 8), 500, 1.0)
+        assert pot.shapes == [(500,)]

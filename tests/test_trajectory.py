@@ -1,14 +1,10 @@
-"""Trajectory grids: S₀ quadrature, kinks, convergence order, bundles."""
+"""Trajectory grids: S₀ quadrature, kinks, convergence order."""
 
 import numpy as np
 import pytest
 
 from trajquad.errors import DegenerateMinimum, InvalidPotential
-from trajquad.trajectory import (
-    Potential1D,
-    build_grid,
-    separable_compose,
-)
+from trajquad.trajectory import Potential1D, build_grid
 
 
 def harmonic(nu2: float = 1.0):
@@ -153,15 +149,3 @@ class TestBuildGrid:
     def test_minimum_node_count(self):
         with pytest.raises(ValueError):
             build_grid(harmonic(), 1.0, 8)
-
-
-class TestSeparable:
-    def test_single_axis_identity(self):
-        grid = build_grid(harmonic(), 2.0, 101)
-        bundle = separable_compose([grid])
-        assert len(bundle) == 1
-        assert bundle.axes[0] is grid
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            separable_compose([])
