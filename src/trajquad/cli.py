@@ -23,6 +23,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 
 from . import __version__
 from .errors import ConfigError, MethodError, ToleranceError, TrajquadError
@@ -35,7 +36,6 @@ from . import oracle as oracle_mod
 from . import oscpert as oscpert_mod
 from . import trajectory as trajectory_mod
 
-RUE = (VAR_R, VAR_U, VAR_EPS)
 FORMATS = ("csv", "json")
 
 
@@ -144,10 +144,9 @@ def _run_gexpand(p: dict):
     lines += [f"{k},{e!r}" for k, e in enumerate(sol.e_terms)]
     lines.append(f"assembled,{energy!r}")
     lines.append("x," + ",".join(f"S_{k}" for k in range(1, sol.order + 1)))
-    for i, x in enumerate(grid.nodes):
-        lines.append(",".join([repr(float(x))] +
-                              [repr(float(s[i])) for s in sol.s_terms]))
-    return payload, lines, None
+    table = (",".join(map(repr, row))
+             for row in zip(payload["nodes"], *payload["s_terms"]))
+    return payload, chain(lines, table), None
 
 
 def _run_perturb(p: dict):
@@ -182,7 +181,7 @@ def _coulomb_tables(sol, g: float, eps: float):
 
 
 def _run_coulomb(p: dict):
-    u_poly = parse_poly(p["potential"], RUE)
+    u_poly = parse_poly(p["potential"], coulomb_mod.RUE)
     sol = coulomb_mod.solve_isotropic(u_poly, p["order"])
     return _coulomb_tables(sol, p["g"], p["eps"])
 
@@ -238,7 +237,7 @@ def _run_oracle(p: dict):
         result = oracle_mod.solve_1d(pot.v, (-p["domain"], p["domain"]),
                                      p["n"], p["k"])
     else:
-        u_poly = parse_poly(p["potential"], RUE)
+        u_poly = parse_poly(p["potential"], coulomb_mod.RUE)
         u_fn = lambda r: u_poly.evaluate({VAR_R: r, VAR_U: 0.0, VAR_EPS: 1.0})
         result = oracle_mod.solve_radial(p["g"], u_fn, p["eps"],
                                          p["domain"], p["n"])
@@ -252,7 +251,7 @@ def _run_oracle(p: dict):
 
 
 # command -> (runner, key -> (default, validator)); required keys default to
-# None.  A runner returns (payload, csv lines, failure message or None).
+# None.  A runner returns (payload, iterable of csv lines, failure or None).
 _COMMANDS = {
     "gexpand": (_run_gexpand, {
         "potential": (None, None),
@@ -302,7 +301,7 @@ _COMMANDS = {
 COMMANDS = tuple(_COMMANDS)
 
 
-def _write(out, fmt: str, config: RunConfig, payload: dict, lines: list) -> None:
+def _write(out, fmt: str, config: RunConfig, payload: dict, lines) -> None:
     if fmt == "json":
         document = {"version": __version__, "config": config.to_dict(),
                     "results": payload}
@@ -310,7 +309,7 @@ def _write(out, fmt: str, config: RunConfig, payload: dict, lines: list) -> None
     else:
         header = [f"# trajquad {__version__}",
                   f"# config: {json.dumps(config.to_dict(), sort_keys=True)}"]
-        text = "\n".join(header + lines) + "\n"
+        text = "\n".join(chain(header, lines)) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:

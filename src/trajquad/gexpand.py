@@ -94,9 +94,8 @@ class _Towers:
         self.s = {0: self._s0_tower(order + 1)}
 
     def _patched(self, out: np.ndarray) -> np.ndarray:
-        xs, ys = self.arc[self.band], out[self.band]
-        for i in range(self.patch):
-            out[i] = neville_at(xs, ys, self.arc[i])
+        out[:self.patch] = neville_at(self.arc[self.band], out[self.band],
+                                      self.arc[:self.patch])
         return out
 
     def _ratio(self, numer: np.ndarray) -> np.ndarray:

@@ -153,8 +153,8 @@ def cumulative_integral(y: np.ndarray, x: np.ndarray, start: int = 0) -> np.ndar
     return out
 
 
-def neville_at(xs, ys, x: float) -> float:
-    """Neville polynomial evaluation of the (xs, ys) interpolant at x."""
+def neville_at(xs, ys, x: float | np.ndarray) -> float | np.ndarray:
+    """Neville evaluation of the (xs, ys) interpolant at x, or elementwise."""
     xs = [float(v) for v in xs]
     p = [float(v) for v in ys]
     m = len(p)

@@ -9,14 +9,14 @@ sign-change count, which is deterministic, library-free and much simpler
 than the series machinery it checks.
 Each solve runs at two resolutions (n and 2n); the h² Richardson
 extrapolation supplies both the reported eigenvalue and its error
-estimate.  The eigenvector of the fine grid is recovered afterwards by
-inverse iteration only to confirm that the box was wide enough.
+estimate.  The fine grid's eigenvectors, built from the Sturm count's own
+pivot recurrence run from both walls (a twisted factorization), serve only
+to confirm that the box was wide enough.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -81,44 +81,36 @@ def _bisect_eigenvalues(diag: np.ndarray, off: float, k: int) -> list:
     return values
 
 
-def _inverse_iteration(diag: np.ndarray, off: float, lam: float) -> np.ndarray:
-    """One eigenvector by shifted inverse iteration with a Thomas solve.
+def _pivots(rows, off2: float, lam: float):
+    """LDLᵀ pivots q_i = d_i - lam - off2/q_{i-1} of the rows, in order.
 
-    The shift sits 1e-6 off the eigenvalue: close enough to converge in a
-    step, far enough that the solve's conditioning does not launder
-    rounding noise into the tail amplitudes the caller inspects.
+    The recurrence and its zero-pivot nudge are those of ``_sturm_count``.
     """
-    n = len(diag)
-    shift = lam + 1e-6 * (1.0 + abs(lam))
-    a = memoryview(diag - shift)
-    # Thomas sweeps with constant off-diagonal on Python floats, read from
-    # memoryviews and stored as raw doubles (no float objects kept); the
-    # pivots and upper factors depend on the shift only, so they are
-    # computed once and each iteration runs just the forward and back
-    # substitution
-    c = off / a[0]
-    cp, pivots = array("d", [c]), array("d", [a[0]])
-    for ai in a[1:]:
-        denom = ai - off * c
-        c = off / denom
-        cp.append(c)
-        pivots.append(denom)
-    u = np.ones(n) / np.sqrt(n)
-    for _ in range(5):
-        rhs = memoryview(u)
-        d = rhs[0] / pivots[0]
-        dp = array("d", [d])
-        for ri, denom in zip(rhs[1:], pivots[1:]):
-            d = (ri - off * d) / denom
-            dp.append(d)
-        x = dp[-1]
-        v = array("d", [x])
-        for c, d in zip(reversed(cp[:-1]), reversed(dp[:-1])):
-            x = d - c * x
-            v.append(x)
-        v = np.frombuffer(v)[::-1]
-        u = v / np.linalg.norm(v)
-    return u
+    q = math.inf
+    for d in rows:
+        q = d - lam - off2 / q
+        if q == 0.0:
+            q = 1e-300
+        yield q
+
+
+def _eigenvector(diag: np.ndarray, off: float, lam: float) -> np.ndarray:
+    """Unit eigenvector at the eigenvalue lam by a twisted factorization.
+
+    The pivots of diag - lam run from both walls; they meet at the twist
+    k where they most nearly cancel the diagonal.  With z_k = 1 the rest
+    of z follows outward as cumulative products of -off/pivot, so tail
+    amplitudes keep their relative accuracy (the getvec step of MRRR,
+    LAPACK ``dlar1v``).
+    """
+    n, rows, off2 = len(diag), diag.tolist(), off * off
+    fwd = np.fromiter(_pivots(rows, off2, lam), float, n)
+    bwd = np.fromiter(_pivots(reversed(rows), off2, lam), float, n)[::-1]
+    k = int(np.argmin(np.abs(fwd + bwd - (diag - lam))))
+    z = np.ones(n)
+    z[:k] = np.cumprod(-off / fwd[:k][::-1])[::-1]
+    z[k + 1:] = np.cumprod(-off / bwd[k + 1:])
+    return z / np.linalg.norm(z)
 
 
 def _dirichlet(potential: _Potential, a: float, b: float, m: int) -> tuple:
@@ -144,12 +136,13 @@ def _solve(potential: _Potential, a: float, b: float, n: int, k: int,
     coarse = _bisect_eigenvalues(diag, -0.5 / h ** 2, k)
     diag, h = _dirichlet(potential, a, b, 2 * n)
     off = -0.5 / h ** 2
-    pairs = list(zip(coarse, _bisect_eigenvalues(diag, off, k)))
+    fine = _bisect_eigenvalues(diag, off, k)
+    pairs = list(zip(coarse, fine))
     values = tuple((4.0 * ef - ec) / 3.0 for ec, ef in pairs)
     errors = tuple(abs(ef - ec) / 3.0 + 1e-14 * (1.0 + abs(ef))
                    for ec, ef in pairs)
-    for lam in values:
-        u = np.abs(_inverse_iteration(diag, off, lam))
+    for lam in fine:
+        u = np.abs(_eigenvector(diag, off, lam))
         peak, edge = float(np.max(u)), float(np.max(u[walls]))
         if edge > 1e-8 * peak:
             raise DomainTooSmall(

@@ -252,19 +252,20 @@ def _kinetic(poly: MultiPoly) -> MultiPoly:
     return MultiPoly.const(Fraction(-1, 2), _XG) * second
 
 
-def operator_chain_even(n: int, max_steps: int = 200):
+def operator_chain_even(n: int):
     """Iterate (-CT)^m C on x^(2n); return (chain sum, subtraction constant).
 
-    Each application lowers the power by two; after the x² stage the
-    operand handed to C is a bare constant, which must be subtracted from
-    the original source for the resolvent to act at all.  That constant is
-    returned as a polynomial in ĝ alongside the summed polynomial part.
+    Each application lowers the power by two, so n + 1 steps bound the
+    loop; after the x² stage the operand handed to C is a bare constant,
+    which must be subtracted from the original source for the resolvent to
+    act at all.  That constant is returned as a polynomial in ĝ alongside
+    the summed polynomial part.
     """
     cur, blocked = _apply_c(MultiPoly.monomial(1, {VAR_X: 2 * n}, _XG))
     if blocked:
         raise MethodError("even chain blocked at its first step")
     total = cur
-    for _ in range(max_steps):
+    for _ in range(n + 1):
         candidate = -_kinetic(cur)
         cur, blocked = _apply_c(candidate)
         if blocked:
@@ -277,13 +278,13 @@ def operator_chain_even(n: int, max_steps: int = 200):
     raise RuntimeError("operator chain failed to terminate")
 
 
-def operator_chain_odd(n: int, max_steps: int = 200) -> MultiPoly:
-    """Iterate (-CT)^m C on x^(2n+1); odd chains terminate without leftovers."""
+def operator_chain_odd(n: int) -> MultiPoly:
+    """Iterate (-CT)^m C on x^(2n+1): no leftovers, at most n + 1 steps."""
     cur, blocked = _apply_c(MultiPoly.monomial(1, {VAR_X: 2 * n + 1}, _XG))
     if blocked:
         raise MethodError("odd chain blocked at its first step")
     total = cur
-    for _ in range(max_steps):
+    for _ in range(n + 1):
         cur, blocked = _apply_c(-_kinetic(cur))
         if blocked:
             raise MethodError("odd chain produced a constant")

@@ -49,7 +49,6 @@ class Potential1D:
 
     derivatives: tuple
     origin: float = 0.0
-    source: MultiPoly | None = None
 
     @property
     def v(self) -> Callable[[float], float]:
@@ -83,7 +82,7 @@ class Potential1D:
         for _ in range(max(len(coeffs) + 1, 10)):
             stack.append((lambda c: lambda x: npoly.polyval(x, c))(cur))
             cur = npoly.polyder(cur) if len(cur) > 1 else np.zeros(1)
-        return cls(derivatives=tuple(stack), origin=origin, source=poly)
+        return cls(derivatives=tuple(stack), origin=origin)
 
     @classmethod
     def from_callables(cls, v, dv, d2v, origin: float = 0.0,
@@ -109,10 +108,6 @@ class TrajectoryGrid:
     potential: Potential1D
 
     @property
-    def spacing(self) -> float:
-        return abs(float(self.nodes[1] - self.nodes[0]))
-
-    @property
     def arc(self) -> np.ndarray:
         """Distance from the origin along the trajectory (always ascending)."""
         return np.abs(self.nodes - self.nodes[0])
@@ -123,6 +118,7 @@ class TrajectoryGrid:
 
 
 _KINK_SLACK = 1e3 * np.finfo(float).eps
+_PANEL_TOL = 1e-12
 
 
 def _kinks(potential: Potential1D, nodes: np.ndarray, grad2: np.ndarray,
@@ -152,14 +148,13 @@ def _kinks(potential: Potential1D, nodes: np.ndarray, grad2: np.ndarray,
 
 
 def build_grid(potential: Potential1D, x_max: float, n: int,
-               direction: int = 1, panel_tol: float = 1e-12,
-               max_refine: int = 30) -> TrajectoryGrid:
+               direction: int = 1, max_refine: int = 30) -> TrajectoryGrid:
     """Construct the trajectory grid out to distance x_max from the origin.
 
     ``max_refine`` bounds the per-panel refinement depth of the S₀
     quadrature (0 keeps the plain per-panel Simpson rule, whose 4th-order
     convergence the tests verify; the default refines each panel until
-    its error estimate drops below ``panel_tol``).
+    its error estimate drops below ``_PANEL_TOL``).
     """
     if n < 16:
         raise ValueError("need at least 16 nodes")
@@ -191,7 +186,8 @@ def build_grid(potential: Potential1D, x_max: float, n: int,
     def integrand(x):
         return np.sqrt(np.maximum(2.0 * potential.v(x), 0.0))
 
-    inc = adaptive_panels(integrand, nodes, tol=panel_tol, max_depth=max_refine)
+    inc = adaptive_panels(integrand, nodes, tol=_PANEL_TOL,
+                          max_depth=max_refine)
     s0 = np.concatenate(([0.0], np.cumsum(np.abs(inc))))
 
     lap = np.full(n, np.nan)

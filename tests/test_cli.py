@@ -1,6 +1,7 @@
 """CLI: config validation, round-trip, exit codes, golden files."""
 
 import json
+import shlex
 import warnings
 from pathlib import Path
 
@@ -13,6 +14,11 @@ from trajquad.errors import ConfigError
 from trajquad.greens import identity_report
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parents[1] / "README.md"
+
+# values the README's example comments quote, by command
+README_VALUES = {"perturb": ("3/4 * ĝ^2", "-21/8 * ĝ^5"),
+                 "stark": ("-9/4 * ε^2", "-3555/64 * ε^4")}
 
 _VALUES = st.one_of(
     st.none(), st.text(max_size=8), st.integers(), st.floats(),
@@ -213,6 +219,33 @@ class TestMain:
         expected = [r["identity"] for r in identity_report(2.0, 401)]
         assert [row[0] for row in rows] == expected
         assert "False" in [row[-1] for row in rows]
+
+    def test_gexpand_csv_table_equals_json_nodes(self, capsys):
+        argv = ["--command", "gexpand", "--potential", "0.5*x^2 + 0.1*x^4",
+                "--n", "401", "--order", "2"]
+        assert main(argv) == 0
+        csv = capsys.readouterr().out.splitlines()
+        assert main(argv + ["--format", "json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        table = csv[csv.index("x,S_1,S_2") + 1:]
+        columns = [results["nodes"], *results["s_terms"]]
+        assert [[float(v) for v in row.split(",")] for row in table] \
+            == [list(row) for row in zip(*columns)]
+
+
+def test_readme_examples_run(capsys):
+    section = README.read_text(encoding="utf-8").split("## Command line")[1]
+    lines = section.split("\n## ")[0].replace("\\\n", " ").splitlines()
+    examples = [shlex.split(line)[1:] for line in lines
+                if line.startswith("trajquad ")]
+    assert len(examples) == 8
+    for argv in examples:
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        if out.startswith("{"):
+            out = json.dumps(json.loads(out), ensure_ascii=False)
+        for value in README_VALUES.get(argv[1], ()):
+            assert value in out, (argv, value)
 
 
 class TestGoldenFiles:

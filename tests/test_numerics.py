@@ -86,6 +86,15 @@ def test_stencils_exact_on_quartics():
                        x ** 5 / 5 - x ** 2 - (1.0 / 5 - 1.0), atol=1e-13)
 
 
+def test_neville_on_an_array_equals_scalar_calls():
+    # the origin patch of the g⁻¹ hierarchy: six band nodes, many targets
+    xs = np.linspace(0.3, 0.9, 6)
+    ys = np.cos(3.0 * xs) / xs
+    targets = np.linspace(0.0, 0.35, 37)
+    want = [neville_at(xs, ys, t) for t in targets.tolist()]
+    assert np.array_equal(neville_at(xs, ys, targets), want)
+
+
 class TestAdaptivePanels:
     @staticmethod
     def scalar(f, edges, tol, max_depth):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from trajquad.errors import DomainTooSmall
-from trajquad.oracle import (_inverse_iteration, solve_1d, solve_radial,
-                             sturm_count)
+from trajquad.oracle import (_bisect_eigenvalues, _dirichlet, _eigenvector,
+                             solve_1d, solve_radial, sturm_count)
 
 
 class TestSolve1D:
@@ -54,8 +54,24 @@ class TestSolve1D:
         with pytest.raises(DomainTooSmall):
             solve_1d(lambda x: 0.5 * x * x, (-2, 2), 400, 2)
 
-    @pytest.mark.parametrize("state", [0, 1, 2])
-    def test_inverse_iteration_matches_dense_eigenvector(self, state):
+    def test_edge_check_at_its_bound(self):
+        # the fine grid's ground state ends at 1.6e-8 of its peak in the box
+        # of half width 5.6 and at 9.4e-9 in that of 5.7, either side of
+        # the 1e-8 bound
+        pot = lambda x: 0.5 * x * x
+        with pytest.raises(DomainTooSmall,
+                           match="edge amplitude 1.16e-09 of peak 7.25e-02"):
+            solve_1d(pot, (-5.6, 5.6), 600, 1)
+        res = solve_1d(pot, (-5.7, 5.7), 600, 1)
+        assert res.value(0) == pytest.approx(0.5, abs=1e-6)
+        diag, h = _dirichlet(pot, -5.7, 5.7, 1200)
+        off = -0.5 / h ** 2
+        lam = _bisect_eigenvalues(diag, off, 1)[0]
+        u = np.abs(_eigenvector(diag, off, lam))
+        assert max(u[0], u[-1]) / np.max(u) == pytest.approx(9.4e-9, rel=0.01)
+
+    @pytest.mark.parametrize("state", [0, 1, 2, 3])
+    def test_eigenvector_matches_dense_eigenvector(self, state):
         x = np.linspace(-5.0, 5.0, 300)
         h = x[1] - x[0]
         diag = 1.0 / h ** 2 + 0.5 * x * x + 0.05 * x ** 4
@@ -63,7 +79,7 @@ class TestSolve1D:
         values, vectors = np.linalg.eigh(np.diag(diag) + off * np.eye(300, k=1)
                                          + off * np.eye(300, k=-1))
         want = vectors[:, state] * np.sign(vectors[150, state] or 1.0)
-        got = _inverse_iteration(diag, off, values[state])
+        got = _eigenvector(diag, off, values[state])
         got = got * np.sign(got[150] or 1.0)
         assert np.max(np.abs(got - want)) < 1e-10
         # the edge amplitudes the domain check reads, to a relative 1e-6
