@@ -26,12 +26,19 @@ All S_n, E_n are exact polynomials in (r, u = cos a, ε); each order mixes
 several ε powers, so comparisons against single-ε results go through
 ``MultiPoly.coeff_of``.
 
-The recursion does each piece of exact arithmetic once.  ∂_r S_m, ∂_u S_m
-and (1-u²)∂_u S_m are formed when S_m is made and reused by every later
-order.  The sum in K_n is symmetric under m ↔ n-m, so each unordered pair
-is multiplied once, off-diagonal pairs counted twice, and the ½ is applied
-to the finished sum.  ``defining_residuals`` checks the result through
-``grad_dot``, independently of these shortcuts.
+The recursion runs on a private integer kernel.  Each polynomial is a
+dict (a, b, e) → int of numerators of r^a·u^b·ε^e over one positive
+denominator, reduced by the gcd of all numerators after every order, so
+no rational is normalised inside a product.  The radial-polar Laplacian
+and the gradient scale numerators by integers; a sum brings its parts to
+the lcm of their denominators, and the radial antiderivative to the lcm
+of its (a+1).  ∂_r S_m, ∂_u S_m and (1-u²)∂_u S_m are formed when S_m is
+made and reused by every later order.  The sum in K_n is symmetric under
+m ↔ n-m, so each unordered pair is multiplied once, off-diagonal pairs
+counted twice, and the ½ is applied to the finished sum.  S_n and E_n
+become ``MultiPoly`` only at the boundary, in ``solve_perturbed``.
+``defining_residuals`` checks the result on ``MultiPoly`` arithmetic
+through ``grad_dot``, independently of the kernel and its shortcuts.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MethodError
+from .errors import LogSingularity, MethodError
 from .exactalg import (
     RADIAL_POLAR,
     VAR_EPS,
@@ -91,14 +98,138 @@ class CoulombSolution:
 
 
 def _eps_part(poly: MultiPoly, k: int) -> MultiPoly:
-    part = poly.coeff_of(VAR_EPS, k)
-    out = MultiPoly.zero(poly.variables)
     eps = MultiPoly.monomial(1, {VAR_EPS: k}, poly.variables)
-    return out + part * eps
+    return poly.coeff_of(VAR_EPS, k) * eps
 
 
-def _half(poly: MultiPoly) -> MultiPoly:
-    return poly * Fraction(1, 2)
+# ---------------------------------------------------------- integer kernel
+# A polynomial is a pair (num, den): num maps (a, b, e) to the integer
+# numerator of r^a·u^b·ε^e, den > 0 is shared by every term.
+
+
+def _laplacian_rule(a: int, b: int) -> tuple:
+    """∇²(r^a·u^b) = f·r^(a-2)·u^b + h·r^(a-2)·u^(b-2); returns (f, h)."""
+    return a * (a + 1) - b * (b + 1), b * (b - 1)
+
+
+def _add_laplacian(out: dict, num: dict, scale: int) -> None:
+    """out += scale·∇²num (radial-polar)."""
+    get = out.get
+    for (a, b, e), c in num.items():
+        f, h = _laplacian_rule(a, b)
+        c *= scale
+        if f:
+            key = (a - 2, b, e)
+            out[key] = get(key, 0) + f * c
+        if h:
+            key = (a - 2, b - 2, e)
+            out[key] = get(key, 0) + h * c
+
+
+def _add_product(out: dict, x: dict, y: dict, shift: int, scale: int) -> None:
+    """out += scale·r^shift·x·y."""
+    get = out.get
+    for (ax, bx, ex), cx in x.items():
+        ax += shift
+        cx *= scale
+        for (ay, by, ey), cy in y.items():
+            key = (ax + ay, bx + by, ex + ey)
+            out[key] = get(key, 0) + cx * cy
+
+
+def _add_grad_dot(out: dict, grad_x: tuple, grad_y: tuple, scale: int) -> None:
+    """out += scale·∇x·∇y = scale·[∂_r x ∂_r y + r^-2 (1-u²)∂_u x ∂_u y].
+
+    Each gradient is the cached triple (∂_r, ∂_u, (1-u²)∂_u) of numerators.
+    """
+    _add_product(out, grad_x[0], grad_y[0], 0, scale)
+    _add_product(out, grad_x[2], grad_y[1], -2, scale)
+
+
+def _gradient(num: dict) -> tuple:
+    """(∂_r, ∂_u, (1-u²)∂_u) of ``num``, over the same denominator."""
+    dr = {(a - 1, b, e): a * c for (a, b, e), c in num.items() if a}
+    du = {(a, b - 1, e): b * c for (a, b, e), c in num.items() if b}
+    w = dict(du)
+    for (a, b, e), c in du.items():
+        key = (a, b + 2, e)
+        w[key] = w.get(key, 0) - c
+    return dr, du, _nonzero(w)
+
+
+def _nonzero(num: dict) -> dict:
+    return {k: c for k, c in num.items() if c}
+
+
+def _reduced(num: dict, den: int) -> tuple:
+    """Divide numerators and denominator by their gcd."""
+    g = math.gcd(den, *num.values())
+    if g == 1:
+        return num, den
+    return {k: c // g for k, c in num.items()}, den // g
+
+
+def _to_poly(num: dict, den: int) -> MultiPoly:
+    return MultiPoly._make({k: Fraction(c, den) for k, c in num.items()}, RUE)
+
+
+def _from_poly(poly: MultiPoly) -> tuple:
+    den = math.lcm(*(c.denominator for c in poly.terms.values()))
+    return {k: c.numerator * (den // c.denominator)
+            for k, c in poly.terms.items()}, den
+
+
+def _integer_chain(u_poly: MultiPoly, order: int) -> tuple:
+    """S_n and E_n, n = 0..order, as reduced (numerators, denominator) pairs."""
+    u_num, u_den = _from_poly(u_poly)
+    s_terms = [({(1, 0, 0): 1}, 1)]
+    e_terms = [({(0, 0, 0): -1}, 2)]
+    grads = [None]                # (gradient triple, den) of S_m, 1 <= m < order
+    for n in range(1, order + 1):
+        prev, prev_den = s_terms[n - 1]
+        pairs = [(grads[m], grads[n - m], 1 if 2 * m == n else 2)
+                 for m in range(1, n // 2 + 1)]
+        den = math.lcm(prev_den, u_den if n == 2 else 1,
+                       *(ga[1] * gb[1] for ga, gb, _ in pairs))
+        # 2·K_n over den:
+        # ∇²S_{n-1} - Σ_{m=1}^{n-1} ∇S_m·∇S_{n-m} - 2δ_{n,1}/r + 2δ_{n,2}εU
+        total = {}
+        _add_laplacian(total, prev, den // prev_den)
+        for (grad_a, den_a), (grad_b, den_b), twice in pairs:
+            _add_grad_dot(total, grad_a, grad_b, -twice * (den // (den_a * den_b)))
+        if n == 1:
+            total[(-1, 0, 0)] = total.get((-1, 0, 0), 0) - 2 * den
+        if n == 2:
+            for (a, b, e), c in u_num.items():
+                key = (a, b, e + 1)
+                total[key] = total.get(key, 0) + 2 * c * (den // u_den)
+        k_num, k_den = _nonzero(total), 2 * den
+        # E_n: angular average of K_n's r⁰ part, (1/2)∫u^b du = 1/(b+1), b even
+        level = [(b, e, c) for (a, b, e), c in k_num.items() if a == 0 and b % 2 == 0]
+        avg = math.lcm(*(b + 1 for b, _, _ in level))
+        e_num = {}
+        for b, e, c in level:
+            e_num[(0, 0, e)] = e_num.get((0, 0, e), 0) + c * (avg // (b + 1))
+        e_num = _nonzero(e_num)
+        k_den *= avg
+        if avg > 1:
+            k_num = {k: c * avg for k, c in k_num.items()}
+        for key, c in e_num.items():
+            k_num[key] = k_num.get(key, 0) - c
+        k_num = _nonzero(k_num)
+        e_terms.append(_reduced(e_num, k_den))
+        # S_n = ∫ (K_n - E_n) dr with zero constant
+        bad = {(0, b, e): c for (a, b, e), c in k_num.items() if a == -1}
+        if bad:
+            raise LogSingularity(
+                f"r^-1 source with angular coefficient {_to_poly(bad, k_den).render()}")
+        span = math.lcm(*(a + 1 for a, _, _ in k_num))
+        s_n = _reduced({(a + 1, b, e): c * (span // (a + 1))
+                        for (a, b, e), c in k_num.items()}, k_den * span)
+        s_terms.append(s_n)
+        if n < order:
+            grads.append((_gradient(s_n[0]), s_n[1]))
+    return s_terms, e_terms
 
 
 def solve_perturbed(u_poly: MultiPoly, order: int) -> CoulombSolution:
@@ -114,32 +245,10 @@ def solve_perturbed(u_poly: MultiPoly, order: int) -> CoulombSolution:
     u_poly = u_poly.embedded(RUE)
     if u_poly.min_degree(VAR_R) < 1 and u_poly:
         raise ValueError("perturbation must vanish at the origin")
-    s_terms = [MultiPoly.var(VAR_R, RUE)]
-    e_terms = [MultiPoly.const(Fraction(-1, 2), RUE)]
-    eps = MultiPoly.var(VAR_EPS, RUE)
-    one_minus_u2 = MultiPoly.const(1, RUE) - MultiPoly.var(VAR_U, RUE) ** 2
-    # (∂_r S_m, ∂_u S_m, (1-u²)∂_u S_m) for 1 <= m < order, made with S_m
-    grads = [None]
-    for n in range(1, order + 1):
-        total = s_terms[n - 1].laplacian(RADIAL_POLAR)
-        for m in range(1, n // 2 + 1):
-            (dr_a, _, w_a), (dr_b, du_b, _) = grads[m], grads[n - m]
-            dot = dr_a * dr_b + (w_a * du_b).shifted(VAR_R, -2)
-            total = total - (dot if 2 * m == n else 2 * dot)
-        k_n = total * Fraction(1, 2)
-        if n == 1:
-            k_n = k_n - MultiPoly.monomial(1, {VAR_R: -1}, RUE)
-        if n == 2:
-            k_n = k_n + eps * u_poly
-        e_n = k_n.coeff_of(VAR_R, 0).angular_average()
-        s_n = (k_n - e_n).integrate_r()
-        s_terms.append(s_n)
-        e_terms.append(e_n)
-        if n < order:
-            du = s_n.differentiate(VAR_U)
-            grads.append((s_n.differentiate(VAR_R), du, one_minus_u2 * du))
+    s_terms, e_terms = _integer_chain(u_poly, order)
     sol = CoulombSolution(u_perturbation=u_poly, order=order,
-                          s_terms=s_terms, e_terms=e_terms)
+                          s_terms=[_to_poly(*s) for s in s_terms],
+                          e_terms=[_to_poly(*e) for e in e_terms])
     _check_invariants(sol)
     return sol
 
@@ -186,10 +295,10 @@ def defining_residuals(sol: CoulombSolution) -> list:
     for n in range(sol.order + 1):
         total = MultiPoly.zero(RUE)
         for m in range(n + 1):
-            total = total - _half(grad_dot(sol.s_terms[m], sol.s_terms[n - m],
-                                           RADIAL_POLAR))
+            total = total - grad_dot(sol.s_terms[m], sol.s_terms[n - m],
+                                     RADIAL_POLAR) * Fraction(1, 2)
         if n >= 1:
-            total = total + _half(sol.s_terms[n - 1].laplacian(RADIAL_POLAR))
+            total = total + sol.s_terms[n - 1].laplacian(RADIAL_POLAR) * Fraction(1, 2)
         if n == 1:
             total = total - MultiPoly.monomial(1, {VAR_R: -1}, RUE)
         if n == 2:

@@ -1,5 +1,6 @@
 """Coulomb/Stark recursion: exact coefficients, residuals, integral check."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,13 +17,72 @@ from trajquad.coulomb import (
     solve_stark,
 )
 from trajquad.errors import LogSingularity
-from trajquad.exactalg import VAR_EPS, VAR_R, VAR_U, MultiPoly, parse_poly
+from trajquad.exactalg import (
+    RADIAL_POLAR,
+    VAR_EPS,
+    VAR_R,
+    VAR_U,
+    MultiPoly,
+    parse_poly,
+)
 
 RUE = (VAR_R, VAR_U, VAR_EPS)
 
 
 def P(text):
     return parse_poly(text, RUE)
+
+
+def reference_chain(u_poly, order):
+    """The recursion on MultiPoly arithmetic: (s_terms, e_terms).
+
+    An independent reference for the solver's integer kernel, with the
+    same shortcuts: ∂_r S_m, ∂_u S_m and (1-u²)∂_u S_m cached per order,
+    each unordered pair {m, n-m} of K_n's sum multiplied once.
+    """
+    u_poly = u_poly.embedded(RUE)
+    s_terms = [MultiPoly.var(VAR_R, RUE)]
+    e_terms = [MultiPoly.const(Fraction(-1, 2), RUE)]
+    eps = MultiPoly.var(VAR_EPS, RUE)
+    one_minus_u2 = MultiPoly.const(1, RUE) - MultiPoly.var(VAR_U, RUE) ** 2
+    grads = [None]
+    for n in range(1, order + 1):
+        total = s_terms[n - 1].laplacian(RADIAL_POLAR)
+        for m in range(1, n // 2 + 1):
+            (dr_a, _, w_a), (dr_b, du_b, _) = grads[m], grads[n - m]
+            dot = dr_a * dr_b + (w_a * du_b).shifted(VAR_R, -2)
+            total = total - (dot if 2 * m == n else 2 * dot)
+        k_n = total * Fraction(1, 2)
+        if n == 1:
+            k_n = k_n - MultiPoly.monomial(1, {VAR_R: -1}, RUE)
+        if n == 2:
+            k_n = k_n + eps * u_poly
+        e_n = k_n.coeff_of(VAR_R, 0).angular_average()
+        s_n = (k_n - e_n).integrate_r()
+        s_terms.append(s_n)
+        e_terms.append(e_n)
+        if n < order:
+            du = s_n.differentiate(VAR_U)
+            grads.append((s_n.differentiate(VAR_R), du, one_minus_u2 * du))
+    return s_terms, e_terms
+
+
+def assert_matches_reference(sol, reference):
+    """Every S_n and E_n of ``sol`` equals the reference's, as value and text."""
+    s_ref, e_ref = reference
+    for got, want in zip((sol.s_terms, sol.e_terms), (s_ref, e_ref)):
+        assert len(got) == sol.order + 1 <= len(want)
+        for n, poly in enumerate(got):
+            assert poly == want[n], n
+            assert poly.render() == want[n].render(), n
+
+
+# U = Σ c·r^a·u^b with a >= 1 and b <= a + 1, coefficients with denominators
+ANISOTROPIC = st.dictionaries(
+    st.integers(1, 3).flatmap(
+        lambda a: st.tuples(st.just(a), st.integers(0, a + 1), st.just(0))),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+    min_size=1, max_size=3)
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +98,11 @@ def stark():
 @pytest.fixture(scope="module")
 def stark30():
     return solve_stark(30)
+
+
+@pytest.fixture(scope="module")
+def stark90():
+    return solve_stark(90)
 
 
 class TestIsotropic:
@@ -153,6 +218,59 @@ class TestStark:
         with pytest.raises(ValueError):
             solve_stark(1)
 
+    def test_dispersion_relation_large_order(self, stark90):
+        # the ground-state width Γ(F) = (4/F)e^{-2/(3F)} fixes, through the
+        # dispersion relation, E_{2N} ≈ -(4/π)(3/2)^{2N+1}(2N)! (Benassi,
+        # Grecchi, Harrell & Simon, PRL 42 (1979) 704; Silverstone, Adams,
+        # Čížek & Otto, PRL 43 (1979) 1498).  With r_N the ratio to that
+        # form, the one-step Richardson value A_N = N·r_N - (N-1)·r_{N-1}
+        # removes the 1/N correction and climbs towards 1.
+        def ratio(big_n):
+            e_2n = stark90.e_terms[6 * big_n].terms[(0, 0, 2 * big_n)]
+            leading = Fraction(3, 2) ** (2 * big_n + 1) * math.factorial(2 * big_n)
+            return -math.pi / 4 * float(e_2n / leading)
+
+        r = {big_n: ratio(big_n) for big_n in range(7, 16)}
+        a = [big_n * r[big_n] - (big_n - 1) * r[big_n - 1] for big_n in range(8, 16)]
+        assert all(x < y for x, y in zip(a, a[1:])), a
+        assert 0.985 < a[-1] < 1, a
+
+
+class TestIntegerKernel:
+    """The solver's integer kernel against the MultiPoly reference recursion."""
+
+    def test_stark_orders(self):
+        reference = reference_chain(P("r * u"), 30)
+        for order in range(2, 31):
+            assert_matches_reference(solve_stark(order), reference)
+
+    @pytest.mark.parametrize("text", ["r^2", "r^3", "r^4", "r^2 + r^3"])
+    def test_isotropic_orders(self, text):
+        reference = reference_chain(P(text), 16)
+        for order in range(6, 17):
+            assert_matches_reference(solve_isotropic(P(text), order), reference)
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(ANISOTROPIC)
+    def test_random_anisotropic(self, terms):
+        u_poly = MultiPoly(terms, RUE)
+        assert_matches_reference(solve_perturbed(u_poly, 6),
+                                 reference_chain(u_poly, 6))
+
+    # r²u⁴ + r sends a u²- and u⁴-dependent r⁰ part into E_4's angular
+    # average, so its r^-1 coefficient also checks that step
+    @pytest.mark.parametrize("text, coefficient", [
+        ("r * u^3", "-9/2 * u * ε + 15/2 * u^3 * ε"),
+        ("r^2 * u^4 + r", "-18/5 * ε + 36 * u^2 * ε - 42 * u^4 * ε"),
+    ])
+    def test_log_singularity_message(self, text, coefficient):
+        for solve in (solve_perturbed, reference_chain):
+            with pytest.raises(LogSingularity) as info:
+                solve(P(text), 6)
+            assert str(info.value) == \
+                f"r^-1 source with angular coefficient {coefficient}"
+
 
 class TestAssembly:
     def test_unperturbed_energy(self, quadratic):
@@ -231,15 +349,11 @@ class TestRandomizedResiduals:
         sol = solve_perturbed(u_poly, 6)
         assert all(not r for r in defining_residuals(sol))
 
-    # U = Σ c·r^a·u^b with a >= 1 and b <= a + 1; the residuals come from
-    # grad_dot, which the recursion's own cached ∇S products do not use
+    # the residuals come from grad_dot, which the recursion's own cached
+    # ∇S products do not use
     @settings(max_examples=30, deadline=None, derandomize=True,
               database=None)
-    @given(st.dictionaries(
-        st.integers(1, 3).flatmap(
-            lambda a: st.tuples(st.just(a), st.integers(0, a + 1), st.just(0))),
-        st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
-        min_size=1, max_size=3))
+    @given(ANISOTROPIC)
     def test_random_anisotropic_fuzzed(self, terms):
         sol = solve_perturbed(MultiPoly(terms, RUE), 6)
         assert all(not r for r in defining_residuals(sol))
