@@ -154,7 +154,8 @@ def _run_perturb(p: dict):
         else oscpert_mod.solve_odd
     series = solver(p["p"], p["order"])
     rows = []
-    for k, delta in enumerate(series.delta, start=1):
+    for k in range(1, series.order + 1):
+        delta = series.delta(k)
         rows.append({"k": k, "delta_exact": delta.render(),
                      "delta_at_g": delta.evaluate({VAR_GHAT: 1.0 / p["g"]})})
     payload = {"parity": p["parity"], "p": p["p"], "deltas": rows,
@@ -325,6 +326,8 @@ def run(config: RunConfig, out=None, fmt: str = "csv") -> int:
         payload, lines, failure = _COMMANDS[config.command][0](config.parameters)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ConfigError(f"values out of floating-point range: {exc}") from exc
     _write(out, fmt, config, payload, lines)
     if failure is not None:
         raise ToleranceError(failure)

@@ -382,13 +382,15 @@ class MultiPoly:
         """Floating-point evaluation; every variable must be assigned.
 
         Values may be floats or float arrays, which broadcast; an all-float
-        assignment gives a Python float.
+        assignment gives a Python float.  Terms are summed in the canonical
+        order of ``render``, so equal polynomials evaluate to the same bits
+        however their terms were built.
         """
         missing = [v for v in self.variables if v not in assignments and self.depends_on(v)]
         if missing:
             raise VariableMismatch(f"no value supplied for {missing!r}")
         total = 0.0
-        for exps, coeff in self.terms.items():
+        for exps, coeff in self._sorted_terms():
             term = float(coeff)
             for v, k in zip(self.variables, exps):
                 if k:

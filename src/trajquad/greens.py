@@ -67,17 +67,11 @@ class WaveProfile:
                            s_fn=self.s_fn, f_fn=f_fn)
 
 
-def harmonic_profile(g: float, n: int = 4001, half_width: float | None = None,
-                     values=None) -> WaveProfile:
-    """Full-line profile for S = x²/2, wide enough that e^{-2gS} < 1e-16."""
-    if half_width is None:
-        half_width = max(6.0 / math.sqrt(g), 6.0)
+def harmonic_profile(n: int, half_width: float) -> WaveProfile:
+    """Zero source on n nodes of [-half_width, half_width] for S = x²/2."""
     x = np.linspace(-half_width, half_width, n)
     s_fn = lambda z: 0.5 * z * z
-    if values is None:
-        return WaveProfile(nodes=x, s=s_fn(x), values=np.zeros_like(x), s_fn=s_fn)
-    return WaveProfile(nodes=x, s=s_fn(x), values=np.asarray(values(x), dtype=float),
-                       s_fn=s_fn, f_fn=values)
+    return WaveProfile(nodes=x, s=s_fn(x), values=np.zeros_like(x), s_fn=s_fn)
 
 
 def hermite_coefficients(l: int) -> list:
@@ -330,7 +324,7 @@ def identity_report(g: float = 1.0, n: int = 4001,
     """Run the operator identity checks; one JSON-able record per identity."""
     checks = []
 
-    prof = harmonic_profile(g, n, half_width)
+    prof = harmonic_profile(n, half_width)
     sqrt_g = math.sqrt(g)
     for l in (1, 2, 3, 4):
         f = prof.with_values(lambda z, l=l: hermite_value(l, sqrt_g * z))

@@ -1,9 +1,9 @@
 """Exact ε-series for the harmonic oscillator with a monomial perturbation.
 
 The unperturbed Hamiltonian is H = -½ d²/dx² + g²x²/2 with ground state
-e^{-gx²/2}; the perturbation is ε·x^(2p) (even) or ε·x^(2p+1) (odd).  The
-perturbed ground state is written e^{-gx²/2-τ} and e^{-τ} is expanded in
-monomials whose coefficients, together with the energy shift, satisfy a
+e^{-gx²/2}; the perturbation is ε·x^P with P = 2p (even) or P = 2p+1 (odd).
+The perturbed ground state is written e^{-gx²/2-τ} and e^{-τ} is expanded in
+monomials x^n whose coefficients, together with the energy shift, satisfy a
 triangular recursion built from two exact rational tables:
 
     Γ_mn  : action of the resolvent chain on even powers; zero for m > n
@@ -19,16 +19,17 @@ the ĝ-free rationals,
 
 Everything is exact.  Every table entry, every e^{-τ} coefficient and every
 energy shift is a single ĝ-monomial c·ĝ^s (ĝ = 1/g, c rational) whose power
-s is fixed by scaling, so the recursion runs on the rationals c alone and
-the power is attached once, when the series is assembled:
+s is fixed by scaling, so the recursion runs on the rationals c alone and a
+ĝ-monomial is built only when a caller asks for one.  Both parities key the
+e^{-τ} coefficients by their x-power n, and one rule gives every power:
 
-    Γ_mn, γ_mn          s = n - m + 1
-    even  a_n(k), Δ(k)  s = k(p+1) - n,        Δ(k) with n = 1
-    odd   b_x(k), Δ(k)  s = (k(2p+3) - x) / 2,  Δ(k) with x = 2
+    Γ_mn, γ_mn             s = n - m + 1
+    ε^k x^n, Δ(k)          s = (k(P+2) - n) / 2,  Δ(k) with n = 2
 
 The series is solved order by order in ε with no truncation other than the
-requested order.  The energy shift obeys εΔ = -a₁ (even) and εΔ = -b₂
-(odd); odd perturbations shift the energy only at even ε-orders.
+requested order.  At ε-order k the coefficients live on n ≤ kP with
+n ≡ kP (mod 2), and the energy shift is Δ(k) = -(the x² coefficient), so
+odd perturbations shift the energy only at even ε-orders.
 
 ``operator_chain_even``/``operator_chain_odd`` re-derive the table action
 by explicitly iterating the single-integral operator and -½ d²/dx² on
@@ -89,24 +90,48 @@ def gamma_odd(m: int, n: int) -> MultiPoly:
     return _table_entry(_chain_odd, m, n)
 
 
+def _chain_x(source: dict) -> dict:
+    """Chain on a source keyed by x-power: Γ on its even part, γ on its odd."""
+    even = _chain_even({x // 2: c for x, c in source.items() if x % 2 == 0})
+    odd = _chain_odd({x // 2: c for x, c in source.items() if x % 2})
+    return {2 * m: c for m, c in even.items()} | {2 * m + 1: c for m, c in odd.items()}
+
+
 @dataclass
 class PerturbSeries:
-    """Exact ε-series: energy shifts Δ(k) and e^{-τ} monomial coefficients.
+    """Exact ε-series for ε·x^P: energy shifts Δ(k) and e^{-τ} coefficients.
 
-    ``delta[k-1]`` is Δ(k) as a ĝ-monomial, with the full shift
-    εΔ = Σ_k ε^k Δ(k).  ``coeffs[k-1]`` maps a monomial power to its
-    ε^k coefficient: for even parity the key n stands for x^(2n), for
-    odd parity the key is the x-power itself.
+    ``levels[k]`` maps an x-power n to the nonzero rational c of the ε^k
+    coefficient c·ĝ^s of x^n in e^{-τ}, s = (k(P+2) - n)/2; ``levels[0]``
+    is {0: 1}.  The accessors take the paper's k and attach ĝ^s on demand.
     """
 
-    parity: str
-    p: int
-    order: int
-    delta: list
-    coeffs: list
+    P: int
+    levels: list
+
+    @property
+    def order(self) -> int:
+        return len(self.levels) - 1
+
+    def _power(self, k: int, n: int) -> int:
+        return (k * (self.P + 2) - n) // 2
+
+    def _monomial(self, k: int, n: int, sign: int) -> MultiPoly:
+        c = self.levels[k].get(n)
+        if not c:
+            return MultiPoly.zero(_G)
+        return _ghat_power(sign * c, self._power(k, n))
+
+    def coeff(self, k: int, n: int) -> MultiPoly:
+        """ε^k coefficient of x^n in e^{-τ} as a ĝ-monomial."""
+        return self._monomial(k, n, 1)
+
+    def delta(self, k: int) -> MultiPoly:
+        """Δ(k) = -(the ε^k coefficient of x²), with εΔ = Σ_k ε^k Δ(k)."""
+        return self._monomial(k, 2, -1)
 
     def delta_value(self, k: int, g: float) -> float:
-        return self.delta[k - 1].evaluate({VAR_GHAT: 1.0 / g})
+        return self.delta(k).evaluate({VAR_GHAT: 1.0 / g})
 
     def shift_value(self, eps: float, g: float, order: int | None = None) -> float:
         """Numeric εΔ truncated at the given ε-order."""
@@ -117,111 +142,60 @@ class PerturbSeries:
         """Ground energy g/2 plus the truncated shift."""
         return 0.5 * g + self.shift_value(eps, g, order)
 
+    def _eps_series(self, n: int, sign: int) -> MultiPoly:
+        """Σ_{k≥1} sign·(ε^k coefficient of x^n)·ε^k, exact in (ε, ĝ)."""
+        return MultiPoly({(k, self._power(k, n)): sign * level[n]
+                          for k, level in enumerate(self.levels[1:], start=1)
+                          if n in level}, _EG)
+
     def shift_polynomial(self) -> MultiPoly:
         """εΔ as an exact polynomial in (ε, ĝ)."""
-        total = MultiPoly.zero(_EG)
-        for k, d in enumerate(self.delta, start=1):
-            total = total + d.embedded(_EG) * MultiPoly.monomial(1, {VAR_EPS: k}, _EG)
-        return total
+        return self._eps_series(2, -1)
 
     def exp_minus_tau_coeff(self, power: int) -> MultiPoly:
         """Coefficient of x^power in e^{-τ}, exact in (ε, ĝ)."""
-        total = MultiPoly.zero(_EG)
-        if self.parity == "even" and power % 2 == 1:
-            return total
-        key = power // 2 if self.parity == "even" else power
-        for k, table in enumerate(self.coeffs, start=1):
-            entry = table.get(key)
-            if entry is not None:
-                total = total + entry.embedded(_EG) * \
-                    MultiPoly.monomial(1, {VAR_EPS: k}, _EG)
-        return total
+        return self._eps_series(power, 1)
 
 
-def _recurse(order: int, shift: int, chain, delta_key: int, check) -> list:
-    """Rational coefficients of e^{-τ} for ε-orders 0..order.
+def _solve(P: int, order: int) -> PerturbSeries:
+    """Series for ε·x^P: the rational levels of e^{-τ} for ε-orders 0..order.
 
     Order k applies the resolvent chain to the source
-    -x^(perturbation)·e^{-τ}(k-1) + Σ_i Δ(k-i)·e^{-τ}(i); ``shift`` is
-    the perturbation's power in key units and ``chain(source)`` returns the
-    chain's image of the whole source, same keys, zero entries dropped.
-    Each order is passed to ``check(k, level)`` before it is used, and
-    Δ(k) = -level[delta_key].
+    -x^P·e^{-τ}(k-1) + Σ_i Δ(k-i)·e^{-τ}(i).  Because Γ_mn and γ_mn vanish
+    for m > n, each order follows by direct substitution from lower ones;
+    before it is used it must respect the support n ≤ kP, n ≡ kP (mod 2).
     """
+    if order < 0:
+        raise ValueError("order must be non-negative")
     levels = [{0: Fraction(1)}]
-    delta = [Fraction(0)]
     for k in range(1, order + 1):
-        source = {key + shift: -c for key, c in levels[k - 1].items()}
+        source = {n + P: -c for n, c in levels[k - 1].items()}
         for i in range(1, k):
-            d = delta[k - i]
-            if d:
-                for key, c in levels[i].items():
-                    source[key] = source.get(key, 0) + c * d
-        level = chain(source)
-        check(k, level)
+            minus_delta = levels[k - i].get(2)
+            if minus_delta:
+                for n, c in levels[i].items():
+                    source[n] = source.get(n, 0) - c * minus_delta
+        level = _chain_x(source)
+        if any(n > k * P for n in level):
+            raise MethodError(f"support bound violated at order {k}")
+        if any((n - k * P) % 2 for n in level):
+            raise MethodError(f"parity structure violated at order {k}")
         levels.append(level)
-        delta.append(-level.get(delta_key, 0))
-    return levels
-
-
-def _assemble(parity: str, p: int, levels: list, delta_key: int,
-              power) -> PerturbSeries:
-    """Attach ĝ^power(k, key) to every rational coefficient of levels[1:]."""
-    coeffs, delta = [], []
-    for k, level in enumerate(levels[1:], start=1):
-        coeffs.append({key: _ghat_power(c, power(k, key)) for key, c in level.items()})
-        delta.append(_ghat_power(-level.get(delta_key, 0), power(k, delta_key)))
-    return PerturbSeries(parity=parity, p=p, order=len(coeffs), delta=delta,
-                         coeffs=coeffs)
+    return PerturbSeries(P, levels)
 
 
 def solve_even(p: int, order: int) -> PerturbSeries:
-    """Series for ε·x^(2p): exact Δ(k) and a_n(k) for k ≤ order.
-
-    At each ε-order the unknowns follow by direct substitution from lower
-    orders because Γ_mn vanishes for m > n, and Δ(k) = -a₁(k).
-    """
+    """Series for ε·x^(2p): exact Δ(k) and e^{-τ} coefficients for k ≤ order."""
     if p < 1:
         raise ValueError("even perturbation needs p >= 1")
-    if order < 0:
-        raise ValueError("order must be non-negative")
-
-    def check(k, level):
-        if any(n > k * p for n in level):
-            raise MethodError(f"even support bound violated at order {k}")
-
-    # keys n stand for x^(2n), so the chain is Γ itself
-    levels = _recurse(order, p, _chain_even, 1, check)
-    return _assemble("even", p, levels, 1, lambda k, n: k * (p + 1) - n)
-
-
-def _chain_x(source: dict) -> dict:
-    """Chain on a source keyed by x-power: Γ on its even part, γ on its odd."""
-    even = _chain_even({x // 2: c for x, c in source.items() if x % 2 == 0})
-    odd = _chain_odd({x // 2: c for x, c in source.items() if x % 2})
-    return {2 * m: c for m, c in even.items()} | {2 * m + 1: c for m, c in odd.items()}
+    return _solve(2 * p, order)
 
 
 def solve_odd(p: int, order: int) -> PerturbSeries:
-    """Series for ε·x^(2p+1): exact Δ(k) and b_n(k) for k ≤ order.
-
-    Odd ε-orders populate odd monomials only and even orders even ones,
-    so every Δ(odd k) vanishes identically; Δ(k) = -b₂(k).
-    """
+    """Series for ε·x^(2p+1): every Δ(odd k) vanishes identically."""
     if p < 0:
         raise ValueError("odd perturbation needs p >= 0")
-    if order < 0:
-        raise ValueError("order must be non-negative")
-
-    def check(k, level):
-        if any(x > k * (2 * p + 1) for x in level):
-            raise MethodError(f"odd support bound violated at order {k}")
-        if any(x % 2 != k % 2 for x in level):
-            raise MethodError(f"parity structure violated at order {k}")
-
-    levels = _recurse(order, 2 * p + 1, _chain_x, 2, check)
-    # floor division only matters at odd k, where Δ(k) = 0
-    return _assemble("odd", p, levels, 2, lambda k, x: (k * (2 * p + 3) - x) // 2)
+    return _solve(2 * p + 1, order)
 
 
 # --------------------------------------------------------------------------

@@ -171,14 +171,17 @@ def build_grid(potential: Potential1D, x_max: float, n: int,
         raise DegenerateMinimum("v''(origin) must be positive")
 
     nodes = origin + direction * np.linspace(0.0, x_max, n)
-    vv = potential.v(nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vv, dvv = potential.v(nodes), potential.dv(nodes)
+        finite = np.isfinite(2.0 * vv) & np.isfinite(dvv)
+    if not finite.all():
+        raise InvalidPotential("potential is not finite on the trajectory grid")
     if np.min(vv) < -1e-10 * max(1.0, np.max(np.abs(vv))):
         raise InvalidPotential(
             f"v < 0 at x = {nodes[int(np.argmin(vv))]:.6g}")
     vv = np.maximum(vv, 0.0)
     grad2 = 2.0 * vv
     speed = np.sqrt(grad2)
-    dvv = potential.dv(nodes)
 
     scale = max(1.0, float(np.max(grad2)))
     kinks = _kinks(potential, nodes, grad2, dvv, direction, _KINK_SLACK * scale)

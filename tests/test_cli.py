@@ -189,6 +189,35 @@ class TestMain:
         assert out == ""
         assert err.startswith("method breakdown: potential is not finite")
 
+    @pytest.mark.parametrize("argv", [
+        ["--potential", "0.5*x^2", "--x-max", "1e300"],
+        ["--potential", "0.5*x^2 + x^8", "--x-max", "1e40"],
+    ])
+    def test_overflowing_trajectory_potential_exits_2(self, argv, capsys):
+        # v overflows on the trajectory grid; the nan panel estimates would
+        # drive every S₀ panel to the full refinement depth
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--command", "gexpand"] + argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("method breakdown: potential is not finite")
+
+    @pytest.mark.parametrize("argv", [
+        ["perturb", "--parity", "even", "--p", "2", "--order", "4", "--g", "1e-100"],
+        ["coulomb", "--eps", "1e200"],
+        ["stark", "--eps", "1e200"],
+        ["gexpand", "--potential", "0.5*x^2", "--g", "1e-300"],
+        ["oracle", "--potential", "0.5*x^2", "--n", "200", "--domain", "1e-200"],
+    ])
+    def test_float_range_error_in_runner_exits_1(self, argv, capsys):
+        # finite inputs whose arithmetic leaves the float range are a
+        # config error, not a traceback
+        assert main(["--command"] + argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: values out of floating-point range")
+
     def test_coarse_gexpand_breaks_down_without_warning(self, capsys):
         # at 17 nodes the origin patch band would repeat a node (0/0 in
         # Neville); it must fail cleanly, not warn on the way

@@ -261,6 +261,18 @@ class TestGrammar:
         p = P("1/2 * x^2 + x^4")
         assert p.evaluate({VAR_X: 2.0}) == pytest.approx(18.0)
 
+    def test_evaluate_ignores_term_insertion_order(self):
+        # ⅒ + ⅕ + 3⁄10 rounds differently by summation order; equal
+        # polynomials must evaluate to the same bits
+        xyz = ("x", "y", "z")
+        terms = {(1, 0, 0): Fraction(1, 10), (0, 1, 0): Fraction(1, 5),
+                 (0, 0, 1): Fraction(3, 10)}
+        forward = MultiPoly(terms, xyz)
+        backward = MultiPoly(dict(reversed(terms.items())), xyz)
+        assert forward == backward
+        ones = dict.fromkeys(xyz, 1.0)
+        assert forward.evaluate(ones) == backward.evaluate(ones)
+
     def test_evaluate_broadcasts_arrays(self):
         # the oracle samples a potential on its whole grid in one call.
         # NumPy's SIMD power and libm's pow round differently on a few

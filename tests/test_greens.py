@@ -8,6 +8,7 @@ import pytest
 from trajquad.errors import DivergentAtOrigin, TailDivergence
 from trajquad.greens import (
     WaveProfile,
+    _tail_beyond,
     apply_C,
     apply_Dbar,
     c_gradient_residual,
@@ -30,7 +31,7 @@ G = 1.0
 
 @pytest.fixture(scope="module")
 def profile():
-    return harmonic_profile(G, 4001, 8.0)
+    return harmonic_profile(4001, 8.0)
 
 
 class TestHermite:
@@ -98,6 +99,24 @@ class TestApplyDbar:
         got = apply_Dbar(profile.with_values(lambda z: z ** 2), G).values
         assert abs(got[-1]) > 1e10
 
+    @pytest.mark.parametrize("fn", [
+        *(pytest.param(lambda z, l=l: hermite_value(l, z), id=f"H{l}")
+          for l in (1, 2, 3, 4)),
+        pytest.param(lambda z: z ** 3, id="x^3"),
+        pytest.param(lambda z: z ** 2 - gaussian_even_moment(1, G), id="x^2-<x^2>"),
+    ])
+    def test_sampled_tail_series_matches_quadrature(self, fn):
+        # a sampled-only profile completes ∫ e^{-2gS} f beyond each edge by
+        # the asymptotic series; a profile that knows f integrates the same
+        # tail adaptively.  At x = ±6 they agree to 2.4e-6; keeping only
+        # the series' leading term misses by 1-4%, a sign slip by 200%
+        prof = harmonic_profile(4001, 6.0)
+        known, sampled = prof.with_values(fn), prof.with_values(fn(prof.nodes))
+        for side in (-1, 1):
+            quadrature = _tail_beyond(known, G, side)
+            assert _tail_beyond(sampled, G, side) == pytest.approx(
+                quadrature, rel=5e-6, abs=0.0)
+
     def test_non_decaying_tail_rejected(self, profile):
         with pytest.raises(TailDivergence):
             apply_Dbar(profile.with_values(np.exp(profile.nodes ** 2)), G)
@@ -161,8 +180,8 @@ class TestShift:
         from trajquad.oscpert import solve_even
         series = solve_even(2, 3)
         eps, g = 1e-3, 1.0
-        a1 = series.coeffs[0][1].evaluate({"ĝ": 1.0 / g})
-        a2 = series.coeffs[0][2].evaluate({"ĝ": 1.0 / g})
+        a1 = series.coeff(1, 2).evaluate({"ĝ": 1.0 / g})
+        a2 = series.coeff(1, 4).evaluate({"ĝ": 1.0 / g})
         x = profile.nodes
         tau_vals = -eps * (a1 * x ** 2 + a2 * x ** 4)
         u = profile.with_values(lambda z: z ** 4)
@@ -186,16 +205,16 @@ class TestSeriesFixedPoint:
         def series_fn(eps):
             def fn(z):
                 out = np.ones_like(np.asarray(z, dtype=float))
-                for k, table in enumerate(series.coeffs, start=1):
-                    for n, coef in table.items():
-                        out = out + eps ** k * coef.evaluate(ginv) * z ** (2 * n)
+                for k in range(1, series.order + 1):
+                    for n in series.levels[k]:
+                        out = out + eps ** k * series.coeff(k, n).evaluate(ginv) * z ** n
                 return out
             return fn
 
         residuals = {}
         for eps in (1e-3, 5e-4):
-            shift = sum(eps ** (k - 1) * d.evaluate(ginv)
-                        for k, d in enumerate(series.delta, start=1))
+            shift = sum(eps ** (k - 1) * series.delta(k).evaluate(ginv)
+                        for k in range(1, series.order + 1))
             tau_fn = series_fn(eps)
             src = profile.with_values(
                 lambda z: eps * (-z ** 4 + shift) * tau_fn(z))

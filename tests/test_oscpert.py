@@ -22,6 +22,11 @@ def ghat(coeff, power):
     return MultiPoly.monomial(Fraction(coeff), {VAR_GHAT: power}, (VAR_GHAT,))
 
 
+def level(series, k):
+    """The ε^k coefficients of e^{-τ}, keyed by x-power."""
+    return {n: series.coeff(k, n) for n in series.levels[k]}
+
+
 def double_factorial(n):
     out = 1
     while n > 1:
@@ -86,16 +91,16 @@ class TestTables:
 class TestEvenSeries:
     def test_quartic_first_two_orders(self):
         series = solve_even(p=2, order=2)
-        assert series.delta[0] == ghat(Fraction(3, 4), 2)
-        assert series.delta[1] == ghat(Fraction(-21, 8), 5)
+        assert series.delta(1) == ghat(Fraction(3, 4), 2)
+        assert series.delta(2) == ghat(Fraction(-21, 8), 5)
 
     def test_quartic_known_higher_orders(self):
         # classic quartic anharmonic ground-state coefficients at g = 1
         series = solve_even(p=2, order=4)
-        assert series.delta[2].evaluate({VAR_GHAT: 1.0}) == pytest.approx(333 / 16)
-        assert series.delta[3].evaluate({VAR_GHAT: 1.0}) == pytest.approx(-30885 / 128)
-        assert series.delta[2] == ghat(Fraction(333, 16), 8)
-        assert series.delta[3] == ghat(Fraction(-30885, 128), 11)
+        assert series.delta(3).evaluate({VAR_GHAT: 1.0}) == pytest.approx(333 / 16)
+        assert series.delta(4).evaluate({VAR_GHAT: 1.0}) == pytest.approx(-30885 / 128)
+        assert series.delta(3) == ghat(Fraction(333, 16), 8)
+        assert series.delta(4) == ghat(Fraction(-30885, 128), 11)
 
     def test_quadratic_matches_exact_frequency_shift(self):
         # V + εx² is harmonic: E = √(g²+2ε)/2, so Δ(k) follows binomially
@@ -103,19 +108,19 @@ class TestEvenSeries:
         expected = [ghat(Fraction(1, 2), 1), ghat(Fraction(-1, 4), 3),
                     ghat(Fraction(1, 4), 5), ghat(Fraction(-5, 16), 7),
                     ghat(Fraction(7, 16), 9)]
-        assert series.delta == expected
+        assert [series.delta(k) for k in range(1, 6)] == expected
 
     def test_order_zero_is_empty(self):
-        assert solve_even(p=2, order=0).delta == []
+        assert solve_even(p=2, order=0).levels[1:] == []
 
     def test_first_order_coefficients(self):
         series = solve_even(p=2, order=1)
-        assert series.coeffs[0] == {1: -gamma_even(1, 2), 2: -gamma_even(2, 2)}
+        assert level(series, 1) == {2: -gamma_even(1, 2), 4: -gamma_even(2, 2)}
 
     def test_support_bound(self):
         series = solve_even(p=3, order=3)
-        for k, table in enumerate(series.coeffs, start=1):
-            assert all(n <= 3 * k for n in table)
+        for k in range(1, series.order + 1):
+            assert all(n <= 6 * k for n in series.levels[k])
 
     def test_quartic_bender_wu_large_order(self):
         # Δ(k) at g = 1 against (-1)^(k+1) √6 π^(-3/2) 3^k Γ(k+½),
@@ -125,7 +130,7 @@ class TestEvenSeries:
 
         def ratio(k):
             # r_k in log space: Δ(80) and its leading form are near 1e155
-            (coeff,) = series.delta[k - 1].terms.values()
+            (coeff,) = series.delta(k).terms.values()
             assert (coeff > 0) == (k % 2 == 1)
             log_delta = math.log(abs(coeff.numerator)) - math.log(coeff.denominator)
             log_leading = 0.5 * math.log(6) - 1.5 * math.log(math.pi) \
@@ -151,22 +156,22 @@ class TestEvenSeries:
 class TestOddSeries:
     def test_linear_perturbation_exact(self):
         series = solve_odd(p=0, order=6)
-        assert series.delta[1] == ghat(Fraction(-1, 2), 2)
+        assert series.delta(2) == ghat(Fraction(-1, 2), 2)
         for k in (1, 3, 5):
-            assert not series.delta[k - 1]
+            assert not series.delta(k)
         for k in (4, 6):
-            assert not series.delta[k - 1]
+            assert not series.delta(k)
 
     def test_linear_wavefunction_coefficients(self):
         # e^{-τ} = e^{-εx/g}: b_n carries ε^n (-ĝ)^n / n!
         series = solve_odd(p=0, order=6)
-        assert series.coeffs[0] == {1: ghat(-1, 1)}
-        assert series.coeffs[1] == {2: ghat(Fraction(1, 2), 2)}
-        assert series.coeffs[2] == {3: ghat(Fraction(-1, 6), 3)}
+        assert level(series, 1) == {1: ghat(-1, 1)}
+        assert level(series, 2) == {2: ghat(Fraction(1, 2), 2)}
+        assert level(series, 3) == {3: ghat(Fraction(-1, 6), 3)}
         fact = 1
         for n in range(1, 7):
             fact *= n
-            assert series.coeffs[n - 1] == {n: ghat(Fraction((-1) ** n, fact), n)}
+            assert level(series, n) == {n: ghat(Fraction((-1) ** n, fact), n)}
 
     def test_shift_matches_completed_square(self):
         # exact shift is -ε²/2g², entirely at second order
@@ -176,27 +181,24 @@ class TestOddSeries:
     def test_cubic_parity_structure(self):
         series = solve_odd(p=1, order=6)
         for k in (1, 3, 5):
-            assert not series.delta[k - 1]
-        for k, table in enumerate(series.coeffs, start=1):
-            assert all(n % 2 == k % 2 for n in table)
-            assert all(n <= 3 * k for n in table)
+            assert not series.delta(k)
+        for k in range(1, series.order + 1):
+            assert all(n % 2 == k % 2 for n in series.levels[k])
+            assert all(n <= 3 * k for n in series.levels[k])
 
     def test_cubic_first_shift(self):
         # known cubic result: ΔE = -(11/8) ε²/g⁴ at leading order
         series = solve_odd(p=1, order=2)
-        assert series.delta[1] == ghat(Fraction(-11, 8), 4)
+        assert series.delta(2) == ghat(Fraction(-11, 8), 4)
 
 
 class TestInvariants:
-    @pytest.mark.parametrize("chain, solver, p", [
-        ("_chain_even", solve_even, 2),
-        ("_chain_x", solve_odd, 1),
-    ])
-    def test_support_bound_violation_raises(self, monkeypatch, chain, solver, p):
+    @pytest.mark.parametrize("solver, p", [(solve_even, 2), (solve_odd, 1)])
+    def test_support_bound_violation_raises(self, monkeypatch, solver, p):
         # an image key above the source's largest pushes the first order
         # past its support; +2 keeps the key's parity
-        real = getattr(oscpert, chain)
-        monkeypatch.setattr(oscpert, chain,
+        real = oscpert._chain_x
+        monkeypatch.setattr(oscpert, "_chain_x",
                             lambda source: {**real(source), max(source) + 2: Fraction(1)})
         with pytest.raises(MethodError, match="support bound"):
             solver(p, 1)
@@ -208,6 +210,15 @@ class TestInvariants:
                             lambda source: {**real(source), 0: Fraction(1)})
         with pytest.raises(MethodError, match="parity structure"):
             solve_odd(1, 1)
+
+    def test_even_parity_violation_raises(self, monkeypatch):
+        # an odd x-power in an even series, inside the support bound: the
+        # parity rule n ≡ kP (mod 2) is the same check for both parities
+        real = oscpert._chain_x
+        monkeypatch.setattr(oscpert, "_chain_x",
+                            lambda source: {**real(source), 3: Fraction(1)})
+        with pytest.raises(MethodError, match="parity structure"):
+            solve_even(2, 1)
 
 
 class TestOperatorChains:
