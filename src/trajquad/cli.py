@@ -347,6 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args keeps no state between calls, so one parser serves every main()
+_PARSER = build_parser()
+
+
 def _config_from_args(args) -> RunConfig:
     data: dict = {}
     if args.config:
@@ -367,7 +371,7 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         config = _config_from_args(args)
         return run(config, out=args.out, fmt=args.format)

@@ -47,6 +47,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import LogSingularity, MethodError
 from .exactalg import (
     RADIAL_POLAR,
@@ -56,7 +58,7 @@ from .exactalg import (
     MultiPoly,
     grad_dot,
 )
-from .numerics import adaptive_integral
+from .numerics import adaptive_panels
 
 RUE = (VAR_R, VAR_U, VAR_EPS)
 
@@ -236,11 +238,15 @@ def solve_perturbed(u_poly: MultiPoly, order: int) -> CoulombSolution:
     """Run the radial recursion for a polynomial perturbation U(r, u).
 
     U must vanish at r = 0 (no constant shift and no bare angular term).
-    Not every such U runs: a term r^a·u^b with b > a + 1 feeds an r^-1
-    source into a later order and the run stops with ``LogSingularity``.
-    Terms with b ≤ a + 1 and a ≤ 3 run to order 6; r·u³, r²·u⁴ and r³·u⁵
-    break down cleanly (``tests/test_coulomb.py``,
-    ``TestRandomizedResiduals::test_high_angular_degree_breaks_down``).
+    The domain is the axially symmetric polynomials in z = r·u and
+    ρ² = x² + y² = r²(1 − u²) that vanish at the origin.  They expand to
+    terms r^a·u^b with b ≤ a and a ≡ b (mod 2), and every such term with
+    a ≤ 5 runs to order 8.  Outside the domain U is not analytic at the
+    origin (r or r·u² = z²/r, say).  Terms with b ≤ a + 1 still run, but a
+    term with b ≥ a + 2, such as r·u³ = z³/r², feeds an r^-1 source into a
+    later order and the run stops with ``LogSingularity`` (r·u³, r²·u⁴ and
+    r³·u⁵ by order 6, r⁴·u⁶ and r⁵·u⁷ by order 8; ``tests/test_coulomb.py``,
+    ``TestRandomizedResiduals``).
     """
     u_poly = u_poly.embedded(RUE)
     if u_poly.min_degree(VAR_R) < 1 and u_poly:
@@ -354,21 +360,22 @@ def integral_shift_check(sol: CoulombSolution, g: float, eps: float) -> ShiftChe
     linear = [(g ** (-(2 * n - 2)), part) for n in range(1, sol.order + 1)
               if (part := sol.s_terms[n].coeff_of(VAR_EPS, 1))]
 
-    def a_profile(r: float) -> float:
+    def a_profile(r: np.ndarray) -> np.ndarray:
         total = 0.0
         for weight, part in linear:
             total += weight * part.evaluate({VAR_R: r, VAR_U: 0.0})
         return total
 
-    def u_of(r: float) -> float:
+    def u_of(r: np.ndarray) -> np.ndarray:
         return sol.u_perturbation.evaluate({VAR_R: r, VAR_U: 0.0, VAR_EPS: 1.0})
 
     r_cut = 40.0 / g ** 2
-    weight = lambda r: math.exp(-2.0 * g ** 2 * r) * r ** 2
-    d0 = adaptive_integral(weight, 0.0, r_cut)
-    d1 = adaptive_integral(lambda r: weight(r) * a_profile(r), 0.0, r_cut)
-    n0 = adaptive_integral(lambda r: weight(r) * u_of(r), 0.0, r_cut)
-    n1 = adaptive_integral(lambda r: weight(r) * u_of(r) * a_profile(r), 0.0, r_cut)
+    weight = lambda r: np.exp(-2.0 * g ** 2 * r) * r ** 2
+    edges = np.array([0.0, r_cut])
+    d0 = adaptive_panels(weight, edges)[0]
+    d1 = adaptive_panels(lambda r: weight(r) * a_profile(r), edges)[0]
+    n0 = adaptive_panels(lambda r: weight(r) * u_of(r), edges)[0]
+    n1 = adaptive_panels(lambda r: weight(r) * u_of(r) * a_profile(r), edges)[0]
     first = n0 / d0
     second = n0 * d1 / d0 ** 2 - n1 / d0
     energy = -0.5 * g ** 4 + (eps * n0 - eps ** 2 * n1) / (d0 - eps * d1)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateProfile, DivergentAtOrigin, TailDivergence)
-from .numerics import (adaptive_integral, cumulative_integral, derivative,
+from .numerics import (adaptive_panels, cumulative_integral, derivative,
                        neville_at)
 
 
@@ -155,9 +155,9 @@ def _tail_beyond(f: WaveProfile, g: float, side: int) -> float:
         while f.s_fn(b + side * span) - s_edge < 40.0 / g:
             span *= 2.0
         scale = max(abs(float(f.values[edge])) * span, 1e-300)
-        val = adaptive_integral(
-            lambda z: math.exp(-2.0 * g * (f.s_fn(z) - s_edge)) * f.f_fn(z),
-            b, b + side * span, tol=1e-13 * scale)
+        val = adaptive_panels(
+            lambda z: np.exp(-2.0 * g * (f.s_fn(z) - s_edge)) * f.f_fn(z),
+            np.array([b, b + side * span]), tol=1e-13 * scale)[0]
         return side * math.exp(-2.0 * g * s_edge) * val
     sp = _slope(f)
     safe = np.where(np.abs(sp) < 1e-12, 1e-12, sp)

@@ -9,15 +9,12 @@ stencils run as whole-array kernels: every interior node is one row of a
 ``sliding_window_view(y, 5) @ weights`` product, and only the two edge
 nodes at each end take their own one-sided weights.
 
-``adaptive_integral`` is a plain adaptive Simpson rule used where the
+``adaptive_panels`` is the one adaptive Simpson rule, used where the
 integrand is a callable rather than a sampled array (trajectory panels,
-radial moments); panels are bisected until the Richardson error estimate
-drops below the tolerance.  ``adaptive_panels`` integrates every panel of
-a partition at once with the same rule: the first bisection level runs on
-arrays (five integrand calls in all), and only the panels whose first
-error estimate misses the tolerance are handed to ``adaptive_integral``.
-The arithmetic is identical, so each panel's value is bitwise equal to
-``adaptive_integral`` on that panel.
+Green's-operator tails, radial moments).  It integrates every panel of a
+partition at once: each bisection level is one array step over all the
+panels whose Richardson error estimate still misses the tolerance, so the
+integrand is called on arrays, a few times per level, never per panel.
 """
 
 from __future__ import annotations
@@ -45,52 +42,31 @@ def _lagrange_poly(offsets, j):
     return [c / denom for c in coeffs]
 
 
-def _integral_weights(offsets, lo, hi):
-    """Exact weights so that Σ w_j f(t_j) = ∫_lo^hi interpolant dt."""
-    weights = []
-    for j in range(len(offsets)):
-        coeffs = _lagrange_poly(offsets, j)
-        total = Fraction(0)
-        for k, c in enumerate(coeffs):
-            total += c * (Fraction(hi) ** (k + 1) - Fraction(lo) ** (k + 1)) / (k + 1)
-        weights.append(total)
-    return weights
+def _weights(offsets, moments):
+    """Exact weights of the linear functional L with moments L(t^k) = m_k.
+
+    w_j = Σ_k c_jk m_k with c_jk the coefficients of the j-th Lagrange basis
+    polynomial, so Σ_j w_j f(t_j) is L applied to the interpolant of f.
+    """
+    return [sum(c * m for c, m in zip(_lagrange_poly(offsets, j), moments))
+            for j in range(len(offsets))]
 
 
-def _derivative_weights(offsets, at, order):
-    """Exact weights so that Σ w_j f(t_j) = d^order interpolant /dt^order at ``at``."""
-    weights = []
-    for j in range(len(offsets)):
-        coeffs = _lagrange_poly(offsets, j)
-        total = Fraction(0)
-        for k in range(order, len(coeffs)):
-            fall = Fraction(1)
-            for i in range(order):
-                fall *= k - i
-            total += coeffs[k] * fall * (Fraction(at) ** (k - order) if k > order
-                                         else 1)
-        weights.append(total)
-    return weights
+def _table(moments, anchors):
+    """Float weights of L, keyed by s, on the 5-point stencil t = -s .. 4-s."""
+    return {s: np.array([float(w) for w in
+                         _weights(tuple(range(-s, 5 - s)), moments)])
+            for s in anchors}
 
 
-# interval [i, i+1] integrated on the stencil anchored s points left of i
-_CUM_WEIGHTS = {
-    s: np.array([float(w) for w in
-                 _integral_weights(tuple(range(-s, 5 - s)), 0, 1)])
-    for s in range(0, 4)
-}
+# interval [i, i+1] integrated on the stencil anchored s points left of i:
+# L(t^k) = ∫_0^1 t^k dt = 1/(k+1)
+_CUM_WEIGHTS = _table([Fraction(1, k + 1) for k in range(5)], range(4))
 
-_D1_WEIGHTS = {
-    c: np.array([float(w) for w in
-                 _derivative_weights(tuple(range(-c, 5 - c)), 0, 1)])
-    for c in range(0, 5)
-}
-
-_D2_WEIGHTS = {
-    c: np.array([float(w) for w in
-                 _derivative_weights(tuple(range(-c, 5 - c)), 0, 2)])
-    for c in range(0, 5)
-}
+# r-th derivative at the node c points right of the stencil start:
+# L(t^k) = d^r t^k/dt^r at t = 0 = r!·δ_kr
+_D1_WEIGHTS = _table([0, 1, 0, 0, 0], range(5))
+_D2_WEIGHTS = _table([0, 0, 2, 0, 0], range(5))
 
 
 def grid_spacing(x: np.ndarray) -> float:
@@ -169,58 +145,54 @@ def _simpson(lo, hi, flo, fmid, fhi):
     return (hi - lo) * (flo + 4.0 * fmid + fhi) / 6.0
 
 
-def _bisect(f, lo, hi, flo, fmid, fhi, whole):
-    """One Simpson bisection step; works on scalars and on arrays alike.
+# largest number of panels bisected in one array step: a refinement that
+# never meets its tolerance doubles the failing panels per level, so
+# without a cap the arrays of a deep level could reach 2^depth entries
+_CHUNK = 4096
 
-    Returns the midpoint, the two new quarter-point samples, both half-panel
-    Simpson values and the Richardson error estimate of their sum.
+
+def _refine(f, lo, hi, flo, fmid, fhi, whole, eps, depth):
+    """Adaptive Simpson on arrays of panels whose ends and midpoints are sampled.
+
+    One bisection level runs on every panel at once; the panels whose
+    Richardson estimate misses ``eps`` (and that have depth left) are split
+    into their two halves, which recurse together with ``eps/2``, at most
+    ``_CHUNK`` panels at a time.  Each value is the sum of its two halves'
+    values, so the result is the one a depth-first recursion on each panel
+    would return, bit for bit.
     """
     mid = 0.5 * (lo + hi)
     flm = f(0.5 * (lo + mid))
     frm = f(0.5 * (mid + hi))
     left = _simpson(lo, mid, flo, flm, fmid)
     right = _simpson(mid, hi, fmid, frm, fhi)
-    return mid, flm, frm, left, right, (left + right - whole) / 15.0
-
-
-def _recurse(f, lo, hi, flo, fmid, fhi, whole, eps, depth):
-    """Adaptive Simpson on one panel whose ends and midpoint are sampled."""
-    mid, flm, frm, left, right, err = _bisect(f, lo, hi, flo, fmid, fhi, whole)
-    if depth <= 0 or abs(err) <= eps:
-        return left + right + err
-    return (_recurse(f, lo, mid, flo, flm, fmid, left, eps / 2.0, depth - 1)
-            + _recurse(f, mid, hi, fmid, frm, fhi, right, eps / 2.0, depth - 1))
-
-
-def adaptive_integral(f, a: float, b: float, tol: float = 1e-12,
-                      max_depth: int = 40) -> float:
-    """Adaptive Simpson quadrature of a callable on [a, b]."""
-    if a == b:
-        return 0.0
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = _simpson(a, b, fa, fm, fb)
-    return _recurse(f, a, b, fa, fm, fb, whole, tol, max_depth)
+    err = (left + right - whole) / 15.0
+    out = left + right + err
+    go = np.flatnonzero(~(np.abs(err) <= eps)) if depth > 0 else []
+    for start in range(0, len(go), _CHUNK):
+        idx = go[start:start + _CHUNK]
+        halves = [np.concatenate((a[idx], b[idx])) for a, b in
+                  ((lo, mid), (mid, hi), (flo, fmid), (flm, frm), (fmid, fhi),
+                   (left, right))]
+        sub = _refine(f, *halves, eps / 2.0, depth - 1)
+        out[idx] = sub[:len(idx)] + sub[len(idx):]
+    return out
 
 
 def adaptive_panels(f, edges: np.ndarray, tol: float = 1e-12,
                     max_depth: int = 40) -> np.ndarray:
-    """``adaptive_integral`` of every panel [edges[i], edges[i+1]] at once.
+    """Adaptive Simpson quadrature of every panel [edges[i], edges[i+1]].
 
-    ``f`` must accept arrays.  The whole-panel rule and the first bisection
-    take five array calls of ``f`` in total; only the panels whose first
-    error estimate misses ``tol`` go on, one at a time, through
-    ``adaptive_integral`` itself (which repeats their first level on
-    scalars), so every entry is bitwise equal to the scalar result (a
-    zero-width panel of a finite ``f`` gives 0.0 by the same arithmetic,
-    with an error estimate of 0).
+    ``f`` takes arrays.  The whole-panel rule takes three calls of ``f``
+    and each bisection level two more, over all panels still refining (up
+    to ``_CHUNK`` per call), so the call count grows with the depth, not
+    with the number of panels.
+    A panel is bisected until its Richardson error estimate is within
+    ``tol`` (halved per level) or ``max_depth`` levels are spent; a
+    zero-width panel of a finite ``f`` gives 0.0 with an estimate of 0.
     """
     edges = np.asarray(edges, dtype=float)
     lo, hi = edges[:-1], edges[1:]
-    mid = 0.5 * (lo + hi)
-    flo, fmid, fhi = f(lo), f(mid), f(hi)
+    flo, fmid, fhi = f(lo), f(0.5 * (lo + hi)), f(hi)
     whole = _simpson(lo, hi, flo, fmid, fhi)
-    left, right, err = _bisect(f, lo, hi, flo, fmid, fhi, whole)[3:]
-    out = left + right + err
-    for i in np.flatnonzero(~(np.abs(err) <= tol)):
-        out[i] = adaptive_integral(f, lo[i].item(), hi[i].item(), tol, max_depth)
-    return out
+    return _refine(f, lo, hi, flo, fmid, fhi, whole, tol, max_depth)

@@ -223,7 +223,7 @@ def test_criterion_9_property_suites():
                     MultiPoly.monomial(1, {VAR_X: 2 * m + 1}, (VAR_X, VAR_GHAT))
             assert total_odd == expect
 
-        from trajquad.numerics import adaptive_integral
+        from test_numerics import adaptive_integral
         pot = trajectory_mod.Potential1D.from_poly("0.5*x^2 + x^4")
         errors = []
         for n in (17, 33):

@@ -100,6 +100,17 @@ class TestMain:
         echoed = parse_config_echo(out.read_text())
         assert echoed == RunConfig("stark", {"order": 4})
 
+    def test_second_call_echoes_only_its_own_flags(self, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.csv"
+        assert main(["--command", "stark", "--order", "4", "--format", "json",
+                     "--g", "2", "--out", str(first)]) == 0
+        assert main(["--command", "stark", "--order", "4",
+                     "--out", str(second)]) == 0
+        assert parse_config_echo(first.read_text()).parameters["g"] == 2
+        assert not second.read_text().startswith("{")
+        assert parse_config_echo(second.read_text()) == \
+            RunConfig("stark", {"order": 4})
+
     def test_json_document(self, tmp_path):
         out = tmp_path / "stark.json"
         assert main(["--command", "stark", "--order", "6", "--format", "json",

@@ -358,6 +358,16 @@ class TestRandomizedResiduals:
         sol = solve_perturbed(MultiPoly(terms, RUE), 6)
         assert all(not r for r in defining_residuals(sol))
 
+    @pytest.mark.parametrize("a", range(1, 6))
+    def test_axial_polynomial_domain(self, a):
+        # a polynomial in z and ρ² gives r^a·u^b with b ≤ a, b ≡ a (mod 2):
+        # each runs to order 8, and the first b past the domain breaks down
+        for b in range(a % 2, a + 1, 2):
+            sol = solve_perturbed(P(f"r^{a} * u^{b}"), 8)
+            assert all(not r for r in defining_residuals(sol))
+        with pytest.raises(LogSingularity):
+            solve_perturbed(P(f"r^{a} * u^{a + 2}"), 8)
+
     @pytest.mark.parametrize("text", ["r * u^3", "r^2 * u^4 + r"])
     def test_high_angular_degree_breaks_down(self, text):
         # r^a·u^b with b > a + 1 feeds an r^-1 source into a later order,

@@ -3,22 +3,55 @@
 The stencils sum each window with a matrix product instead of one dot
 product per node, so they may differ from the loops by a few ulp of the
 summed terms (about max|y|, times h^-order for a derivative, where the
-terms cancel); the batched panel quadrature does the same IEEE operations
-as the scalar rule and must agree bitwise.
+terms cancel).  The array adaptive Simpson kernel does the same IEEE
+operations as the scalar depth-first recursion kept here as its reference
+(``adaptive_integral``, also used by the trajectory and acceptance tests)
+and must agree with it bitwise.
 """
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from trajquad import numerics
+from trajquad.greens import hermite_value
 from trajquad.numerics import (_CUM_WEIGHTS, _D1_WEIGHTS, _D2_WEIGHTS,
-                               adaptive_integral, adaptive_panels,
-                               cumulative_integral, derivative, neville_at)
+                               adaptive_panels, cumulative_integral,
+                               derivative, neville_at)
 from trajquad.trajectory import Potential1D, build_grid
 
 SIZES = (5, 6, 7, 16, 1001)
 RTOL = 1e-12
+
+
+def _simpson(lo, hi, flo, fmid, fhi):
+    return (hi - lo) * (flo + 4.0 * fmid + fhi) / 6.0
+
+
+def _recurse(f, lo, hi, flo, fmid, fhi, whole, eps, depth):
+    """Adaptive Simpson on one panel whose ends and midpoint are sampled."""
+    mid = 0.5 * (lo + hi)
+    flm = f(0.5 * (lo + mid))
+    frm = f(0.5 * (mid + hi))
+    left = _simpson(lo, mid, flo, flm, fmid)
+    right = _simpson(mid, hi, fmid, frm, fhi)
+    err = (left + right - whole) / 15.0
+    if depth <= 0 or abs(err) <= eps:
+        return left + right + err
+    return (_recurse(f, lo, mid, flo, flm, fmid, left, eps / 2.0, depth - 1)
+            + _recurse(f, mid, hi, fmid, frm, fhi, right, eps / 2.0, depth - 1))
+
+
+def adaptive_integral(f, a, b, tol=1e-12, max_depth=40):
+    """Scalar, depth-first adaptive Simpson on [a, b]: the kernel's reference."""
+    if a == b:
+        return 0.0
+    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
+    whole = _simpson(a, b, fa, fm, fb)
+    return _recurse(f, a, b, fa, fm, fb, whole, tol, max_depth)
 
 
 def derivative_loop(y, x, order):
@@ -86,6 +119,20 @@ def test_stencils_exact_on_quartics():
                        x ** 5 / 5 - x ** 2 - (1.0 / 5 - 1.0), atol=1e-13)
 
 
+def test_stencil_tables_pinned():
+    # the central rows of the exact Lagrange functionals, as fractions
+    def floats(*fractions):
+        return np.array([float(Fraction(w)) for w in fractions])
+
+    assert np.array_equal(_D1_WEIGHTS[2],
+                          floats("1/12", "-2/3", "0", "2/3", "-1/12"))
+    assert np.array_equal(_D2_WEIGHTS[2],
+                          floats("-1/12", "4/3", "-5/2", "4/3", "-1/12"))
+    assert np.array_equal(_CUM_WEIGHTS[2],
+                          floats("11/720", "-37/360", "19/30", "173/360",
+                                 "-19/720"))
+
+
 def test_neville_on_an_array_equals_scalar_calls():
     # the origin patch of the g⁻¹ hierarchy: six band nodes, many targets
     xs = np.linspace(0.3, 0.9, 6)
@@ -101,6 +148,15 @@ class TestAdaptivePanels:
         return np.array([adaptive_integral(f, a, b, tol=tol, max_depth=max_depth)
                          for a, b in zip(edges[:-1], edges[1:])])
 
+    @staticmethod
+    def greens_tail():
+        # _tail_beyond's integrand for H₄ on S = z²/2, g = 1, past the
+        # edge b = 6 out to where e^{-2g(S-S_b)} falls below e^{-40}
+        g, b, span = 1.0, 6.0, 7.0
+        f = lambda z: np.exp(-2.0 * g * (0.5 * z * z - 0.5 * b * b)) \
+            * hermite_value(4, math.sqrt(g) * z)
+        return f, np.array([b, b + span]), 1e-13 * abs(f(b)) * span
+
     @pytest.mark.parametrize("max_depth", (0, 3, 40))
     def test_bitwise_equal_to_adaptive_integral(self, max_depth):
         # √|x| refines near its cusp at 0; the flat far panels do not
@@ -110,6 +166,9 @@ class TestAdaptivePanels:
         want = self.scalar(f, edges, 1e-9, max_depth)
         assert np.array_equal(got, want)
         assert got[2] == got[5] == 0.0   # zero-width panels
+        f, edges, tol = self.greens_tail()
+        got = adaptive_panels(f, edges, tol=tol, max_depth=max_depth)
+        assert np.array_equal(got, self.scalar(f, edges, tol, max_depth))
 
     def test_first_level_is_five_array_calls(self):
         calls = []
@@ -123,17 +182,51 @@ class TestAdaptivePanels:
         assert calls == [(100,)] * 5   # Simpson is exact on x², none recurse
         assert np.array_equal(got, self.scalar(lambda z: z * z, edges, 1e-12, 40))
 
-    def test_only_failing_panels_recurse(self):
+    def test_only_failing_panels_recurse(self, monkeypatch):
+        # the scalar reference runs _recurse once per panel and level, and
+        # a panel that misses its estimate has two halves at the next level;
+        # the kernel samples each level's panels in one pair of array calls
+        f = lambda z: np.sqrt(np.abs(z))
+        edges = np.array([-2.0, -1.0, 0.0, 1.0])
+        depths = []
+        reference = _recurse
+
+        def counted(*args):
+            depths.append(args[-1])
+            return reference(*args)
+
+        monkeypatch.setattr(sys.modules[__name__], "_recurse", counted)
+        self.scalar(f, edges, 1e-10, 40)
+        monkeypatch.undo()
+        panels = [depths.count(d) for d in range(40, min(depths) - 1, -1)]
+        assert panels[0] == 3 and len(panels) > 1
+        assert all(n % 2 == 0 for n in panels[1:])
+
+        calls = []
+
+        def g(z):
+            calls.append(np.shape(z))
+            return f(z)
+
+        adaptive_panels(g, edges, tol=1e-10, max_depth=40)
+        assert calls[:5] == [(3,)] * 5
+        assert calls[5:] == [(n,) for n in panels[1:] for _ in range(2)]
+
+    def test_levels_bisect_at_most_chunk_panels_per_call(self, monkeypatch):
+        # a level with more failing panels than _CHUNK runs them in chunks:
+        # the arrays stay bounded and the values bitwise equal
+        monkeypatch.setattr(numerics, "_CHUNK", 2)
         calls = []
 
         def f(z):
-            calls.append(np.ndim(z))
-            return np.sqrt(np.abs(z))
+            calls.append(len(z))
+            return np.sqrt(np.abs(z)) + np.exp(-z)
 
-        adaptive_panels(f, np.array([-2.0, -1.0, 0.0, 1.0]), tol=1e-10,
-                        max_depth=40)
-        assert calls[:5] == [1] * 5
-        assert len(calls) > 5 and all(d == 0 for d in calls[5:])
+        edges = np.linspace(-1.0, 2.0, 8)
+        got = adaptive_panels(f, edges, tol=1e-9)
+        assert calls[:5] == [7] * 5 and max(calls[5:]) == 4
+        assert np.array_equal(got, self.scalar(
+            lambda z: np.sqrt(np.abs(z)) + np.exp(-z), edges, 1e-9, 40))
 
 
 def scalar_grid(pot, x_max, n, direction):

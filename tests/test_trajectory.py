@@ -72,7 +72,7 @@ class TestBuildGrid:
         # fixed per-panel rule (no refinement): doubling nodes cuts the
         # S₀ error at least 4x for a smooth quartic with known integral
         # (coarse grids, so the error sits well above the rounding floor)
-        from trajquad.numerics import adaptive_integral
+        from test_numerics import adaptive_integral
         pot = Potential1D.from_poly("0.5*x^2 + x^4")
 
         def exact(x):
