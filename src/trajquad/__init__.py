@@ -19,37 +19,39 @@ cli        batch front end (``trajquad`` console script)
 
 __version__ = "0.1.0"
 
-from .exactalg import (  # noqa: F401
-    MultiPoly,
-    Rational,
-    grad_dot,
-    parse_poly,
-)
+from .exactalg import MultiPoly, grad_dot, parse_poly  # noqa: F401
 from .trajectory import (  # noqa: F401
     Potential1D,
     TrajectoryGrid,
     build_grid,
 )
-from .gexpand import SeriesSolution, assemble_energy, e0, hierarchy  # noqa: F401
+from .gexpand import (  # noqa: F401
+    SeriesSolution,
+    assemble_energy,
+    e0,
+    hierarchy,
+    hierarchy_separable,
+    pde_residual,
+)
 from .greens import (  # noqa: F401
     WaveProfile,
     apply_C,
     apply_Dbar,
     harmonic_profile,
+    hermite_coefficients,
     identity_report,
     irregular_solution,
     shift_from_boundary,
 )
 from .oscpert import (  # noqa: F401
     PerturbSeries,
-    gamma_even,
-    gamma_odd,
     solve_even,
     solve_odd,
 )
 from .coulomb import (  # noqa: F401
     CoulombSolution,
     assemble,
+    defining_residuals,
     integral_shift_check,
     solve_isotropic,
     solve_stark,

@@ -50,14 +50,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import LogSingularity, MethodError
-from .exactalg import (
-    RADIAL_POLAR,
-    VAR_EPS,
-    VAR_R,
-    VAR_U,
-    MultiPoly,
-    grad_dot,
-)
+from .exactalg import VAR_EPS, VAR_R, VAR_U, MultiPoly, grad_dot
 from .numerics import adaptive_panels
 
 RUE = (VAR_R, VAR_U, VAR_EPS)
@@ -301,10 +294,9 @@ def defining_residuals(sol: CoulombSolution) -> list:
     for n in range(sol.order + 1):
         total = MultiPoly.zero(RUE)
         for m in range(n + 1):
-            total = total - grad_dot(sol.s_terms[m], sol.s_terms[n - m],
-                                     RADIAL_POLAR) * Fraction(1, 2)
+            total = total - grad_dot(sol.s_terms[m], sol.s_terms[n - m]) * Fraction(1, 2)
         if n >= 1:
-            total = total + sol.s_terms[n - 1].laplacian(RADIAL_POLAR) * Fraction(1, 2)
+            total = total + sol.s_terms[n - 1].laplacian() * Fraction(1, 2)
         if n == 1:
             total = total - MultiPoly.monomial(1, {VAR_R: -1}, RUE)
         if n == 2:
@@ -371,11 +363,19 @@ def integral_shift_check(sol: CoulombSolution, g: float, eps: float) -> ShiftChe
 
     r_cut = 40.0 / g ** 2
     weight = lambda r: np.exp(-2.0 * g ** 2 * r) * r ** 2
-    edges = np.array([0.0, r_cut])
-    d0 = adaptive_panels(weight, edges)[0]
-    d1 = adaptive_panels(lambda r: weight(r) * a_profile(r), edges)[0]
-    n0 = adaptive_panels(lambda r: weight(r) * u_of(r), edges)[0]
-    n1 = adaptive_panels(lambda r: weight(r) * u_of(r) * a_profile(r), edges)[0]
+
+    def integral(f) -> float:
+        # the integrals grow like r_cut^(deg U + 2), so the tolerance is
+        # relative: 1e-12 of the summed |one-level estimates| on 64 panels
+        size = np.sum(np.abs(adaptive_panels(f, np.linspace(0.0, r_cut, 65),
+                                             max_depth=0)))
+        return float(adaptive_panels(f, np.array([0.0, r_cut]),
+                                     tol=1e-12 * size)[0])
+
+    d0 = integral(weight)
+    d1 = integral(lambda r: weight(r) * a_profile(r))
+    n0 = integral(lambda r: weight(r) * u_of(r))
+    n1 = integral(lambda r: weight(r) * u_of(r) * a_profile(r))
     first = n0 / d0
     second = n0 * d1 / d0 ** 2 - n1 / d0
     energy = -0.5 * g ** 4 + (eps * n0 - eps ** 2 * n1) / (d0 - eps * d1)

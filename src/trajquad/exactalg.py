@@ -9,9 +9,8 @@ never carry negative powers.
 
 Besides ring arithmetic the module provides the differential-geometric
 operators the recursions need: partial derivatives, the Laplacian and
-gradient dot product in 1-D Cartesian and radial-polar (r, u = cos a)
-geometry, the angular average (1/2)∫_{-1}^{1} du, and the radial
-antiderivative with zero constant.
+gradient dot product in radial-polar (r, u = cos a) geometry, and the
+angular average (1/2)∫_{-1}^{1} du.
 
 A canonical text rendering ("-21/8 * ε^2 * ĝ^5") and a round-trip parser
 for the same grammar serve the CLI and the golden tests.  Terms are ordered
@@ -34,9 +33,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import LogSingularity, VariableMismatch
-
-Rational = Fraction
+from .errors import VariableMismatch
 
 VAR_X = "x"
 VAR_R = "r"
@@ -52,9 +49,6 @@ _ALIASES = {"eps": VAR_EPS, "epsilon": VAR_EPS, "ghat": VAR_GHAT, "ginv": VAR_GH
 
 # Only r may carry negative (Laurent) exponents.
 _LAURENT_OK = frozenset({VAR_R})
-
-CARTESIAN_1D = "cartesian-1d"
-RADIAL_POLAR = "radial-polar"
 
 
 def _var_key(name: str) -> tuple[int, str]:
@@ -318,47 +312,24 @@ class MultiPoly:
                for exps, coeff in self.terms.items()}
         return MultiPoly._make(out, self.variables)
 
-    def integrate_r(self) -> "MultiPoly":
-        """Radial antiderivative with zero integration constant.
+    def laplacian(self) -> "MultiPoly":
+        """Exact radial-polar Laplacian (r, u = cos a):
 
-        Raises LogSingularity when an r^-1 term is present; the message
-        names that term's angular coefficient, since its appearance means
-        the energy-coefficient rule failed upstream.
-        """
-        i = self._index(VAR_R)
-        bad = self.coeff_of(VAR_R, -1)
-        if bad:
-            raise LogSingularity(
-                f"r^-1 source with angular coefficient {bad.render()}")
-        out = {}
-        for exps, coeff in self.terms.items():
-            k = exps[i]
-            out[exps[:i] + (k + 1,) + exps[i + 1:]] = coeff / (k + 1)
-        return MultiPoly._make(out, self.variables)
-
-    def laplacian(self, geometry: str) -> "MultiPoly":
-        """Exact Laplacian in the named geometry.
-
-        cartesian-1d: d²/dx².  radial-polar (r, u = cos a):
         (1/r²) ∂_r(r² ∂_r ·) + (1/r²) ∂_u((1-u²) ∂_u ·).
         """
-        if geometry == CARTESIAN_1D:
-            return self.differentiate(VAR_X).differentiate(VAR_X)
-        if geometry == RADIAL_POLAR:
-            poly = self
-            if VAR_R not in poly.variables:
-                poly = poly.embedded(tuple(poly.variables) + (VAR_R,))
-            radial = (poly.differentiate(VAR_R).shifted(VAR_R, 2)
-                      .differentiate(VAR_R).shifted(VAR_R, -2))
-            if VAR_U in poly.variables:
-                du = poly.differentiate(VAR_U)
-                one_minus_u2 = MultiPoly.const(1, poly.variables) - \
-                    MultiPoly.var(VAR_U, poly.variables) ** 2
-                angular = (one_minus_u2 * du).differentiate(VAR_U).shifted(VAR_R, -2)
-            else:
-                angular = MultiPoly.zero(poly.variables)
-            return radial + angular
-        raise ValueError(f"unknown geometry {geometry!r}")
+        poly = self
+        if VAR_R not in poly.variables:
+            poly = poly.embedded(tuple(poly.variables) + (VAR_R,))
+        radial = (poly.differentiate(VAR_R).shifted(VAR_R, 2)
+                  .differentiate(VAR_R).shifted(VAR_R, -2))
+        if VAR_U in poly.variables:
+            du = poly.differentiate(VAR_U)
+            one_minus_u2 = MultiPoly.const(1, poly.variables) - \
+                MultiPoly.var(VAR_U, poly.variables) ** 2
+            angular = (one_minus_u2 * du).differentiate(VAR_U).shifted(VAR_R, -2)
+        else:
+            angular = MultiPoly.zero(poly.variables)
+        return radial + angular
 
     def angular_average(self) -> "MultiPoly":
         """(1/2)∫_{-1}^{1} · du, exact; the result is free of u."""
@@ -435,26 +406,19 @@ class MultiPoly:
         return f"MultiPoly({self.render()!r})"
 
 
-def grad_dot(a: MultiPoly, b: MultiPoly, geometry: str) -> MultiPoly:
-    """Exact ∇a·∇b in the named geometry.
-
-    radial-polar: ∂_r a ∂_r b + (1-u²) r^-2 ∂_u a ∂_u b.
-    """
-    if geometry == CARTESIAN_1D:
-        return a.differentiate(VAR_X) * b.differentiate(VAR_X)
-    if geometry == RADIAL_POLAR:
-        aa, bb = MultiPoly._aligned(a, b)
-        if VAR_R not in aa.variables:
-            aa = aa.embedded(tuple(aa.variables) + (VAR_R,))
-            bb = bb.embedded(aa.variables)
-        out = aa.differentiate(VAR_R) * bb.differentiate(VAR_R)
-        if VAR_U in aa.variables:
-            one_minus_u2 = MultiPoly.const(1, aa.variables) - \
-                MultiPoly.var(VAR_U, aa.variables) ** 2
-            out = out + (one_minus_u2 * aa.differentiate(VAR_U)
-                         * bb.differentiate(VAR_U)).shifted(VAR_R, -2)
-        return out
-    raise ValueError(f"unknown geometry {geometry!r}")
+def grad_dot(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """Exact radial-polar ∇a·∇b = ∂_r a ∂_r b + (1-u²) r^-2 ∂_u a ∂_u b."""
+    aa, bb = MultiPoly._aligned(a, b)
+    if VAR_R not in aa.variables:
+        aa = aa.embedded(tuple(aa.variables) + (VAR_R,))
+        bb = bb.embedded(aa.variables)
+    out = aa.differentiate(VAR_R) * bb.differentiate(VAR_R)
+    if VAR_U in aa.variables:
+        one_minus_u2 = MultiPoly.const(1, aa.variables) - \
+            MultiPoly.var(VAR_U, aa.variables) ** 2
+        out = out + (one_minus_u2 * aa.differentiate(VAR_U)
+                     * bb.differentiate(VAR_U)).shifted(VAR_R, -2)
+    return out
 
 
 _NUMBER_RE = re.compile(r"^[0-9]+(/[0-9]+|\.[0-9]*)?$|^\.[0-9]+$")

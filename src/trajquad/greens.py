@@ -205,14 +205,11 @@ def apply_Dbar(f: WaveProfile, g: float,
         xf = np.linspace(x[0], x[-1], refine * (len(x) - 1) + 1)
         wf = np.exp(-2.0 * g * np.asarray(f.s_fn(xf), dtype=float)) \
             * np.asarray(f.f_fn(xf), dtype=float)
-        left = tail_minus + cumulative_integral(wf, xf, start=0)[::refine]
-        right = tail_plus - cumulative_integral(
-            wf, xf, start=len(xf) - 1)[::refine]
-        mass = float(cumulative_integral(np.abs(wf), xf, start=0)[-1]) or 1.0
     else:
-        left = tail_minus + cumulative_integral(w, x, start=0)
-        right = tail_plus - cumulative_integral(w, x, start=len(x) - 1)
-        mass = float(cumulative_integral(np.abs(w), x, start=0)[-1]) or 1.0
+        refine, xf, wf = 1, x, w
+    left = tail_minus + cumulative_integral(wf, xf, start=0)[::refine]
+    right = tail_plus - cumulative_integral(wf, xf, start=len(xf) - 1)[::refine]
+    mass = float(cumulative_integral(np.abs(wf), xf, start=0)[-1]) or 1.0
     total = float(left[-1]) + tail_plus
     inner = left.copy()
     if abs(total) <= solvability_rtol * mass:
@@ -233,27 +230,6 @@ def irregular_solution(profile: WaveProfile, g: float) -> WaveProfile:
     grow = cumulative_integral(np.exp(2.0 * g * profile.s), profile.nodes,
                                start=profile.origin)
     return profile.with_values(np.exp(-g * profile.s) * grow)
-
-
-def d_kernel_direct(profile: WaveProfile, g: float, i: int, j: int) -> float:
-    """Matrix element (S_i|D|S_j) from the nested-integral definition."""
-    if not i > j >= profile.origin:
-        raise ValueError("kernel is lower-triangular in S along the half line")
-    x, s = profile.nodes, profile.s
-    sp = _slope(profile)
-    seg = cumulative_integral(np.exp(2.0 * g * s), x, start=j)
-    return -2.0 * math.exp(-g * (s[i] + s[j])) * seg[i] / sp[j]
-
-
-def d_kernel_wronskian(profile: WaveProfile, g: float, i: int, j: int) -> float:
-    """Same element from the two-solution (Wronskian) form."""
-    if not i > j >= profile.origin:
-        raise ValueError("kernel is lower-triangular in S along the half line")
-    s = profile.s
-    sp = _slope(profile)
-    f_irr = irregular_solution(profile, g).values
-    return 2.0 * (math.exp(-g * s[i]) * f_irr[j]
-                  - f_irr[i] * math.exp(-g * s[j])) / sp[j]
 
 
 def shift_from_boundary(u: WaveProfile, tau: WaveProfile, g: float) -> float:

@@ -12,6 +12,8 @@ extrapolation supplies both the reported eigenvalue and its error
 estimate.  The fine grid's eigenvectors, built from the Sturm count's own
 pivot recurrence run from both walls (a twisted factorization), serve only
 to confirm that the box was wide enough.
+The Sturm count stays private: ``tests/test_oracle.py`` composes it with
+the Dirichlet grid builder to check eigenvalue counts directly.
 """
 
 from __future__ import annotations
@@ -181,9 +183,3 @@ def solve_radial(g: float, u_potential: _Potential, eps: float, r_max: float,
     return _solve(lambda r: -g ** 2 / r + eps * u_potential(r), 0.0, r_max,
                   n, 1, [-1])
 
-
-def sturm_count(potential: _Potential, domain: tuple, n: int,
-                lam: float) -> int:
-    """Eigenvalue count below lam (internal consistency hook for tests)."""
-    diag, h = _dirichlet(potential, float(domain[0]), float(domain[1]), n)
-    return _sturm_count(diag.tolist(), (0.5 / h ** 2) ** 2, lam)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -85,12 +85,11 @@ class Potential1D:
         return cls(derivatives=tuple(stack), origin=origin)
 
     @classmethod
-    def from_callables(cls, v, dv, d2v, origin: float = 0.0,
-                       higher: Sequence[Callable[[float], float]] = ()) -> "Potential1D":
+    def from_callables(cls, v, dv, d2v, origin: float = 0.0) -> "Potential1D":
         if dv is None or d2v is None:
             raise InvalidPotential("black-box potentials must supply two derivatives")
         derivatives = tuple(np.vectorize(fn, otypes=[float])
-                            for fn in (v, dv, d2v, *higher))
+                            for fn in (v, dv, d2v))
         return cls(derivatives=derivatives, origin=origin)
 
 

@@ -184,6 +184,9 @@ def test_criterion_8_excited_states():
 def test_criterion_9_property_suites():
     with criterion(9, "properties: 500 exact algebra cases, Lemma chains n ≤ 6, "
                       "quadrature order"):
+        from test_coulomb import integrate_r
+        from test_oscpert import (gamma_even, gamma_odd, operator_chain_even,
+                                  operator_chain_odd)
         rng = random.Random(99)
 
         def rand_poly(variables):
@@ -199,27 +202,26 @@ def test_criterion_9_property_suites():
             assert a * (b + c) == a * b + a * c
             assert (a * b) * c == a * (b * c)
             p = rand_poly(RUE)
-            assert p.integrate_r().differentiate(VAR_R) == p
-            f, h = rand_poly((VAR_X,)), rand_poly((VAR_X,))
-            lhs = (f * h).laplacian("cartesian-1d")
-            rhs = f * h.laplacian("cartesian-1d") + \
-                2 * grad_dot(f, h, "cartesian-1d") + h * f.laplacian("cartesian-1d")
+            assert integrate_r(p).differentiate(VAR_R) == p
+            f, h = rand_poly(RUE), rand_poly(RUE)
+            lhs = (f * h).laplacian()
+            rhs = f * h.laplacian() + 2 * grad_dot(f, h) + h * f.laplacian()
             assert lhs == rhs
 
         for n in range(1, 7):
-            total, subtraction = oscpert_mod.operator_chain_even(n)
+            total, subtraction = operator_chain_even(n)
             expect = MultiPoly.zero((VAR_X, VAR_GHAT))
             for m in range(1, n + 1):
                 expect = expect + \
-                    oscpert_mod.gamma_even(m, n).embedded((VAR_X, VAR_GHAT)) * \
+                    gamma_even(m, n).embedded((VAR_X, VAR_GHAT)) * \
                     MultiPoly.monomial(1, {VAR_X: 2 * m}, (VAR_X, VAR_GHAT))
             assert total == expect
-            assert subtraction == oscpert_mod.gamma_even(1, n)
-            total_odd = oscpert_mod.operator_chain_odd(n)
+            assert subtraction == gamma_even(1, n)
+            total_odd = operator_chain_odd(n)
             expect = MultiPoly.zero((VAR_X, VAR_GHAT))
             for m in range(0, n + 1):
                 expect = expect + \
-                    oscpert_mod.gamma_odd(m, n).embedded((VAR_X, VAR_GHAT)) * \
+                    gamma_odd(m, n).embedded((VAR_X, VAR_GHAT)) * \
                     MultiPoly.monomial(1, {VAR_X: 2 * m + 1}, (VAR_X, VAR_GHAT))
             assert total_odd == expect
 

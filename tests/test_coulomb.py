@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,20 +18,32 @@ from trajquad.coulomb import (
     solve_stark,
 )
 from trajquad.errors import LogSingularity
-from trajquad.exactalg import (
-    RADIAL_POLAR,
-    VAR_EPS,
-    VAR_R,
-    VAR_U,
-    MultiPoly,
-    parse_poly,
-)
+from trajquad.exactalg import VAR_EPS, VAR_R, VAR_U, MultiPoly, parse_poly
 
 RUE = (VAR_R, VAR_U, VAR_EPS)
 
 
 def P(text):
     return parse_poly(text, RUE)
+
+
+def integrate_r(poly):
+    """Radial antiderivative with zero integration constant.
+
+    Raises LogSingularity when an r^-1 term is present; the message
+    names that term's angular coefficient, since its appearance means
+    the energy-coefficient rule failed upstream.
+    """
+    i = poly.variables.index(VAR_R)
+    bad = poly.coeff_of(VAR_R, -1)
+    if bad:
+        raise LogSingularity(
+            f"r^-1 source with angular coefficient {bad.render()}")
+    out = {}
+    for exps, coeff in poly.terms.items():
+        k = exps[i]
+        out[exps[:i] + (k + 1,) + exps[i + 1:]] = coeff / (k + 1)
+    return MultiPoly(out, poly.variables)
 
 
 def reference_chain(u_poly, order):
@@ -47,7 +60,7 @@ def reference_chain(u_poly, order):
     one_minus_u2 = MultiPoly.const(1, RUE) - MultiPoly.var(VAR_U, RUE) ** 2
     grads = [None]
     for n in range(1, order + 1):
-        total = s_terms[n - 1].laplacian(RADIAL_POLAR)
+        total = s_terms[n - 1].laplacian()
         for m in range(1, n // 2 + 1):
             (dr_a, _, w_a), (dr_b, du_b, _) = grads[m], grads[n - m]
             dot = dr_a * dr_b + (w_a * du_b).shifted(VAR_R, -2)
@@ -58,7 +71,7 @@ def reference_chain(u_poly, order):
         if n == 2:
             k_n = k_n + eps * u_poly
         e_n = k_n.coeff_of(VAR_R, 0).angular_average()
-        s_n = (k_n - e_n).integrate_r()
+        s_n = integrate_r(k_n - e_n)
         s_terms.append(s_n)
         e_terms.append(e_n)
         if n < order:
@@ -308,6 +321,25 @@ class TestIntegralShift:
     def test_rejects_anisotropic(self, stark):
         with pytest.raises(ValueError):
             integral_shift_check(stark, g=1.0, eps=1e-3)
+
+    @pytest.mark.parametrize("powers", [{3: 1}, {2: 1, 4: 1}])
+    def test_growing_integrals_at_small_g(self, powers):
+        # at g = 0.8 the integrals grow like r_cut^(deg U + 2), r_cut = 62.5;
+        # an absolute tolerance took seconds (r³) or did not return (r² + r⁴)
+        g = 0.8
+        sol = solve_isotropic(P(" + ".join(f"r^{k}" for k in powers)), 12)
+        start = time.perf_counter()
+        chk = integral_shift_check(sol, g=g, eps=1e-3)
+        assert time.perf_counter() - start < 1.0
+        assert all(type(v) is float
+                   for v in (chk.energy, chk.first_order, chk.second_order))
+        # ⟨U⟩ under e^{-2g²r} r²: Σ c_k (k+2)!/(2·(2g²)^k)
+        first = sum(c * math.factorial(k + 2) / (2 * (2 * g * g) ** k)
+                    for k, c in powers.items())
+        second = sum(float(e.coeff_of(VAR_EPS, 2).constant()) * g ** (4 - 2 * n)
+                     for n, e in enumerate(sol.e_terms))
+        assert chk.first_order == pytest.approx(first, rel=1e-10)
+        assert chk.second_order == pytest.approx(second, rel=1e-10)
 
 
 class TestOracleAgreement:

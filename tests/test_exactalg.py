@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from trajquad.errors import LogSingularity, VariableMismatch
 from trajquad.exactalg import (
-    CARTESIAN_1D,
-    RADIAL_POLAR,
     VAR_EPS,
     VAR_GHAT,
     VAR_R,
@@ -22,6 +20,8 @@ from trajquad.exactalg import (
     grad_dot,
     parse_poly,
 )
+
+from test_coulomb import integrate_r
 
 RU = (VAR_R, VAR_U)
 RUE = (VAR_R, VAR_U, VAR_EPS)
@@ -74,26 +74,23 @@ class TestCalculus:
         assert P("r^-1").differentiate(VAR_R) == P("-r^-2")
 
     def test_laplacian_of_r(self):
-        assert P("r", RU).laplacian(RADIAL_POLAR) == P("2 * r^-1", RU)
+        assert P("r", RU).laplacian() == P("2 * r^-1", RU)
 
     def test_laplacian_stark_s2(self):
         s2 = P("1/2 * eps * r^2 * u", RUE)
-        assert s2.laplacian(RADIAL_POLAR) == P("2 * eps * u", RUE)
+        assert s2.laplacian() == P("2 * eps * u", RUE)
 
     def test_eps_z_is_harmonic(self):
-        assert not P("eps * r * u", RUE).laplacian(RADIAL_POLAR)
+        assert not P("eps * r * u", RUE).laplacian()
 
     def test_grad_dot_with_radius(self):
         f = P("r^4 + u^2 * r^2", RU)
-        assert grad_dot(P("r", RU), f, RADIAL_POLAR) == f.differentiate(VAR_R)
+        assert grad_dot(P("r", RU), f) == f.differentiate(VAR_R)
 
     def test_grad_dot_stark_square(self):
         s2 = P("1/2 * eps * r^2 * u", RUE)
         expected = P("eps^2 * r^2 * u^2 + 1/4 * eps^2 * r^2 - 1/4 * eps^2 * r^2 * u^2", RUE)
-        assert grad_dot(s2, s2, RADIAL_POLAR) == expected
-
-    def test_grad_dot_cartesian(self):
-        assert grad_dot(P("1/2 * x^2"), P("x^4"), CARTESIAN_1D) == P("4 * x^4")
+        assert grad_dot(s2, s2) == expected
 
     def test_angular_average(self):
         assert P("u", RU).angular_average() == MultiPoly.zero(RU)
@@ -101,12 +98,12 @@ class TestCalculus:
         assert P("eps^2 * r^2 * u^2", RUE).angular_average() == P("1/3 * eps^2 * r^2", RUE)
 
     def test_integrate_r(self):
-        assert P("eps * r^2", RUE).integrate_r() == P("1/3 * eps * r^3", RUE)
-        assert MultiPoly.zero(RUE).integrate_r() == MultiPoly.zero(RUE)
+        assert integrate_r(P("eps * r^2", RUE)) == P("1/3 * eps * r^3", RUE)
+        assert integrate_r(MultiPoly.zero(RUE)) == MultiPoly.zero(RUE)
 
     def test_integrate_r_log_singularity(self):
         with pytest.raises(LogSingularity, match="u"):
-            P("u * r^-1", RU).integrate_r()
+            integrate_r(P("u * r^-1", RU))
 
 
 def assert_canonical(p):
@@ -155,11 +152,11 @@ class TestTrustedResults:
                    a.coeff_of(VAR_R, 1), a.differentiate(VAR_R),
                    a.differentiate(VAR_U), a.shifted(VAR_R, -2),
                    a.shifted(VAR_EPS, 3), a.angular_average(),
-                   a.laplacian(RADIAL_POLAR), grad_dot(a, b, RADIAL_POLAR),
+                   a.laplacian(), grad_dot(a, b),
                    MultiPoly({e[1:3]: v for e, v in a.terms.items()}, RU)
                    .embedded((VAR_GHAT, VAR_U, VAR_X, VAR_R))]
         if not a.coeff_of(VAR_R, -1):
-            results.append(a.integrate_r())
+            results.append(integrate_r(a))
         for p in results:
             assert_canonical(p)
         assert a - b == a + (-b)
@@ -195,17 +192,16 @@ class TestProperties:
         rng = random.Random(1157)
         for _ in range(self.CASES):
             p = random_poly(rng, RUE)
-            assert p.integrate_r().differentiate(VAR_R) == p
+            assert integrate_r(p).differentiate(VAR_R) == p
 
     def test_product_rule_for_laplacian(self):
         rng = random.Random(4099)
         for _ in range(self.CASES):
-            f = random_poly(rng, (VAR_X,))
-            g = random_poly(rng, (VAR_X,))
-            lhs = (f * g).laplacian(CARTESIAN_1D)
-            rhs = (f * g.laplacian(CARTESIAN_1D)
-                   + 2 * grad_dot(f, g, CARTESIAN_1D)
-                   + g * f.laplacian(CARTESIAN_1D))
+            f = random_poly(rng, RUE)
+            g = random_poly(rng, RUE)
+            lhs = (f * g).laplacian()
+            rhs = (f * g.laplacian() + 2 * grad_dot(f, g)
+                   + g * f.laplacian())
             assert lhs == rhs
 
     def test_angular_average_linear_and_idempotent(self):

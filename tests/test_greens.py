@@ -12,8 +12,6 @@ from trajquad.greens import (
     apply_C,
     apply_Dbar,
     c_gradient_residual,
-    d_kernel_direct,
-    d_kernel_wronskian,
     gaussian_even_moment,
     greens_function_residual,
     harmonic_profile,
@@ -24,9 +22,30 @@ from trajquad.greens import (
     resolvent_residual,
     shift_from_boundary,
 )
-from trajquad.numerics import derivative
+from trajquad.numerics import cumulative_integral, derivative
 
 G = 1.0
+
+
+def d_kernel_direct(profile: WaveProfile, g: float, i: int, j: int) -> float:
+    """Matrix element (S_i|D|S_j) from the nested-integral definition."""
+    if not i > j >= profile.origin:
+        raise ValueError("kernel is lower-triangular in S along the half line")
+    x, s = profile.nodes, profile.s
+    sp = derivative(s, x)
+    seg = cumulative_integral(np.exp(2.0 * g * s), x, start=j)
+    return -2.0 * math.exp(-g * (s[i] + s[j])) * seg[i] / sp[j]
+
+
+def d_kernel_wronskian(profile: WaveProfile, g: float, i: int, j: int) -> float:
+    """Same element from the two-solution (Wronskian) form."""
+    if not i > j >= profile.origin:
+        raise ValueError("kernel is lower-triangular in S along the half line")
+    s = profile.s
+    sp = derivative(s, profile.nodes)
+    f_irr = irregular_solution(profile, g).values
+    return 2.0 * (math.exp(-g * s[i]) * f_irr[j]
+                  - f_irr[i] * math.exp(-g * s[j])) / sp[j]
 
 
 @pytest.fixture(scope="module")

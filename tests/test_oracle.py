@@ -5,7 +5,13 @@ import pytest
 
 from trajquad.errors import DomainTooSmall
 from trajquad.oracle import (_bisect_eigenvalues, _dirichlet, _eigenvector,
-                             solve_1d, solve_radial, sturm_count)
+                             _sturm_count, solve_1d, solve_radial)
+
+
+def sturm_count(potential, domain: tuple, n: int, lam: float) -> int:
+    """Eigenvalue count below lam of the oracle's n-node Dirichlet matrix."""
+    diag, h = _dirichlet(potential, float(domain[0]), float(domain[1]), n)
+    return _sturm_count(diag.tolist(), (0.5 / h ** 2) ** 2, lam)
 
 
 class TestSolve1D:

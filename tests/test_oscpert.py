@@ -8,18 +8,102 @@ import pytest
 from trajquad import oscpert
 from trajquad.errors import MethodError
 from trajquad.exactalg import VAR_EPS, VAR_GHAT, VAR_X, MultiPoly, parse_poly
-from trajquad.oscpert import (
-    gamma_even,
-    gamma_odd,
-    operator_chain_even,
-    operator_chain_odd,
-    solve_even,
-    solve_odd,
-)
+from trajquad.oscpert import solve_even, solve_odd
+
+_G = (VAR_GHAT,)
+_XG = (VAR_X, VAR_GHAT)
 
 
 def ghat(coeff, power):
-    return MultiPoly.monomial(Fraction(coeff), {VAR_GHAT: power}, (VAR_GHAT,))
+    return MultiPoly.monomial(Fraction(coeff), {VAR_GHAT: power}, _G)
+
+
+# --------------------------------------------------------------------------
+# Table entries from the production suffix sweeps, and an independent
+# verification chain that applies C and T = -½ d²/dx² explicitly.
+
+
+def _table_entry(chain, m: int, n: int) -> MultiPoly:
+    if m < 0 or n < 0:
+        raise ValueError("table indices must be non-negative")
+    coeff = chain({n: Fraction(1)}).get(m)
+    return ghat(coeff, n - m + 1) if coeff else MultiPoly.zero(_G)
+
+
+def gamma_even(m: int, n: int) -> MultiPoly:
+    """Even-power table entry Γ_mn as a ĝ-monomial."""
+    return _table_entry(oscpert._chain_even, m, n)
+
+
+def gamma_odd(m: int, n: int) -> MultiPoly:
+    """Odd-power table entry γ_mn as a ĝ-monomial."""
+    return _table_entry(oscpert._chain_odd, m, n)
+
+
+def _apply_c(poly: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """Single-integral operator on a polynomial in (x, ĝ).
+
+    Cx^k = ĝ x^k / k for k ≥ 1.  A bare constant cannot pass through C
+    (the integral diverges at the origin), so the x-free part is split
+    off and returned as the second element, a polynomial in ĝ.
+    """
+    poly = poly.embedded(_XG)
+    out: dict[tuple[int, int], Fraction] = {}
+    blocked = MultiPoly.zero(_G)
+    for (kx, kg), coeff in poly.terms.items():
+        if kx == 0:
+            blocked = blocked + ghat(coeff, kg)
+        else:
+            out[(kx, kg + 1)] = out.get((kx, kg + 1), Fraction(0)) + coeff / kx
+    return MultiPoly(out, _XG), blocked
+
+
+def _kinetic(poly: MultiPoly) -> MultiPoly:
+    """T = -½ d²/dx² on a polynomial in (x, ĝ)."""
+    second = poly.differentiate(VAR_X).differentiate(VAR_X)
+    return MultiPoly.const(Fraction(-1, 2), _XG) * second
+
+
+def operator_chain_even(n: int):
+    """Iterate (-CT)^m C on x^(2n); return (chain sum, subtraction constant).
+
+    Each application lowers the power by two, so n + 1 steps bound the
+    loop; after the x² stage the operand handed to C is a bare constant,
+    which must be subtracted from the original source for the resolvent to
+    act at all.  That constant is returned as a polynomial in ĝ alongside
+    the summed polynomial part.
+    """
+    cur, blocked = _apply_c(MultiPoly.monomial(1, {VAR_X: 2 * n}, _XG))
+    if blocked:
+        raise MethodError("even chain blocked at its first step")
+    total = cur
+    for _ in range(n + 1):
+        candidate = -_kinetic(cur)
+        cur, blocked = _apply_c(candidate)
+        if blocked:
+            if cur:
+                raise MethodError("constant appeared before the chain terminated")
+            return total, blocked
+        if not cur:
+            return total, MultiPoly.zero(_G)
+        total = total + cur
+    raise RuntimeError("operator chain failed to terminate")
+
+
+def operator_chain_odd(n: int) -> MultiPoly:
+    """Iterate (-CT)^m C on x^(2n+1): no leftovers, at most n + 1 steps."""
+    cur, blocked = _apply_c(MultiPoly.monomial(1, {VAR_X: 2 * n + 1}, _XG))
+    if blocked:
+        raise MethodError("odd chain blocked at its first step")
+    total = cur
+    for _ in range(n + 1):
+        cur, blocked = _apply_c(-_kinetic(cur))
+        if blocked:
+            raise MethodError("odd chain produced a constant")
+        if not cur:
+            return total
+        total = total + cur
+    raise RuntimeError("operator chain failed to terminate")
 
 
 def level(series, k):
