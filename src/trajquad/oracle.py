@@ -6,7 +6,14 @@ the potential on the whole node array, so every potential passed here
 takes an array and returns an array (or one scalar, which is broadcast).
 The lowest eigenvalues are bracketed by bisection on the Sturm
 sign-change count, which is deterministic, library-free and much simpler
-than the series machinery it checks.
+than the series machinery it checks.  The serial count is monotone in λ
+in IEEE arithmetic (Demmel, Dhillon & Ren, Parallel Computing 21 (1995)
+1241), so every count made on a matrix is kept and a bisection step that
+an earlier count already decides costs none (the LAPACK ``dstebz``
+practice).  The values stay those of a bisection that counts at every
+step; only the number of counts falls.  Seeds supply those early
+decisions: counts climbing from the Gershgorin floor on the n-point grid,
+and counts around each n-point eigenvalue on the 2n-point grid.
 Each solve runs at two resolutions (n and 2n); the h² Richardson
 extrapolation supplies both the reported eigenvalue and its error
 estimate.  The fine grid's eigenvectors, built from the Sturm count's own
@@ -61,22 +68,59 @@ def _sturm_count(diag, off2: float, lam: float) -> int:
     return count
 
 
-def _bisect_eigenvalues(diag: np.ndarray, off: float, k: int) -> list:
-    """Bracket the k lowest eigenvalues to width 1e-12 (abs + rel)."""
+def _bisect_eigenvalues(diag: np.ndarray, off: float, k: int,
+                        guesses: tuple = ()) -> list:
+    """Bracket the k lowest eigenvalues to width 1e-12 (abs + rel).
+
+    Each eigenvalue bisects the Gershgorin interval [lo₀, hi₀], but a
+    midpoint is counted only when no count (λ′, c) already made on this
+    matrix decides it: c ≥ m at λ′ ≤ mid gives count(mid) ≥ m, and c < m
+    at λ′ ≥ mid gives count(mid) < m.  The midpoints, hence the values,
+    are those of a bisection that counts at every step.  Seed counts make
+    the early steps free: at each of ``guesses`` ± w, w widened ×8 until
+    the counts bracket the guessed eigenvalue, or, without guesses, at
+    lo₀ + 2ʲ (energy units) until k eigenvalues lie below.  A bad guess
+    costs counts, never a wrong value.  Both seed loops stop only because
+    the matrix has at least k rows.
+    """
     off2 = off * off
     dlist = diag.tolist()
     radius = 2.0 * abs(off)
     lo0 = float(np.min(diag)) - radius
     hi0 = float(np.max(diag)) + radius
+    known = []
+
+    def count(lam: float) -> int:
+        c = _sturm_count(dlist, off2, lam)
+        known.append((lam, c))
+        return c
+
+    if guesses:
+        for m, guess in enumerate(guesses, 1):
+            w = 1e-6 * (1.0 + abs(guess))
+            while count(guess - w) >= m:
+                w *= 8.0
+            while count(guess + w) < m:
+                w *= 8.0
+    else:
+        step = 1.0
+        while count(lo0 + step) < k:
+            step *= 2.0
     values = []
-    for idx in range(k):
+    for m in range(1, k + 1):
+        below = max((lam for lam, c in known if c < m), default=-math.inf)
+        above = min((lam for lam, c in known if c >= m), default=math.inf)
         lo, hi = lo0, hi0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if _sturm_count(dlist, off2, mid) >= idx + 1:
+            if mid >= above:
                 hi = mid
-            else:
+            elif mid <= below:
                 lo = mid
+            elif count(mid) >= m:
+                hi = above = mid
+            else:
+                lo = below = mid
             if hi - lo <= 1e-12 * (1.0 + abs(mid)):
                 break
         values.append(0.5 * (lo + hi))
@@ -138,7 +182,7 @@ def _solve(potential: _Potential, a: float, b: float, n: int, k: int,
     coarse = _bisect_eigenvalues(diag, -0.5 / h ** 2, k)
     diag, h = _dirichlet(potential, a, b, 2 * n)
     off = -0.5 / h ** 2
-    fine = _bisect_eigenvalues(diag, off, k)
+    fine = _bisect_eigenvalues(diag, off, k, tuple(coarse))
     pairs = list(zip(coarse, fine))
     values = tuple((4.0 * ef - ec) / 3.0 for ec, ef in pairs)
     errors = tuple(abs(ef - ec) / 3.0 + 1e-14 * (1.0 + abs(ef))
@@ -162,6 +206,8 @@ def solve_1d(potential: _Potential, domain: tuple, n: int,
     """
     if n < 200:
         raise ValueError("oracle needs at least 200 points")
+    if k > n:
+        raise ValueError(f"k = {k} exceeds the {n} grid points")
     a, b = float(domain[0]), float(domain[1])
     if not b > a:
         raise ValueError("empty domain")

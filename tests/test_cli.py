@@ -165,6 +165,9 @@ class TestMain:
         ["--command", "coulomb", "--potential", "2r"],
         ["--command", "coulomb", "--potential", "r^-1"],
         ["--command", "excited", "--freqs", "1,2", "--occupations", "1"],
+        # more eigenvalues than the grid has, once invented past row n
+        ["--command", "oracle", "--potential", "0.5*x^2", "--n", "200",
+         "--k", "205", "--domain", "200"],
     ])
     def test_invalid_input_exits_1(self, argv, capsys):
         assert main(argv) == 1

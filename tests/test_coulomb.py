@@ -249,6 +249,19 @@ class TestStark:
         assert 0.985 < a[-1] < 1, a
 
 
+class TestZeeman:
+    def test_literature_coefficients(self):
+        # hydrogen in a magnetic field B: ε(x² + y²) with ε = B²/8 is
+        # U = r² - r²u², and the ground-state series
+        # -1/2 + B²/4 - 53B⁴/192 + 5581B⁶/4608 (Čížek & Vrscay, Int. J.
+        # Quantum Chem. 21 (1982) 27) reads 2ε, -53/3·ε², 5581/9·ε³
+        sol = solve_perturbed(P("r^2 - r^2 * u^2"), 12)
+        want = {4: P("2 * eps"), 8: P("-53/3 * eps^2"),
+                12: P("5581/9 * eps^3")}
+        for n in range(1, 13):
+            assert sol.e_terms[n] == want.get(n, P("0")), n
+
+
 class TestIntegerKernel:
     """The solver's integer kernel against the MultiPoly reference recursion."""
 

@@ -1,8 +1,10 @@
-"""Brute-force eigensolver: ladder values, Sturm counts, convergence order."""
+"""Brute-force eigensolver: ladder values, Sturm counts, convergence order,
+count reuse against the full-interval bisection."""
 
 import numpy as np
 import pytest
 
+from trajquad import oracle
 from trajquad.errors import DomainTooSmall
 from trajquad.oracle import (_bisect_eigenvalues, _dirichlet, _eigenvector,
                              _sturm_count, solve_1d, solve_radial)
@@ -12,6 +14,30 @@ def sturm_count(potential, domain: tuple, n: int, lam: float) -> int:
     """Eigenvalue count below lam of the oracle's n-node Dirichlet matrix."""
     diag, h = _dirichlet(potential, float(domain[0]), float(domain[1]), n)
     return _sturm_count(diag.tolist(), (0.5 / h ** 2) ** 2, lam)
+
+
+def full_interval_bisection(diag, off: float, k: int, guesses=()) -> list:
+    """The reference bisection: every eigenvalue from the full Gershgorin
+    interval, one Sturm count of the oracle per step, no count reused and
+    no guess used."""
+    off2 = off * off
+    dlist = diag.tolist()
+    radius = 2.0 * abs(off)
+    lo0 = float(np.min(diag)) - radius
+    hi0 = float(np.max(diag)) + radius
+    values = []
+    for idx in range(k):
+        lo, hi = lo0, hi0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if oracle._sturm_count(dlist, off2, mid) >= idx + 1:
+                hi = mid
+            else:
+                lo = mid
+            if hi - lo <= 1e-12 * (1.0 + abs(mid)):
+                break
+        values.append(0.5 * (lo + hi))
+    return values
 
 
 class TestSolve1D:
@@ -151,3 +177,134 @@ class TestSamplesOnce:
         pot = _CountingPotential()
         sturm_count(pot, (-8, 8), 500, 1.0)
         assert pot.shapes == [(500,)]
+
+
+def solve_with(monkeypatch, bisect, solve, args):
+    """solve(*args) with ``bisect`` as the oracle's bisection.
+
+    Returns every bisection result in call order (coarse grid, then fine)
+    and then the eigenvalues with their estimates, or the DomainTooSmall
+    message when the edge check fails after both grids are solved.
+    """
+    seen = []
+
+    def recording(diag, off, k, guesses=()):
+        seen.append(bisect(diag, off, k, guesses))
+        return seen[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_bisect_eigenvalues", recording)
+        try:
+            res = solve(*args)
+        except DomainTooSmall as exc:
+            return seen, str(exc)
+    return seen, (res.eigenvalues, res.convergence)
+
+
+def _harmonic(x):
+    return 0.5 * x * x
+
+
+def _double_well(x):
+    # the two lowest levels are split by 8e-11
+    return x ** 4 - 12.0 * x * x
+
+
+def _square(r):
+    return r * r
+
+
+BISECTION_CASES = {
+    "harmonic ladder": (solve_1d, (_harmonic, (-8, 8), 1200, 6)),
+    "double well": (solve_1d, (_double_well, (-7, 7), 1500, 2)),
+    # the fine ground level lies 2.3e-3 above the coarse one, so the fine
+    # seed widens three times; the box is too small for the edge check
+    "steep well": (solve_1d, (lambda x: 500.0 * x * x, (-1, 1), 200, 1)),
+    "free box": (solve_1d, (lambda x: 0.0, (0, 4), 300, 8)),
+    "coulomb": (solve_radial, (1.0, _square, 0.0, 25.0, 1200)),
+    "scaled coulomb": (solve_radial, (1.2, lambda r: 0.0, 0.0, 20.0, 1200)),
+    "perturbed coulomb": (solve_radial, (1.0, _square, 1e-3, 25.0, 2500)),
+    "perturbed coulomb 800": (solve_radial, (1.0, _square, 1e-3, 25.0, 800)),
+    "perturbed coulomb 1600": (solve_radial,
+                               (1.0, _square, 1e-3, 25.0, 1600)),
+}
+
+
+class TestCountReuse:
+    """Seeded, count-reusing bisection against the full-interval one."""
+
+    @pytest.mark.parametrize("case", BISECTION_CASES)
+    def test_bitwise_equal_to_full_interval(self, case, monkeypatch):
+        solve, args = BISECTION_CASES[case]
+        got = solve_with(monkeypatch, _bisect_eigenvalues, solve, args)
+        want = solve_with(monkeypatch, full_interval_bisection, solve, args)
+        assert len(got[0]) == 2
+        assert got == want
+
+    def test_sturm_counts_pinned(self, monkeypatch):
+        # a bench oracle-1d job: the full-interval bisection makes 118
+        # counts over 4000 and 8000 rows, the seeded one 66
+        calls = []
+
+        def counting(diag, off2, lam):
+            calls.append(len(diag))
+            return _sturm_count(diag, off2, lam)
+
+        monkeypatch.setattr(oracle, "_sturm_count", counting)
+        args = (lambda x: 18.0 * x * x + 3.6 * x ** 4, (-3, 3), 4000, 1)
+        got = solve_1d(*args)
+        assert len(calls) == 66
+        calls.clear()
+        monkeypatch.setattr(oracle, "_bisect_eigenvalues",
+                            full_interval_bisection)
+        assert solve_1d(*args) == got
+        assert len(calls) == 118
+
+
+MONOTONE_CASES = {
+    "harmonic": (_harmonic, -8.0, 8.0, 800, 3),
+    "double well": (_double_well, -7.0, 7.0, 1500, 2),
+    "steep well": (lambda x: 500.0 * x * x, -1.0, 1.0, 400, 1),
+    "free box": (lambda x: 0.0, 0.0, 4.0, 300, 3),
+    "coulomb": (lambda r: -1.0 / r + 1e-3 * r * r, 0.0, 25.0, 1200, 2),
+}
+
+
+def _switch(dlist, off2: float, m: int, lo: float, hi: float) -> float:
+    """Bisect to adjacent floats; returns hi with count(hi) ≥ m > count(lo)."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if _sturm_count(dlist, off2, mid) >= m:
+            hi = mid
+        else:
+            lo = mid
+
+
+@pytest.mark.parametrize("case", MONOTONE_CASES)
+def test_sturm_count_is_monotone(case):
+    # the property count reuse rests on: the serial count never decreases
+    # as λ grows, in IEEE arithmetic (Demmel, Dhillon & Ren 1995)
+    potential, a, b, n, k = MONOTONE_CASES[case]
+    diag, h = _dirichlet(potential, a, b, n)
+    off = -0.5 / h ** 2
+    dlist, off2 = diag.tolist(), off * off
+    radius = 2.0 * abs(off)
+    sweep = np.linspace(float(np.min(diag)) - radius,
+                        float(np.max(diag)) + radius, 257)
+    counts = [_sturm_count(dlist, off2, float(lam)) for lam in sweep]
+    assert counts == sorted(counts)
+    assert counts[0] == 0
+    for m, value in enumerate(_bisect_eigenvalues(diag, off, k), 1):
+        width = 1e-11 * (1.0 + abs(value))
+        lam = _switch(dlist, off2, m, value - width, value + width)
+        ladder = [lam]
+        for step in (-np.inf, np.inf):
+            x = lam
+            for _ in range(32):
+                x = float(np.nextafter(x, step))
+                ladder.append(x)
+        counts = [_sturm_count(dlist, off2, x) for x in sorted(ladder)]
+        assert counts == sorted(counts)
+        assert counts[0] < m <= counts[-1]
