@@ -234,10 +234,15 @@ def _run_excited(p: dict):
 
 def _run_oracle(p: dict):
     if p["mode"] == "1d":
+        if p["g"] != 1.0 or p["eps"] != 0.0:
+            raise ValueError("the 1d oracle takes no g or eps; "
+                             "write them into the potential")
         pot = trajectory_mod.Potential1D.from_poly(p["potential"])
         result = oracle_mod.solve_1d(pot.v, (-p["domain"], p["domain"]),
                                      p["n"], p["k"])
     else:
+        if p["k"] != 1:
+            raise ValueError("the radial oracle returns the ground state only")
         u_poly = parse_poly(p["potential"], coulomb_mod.RUE)
         u_fn = lambda r: u_poly.evaluate({VAR_R: r, VAR_U: 0.0, VAR_EPS: 1.0})
         result = oracle_mod.solve_radial(p["g"], u_fn, p["eps"],

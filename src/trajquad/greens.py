@@ -59,12 +59,11 @@ class WaveProfile:
         if abs(self.s[self.origin]) > 1e-12:
             raise ValueError("S must vanish at the origin node")
 
-    def with_values(self, values, f_fn=None) -> "WaveProfile":
+    def with_values(self, values) -> "WaveProfile":
         if callable(values):
             return WaveProfile(self.nodes, self.s, values(self.nodes),
                                s_fn=self.s_fn, f_fn=values)
-        return WaveProfile(self.nodes, self.s, values,
-                           s_fn=self.s_fn, f_fn=f_fn)
+        return WaveProfile(self.nodes, self.s, values, s_fn=self.s_fn)
 
 
 def harmonic_profile(n: int, half_width: float) -> WaveProfile:
@@ -74,13 +73,9 @@ def harmonic_profile(n: int, half_width: float) -> WaveProfile:
     return WaveProfile(nodes=x, s=s_fn(x), values=np.zeros_like(x), s_fn=s_fn)
 
 
-def hermite_coefficients(l: int) -> list:
-    """Integer coefficients of H_l, ascending powers, via the recurrence."""
-    return list(_hermite_coefficients(l))
-
-
 @functools.cache
-def _hermite_coefficients(l: int) -> tuple:
+def hermite_coefficients(l: int) -> tuple:
+    """Integer coefficients of H_l, ascending powers, via the recurrence."""
     if l < 0:
         raise ValueError("Hermite index must be non-negative")
     prev = [1]
@@ -102,7 +97,7 @@ def hermite_value(l: int, z):
     an array ``z`` broadcasts, with no array made per scalar call.
     """
     out = 0.0
-    for c in reversed(_hermite_coefficients(l)):
+    for c in reversed(hermite_coefficients(l)):
         out = out * z + c
     return out
 
@@ -251,27 +246,29 @@ def kinetic(profile: WaveProfile) -> np.ndarray:
     return -0.5 * derivative(profile.values, profile.nodes, order=2)
 
 
-def resolvent_residual(f: WaveProfile, g: float) -> np.ndarray:
+def resolvent_residual(f: WaveProfile, dbar: WaveProfile,
+                       g: float) -> np.ndarray:
     """|D̄f + C(TD̄f - f)| on interior nodes: the (1+CT)D̄ = C identity.
 
-    The two log-divergent pieces of CTD̄f and Cf cancel structurally,
-    so C is applied once to their difference, which vanishes at the
-    origin whenever f is an admissible even-subtracted or odd source.
+    ``dbar`` is the image D̄f.  The two log-divergent pieces of CTD̄f and
+    Cf cancel structurally, so C is applied once to their difference,
+    which vanishes at the origin whenever f is an admissible
+    even-subtracted or odd source.
     """
-    dbar = apply_Dbar(f, g)
     combo = f.with_values(kinetic(dbar) - f.values)
     residual = dbar.values + apply_C(combo, g).values
     return np.abs(residual[2:-2])
 
 
-def greens_function_residual(f: WaveProfile, g: float) -> np.ndarray:
+def greens_function_residual(f: WaveProfile, dbar: WaveProfile,
+                             g: float) -> np.ndarray:
     """|(T + V - E)(e^{-gS} D̄f) - e^{-gS} f| on interior nodes.
 
-    V = g²S'²/2 - (g/2)S'' and E drop out through the ground-state
-    relation; for the harmonic profile V = g²x²/2 and E = g/2.
+    ``dbar`` is the image D̄f.  V = g²S'²/2 - (g/2)S'' and E drop out
+    through the ground-state relation; for the harmonic profile
+    V = g²x²/2 and E = g/2.
     """
     x = f.nodes
-    dbar = apply_Dbar(f, g)
     w = np.exp(-g * f.s) * dbar.values
     tw = -0.5 * derivative(w, x, order=2)
     v = 0.5 * g * g * x * x
@@ -297,51 +294,37 @@ def gaussian_even_moment(n: int, g: float) -> float:
 
 def identity_report(g: float = 1.0, n: int = 4001,
                     half_width: float = 8.0) -> list:
-    """Run the operator identity checks; one JSON-able record per identity."""
-    checks = []
+    """Run the operator identity checks; one JSON-able record per identity.
 
+    D̄ is applied once to each of the six sources, and every identity
+    that needs D̄f reads that one image.
+    """
     prof = harmonic_profile(n, half_width)
     sqrt_g = math.sqrt(g)
-    for l in (1, 2, 3, 4):
-        f = prof.with_values(lambda z, l=l: hermite_value(l, sqrt_g * z))
-        got = apply_Dbar(f, g).values
-        h0 = float(hermite_value(l, 0.0))
-        expect = (f.values - h0) / (l * g)
-        checks.append({
-            "identity": f"dbar_hermite_l{l}",
-            "grid": n,
-            "max_residual": float(np.max(np.abs(got - expect))),
-            "tolerance": 1e-7,
-        })
-
     moment = gaussian_even_moment(1, g)
-    even = prof.with_values(lambda z: z ** 2 - moment)
-    odd = prof.with_values(lambda z: z ** 3)
-    h3 = prof.with_values(lambda z: hermite_value(3, sqrt_g * z))
-    for name, f in (("x^2 - <x^2>", even), ("x^3", odd), ("H3", h3)):
-        checks.append({
-            "identity": f"resolvent[{name}]",
-            "grid": n,
-            "max_residual": float(np.max(resolvent_residual(f, g))),
-            "tolerance": 1e-6,
-        })
+    sources = {f"H{l}": prof.with_values(
+        lambda z, l=l: hermite_value(l, sqrt_g * z)) for l in (1, 2, 3, 4)}
+    sources["x^2 - <x^2>"] = prof.with_values(lambda z: z ** 2 - moment)
+    sources["x^3"] = prof.with_values(lambda z: z ** 3)
+    images = {name: apply_Dbar(f, g) for name, f in sources.items()}
 
-    h2 = prof.with_values(lambda z: hermite_value(2, sqrt_g * z))
-    for name, f in (("H2", h2), ("x^3", odd)):
-        checks.append({
-            "identity": f"greens_residual[{name}]",
-            "grid": n,
-            "max_residual": float(np.max(greens_function_residual(f, g))),
-            "tolerance": 1e-5,
-        })
-
-    quartic = prof.with_values(lambda z: z ** 4)
-    checks.append({
-        "identity": "c_left_inverse[x^4]",
-        "grid": n,
-        "max_residual": float(np.max(c_gradient_residual(quartic, g))),
-        "tolerance": 1e-6,
-    })
-    for rec in checks:
-        rec["pass"] = bool(rec["max_residual"] < rec["tolerance"])
+    rows = []  # (identity, residual on the grid, tolerance)
+    for l in (1, 2, 3, 4):
+        expect = (sources[f"H{l}"].values - hermite_value(l, 0.0)) / (l * g)
+        rows.append((f"dbar_hermite_l{l}",
+                     np.abs(images[f"H{l}"].values - expect), 1e-7))
+    rows += [(f"resolvent[{name}]",
+              resolvent_residual(sources[name], images[name], g), 1e-6)
+             for name in ("x^2 - <x^2>", "x^3", "H3")]
+    rows += [(f"greens_residual[{name}]",
+              greens_function_residual(sources[name], images[name], g), 1e-5)
+             for name in ("H2", "x^3")]
+    rows.append(("c_left_inverse[x^4]",
+                 c_gradient_residual(prof.with_values(lambda z: z ** 4), g),
+                 1e-6))
+    checks = []
+    for name, residual, tolerance in rows:
+        worst = float(np.max(residual))
+        checks.append({"identity": name, "grid": n, "max_residual": worst,
+                       "tolerance": tolerance, "pass": bool(worst < tolerance)})
     return checks

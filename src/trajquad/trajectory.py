@@ -85,12 +85,12 @@ class Potential1D:
         return cls(derivatives=tuple(stack), origin=origin)
 
     @classmethod
-    def from_callables(cls, v, dv, d2v, origin: float = 0.0) -> "Potential1D":
+    def from_callables(cls, v, dv, d2v) -> "Potential1D":
         if dv is None or d2v is None:
             raise InvalidPotential("black-box potentials must supply two derivatives")
         derivatives = tuple(np.vectorize(fn, otypes=[float])
                             for fn in (v, dv, d2v))
-        return cls(derivatives=derivatives, origin=origin)
+        return cls(derivatives=derivatives)
 
 
 @dataclass

@@ -122,11 +122,13 @@ def test_criterion_5_greens_identities():
         even = prof.with_values(lambda z: z ** 2 - moment)
         odd = prof.with_values(lambda z: z ** 3)
         for f in (even, odd):
-            assert np.max(greens_mod.resolvent_residual(f, g)) < 1e-6
+            dbar = greens_mod.apply_Dbar(f, g)
+            assert np.max(greens_mod.resolvent_residual(f, dbar, g)) < 1e-6
         h2 = prof.with_values(
             lambda z: greens_mod.hermite_value(2, math.sqrt(g) * z))
         for f in (h2, odd):
-            assert np.max(greens_mod.greens_function_residual(f, g)) < 1e-5
+            dbar = greens_mod.apply_Dbar(f, g)
+            assert np.max(greens_mod.greens_function_residual(f, dbar, g)) < 1e-5
 
 
 def test_criterion_6_hierarchy_sanity():

@@ -168,6 +168,11 @@ class TestMain:
         # more eigenvalues than the grid has, once invented past row n
         ["--command", "oracle", "--potential", "0.5*x^2", "--n", "200",
          "--k", "205", "--domain", "200"],
+        # parameters the chosen oracle mode never reads
+        ["--command", "oracle", "--mode", "radial", "--potential", "r^2",
+         "--domain", "25", "--n", "200", "--k", "3"],
+        ["--command", "oracle", "--potential", "0.5*x^2", "--n", "200",
+         "--g", "3", "--eps", "5"],
     ])
     def test_invalid_input_exits_1(self, argv, capsys):
         assert main(argv) == 1

@@ -261,6 +261,18 @@ class TestZeeman:
         for n in range(1, 13):
             assert sol.e_terms[n] == want.get(n, P("0")), n
 
+    def test_large_order_ratio(self):
+        # with e_k the ε^k coefficient, e_{k+1}/e_k ≈ -(32/π²)k² at large k
+        # (Avron, Ann. Phys. 131 (1981) 73); q_k = e_{k+1}/(e_k k²) and the
+        # one-step Richardson value A_k = k·q_k - (k-1)·q_{k-1} fall
+        # towards -32/π², still 2.9% short at k = 14
+        sol = solve_perturbed(P("r^2 - r^2 * u^2"), 60)
+        e = {k: sol.e_terms[4 * k].terms[(0, 0, k)] for k in range(4, 16)}
+        q = {k: float(e[k + 1] / e[k] / k ** 2) for k in range(4, 15)}
+        a = [k * q[k] - (k - 1) * q[k - 1] for k in range(5, 15)]
+        assert all(x > y for x, y in zip(a, a[1:])), a
+        assert a[-1] == pytest.approx(-32 / math.pi ** 2, rel=0.03), a
+
 
 class TestIntegerKernel:
     """The solver's integer kernel against the MultiPoly reference recursion."""

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from trajquad import greens
 from trajquad.errors import DivergentAtOrigin, TailDivergence
 from trajquad.greens import (
     WaveProfile,
@@ -48,6 +49,50 @@ def d_kernel_wronskian(profile: WaveProfile, g: float, i: int, j: int) -> float:
                   - f_irr[i] * math.exp(-g * s[j])) / sp[j]
 
 
+def reference_report(g: float, n: int, half_width: float = 8.0) -> list:
+    """The identity report built check by check, D̄ applied per identity.
+
+    Nine D̄ applications on six sources: D̄H₂, D̄H₃ and D̄x³ are each
+    computed twice.  Calls go through the module so a test can count them.
+    """
+    def dbar(f):
+        return greens.apply_Dbar(f, g)
+
+    checks = []
+    prof = harmonic_profile(n, half_width)
+    sqrt_g = math.sqrt(g)
+    for l in (1, 2, 3, 4):
+        f = prof.with_values(lambda z, l=l: hermite_value(l, sqrt_g * z))
+        got = dbar(f).values
+        h0 = float(hermite_value(l, 0.0))
+        expect = (f.values - h0) / (l * g)
+        checks.append({"identity": f"dbar_hermite_l{l}", "grid": n,
+                       "max_residual": float(np.max(np.abs(got - expect))),
+                       "tolerance": 1e-7})
+    moment = gaussian_even_moment(1, g)
+    even = prof.with_values(lambda z: z ** 2 - moment)
+    odd = prof.with_values(lambda z: z ** 3)
+    h3 = prof.with_values(lambda z: hermite_value(3, sqrt_g * z))
+    for name, f in (("x^2 - <x^2>", even), ("x^3", odd), ("H3", h3)):
+        residual = resolvent_residual(f, dbar(f), g)
+        checks.append({"identity": f"resolvent[{name}]", "grid": n,
+                       "max_residual": float(np.max(residual)),
+                       "tolerance": 1e-6})
+    h2 = prof.with_values(lambda z: hermite_value(2, sqrt_g * z))
+    for name, f in (("H2", h2), ("x^3", odd)):
+        residual = greens_function_residual(f, dbar(f), g)
+        checks.append({"identity": f"greens_residual[{name}]", "grid": n,
+                       "max_residual": float(np.max(residual)),
+                       "tolerance": 1e-5})
+    quartic = prof.with_values(lambda z: z ** 4)
+    checks.append({"identity": "c_left_inverse[x^4]", "grid": n,
+                   "max_residual": float(np.max(c_gradient_residual(quartic, g))),
+                   "tolerance": 1e-6})
+    for rec in checks:
+        rec["pass"] = bool(rec["max_residual"] < rec["tolerance"])
+    return checks
+
+
 @pytest.fixture(scope="module")
 def profile():
     return harmonic_profile(4001, 8.0)
@@ -55,11 +100,11 @@ def profile():
 
 class TestHermite:
     def test_coefficients(self):
-        assert hermite_coefficients(0) == [1]
-        assert hermite_coefficients(1) == [0, 2]
-        assert hermite_coefficients(2) == [-2, 0, 4]
-        assert hermite_coefficients(3) == [0, -12, 0, 8]
-        assert hermite_coefficients(4) == [12, 0, -48, 0, 16]
+        assert hermite_coefficients(0) == (1,)
+        assert hermite_coefficients(1) == (0, 2)
+        assert hermite_coefficients(2) == (-2, 0, 4)
+        assert hermite_coefficients(3) == (0, -12, 0, 8)
+        assert hermite_coefficients(4) == (12, 0, -48, 0, 16)
 
     def test_recurrence_identity(self):
         z = np.linspace(-2, 2, 11)
@@ -146,13 +191,14 @@ class TestApplyDbar:
                  profile.with_values(lambda z: z ** 3),
                  profile.with_values(lambda z: hermite_value(3, math.sqrt(G) * z))]
         for f in cases:
-            assert np.max(resolvent_residual(f, G)) < 1e-6
+            assert np.max(resolvent_residual(f, apply_Dbar(f, G), G)) < 1e-6
 
     def test_greens_function_residual(self, profile):
         for fn in (lambda z: hermite_value(2, math.sqrt(G) * z),
                    lambda z: z ** 3):
             f = profile.with_values(fn)
-            assert np.max(greens_function_residual(f, G)) < 1e-5
+            assert np.max(greens_function_residual(f, apply_Dbar(f, G),
+                                                   G)) < 1e-5
 
 
 @pytest.fixture(scope="module")
@@ -262,3 +308,18 @@ class TestReport:
         assert all(rec["pass"] for rec in report)
         names = {rec["identity"] for rec in report}
         assert "dbar_hermite_l4" in names
+
+    @pytest.mark.parametrize("g", [1.0, 2.0])
+    def test_matches_reference_with_one_dbar_per_source(self, g, monkeypatch):
+        # the report applies D̄ once to each of its six sources and reuses
+        # the image; the check-by-check reference recomputes three of them
+        calls = []
+        apply = greens.apply_Dbar
+        monkeypatch.setattr(greens, "apply_Dbar",
+                            lambda *a, **kw: calls.append(1) or apply(*a, **kw))
+        report = identity_report(g, 401)
+        assert len(calls) == 6
+        calls.clear()
+        reference = reference_report(g, 401)
+        assert len(calls) == 9
+        assert report == reference

@@ -37,3 +37,67 @@ def test_every_public_function_is_used():
               and not any(node.name in refs for _, other, refs in statements
                           if other is not node)]
     assert not unused, f"public functions nothing in src/trajquad uses: {unused}"
+
+
+def _optional_parameters(fn: ast.FunctionDef, is_method: bool) -> list:
+    """(position or None, name) of each parameter that has a default.
+
+    The position counts call-site positional arguments, so a method's
+    self or cls is dropped; keyword-only parameters have none.
+    """
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                 for d in fn.decorator_list)
+    skip = 1 if is_method and not static else 0
+    first = len(positional) - len(args.defaults)
+    out = [(i - skip, a.arg) for i, a in enumerate(positional) if i >= first]
+    out += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def test_every_optional_parameter_is_passed():
+    # a default that no call overrides is a constant dressed as an option.
+    # Module-level functions and methods of src/trajquad are checked (a call
+    # to a class counts for its __init__) against every call in src/ and
+    # tests/, matched by name; nested functions and dataclass fields are not
+    sources = sorted(SRC.glob("*.py"))
+    trees = [ast.parse(path.read_text(), str(path))
+             for path in sources + sorted(Path(__file__).parent.glob("*.py"))]
+    params = []  # (module, call name, position, parameter)
+    for path, tree in zip(sources, trees):
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                params += [(path.name, node.name, pos, arg) for pos, arg
+                           in _optional_parameters(node, is_method=False)]
+            elif isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef):
+                        name = node.name if fn.name == "__init__" else fn.name
+                        params += [(path.name, name, pos, arg) for pos, arg
+                                   in _optional_parameters(fn, is_method=True)]
+    # call name -> (most positional arguments, keywords) over all its calls;
+    # a *args or **kwargs argument counts as passing everything it could
+    passed = {}
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name is None:
+                continue
+            most, keywords = passed.get(name, (0, set()))
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            most = max(most, float("inf") if starred else len(call.args))
+            keywords = keywords | {k.arg for k in call.keywords}
+            passed[name] = (most, keywords)
+    unpassed = []
+    for module, name, pos, arg in params:
+        most, keywords = passed.get(name, (0, set()))
+        if arg not in keywords and None not in keywords \
+                and (pos is None or most <= pos):
+            unpassed.append(f"{module}:{name}({arg}=)")
+    assert not unpassed, f"optional parameters no call passes: {unpassed}"
