@@ -461,7 +461,8 @@ def parse_poly(text: str, variables: Iterable[str] | None = None) -> MultiPoly:
 
     Terms are joined by + or -, factors by '*'; a factor is a rational
     (``3``, ``21/8``, ``0.5``) or a power (``x``, ``r^-2``, ``ĝ^5``).
-    ASCII aliases eps/ghat are accepted for ε/ĝ.
+    ASCII aliases eps/ghat are accepted for ε/ĝ.  Malformed text, and
+    symbols outside ``variables`` when it is given, raise ValueError.
     """
     text = re.sub(r"\s+", "", text)
     if not text:
@@ -499,6 +500,6 @@ def parse_poly(text: str, variables: Iterable[str] | None = None) -> MultiPoly:
     if variables is not None:
         extra = set(result.variables) - set(variables)
         if extra:
-            raise VariableMismatch(f"unexpected symbols {sorted(extra)!r}")
+            raise ValueError(f"unexpected symbols {sorted(extra)!r}")
         result = result.embedded(tuple(variables))
     return result

@@ -109,8 +109,8 @@ def excited_e1_numeric(grid: TrajectoryGrid, s1, n: int,
     if n < 1:
         raise ValueError("need an excited state (n >= 1)")
     arc = grid.arc
-    speed = grid.s0_prime()
-    nu = float(grid.lap_s0[0])
+    speed = grid.speed
+    nu = grid.nu
     e0 = n * nu
 
     jp = np.empty_like(arc)

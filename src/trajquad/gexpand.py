@@ -49,7 +49,7 @@ class SeriesSolution:
 
 def e0(grid: TrajectoryGrid) -> float:
     """Leading energy ½(∇²S₀) at the origin = ½√(v''(0)) in 1-D."""
-    return 0.5 * float(grid.lap_s0[0])
+    return 0.5 * grid.nu
 
 
 class _Towers:
@@ -71,8 +71,7 @@ class _Towers:
         pot = grid.potential
         self.direction = grid.direction
         h = self.arc[1] - self.arc[0]
-        nu = float(grid.lap_s0[0])
-        self.length_scale = 1.0 / np.sqrt(nu)
+        self.length_scale = 1.0 / np.sqrt(grid.nu)
         self.patch = int(min(max(12, round(0.02 * self.length_scale / h)),
                              self.n // 8))
         # the patch interpolant needs six distinct band nodes; on tiny grids
@@ -105,7 +104,7 @@ class _Towers:
         return self._patched(out)
 
     def _s0_tower(self, height: int) -> list:
-        speed = self.grid.s0_prime()
+        speed = self.grid.speed
         tower = [speed]
         for m in range(1, height + 1):
             # Leibniz on S₀'·S₀' = 2V:  Σ C(m,j) t[j] t[m-j] = 2 V^(m)
@@ -165,8 +164,7 @@ def hierarchy(grid: TrajectoryGrid, order: int) -> SeriesSolution:
         raise HierarchyBreakdown(
             "hierarchy requires a kink-free grid; higher orders are not "
             "analytic across a kink")
-    speed = grid.s0_prime()
-    if np.min(speed[1:]) <= 0.0:
+    if np.min(grid.speed[1:]) <= 0.0:
         raise HierarchyBreakdown("∇S₀ vanishes away from the origin")
 
     sol = SeriesSolution(grid=grid, order=order, e_terms=[e0(grid)],
@@ -198,7 +196,7 @@ def pde_residual(sol: SeriesSolution, k: int) -> np.ndarray:
     """
     grid = sol.grid
     fresh = derivative(sol.s_terms[k - 1], grid.arc)
-    res = grid.s0_prime() * fresh - sol.rhs_terms[k - 1]
+    res = grid.speed * fresh - sol.rhs_terms[k - 1]
     return np.abs(res[2:-2])
 
 

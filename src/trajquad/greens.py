@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,9 +182,14 @@ def apply_Dbar(f: WaveProfile, g: float,
     values are e^{-2gS}-small, but the outer weight re-amplifies them).
     A total within ``solvability_rtol`` of zero, relative to the absolute
     mass, is treated as exactly zero: that is the boundary condition
-    selecting the bounded solution, cf. the energy-shift rule.
+    selecting the bounded solution, cf. the energy-shift rule.  A domain
+    where the outer weight e^{2gS} overflows a float raises ValueError.
     """
     x, s = f.nodes, f.s
+    exponent = 2.0 * g * float(np.max(s))
+    if exponent > math.log(sys.float_info.max):
+        raise ValueError(f"outer weight e^(2gS) overflows on this domain "
+                         f"(2g·max S = {exponent:.6g})")
     i0 = f.origin
     w = np.exp(-2.0 * g * s) * f.values
     edge = max(abs(w[0]), abs(w[-1]))

@@ -6,19 +6,15 @@ The Hamilton–Jacobi exponent of the leading wave-function factor solves
     S₀(x) = |∫_origin^x √(2 v(y)) dy|
 
 with the trajectory launched from a chosen minimum of v (v = 0 there,
-positive curvature).  The grid stores S₀, (∇S₀)² = 2v, ∇²S₀ and the
-accumulated classical time at uniformly spaced nodes ordered along the
-trajectory (nodes[0] is the origin; for direction -1 the x values
-descend).
+positive curvature).  The grid stores, at uniformly spaced nodes ordered
+along the trajectory (nodes[0] is the origin; for direction -1 the x
+values descend), the arc distance from the origin, S₀, its slope
+S₀' = √(2v), the origin curvature ν = ∇²S₀(origin) = √(v''(origin)) and
+the kink flags.
 
-∇²S₀ = direction·v'/√(2v) away from the origin and √(v''(origin)) at the
-origin itself.  Where -v has another maximum on the path, √(2v) vanishes
-and ∇S₀ develops a kink: a kink on a node flags that node, one between two
-nodes flags the first node past it; quadrature panels split at a node
-kink, the Laplacian entry is extrapolated from the approach side, and
-the classical time, which diverges logarithmically at a kink, is +inf
-from the flagged node onwards.  Time also diverges at the origin, so it is
-measured from the first node and the origin entry is NaN.
+Where -v has another maximum on the path, √(2v) vanishes and ∇S₀
+develops a kink: a kink on a node flags that node, one between two nodes
+flags the first node past it, and quadrature panels split at a node kink.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import DegenerateMinimum, InvalidPotential
 from .exactalg import VAR_X, MultiPoly, parse_poly
-from .numerics import adaptive_panels, neville_at
+from .numerics import adaptive_panels
 
 
 @dataclass(frozen=True)
@@ -72,7 +68,7 @@ class Potential1D:
         if isinstance(poly, str):
             poly = parse_poly(poly)
         if any(v != VAR_X for v in poly.variables if poly.depends_on(v)):
-            raise InvalidPotential("potential polynomial must involve x only")
+            raise ValueError("potential polynomial must involve x only")
         if VAR_X not in poly.variables:
             poly = poly.embedded(tuple(poly.variables) + (VAR_X,))
         coeffs = np.array([float(poly.coeff_of(VAR_X, k).constant())
@@ -95,25 +91,16 @@ class Potential1D:
 
 @dataclass
 class TrajectoryGrid:
-    """Uniform trajectory grid with S₀ and its first two derivatives."""
+    """Uniform trajectory grid: arc, S₀, its slope S₀' and ν at the origin."""
 
     nodes: np.ndarray
+    arc: np.ndarray     # distance from the origin along the trajectory
     s0: np.ndarray
-    grad2: np.ndarray
-    lap_s0: np.ndarray
-    time: np.ndarray
+    speed: np.ndarray   # dS₀/d(arc) = √(2v) ≥ 0
+    nu: float           # ∇²S₀ at the origin = √(v''(origin))
     kinks: list
     direction: int
     potential: Potential1D
-
-    @property
-    def arc(self) -> np.ndarray:
-        """Distance from the origin along the trajectory (always ascending)."""
-        return np.abs(self.nodes - self.nodes[0])
-
-    def s0_prime(self) -> np.ndarray:
-        """dS₀/d(arc) = √(2v) ≥ 0 in trajectory coordinates."""
-        return np.sqrt(np.maximum(self.grad2, 0.0))
 
 
 _KINK_SLACK = 1e3 * np.finfo(float).eps
@@ -180,7 +167,6 @@ def build_grid(potential: Potential1D, x_max: float, n: int,
             f"v < 0 at x = {nodes[int(np.argmin(vv))]:.6g}")
     vv = np.maximum(vv, 0.0)
     grad2 = 2.0 * vv
-    speed = np.sqrt(grad2)
 
     scale = max(1.0, float(np.max(grad2)))
     kinks = _kinks(potential, nodes, grad2, dvv, direction, _KINK_SLACK * scale)
@@ -192,29 +178,6 @@ def build_grid(potential: Potential1D, x_max: float, n: int,
                           max_depth=max_refine)
     s0 = np.concatenate(([0.0], np.cumsum(np.abs(inc))))
 
-    lap = np.full(n, np.nan)
-    fast = speed > math.sqrt(_KINK_SLACK * scale)
-    lap[fast] = direction * dvv[fast] / speed[fast]
-    lap[0] = math.sqrt(curvature)
-    arc = np.abs(nodes - nodes[0])
-    for i in np.flatnonzero(np.isnan(lap)):
-        back = [j for j in range(max(1, i - 4), i) if not np.isnan(lap[j])]
-        if len(back) >= 2:
-            lap[i] = neville_at(
-                [arc[j] - arc[i] for j in back], [lap[j] for j in back], 0.0)
-        else:
-            lap[i] = lap[0]
-
-    # time is measured from node 1 and diverges from the first kink on, so
-    # it accumulates the panels between node 1 and the node before the kink
-    time = np.full(n, math.inf)
-    time[:2] = np.nan, 0.0
-    first_kink = kinks[0] if kinks else n
-    if first_kink > 2:
-        dt = adaptive_panels(lambda x: 1.0 / np.maximum(integrand(x), 1e-300),
-                             nodes[1:first_kink], tol=1e-10, max_depth=20)
-        time[2:first_kink] = np.cumsum(np.abs(dt))
-
-    return TrajectoryGrid(nodes=nodes, s0=s0, grad2=grad2, lap_s0=lap,
-                          time=time, kinks=kinks, direction=direction,
-                          potential=potential)
+    return TrajectoryGrid(nodes=nodes, arc=np.abs(nodes - nodes[0]), s0=s0,
+                          speed=np.sqrt(grad2), nu=math.sqrt(curvature),
+                          kinks=kinks, direction=direction, potential=potential)

@@ -173,6 +173,12 @@ class TestMain:
          "--domain", "25", "--n", "200", "--k", "3"],
         ["--command", "oracle", "--potential", "0.5*x^2", "--n", "200",
          "--g", "3", "--eps", "5"],
+        # potentials in the other command family's variable
+        ["--command", "coulomb", "--potential", "x^2"],
+        ["--command", "oracle", "--mode", "radial", "--potential", "x^2",
+         "--domain", "25", "--n", "200"],
+        ["--command", "gexpand", "--potential", "y^2"],
+        ["--command", "oracle", "--potential", "0.5*r^2", "--n", "200"],
     ])
     def test_invalid_input_exits_1(self, argv, capsys):
         assert main(argv) == 1
@@ -252,6 +258,14 @@ class TestMain:
         assert code == 0
         assert "dbar_hermite_l4" in out.read_text()
 
+    def test_overflowing_greens_weight_exits_1(self, capsys):
+        # e^{2gS} at x = 30 is e^900: reject the domain before any nan row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--command", "greens-check", "--half-width", "30"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: outer weight e^(2gS) overflows")
 
     def test_tolerance_failure_writes_full_report(self, tmp_path, capsys):
         out = tmp_path / "greens.csv"

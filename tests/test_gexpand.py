@@ -1,5 +1,7 @@
 """g⁻¹ hierarchy: harmonic exactness, quartic anchors, residuals, separable."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,35 @@ class TestQuartic:
             scaled[g] = (oracle - series) * g * g
         extrap = 2.0 * scaled[16.0] - scaled[8.0]
         assert extrap == pytest.approx(sol.e_terms[3], rel=0.05)
+
+
+class TestBlackBox:
+    """Two-derivative potentials: missing tower levels by grid differentiation."""
+
+    @staticmethod
+    def quartic(x_max, n):
+        pot = Potential1D.from_callables(lambda x: 0.5 * x * x + 0.1 * x ** 4,
+                                         lambda x: x + 0.4 * x ** 3,
+                                         lambda x: 1.0 + 1.2 * x * x)
+        return build_grid(pot, x_max, n)
+
+    def test_energies_track_polynomial_potential(self):
+        box = hierarchy(self.quartic(2.5, 2001), 3)
+        poly = hierarchy(grid_for("0.5*x^2 + 0.1*x^4"), 3)
+        assert box.e_terms[0] == poly.e_terms[0]
+        assert box.e_terms[1] == pytest.approx(poly.e_terms[1], abs=1e-15)
+        assert box.e_terms[2] == pytest.approx(poly.e_terms[2], abs=1e-8)
+        assert box.e_terms[3] == pytest.approx(quartic_energies(0.1)[3],
+                                               abs=1e-4)
+
+    def test_fine_grid_breaks_down_without_warning(self):
+        # differentiation noise grows as the spacing shrinks: at 4001 nodes
+        # E₃'s two origin ladders disagree
+        grid = self.quartic(2.5, 4001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HierarchyBreakdown):
+                hierarchy(grid, 3)
 
 
 class TestBreakdown:

@@ -1,6 +1,7 @@
 """Green's operators on the harmonic profile: closed Hermite forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,14 @@ class TestApplyDbar:
             quadrature = _tail_beyond(known, G, side)
             assert _tail_beyond(sampled, G, side) == pytest.approx(
                 quadrature, rel=5e-6, abs=0.0)
+
+    def test_overflowing_weight_rejected(self):
+        # 2g·max S = 900 > log(float max): e^{2gS} would be inf
+        prof = harmonic_profile(601, 30.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                apply_Dbar(prof.with_values(lambda z: z ** 3), G)
 
     def test_non_decaying_tail_rejected(self, profile):
         with pytest.raises(TailDivergence):

@@ -230,11 +230,10 @@ class TestAdaptivePanels:
 
 
 def scalar_grid(pot, x_max, n, direction):
-    """build_grid's S₀, ∇²S₀, time and (∇S₀)², one node and panel at a time."""
+    """build_grid's S₀, S₀' and kinks, one node and panel at a time."""
     slack = 1e3 * np.finfo(float).eps
     nodes = pot.origin + direction * np.linspace(0.0, x_max, n)
     grad2 = 2.0 * np.maximum(np.array([pot.v(x) for x in nodes]), 0.0)
-    speed = np.sqrt(grad2)
     scale = max(1.0, float(np.max(grad2)))
     kinks = [i for i in range(1, n - 1) if grad2[i] < slack * scale
              and pot.dv(nodes[i - 1]) * pot.dv(nodes[i + 1]) < 0.0]
@@ -246,32 +245,7 @@ def scalar_grid(pot, x_max, n, direction):
     for i in range(n - 1):
         s0[i + 1] = s0[i] + abs(adaptive_integral(integrand, nodes[i],
                                                   nodes[i + 1], tol=1e-12))
-    lap = np.empty(n)
-    lap[0] = math.sqrt(pot.d2v(pot.origin))
-    for i in range(1, n):
-        lap[i] = (direction * pot.dv(nodes[i]) / speed[i]
-                  if speed[i] > math.sqrt(slack * scale) else np.nan)
-    arc = np.abs(nodes - nodes[0])
-    for i in range(1, n):
-        if np.isnan(lap[i]):
-            back = [j for j in range(max(1, i - 4), i) if not np.isnan(lap[j])]
-            lap[i] = neville_at([arc[j] - arc[i] for j in back],
-                                [lap[j] for j in back], 0.0) \
-                if len(back) >= 2 else lap[0]
-    time = np.empty(n)
-    time[0] = np.nan
-    first_kink = kinks[0] if kinks else n
-    t = 0.0
-    for i in range(1, n):
-        if i > 1:
-            if i >= first_kink:
-                t = math.inf
-            else:
-                t += abs(adaptive_integral(
-                    lambda x: 1.0 / max(integrand(x), 1e-300),
-                    nodes[i - 1], nodes[i], tol=1e-10, max_depth=20))
-        time[i] = t
-    return s0, lap, time, grad2, kinks
+    return s0, np.sqrt(grad2), kinks
 
 
 @pytest.mark.parametrize("poly, origin, x_max, n, direction", [
@@ -283,12 +257,10 @@ def scalar_grid(pot, x_max, n, direction):
 def test_build_grid_equals_scalar_quadrature(poly, origin, x_max, n, direction):
     pot = Potential1D.from_poly(poly, origin=origin)
     grid = build_grid(pot, x_max, n, direction=direction)
-    s0, lap, time, grad2, kinks = scalar_grid(pot, x_max, n, direction)
+    s0, speed, kinks = scalar_grid(pot, x_max, n, direction)
     assert grid.kinks == kinks
     assert np.array_equal(grid.s0, s0)
-    assert np.array_equal(grid.lap_s0, lap)
-    assert np.array_equal(grid.time, time, equal_nan=True)
-    assert np.array_equal(grid.grad2, grad2)
+    assert np.array_equal(grid.speed, speed)
 
 
 def test_black_box_potential_matches_polynomial():
@@ -298,4 +270,3 @@ def test_black_box_potential_matches_polynomial():
                                      lambda x: 1.0 + 1.2 * x * x)
     a, b = build_grid(poly, 2.5, 801), build_grid(box, 2.5, 801)
     assert np.max(np.abs(a.s0 - b.s0)) < 1e-13
-    assert np.max(np.abs(a.time[1:] - b.time[1:])) < 1e-12

@@ -16,6 +16,24 @@ def test_no_assert_in_src():
     assert not found, f"assert statements in src/trajquad: {found}"
 
 
+def test_every_import_is_used():
+    # an imported name the module never references is a leftover of code
+    # that has gone; __init__.py imports to re-export
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = [(node.lineno, alias.asname or alias.name.split(".")[0])
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names]
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}:{line}:{name}" for line, name in imported
+                   if name not in used]
+    assert not unused, f"imports nothing in their module uses: {unused}"
+
 
 def test_every_public_function_is_used():
     # a public library function that no src/ code calls and the package

@@ -24,7 +24,9 @@ class TestPotential:
             Potential1D.from_callables(lambda x: x * x, None, None)
 
     def test_rejects_non_x_symbols(self):
-        with pytest.raises(InvalidPotential):
+        # a potential in the wrong variable is an input error, not a
+        # breakdown of the method
+        with pytest.raises(ValueError):
             Potential1D.from_poly("r^2")
 
 
@@ -32,9 +34,9 @@ class TestBuildGrid:
     def test_harmonic_action(self):
         grid = build_grid(harmonic(), 3.0, 1201)
         assert np.max(np.abs(grid.s0 - grid.nodes ** 2 / 2)) < 1e-10
-        assert np.all(grid.grad2 == 2.0 * np.array(
-            [grid.potential.v(x) for x in grid.nodes]))
-        assert grid.lap_s0[0] == pytest.approx(1.0)
+        assert np.all(grid.speed == np.sqrt(2.0 * np.array(
+            [grid.potential.v(x) for x in grid.nodes])))
+        assert grid.nu == pytest.approx(1.0)
 
     def test_negative_potential_rejected(self):
         pot = Potential1D.from_poly("0.5*x^2 - 0.2*x^4")
@@ -92,25 +94,13 @@ class TestBuildGrid:
         pot = Potential1D.from_poly("0.5*x^2 + 0.1*x^4")
         grid = build_grid(pot, 2.5, 2001)
         fd = derivative(grid.s0, grid.arc)
-        rel = np.abs(fd[2:-2] ** 2 - grid.grad2[2:-2]) / grid.grad2[2:-2].max()
+        grad2 = grid.speed ** 2
+        rel = np.abs(fd[2:-2] ** 2 - grad2[2:-2]) / grad2[2:-2].max()
         assert np.max(rel) < 1e-6
-
-    def test_time_monotone_and_origin_nan(self):
-        grid = build_grid(harmonic(), 3.0, 801)
-        assert np.isnan(grid.time[0])
-        assert np.all(np.diff(grid.time[1:]) > 0)
-
-    def test_time_inf_past_kink(self):
-        pot = Potential1D.from_poly("0.5 - x^2 + 0.5*x^4", origin=1.0)
-        grid = build_grid(pot, 2.5, 1001, direction=-1)
-        k = grid.kinks[0]
-        assert np.isinf(grid.time[k])
-        assert np.all(np.isinf(grid.time[k:]))
-        assert np.all(np.isfinite(grid.time[1:k]))
 
     def test_kink_between_nodes(self):
         # v = ⅛x²(x-2)² has its double zero at x = 2, between nodes 1333
-        # and 1334; the panel across it diverges, so time is +inf from 1334
+        # and 1334
         pot = Potential1D.from_poly("0.5*x^2 - 0.5*x^3 + 0.125*x^4")
         calls = []
 
@@ -122,29 +112,22 @@ class TestBuildGrid:
         grid = build_grid(counted, 3.0, 2001)
         assert grid.kinks == [1334]
         assert grid.nodes[1333] < 2.0 < grid.nodes[1334]
-        assert np.all(np.isinf(grid.time[1334:]))
-        assert np.all(np.isfinite(grid.time[1:1334]))
-        # an unflagged kink sends the time panel across x = 2 to depth 20:
-        # ~487k calls of v instead of ~1.6k
         assert len(calls) < 10_000
         mirrored = build_grid(Potential1D.from_poly(
             "0.5*x^2 + 0.5*x^3 + 0.125*x^4"), 3.0, 2001, direction=-1)
         assert mirrored.kinks == [1334]
 
     def test_kink_on_last_node(self):
-        # the double zero at x = 2 is the last node: time diverges there
+        # the double zero at x = 2 is the last node
         pot = Potential1D.from_poly("0.5*x^2 - 0.5*x^3 + 0.125*x^4")
         grid = build_grid(pot, 2.0, 2001)
         assert grid.kinks == [2000]
-        assert np.isinf(grid.time[-1])
-        assert np.all(np.isfinite(grid.time[1:-1]))
 
     def test_positive_minimum_is_not_a_kink(self):
         # v = x²(½ - ½x + 0.13x²) dips to a positive minimum near x = 2
         pot = Potential1D.from_poly("0.5*x^2 - 0.5*x^3 + 0.13*x^4")
         grid = build_grid(pot, 3.0, 2001)
         assert grid.kinks == []
-        assert np.all(np.isfinite(grid.time[1:]))
 
     def test_minimum_node_count(self):
         with pytest.raises(ValueError):
