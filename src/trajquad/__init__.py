@@ -3,23 +3,25 @@
 The package splits into exact-symbolic and grid-numeric halves that check
 each other:
 
-exactalg   rational scalars, sparse Laurent polynomials, the radial-polar
-           differential operators, canonical rendering and its parser
+exactalg   rational scalars, sparse Laurent polynomials, partial
+           derivatives and the angular average, canonical rendering and
+           its parser
 oscpert    exact ε-series for the harmonic oscillator with a monomial
            perturbation (the Γ/γ recursion tables)
 coulomb    closed-form recursion for the perturbed Coulomb ground state,
-           including the uniform-field (Stark) chain
+           including the uniform-field (Stark) chain, on an integer kernel
+           that holds the radial-polar ∇² and ∇·∇
 trajectory classical-action grids along one axis
 gexpand    the g⁻¹ hierarchy S₁..S₃, E₀..E₃ by quadrature
 greens     single-trajectory Green's operators and their identity checks
-excited    excited-state classification and first corrections
+excited    excited-state classification, exact χ₀, 𝓔₀ and harmonic χ₁
 oracle     brute-force tridiagonal eigensolver used only for validation
 cli        batch front end (``trajquad`` console script)
 """
 
 __version__ = "0.1.0"
 
-from .exactalg import MultiPoly, grad_dot, parse_poly  # noqa: F401
+from .exactalg import MultiPoly, parse_poly  # noqa: F401
 from .trajectory import (  # noqa: F401
     Potential1D,
     TrajectoryGrid,
@@ -30,8 +32,6 @@ from .gexpand import (  # noqa: F401
     assemble_energy,
     e0,
     hierarchy,
-    hierarchy_separable,
-    pde_residual,
 )
 from .greens import (  # noqa: F401
     WaveProfile,
@@ -40,8 +40,6 @@ from .greens import (  # noqa: F401
     harmonic_profile,
     hermite_coefficients,
     identity_report,
-    irregular_solution,
-    shift_from_boundary,
 )
 from .oscpert import (  # noqa: F401
     PerturbSeries,
@@ -51,8 +49,6 @@ from .oscpert import (  # noqa: F401
 from .coulomb import (  # noqa: F401
     CoulombSolution,
     assemble,
-    defining_residuals,
-    integral_shift_check,
     solve_isotropic,
     solve_stark,
 )
@@ -60,6 +56,5 @@ from .excited import (  # noqa: F401
     ExcitedSpec,
     chi0_e0,
     chi1_harmonic,
-    excited_e1_numeric,
 )
 from .oracle import EigenResult, solve_1d, solve_radial  # noqa: F401

@@ -40,11 +40,23 @@ FORMATS = ("csv", "json")
 
 
 def _finite(value) -> float:
-    """float() that also rejects nan and ±inf."""
+    """float() that also rejects bools, nan and ±inf."""
+    if isinstance(value, bool):
+        raise TypeError("a bool is not a number")
     x = float(value)
     if not math.isfinite(x):
         raise ValueError("not finite")
     return x
+
+
+def _integer(value) -> int:
+    """int() of a non-bool int or a decimal-integer string.
+
+    A config file's 2.9 or true is rejected, not truncated to 2 or 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"not an integer: {value!r}")
+    return int(value)
 
 
 def _positive(x) -> bool:
@@ -59,20 +71,20 @@ def _non_negative(x) -> bool:
 _PARAMS = {
     "potential": (str, "polynomial in x (or r)"),
     "x-max": (_finite, "trajectory extent"),
-    "n": (int, "grid point count"),
-    "order": (int, "expansion order"),
+    "n": (_integer, "grid point count"),
+    "order": (_integer, "expansion order"),
     "g": (_finite, "potential scale g"),
     "origin": (_finite, "potential minimum"),
-    "direction": (int, "trajectory direction ±1"),
+    "direction": (_integer, "trajectory direction ±1"),
     "parity": (str, "even or odd"),
-    "p": (int, "perturbation half-degree"),
+    "p": (_integer, "perturbation half-degree"),
     "eps": (_finite, "perturbation strength ε"),
     "half-width": (_finite, "greens grid half width"),
     "freqs": (str, "comma-separated frequencies"),
     "occupations": (str, "semicolon-separated occupation tuples"),
     "mode": (str, "oracle mode: 1d or radial"),
     "domain": (_finite, "oracle half width (1d) or r_max (radial)"),
-    "k": (int, "eigenvalue count (oracle)"),
+    "k": (_integer, "eigenvalue count (oracle)"),
 }
 
 

@@ -37,8 +37,9 @@ made and reused by every later order.  The sum in K_n is symmetric under
 m ↔ n-m, so each unordered pair is multiplied once, off-diagonal pairs
 counted twice, and the ½ is applied to the finished sum.  S_n and E_n
 become ``MultiPoly`` only at the boundary, in ``solve_perturbed``.
-``defining_residuals`` checks the result on ``MultiPoly`` arithmetic
-through ``grad_dot``, independently of the kernel and its shortcuts.
+This kernel is the package's only radial-polar ∇² and ∇·∇;
+``tests/test_coulomb.py`` holds an independent MultiPoly form of both and
+checks every retained grade of the wave equation with it.
 """
 
 from __future__ import annotations
@@ -47,11 +48,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import LogSingularity, MethodError
-from .exactalg import VAR_EPS, VAR_R, VAR_U, MultiPoly, grad_dot
-from .numerics import adaptive_panels
+from .exactalg import VAR_EPS, VAR_R, VAR_U, MultiPoly
 
 RUE = (VAR_R, VAR_U, VAR_EPS)
 
@@ -278,105 +276,19 @@ def _check_invariants(sol: CoulombSolution) -> None:
             raise MethodError(f"E_{n} is not a pure ε-polynomial")
 
 
-def defining_residuals(sol: CoulombSolution) -> list:
-    """Exact residual of every retained grade of the full wave equation.
-
-    Substituting the graded expansions into -½(∇S)² + ½∇²S - g²/r + εU = E
-    and collecting the coefficient of g^(4-2n) gives, for each n ≤ order,
-
-        -½ Σ_{m+k=n} ∇S_m·∇S_k + ½∇²S_{n-1} - δ_{n,1}/r + δ_{n,2} εU - E_n
-
-    which must vanish identically.  Grades beyond the truncation involve
-    dropped S_n and are not asserted.
-    """
-    eps = MultiPoly.var(VAR_EPS, RUE)
-    residuals = []
-    for n in range(sol.order + 1):
-        total = MultiPoly.zero(RUE)
-        for m in range(n + 1):
-            total = total - grad_dot(sol.s_terms[m], sol.s_terms[n - m]) * Fraction(1, 2)
-        if n >= 1:
-            total = total + sol.s_terms[n - 1].laplacian() * Fraction(1, 2)
-        if n == 1:
-            total = total - MultiPoly.monomial(1, {VAR_R: -1}, RUE)
-        if n == 2:
-            total = total + eps * sol.u_perturbation
-        residuals.append(total - sol.e_terms[n])
-    return residuals
-
-
-def assemble(sol: CoulombSolution, g: float, eps: float, truncation: int | None = None):
+def assemble(sol: CoulombSolution, g: float, eps: float):
     """Numeric energy and wave-exponent evaluator at given g, ε.
 
     E = Σ g^{-(2n-4)} E_n(ε); S(r, u) = Σ g^{-(2n-2)} S_n(r, u, ε).
     """
     if g <= 0:
         raise ValueError("g must be positive")
-    n_max = sol.order if truncation is None else min(truncation, sol.order)
     energy = sum(g ** (-(2 * n - 4)) * sol.e_terms[n].evaluate({VAR_EPS: eps})
-                 for n in range(n_max + 1))
+                 for n in range(sol.order + 1))
 
     def exponent(r: float, u: float = 0.0) -> float:
         return sum(g ** (-(2 * n - 2)) *
                    sol.s_terms[n].evaluate({VAR_R: r, VAR_U: u, VAR_EPS: eps})
-                   for n in range(n_max + 1))
+                   for n in range(sol.order + 1))
 
     return {"E": energy, "S": exponent}
-
-
-@dataclass(frozen=True)
-class ShiftCheck:
-    """Integral-form energy estimate and its first two ε-coefficients."""
-
-    energy: float
-    first_order: float
-    second_order: float
-
-
-def integral_shift_check(sol: CoulombSolution, g: float, eps: float) -> ShiftCheck:
-    """Cross-check the isotropic series against the integral shift formula.
-
-    With ψ ≈ e^{-g²r}(1 - εA(r)), A the complete ε-linear part of S, the
-    ground-state shift is the ratio of radial quadratures
-
-        ΔE(ε) = ∫ e^{-2g²r}(1-εA) εU r² dr / ∫ e^{-2g²r}(1-εA) r² dr
-
-    whose ε and ε² Taylor coefficients must reproduce the recursion's
-    energies (first-order wave function → second-order energy).
-    """
-    if sol.u_perturbation.depends_on(VAR_U):
-        raise ValueError("integral check is for isotropic perturbations")
-    if sol.order < 3:
-        raise ValueError("need the full ε-linear wave function (order >= 3)")
-
-    linear = [(g ** (-(2 * n - 2)), part) for n in range(1, sol.order + 1)
-              if (part := sol.s_terms[n].coeff_of(VAR_EPS, 1))]
-
-    def a_profile(r: np.ndarray) -> np.ndarray:
-        total = 0.0
-        for weight, part in linear:
-            total += weight * part.evaluate({VAR_R: r, VAR_U: 0.0})
-        return total
-
-    def u_of(r: np.ndarray) -> np.ndarray:
-        return sol.u_perturbation.evaluate({VAR_R: r, VAR_U: 0.0, VAR_EPS: 1.0})
-
-    r_cut = 40.0 / g ** 2
-    weight = lambda r: np.exp(-2.0 * g ** 2 * r) * r ** 2
-
-    def integral(f) -> float:
-        # the integrals grow like r_cut^(deg U + 2), so the tolerance is
-        # relative: 1e-12 of the summed |one-level estimates| on 64 panels
-        size = np.sum(np.abs(adaptive_panels(f, np.linspace(0.0, r_cut, 65),
-                                             max_depth=0)))
-        return float(adaptive_panels(f, np.array([0.0, r_cut]),
-                                     tol=1e-12 * size)[0])
-
-    d0 = integral(weight)
-    d1 = integral(lambda r: weight(r) * a_profile(r))
-    n0 = integral(lambda r: weight(r) * u_of(r))
-    n1 = integral(lambda r: weight(r) * u_of(r) * a_profile(r))
-    first = n0 / d0
-    second = n0 * d1 / d0 ** 2 - n1 / d0
-    energy = -0.5 * g ** 4 + (eps * n0 - eps ** 2 * n1) / (d0 - eps * d1)
-    return ShiftCheck(energy=energy, first_order=first, second_order=second)

@@ -49,13 +49,5 @@ class TailDivergence(MethodError):
     """Double-integral operator applied to a source without decaying tails."""
 
 
-class DegenerateProfile(MethodError):
-    """Energy-shift quadrature has vanishing normalization."""
-
-
-class ExtractionFailure(MethodError):
-    """Window fit for an origin coefficient did not converge."""
-
-
 class DomainTooSmall(MethodError):
     """Eigenfunction amplitude at the box edge exceeds the decay bound."""

@@ -7,10 +7,10 @@ exponents are permitted only for the radial variable ``r``; the perturbation
 strength ``ε`` and the inverse-scale marker ``ĝ`` (which stands for 1/g)
 never carry negative powers.
 
-Besides ring arithmetic the module provides the differential-geometric
-operators the recursions need: partial derivatives, the Laplacian and
-gradient dot product in radial-polar (r, u = cos a) geometry, and the
-angular average (1/2)∫_{-1}^{1} du.
+Besides ring arithmetic the module provides partial derivatives, exponent
+shifts and the angular average (1/2)∫_{-1}^{1} du over u = cos a.  The
+radial-polar Laplacian and gradient live in ``coulomb``'s integer kernel,
+the one recursion that needs them.
 
 A canonical text rendering ("-21/8 * ε^2 * ĝ^5") and a round-trip parser
 for the same grammar serve the CLI and the golden tests.  Terms are ordered
@@ -119,8 +119,8 @@ class MultiPoly:
         return cls({(0,) * len(names): _as_fraction(value)}, names)
 
     @classmethod
-    def var(cls, name: str, variables: Iterable[str] | None = None) -> "MultiPoly":
-        names = tuple(variables) if variables is not None else (name,)
+    def var(cls, name: str, variables: Iterable[str]) -> "MultiPoly":
+        names = tuple(variables)
         if name not in names:
             raise VariableMismatch(f"{name!r} not among variables {names!r}")
         exps = tuple(1 if v == name else 0 for v in names)
@@ -312,25 +312,6 @@ class MultiPoly:
                for exps, coeff in self.terms.items()}
         return MultiPoly._make(out, self.variables)
 
-    def laplacian(self) -> "MultiPoly":
-        """Exact radial-polar Laplacian (r, u = cos a):
-
-        (1/r²) ∂_r(r² ∂_r ·) + (1/r²) ∂_u((1-u²) ∂_u ·).
-        """
-        poly = self
-        if VAR_R not in poly.variables:
-            poly = poly.embedded(tuple(poly.variables) + (VAR_R,))
-        radial = (poly.differentiate(VAR_R).shifted(VAR_R, 2)
-                  .differentiate(VAR_R).shifted(VAR_R, -2))
-        if VAR_U in poly.variables:
-            du = poly.differentiate(VAR_U)
-            one_minus_u2 = MultiPoly.const(1, poly.variables) - \
-                MultiPoly.var(VAR_U, poly.variables) ** 2
-            angular = (one_minus_u2 * du).differentiate(VAR_U).shifted(VAR_R, -2)
-        else:
-            angular = MultiPoly.zero(poly.variables)
-        return radial + angular
-
     def angular_average(self) -> "MultiPoly":
         """(1/2)∫_{-1}^{1} · du, exact; the result is free of u."""
         if VAR_U not in self.variables:
@@ -406,21 +387,6 @@ class MultiPoly:
         return f"MultiPoly({self.render()!r})"
 
 
-def grad_dot(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Exact radial-polar ∇a·∇b = ∂_r a ∂_r b + (1-u²) r^-2 ∂_u a ∂_u b."""
-    aa, bb = MultiPoly._aligned(a, b)
-    if VAR_R not in aa.variables:
-        aa = aa.embedded(tuple(aa.variables) + (VAR_R,))
-        bb = bb.embedded(aa.variables)
-    out = aa.differentiate(VAR_R) * bb.differentiate(VAR_R)
-    if VAR_U in aa.variables:
-        one_minus_u2 = MultiPoly.const(1, aa.variables) - \
-            MultiPoly.var(VAR_U, aa.variables) ** 2
-        out = out + (one_minus_u2 * aa.differentiate(VAR_U)
-                     * bb.differentiate(VAR_U)).shifted(VAR_R, -2)
-    return out
-
-
 _NUMBER_RE = re.compile(r"^[0-9]+(/[0-9]+|\.[0-9]*)?$|^\.[0-9]+$")
 _FACTOR_RE = re.compile(
     r"^([^\W\d_][\w]*)(?:(?:\^|\*\*)(\(-?\d+\)|-?\d+))?$", re.UNICODE)
@@ -461,8 +427,9 @@ def parse_poly(text: str, variables: Iterable[str] | None = None) -> MultiPoly:
 
     Terms are joined by + or -, factors by '*'; a factor is a rational
     (``3``, ``21/8``, ``0.5``) or a power (``x``, ``r^-2``, ``ĝ^5``).
-    ASCII aliases eps/ghat are accepted for ε/ĝ.  Malformed text, and
-    symbols outside ``variables`` when it is given, raise ValueError.
+    ASCII aliases eps/ghat are accepted for ε/ĝ.  Malformed text, a term
+    with a negative net power of any variable but r, and symbols outside
+    ``variables`` when it is given, raise ValueError.
     """
     text = re.sub(r"\s+", "", text)
     if not text:
@@ -492,6 +459,10 @@ def parse_poly(text: str, variables: Iterable[str] | None = None) -> MultiPoly:
                 power = int(m.group(2).strip("()"))
             powers[name] = powers.get(name, 0) + power
             seen.add(name)
+        for name, power in powers.items():
+            if power < 0 and name not in _LAURENT_OK:
+                raise ValueError(f"negative power of non-Laurent variable "
+                                 f"{name!r} in term {term!r}")
         parsed.append((coeff, powers))
     names = tuple(sorted(seen, key=_var_key))
     result = MultiPoly.zero(names)

@@ -23,9 +23,8 @@ source behind the numeric cap k ≤ 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
-from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +43,6 @@ class SeriesSolution:
     order: int
     e_terms: list
     s_terms: list
-    rhs_terms: list = field(default_factory=list)
 
 
 def e0(grid: TrajectoryGrid) -> float:
@@ -168,7 +166,7 @@ def hierarchy(grid: TrajectoryGrid, order: int) -> SeriesSolution:
         raise HierarchyBreakdown("∇S₀ vanishes away from the origin")
 
     sol = SeriesSolution(grid=grid, order=order, e_terms=[e0(grid)],
-                         s_terms=[], rhs_terms=[])
+                         s_terms=[])
     if order == 0:
         return sol
 
@@ -177,7 +175,6 @@ def hierarchy(grid: TrajectoryGrid, order: int) -> SeriesSolution:
     for k in range(1, order + 1):
         e_prev = sol.e_terms[k - 1]
         towers.add_slope(k, e_prev, height=order + 1 - k)
-        sol.rhs_terms.append(towers.bracket(k, 0) - e_prev)
         sol.s_terms.append(cumulative_integral(towers.s[k][0], arc, start=0))
         sol.e_terms.append(towers.energy(k + 1))
     return sol
@@ -186,37 +183,3 @@ def hierarchy(grid: TrajectoryGrid, order: int) -> SeriesSolution:
 def assemble_energy(sol: SeriesSolution, g: float) -> float:
     """Truncated E = gE₀ + E₁ + g⁻¹E₂ + g⁻²E₃."""
     return sum(g ** (1 - k) * e for k, e in enumerate(sol.e_terms))
-
-
-def pde_residual(sol: SeriesSolution, k: int) -> np.ndarray:
-    """|S₀'·(dS_k/da) - RHS_k| with S_k freshly re-differentiated.
-
-    S_k' was obtained from the defining ODE, so the meaningful residual
-    differentiates the integrated S_k samples instead; interior nodes only.
-    """
-    grid = sol.grid
-    fresh = derivative(sol.s_terms[k - 1], grid.arc)
-    res = grid.speed * fresh - sol.rhs_terms[k - 1]
-    return np.abs(res[2:-2])
-
-
-@dataclass
-class SeparableSolution:
-    """Per-axis hierarchies of a separable potential; energies add."""
-
-    solutions: list
-    e_terms: list
-
-    def energy(self, g: float) -> float:
-        return sum(g ** (1 - k) * e for k, e in enumerate(self.e_terms))
-
-
-def hierarchy_separable(axes: Sequence[TrajectoryGrid],
-                        order: int) -> SeparableSolution:
-    """Run the hierarchy on each axis's grid and sum E_k across axes."""
-    if not axes:
-        raise ValueError("need at least one axis")
-    sols = [hierarchy(axis, order) for axis in axes]
-    e_totals = [sum(s.e_terms[k] for s in sols)
-                for k in range(len(sols[0].e_terms))]
-    return SeparableSolution(solutions=sols, e_terms=e_totals)

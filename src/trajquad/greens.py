@@ -6,12 +6,13 @@ kernel actions implemented here are
     (Cf)(x)  = (1/g) ∫₀ˣ f(y) / S'(y) dy                    (single integral)
     (D̄f)(x) = -2 ∫₀ˣ e^{2gS(y)} dy ∫_{-∞}^y e^{-2gS(z)} f(z) dz
 
-together with the irregular second solution F and the boundary-determined
-energy shift.  C acts only on sources vanishing at the origin (a constant
-would integrate to a logarithm); D̄ acts on any source with decaying
-Gaussian-weighted tails, but only sources of zero weighted mean produce a
-bounded result; for those the inner integral is evaluated from the
-decaying side on each half-line, which is also what keeps the huge
+The irregular second solution F and the boundary-determined energy shift
+are references in ``tests/test_greens.py``, where they check the D
+kernel and the ε-series.  C acts only on sources vanishing at the origin
+(a constant would integrate to a logarithm); D̄ acts on any source with
+decaying Gaussian-weighted tails, but only sources of zero weighted mean
+produce a bounded result; for those the inner integral is evaluated from
+the decaying side on each half-line, which is also what keeps the huge
 e^{2gS} weight from amplifying quadrature residue.  When the computed
 mean is above the solvability threshold the growing branch is returned
 unchanged (that growth is a real feature of the operator, not an error).
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateProfile, DivergentAtOrigin, TailDivergence)
+from .errors import DivergentAtOrigin, TailDivergence
 from .numerics import (adaptive_panels, cumulative_integral, derivative,
                        neville_at)
 
@@ -182,8 +183,8 @@ def apply_Dbar(f: WaveProfile, g: float,
     values are e^{-2gS}-small, but the outer weight re-amplifies them).
     A total within ``solvability_rtol`` of zero, relative to the absolute
     mass, is treated as exactly zero: that is the boundary condition
-    selecting the bounded solution, cf. the energy-shift rule.  A domain
-    where the outer weight e^{2gS} overflows a float raises ValueError.
+    selecting the bounded solution.  A domain where the outer weight
+    e^{2gS} overflows a float raises ValueError.
     """
     x, s = f.nodes, f.s
     exponent = 2.0 * g * float(np.max(s))
@@ -219,32 +220,6 @@ def apply_Dbar(f: WaveProfile, g: float,
         inner[i0 + 1:] = -right[i0 + 1:]
     outer = np.exp(2.0 * g * s) * inner
     return f.with_values(-2.0 * cumulative_integral(outer, x, start=i0))
-
-
-def irregular_solution(profile: WaveProfile, g: float) -> WaveProfile:
-    """Growing second solution F = e^{-gS} ∫₀ˣ e^{2gS̄} dS̄/(dS̄/dy)·...
-
-    In one dimension the metric factors cancel, leaving
-    F(x) = e^{-gS(x)} ∫₀ˣ e^{2gS(y)} dy on the x ≥ 0 half line; F(0) = 0
-    and (T_S + V - E)F = 0 with the same V, E as the bound profile.
-    """
-    grow = cumulative_integral(np.exp(2.0 * g * profile.s), profile.nodes,
-                               start=profile.origin)
-    return profile.with_values(np.exp(-g * profile.s) * grow)
-
-
-def shift_from_boundary(u: WaveProfile, tau: WaveProfile, g: float) -> float:
-    """Energy shift Δ = ∫e^{-2gS-τ} U dx / ∫e^{-2gS-τ} dx.
-
-    This is the condition that the perturbed solution not pick up the
-    growing branch at x = +∞.
-    """
-    weight = np.exp(-2.0 * g * u.s - tau.values)
-    den = float(cumulative_integral(weight, u.nodes, start=0)[-1])
-    num = float(cumulative_integral(weight * u.values, u.nodes, start=0)[-1])
-    if abs(den) < 1e-300:
-        raise DegenerateProfile("normalization integral vanished")
-    return num / den
 
 
 def kinetic(profile: WaveProfile) -> np.ndarray:

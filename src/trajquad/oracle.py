@@ -46,9 +46,6 @@ class EigenResult:
     points: int
     convergence: tuple
 
-    def value(self, k: int = 0) -> float:
-        return self.eigenvalues[k]
-
 
 def _sturm_count(diag, off2: float, lam: float) -> int:
     """Number of eigenvalues below lam of the tridiagonal matrix.

@@ -113,18 +113,6 @@ class PerturbSeries:
         """Δ(k) = -(the ε^k coefficient of x²), with εΔ = Σ_k ε^k Δ(k)."""
         return self._monomial(k, 2, -1)
 
-    def delta_value(self, k: int, g: float) -> float:
-        return self.delta(k).evaluate({VAR_GHAT: 1.0 / g})
-
-    def shift_value(self, eps: float, g: float, order: int | None = None) -> float:
-        """Numeric εΔ truncated at the given ε-order."""
-        order = self.order if order is None else order
-        return sum(self.delta_value(k, g) * eps ** k for k in range(1, order + 1))
-
-    def total_energy(self, eps: float, g: float, order: int | None = None) -> float:
-        """Ground energy g/2 plus the truncated shift."""
-        return 0.5 * g + self.shift_value(eps, g, order)
-
     def _eps_series(self, n: int, sign: int) -> MultiPoly:
         """Σ_{k≥1} sign·(ε^k coefficient of x^n)·ε^k, exact in (ε, ĝ)."""
         return MultiPoly({(k, self._power(k, n)): sign * level[n]

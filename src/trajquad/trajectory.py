@@ -105,6 +105,7 @@ class TrajectoryGrid:
 
 _KINK_SLACK = 1e3 * np.finfo(float).eps
 _PANEL_TOL = 1e-12
+_PANEL_DEPTH = 30     # refinement levels per panel of the S₀ quadrature
 
 
 def _kinks(potential: Potential1D, nodes: np.ndarray, grad2: np.ndarray,
@@ -134,13 +135,12 @@ def _kinks(potential: Potential1D, nodes: np.ndarray, grad2: np.ndarray,
 
 
 def build_grid(potential: Potential1D, x_max: float, n: int,
-               direction: int = 1, max_refine: int = 30) -> TrajectoryGrid:
+               direction: int = 1) -> TrajectoryGrid:
     """Construct the trajectory grid out to distance x_max from the origin.
 
-    ``max_refine`` bounds the per-panel refinement depth of the S₀
-    quadrature (0 keeps the plain per-panel Simpson rule, whose 4th-order
-    convergence the tests verify; the default refines each panel until
-    its error estimate drops below ``_PANEL_TOL``).
+    S₀ sums per-panel adaptive Simpson integrals of √(2v), each panel
+    refined until its error estimate drops below ``_PANEL_TOL`` or
+    ``_PANEL_DEPTH`` levels are spent.
     """
     if n < 16:
         raise ValueError("need at least 16 nodes")
@@ -175,7 +175,7 @@ def build_grid(potential: Potential1D, x_max: float, n: int,
         return np.sqrt(np.maximum(2.0 * potential.v(x), 0.0))
 
     inc = adaptive_panels(integrand, nodes, tol=_PANEL_TOL,
-                          max_depth=max_refine)
+                          max_depth=_PANEL_DEPTH)
     s0 = np.concatenate(([0.0], np.cumsum(np.abs(inc))))
 
     return TrajectoryGrid(nodes=nodes, arc=np.abs(nodes - nodes[0]), s0=s0,

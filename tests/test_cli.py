@@ -179,6 +179,11 @@ class TestMain:
          "--domain", "25", "--n", "200"],
         ["--command", "gexpand", "--potential", "y^2"],
         ["--command", "oracle", "--potential", "0.5*r^2", "--n", "200"],
+        # negative powers of a variable other than r, once method breakdowns
+        ["--command", "coulomb", "--potential", "eps^-1"],
+        ["--command", "coulomb", "--potential", "u^-1"],
+        ["--command", "gexpand", "--potential", "x^-2"],
+        ["--command", "oracle", "--potential", "x^-1", "--n", "200"],
     ])
     def test_invalid_input_exits_1(self, argv, capsys):
         assert main(argv) == 1
@@ -189,11 +194,39 @@ class TestMain:
     @pytest.mark.parametrize("text", ['{"command": "stark", "order": 1e400}',
                                       '{"command": "stark", "g": 1e400}'])
     def test_overflowing_config_value_exits_1(self, text, tmp_path, capsys):
-        # JSON reads 1e400 as inf, which int() rejects with OverflowError
+        # JSON reads 1e400 as inf: an integer key takes no float, and a
+        # float key takes no infinity
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
         assert main(["--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("text", [
+        '{"command": "stark", "order": 12.9}',
+        '{"command": "stark", "order": 12.0}',
+        '{"command": "stark", "order": true}',
+        '{"command": "perturb", "parity": "even", "p": true}',
+        '{"command": "stark", "g": true}',
+    ])
+    def test_coerced_config_value_exits_1(self, text, tmp_path, capsys):
+        # int() and float() would run these as order 12, p = 1 and g = 1.0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["--config", str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: bad value for ")
+
+    def test_integer_config_values_as_ints_or_strings(self, tmp_path, capsys):
+        flags = ["--command", "stark", "--order", "8", "--g", "2"]
+        assert main(flags) == 0
+        expect = capsys.readouterr().out
+        for text in ('{"command": "stark", "order": 8, "g": 2}',
+                     '{"command": "stark", "order": "8", "g": "2"}'):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(text)
+            assert main(["--config", str(cfg)]) == 0
+            assert capsys.readouterr().out == expect
 
     def test_method_error_exit_code(self, tmp_path, capsys):
         # degenerate minimum: v'' = 0 at the origin

@@ -1,30 +1,155 @@
-"""Coulomb/Stark recursion: exact coefficients, residuals, integral check."""
+"""Coulomb/Stark recursion: exact coefficients, residuals, integral check.
+
+The radial-polar Laplacian and gradient, the wave-equation residuals and
+the integral shift formula below are independent references: the solver
+runs on its own integer kernel and never calls them.
+"""
 
 import math
 import random
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajquad.coulomb import (
     assemble,
-    defining_residuals,
-    integral_shift_check,
     solve_isotropic,
     solve_perturbed,
     solve_stark,
 )
 from trajquad.errors import LogSingularity
 from trajquad.exactalg import VAR_EPS, VAR_R, VAR_U, MultiPoly, parse_poly
+from trajquad.numerics import adaptive_panels
 
 RUE = (VAR_R, VAR_U, VAR_EPS)
 
 
 def P(text):
     return parse_poly(text, RUE)
+
+
+def laplacian(poly):
+    """Exact radial-polar Laplacian (r, u = cos a):
+
+    (1/r²) ∂_r(r² ∂_r ·) + (1/r²) ∂_u((1-u²) ∂_u ·).
+    """
+    if VAR_R not in poly.variables:
+        poly = poly.embedded(tuple(poly.variables) + (VAR_R,))
+    radial = (poly.differentiate(VAR_R).shifted(VAR_R, 2)
+              .differentiate(VAR_R).shifted(VAR_R, -2))
+    if VAR_U in poly.variables:
+        du = poly.differentiate(VAR_U)
+        one_minus_u2 = MultiPoly.const(1, poly.variables) - \
+            MultiPoly.var(VAR_U, poly.variables) ** 2
+        angular = (one_minus_u2 * du).differentiate(VAR_U).shifted(VAR_R, -2)
+    else:
+        angular = MultiPoly.zero(poly.variables)
+    return radial + angular
+
+
+def grad_dot(a, b):
+    """Exact radial-polar ∇a·∇b = ∂_r a ∂_r b + (1-u²) r^-2 ∂_u a ∂_u b."""
+    aa, bb = MultiPoly._aligned(a, b)
+    if VAR_R not in aa.variables:
+        aa = aa.embedded(tuple(aa.variables) + (VAR_R,))
+        bb = bb.embedded(aa.variables)
+    out = aa.differentiate(VAR_R) * bb.differentiate(VAR_R)
+    if VAR_U in aa.variables:
+        one_minus_u2 = MultiPoly.const(1, aa.variables) - \
+            MultiPoly.var(VAR_U, aa.variables) ** 2
+        out = out + (one_minus_u2 * aa.differentiate(VAR_U)
+                     * bb.differentiate(VAR_U)).shifted(VAR_R, -2)
+    return out
+
+
+def defining_residuals(sol):
+    """Exact residual of every retained grade of the full wave equation.
+
+    Substituting the graded expansions into -½(∇S)² + ½∇²S - g²/r + εU = E
+    and collecting the coefficient of g^(4-2n) gives, for each n ≤ order,
+
+        -½ Σ_{m+k=n} ∇S_m·∇S_k + ½∇²S_{n-1} - δ_{n,1}/r + δ_{n,2} εU - E_n
+
+    which must vanish identically.  Grades beyond the truncation involve
+    dropped S_n and are not asserted.
+    """
+    eps = MultiPoly.var(VAR_EPS, RUE)
+    residuals = []
+    for n in range(sol.order + 1):
+        total = MultiPoly.zero(RUE)
+        for m in range(n + 1):
+            total = total - grad_dot(sol.s_terms[m], sol.s_terms[n - m]) * Fraction(1, 2)
+        if n >= 1:
+            total = total + laplacian(sol.s_terms[n - 1]) * Fraction(1, 2)
+        if n == 1:
+            total = total - MultiPoly.monomial(1, {VAR_R: -1}, RUE)
+        if n == 2:
+            total = total + eps * sol.u_perturbation
+        residuals.append(total - sol.e_terms[n])
+    return residuals
+
+
+@dataclass(frozen=True)
+class ShiftCheck:
+    """Integral-form energy estimate and its first two ε-coefficients."""
+
+    energy: float
+    first_order: float
+    second_order: float
+
+
+def integral_shift_check(sol, g, eps):
+    """Cross-check the isotropic series against the integral shift formula.
+
+    With ψ ≈ e^{-g²r}(1 - εA(r)), A the complete ε-linear part of S, the
+    ground-state shift is the ratio of radial quadratures
+
+        ΔE(ε) = ∫ e^{-2g²r}(1-εA) εU r² dr / ∫ e^{-2g²r}(1-εA) r² dr
+
+    whose ε and ε² Taylor coefficients must reproduce the recursion's
+    energies (first-order wave function → second-order energy).
+    """
+    if sol.u_perturbation.depends_on(VAR_U):
+        raise ValueError("integral check is for isotropic perturbations")
+    if sol.order < 3:
+        raise ValueError("need the full ε-linear wave function (order >= 3)")
+
+    linear = [(g ** (-(2 * n - 2)), part) for n in range(1, sol.order + 1)
+              if (part := sol.s_terms[n].coeff_of(VAR_EPS, 1))]
+
+    def a_profile(r):
+        total = 0.0
+        for weight, part in linear:
+            total += weight * part.evaluate({VAR_R: r, VAR_U: 0.0})
+        return total
+
+    def u_of(r):
+        return sol.u_perturbation.evaluate({VAR_R: r, VAR_U: 0.0, VAR_EPS: 1.0})
+
+    r_cut = 40.0 / g ** 2
+    weight = lambda r: np.exp(-2.0 * g ** 2 * r) * r ** 2
+
+    def integral(f):
+        # the integrals grow like r_cut^(deg U + 2), so the tolerance is
+        # relative: 1e-12 of the summed |one-level estimates| on 64 panels
+        size = np.sum(np.abs(adaptive_panels(f, np.linspace(0.0, r_cut, 65),
+                                             max_depth=0)))
+        return float(adaptive_panels(f, np.array([0.0, r_cut]),
+                                     tol=1e-12 * size)[0])
+
+    d0 = integral(weight)
+    d1 = integral(lambda r: weight(r) * a_profile(r))
+    n0 = integral(lambda r: weight(r) * u_of(r))
+    n1 = integral(lambda r: weight(r) * u_of(r) * a_profile(r))
+    first = n0 / d0
+    second = n0 * d1 / d0 ** 2 - n1 / d0
+    energy = -0.5 * g ** 4 + (eps * n0 - eps ** 2 * n1) / (d0 - eps * d1)
+    return ShiftCheck(energy=energy, first_order=first, second_order=second)
 
 
 def integrate_r(poly):
@@ -60,7 +185,7 @@ def reference_chain(u_poly, order):
     one_minus_u2 = MultiPoly.const(1, RUE) - MultiPoly.var(VAR_U, RUE) ** 2
     grads = [None]
     for n in range(1, order + 1):
-        total = s_terms[n - 1].laplacian()
+        total = laplacian(s_terms[n - 1])
         for m in range(1, n // 2 + 1):
             (dr_a, _, w_a), (dr_b, du_b, _) = grads[m], grads[n - m]
             dot = dr_a * dr_b + (w_a * du_b).shifted(VAR_R, -2)
@@ -325,7 +450,10 @@ class TestAssembly:
         assert got == pytest.approx(expect, rel=1e-14)
 
     def test_exponent_evaluator(self, quadratic):
-        s_fn = assemble(quadratic, g=1.0, eps=1e-3, truncation=3)["S"]
+        # the order-3 chain is the order-8 chain cut after S₃
+        short = solve_isotropic(P("r^2"), 3)
+        assert short.s_terms == quadratic.s_terms[:4]
+        s_fn = assemble(short, g=1.0, eps=1e-3)["S"]
         assert s_fn(1.0) == pytest.approx(1.0 + 1e-3 / 3 + 1e-3)
 
 
@@ -376,7 +504,7 @@ class TestOracleAgreement:
         g, eps = 1.2, 0.002
         assembled = assemble(sol, g=g, eps=eps)["E"]
         oracle = solve_radial(g, lambda r: r * r, eps, 22.0, 2200)
-        assert abs(assembled - oracle.value(0)) < 1e-6
+        assert abs(assembled - oracle.eigenvalues[0]) < 1e-6
 
     def test_linear_isotropic_eigenvalue(self):
         # U=r: first-order shift (3/2)ε/g² against the radial oracle
@@ -385,7 +513,7 @@ class TestOracleAgreement:
         g, eps = 1.1, 1e-3
         assembled = assemble(sol, g=g, eps=eps)["E"]
         oracle = solve_radial(g, lambda r: r, eps, 22.0, 2200)
-        assert abs(assembled - oracle.value(0)) < 1e-6
+        assert abs(assembled - oracle.eigenvalues[0]) < 1e-6
 
 
 class TestRandomizedResiduals:

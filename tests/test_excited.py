@@ -1,22 +1,78 @@
-"""Excited states: exact χ₀/χ₁, Hermite reproduction, numeric 𝓔₁."""
+"""Excited states: exact χ₀/χ₁, Hermite reproduction, numeric 𝓔₁.
+
+The numeric 𝓔₁ below is a reference that no command runs: for a general
+1-D potential 𝓔₁ = -b₀, where b₀ is the constant term of
+(1/χ₀)(½∇² - ∇S₁·∇)χ₀ expanded near the origin in the trajectory scale.
+χ₀ itself is exp(𝓔₀∫da/S₀'), built on the grid with its x^n singular
+factor split off analytically.
+"""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
-from trajquad.errors import ExtractionFailure
+from trajquad.errors import MethodError
 from trajquad.exactalg import VAR_GHAT, MultiPoly
 from trajquad.excited import (
     ExcitedSpec,
     chi0_e0,
     chi1_harmonic,
     degenerate_multiplets,
-    excited_e1_numeric,
 )
 from trajquad.gexpand import hierarchy
 from trajquad.greens import hermite_coefficients
+from trajquad.numerics import derivative, neville_at
 from trajquad.trajectory import Potential1D, build_grid
+
+
+class ExtractionFailure(MethodError):
+    """Window fit for an origin coefficient did not converge."""
+
+
+def excited_e1_numeric(grid, s1, n, tol=1e-6):
+    """𝓔₁ = -b₀ for the 1-D state behaving like x^n at the origin.
+
+    χ₀ = x^n exp(𝓔₀ J) with J' = 1/S₀' - 1/(νa), so the source term is
+
+        x²·(1/χ₀)(½∇² - ∇S₁·∇)χ₀ =
+            ½[(n + 𝓔₀J'x)² - n + 𝓔₀J''x²] - S₁'x(n + 𝓔₀J'x)
+
+    whose x²-coefficient is b₀.  It is read off a degree-4 polynomial fit
+    over [x_min, 4·x_min], halving x_min until two fits agree to ``tol``.
+    """
+    if n < 1:
+        raise ValueError("need an excited state (n >= 1)")
+    arc = grid.arc
+    speed = grid.speed
+    nu = grid.nu
+    e0 = n * nu
+
+    jp = np.empty_like(arc)
+    jp[1:] = 1.0 / speed[1:] - 1.0 / (nu * arc[1:])
+    jp[0] = neville_at(arc[1:6], jp[1:6], 0.0)
+    jpp = derivative(jp, arc)
+    s1p = derivative(np.asarray(s1, dtype=float), arc)
+
+    w_x2 = 0.5 * ((n + e0 * jp * arc) ** 2 - n + e0 * jpp * arc ** 2) \
+        - s1p * arc * (n + e0 * jp * arc)
+
+    h = arc[1] - arc[0]
+    x_min = arc[-1] / 8.0
+    prev = None
+    while x_min >= 3.0 * h:
+        mask = (arc >= x_min) & (arc <= 4.0 * x_min)
+        if np.count_nonzero(mask) < 7:
+            break
+        coeffs = npoly.polyfit(arc[mask], w_x2[mask], 4)
+        b0 = float(coeffs[2])
+        if prev is not None and abs(b0 - prev) <= tol * max(1.0, abs(b0)):
+            return -b0
+        prev = b0
+        x_min /= 2.0
+    raise ExtractionFailure(
+        "window fits for the origin coefficient did not converge")
 
 
 class TestSpec:

@@ -1,4 +1,9 @@
-"""Green's operators on the harmonic profile: closed Hermite forms."""
+"""Green's operators on the harmonic profile: closed Hermite forms.
+
+The irregular solution and the boundary energy-shift rule below are
+references that no command runs: the first gives the D kernel its
+Wronskian form, the second checks the ε-series' Δ₁ + εΔ₂.
+"""
 
 import math
 import warnings
@@ -7,7 +12,8 @@ import numpy as np
 import pytest
 
 from trajquad import greens
-from trajquad.errors import DivergentAtOrigin, TailDivergence
+from trajquad.errors import DivergentAtOrigin, MethodError, TailDivergence
+from trajquad.exactalg import VAR_GHAT
 from trajquad.greens import (
     WaveProfile,
     _tail_beyond,
@@ -20,13 +26,41 @@ from trajquad.greens import (
     hermite_coefficients,
     hermite_value,
     identity_report,
-    irregular_solution,
     resolvent_residual,
-    shift_from_boundary,
 )
 from trajquad.numerics import cumulative_integral, derivative
 
 G = 1.0
+
+
+class DegenerateProfile(MethodError):
+    """Energy-shift quadrature has vanishing normalization."""
+
+
+def irregular_solution(profile, g):
+    """Growing second solution F = e^{-gS} ∫₀ˣ e^{2gS̄} dS̄/(dS̄/dy)·...
+
+    In one dimension the metric factors cancel, leaving
+    F(x) = e^{-gS(x)} ∫₀ˣ e^{2gS(y)} dy on the x ≥ 0 half line; F(0) = 0
+    and (T_S + V - E)F = 0 with the same V, E as the bound profile.
+    """
+    grow = cumulative_integral(np.exp(2.0 * g * profile.s), profile.nodes,
+                               start=profile.origin)
+    return profile.with_values(np.exp(-g * profile.s) * grow)
+
+
+def shift_from_boundary(u, tau, g):
+    """Energy shift Δ = ∫e^{-2gS-τ} U dx / ∫e^{-2gS-τ} dx.
+
+    This is the condition that the perturbed solution not pick up the
+    growing branch at x = +∞.
+    """
+    weight = np.exp(-2.0 * g * u.s - tau.values)
+    den = float(cumulative_integral(weight, u.nodes, start=0)[-1])
+    num = float(cumulative_integral(weight * u.values, u.nodes, start=0)[-1])
+    if abs(den) < 1e-300:
+        raise DegenerateProfile("normalization integral vanished")
+    return num / den
 
 
 def d_kernel_direct(profile: WaveProfile, g: float, i: int, j: int) -> float:
@@ -254,14 +288,16 @@ class TestShift:
         from trajquad.oscpert import solve_even
         series = solve_even(2, 3)
         eps, g = 1e-3, 1.0
-        a1 = series.coeff(1, 2).evaluate({"ĝ": 1.0 / g})
-        a2 = series.coeff(1, 4).evaluate({"ĝ": 1.0 / g})
+        ginv = {VAR_GHAT: 1.0 / g}
+        a1 = series.coeff(1, 2).evaluate(ginv)
+        a2 = series.coeff(1, 4).evaluate(ginv)
         x = profile.nodes
         tau_vals = -eps * (a1 * x ** 2 + a2 * x ** 4)
         u = profile.with_values(lambda z: z ** 4)
         got = shift_from_boundary(u, profile.with_values(tau_vals), g)
-        expect = series.delta_value(1, g) + eps * series.delta_value(2, g)
-        bound = 2.0 * eps ** 2 * abs(series.delta_value(3, g))
+        expect = series.delta(1).evaluate(ginv) \
+            + eps * series.delta(2).evaluate(ginv)
+        bound = 2.0 * eps ** 2 * abs(series.delta(3).evaluate(ginv))
         assert abs(got - expect) < bound
 
 

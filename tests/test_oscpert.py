@@ -260,7 +260,10 @@ class TestOddSeries:
     def test_shift_matches_completed_square(self):
         # exact shift is -ε²/2g², entirely at second order
         series = solve_odd(p=0, order=6)
-        assert series.shift_value(0.3, 2.0) == pytest.approx(-0.3 ** 2 / 8)
+        ginv = {VAR_GHAT: 1.0 / 2.0}
+        shift = sum(series.delta(k).evaluate(ginv) * 0.3 ** k
+                    for k in range(1, series.order + 1))
+        assert shift == pytest.approx(-0.3 ** 2 / 8)
 
     def test_cubic_parity_structure(self):
         series = solve_odd(p=1, order=6)
