@@ -20,41 +20,3 @@ cli        batch front end (``trajquad`` console script)
 """
 
 __version__ = "0.1.0"
-
-from .exactalg import MultiPoly, parse_poly  # noqa: F401
-from .trajectory import (  # noqa: F401
-    Potential1D,
-    TrajectoryGrid,
-    build_grid,
-)
-from .gexpand import (  # noqa: F401
-    SeriesSolution,
-    assemble_energy,
-    e0,
-    hierarchy,
-)
-from .greens import (  # noqa: F401
-    WaveProfile,
-    apply_C,
-    apply_Dbar,
-    harmonic_profile,
-    hermite_coefficients,
-    identity_report,
-)
-from .oscpert import (  # noqa: F401
-    PerturbSeries,
-    solve_even,
-    solve_odd,
-)
-from .coulomb import (  # noqa: F401
-    CoulombSolution,
-    assemble,
-    solve_isotropic,
-    solve_stark,
-)
-from .excited import (  # noqa: F401
-    ExcitedSpec,
-    chi0_e0,
-    chi1_harmonic,
-)
-from .oracle import EigenResult, solve_1d, solve_radial  # noqa: F401

@@ -27,7 +27,7 @@ from itertools import chain
 
 from . import __version__
 from .errors import ConfigError, MethodError, ToleranceError, TrajquadError
-from .exactalg import VAR_EPS, VAR_GHAT, VAR_R, VAR_U, parse_poly
+from .exactalg import VAR_GHAT, VAR_R, parse_poly
 from . import coulomb as coulomb_mod
 from . import excited as excited_mod
 from . import gexpand as gexpand_mod
@@ -47,6 +47,13 @@ def _finite(value) -> float:
     if not math.isfinite(x):
         raise ValueError("not finite")
     return x
+
+
+def _text(value) -> str:
+    """A config value that is already a string; 5 or true is not text."""
+    if not isinstance(value, str):
+        raise TypeError(f"not a string: {value!r}")
+    return value
 
 
 def _integer(value) -> int:
@@ -69,20 +76,20 @@ def _non_negative(x) -> bool:
 
 # key -> (type, help); each key has the same type in every command
 _PARAMS = {
-    "potential": (str, "polynomial in x (or r)"),
+    "potential": (_text, "polynomial in x (or r)"),
     "x-max": (_finite, "trajectory extent"),
     "n": (_integer, "grid point count"),
     "order": (_integer, "expansion order"),
     "g": (_finite, "potential scale g"),
     "origin": (_finite, "potential minimum"),
     "direction": (_integer, "trajectory direction ±1"),
-    "parity": (str, "even or odd"),
+    "parity": (_text, "even or odd"),
     "p": (_integer, "perturbation half-degree"),
     "eps": (_finite, "perturbation strength ε"),
     "half-width": (_finite, "greens grid half width"),
-    "freqs": (str, "comma-separated frequencies"),
-    "occupations": (str, "semicolon-separated occupation tuples"),
-    "mode": (str, "oracle mode: 1d or radial"),
+    "freqs": (_text, "comma-separated frequencies"),
+    "occupations": (_text, "semicolon-separated occupation tuples"),
+    "mode": (_text, "oracle mode: 1d or radial"),
     "domain": (_finite, "oracle half width (1d) or r_max (radial)"),
     "k": (_integer, "eigenvalue count (oracle)"),
 }
@@ -178,23 +185,23 @@ def _run_perturb(p: dict):
 
 
 def _coulomb_tables(sol, g: float, eps: float):
-    assembled = coulomb_mod.assemble(sol, g, eps)
+    energy = coulomb_mod.assemble(sol, g, eps)
     payload = {
         "e_terms": [e.render() for e in sol.e_terms],
         "s_terms": [s.render() for s in sol.s_terms],
         "assembled_symbolic": sol.assemble_energy_symbolic(),
-        "assembled_energy": assembled["E"],
+        "assembled_energy": energy,
     }
     lines = ["n,E_n,S_n"]
     lines += [f"{n},\"{e}\",\"{s}\"" for n, (e, s)
               in enumerate(zip(payload["e_terms"], payload["s_terms"]))]
     lines.append(f"assembled_symbolic,\"{payload['assembled_symbolic']}\"")
-    lines.append(f"assembled_energy,{assembled['E']!r}")
+    lines.append(f"assembled_energy,{energy!r}")
     return payload, lines, None
 
 
 def _run_coulomb(p: dict):
-    u_poly = parse_poly(p["potential"], coulomb_mod.RUE)
+    u_poly = parse_poly(p["potential"], (VAR_R,))
     sol = coulomb_mod.solve_isotropic(u_poly, p["order"])
     return _coulomb_tables(sol, p["g"], p["eps"])
 
@@ -222,21 +229,16 @@ def _run_excited(p: dict):
     freqs = tuple(s.strip() for s in p["freqs"].split(","))
     occupations = [tuple(int(v) for v in block.split(","))
                    for block in p["occupations"].split(";")]
-    groups = excited_mod.degenerate_multiplets(freqs, occupations)
-    group_id = {energy: i for i, energy in enumerate(sorted(groups))}
-    rows = []
+    levels = []
     for occ in occupations:
         spec = excited_mod.ExcitedSpec(freqs, occ)
         chi0, e0 = excited_mod.chi0_e0(spec)
-        chi1 = excited_mod.chi1_harmonic(spec)
-        rows.append({
-            "occupation": list(occ),
-            "E0": str(e0),
-            "E1": "0",
-            "chi0": chi0.render(),
-            "chi1": chi1.render(),
-            "multiplet": group_id[e0],
-        })
+        levels.append((occ, e0, chi0, excited_mod.chi1_harmonic(spec)))
+    # levels that share 𝓔₀ form one multiplet, numbered by rising 𝓔₀
+    group_id = {e0: i for i, e0 in enumerate(sorted({lv[1] for lv in levels}))}
+    rows = [{"occupation": list(occ), "E0": str(e0), "E1": "0",
+             "chi0": chi0.render(), "chi1": chi1.render(),
+             "multiplet": group_id[e0]} for occ, e0, chi0, chi1 in levels]
     payload = {"freqs": [str(f) for f in freqs], "levels": rows}
     lines = ["occupation,E0,E1,chi0,chi1,multiplet"]
     lines += [f"\"{','.join(map(str, r['occupation']))}\",{r['E0']},{r['E1']},"
@@ -255,8 +257,8 @@ def _run_oracle(p: dict):
     else:
         if p["k"] != 1:
             raise ValueError("the radial oracle returns the ground state only")
-        u_poly = parse_poly(p["potential"], coulomb_mod.RUE)
-        u_fn = lambda r: u_poly.evaluate({VAR_R: r, VAR_U: 0.0, VAR_EPS: 1.0})
+        u_poly = parse_poly(p["potential"], (VAR_R,))
+        u_fn = lambda r: u_poly.evaluate({VAR_R: r})
         result = oracle_mod.solve_radial(p["g"], u_fn, p["eps"],
                                          p["domain"], p["n"])
     payload = {"eigenvalues": list(result.eigenvalues),

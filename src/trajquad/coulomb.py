@@ -68,14 +68,13 @@ class CoulombSolution:
     s_terms: list
     e_terms: list
 
-    def energy_weights(self):
-        """(g-power, E_n) pairs for the non-zero energy coefficients."""
-        return [(-(2 * n - 4), e) for n, e in enumerate(self.e_terms) if e]
-
     def assemble_energy_symbolic(self) -> str:
         """Rendered energy with explicit g powers, lowest order first."""
         pieces = []
-        for power, poly in self.energy_weights():
+        for n, poly in enumerate(self.e_terms):
+            if not poly:
+                continue
+            power = -(2 * n - 4)
             body = poly.render()
             if " + " in body or " - " in body[1:]:
                 body = f"({body})"
@@ -84,15 +83,6 @@ class CoulombSolution:
             else:
                 pieces.append(f"g^{power} * {body}")
         return " + ".join(pieces) if pieces else "0"
-
-    def epsilon_order(self, n: int, k: int) -> MultiPoly:
-        """The ε^k part of S_n (still carrying the ε^k factor)."""
-        return _eps_part(self.s_terms[n], k)
-
-
-def _eps_part(poly: MultiPoly, k: int) -> MultiPoly:
-    eps = MultiPoly.monomial(1, {VAR_EPS: k}, poly.variables)
-    return poly.coeff_of(VAR_EPS, k) * eps
 
 
 # ---------------------------------------------------------- integer kernel
@@ -252,7 +242,6 @@ def solve_perturbed(u_poly: MultiPoly, order: int) -> CoulombSolution:
 
 def solve_isotropic(u_poly: MultiPoly, order: int) -> CoulombSolution:
     """Recursion for a radial perturbation U(r); rejects angular content."""
-    u_poly = u_poly.embedded(RUE)
     if u_poly.depends_on(VAR_U):
         raise ValueError("isotropic perturbation must not depend on u")
     return solve_perturbed(u_poly, order)
@@ -276,19 +265,9 @@ def _check_invariants(sol: CoulombSolution) -> None:
             raise MethodError(f"E_{n} is not a pure ε-polynomial")
 
 
-def assemble(sol: CoulombSolution, g: float, eps: float):
-    """Numeric energy and wave-exponent evaluator at given g, ε.
-
-    E = Σ g^{-(2n-4)} E_n(ε); S(r, u) = Σ g^{-(2n-2)} S_n(r, u, ε).
-    """
+def assemble(sol: CoulombSolution, g: float, eps: float) -> float:
+    """Numeric energy E = Σ g^{-(2n-4)} E_n(ε) at given g, ε."""
     if g <= 0:
         raise ValueError("g must be positive")
-    energy = sum(g ** (-(2 * n - 4)) * sol.e_terms[n].evaluate({VAR_EPS: eps})
-                 for n in range(sol.order + 1))
-
-    def exponent(r: float, u: float = 0.0) -> float:
-        return sum(g ** (-(2 * n - 2)) *
-                   sol.s_terms[n].evaluate({VAR_R: r, VAR_U: u, VAR_EPS: eps})
-                   for n in range(sol.order + 1))
-
-    return {"E": energy, "S": exponent}
+    return sum(g ** (-(2 * n - 4)) * sol.e_terms[n].evaluate({VAR_EPS: eps})
+               for n in range(sol.order + 1))

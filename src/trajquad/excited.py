@@ -64,22 +64,7 @@ def chi0_e0(spec: ExcitedSpec):
 
 def chi1_harmonic(spec: ExcitedSpec) -> MultiPoly:
     """χ₁ = -(χ₀/4) Σ n_i(n_i-1)/(ν_i q_i²); χ₀ cancels every pole."""
-    chi0, _ = chi0_e0(spec)
-    names = spec.variables()
-    total = MultiPoly.zero(names)
-    for name, n, nu in zip(names, spec.occupation, spec.freqs):
-        if n < 2:
-            continue
-        coeff = Fraction(-n * (n - 1), 4) / nu
-        total = total + coeff * chi0.shifted(name, -2)
-    return total
-
-
-def degenerate_multiplets(freqs, occupations) -> dict:
-    """Group occupation tuples by their exact 𝓔₀ (detection only)."""
-    groups: dict = {}
-    for occ in occupations:
-        spec = ExcitedSpec(tuple(freqs), tuple(occ))
-        _, energy = chi0_e0(spec)
-        groups.setdefault(energy, []).append(tuple(spec.occupation))
-    return groups
+    occ = spec.occupation
+    terms = {occ[:i] + (n - 2,) + occ[i + 1:]: Fraction(-n * (n - 1), 4) / nu
+             for i, (n, nu) in enumerate(zip(occ, spec.freqs)) if n >= 2}
+    return MultiPoly(terms, spec.variables())

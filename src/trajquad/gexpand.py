@@ -63,11 +63,9 @@ class _Towers:
     """
 
     def __init__(self, grid: TrajectoryGrid, order: int):
-        self.grid = grid
         self.arc = grid.arc
         self.n = len(self.arc)
         pot = grid.potential
-        self.direction = grid.direction
         h = self.arc[1] - self.arc[0]
         self.length_scale = 1.0 / np.sqrt(grid.nu)
         self.patch = int(min(max(12, round(0.02 * self.length_scale / h)),
@@ -84,11 +82,12 @@ class _Towers:
         for m in range(order + 3):
             if m <= pot.depth:
                 fn = pot.derivatives[m]
-                sign = self.direction ** m
+                sign = grid.direction ** m
                 self.v_der.append(sign * fn(grid.nodes))
             else:
                 self.v_der.append(derivative(self.v_der[-1], self.arc))
-        self.s = {0: self._s0_tower(order + 1)}
+        self.s = {0: [grid.speed]}
+        self._s0_tower(order + 1)
 
     def _patched(self, out: np.ndarray) -> np.ndarray:
         out[:self.patch] = neville_at(self.arc[self.band], out[self.band],
@@ -101,19 +100,14 @@ class _Towers:
         out[0] = 0.0
         return self._patched(out)
 
-    def _s0_tower(self, height: int) -> list:
-        speed = self.grid.speed
-        tower = [speed]
+    def _s0_tower(self, height: int) -> None:
+        tower = self.s[0]
         for m in range(1, height + 1):
             # Leibniz on S₀'·S₀' = 2V:  Σ C(m,j) t[j] t[m-j] = 2 V^(m)
             rhs = 2.0 * self.v_der[m]
             for j in range(1, m):
                 rhs = rhs - comb(m, j) * tower[j] * tower[m - j]
-            out = np.empty(self.n)
-            out[1:] = 0.5 * rhs[1:] / speed[1:]
-            out[0] = 0.0
-            tower.append(self._patched(out))
-        return tower
+            tower.append(self._ratio(0.5 * rhs))
 
     def bracket(self, k: int, m: int) -> np.ndarray:
         """m-th arc-derivative of B_k = ½[S_{k-1}''-Σ_{i+j=k} S_i'S_j']."""

@@ -93,16 +93,16 @@ def test_criterion_4_stark_series():
         assert sol.s_terms[5] == P("-7/16 * eps^2 * r^2") * P("1 + u^2")
         assert sol.s_terms[6] == P("1/16 * eps^3 * r^4 * u") * P("1 + u^2")
         assert sol.s_terms[7] == P("13/48 * eps^3 * r^3 * u") * P("3 + u^2")
-        assert sol.epsilon_order(8, 3) == P("53/16 * eps^3 * r^2 * u")
-        assert sol.epsilon_order(8, 4) == \
-            P("-1/128 * eps^4 * r^5") * P("1 + 10 * u^2 + 5 * u^4")
-        assert sol.epsilon_order(9, 3) == P("53/8 * eps^3 * r * u")
-        assert sol.epsilon_order(9, 4) == \
-            P("-99/512 * eps^4 * r^4") * P("1 + 6 * u^2 + u^4")
-        assert sol.epsilon_order(10, 4) == \
-            P("-761/384 * eps^4 * r^3") * P("1 + 3 * u^2")
-        assert sol.epsilon_order(11, 4) == \
-            P("-3131/256 * eps^4 * r^2") * P("1 + u^2")
+        assert sol.s_terms[8].coeff_of(VAR_EPS, 3) == P("53/16 * r^2 * u")
+        assert sol.s_terms[8].coeff_of(VAR_EPS, 4) == \
+            P("-1/128 * r^5") * P("1 + 10 * u^2 + 5 * u^4")
+        assert sol.s_terms[9].coeff_of(VAR_EPS, 3) == P("53/8 * r * u")
+        assert sol.s_terms[9].coeff_of(VAR_EPS, 4) == \
+            P("-99/512 * r^4") * P("1 + 6 * u^2 + u^4")
+        assert sol.s_terms[10].coeff_of(VAR_EPS, 4) == \
+            P("-761/384 * r^3") * P("1 + 3 * u^2")
+        assert sol.s_terms[11].coeff_of(VAR_EPS, 4) == \
+            P("-3131/256 * r^2") * P("1 + u^2")
         assert sol.e_terms[6] == P("-9/4 * eps^2")
         assert sol.e_terms[12] == P("-3555/64 * eps^4")
         assert sol.assemble_energy_symbolic() == \
@@ -162,7 +162,7 @@ def test_criterion_7_oracle_cross_checks():
         assert abs(oracle.eigenvalues[0] - energy) <= bound
 
         sol = coulomb_mod.solve_isotropic(P("r^2"), 12)
-        assembled = coulomb_mod.assemble(sol, g=1.0, eps=1e-3)["E"]
+        assembled = coulomb_mod.assemble(sol, g=1.0, eps=1e-3)
         radial = oracle_mod.solve_radial(1.0, lambda r: r * r, 1e-3, 25.0, 2500)
         assert abs(assembled - radial.eigenvalues[0]) < 5e-7
 

@@ -179,6 +179,14 @@ class TestMain:
          "--domain", "25", "--n", "200"],
         ["--command", "gexpand", "--potential", "y^2"],
         ["--command", "oracle", "--potential", "0.5*r^2", "--n", "200"],
+        # a radial potential is U(r) alone: the oracle once read r*u at
+        # u = 0, and coulomb read eps*r^2 as ε²·r² where the oracle read ε·r²
+        ["--command", "oracle", "--mode", "radial", "--potential", "r*u",
+         "--eps", "0.1"],
+        ["--command", "oracle", "--mode", "radial", "--potential", "eps*r^2",
+         "--eps", "0.1"],
+        ["--command", "coulomb", "--potential", "r*u"],
+        ["--command", "coulomb", "--potential", "eps*r^2"],
         # negative powers of a variable other than r, once method breakdowns
         ["--command", "coulomb", "--potential", "eps^-1"],
         ["--command", "coulomb", "--potential", "u^-1"],
@@ -207,9 +215,12 @@ class TestMain:
         '{"command": "stark", "order": true}',
         '{"command": "perturb", "parity": "even", "p": true}',
         '{"command": "stark", "g": true}',
+        '{"command": "excited", "freqs": 2, "occupations": "1"}',
+        '{"command": "oracle", "potential": 5, "n": 200}',
     ])
     def test_coerced_config_value_exits_1(self, text, tmp_path, capsys):
-        # int() and float() would run these as order 12, p = 1 and g = 1.0
+        # int(), float() and str() would run these as order 12, p = 1,
+        # g = 1.0, freqs "2" and the constant potential 5
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
         assert main(["--config", str(cfg)]) == 1
@@ -376,3 +387,10 @@ class TestGoldenFiles:
             ["--command", "perturb", "--parity", "odd", "--p", "1",
              "--order", "14", "--g", "1"], tmp_path)
         assert got == (GOLDEN / "perturb_odd_p1_order14.csv").read_bytes()
+
+    def test_excited_golden(self, tmp_path):
+        got = self._regenerate(
+            "excited.csv",
+            ["--command", "excited", "--freqs", "1,2",
+             "--occupations", "2,0;0,1;1,1;4,0;0,2"], tmp_path)
+        assert got == (GOLDEN / "excited_freqs12.csv").read_bytes()

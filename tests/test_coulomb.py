@@ -308,16 +308,16 @@ class TestStark:
 
     def test_higher_wave_terms_epsilon_graded(self, stark):
         # printed values cover the leading ε-order of S₈..S₁₁
-        assert stark.epsilon_order(8, 3) == P("53/16 * eps^3 * r^2 * u")
-        assert stark.epsilon_order(8, 4) == \
-            P("-1/128 * eps^4 * r^5") * P("1 + 10 * u^2 + 5 * u^4")
-        assert stark.epsilon_order(9, 3) == P("53/8 * eps^3 * r * u")
-        assert stark.epsilon_order(9, 4) == \
-            P("-99/512 * eps^4 * r^4") * P("1 + 6 * u^2 + u^4")
-        assert stark.epsilon_order(10, 4) == \
-            P("-761/384 * eps^4 * r^3") * P("1 + 3 * u^2")
-        assert stark.epsilon_order(11, 4) == \
-            P("-3131/256 * eps^4 * r^2") * P("1 + u^2")
+        assert stark.s_terms[8].coeff_of(VAR_EPS, 3) == P("53/16 * r^2 * u")
+        assert stark.s_terms[8].coeff_of(VAR_EPS, 4) == \
+            P("-1/128 * r^5") * P("1 + 10 * u^2 + 5 * u^4")
+        assert stark.s_terms[9].coeff_of(VAR_EPS, 3) == P("53/8 * r * u")
+        assert stark.s_terms[9].coeff_of(VAR_EPS, 4) == \
+            P("-99/512 * r^4") * P("1 + 6 * u^2 + u^4")
+        assert stark.s_terms[10].coeff_of(VAR_EPS, 4) == \
+            P("-761/384 * r^3") * P("1 + 3 * u^2")
+        assert stark.s_terms[11].coeff_of(VAR_EPS, 4) == \
+            P("-3131/256 * r^2") * P("1 + u^2")
 
     def test_energies(self, stark):
         assert stark.e_terms[6] == P("-9/4 * eps^2")
@@ -437,14 +437,14 @@ class TestIntegerKernel:
 
 class TestAssembly:
     def test_unperturbed_energy(self, quadratic):
-        assert assemble(quadratic, g=1.0, eps=0.0)["E"] == pytest.approx(-0.5)
+        assert assemble(quadratic, g=1.0, eps=0.0) == pytest.approx(-0.5)
 
     def test_symbolic_assembly(self, quadratic):
         assert quadratic.assemble_energy_symbolic() == \
             "g^4 * -1/2 + g^-4 * 3 * ε + g^-12 * -129/4 * ε^2"
 
     def test_numeric_assembly_matches_terms(self, quadratic):
-        got = assemble(quadratic, g=1.2, eps=2e-3)["E"]
+        got = assemble(quadratic, g=1.2, eps=2e-3)
         expect = -0.5 * 1.2 ** 4 + 3 * 2e-3 / 1.2 ** 4 \
             - 129 / 4 * (2e-3) ** 2 / 1.2 ** 12
         assert got == pytest.approx(expect, rel=1e-14)
@@ -453,8 +453,6 @@ class TestAssembly:
         # the order-3 chain is the order-8 chain cut after S₃
         short = solve_isotropic(P("r^2"), 3)
         assert short.s_terms == quadratic.s_terms[:4]
-        s_fn = assemble(short, g=1.0, eps=1e-3)["S"]
-        assert s_fn(1.0) == pytest.approx(1.0 + 1e-3 / 3 + 1e-3)
 
 
 class TestIntegralShift:
@@ -502,7 +500,7 @@ class TestOracleAgreement:
         from trajquad.oracle import solve_radial
         sol = solve_isotropic(P("r^2"), 8)
         g, eps = 1.2, 0.002
-        assembled = assemble(sol, g=g, eps=eps)["E"]
+        assembled = assemble(sol, g=g, eps=eps)
         oracle = solve_radial(g, lambda r: r * r, eps, 22.0, 2200)
         assert abs(assembled - oracle.eigenvalues[0]) < 1e-6
 
@@ -511,7 +509,7 @@ class TestOracleAgreement:
         from trajquad.oracle import solve_radial
         sol = solve_isotropic(P("r"), 12)
         g, eps = 1.1, 1e-3
-        assembled = assemble(sol, g=g, eps=eps)["E"]
+        assembled = assemble(sol, g=g, eps=eps)
         oracle = solve_radial(g, lambda r: r, eps, 22.0, 2200)
         assert abs(assembled - oracle.eigenvalues[0]) < 1e-6
 

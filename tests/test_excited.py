@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+from trajquad.cli import main
 from trajquad.errors import MethodError
 from trajquad.exactalg import VAR_GHAT, MultiPoly
 from trajquad.excited import (
     ExcitedSpec,
     chi0_e0,
     chi1_harmonic,
-    degenerate_multiplets,
 )
 from trajquad.gexpand import hierarchy
 from trajquad.greens import hermite_coefficients
@@ -151,12 +151,13 @@ class TestTransportResidual:
 
 
 class TestDegeneracy:
-    def test_detection_only(self):
-        groups = degenerate_multiplets(
-            (1, 2), [(2, 0), (0, 1), (1, 1), (4, 0), (0, 2)])
-        assert groups[Fraction(2)] == [(2, 0), (0, 1)]
-        assert groups[Fraction(4)] == [(4, 0), (0, 2)]
-        assert groups[Fraction(3)] == [(1, 1)]
+    def test_detection_only(self, capsys):
+        # levels sharing 𝓔₀ share a multiplet id, numbered by rising 𝓔₀
+        assert main(["--command", "excited", "--freqs", "1,2",
+                     "--occupations", "2,0;0,1;1,1;4,0;0,2"]) == 0
+        rows = capsys.readouterr().out.splitlines()[3:]
+        got = [(r.split(",")[2], r.split(",")[-1]) for r in rows]
+        assert got == [("2", "0"), ("2", "0"), ("3", "1"), ("4", "2"), ("4", "2")]
 
 
 class TestNumericE1:
