@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LogSingularity, MethodError
-from .exactalg import VAR_EPS, VAR_R, VAR_U, MultiPoly
+from .exactalg import VAR_EPS, VAR_R, VAR_U, MultiPoly, _nonzero, _reduced
 
 RUE = (VAR_R, VAR_U, VAR_EPS)
 
@@ -140,18 +140,6 @@ def _gradient(num: dict) -> tuple:
     return dr, du, _nonzero(w)
 
 
-def _nonzero(num: dict) -> dict:
-    return {k: c for k, c in num.items() if c}
-
-
-def _reduced(num: dict, den: int) -> tuple:
-    """Divide numerators and denominator by their gcd."""
-    g = math.gcd(den, *num.values())
-    if g == 1:
-        return num, den
-    return {k: c // g for k, c in num.items()}, den // g
-
-
 def _to_poly(num: dict, den: int) -> MultiPoly:
     return MultiPoly._make({k: Fraction(c, den) for k, c in num.items()}, RUE)
 
@@ -218,7 +206,8 @@ def _integer_chain(u_poly: MultiPoly, order: int) -> tuple:
 def solve_perturbed(u_poly: MultiPoly, order: int) -> CoulombSolution:
     """Run the radial recursion for a polynomial perturbation U(r, u).
 
-    U must vanish at r = 0 (no constant shift and no bare angular term).
+    U must vanish at r = 0 (no constant shift and no bare angular term)
+    and be free of ε, which the recursion attaches itself.
     The domain is the axially symmetric polynomials in z = r·u and
     ρ² = x² + y² = r²(1 − u²) that vanish at the origin.  They expand to
     terms r^a·u^b with b ≤ a and a ≡ b (mod 2), and every such term with
@@ -230,6 +219,8 @@ def solve_perturbed(u_poly: MultiPoly, order: int) -> CoulombSolution:
     ``TestRandomizedResiduals``).
     """
     u_poly = u_poly.embedded(RUE)
+    if u_poly.depends_on(VAR_EPS):
+        raise ValueError("perturbation must not depend on ε")
     if u_poly.min_degree(VAR_R) < 1 and u_poly:
         raise ValueError("perturbation must vanish at the origin")
     s_terms, e_terms = _integer_chain(u_poly, order)

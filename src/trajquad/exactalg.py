@@ -1,6 +1,6 @@
 """Exact rational scalars and sparse multivariate Laurent polynomials.
 
-Every symbolic recursion in the package runs on these objects: coefficients
+Every exact result of the package is one of these objects: coefficients
 are arbitrary-precision rationals (``fractions.Fraction``), monomials are
 exponent tuples over a named, canonically ordered variable list.  Negative
 exponents are permitted only for the radial variable ``r``; the perturbation
@@ -10,7 +10,10 @@ never carry negative powers.
 Besides ring arithmetic the module provides partial derivatives, exponent
 shifts and the angular average (1/2)∫_{-1}^{1} du over u = cos a.  The
 radial-polar Laplacian and gradient live in ``coulomb``'s integer kernel,
-the one recursion that needs them.
+the one recursion that needs them.  That kernel and ``oscpert``'s keep
+integer numerators over one positive denominator and share two helpers
+from here: ``_nonzero`` drops zero numerators and ``_reduced`` divides
+numerators and denominator by their gcd.
 
 A canonical text rendering ("-21/8 * ε^2 * ĝ^5") and a round-trip parser
 for the same grammar serve the CLI and the golden tests.  Terms are ordered
@@ -29,6 +32,7 @@ coefficients.  The one operator that can produce a negative exponent,
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -63,6 +67,22 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"exact coefficient expected, got {type(value).__name__}")
+
+
+# Helpers of the integer kernels (``coulomb``, ``oscpert``): a polynomial is
+# a dict of integer numerators over one positive denominator.
+
+
+def _nonzero(num: dict) -> dict:
+    return {k: c for k, c in num.items() if c}
+
+
+def _reduced(num: dict, den: int) -> tuple:
+    """Divide numerators and denominator by their gcd."""
+    g = math.gcd(den, *num.values())
+    if g == 1:
+        return num, den
+    return {k: c // g for k, c in num.items()}, den // g
 
 
 class MultiPoly:

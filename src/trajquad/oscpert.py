@@ -11,8 +11,7 @@ triangular recursion built from two exact rational tables:
     γ_mn  : the odd-power analogue, (n!/m!) / ((2m+1)·g^(n-m+1)) for m ≤ n.
 
 Both tables have product form and neither is stored: the chain acts on a
-whole source Σ s_n x^(2n) (x^(2n+1) for γ) as one O(n) suffix sweep on
-the ĝ-free rationals,
+whole source Σ s_n x^(2n) (x^(2n+1) for γ) as one O(n) suffix sweep,
 
     Γ :  T_m = s_m + (2m+1)/2·T_{m+1},  image T_m/(2m)    for m ≥ 1,
     γ :  U_m = s_m + (m+1)·U_{m+1},     image U_m/(2m+1)  for m ≥ 0.
@@ -25,6 +24,15 @@ e^{-τ} coefficients by their x-power n, and one rule gives every power:
 
     Γ_mn, γ_mn             s = n - m + 1
     ε^k x^n, Δ(k)          s = (k(P+2) - n) / 2,  Δ(k) with n = 2
+
+The rationals c of one ε-order are kept as integer numerators over one
+positive denominator, reduced by the gcd of all of them after every order,
+so no rational is normalised inside the recursion.  A source is brought
+to the lcm of its parts' denominators.  On a source over D whose top even
+key is M, the Γ sweep carries the integer A_m = 2^(M-m)·S_m + (2m+1)·A_{m+1}
+with T_m = A_m/(D·2^(M-m)), and puts every image over D·2^M·lcm(1..M); the
+γ sweep is an integer recurrence already, its images over D·lcm of the
+(2m+1).  A ``Fraction`` is built only for a coefficient a caller reads.
 
 The series is solved order by order in ε with no truncation other than the
 requested order.  At ε-order k the coefficients live on n ≤ kP with
@@ -39,58 +47,77 @@ monomials.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MethodError
-from .exactalg import VAR_EPS, VAR_GHAT, MultiPoly
+from .exactalg import VAR_EPS, VAR_GHAT, MultiPoly, _reduced
 
 _G = (VAR_GHAT,)
 _EG = (VAR_EPS, VAR_GHAT)
 
 
 def _ghat_power(coeff: Fraction, power: int) -> MultiPoly:
-    return MultiPoly.monomial(coeff, {VAR_GHAT: power}, _G)
+    return MultiPoly._make({(power,): coeff}, _G)
 
 
-def _chain_even(source: dict) -> dict:
-    """Γ on a source keyed by n ↔ x^(2n); nonzero image entries, same keys."""
-    level, acc = {}, Fraction(0)
-    for m in range(max(source, default=0), 0, -1):
-        acc = acc * Fraction(2 * m + 1, 2) + source.get(m, 0)
+def _chain_even(source: dict, den: int) -> tuple:
+    """Γ on numerators keyed by n ↔ x^(2n) over ``den``; nonzero image, same keys.
+
+    Returns (numerators, denominator), not gcd-reduced.
+    """
+    top = max(source, default=0)
+    span = math.lcm(*range(1, top + 1))
+    image, acc = {}, 0
+    for m in range(top, 0, -1):
+        acc = (2 * m + 1) * acc + (source.get(m, 0) << (top - m))
         if acc:
-            level[m] = acc / (2 * m)
-    return level
+            image[m] = acc * (span // m) << (m - 1)
+    return image, den * span << top
 
 
-def _chain_odd(source: dict) -> dict:
-    """γ on a source keyed by n ↔ x^(2n+1); nonzero image entries, same keys."""
-    level, acc = {}, Fraction(0)
-    for m in range(max(source, default=-1), -1, -1):
-        acc = acc * (m + 1) + source.get(m, 0)
+def _chain_odd(source: dict, den: int) -> tuple:
+    """γ on numerators keyed by n ↔ x^(2n+1) over ``den``; nonzero image, same keys.
+
+    Returns (numerators, denominator), not gcd-reduced.
+    """
+    top = max(source, default=-1)
+    span = math.lcm(*range(1, 2 * top + 2, 2))
+    image, acc = {}, 0
+    for m in range(top, -1, -1):
+        acc = (m + 1) * acc + source.get(m, 0)
         if acc:
-            level[m] = acc / (2 * m + 1)
-    return level
+            image[m] = acc * (span // (2 * m + 1))
+    return image, den * span
 
 
-def _chain_x(source: dict) -> dict:
-    """Chain on a source keyed by x-power: Γ on its even part, γ on its odd."""
-    even = _chain_even({x // 2: c for x, c in source.items() if x % 2 == 0})
-    odd = _chain_odd({x // 2: c for x, c in source.items() if x % 2})
-    return {2 * m: c for m, c in even.items()} | {2 * m + 1: c for m, c in odd.items()}
+def _chain_x(source: dict, den: int) -> tuple:
+    """Chain on numerators keyed by x-power over ``den``: Γ on the even part,
+    γ on the odd; the gcd-reduced image as (numerators, denominator)."""
+    even, den_even = _chain_even({x // 2: c for x, c in source.items() if x % 2 == 0},
+                                 den)
+    odd, den_odd = _chain_odd({x // 2: c for x, c in source.items() if x % 2}, den)
+    den = math.lcm(den_even, den_odd)
+    scale_even, scale_odd = den // den_even, den // den_odd
+    return _reduced({2 * m: c * scale_even for m, c in even.items()}
+                    | {2 * m + 1: c * scale_odd for m, c in odd.items()}, den)
 
 
 @dataclass
 class PerturbSeries:
     """Exact ε-series for ε·x^P: energy shifts Δ(k) and e^{-τ} coefficients.
 
-    ``levels[k]`` maps an x-power n to the nonzero rational c of the ε^k
-    coefficient c·ĝ^s of x^n in e^{-τ}, s = (k(P+2) - n)/2; ``levels[0]``
-    is {0: 1}.  The accessors take the paper's k and attach ĝ^s on demand.
+    ``levels[k]`` maps an x-power n to the nonzero integer numerator of the
+    rational c of the ε^k coefficient c·ĝ^s of x^n in e^{-τ},
+    s = (k(P+2) - n)/2; ``denominators[k]`` is the one positive denominator
+    of order k, coprime to its numerators.  ``levels[0]`` is {0: 1} over 1.
+    The accessors take the paper's k and build c and ĝ^s on demand.
     """
 
     P: int
     levels: list
+    denominators: list
 
     @property
     def order(self) -> int:
@@ -103,7 +130,7 @@ class PerturbSeries:
         c = self.levels[k].get(n)
         if not c:
             return MultiPoly.zero(_G)
-        return _ghat_power(sign * c, self._power(k, n))
+        return _ghat_power(Fraction(sign * c, self.denominators[k]), self._power(k, n))
 
     def coeff(self, k: int, n: int) -> MultiPoly:
         """ε^k coefficient of x^n in e^{-τ} as a ĝ-monomial."""
@@ -115,9 +142,10 @@ class PerturbSeries:
 
     def _eps_series(self, n: int, sign: int) -> MultiPoly:
         """Σ_{k≥1} sign·(ε^k coefficient of x^n)·ε^k, exact in (ε, ĝ)."""
-        return MultiPoly({(k, self._power(k, n)): sign * level[n]
-                          for k, level in enumerate(self.levels[1:], start=1)
-                          if n in level}, _EG)
+        pairs = zip(self.levels[1:], self.denominators[1:])
+        terms = {(k, self._power(k, n)): Fraction(sign * level[n], den)
+                 for k, (level, den) in enumerate(pairs, start=1) if n in level}
+        return MultiPoly._make(terms, _EG)
 
     def shift_polynomial(self) -> MultiPoly:
         """εΔ as an exact polynomial in (ε, ĝ)."""
@@ -129,30 +157,37 @@ class PerturbSeries:
 
 
 def _solve(P: int, order: int) -> PerturbSeries:
-    """Series for ε·x^P: the rational levels of e^{-τ} for ε-orders 0..order.
+    """Series for ε·x^P: the levels of e^{-τ} for ε-orders 0..order.
 
     Order k applies the resolvent chain to the source
-    -x^P·e^{-τ}(k-1) + Σ_i Δ(k-i)·e^{-τ}(i).  Because Γ_mn and γ_mn vanish
-    for m > n, each order follows by direct substitution from lower ones;
-    before it is used it must respect the support n ≤ kP, n ≡ kP (mod 2).
+    -x^P·e^{-τ}(k-1) + Σ_i Δ(k-i)·e^{-τ}(i), brought to the lcm of the
+    denominators of its parts.  Because Γ_mn and γ_mn vanish for m > n,
+    each order follows by direct substitution from lower ones; before it
+    is used it must respect the support n ≤ kP, n ≡ kP (mod 2).
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    levels = [{0: Fraction(1)}]
+    levels, dens = [{0: 1}], [1]
     for k in range(1, order + 1):
-        source = {n + P: -c for n, c in levels[k - 1].items()}
-        for i in range(1, k):
-            minus_delta = levels[k - i].get(2)
-            if minus_delta:
-                for n, c in levels[i].items():
-                    source[n] = source.get(n, 0) - c * minus_delta
-        level = _chain_x(source)
+        # Δ(k-i)·e^{-τ}(i) over dens[i]·dens[k-i]; the x² numerator is -Δ
+        parts = [(levels[i], dens[i] * dens[k - i], levels[k - i][2])
+                 for i in range(1, k) if 2 in levels[k - i]]
+        den = math.lcm(dens[k - 1], *(d for _, d, _ in parts))
+        scale = den // dens[k - 1]
+        source = {n + P: -c * scale for n, c in levels[k - 1].items()}
+        get = source.get
+        for part, part_den, minus_delta in parts:
+            factor = minus_delta * (den // part_den)
+            for n, c in part.items():
+                source[n] = get(n, 0) - c * factor
+        level, den = _chain_x(source, den)
         if any(n > k * P for n in level):
             raise MethodError(f"support bound violated at order {k}")
         if any((n - k * P) % 2 for n in level):
             raise MethodError(f"parity structure violated at order {k}")
         levels.append(level)
-    return PerturbSeries(P, levels)
+        dens.append(den)
+    return PerturbSeries(P, levels, dens)
 
 
 def solve_even(p: int, order: int) -> PerturbSeries:

@@ -285,6 +285,13 @@ class TestIsotropic:
         with pytest.raises(ValueError):
             solve_perturbed(P("1 + r^2"), 4)
 
+    def test_rejects_epsilon_in_perturbation(self):
+        # the recursion multiplies U by ε itself; ε·r² must not run as ε²·r²
+        with pytest.raises(ValueError, match="must not depend on ε"):
+            solve_isotropic(P("eps * r^2"), 6)
+        with pytest.raises(ValueError, match="must not depend on ε"):
+            solve_perturbed(P("eps * r * u"), 6)
+
     def test_no_odd_angular_terms(self, quadratic):
         for s in quadratic.s_terms:
             assert not s.depends_on(VAR_U)

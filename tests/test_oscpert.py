@@ -1,4 +1,9 @@
-"""Oscillator ε-series: table values, recursions, operator-chain checks."""
+"""Oscillator ε-series: table values, recursions, operator-chain checks.
+
+The integer kernel is checked level by level against a Fraction reference
+of the same recursion (``fraction_solve``), kept here and never called by
+the package.
+"""
 
 import math
 from fractions import Fraction
@@ -26,8 +31,9 @@ def ghat(coeff, power):
 def _table_entry(chain, m: int, n: int) -> MultiPoly:
     if m < 0 or n < 0:
         raise ValueError("table indices must be non-negative")
-    coeff = chain({n: Fraction(1)}).get(m)
-    return ghat(coeff, n - m + 1) if coeff else MultiPoly.zero(_G)
+    image, den = chain({n: 1}, 1)
+    coeff = image.get(m)
+    return ghat(Fraction(coeff, den), n - m + 1) if coeff else MultiPoly.zero(_G)
 
 
 def gamma_even(m: int, n: int) -> MultiPoly:
@@ -104,6 +110,48 @@ def operator_chain_odd(n: int) -> MultiPoly:
             return total
         total = total + cur
     raise RuntimeError("operator chain failed to terminate")
+
+
+# --------------------------------------------------------------------------
+# Reference recursion on Fractions: the same suffix sweeps and Δ-convolution
+# with every coefficient a normalised rational, no shared denominator.
+
+
+def fraction_chain_even(source: dict) -> dict:
+    """Γ on a source keyed by n ↔ x^(2n); nonzero image entries, same keys."""
+    level, acc = {}, Fraction(0)
+    for m in range(max(source, default=0), 0, -1):
+        acc = acc * Fraction(2 * m + 1, 2) + source.get(m, 0)
+        if acc:
+            level[m] = acc / (2 * m)
+    return level
+
+
+def fraction_chain_odd(source: dict) -> dict:
+    """γ on a source keyed by n ↔ x^(2n+1); nonzero image entries, same keys."""
+    level, acc = {}, Fraction(0)
+    for m in range(max(source, default=-1), -1, -1):
+        acc = acc * (m + 1) + source.get(m, 0)
+        if acc:
+            level[m] = acc / (2 * m + 1)
+    return level
+
+
+def fraction_solve(P: int, order: int) -> list:
+    """Rational levels of e^{-τ} for ε·x^P, ε-orders 0..order, keyed by x-power."""
+    levels = [{0: Fraction(1)}]
+    for k in range(1, order + 1):
+        source = {n + P: -c for n, c in levels[k - 1].items()}
+        for i in range(1, k):
+            minus_delta = levels[k - i].get(2)
+            if minus_delta:
+                for n, c in levels[i].items():
+                    source[n] = source.get(n, 0) - c * minus_delta
+        even = fraction_chain_even({x // 2: c for x, c in source.items() if x % 2 == 0})
+        odd = fraction_chain_odd({x // 2: c for x, c in source.items() if x % 2})
+        levels.append({2 * m: c for m, c in even.items()}
+                      | {2 * m + 1: c for m, c in odd.items()})
+    return levels
 
 
 def level(series, k):
@@ -279,31 +327,54 @@ class TestOddSeries:
         assert series.delta(2) == ghat(Fraction(-11, 8), 4)
 
 
+class TestIntegerKernel:
+    @pytest.mark.parametrize("P, order", [(P, 20) for P in range(1, 9)] + [(4, 41)])
+    def test_levels_equal_fraction_reference(self, P, order):
+        series = oscpert._solve(P, order)
+        got = [{n: Fraction(c, den) for n, c in level.items()}
+               for level, den in zip(series.levels, series.denominators)]
+        assert got == fraction_solve(P, order)
+
+    @pytest.mark.parametrize("P", range(1, 9))
+    def test_every_level_is_reduced(self, P):
+        series = oscpert._solve(P, 20)
+        assert len(series.denominators) == len(series.levels) == 21
+        for level, den in zip(series.levels, series.denominators):
+            assert den > 0
+            assert math.gcd(den, *level.values()) == 1
+            assert level and all(level.values())
+
+
+def _patched_chain(monkeypatch, extra):
+    """Make ``_chain_x`` add the numerator 1 at the x-power ``extra(source)``."""
+    real = oscpert._chain_x
+
+    def chain(source, den):
+        image, image_den = real(source, den)
+        return {**image, extra(source): 1}, image_den
+
+    monkeypatch.setattr(oscpert, "_chain_x", chain)
+
+
 class TestInvariants:
     @pytest.mark.parametrize("solver, p", [(solve_even, 2), (solve_odd, 1)])
     def test_support_bound_violation_raises(self, monkeypatch, solver, p):
         # an image key above the source's largest pushes the first order
         # past its support; +2 keeps the key's parity
-        real = oscpert._chain_x
-        monkeypatch.setattr(oscpert, "_chain_x",
-                            lambda source: {**real(source), max(source) + 2: Fraction(1)})
+        _patched_chain(monkeypatch, lambda source: max(source) + 2)
         with pytest.raises(MethodError, match="support bound"):
             solver(p, 1)
 
     def test_odd_parity_violation_raises(self, monkeypatch):
         # an even x-power at the first (odd) order, inside the support bound
-        real = oscpert._chain_x
-        monkeypatch.setattr(oscpert, "_chain_x",
-                            lambda source: {**real(source), 0: Fraction(1)})
+        _patched_chain(monkeypatch, lambda source: 0)
         with pytest.raises(MethodError, match="parity structure"):
             solve_odd(1, 1)
 
     def test_even_parity_violation_raises(self, monkeypatch):
         # an odd x-power in an even series, inside the support bound: the
         # parity rule n ≡ kP (mod 2) is the same check for both parities
-        real = oscpert._chain_x
-        monkeypatch.setattr(oscpert, "_chain_x",
-                            lambda source: {**real(source), 3: Fraction(1)})
+        _patched_chain(monkeypatch, lambda source: 3)
         with pytest.raises(MethodError, match="parity structure"):
             solve_even(2, 1)
 
