@@ -40,12 +40,16 @@ FORMATS = ("csv", "json")
 
 
 def _finite(value) -> float:
-    """float() that also rejects bools, nan and ±inf."""
+    """float() that also rejects bools, nan and ±inf.
+
+    Checks config values and the floats the exact commands evaluate; a
+    runner's nan or ±inf exits 1 as a value out of floating-point range.
+    """
     if isinstance(value, bool):
         raise TypeError("a bool is not a number")
     x = float(value)
     if not math.isfinite(x):
-        raise ValueError("not finite")
+        raise OverflowError(f"{x!r} is not finite")
     return x
 
 
@@ -175,8 +179,8 @@ def _run_perturb(p: dict):
     rows = []
     for k in range(1, series.order + 1):
         delta = series.delta(k)
-        rows.append({"k": k, "delta_exact": delta.render(),
-                     "delta_at_g": delta.evaluate({VAR_GHAT: 1.0 / p["g"]})})
+        at_g = _finite(delta.evaluate({VAR_GHAT: 1.0 / p["g"]}))
+        rows.append({"k": k, "delta_exact": delta.render(), "delta_at_g": at_g})
     payload = {"parity": p["parity"], "p": p["p"], "deltas": rows,
                "shift_polynomial": series.shift_polynomial().render()}
     lines = ["k,delta_exact,delta_at_g"]
@@ -185,7 +189,7 @@ def _run_perturb(p: dict):
 
 
 def _coulomb_tables(sol, g: float, eps: float):
-    energy = coulomb_mod.assemble(sol, g, eps)
+    energy = _finite(coulomb_mod.assemble(sol, g, eps))
     payload = {
         "e_terms": [e.render() for e in sol.e_terms],
         "s_terms": [s.render() for s in sol.s_terms],

@@ -4,35 +4,46 @@ The unperturbed Hamiltonian is H = -½ d²/dx² + g²x²/2 with ground state
 e^{-gx²/2}; the perturbation is ε·x^P with P = 2p (even) or P = 2p+1 (odd).
 The perturbed ground state is written e^{-gx²/2-τ} and e^{-τ} is expanded in
 monomials x^n whose coefficients, together with the energy shift, satisfy a
-triangular recursion built from two exact rational tables:
+triangular recursion built from one exact rule on x-powers: the resolvent
+chain, the inverse of g·x d/dx - ½ d²/dx² on x^j for j ≥ 1 (x^0 has no
+image).  At g = 1 it acts on a whole source Σ S_j x^j with top key J as one
+O(J) suffix sweep down the keys j = J, J-2, … ≥ 1,
 
-    Γ_mn  : action of the resolvent chain on even powers; zero for m > n
-            and for m = 0, otherwise ∏_{j=m+1}^{n}(2j-1) / (m·(2g)^(n-m+1)).
-    γ_mn  : the odd-power analogue, (n!/m!) / ((2m+1)·g^(n-m+1)) for m ≤ n.
+    T_j = S_j + (j+1)/2·T_{j+2},   image T_j/j,
 
-Both tables have product form and neither is stored: the chain acts on a
-whole source Σ s_n x^(2n) (x^(2n+1) for γ) as one O(n) suffix sweep,
+so the image at x^j of x^n is ∏(i-1)/2 over i = j+2, j+4, …, n, divided
+by j.  No table is stored.  The two tables of the recursion are its index
+maps: Γ_mn is the image at x^(2m) of x^(2n), γ_mn that at x^(2m+1) of
+x^(2n+1), as (2m+1)/2 and m+1 are both (j+1)/2:
 
-    Γ :  T_m = s_m + (2m+1)/2·T_{m+1},  image T_m/(2m)    for m ≥ 1,
-    γ :  U_m = s_m + (m+1)·U_{m+1},     image U_m/(2m+1)  for m ≥ 0.
+    Γ_mn  : zero for m > n and for m = 0,
+            otherwise ∏_{i=m+1}^{n}(2i-1) / (m·(2g)^(n-m+1)).
+    γ_mn  : zero for m > n, otherwise (n!/m!) / ((2m+1)·g^(n-m+1)).
+
+The sweep reads only keys of its top key's parity, so a source must have a
+single parity.  Every source does: the source of order k is
+-x^P·e^{-τ}(k-1) + Σ_i Δ(k-i)·e^{-τ}(i), Δ(k-i) is nonzero only when
+(k-i)P is even, and so by induction every key is ≡ kP (mod 2).  The
+support and parity checks on every order secure that induction; a source
+of mixed parity would otherwise lose terms silently.
 
 Everything is exact.  Every table entry, every e^{-τ} coefficient and every
 energy shift is a single ĝ-monomial c·ĝ^s (ĝ = 1/g, c rational) whose power
 s is fixed by scaling, so the recursion runs on the rationals c alone and a
-ĝ-monomial is built only when a caller asks for one.  Both parities key the
-e^{-τ} coefficients by their x-power n, and one rule gives every power:
+ĝ-monomial is built only when a caller asks for one.  The e^{-τ}
+coefficients are keyed by their x-power n, and one rule gives every power:
 
-    Γ_mn, γ_mn             s = n - m + 1
+    image at x^j of x^n    s = (n - j)/2 + 1,  so s = n - m + 1 for Γ_mn, γ_mn
     ε^k x^n, Δ(k)          s = (k(P+2) - n) / 2,  Δ(k) with n = 2
 
 The rationals c of one ε-order are kept as integer numerators over one
 positive denominator, reduced by the gcd of all of them after every order,
 so no rational is normalised inside the recursion.  A source is brought
-to the lcm of its parts' denominators.  On a source over D whose top even
-key is M, the Γ sweep carries the integer A_m = 2^(M-m)·S_m + (2m+1)·A_{m+1}
-with T_m = A_m/(D·2^(M-m)), and puts every image over D·2^M·lcm(1..M); the
-γ sweep is an integer recurrence already, its images over D·lcm of the
-(2m+1).  A ``Fraction`` is built only for a coefficient a caller reads.
+to the lcm of its parts' denominators.  On a source over D whose top key
+is J, the sweep carries the integer A_j = 2^t·S_j + (j+1)·A_{j+2},
+t = (J-j)/2, with T_j = A_j/(D·2^t), and puts every image over
+D·2^t_max·lcm of the j.  A ``Fraction`` is built only for a coefficient a
+caller reads.
 
 The series is solved order by order in ε with no truncation other than the
 requested order.  At ε-order k the coefficients live on n ≤ kP with
@@ -58,50 +69,24 @@ _G = (VAR_GHAT,)
 _EG = (VAR_EPS, VAR_GHAT)
 
 
-def _ghat_power(coeff: Fraction, power: int) -> MultiPoly:
-    return MultiPoly._make({(power,): coeff}, _G)
+def _chain(source: dict, den: int) -> tuple:
+    """The resolvent chain on numerators keyed by x-power over ``den``.
 
-
-def _chain_even(source: dict, den: int) -> tuple:
-    """Γ on numerators keyed by n ↔ x^(2n) over ``den``; nonzero image, same keys.
-
-    Returns (numerators, denominator), not gcd-reduced.
+    Sweeps the keys j = J, J-2, …, ≥ 1 from the top key J and returns the
+    gcd-reduced image as (numerators, denominator).  Keys of the parity
+    other than J's are never read, so ``source`` must have a single parity:
+    ``_solve``'s support and parity checks secure it order by order.
     """
     top = max(source, default=0)
-    span = math.lcm(*range(1, top + 1))
+    keys = range(top, 0, -2)
+    shift = max(top - 1, 0) // 2
+    span = math.lcm(*keys)
     image, acc = {}, 0
-    for m in range(top, 0, -1):
-        acc = (2 * m + 1) * acc + (source.get(m, 0) << (top - m))
+    for t, j in enumerate(keys):
+        acc = (j + 1) * acc + (source.get(j, 0) << t)
         if acc:
-            image[m] = acc * (span // m) << (m - 1)
-    return image, den * span << top
-
-
-def _chain_odd(source: dict, den: int) -> tuple:
-    """γ on numerators keyed by n ↔ x^(2n+1) over ``den``; nonzero image, same keys.
-
-    Returns (numerators, denominator), not gcd-reduced.
-    """
-    top = max(source, default=-1)
-    span = math.lcm(*range(1, 2 * top + 2, 2))
-    image, acc = {}, 0
-    for m in range(top, -1, -1):
-        acc = (m + 1) * acc + source.get(m, 0)
-        if acc:
-            image[m] = acc * (span // (2 * m + 1))
-    return image, den * span
-
-
-def _chain_x(source: dict, den: int) -> tuple:
-    """Chain on numerators keyed by x-power over ``den``: Γ on the even part,
-    γ on the odd; the gcd-reduced image as (numerators, denominator)."""
-    even, den_even = _chain_even({x // 2: c for x, c in source.items() if x % 2 == 0},
-                                 den)
-    odd, den_odd = _chain_odd({x // 2: c for x, c in source.items() if x % 2}, den)
-    den = math.lcm(den_even, den_odd)
-    scale_even, scale_odd = den // den_even, den // den_odd
-    return _reduced({2 * m: c * scale_even for m, c in even.items()}
-                    | {2 * m + 1: c * scale_odd for m, c in odd.items()}, den)
+            image[j] = acc * (span // j) << (shift - t)
+    return _reduced(image, den * span << shift)
 
 
 @dataclass
@@ -126,34 +111,24 @@ class PerturbSeries:
     def _power(self, k: int, n: int) -> int:
         return (k * (self.P + 2) - n) // 2
 
-    def _monomial(self, k: int, n: int, sign: int) -> MultiPoly:
+    def coeff(self, k: int, n: int) -> MultiPoly:
+        """ε^k coefficient of x^n in e^{-τ} as a ĝ-monomial."""
         c = self.levels[k].get(n)
         if not c:
             return MultiPoly.zero(_G)
-        return _ghat_power(Fraction(sign * c, self.denominators[k]), self._power(k, n))
-
-    def coeff(self, k: int, n: int) -> MultiPoly:
-        """ε^k coefficient of x^n in e^{-τ} as a ĝ-monomial."""
-        return self._monomial(k, n, 1)
+        power = self._power(k, n)
+        return MultiPoly._make({(power,): Fraction(c, self.denominators[k])}, _G)
 
     def delta(self, k: int) -> MultiPoly:
         """Δ(k) = -(the ε^k coefficient of x²), with εΔ = Σ_k ε^k Δ(k)."""
-        return self._monomial(k, 2, -1)
-
-    def _eps_series(self, n: int, sign: int) -> MultiPoly:
-        """Σ_{k≥1} sign·(ε^k coefficient of x^n)·ε^k, exact in (ε, ĝ)."""
-        pairs = zip(self.levels[1:], self.denominators[1:])
-        terms = {(k, self._power(k, n)): Fraction(sign * level[n], den)
-                 for k, (level, den) in enumerate(pairs, start=1) if n in level}
-        return MultiPoly._make(terms, _EG)
+        return -self.coeff(k, 2)
 
     def shift_polynomial(self) -> MultiPoly:
         """εΔ as an exact polynomial in (ε, ĝ)."""
-        return self._eps_series(2, -1)
-
-    def exp_minus_tau_coeff(self, power: int) -> MultiPoly:
-        """Coefficient of x^power in e^{-τ}, exact in (ε, ĝ)."""
-        return self._eps_series(power, 1)
+        pairs = zip(self.levels[1:], self.denominators[1:])
+        terms = {(k, self._power(k, 2)): Fraction(-level[2], den)
+                 for k, (level, den) in enumerate(pairs, start=1) if 2 in level}
+        return MultiPoly._make(terms, _EG)
 
 
 def _solve(P: int, order: int) -> PerturbSeries:
@@ -161,9 +136,10 @@ def _solve(P: int, order: int) -> PerturbSeries:
 
     Order k applies the resolvent chain to the source
     -x^P·e^{-τ}(k-1) + Σ_i Δ(k-i)·e^{-τ}(i), brought to the lcm of the
-    denominators of its parts.  Because Γ_mn and γ_mn vanish for m > n,
-    each order follows by direct substitution from lower ones; before it
-    is used it must respect the support n ≤ kP, n ≡ kP (mod 2).
+    denominators of its parts.  Because the chain maps x^n onto powers
+    x^j with j ≤ n, each order follows by direct substitution from lower
+    ones; before it is used it must respect the support n ≤ kP,
+    n ≡ kP (mod 2).
     """
     if order < 0:
         raise ValueError("order must be non-negative")
@@ -180,7 +156,7 @@ def _solve(P: int, order: int) -> PerturbSeries:
             factor = minus_delta * (den // part_den)
             for n, c in part.items():
                 source[n] = get(n, 0) - c * factor
-        level, den = _chain_x(source, den)
+        level, den = _chain(source, den)
         if any(n > k * P for n in level):
             raise MethodError(f"support bound violated at order {k}")
         if any((n - k * P) % 2 for n in level):

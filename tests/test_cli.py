@@ -276,6 +276,9 @@ class TestMain:
         ["perturb", "--parity", "even", "--p", "2", "--order", "4", "--g", "1e-100"],
         ["coulomb", "--eps", "1e200"],
         ["stark", "--eps", "1e200"],
+        # the evaluated result itself overflows to -inf, once printed with exit 0
+        ["perturb", "--parity", "even", "--p", "2", "--order", "20", "--g", "1e-5"],
+        ["stark", "--order", "30", "--eps", "1", "--g", "3.5e-6"],
         ["gexpand", "--potential", "0.5*x^2", "--g", "1e-300"],
         ["oracle", "--potential", "0.5*x^2", "--n", "200", "--domain", "1e-200"],
     ])

@@ -34,10 +34,30 @@ def test_every_import_is_used():
     assert not unused, f"imports nothing in their module uses: {unused}"
 
 
+# (module, class, method) of public methods that only tests call
+_CALLED_BY_TESTS = {
+    # the coordinate polynomials r, u, x of the algebra tests and references
+    ("exactalg.py", "MultiPoly", "var"),
+    # the Laplacian, ∇·∇ and operator-chain references in the tests work on
+    # MultiPoly, which the integer kernels of src/ no longer do
+    ("exactalg.py", "MultiPoly", "differentiate"),
+    # the same references multiply by r^±2 through an exponent shift
+    ("exactalg.py", "MultiPoly", "shifted"),
+    # black-box potentials with hand-written derivatives, which no command
+    # takes, drive the grid layer tests
+    ("trajectory.py", "Potential1D", "from_callables"),
+}
+
+
 def test_every_public_function_is_used():
     # a public module-level function or class that no other src/ code uses
     # is a test-only reference; it belongs in its test.  cli.py's public
-    # functions are the command-line front end.
+    # functions are the command-line front end.  The public methods,
+    # classmethods and properties of public classes are held to the same
+    # rule, bar the entries of _CALLED_BY_TESTS, which must each name a
+    # method src/ does not use: a method is used when src/ reads an
+    # attribute of its name outside the method's own body.  Private and
+    # dunder methods are exempt.
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted(SRC.glob("*.py"))}
     # (module, top-level statement, every name and attribute it references)
@@ -52,6 +72,22 @@ def test_every_public_function_is_used():
               and not any(node.name in refs for _, other, refs in statements
                           if other is not node)]
     assert not unused, f"public names nothing in src/trajquad uses: {unused}"
+    attributes = [n for tree in trees.values() for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute)]
+    unused_methods = set()
+    for name, cls, _ in statements:
+        if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+            continue
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                own = {id(n) for n in ast.walk(fn)}
+                if not any(a.attr == fn.name and id(a) not in own
+                           for a in attributes):
+                    unused_methods.add((name, cls.name, fn.name))
+    extra = [f"{m}:{c}.{f}" for m, c, f in sorted(unused_methods - _CALLED_BY_TESTS)]
+    stale = [f"{m}:{c}.{f}" for m, c, f in sorted(_CALLED_BY_TESTS - unused_methods)]
+    assert not extra, f"public methods nothing in src/trajquad uses: {extra}"
+    assert not stale, f"allow-list entries src/ uses or lacks: {stale}"
 
 
 def test_every_error_is_raised():
