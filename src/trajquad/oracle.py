@@ -12,8 +12,13 @@ in IEEE arithmetic (Demmel, Dhillon & Ren, Parallel Computing 21 (1995)
 an earlier count already decides costs none (the LAPACK ``dstebz``
 practice).  The values stay those of a bisection that counts at every
 step; only the number of counts falls.  Seeds supply those early
-decisions: counts climbing from the Gershgorin floor on the n-point grid,
-and counts around each n-point eigenvalue on the 2n-point grid.
+decisions.  A guessed eigenvalue is refined by Newton passes on the
+determinant, each a sweep of the same pivot recurrence that also counts,
+and then bracketed by counts close around the Newton value.  The n-point
+grid takes its guesses from every 8th row (the same operator at spacing
+8h, bisected from counts climbing from its Gershgorin floor) and the
+2n-point grid from the n-point eigenvalues.  Newton only places counts,
+so it never sets a value.
 Each solve runs at two resolutions (n and 2n); the h² Richardson
 extrapolation supplies both the reported eigenvalue and its error
 estimate.  The fine grid's eigenvectors, built from the Sturm count's own
@@ -65,6 +70,31 @@ def _sturm_count(diag, off2: float, lam: float) -> int:
     return count
 
 
+def _newton_pass(diag, off2: float, lam: float) -> tuple:
+    """``_sturm_count`` at lam and the Newton iterate lam - det/det′.
+
+    The sweep runs ``_sturm_count``'s pivot recurrence and zero-pivot
+    nudge, so the count is its count bit for bit.  It also sums
+    u_i = q_i′/q_i, and the sum is (log|det|)′.  With r_i = off2/q_{i-1},
+    the λ-derivative of q_i = d_i - λ - r_i is r_i·u_{i-1} - 1, so
+    u_i = (r_i·u_{i-1} - 1)/q_i.  A zero sum gives a nan iterate; a sum
+    out of float range gives inf or nan, never an exception.
+    """
+    count = 0
+    q = math.inf
+    u = total = 0.0
+    for d in diag:
+        r = off2 / q
+        q = d - lam - r
+        if q == 0.0:
+            q = 1e-300
+        elif q < 0.0:
+            count += 1
+        u = (r * u - 1.0) / q
+        total += u
+    return count, (lam - 1.0 / total if total else math.nan)
+
+
 def _bisect_eigenvalues(diag: np.ndarray, off: float, k: int,
                         guesses: tuple = ()) -> list:
     """Bracket the k lowest eigenvalues to width 1e-12 (abs + rel).
@@ -74,17 +104,27 @@ def _bisect_eigenvalues(diag: np.ndarray, off: float, k: int,
     matrix decides it: c ≥ m at λ′ ≤ mid gives count(mid) ≥ m, and c < m
     at λ′ ≥ mid gives count(mid) < m.  The midpoints, hence the values,
     are those of a bisection that counts at every step.  Seed counts make
-    the early steps free: at each of ``guesses`` ± w, w widened ×8 until
-    the counts bracket the guessed eigenvalue, or, without guesses, at
-    lo₀ + 2ʲ (energy units) until k eigenvalues lie below.  A bad guess
-    costs counts, never a wrong value.  Both seed loops stop only because
-    the matrix has at least k rows.
+    the early steps free.  Without guesses they are made once, at
+    lo₀ + 2ʲ (energy units) until k eigenvalues lie below.  With guesses,
+    level m is seeded just before it is bisected, unless the counts so
+    far already bracket it within 1e-10 (abs + rel): Newton passes
+    (``_newton_pass``, each also a kept count) refine its guess until a
+    step is at most 1e-10 (abs + rel) or no longer halves, and then counts
+    at λ ± w, w widened ×8, bracket the level.  w starts at 1e-11
+    (abs + rel) after convergence, else at the smaller of the last two
+    steps.  A bad guess costs counts, never a wrong value.  Every seed
+    loop ends: the Newton steps halve, and the widening counts reach
+    ±inf, where k ≤ rows eigenvalues lie below and none above, once the
+    entries are finite.  Entries out of float range raise OverflowError.
     """
     off2 = off * off
     dlist = diag.tolist()
     radius = 2.0 * abs(off)
     lo0 = float(np.min(diag)) - radius
     hi0 = float(np.max(diag)) + radius
+    if not (math.isfinite(off2) and math.isfinite(lo0)
+            and math.isfinite(hi0)):
+        raise OverflowError("oracle matrix entries overflow")
     known = []
 
     def count(lam: float) -> int:
@@ -92,21 +132,39 @@ def _bisect_eigenvalues(diag: np.ndarray, off: float, k: int,
         known.append((lam, c))
         return c
 
-    if guesses:
-        for m, guess in enumerate(guesses, 1):
-            w = 1e-6 * (1.0 + abs(guess))
-            while count(guess - w) >= m:
-                w *= 8.0
-            while count(guess + w) < m:
-                w *= 8.0
-    else:
+    def bracket(m: int) -> tuple:
+        below = max((lam for lam, c in known if c < m), default=-math.inf)
+        above = min((lam for lam, c in known if c >= m), default=math.inf)
+        return below, above
+
+    def seed(m: int, lam: float) -> None:
+        last = math.inf
+        while True:
+            c, nxt = _newton_pass(dlist, off2, lam)
+            known.append((lam, c))
+            step = abs(nxt - lam)
+            if not step <= 0.5 * last:
+                w = min(last, step)
+                break
+            lam, last = nxt, step
+            if step <= 1e-10 * (1.0 + abs(lam)):
+                w = 1e-11 * (1.0 + abs(lam))
+                break
+        while count(lam - w) >= m:
+            w *= 8.0
+        while count(lam + w) < m:
+            w *= 8.0
+
+    if not guesses:
         step = 1.0
         while count(lo0 + step) < k:
             step *= 2.0
     values = []
     for m in range(1, k + 1):
-        below = max((lam for lam, c in known if c < m), default=-math.inf)
-        above = min((lam for lam, c in known if c >= m), default=math.inf)
+        below, above = bracket(m)
+        if guesses and not above - below <= 1e-10 * (1.0 + abs(guesses[m - 1])):
+            seed(m, guesses[m - 1])
+            below, above = bracket(m)
         lo, hi = lo0, hi0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
@@ -176,7 +234,13 @@ def _solve(potential: _Potential, a: float, b: float, n: int, k: int,
     its peak; otherwise the box is too small.
     """
     diag, h = _dirichlet(potential, a, b, n)
-    coarse = _bisect_eigenvalues(diag, -0.5 / h ** 2, k)
+    guesses = ()
+    if n // 8 >= k:
+        # every 8th node: the same operator at spacing 8h seeds the n-point
+        # grid
+        sub = diag[7::8] - 1.0 / h ** 2 + 1.0 / (8.0 * h) ** 2
+        guesses = tuple(_bisect_eigenvalues(sub, -0.5 / (8.0 * h) ** 2, k))
+    coarse = _bisect_eigenvalues(diag, -0.5 / h ** 2, k, guesses)
     diag, h = _dirichlet(potential, a, b, 2 * n)
     off = -0.5 / h ** 2
     fine = _bisect_eigenvalues(diag, off, k, tuple(coarse))

@@ -1,7 +1,10 @@
 """CLI: config validation, round-trip, exit codes, golden files."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -15,6 +18,7 @@ from trajquad.greens import identity_report
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parents[1] / "README.md"
+SRC = Path(__file__).parents[1] / "src"
 
 # values the README's example comments quote, by command
 README_VALUES = {"perturb": ("3/4 * ĝ^2", "-21/8 * ĝ^5"),
@@ -289,6 +293,20 @@ class TestMain:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("config error: values out of floating-point range")
+
+    def test_overflowing_oracle_matrix_exits_1(self):
+        # at domain 1e-100 the squared off-diagonal is inf, so no Sturm count
+        # ever reaches k and the bracket search never ended; a subprocess
+        # with a timeout turns a return of that hang into a failure
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run(
+            [sys.executable, "-m", "trajquad.cli", "--command", "oracle",
+             "--potential", "0.5*x^2", "--n", "200", "--domain", "1e-100"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith(
+            "config error: values out of floating-point range")
 
     def test_coarse_gexpand_breaks_down_without_warning(self, capsys):
         # at 17 nodes the origin patch band would repeat a node (0/0 in

@@ -1,5 +1,5 @@
-"""Brute-force eigensolver: ladder values, Sturm counts, convergence order,
-count reuse against the full-interval bisection."""
+"""Brute-force eigensolver: ladder values, Sturm counts, Newton passes,
+convergence order, count reuse against the full-interval bisection."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,8 @@ import pytest
 from trajquad import oracle
 from trajquad.errors import DomainTooSmall
 from trajquad.oracle import (_bisect_eigenvalues, _dirichlet, _eigenvector,
-                             _sturm_count, solve_1d, solve_radial)
+                             _newton_pass, _pivots, _sturm_count, solve_1d,
+                             solve_radial)
 
 
 def sturm_count(potential, domain: tuple, n: int, lam: float) -> int:
@@ -182,15 +183,17 @@ class TestSamplesOnce:
 def solve_with(monkeypatch, bisect, solve, args):
     """solve(*args) with ``bisect`` as the oracle's bisection.
 
-    Returns every bisection result in call order (coarse grid, then fine)
+    Returns every bisection result in call order (the every-8th-row seed
+    grid, the n-point grid, then the 2n-point grid), as float.hex strings,
     and then the eigenvalues with their estimates, or the DomainTooSmall
-    message when the edge check fails after both grids are solved.
+    message when the edge check fails after every grid is solved.
     """
     seen = []
 
     def recording(diag, off, k, guesses=()):
-        seen.append(bisect(diag, off, k, guesses))
-        return seen[-1]
+        values = bisect(diag, off, k, guesses)
+        seen.append([v.hex() for v in values])
+        return values
 
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "_bisect_eigenvalues", recording)
@@ -199,6 +202,28 @@ def solve_with(monkeypatch, bisect, solve, args):
         except DomainTooSmall as exc:
             return seen, str(exc)
     return seen, (res.eigenvalues, res.convergence)
+
+
+def rows_swept(monkeypatch, solve, args) -> int:
+    """Pivot rows solve(*args) sweeps; a Newton pass counts as two sweeps."""
+    rows = [0]
+
+    def counting(diag, off2, lam):
+        rows[0] += len(diag)
+        return _sturm_count(diag, off2, lam)
+
+    def newton(diag, off2, lam):
+        rows[0] += 2 * len(diag)
+        return _newton_pass(diag, off2, lam)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_sturm_count", counting)
+        patch.setattr(oracle, "_newton_pass", newton)
+        try:
+            solve(*args)
+        except DomainTooSmall:
+            pass
+    return rows[0]
 
 
 def _harmonic(x):
@@ -217,8 +242,8 @@ def _square(r):
 BISECTION_CASES = {
     "harmonic ladder": (solve_1d, (_harmonic, (-8, 8), 1200, 6)),
     "double well": (solve_1d, (_double_well, (-7, 7), 1500, 2)),
-    # the fine ground level lies 2.3e-3 above the coarse one, so the fine
-    # seed widens three times; the box is too small for the edge check
+    # the fine ground level lies 2.3e-3 above the coarse one; the box is
+    # too small for the edge check
     "steep well": (solve_1d, (lambda x: 500.0 * x * x, (-1, 1), 200, 1)),
     "free box": (solve_1d, (lambda x: 0.0, (0, 4), 300, 8)),
     "coulomb": (solve_radial, (1.0, _square, 0.0, 25.0, 1200)),
@@ -229,6 +254,32 @@ BISECTION_CASES = {
                                (1.0, _square, 1e-3, 25.0, 1600)),
 }
 
+# pivot rows swept per case: (plain count-reusing bisection, Newton-seeded);
+# near-degenerate levels (the double well) must stay no costlier
+ROWS_SWEPT = {
+    "harmonic ladder": (708_000, 308_550),
+    "double well": (166_500, 163_854),
+    "steep well": (22_600, 7_925),
+    "free box": (255_300, 97_825),
+    "coulomb": (138_000, 47_850),
+    "scaled coulomb": (139_200, 50_400),
+    "perturbed coulomb": (277_500, 107_788),
+    "perturbed coulomb 800": (90_400, 38_800),
+    "perturbed coulomb 1600": (184_000, 74_800),
+}
+
+
+def _neighbour_level(values, lo0, hi0):
+    return values[1:]
+
+
+def _below_spectrum(values, lo0, hi0):
+    return [lo0 - 1.0] * (len(values) - 1)
+
+
+def _far_above_spectrum(values, lo0, hi0):
+    return [hi0 + 1e3] * (len(values) - 1)
+
 
 class TestCountReuse:
     """Seeded, count-reusing bisection against the full-interval one."""
@@ -238,12 +289,45 @@ class TestCountReuse:
         solve, args = BISECTION_CASES[case]
         got = solve_with(monkeypatch, _bisect_eigenvalues, solve, args)
         want = solve_with(monkeypatch, full_interval_bisection, solve, args)
-        assert len(got[0]) == 2
+        assert len(got[0]) == 3
         assert got == want
 
+    @pytest.mark.parametrize("wrong", [_neighbour_level, _below_spectrum,
+                                       _far_above_spectrum])
+    @pytest.mark.parametrize("case", BISECTION_CASES)
+    def test_wrong_guesses_cost_counts_not_values(self, case, wrong,
+                                                  monkeypatch):
+        # every grid of the case, seeded with finite but wrong guesses
+        grids = []
+
+        def recording(diag, off, k, guesses=()):
+            grids.append((diag, off, k))
+            return _bisect_eigenvalues(diag, off, k, guesses)
+
+        solve_with(monkeypatch, recording, *BISECTION_CASES[case])
+        assert len(grids) == 3
+        for diag, off, k in grids:
+            values = full_interval_bisection(diag, off, k + 1)
+            lo0 = float(np.min(diag)) - 2.0 * abs(off)
+            hi0 = float(np.max(diag)) + 2.0 * abs(off)
+            guesses = tuple(wrong(values, lo0, hi0))
+            got = _bisect_eigenvalues(diag, off, k, guesses)
+            assert [v.hex() for v in got] == [v.hex() for v in values[:k]]
+
+    @pytest.mark.parametrize("case", BISECTION_CASES)
+    def test_rows_swept_pinned(self, case, monkeypatch):
+        solve, args = BISECTION_CASES[case]
+        before, after = ROWS_SWEPT[case]
+        assert rows_swept(monkeypatch, solve, args) == after <= before
+
     def test_sturm_counts_pinned(self, monkeypatch):
-        # a bench oracle-1d job: the full-interval bisection makes 118
-        # counts over 4000 and 8000 rows, the seeded one 66
+        # a bench oracle-1d job sweeps 161,500 pivot rows (the plain
+        # count-reusing bisection swept 356,000: 66 counts over 4000 and
+        # 8000 rows); the full-interval bisection makes 118 counts on
+        # those two grids and 52 on the 500-row seed grid
+        args = (lambda x: 18.0 * x * x + 3.6 * x ** 4, (-3, 3), 4000, 1)
+        assert rows_swept(monkeypatch, solve_1d, args) == 161_500
+        got = solve_1d(*args)
         calls = []
 
         def counting(diag, off2, lam):
@@ -251,14 +335,11 @@ class TestCountReuse:
             return _sturm_count(diag, off2, lam)
 
         monkeypatch.setattr(oracle, "_sturm_count", counting)
-        args = (lambda x: 18.0 * x * x + 3.6 * x ** 4, (-3, 3), 4000, 1)
-        got = solve_1d(*args)
-        assert len(calls) == 66
-        calls.clear()
         monkeypatch.setattr(oracle, "_bisect_eigenvalues",
                             full_interval_bisection)
         assert solve_1d(*args) == got
-        assert len(calls) == 118
+        assert (calls.count(4000) + calls.count(8000), calls.count(500),
+                len(calls)) == (118, 52, 170)
 
 
 MONOTONE_CASES = {
@@ -285,17 +366,24 @@ def _switch(dlist, off2: float, m: int, lo: float, hi: float) -> float:
 @pytest.mark.parametrize("case", MONOTONE_CASES)
 def test_sturm_count_is_monotone(case):
     # the property count reuse rests on: the serial count never decreases
-    # as λ grows, in IEEE arithmetic (Demmel, Dhillon & Ren 1995)
+    # as λ grows, in IEEE arithmetic (Demmel, Dhillon & Ren 1995); the
+    # Newton pass counts as _sturm_count does at every λ, so a seed never
+    # changes a midpoint decision
     potential, a, b, n, k = MONOTONE_CASES[case]
     diag, h = _dirichlet(potential, a, b, n)
     off = -0.5 / h ** 2
     dlist, off2 = diag.tolist(), off * off
     radius = 2.0 * abs(off)
-    sweep = np.linspace(float(np.min(diag)) - radius,
-                        float(np.max(diag)) + radius, 257)
+    # λ = d₀ zeroes the first pivot, which takes the 1e-300 nudge
+    nudged = float(diag[0])
+    assert 1e-300 in _pivots(dlist, off2, nudged)
+    sweep = sorted([nudged, *np.linspace(float(np.min(diag)) - radius,
+                                         float(np.max(diag)) + radius, 257)])
     counts = [_sturm_count(dlist, off2, float(lam)) for lam in sweep]
     assert counts == sorted(counts)
     assert counts[0] == 0
+    assert [_newton_pass(dlist, off2, float(lam))[0]
+            for lam in sweep] == counts
     for m, value in enumerate(_bisect_eigenvalues(diag, off, k), 1):
         width = 1e-11 * (1.0 + abs(value))
         lam = _switch(dlist, off2, m, value - width, value + width)
@@ -308,3 +396,5 @@ def test_sturm_count_is_monotone(case):
         counts = [_sturm_count(dlist, off2, x) for x in sorted(ladder)]
         assert counts == sorted(counts)
         assert counts[0] < m <= counts[-1]
+        assert [_newton_pass(dlist, off2, x)[0]
+                for x in sorted(ladder)] == counts
