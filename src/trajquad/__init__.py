@@ -3,9 +3,9 @@
 The package splits into exact-symbolic and grid-numeric halves that check
 each other:
 
-exactalg   rational scalars, sparse Laurent polynomials, partial
-           derivatives and the angular average, canonical rendering and
-           its parser
+exactalg   the exact half's boundary type: sparse Laurent polynomials
+           over the rationals, parsed, rendered and evaluated, with the
+           angular average; the helpers the integer kernels share
 oscpert    exact ε-series for the harmonic oscillator with a monomial
            perturbation (the Γ/γ recursion tables)
 coulomb    closed-form recursion for the perturbed Coulomb ground state,

@@ -140,17 +140,6 @@ class RunConfig:
         return cls(command=command, parameters=data)
 
 
-def parse_config_echo(text: str) -> RunConfig:
-    """Recover the RunConfig from an emitted CSV or JSON document."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return RunConfig.from_dict(json.loads(stripped)["config"])
-    for line in text.splitlines():
-        if line.startswith("# config: "):
-            return RunConfig.from_dict(json.loads(line[len("# config: "):]))
-    raise ConfigError("no config echo found")
-
-
 def _run_gexpand(p: dict):
     pot = trajectory_mod.Potential1D.from_poly(p["potential"], origin=p["origin"])
     grid = trajectory_mod.build_grid(pot, p["x-max"], p["n"],

@@ -7,13 +7,17 @@ exponents are permitted only for the radial variable ``r``; the perturbation
 strength ``ε`` and the inverse-scale marker ``ĝ`` (which stands for 1/g)
 never carry negative powers.
 
-Besides ring arithmetic the module provides partial derivatives, exponent
-shifts and the angular average (1/2)∫_{-1}^{1} du over u = cos a.  The
-radial-polar Laplacian and gradient live in ``coulomb``'s integer kernel,
-the one recursion that needs them.  That kernel and ``oscpert``'s keep
-integer numerators over one positive denominator and share two helpers
-from here: ``_nonzero`` drops zero numerators and ``_reduced`` divides
-numerators and denominator by their gcd.
+``MultiPoly`` is the boundary of the exact half: user text is parsed into
+it, results are built into it from the kernels' integer numerators, and
+the CLI renders and evaluates it.  Besides the sum the parser needs and
+the negation Δ needs, it carries only queries (degrees, coefficients,
+dependence) and the angular average (1/2)∫_{-1}^{1} du over u = cos a.
+Products, derivatives and the radial-polar Laplacian and gradient live
+in the integer kernels of ``coulomb`` and ``oscpert``, the recursions
+that need them.  Both kernels keep integer numerators over one positive
+denominator and share two helpers from here: ``_nonzero`` drops zero
+numerators and ``_reduced`` divides numerators and denominator by their
+gcd.
 
 A canonical text rendering ("-21/8 * ε^2 * ĝ^5") and a round-trip parser
 for the same grammar serve the CLI and the golden tests.  Terms are ordered
@@ -23,11 +27,10 @@ variable order x < r < u < ε < ĝ (other symbols sort after these by name).
 ``MultiPoly(terms, variables)`` validates user input: it sorts the
 variables, checks exponent lengths and Laurent signs, converts and sums
 coefficients.  Operator results skip that work and go through the private
-``MultiPoly._make(terms, variables)``, whose contract is: ``variables`` is
-already in collation order, every key is an int tuple of matching length,
-every coefficient is a ``Fraction``; ``_make`` only drops zero
-coefficients.  The one operator that can produce a negative exponent,
-``shifted``, checks the Laurent rule itself before building its result.
+classmethod ``_make(terms, variables)``, called on the operand so that a
+result keeps its class.  Its contract is: ``variables`` is already in
+collation order, every key is an int tuple of matching length, every
+coefficient is a ``Fraction``; ``_make`` only drops zero coefficients.
 """
 
 from __future__ import annotations
@@ -134,19 +137,6 @@ class MultiPoly:
         return cls({}, variables)
 
     @classmethod
-    def const(cls, value, variables: Iterable[str] = ()) -> "MultiPoly":
-        names = tuple(variables)
-        return cls({(0,) * len(names): _as_fraction(value)}, names)
-
-    @classmethod
-    def var(cls, name: str, variables: Iterable[str]) -> "MultiPoly":
-        names = tuple(variables)
-        if name not in names:
-            raise VariableMismatch(f"{name!r} not among variables {names!r}")
-        exps = tuple(1 if v == name else 0 for v in names)
-        return cls({exps: Fraction(1)}, names)
-
-    @classmethod
     def monomial(cls, coeff, powers: Mapping[str, int],
                  variables: Iterable[str] | None = None) -> "MultiPoly":
         names = tuple(variables) if variables is not None else tuple(powers)
@@ -170,7 +160,7 @@ class MultiPoly:
             for v, e in zip(self.variables, exps):
                 row[pos[v]] = e
             new_terms[tuple(row)] = coeff
-        return MultiPoly._make(new_terms, names)
+        return self._make(new_terms, names)
 
     @staticmethod
     def _aligned(a: "MultiPoly", b: "MultiPoly"):
@@ -186,88 +176,18 @@ class MultiPoly:
 
     # ----------------------------------------------------------- arithmetic
 
-    def _coerced(self, other) -> "MultiPoly | None":
-        if isinstance(other, MultiPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return MultiPoly.const(other, self.variables)
-        return None
-
     def __add__(self, other):
-        rhs = self._coerced(other)
-        if rhs is None:
+        if not isinstance(other, MultiPoly):
             return NotImplemented
-        a, b = self._aligned(self, rhs)
+        a, b = self._aligned(self, other)
         out = dict(a.terms)
         for exps, coeff in b.terms.items():
             c = out.get(exps)
             out[exps] = coeff if c is None else c + coeff
-        return MultiPoly._make(out, a.variables)
-
-    __radd__ = __add__
+        return self._make(out, a.variables)
 
     def __neg__(self):
-        return MultiPoly._make({e: -c for e, c in self.terms.items()}, self.variables)
-
-    def __sub__(self, other):
-        rhs = self._coerced(other)
-        if rhs is None:
-            return NotImplemented
-        a, b = self._aligned(self, rhs)
-        out = dict(a.terms)
-        for exps, coeff in b.terms.items():
-            c = out.get(exps)
-            out[exps] = -coeff if c is None else c - coeff
-        return MultiPoly._make(out, a.variables)
-
-    def __rsub__(self, other):
-        rhs = self._coerced(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return MultiPoly._make({e: c * other for e, c in self.terms.items()},
-                                   self.variables)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        a, b = self._aligned(self, other)
-        add = int.__add__
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in a.terms.items():
-            for eb, cb in b.terms.items():
-                key = tuple(map(add, ea, eb))
-                c = out.get(key)
-                out[key] = ca * cb if c is None else c + ca * cb
-        return MultiPoly._make(out, a.variables)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers must be non-negative integers")
-        result = MultiPoly.const(1, self.variables)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
-    def __eq__(self, other):
-        rhs = self._coerced(other)
-        if rhs is None:
-            return NotImplemented
-        try:
-            a, b = self._aligned(self, rhs)
-        except VariableMismatch:
-            return False
-        return a.terms == b.terms
-
-    def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        return self._make({e: -c for e, c in self.terms.items()}, self.variables)
 
     def __bool__(self):
         return bool(self.terms)
@@ -288,7 +208,7 @@ class MultiPoly:
         i = self._index(var)
         kept = {exps[:i] + (0,) + exps[i + 1:]: coeff
                 for exps, coeff in self.terms.items() if exps[i] == power}
-        return MultiPoly._make(kept, self.variables)
+        return self._make(kept, self.variables)
 
     def constant(self) -> Fraction:
         """The constant term (all exponents zero)."""
@@ -307,31 +227,6 @@ class MultiPoly:
             raise VariableMismatch(
                 f"{var!r} not among variables {self.variables!r}") from None
 
-    # -------------------------------------------------------------- calculus
-
-    def differentiate(self, var: str) -> "MultiPoly":
-        """Exact termwise partial derivative (Laurent rule included)."""
-        if var not in self.variables:
-            return MultiPoly.zero(self.variables)
-        i = self._index(var)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.terms.items():
-            k = exps[i]
-            if k == 0:
-                continue
-            out[exps[:i] + (k - 1,) + exps[i + 1:]] = coeff * k
-        return MultiPoly._make(out, self.variables)
-
-    def shifted(self, var: str, delta: int) -> "MultiPoly":
-        """Multiply by var**delta through an exponent shift."""
-        i = self._index(var)
-        if var not in _LAURENT_OK and any(e[i] + delta < 0 for e in self.terms):
-            raise VariableMismatch(
-                f"negative exponent on non-Laurent variable {var!r}")
-        out = {exps[:i] + (exps[i] + delta,) + exps[i + 1:]: coeff
-               for exps, coeff in self.terms.items()}
-        return MultiPoly._make(out, self.variables)
-
     def angular_average(self) -> "MultiPoly":
         """(1/2)∫_{-1}^{1} · du, exact; the result is free of u."""
         if VAR_U not in self.variables:
@@ -346,7 +241,7 @@ class MultiPoly:
             v = coeff / (k + 1)
             c = out.get(key)
             out[key] = v if c is None else c + v
-        return MultiPoly._make(out, self.variables)
+        return self._make(out, self.variables)
 
     # ------------------------------------------------------------ evaluation
 
@@ -399,9 +294,6 @@ class MultiPoly:
         for neg, body in pieces[1:]:
             text += (" - " if neg else " + ") + body
         return text
-
-    def __str__(self):
-        return self.render()
 
     def __repr__(self):
         return f"MultiPoly({self.render()!r})"

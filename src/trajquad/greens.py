@@ -283,8 +283,11 @@ def identity_report(g: float = 1.0, n: int = 4001,
     prof = harmonic_profile(n, half_width)
     sqrt_g = math.sqrt(g)
     moment = gaussian_even_moment(1, g)
-    sources = {f"H{l}": prof.with_values(
-        lambda z, l=l: hermite_value(l, sqrt_g * z)) for l in (1, 2, 3, 4)}
+    # a g at which H_l(√g·z) overflows also overflows the weight e^(2gS),
+    # which apply_Dbar rejects before it reads any source value
+    with np.errstate(over="ignore", invalid="ignore"):
+        sources = {f"H{l}": prof.with_values(
+            lambda z, l=l: hermite_value(l, sqrt_g * z)) for l in (1, 2, 3, 4)}
     sources["x^2 - <x^2>"] = prof.with_values(lambda z: z ** 2 - moment)
     sources["x^3"] = prof.with_values(lambda z: z ** 3)
     images = {name: apply_Dbar(f, g) for name, f in sources.items()}

@@ -31,13 +31,20 @@ from .exactalg import VAR_X, MultiPoly, parse_poly
 from .numerics import adaptive_panels
 
 
+# v, v', …, v⁽⁹⁾ of a polynomial potential: the hierarchy reads v⁽ᵐ⁾ for
+# m ≤ gexpand.MAX_ORDER + 2 = 5 and the oracle reads v alone.  A stack as
+# deep as the degree would cost O(degree²) to build, and past degree ≈ 170
+# its derivative coefficients overflow
+_POLY_LEVELS = 10
+
+
 @dataclass(frozen=True)
 class Potential1D:
     """Scaled potential v with derivatives and a chosen minimum.
 
-    ``derivatives[m]`` evaluates v^(m); polynomial potentials carry the
-    full stack (the hierarchy differentiates analytically as deep as it
-    needs), black-box ones the required minimum of two.  Every callable is
+    ``derivatives[m]`` evaluates v^(m); polynomial potentials carry
+    ``_POLY_LEVELS`` levels, more than the hierarchy reads, and black-box
+    ones the required minimum of two.  Every callable is
     evaluated on whole node arrays: ``from_poly`` builds array-valued
     polynomials and ``from_callables`` wraps scalar user callables in
     ``np.vectorize``, so one array path serves both.
@@ -75,7 +82,7 @@ class Potential1D:
                            for k in range(poly.degree(VAR_X) + 1)])
         stack = []
         cur = coeffs
-        for _ in range(max(len(coeffs) + 1, 10)):
+        for _ in range(_POLY_LEVELS):
             stack.append((lambda c: lambda x: npoly.polyval(x, c))(cur))
             cur = npoly.polyder(cur) if len(cur) > 1 else np.zeros(1)
         return cls(derivatives=tuple(stack), origin=origin)
@@ -150,9 +157,10 @@ def build_grid(potential: Potential1D, x_max: float, n: int,
         raise ValueError("direction must be +1 or -1")
 
     origin = potential.origin
-    if abs(potential.v(origin)) > 1e-10:
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_origin, curvature = potential.v(origin), potential.d2v(origin)
+    if abs(v_origin) > 1e-10:
         raise InvalidPotential("v(origin) must vanish")
-    curvature = potential.d2v(origin)
     if curvature <= 0.0:
         raise DegenerateMinimum("v''(origin) must be positive")
 

@@ -1,0 +1,111 @@
+"""The ring and calculus operators on MultiPoly: the tests' reference algebra.
+
+The package builds no polynomial by arithmetic.  Its exact kernels run on
+integer numerators, and ``MultiPoly`` is their parse, render and evaluate
+boundary.  The tests check those kernels against independent recursions
+written on polynomials (the Coulomb ∇² and ∇·∇, the oscillator operator
+chain, the excited transport equation), so the operators those
+recursions need live here: subtraction, products, exact equality,
+partial derivatives and exponent shifts.
+
+``Poly`` is a ``MultiPoly`` whose results are again ``Poly``s; ints and
+Fractions act as constants.  A package result enters the algebra through
+``lift``.  When either side of ``==``, ``+``, ``-`` or ``*`` is a
+``Poly``, Python calls the ``Poly`` method first, so ``result == P(...)``
+compares exactly without a lift.
+"""
+
+from fractions import Fraction
+
+from trajquad.errors import VariableMismatch
+from trajquad.exactalg import _LAURENT_OK, MultiPoly, parse_poly
+
+
+class Poly(MultiPoly):
+    __slots__ = ()
+
+    @classmethod
+    def const(cls, value, variables):
+        names = tuple(variables)
+        return cls({(0,) * len(names): value}, names)
+
+    @classmethod
+    def var(cls, name, variables):
+        names = tuple(variables)
+        if name not in names:
+            raise VariableMismatch(f"{name!r} not among variables {names!r}")
+        return cls({tuple(int(v == name) for v in names): 1}, names)
+
+    def _coerced(self, other):
+        if isinstance(other, MultiPoly):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return Poly.const(other, self.variables)
+        return None
+
+    def __add__(self, other):
+        rhs = self._coerced(other)
+        return NotImplemented if rhs is None else MultiPoly.__add__(self, rhs)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        rhs = self._coerced(other)
+        return NotImplemented if rhs is None else self + -rhs
+
+    def __rsub__(self, other):
+        rhs = self._coerced(other)
+        return NotImplemented if rhs is None else -self + rhs
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._make({e: c * other for e, c in self.terms.items()},
+                              self.variables)
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
+        a, b = self._aligned(self, other)
+        out = {}
+        for ea, ca in a.terms.items():
+            for eb, cb in b.terms.items():
+                key = tuple(map(int.__add__, ea, eb))
+                out[key] = out.get(key, 0) + ca * cb
+        return self._make(out, a.variables)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        rhs = self._coerced(other)
+        if rhs is None:
+            return NotImplemented
+        try:
+            a, b = self._aligned(self, rhs)
+        except VariableMismatch:
+            return False
+        return a.terms == b.terms
+
+    def differentiate(self, var):
+        """Exact termwise partial derivative (Laurent rule included)."""
+        if var not in self.variables:
+            return Poly.zero(self.variables)
+        i = self._index(var)
+        return self._make({e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                           for e, c in self.terms.items() if e[i]},
+                          self.variables)
+
+    def shifted(self, var, delta):
+        """Multiply by var**delta through an exponent shift."""
+        i = self._index(var)
+        if var not in _LAURENT_OK and any(e[i] + delta < 0 for e in self.terms):
+            raise VariableMismatch(
+                f"negative exponent on non-Laurent variable {var!r}")
+        return self._make({e[:i] + (e[i] + delta,) + e[i + 1:]: c
+                           for e, c in self.terms.items()}, self.variables)
+
+
+def lift(poly):
+    """The same polynomial as a Poly."""
+    return Poly._make(poly.terms, poly.variables)
+
+
+def parse(text, variables=None):
+    return lift(parse_poly(text, variables))

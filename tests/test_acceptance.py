@@ -12,8 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from trajquad.exactalg import (VAR_EPS, VAR_GHAT, VAR_R, VAR_U, VAR_X,
-                               MultiPoly, parse_poly)
+from trajquad.exactalg import VAR_EPS, VAR_GHAT, VAR_R, VAR_U, VAR_X
 from trajquad import coulomb as coulomb_mod
 from trajquad import excited as excited_mod
 from trajquad import gexpand as gexpand_mod
@@ -23,11 +22,13 @@ from trajquad import oscpert as oscpert_mod
 from trajquad import trajectory as trajectory_mod
 from trajquad.numerics import adaptive_panels
 
+from polyring import Poly, parse
+
 RUE = (VAR_R, VAR_U, VAR_EPS)
 
 
 def ghat(coeff, power):
-    return MultiPoly.monomial(Fraction(coeff), {VAR_GHAT: power}, (VAR_GHAT,))
+    return Poly.monomial(Fraction(coeff), {VAR_GHAT: power}, (VAR_GHAT,))
 
 
 def level(series, k):
@@ -36,7 +37,7 @@ def level(series, k):
 
 
 def P(text):
-    return parse_poly(text, RUE)
+    return parse(text, RUE)
 
 
 @contextlib.contextmanager
@@ -173,12 +174,12 @@ def test_criterion_8_excited_states():
             spec = excited_mod.ExcitedSpec((1,), (n,))
             chi0, _ = excited_mod.chi0_e0(spec)
             names = ("q1", VAR_GHAT)
-            total = chi0.embedded(names) + MultiPoly.var(VAR_GHAT, names) * \
+            total = chi0.embedded(names) + Poly.var(VAR_GHAT, names) * \
                 excited_mod.chi1_harmonic(spec).embedded(names)
             coeffs = greens_mod.hermite_coefficients(n)
-            expect = MultiPoly.monomial(1, {"q1": n}, names)
+            expect = Poly.monomial(1, {"q1": n}, names)
             if n >= 2:
-                expect = expect + MultiPoly.monomial(
+                expect = expect + Poly.monomial(
                     Fraction(coeffs[n - 2], coeffs[n]),
                     {"q1": n - 2, VAR_GHAT: 1}, names)
             assert total == expect
@@ -202,7 +203,7 @@ def test_criterion_9_property_suites():
             for _ in range(rng.randint(0, 4)):
                 exps = tuple(rng.randint(0, 3) for _ in variables)
                 terms[exps] = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
-            return MultiPoly(terms, variables)
+            return Poly(terms, variables)
 
         for _ in range(500):
             a, b, c = (rand_poly((VAR_X, VAR_GHAT)) for _ in range(3))
@@ -218,19 +219,19 @@ def test_criterion_9_property_suites():
 
         for n in range(1, 7):
             total, subtraction = operator_chain_even(n)
-            expect = MultiPoly.zero((VAR_X, VAR_GHAT))
+            expect = Poly.zero((VAR_X, VAR_GHAT))
             for m in range(1, n + 1):
                 expect = expect + \
                     gamma_even(m, n).embedded((VAR_X, VAR_GHAT)) * \
-                    MultiPoly.monomial(1, {VAR_X: 2 * m}, (VAR_X, VAR_GHAT))
+                    Poly.monomial(1, {VAR_X: 2 * m}, (VAR_X, VAR_GHAT))
             assert total == expect
             assert subtraction == gamma_even(1, n)
             total_odd = operator_chain_odd(n)
-            expect = MultiPoly.zero((VAR_X, VAR_GHAT))
+            expect = Poly.zero((VAR_X, VAR_GHAT))
             for m in range(0, n + 1):
                 expect = expect + \
                     gamma_odd(m, n).embedded((VAR_X, VAR_GHAT)) * \
-                    MultiPoly.monomial(1, {VAR_X: 2 * m + 1}, (VAR_X, VAR_GHAT))
+                    Poly.monomial(1, {VAR_X: 2 * m + 1}, (VAR_X, VAR_GHAT))
             assert total_odd == expect
 
         from test_numerics import adaptive_integral

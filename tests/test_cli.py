@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajquad.cli import _COMMANDS, _PARAMS, RunConfig, main, parse_config_echo
+from trajquad.cli import _COMMANDS, _PARAMS, RunConfig, main
 from trajquad.errors import ConfigError
 from trajquad.greens import identity_report
 
@@ -29,6 +29,25 @@ _VALUES = st.one_of(
     st.sampled_from([float("inf"), float("-inf"), float("nan"), 10 ** 400,
                      -1, 0, 1, 2.5, "1", "2.5", "1e400", "nan", "-inf", "even",
                      "1d", "r^2", "0.5*x^2"]))
+
+
+def parse_config_echo(text: str) -> RunConfig:
+    """Recover the RunConfig from an emitted CSV or JSON document."""
+    stripped = text.lstrip()
+    if stripped.startswith("{"):
+        return RunConfig.from_dict(json.loads(stripped)["config"])
+    for line in text.splitlines():
+        if line.startswith("# config: "):
+            return RunConfig.from_dict(json.loads(line[len("# config: "):]))
+    raise ConfigError("no config echo found")
+
+
+def readme_examples() -> list:
+    """The argv of every ``trajquad`` example in the README's CLI section."""
+    section = README.read_text(encoding="utf-8").split("## Command line")[1]
+    lines = section.split("\n## ")[0].replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("trajquad ")]
 
 
 @st.composite
@@ -196,6 +215,8 @@ class TestMain:
         ["--command", "coulomb", "--potential", "u^-1"],
         ["--command", "gexpand", "--potential", "x^-2"],
         ["--command", "oracle", "--potential", "x^-1", "--n", "200"],
+        # a weight e^(2gS) that overflows, once after H_l(√g·z) had warned
+        ["--command", "greens-check", "--g", "1e300"],
     ])
     def test_invalid_input_exits_1(self, argv, capsys):
         assert main(argv) == 1
@@ -275,6 +296,16 @@ class TestMain:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("method breakdown: potential is not finite")
+
+    def test_overflowing_origin_value_exits_2(self, capsys):
+        # v(origin) overflows; the check rejects it without a warning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--command", "gexpand", "--potential", "0.5*x^2",
+                         "--origin", "1e200"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("method breakdown: v(origin) must vanish")
 
     @pytest.mark.parametrize("argv", [
         ["perturb", "--parity", "even", "--p", "2", "--order", "4", "--g", "1e-100"],
@@ -361,10 +392,7 @@ class TestMain:
 
 
 def test_readme_examples_run(capsys):
-    section = README.read_text(encoding="utf-8").split("## Command line")[1]
-    lines = section.split("\n## ")[0].replace("\\\n", " ").splitlines()
-    examples = [shlex.split(line)[1:] for line in lines
-                if line.startswith("trajquad ")]
+    examples = readme_examples()
     assert len(examples) == 8
     for argv in examples:
         assert main(argv) == 0, argv

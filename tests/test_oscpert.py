@@ -12,15 +12,17 @@ import pytest
 
 from trajquad import oscpert
 from trajquad.errors import MethodError
-from trajquad.exactalg import VAR_GHAT, VAR_X, MultiPoly
+from trajquad.exactalg import VAR_GHAT, VAR_X
 from trajquad.oscpert import solve_even, solve_odd
+
+from polyring import Poly
 
 _G = (VAR_GHAT,)
 _XG = (VAR_X, VAR_GHAT)
 
 
 def ghat(coeff, power):
-    return MultiPoly.monomial(Fraction(coeff), {VAR_GHAT: power}, _G)
+    return Poly.monomial(Fraction(coeff), {VAR_GHAT: power}, _G)
 
 
 # --------------------------------------------------------------------------
@@ -28,26 +30,26 @@ def ghat(coeff, power):
 # verification chain that applies C and T = -½ d²/dx² explicitly.
 
 
-def _table_entry(m: int, n: int, parity: int) -> MultiPoly:
+def _table_entry(m: int, n: int, parity: int) -> Poly:
     """Image at x^(2m+parity) of x^(2n+parity) under ``oscpert._chain``."""
     if m < 0 or n < 0:
         raise ValueError("table indices must be non-negative")
     image, den = oscpert._chain({2 * n + parity: 1}, 1)
     coeff = image.get(2 * m + parity)
-    return ghat(Fraction(coeff, den), n - m + 1) if coeff else MultiPoly.zero(_G)
+    return ghat(Fraction(coeff, den), n - m + 1) if coeff else Poly.zero(_G)
 
 
-def gamma_even(m: int, n: int) -> MultiPoly:
+def gamma_even(m: int, n: int) -> Poly:
     """Even-power table entry Γ_mn as a ĝ-monomial."""
     return _table_entry(m, n, 0)
 
 
-def gamma_odd(m: int, n: int) -> MultiPoly:
+def gamma_odd(m: int, n: int) -> Poly:
     """Odd-power table entry γ_mn as a ĝ-monomial."""
     return _table_entry(m, n, 1)
 
 
-def _apply_c(poly: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+def _apply_c(poly: Poly) -> tuple[Poly, Poly]:
     """Single-integral operator on a polynomial in (x, ĝ).
 
     Cx^k = ĝ x^k / k for k ≥ 1.  A bare constant cannot pass through C
@@ -56,19 +58,19 @@ def _apply_c(poly: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     """
     poly = poly.embedded(_XG)
     out: dict[tuple[int, int], Fraction] = {}
-    blocked = MultiPoly.zero(_G)
+    blocked = Poly.zero(_G)
     for (kx, kg), coeff in poly.terms.items():
         if kx == 0:
             blocked = blocked + ghat(coeff, kg)
         else:
             out[(kx, kg + 1)] = out.get((kx, kg + 1), Fraction(0)) + coeff / kx
-    return MultiPoly(out, _XG), blocked
+    return Poly(out, _XG), blocked
 
 
-def _kinetic(poly: MultiPoly) -> MultiPoly:
+def _kinetic(poly: Poly) -> Poly:
     """T = -½ d²/dx² on a polynomial in (x, ĝ)."""
     second = poly.differentiate(VAR_X).differentiate(VAR_X)
-    return MultiPoly.const(Fraction(-1, 2), _XG) * second
+    return Poly.const(Fraction(-1, 2), _XG) * second
 
 
 def operator_chain_even(n: int):
@@ -80,7 +82,7 @@ def operator_chain_even(n: int):
     act at all.  That constant is returned as a polynomial in ĝ alongside
     the summed polynomial part.
     """
-    cur, blocked = _apply_c(MultiPoly.monomial(1, {VAR_X: 2 * n}, _XG))
+    cur, blocked = _apply_c(Poly.monomial(1, {VAR_X: 2 * n}, _XG))
     if blocked:
         raise MethodError("even chain blocked at its first step")
     total = cur
@@ -92,14 +94,14 @@ def operator_chain_even(n: int):
                 raise MethodError("constant appeared before the chain terminated")
             return total, blocked
         if not cur:
-            return total, MultiPoly.zero(_G)
+            return total, Poly.zero(_G)
         total = total + cur
     raise RuntimeError("operator chain failed to terminate")
 
 
-def operator_chain_odd(n: int) -> MultiPoly:
+def operator_chain_odd(n: int) -> Poly:
     """Iterate (-CT)^m C on x^(2n+1): no leftovers, at most n + 1 steps."""
-    cur, blocked = _apply_c(MultiPoly.monomial(1, {VAR_X: 2 * n + 1}, _XG))
+    cur, blocked = _apply_c(Poly.monomial(1, {VAR_X: 2 * n + 1}, _XG))
     if blocked:
         raise MethodError("odd chain blocked at its first step")
     total = cur
@@ -170,9 +172,9 @@ def double_factorial(n):
 
 class TestTables:
     def test_even_diagonal_and_zeros(self):
-        assert gamma_even(0, 0) == MultiPoly.zero((VAR_GHAT,))
-        assert gamma_even(0, 5) == MultiPoly.zero((VAR_GHAT,))
-        assert gamma_even(4, 2) == MultiPoly.zero((VAR_GHAT,))
+        assert gamma_even(0, 0) == Poly.zero((VAR_GHAT,))
+        assert gamma_even(0, 5) == Poly.zero((VAR_GHAT,))
+        assert gamma_even(4, 2) == Poly.zero((VAR_GHAT,))
         for n in range(1, 8):
             assert gamma_even(n, n) == ghat(Fraction(1, 2 * n), 1)
 
@@ -197,7 +199,7 @@ class TestTables:
     def test_tables_match_closed_forms(self):
         # Γ_mn = ∏_{j=m+1}^{n}(2j-1) / (m·2^(n-m+1)) ĝ^(n-m+1), zero for m = 0
         # or m > n; γ_mn = (n!/m!) / (2m+1) ĝ^(n-m+1), zero for m > n
-        zero = MultiPoly.zero((VAR_GHAT,))
+        zero = Poly.zero((VAR_GHAT,))
         for n in range(31):
             for m in range(31):
                 if m > n:
@@ -378,18 +380,18 @@ class TestOperatorChains:
     def test_even_chain_reproduces_table(self):
         for n in range(1, 7):
             total, subtraction = operator_chain_even(n)
-            expected = MultiPoly.zero((VAR_X, VAR_GHAT))
+            expected = Poly.zero((VAR_X, VAR_GHAT))
             for m in range(1, n + 1):
                 expected = expected + gamma_even(m, n).embedded((VAR_X, VAR_GHAT)) * \
-                    MultiPoly.monomial(1, {VAR_X: 2 * m}, (VAR_X, VAR_GHAT))
+                    Poly.monomial(1, {VAR_X: 2 * m}, (VAR_X, VAR_GHAT))
             assert total == expected
             assert subtraction == gamma_even(1, n)
 
     def test_odd_chain_reproduces_table(self):
         for n in range(0, 7):
             total = operator_chain_odd(n)
-            expected = MultiPoly.zero((VAR_X, VAR_GHAT))
+            expected = Poly.zero((VAR_X, VAR_GHAT))
             for m in range(0, n + 1):
                 expected = expected + gamma_odd(m, n).embedded((VAR_X, VAR_GHAT)) * \
-                    MultiPoly.monomial(1, {VAR_X: 2 * m + 1}, (VAR_X, VAR_GHAT))
+                    Poly.monomial(1, {VAR_X: 2 * m + 1}, (VAR_X, VAR_GHAT))
             assert total == expected

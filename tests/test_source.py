@@ -1,7 +1,13 @@
 """Rules on the package source itself."""
 
 import ast
+import inspect
 from pathlib import Path
+
+from trajquad.cli import main
+from trajquad.exactalg import MultiPoly
+
+from test_cli import readme_examples
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "trajquad"
 
@@ -34,15 +40,33 @@ def test_every_import_is_used():
     assert not unused, f"imports nothing in their module uses: {unused}"
 
 
+# the exact half, and the modules of the numeric half it must not import
+_EXACT_HALF = ("exactalg.py", "oscpert.py", "coulomb.py", "excited.py",
+               "errors.py")
+_NUMERIC = {"numpy", "numerics", "trajectory", "gexpand", "greens", "oracle"}
+
+
+def test_exact_half_imports_no_numerics():
+    # the exact recursions run on integers and Fractions alone; numpy or a
+    # grid layer imported here (coulomb once imported both) would tie them
+    # to the numeric half
+    found = []
+    for name in _EXACT_HALF:
+        for node in ast.walk(ast.parse((SRC / name).read_text(), name)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # "from . import greens" names the module among its aliases
+                modules = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            if any(_NUMERIC & set(m.split(".")) for m in modules):
+                found.append(f"{name}:{node.lineno}")
+    assert not found, f"numeric imports in the exact half: {found}"
+
+
 # (module, class, method) of public methods that only tests call
 _CALLED_BY_TESTS = {
-    # the coordinate polynomials r, u, x of the algebra tests and references
-    ("exactalg.py", "MultiPoly", "var"),
-    # the Laplacian, ∇·∇ and operator-chain references in the tests work on
-    # MultiPoly, which the integer kernels of src/ no longer do
-    ("exactalg.py", "MultiPoly", "differentiate"),
-    # the same references multiply by r^±2 through an exponent shift
-    ("exactalg.py", "MultiPoly", "shifted"),
     # black-box potentials with hand-written derivatives, which no command
     # takes, drive the grid layer tests
     ("trajectory.py", "Potential1D", "from_callables"),
@@ -51,8 +75,7 @@ _CALLED_BY_TESTS = {
 
 def test_every_public_function_is_used():
     # a public module-level function or class that no other src/ code uses
-    # is a test-only reference; it belongs in its test.  cli.py's public
-    # functions are the command-line front end.  The public methods,
+    # is a test-only reference; it belongs in its test.  The public methods,
     # classmethods and properties of public classes are held to the same
     # rule, bar the entries of _CALLED_BY_TESTS, which must each name a
     # method src/ does not use: a method is used when src/ reads an
@@ -66,8 +89,7 @@ def test_every_public_function_is_used():
                                 if isinstance(n, (ast.Name, ast.Attribute))})
                   for name, tree in trees.items() for node in tree.body]
     unused = [f"{name}:{node.name}" for name, node, _ in statements
-              if name != "cli.py"
-              and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_")
               and not any(node.name in refs for _, other, refs in statements
                           if other is not node)]
@@ -88,6 +110,35 @@ def test_every_public_function_is_used():
     stale = [f"{m}:{c}.{f}" for m, c, f in sorted(_CALLED_BY_TESTS - unused_methods)]
     assert not extra, f"public methods nothing in src/trajquad uses: {extra}"
     assert not stale, f"allow-list entries src/ uses or lacks: {stale}"
+
+
+def test_every_multipoly_method_is_called_by_a_command(monkeypatch, capsys):
+    # MultiPoly is the exact half's boundary type: it carries only what
+    # commands call, while the ring and calculus operators the tests check
+    # the kernels with live in tests/polyring.py.  Each public and dunder
+    # method must run in some README example (together they cover all
+    # seven commands); __repr__ is pytest's failure text
+    called = set()
+    methods = []
+    for name, raw in list(vars(MultiPoly).items()):
+        if name.startswith("_") and not name.startswith("__"):
+            continue
+        kind = type(raw) if isinstance(raw, (classmethod, staticmethod)) else None
+        fn = raw.__func__ if kind else raw
+        if not inspect.isfunction(fn):
+            continue
+
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            called.add(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(MultiPoly, name, kind(counted) if kind else counted)
+        methods.append(name)
+    for argv in readme_examples():
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    uncalled = sorted(set(methods) - called - {"__repr__"})
+    assert not uncalled, f"MultiPoly methods no command calls: {uncalled}"
 
 
 def test_every_error_is_raised():

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from trajquad.errors import DegenerateMinimum, InvalidPotential
+from trajquad.gexpand import hierarchy
 from trajquad.trajectory import Potential1D, build_grid
 
 
@@ -18,6 +20,25 @@ class TestPotential:
         assert pot.dv(2.0) == pytest.approx(2.0 + 3.2)
         assert pot.d2v(2.0) == pytest.approx(1.0 + 4.8)
         assert pot.derivatives[4](2.0) == pytest.approx(2.4)
+
+    @pytest.mark.parametrize("degree", [4, 9, 10, 171])
+    def test_poly_stack_depth_is_fixed(self, degree):
+        # v..v⁽⁹⁾ at any degree: the hierarchy reads v⁽⁵⁾ at most.  A stack
+        # as deep as the degree overflowed its derivative coefficients at
+        # degree 171, a RuntimeWarning (an error under the test settings)
+        pot = Potential1D.from_poly(f"0.5*x^2 + x^{degree}")
+        assert pot.depth == 9
+        coeffs = np.zeros(degree + 1)
+        coeffs[2], coeffs[degree] = 0.5, 1.0
+        x = np.linspace(-0.5, 0.5, 11)
+        for m, fn in enumerate(pot.derivatives):
+            assert np.array_equal(fn(x), npoly.polyval(x, npoly.polyder(coeffs, m)))
+
+    def test_high_degree_hierarchy_runs(self):
+        # gexpand --potential "0.5*x^2+x^171" --x-max 0.5 --n 201
+        pot = Potential1D.from_poly("0.5*x^2 + x^171")
+        sol = hierarchy(build_grid(pot, 0.5, 201), 3)
+        assert np.isfinite(sol.e_terms).all()
 
     def test_from_callables_requires_derivatives(self):
         with pytest.raises(InvalidPotential):
