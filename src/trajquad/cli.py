@@ -294,7 +294,7 @@ _COMMANDS = {
     }),
     "greens-check": (_run_greens_check, {
         "g": (1.0, _positive),
-        "n": (4001, lambda v: v >= 101),
+        "n": (4001, lambda v: v >= 101 and v % 2 == 1),
         "half-width": (8.0, _positive),
     }),
     "excited": (_run_excited, {

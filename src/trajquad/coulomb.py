@@ -32,11 +32,14 @@ denominator, reduced by the gcd of all numerators after every order, so
 no rational is normalised inside a product.  The radial-polar Laplacian
 and the gradient scale numerators by integers; a sum brings its parts to
 the lcm of their denominators, and the radial antiderivative to the lcm
-of its (a+1).  ∂_r S_m, ∂_u S_m and (1-u²)∂_u S_m are formed when S_m is
-made and reused by every later order.  The sum in K_n is symmetric under
+of its (a+1).  ∂_r S_m, ∂_u S_m and r⁻²(1-u²)∂_u S_m are formed when S_m
+is made and reused by every later order.  The sum in K_n is symmetric under
 m ↔ n-m, so each unordered pair is multiplied once, off-diagonal pairs
-counted twice, and the ½ is applied to the finished sum.  S_n and E_n
-become ``MultiPoly`` only at the boundary, in ``solve_perturbed``.
+counted twice, and the ½ is applied to the finished sum.  The angular
+average that fixes E_n also checks every finished S_n, whose r¹ part must
+average to zero.  The pairs follow ``exactalg``'s integer format, and S_n
+and E_n become ``MultiPoly`` only at the boundary, in ``solve_perturbed``,
+after the invariants have been checked on the integers.
 This kernel is the package's only radial-polar ∇² and ∇·∇;
 ``tests/test_coulomb.py`` holds an independent MultiPoly form of both and
 checks every retained grade of the wave equation with it.
@@ -46,10 +49,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import LogSingularity, MethodError
-from .exactalg import VAR_EPS, VAR_R, VAR_U, MultiPoly, _nonzero, _reduced
+from .exactalg import (VAR_EPS, VAR_R, VAR_U, MultiPoly, _add_product,
+                       _from_poly, _nonzero, _reduced, _to_poly)
 
 RUE = (VAR_R, VAR_U, VAR_EPS)
 
@@ -109,50 +112,43 @@ def _add_laplacian(out: dict, num: dict, scale: int) -> None:
             out[key] = get(key, 0) + h * c
 
 
-def _add_product(out: dict, x: dict, y: dict, shift: int, scale: int) -> None:
-    """out += scale·r^shift·x·y."""
-    get = out.get
-    for (ax, bx, ex), cx in x.items():
-        ax += shift
-        cx *= scale
-        for (ay, by, ey), cy in y.items():
-            key = (ax + ay, bx + by, ex + ey)
-            out[key] = get(key, 0) + cx * cy
-
-
 def _add_grad_dot(out: dict, grad_x: tuple, grad_y: tuple, scale: int) -> None:
     """out += scale·∇x·∇y = scale·[∂_r x ∂_r y + r^-2 (1-u²)∂_u x ∂_u y].
 
-    Each gradient is the cached triple (∂_r, ∂_u, (1-u²)∂_u) of numerators.
+    Each gradient is the cached triple (∂_r, ∂_u, r⁻²(1-u²)∂_u) of numerators.
     """
-    _add_product(out, grad_x[0], grad_y[0], 0, scale)
-    _add_product(out, grad_x[2], grad_y[1], -2, scale)
+    _add_product(out, grad_x[0], grad_y[0], scale)
+    _add_product(out, grad_x[2], grad_y[1], scale)
 
 
 def _gradient(num: dict) -> tuple:
-    """(∂_r, ∂_u, (1-u²)∂_u) of ``num``, over the same denominator."""
+    """(∂_r, ∂_u, r⁻²(1-u²)∂_u) of ``num``, over the same denominator."""
     dr = {(a - 1, b, e): a * c for (a, b, e), c in num.items() if a}
     du = {(a, b - 1, e): b * c for (a, b, e), c in num.items() if b}
-    w = dict(du)
+    w = {(a - 2, b, e): c for (a, b, e), c in du.items()}
     for (a, b, e), c in du.items():
-        key = (a, b + 2, e)
+        key = (a - 2, b + 2, e)
         w[key] = w.get(key, 0) - c
     return dr, du, _nonzero(w)
 
 
-def _to_poly(num: dict, den: int) -> MultiPoly:
-    return MultiPoly._make({k: Fraction(c, den) for k, c in num.items()}, RUE)
+def _angular_average(num: dict, a: int) -> tuple:
+    """(1/2)∫du of the r^a part of ``num``, keyed (0, 0, e), and its scale.
+
+    (1/2)∫u^b du = 1/(b+1) for even b and 0 for odd b, so the average is
+    the returned numerators over ``num``'s denominator times the returned
+    lcm of the (b+1).
+    """
+    level = [(b, e, c) for (ak, b, e), c in num.items() if ak == a and b % 2 == 0]
+    scale = math.lcm(*(b + 1 for b, _, _ in level))
+    out = {}
+    for b, e, c in level:
+        out[(0, 0, e)] = out.get((0, 0, e), 0) + c * (scale // (b + 1))
+    return _nonzero(out), scale
 
 
-def _from_poly(poly: MultiPoly) -> tuple:
-    den = math.lcm(*(c.denominator for c in poly.terms.values()))
-    return {k: c.numerator * (den // c.denominator)
-            for k, c in poly.terms.items()}, den
-
-
-def _integer_chain(u_poly: MultiPoly, order: int) -> tuple:
+def _integer_chain(u_num: dict, u_den: int, order: int) -> tuple:
     """S_n and E_n, n = 0..order, as reduced (numerators, denominator) pairs."""
-    u_num, u_den = _from_poly(u_poly)
     s_terms = [({(1, 0, 0): 1}, 1)]
     e_terms = [({(0, 0, 0): -1}, 2)]
     grads = [None]                # (gradient triple, den) of S_m, 1 <= m < order
@@ -175,13 +171,8 @@ def _integer_chain(u_poly: MultiPoly, order: int) -> tuple:
                 key = (a, b, e + 1)
                 total[key] = total.get(key, 0) + 2 * c * (den // u_den)
         k_num, k_den = _nonzero(total), 2 * den
-        # E_n: angular average of K_n's r⁰ part, (1/2)∫u^b du = 1/(b+1), b even
-        level = [(b, e, c) for (a, b, e), c in k_num.items() if a == 0 and b % 2 == 0]
-        avg = math.lcm(*(b + 1 for b, _, _ in level))
-        e_num = {}
-        for b, e, c in level:
-            e_num[(0, 0, e)] = e_num.get((0, 0, e), 0) + c * (avg // (b + 1))
-        e_num = _nonzero(e_num)
+        # E_n: the angular average of K_n's r⁰ part
+        e_num, avg = _angular_average(k_num, 0)
         k_den *= avg
         if avg > 1:
             k_num = {k: c * avg for k, c in k_num.items()}
@@ -193,7 +184,7 @@ def _integer_chain(u_poly: MultiPoly, order: int) -> tuple:
         bad = {(0, b, e): c for (a, b, e), c in k_num.items() if a == -1}
         if bad:
             raise LogSingularity(
-                f"r^-1 source with angular coefficient {_to_poly(bad, k_den).render()}")
+                f"r^-1 source with angular coefficient {_to_poly(bad, k_den, RUE).render()}")
         span = math.lcm(*(a + 1 for a, _, _ in k_num))
         s_n = _reduced({(a + 1, b, e): c * (span // (a + 1))
                         for (a, b, e), c in k_num.items()}, k_den * span)
@@ -219,16 +210,16 @@ def solve_perturbed(u_poly: MultiPoly, order: int) -> CoulombSolution:
     ``TestRandomizedResiduals``).
     """
     u_poly = u_poly.embedded(RUE)
-    if u_poly.depends_on(VAR_EPS):
+    u_num, u_den = _from_poly(u_poly)
+    if any(e for _, _, e in u_num):
         raise ValueError("perturbation must not depend on ε")
-    if u_poly.min_degree(VAR_R) < 1 and u_poly:
+    if any(a < 1 for a, _, _ in u_num):
         raise ValueError("perturbation must vanish at the origin")
-    s_terms, e_terms = _integer_chain(u_poly, order)
-    sol = CoulombSolution(u_perturbation=u_poly, order=order,
-                          s_terms=[_to_poly(*s) for s in s_terms],
-                          e_terms=[_to_poly(*e) for e in e_terms])
-    _check_invariants(sol)
-    return sol
+    s_terms, e_terms = _integer_chain(u_num, u_den, order)
+    _check_invariants(s_terms, e_terms)
+    return CoulombSolution(u_perturbation=u_poly, order=order,
+                           s_terms=[_to_poly(*s, RUE) for s in s_terms],
+                           e_terms=[_to_poly(*e, RUE) for e in e_terms])
 
 
 def solve_isotropic(u_poly: MultiPoly, order: int) -> CoulombSolution:
@@ -245,14 +236,19 @@ def solve_stark(order: int) -> CoulombSolution:
     return solve_perturbed(MultiPoly.monomial(1, {VAR_R: 1, VAR_U: 1}, RUE), order)
 
 
-def _check_invariants(sol: CoulombSolution) -> None:
-    for n, s_n in enumerate(sol.s_terms):
-        if s_n and s_n.min_degree(VAR_R) < 1:
+def _check_invariants(s_terms: list, e_terms: list) -> None:
+    """Raise MethodError unless the chain's (numerators, denominator) pairs hold.
+
+    Every S_n vanishes at r = 0, every S_n past S_0 has an r¹ part of zero
+    angular average, and every E_n is free of r and u.
+    """
+    for n, (s_num, _) in enumerate(s_terms):
+        if any(a < 1 for a, _, _ in s_num):
             raise MethodError(f"S_{n} does not vanish at the origin")
-        if n >= 1 and s_n.coeff_of(VAR_R, 1).angular_average():
+        if n >= 1 and _angular_average(s_num, 1)[0]:
             raise MethodError(f"S_{n} keeps a radially-constant slope at r=0")
-    for n, e_n in enumerate(sol.e_terms):
-        if e_n.depends_on(VAR_R) or e_n.depends_on(VAR_U):
+    for n, (e_num, _) in enumerate(e_terms):
+        if any(a or b for a, b, _ in e_num):
             raise MethodError(f"E_{n} is not a pure ε-polynomial")
 
 

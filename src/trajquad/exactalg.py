@@ -9,15 +9,19 @@ never carry negative powers.
 
 ``MultiPoly`` is the boundary of the exact half: user text is parsed into
 it, results are built into it from the kernels' integer numerators, and
-the CLI renders and evaluates it.  Besides the sum the parser needs and
-the negation Δ needs, it carries only queries (degrees, coefficients,
-dependence) and the angular average (1/2)∫_{-1}^{1} du over u = cos a.
-Products, derivatives and the radial-polar Laplacian and gradient live
-in the integer kernels of ``coulomb`` and ``oscpert``, the recursions
-that need them.  Both kernels keep integer numerators over one positive
-denominator and share two helpers from here: ``_nonzero`` drops zero
-numerators and ``_reduced`` divides numerators and denominator by their
-gcd.
+the CLI renders and evaluates it.  Besides the sum the parser needs, it
+carries only queries (degrees, coefficients, dependence), evaluation and
+rendering.  Products, derivatives, angular averages and the radial-polar
+Laplacian and gradient live in the integer kernels of ``coulomb`` and
+``oscpert``, the recursions that need them.
+
+This module owns those kernels' integer format: a polynomial is a pair
+(numerators, denominator), a dict of integer numerators keyed by exponent
+tuples over one positive denominator.  ``_nonzero`` drops zero numerators,
+``_reduced`` divides numerators and denominator by their gcd,
+``_add_product`` accumulates a scaled product, and ``_to_poly`` and
+``_from_poly`` cross the boundary, the only places where a pair meets a
+``Fraction``.
 
 A canonical text rendering ("-21/8 * ε^2 * ĝ^5") and a round-trip parser
 for the same grammar serve the CLI and the golden tests.  Terms are ordered
@@ -26,11 +30,12 @@ variable order x < r < u < ε < ĝ (other symbols sort after these by name).
 
 ``MultiPoly(terms, variables)`` validates user input: it sorts the
 variables, checks exponent lengths and Laurent signs, converts and sums
-coefficients.  Operator results skip that work and go through the private
-classmethod ``_make(terms, variables)``, called on the operand so that a
-result keeps its class.  Its contract is: ``variables`` is already in
-collation order, every key is an int tuple of matching length, every
-coefficient is a ``Fraction``; ``_make`` only drops zero coefficients.
+coefficients.  Operator results and ``_to_poly`` skip that work and go
+through the private classmethod ``_make(terms, variables)``, called on the
+operand so that a result keeps its class.  Its contract is: ``variables``
+is already in collation order, every key is an int tuple of matching
+length, every coefficient is a ``Fraction``; ``_make`` only drops zero
+coefficients.
 """
 
 from __future__ import annotations
@@ -70,22 +75,6 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"exact coefficient expected, got {type(value).__name__}")
-
-
-# Helpers of the integer kernels (``coulomb``, ``oscpert``): a polynomial is
-# a dict of integer numerators over one positive denominator.
-
-
-def _nonzero(num: dict) -> dict:
-    return {k: c for k, c in num.items() if c}
-
-
-def _reduced(num: dict, den: int) -> tuple:
-    """Divide numerators and denominator by their gcd."""
-    g = math.gcd(den, *num.values())
-    if g == 1:
-        return num, den
-    return {k: c // g for k, c in num.items()}, den // g
 
 
 class MultiPoly:
@@ -186,9 +175,6 @@ class MultiPoly:
             out[exps] = coeff if c is None else c + coeff
         return self._make(out, a.variables)
 
-    def __neg__(self):
-        return self._make({e: -c for e, c in self.terms.items()}, self.variables)
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -198,10 +184,6 @@ class MultiPoly:
         """Highest exponent of ``var`` (0 for the zero polynomial)."""
         i = self._index(var)
         return max((e[i] for e in self.terms), default=0)
-
-    def min_degree(self, var: str) -> int:
-        i = self._index(var)
-        return min((e[i] for e in self.terms), default=0)
 
     def coeff_of(self, var: str, power: int) -> "MultiPoly":
         """Polynomial coefficient of var**power, over the same variables."""
@@ -226,22 +208,6 @@ class MultiPoly:
         except ValueError:
             raise VariableMismatch(
                 f"{var!r} not among variables {self.variables!r}") from None
-
-    def angular_average(self) -> "MultiPoly":
-        """(1/2)∫_{-1}^{1} · du, exact; the result is free of u."""
-        if VAR_U not in self.variables:
-            return self
-        i = self._index(VAR_U)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.terms.items():
-            k = exps[i]
-            if k % 2 == 1:
-                continue
-            key = exps[:i] + (0,) + exps[i + 1:]
-            v = coeff / (k + 1)
-            c = out.get(key)
-            out[key] = v if c is None else c + v
-        return self._make(out, self.variables)
 
     # ------------------------------------------------------------ evaluation
 
@@ -297,6 +263,46 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.render()!r})"
+
+
+# The integer format of the exact kernels (``coulomb``, ``oscpert``): a
+# polynomial is a pair (num, den), num a dict of nonzero integer numerators
+# keyed by exponent tuples, den > 0 shared by every term.
+
+
+def _nonzero(num: dict) -> dict:
+    return {k: c for k, c in num.items() if c}
+
+
+def _reduced(num: dict, den: int) -> tuple:
+    """Divide numerators and denominator by their gcd."""
+    g = math.gcd(den, *num.values())
+    if g == 1:
+        return num, den
+    return {k: c // g for k, c in num.items()}, den // g
+
+
+def _add_product(out: dict, x: dict, y: dict, scale: int) -> None:
+    """out += scale·x·y on numerators keyed by exponent triples."""
+    get = out.get
+    for (ax, bx, ex), cx in x.items():
+        cx *= scale
+        for (ay, by, ey), cy in y.items():
+            key = (ax + ay, bx + by, ex + ey)
+            out[key] = get(key, 0) + cx * cy
+
+
+def _to_poly(num: dict, den: int, variables: tuple) -> MultiPoly:
+    """The MultiPoly of num/den, zero numerators dropped; ``variables`` in
+    collation order."""
+    return MultiPoly._make({k: Fraction(c, den) for k, c in num.items()}, variables)
+
+
+def _from_poly(poly: MultiPoly) -> tuple:
+    """``poly`` as numerators over the lcm of its denominators."""
+    den = math.lcm(*(c.denominator for c in poly.terms.values()))
+    return {k: c.numerator * (den // c.denominator)
+            for k, c in poly.terms.items()}, den
 
 
 _NUMBER_RE = re.compile(r"^[0-9]+(/[0-9]+|\.[0-9]*)?$|^\.[0-9]+$")

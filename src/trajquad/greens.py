@@ -273,8 +273,7 @@ def gaussian_even_moment(n: int, g: float) -> float:
     return value
 
 
-def identity_report(g: float = 1.0, n: int = 4001,
-                    half_width: float = 8.0) -> list:
+def identity_report(g: float, n: int, half_width: float) -> list:
     """Run the operator identity checks; one JSON-able record per identity.
 
     D̄ is applied once to each of the six sources, and every identity

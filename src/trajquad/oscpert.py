@@ -42,8 +42,9 @@ so no rational is normalised inside the recursion.  A source is brought
 to the lcm of its parts' denominators.  On a source over D whose top key
 is J, the sweep carries the integer A_j = 2^t·S_j + (j+1)·A_{j+2},
 t = (J-j)/2, with T_j = A_j/(D·2^t), and puts every image over
-D·2^t_max·lcm of the j.  A ``Fraction`` is built only for a coefficient a
-caller reads.
+D·2^t_max·lcm of the j.  These pairs are ``exactalg``'s integer format,
+and they become ``MultiPoly`` through its ``_to_poly`` only where a caller
+reads Δ(k) or the shift polynomial.
 
 The series is solved order by order in ε with no truncation other than the
 requested order.  At ε-order k the coefficients live on n ≤ kP with
@@ -60,10 +61,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import MethodError
-from .exactalg import VAR_EPS, VAR_GHAT, MultiPoly, _reduced
+from .exactalg import VAR_EPS, VAR_GHAT, MultiPoly, _reduced, _to_poly
 
 _G = (VAR_GHAT,)
 _EG = (VAR_EPS, VAR_GHAT)
@@ -111,24 +111,18 @@ class PerturbSeries:
     def _power(self, k: int, n: int) -> int:
         return (k * (self.P + 2) - n) // 2
 
-    def coeff(self, k: int, n: int) -> MultiPoly:
-        """ε^k coefficient of x^n in e^{-τ} as a ĝ-monomial."""
-        c = self.levels[k].get(n)
-        if not c:
-            return MultiPoly.zero(_G)
-        power = self._power(k, n)
-        return MultiPoly._make({(power,): Fraction(c, self.denominators[k])}, _G)
-
     def delta(self, k: int) -> MultiPoly:
         """Δ(k) = -(the ε^k coefficient of x²), with εΔ = Σ_k ε^k Δ(k)."""
-        return -self.coeff(k, 2)
+        return _to_poly({(self._power(k, 2),): -self.levels[k].get(2, 0)},
+                        self.denominators[k], _G)
 
     def shift_polynomial(self) -> MultiPoly:
-        """εΔ as an exact polynomial in (ε, ĝ)."""
-        pairs = zip(self.levels[1:], self.denominators[1:])
-        terms = {(k, self._power(k, 2)): Fraction(-level[2], den)
-                 for k, (level, den) in enumerate(pairs, start=1) if 2 in level}
-        return MultiPoly._make(terms, _EG)
+        """εΔ as an exact polynomial in (ε, ĝ), over one denominator."""
+        orders = [k for k in range(1, len(self.levels)) if 2 in self.levels[k]]
+        den = math.lcm(*(self.denominators[k] for k in orders))
+        return _to_poly({(k, self._power(k, 2)):
+                         -self.levels[k][2] * (den // self.denominators[k])
+                         for k in orders}, den, _EG)
 
 
 def _solve(P: int, order: int) -> PerturbSeries:

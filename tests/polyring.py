@@ -5,8 +5,8 @@ integer numerators, and ``MultiPoly`` is their parse, render and evaluate
 boundary.  The tests check those kernels against independent recursions
 written on polynomials (the Coulomb ∇² and ∇·∇, the oscillator operator
 chain, the excited transport equation), so the operators those
-recursions need live here: subtraction, products, exact equality,
-partial derivatives and exponent shifts.
+recursions need live here: negation, subtraction, products, exact
+equality, partial derivatives, exponent shifts and the angular average.
 
 ``Poly`` is a ``MultiPoly`` whose results are again ``Poly``s; ints and
 Fractions act as constants.  A package result enters the algebra through
@@ -18,7 +18,7 @@ compares exactly without a lift.
 from fractions import Fraction
 
 from trajquad.errors import VariableMismatch
-from trajquad.exactalg import _LAURENT_OK, MultiPoly, parse_poly
+from trajquad.exactalg import _LAURENT_OK, VAR_U, MultiPoly, parse_poly
 
 
 class Poly(MultiPoly):
@@ -38,7 +38,7 @@ class Poly(MultiPoly):
 
     def _coerced(self, other):
         if isinstance(other, MultiPoly):
-            return other
+            return lift(other)
         if isinstance(other, (int, Fraction)):
             return Poly.const(other, self.variables)
         return None
@@ -48,6 +48,9 @@ class Poly(MultiPoly):
         return NotImplemented if rhs is None else MultiPoly.__add__(self, rhs)
 
     __radd__ = __add__
+
+    def __neg__(self):
+        return self._make({e: -c for e, c in self.terms.items()}, self.variables)
 
     def __sub__(self, other):
         rhs = self._coerced(other)
@@ -100,6 +103,18 @@ class Poly(MultiPoly):
                 f"negative exponent on non-Laurent variable {var!r}")
         return self._make({e[:i] + (e[i] + delta,) + e[i + 1:]: c
                            for e, c in self.terms.items()}, self.variables)
+
+    def angular_average(self):
+        """(1/2)∫_{-1}^{1} · du over u = cos a, exact; the result is free of u."""
+        if VAR_U not in self.variables:
+            return self
+        i = self._index(VAR_U)
+        out = {}
+        for e, c in self.terms.items():
+            if e[i] % 2 == 0:
+                key = e[:i] + (0,) + e[i + 1:]
+                out[key] = out.get(key, 0) + c / (e[i] + 1)
+        return self._make(out, self.variables)
 
 
 def lift(poly):

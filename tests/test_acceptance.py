@@ -23,17 +23,13 @@ from trajquad import trajectory as trajectory_mod
 from trajquad.numerics import adaptive_panels
 
 from polyring import Poly, parse
+from test_oscpert import level
 
 RUE = (VAR_R, VAR_U, VAR_EPS)
 
 
 def ghat(coeff, power):
     return Poly.monomial(Fraction(coeff), {VAR_GHAT: power}, (VAR_GHAT,))
-
-
-def level(series, k):
-    """The ε^k coefficients of e^{-τ}, keyed by x-power."""
-    return {n: series.coeff(k, n) for n in series.levels[k]}
 
 
 def P(text):

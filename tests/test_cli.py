@@ -217,6 +217,8 @@ class TestMain:
         ["--command", "oracle", "--potential", "x^-1", "--n", "200"],
         # a weight e^(2gS) that overflows, once after H_l(√g·z) had warned
         ["--command", "greens-check", "--g", "1e300"],
+        # an even grid has no node at the origin, where S must vanish
+        ["--command", "greens-check", "--n", "4000"],
     ])
     def test_invalid_input_exits_1(self, argv, capsys):
         assert main(argv) == 1
@@ -374,7 +376,7 @@ class TestMain:
         lines = text.splitlines()
         assert lines[2] == "identity,grid,max_residual,tolerance,pass"
         rows = [line.split(",") for line in lines[3:]]
-        expected = [r["identity"] for r in identity_report(2.0, 401)]
+        expected = [r["identity"] for r in identity_report(2.0, 401, 8.0)]
         assert [row[0] for row in rows] == expected
         assert "False" in [row[-1] for row in rows]
 

@@ -6,10 +6,14 @@ runs on its own integer kernel and never calls them.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,12 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajquad.coulomb import (
+    _check_invariants,
+    _integer_chain,
     assemble,
     solve_isotropic,
     solve_perturbed,
     solve_stark,
 )
-from trajquad.errors import LogSingularity
+from trajquad.errors import LogSingularity, MethodError
 from trajquad.exactalg import VAR_EPS, VAR_R, VAR_U
 from trajquad.numerics import adaptive_panels
 
@@ -444,6 +450,77 @@ class TestIntegerKernel:
                 solve(P(text), 6)
             assert str(info.value) == \
                 f"r^-1 source with angular coefficient {coefficient}"
+
+
+def stark_pairs(order):
+    """The Stark chain's S_n and E_n as (numerators, denominator) pairs."""
+    return _integer_chain({(1, 1, 0): 1}, 1, order)
+
+
+def with_terms(pairs, n, extra):
+    """A copy of ``pairs`` whose n-th numerators have ``extra`` added."""
+    num, den = pairs[n]
+    added = dict(num)
+    for key, c in extra.items():
+        added[key] = added.get(key, 0) + c
+    return pairs[:n] + [(added, den)] + pairs[n + 1:]
+
+
+class TestInvariantChecks:
+    """The chain's own checks on corrupted (numerators, denominator) pairs.
+
+    ``test_invariant_checks_survive_python_O`` runs this class under
+    ``python -O``, which strips assert statements, so the class checks
+    with ``pytest.raises`` and ``pytest.fail`` alone.
+    """
+
+    @staticmethod
+    def raises(s_terms, e_terms, message):
+        with pytest.raises(MethodError) as info:
+            _check_invariants(s_terms, e_terms)
+        if str(info.value) != message:
+            pytest.fail(f"{str(info.value)!r} != {message!r}")
+
+    def test_sound_chain_passes(self):
+        s_terms, e_terms = stark_pairs(8)
+        _check_invariants(s_terms, e_terms)
+        # an r¹ part of zero angular mean in every ε power is allowed:
+        # 3 - 9u² averages to zero and u is odd
+        zero_mean = {(1, 0, 1): 3, (1, 2, 1): -9, (1, 1, 2): 4}
+        _check_invariants(with_terms(s_terms, 4, zero_mean), e_terms)
+
+    def test_s_with_an_r0_term(self):
+        s_terms, e_terms = stark_pairs(8)
+        self.raises(with_terms(s_terms, 3, {(0, 1, 2): 1}), e_terms,
+                    "S_3 does not vanish at the origin")
+
+    def test_s_with_an_averaged_r1_slope(self):
+        # the ε¹ part averages to zero, the ε³ part r·u²·ε³ to r·ε³/3
+        s_terms, e_terms = stark_pairs(8)
+        slope = {(1, 0, 1): 3, (1, 2, 1): -9, (1, 2, 3): 1}
+        self.raises(with_terms(s_terms, 5, slope), e_terms,
+                    "S_5 keeps a radially-constant slope at r=0")
+
+    @pytest.mark.parametrize("key", [(1, 0, 0), (0, 2, 1), (-1, 0, 2)])
+    def test_e_with_an_r_or_u_power(self, key):
+        s_terms, e_terms = stark_pairs(8)
+        self.raises(s_terms, with_terms(e_terms, 6, {key: 1}),
+                    "E_6 is not a pure ε-polynomial")
+
+
+def test_invariant_checks_survive_python_O():
+    # the chain's invariants raise MethodError rather than assert, so that
+    # python -O, which strips assert statements, keeps them
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{Path(__file__).resolve()}::TestInvariantChecks"],
+        capture_output=True, text=True, cwd=root, timeout=300,
+        env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1].startswith("6 passed"), done.stdout
 
 
 class TestAssembly:

@@ -30,6 +30,8 @@ from trajquad.greens import (
 )
 from trajquad.numerics import cumulative_integral, derivative
 
+from test_oscpert import coeff
+
 G = 1.0
 
 
@@ -289,8 +291,8 @@ class TestShift:
         series = solve_even(2, 3)
         eps, g = 1e-3, 1.0
         ginv = {VAR_GHAT: 1.0 / g}
-        a1 = series.coeff(1, 2).evaluate(ginv)
-        a2 = series.coeff(1, 4).evaluate(ginv)
+        a1 = coeff(series, 1, 2).evaluate(ginv)
+        a2 = coeff(series, 1, 4).evaluate(ginv)
         x = profile.nodes
         tau_vals = -eps * (a1 * x ** 2 + a2 * x ** 4)
         u = profile.with_values(lambda z: z ** 4)
@@ -317,7 +319,7 @@ class TestSeriesFixedPoint:
                 out = np.ones_like(np.asarray(z, dtype=float))
                 for k in range(1, series.order + 1):
                     for n in series.levels[k]:
-                        out = out + eps ** k * series.coeff(k, n).evaluate(ginv) * z ** n
+                        out = out + eps ** k * coeff(series, k, n).evaluate(ginv) * z ** n
                 return out
             return fn
 
@@ -362,7 +364,7 @@ class TestReport:
         apply = greens.apply_Dbar
         monkeypatch.setattr(greens, "apply_Dbar",
                             lambda *a, **kw: calls.append(1) or apply(*a, **kw))
-        report = identity_report(g, 401)
+        report = identity_report(g, 401, 8.0)
         assert len(calls) == 6
         calls.clear()
         reference = reference_report(g, 401)

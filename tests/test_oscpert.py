@@ -157,9 +157,15 @@ def fraction_solve(P: int, order: int) -> list:
     return levels
 
 
+def coeff(series, k, n):
+    """The ε^k coefficient of x^n in e^{-τ} as a ĝ-monomial."""
+    return ghat(Fraction(series.levels[k].get(n, 0), series.denominators[k]),
+                series._power(k, n))
+
+
 def level(series, k):
     """The ε^k coefficients of e^{-τ}, keyed by x-power."""
-    return {n: series.coeff(k, n) for n in series.levels[k]}
+    return {n: coeff(series, k, n) for n in series.levels[k]}
 
 
 def double_factorial(n):

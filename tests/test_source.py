@@ -65,6 +65,26 @@ def test_exact_half_imports_no_numerics():
     assert not found, f"numeric imports in the exact half: {found}"
 
 
+def test_kernels_leave_the_integer_format_through_exactalg():
+    # exactalg owns the kernels' (numerators, denominator) format and its
+    # crossing into MultiPoly; a Fraction or a _make call in a kernel would
+    # be a second owner
+    found = []
+    for name in ("coulomb.py", "oscpert.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text(), name)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            if any(m.split(".")[0] == "fractions" for m in modules):
+                found.append(f"{name}:{node.lineno}: imports fractions")
+            if isinstance(node, ast.Attribute) and node.attr == "_make":
+                found.append(f"{name}:{node.lineno}: calls _make")
+    assert not found, f"the integer format crossed outside exactalg: {found}"
+
+
 # (module, class, method) of public methods that only tests call
 _CALLED_BY_TESTS = {
     # black-box potentials with hand-written derivatives, which no command
