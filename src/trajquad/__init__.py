@@ -4,10 +4,10 @@ The package splits into exact-symbolic and grid-numeric halves that check
 each other:
 
 exactalg   the exact half's boundary type: sparse Laurent polynomials
-           over the rationals, parsed, rendered and evaluated, with the
-           angular average; the helpers the integer kernels share
+           over the rationals, parsed, rendered and evaluated, with no
+           arithmetic; the integer format the kernels share
 oscpert    exact ε-series for the harmonic oscillator with a monomial
-           perturbation (the Γ/γ recursion tables)
+           perturbation, by one resolvent sweep on integer numerators
 coulomb    closed-form recursion for the perturbed Coulomb ground state,
            including the uniform-field (Stark) chain, on an integer kernel
            that holds the radial-polar ∇² and ∇·∇

@@ -23,8 +23,8 @@ fix the energies in the worked examples.  Should it ever fail, the
 radial integration raises LogSingularity rather than truncating.
 
 All S_n, E_n are exact polynomials in (r, u = cos a, ε); each order mixes
-several ε powers, so comparisons against single-ε results go through
-``MultiPoly.coeff_of``.
+several ε powers, so the tests compare single-ε results through the
+ε-coefficient of their reference algebra (``tests/polyring.py``).
 
 The recursion runs on a private integer kernel.  Each polynomial is a
 dict (a, b, e) → int of numerators of r^a·u^b·ε^e over one positive
@@ -233,7 +233,7 @@ def solve_stark(order: int) -> CoulombSolution:
     """Recursion for the uniform-field perturbation U = r·cos a."""
     if order < 2:
         raise ValueError("the Stark chain starts contributing at order 2")
-    return solve_perturbed(MultiPoly.monomial(1, {VAR_R: 1, VAR_U: 1}, RUE), order)
+    return solve_perturbed(MultiPoly({(1, 1, 0): 1}, RUE), order)
 
 
 def _check_invariants(s_terms: list, e_terms: list) -> None:

@@ -9,11 +9,11 @@ never carry negative powers.
 
 ``MultiPoly`` is the boundary of the exact half: user text is parsed into
 it, results are built into it from the kernels' integer numerators, and
-the CLI renders and evaluates it.  Besides the sum the parser needs, it
-carries only queries (degrees, coefficients, dependence), evaluation and
-rendering.  Products, derivatives, angular averages and the radial-polar
-Laplacian and gradient live in the integer kernels of ``coulomb`` and
-``oscpert``, the recursions that need them.
+the CLI renders and evaluates it.  It carries no arithmetic: besides
+embedding into more variables it answers only whether it depends on a
+variable, evaluates and renders.  Sums, products, derivatives, angular
+averages and the radial-polar Laplacian and gradient live in the integer
+kernels of ``coulomb`` and ``oscpert``, the recursions that need them.
 
 This module owns those kernels' integer format: a polynomial is a pair
 (numerators, denominator), a dict of integer numerators keyed by exponent
@@ -28,14 +28,14 @@ for the same grammar serve the CLI and the golden tests.  Terms are ordered
 graded-lexicographically: by total degree, then by exponents in the fixed
 variable order x < r < u < ε < ĝ (other symbols sort after these by name).
 
-``MultiPoly(terms, variables)`` validates user input: it sorts the
+``MultiPoly(terms, variables)`` validates its input: it sorts the
 variables, checks exponent lengths and Laurent signs, converts and sums
-coefficients.  Operator results and ``_to_poly`` skip that work and go
-through the private classmethod ``_make(terms, variables)``, called on the
-operand so that a result keeps its class.  Its contract is: ``variables``
-is already in collation order, every key is an int tuple of matching
-length, every coefficient is a ``Fraction``; ``_make`` only drops zero
-coefficients.
+coefficients.  ``parse_poly``, ``embedded`` and ``_to_poly`` skip that work
+and go through the private classmethod ``_make(terms, variables)``, which
+``embedded`` calls on its operand so that a result keeps its class.  Its
+contract is: ``variables`` is already in collation order, every key is an
+int tuple of matching length, every coefficient is a ``Fraction``;
+``_make`` only drops zero coefficients.
 """
 
 from __future__ import annotations
@@ -119,19 +119,6 @@ class MultiPoly:
         poly.terms = {e: c for e, c in terms.items() if c}
         return poly
 
-    # ---------------------------------------------------------------- build
-
-    @classmethod
-    def zero(cls, variables: Iterable[str] = ()) -> "MultiPoly":
-        return cls({}, variables)
-
-    @classmethod
-    def monomial(cls, coeff, powers: Mapping[str, int],
-                 variables: Iterable[str] | None = None) -> "MultiPoly":
-        names = tuple(variables) if variables is not None else tuple(powers)
-        exps = tuple(powers.get(v, 0) for v in names)
-        return cls({exps: _as_fraction(coeff)}, names)
-
     # ------------------------------------------------------------ alignment
 
     def embedded(self, variables: Iterable[str]) -> "MultiPoly":
@@ -151,63 +138,16 @@ class MultiPoly:
             new_terms[tuple(row)] = coeff
         return self._make(new_terms, names)
 
-    @staticmethod
-    def _aligned(a: "MultiPoly", b: "MultiPoly"):
-        if a.variables == b.variables:
-            return a, b
-        sa, sb = set(a.variables), set(b.variables)
-        if sa <= sb:
-            return a.embedded(b.variables), b
-        if sb <= sa:
-            return a, b.embedded(a.variables)
-        raise VariableMismatch(
-            f"incompatible variable sets {a.variables!r} and {b.variables!r}")
-
-    # ----------------------------------------------------------- arithmetic
-
-    def __add__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        a, b = self._aligned(self, other)
-        out = dict(a.terms)
-        for exps, coeff in b.terms.items():
-            c = out.get(exps)
-            out[exps] = coeff if c is None else c + coeff
-        return self._make(out, a.variables)
-
     def __bool__(self):
         return bool(self.terms)
 
     # -------------------------------------------------------------- queries
 
-    def degree(self, var: str) -> int:
-        """Highest exponent of ``var`` (0 for the zero polynomial)."""
-        i = self._index(var)
-        return max((e[i] for e in self.terms), default=0)
-
-    def coeff_of(self, var: str, power: int) -> "MultiPoly":
-        """Polynomial coefficient of var**power, over the same variables."""
-        i = self._index(var)
-        kept = {exps[:i] + (0,) + exps[i + 1:]: coeff
-                for exps, coeff in self.terms.items() if exps[i] == power}
-        return self._make(kept, self.variables)
-
-    def constant(self) -> Fraction:
-        """The constant term (all exponents zero)."""
-        return self.terms.get((0,) * len(self.variables), Fraction(0))
-
     def depends_on(self, var: str) -> bool:
         if var not in self.variables:
             return False
-        i = self._index(var)
+        i = self.variables.index(var)
         return any(e[i] != 0 for e in self.terms)
-
-    def _index(self, var: str) -> int:
-        try:
-            return self.variables.index(var)
-        except ValueError:
-            raise VariableMismatch(
-                f"{var!r} not among variables {self.variables!r}") from None
 
     # ------------------------------------------------------------ evaluation
 
@@ -347,7 +287,10 @@ def parse_poly(text: str, variables: Iterable[str] | None = None) -> MultiPoly:
     (``3``, ``21/8``, ``0.5``) or a power (``x``, ``r^-2``, ``ĝ^5``).
     ASCII aliases eps/ghat are accepted for ε/ĝ.  Malformed text, a term
     with a negative net power of any variable but r, and symbols outside
-    ``variables`` when it is given, raise ValueError.
+    ``variables`` when it is given, raise ValueError; a symbol counts
+    even when its term's coefficient is zero.  The result is over
+    ``variables``, or over the symbols the text names when it is None,
+    and equal terms are summed into one dict.
     """
     text = re.sub(r"\s+", "", text)
     if not text:
@@ -382,13 +325,13 @@ def parse_poly(text: str, variables: Iterable[str] | None = None) -> MultiPoly:
                 raise ValueError(f"negative power of non-Laurent variable "
                                  f"{name!r} in term {term!r}")
         parsed.append((coeff, powers))
-    names = tuple(sorted(seen, key=_var_key))
-    result = MultiPoly.zero(names)
-    for coeff, powers in parsed:
-        result = result + MultiPoly.monomial(coeff, powers, names)
     if variables is not None:
-        extra = set(result.variables) - set(variables)
+        extra = seen - set(variables)
         if extra:
             raise ValueError(f"unexpected symbols {sorted(extra)!r}")
-        result = result.embedded(tuple(variables))
-    return result
+    names = tuple(sorted(seen, key=_var_key))
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for coeff, powers in parsed:
+        exps = tuple(powers.get(v, 0) for v in names)
+        terms[exps] = terms.get(exps, 0) + coeff
+    return MultiPoly._make(terms, names)

@@ -32,7 +32,11 @@ class ExcitedSpec:
     occupation: tuple
 
     def __post_init__(self):
-        freqs = tuple(Fraction(f) for f in self.freqs)
+        try:
+            freqs = tuple(Fraction(f) for f in self.freqs)
+        except ZeroDivisionError:
+            raise ValueError(f"bad frequency in {self.freqs!r}: "
+                             f"zero denominator") from None
         occ = tuple(int(n) for n in self.occupation)
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "occupation", occ)
@@ -56,7 +60,7 @@ class ExcitedSpec:
 def chi0_e0(spec: ExcitedSpec):
     """χ₀ = Π q_i^{n_i} and 𝓔₀ = Σ n_i ν_i, both exact."""
     names = spec.variables()
-    chi0 = MultiPoly.monomial(1, dict(zip(names, spec.occupation)), names)
+    chi0 = MultiPoly({spec.occupation: 1}, names)
     energy = sum((n * f for n, f in zip(spec.occupation, spec.freqs)),
                  Fraction(0))
     return chi0, energy

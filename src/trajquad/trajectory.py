@@ -27,7 +27,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import DegenerateMinimum, InvalidPotential
-from .exactalg import VAR_X, MultiPoly, parse_poly
+from .exactalg import VAR_X, parse_poly
 from .numerics import adaptive_panels
 
 
@@ -71,15 +71,13 @@ class Potential1D:
         return len(self.derivatives) - 1
 
     @classmethod
-    def from_poly(cls, poly: MultiPoly | str, origin: float = 0.0) -> "Potential1D":
-        if isinstance(poly, str):
-            poly = parse_poly(poly)
-        if any(v != VAR_X for v in poly.variables if poly.depends_on(v)):
-            raise ValueError("potential polynomial must involve x only")
-        if VAR_X not in poly.variables:
-            poly = poly.embedded(tuple(poly.variables) + (VAR_X,))
-        coeffs = np.array([float(poly.coeff_of(VAR_X, k).constant())
-                           for k in range(poly.degree(VAR_X) + 1)])
+    def from_poly(cls, text: str, origin: float = 0.0) -> "Potential1D":
+        """The polynomial in x that ``text`` spells; any other symbol is a
+        ValueError."""
+        poly = parse_poly(text, (VAR_X,))
+        coeffs = np.zeros(1 + max((e[0] for e in poly.terms), default=0))
+        for (k,), coeff in poly.terms.items():
+            coeffs[k] = float(coeff)
         stack = []
         cur = coeffs
         for _ in range(_POLY_LEVELS):

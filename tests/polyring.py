@@ -5,8 +5,9 @@ integer numerators, and ``MultiPoly`` is their parse, render and evaluate
 boundary.  The tests check those kernels against independent recursions
 written on polynomials (the Coulomb ∇² and ∇·∇, the oscillator operator
 chain, the excited transport equation), so the operators those
-recursions need live here: negation, subtraction, products, exact
-equality, partial derivatives, exponent shifts and the angular average.
+recursions need live here: zero and monomial builders, sums, negation,
+subtraction, products, exact equality, coefficient extraction, partial
+derivatives, exponent shifts and the angular average.
 
 ``Poly`` is a ``MultiPoly`` whose results are again ``Poly``s; ints and
 Fractions act as constants.  A package result enters the algebra through
@@ -30,6 +31,15 @@ class Poly(MultiPoly):
         return cls({(0,) * len(names): value}, names)
 
     @classmethod
+    def zero(cls, variables=()):
+        return cls({}, variables)
+
+    @classmethod
+    def monomial(cls, coeff, powers, variables=None):
+        names = tuple(variables) if variables is not None else tuple(powers)
+        return cls({tuple(powers.get(v, 0) for v in names): coeff}, names)
+
+    @classmethod
     def var(cls, name, variables):
         names = tuple(variables)
         if name not in names:
@@ -43,9 +53,28 @@ class Poly(MultiPoly):
             return Poly.const(other, self.variables)
         return None
 
+    @staticmethod
+    def _aligned(a, b):
+        if a.variables == b.variables:
+            return a, b
+        sa, sb = set(a.variables), set(b.variables)
+        if sa <= sb:
+            return a.embedded(b.variables), b
+        if sb <= sa:
+            return a, b.embedded(a.variables)
+        raise VariableMismatch(
+            f"incompatible variable sets {a.variables!r} and {b.variables!r}")
+
     def __add__(self, other):
         rhs = self._coerced(other)
-        return NotImplemented if rhs is None else MultiPoly.__add__(self, rhs)
+        if rhs is None:
+            return NotImplemented
+        a, b = self._aligned(self, rhs)
+        out = dict(a.terms)
+        for exps, coeff in b.terms.items():
+            c = out.get(exps)
+            out[exps] = coeff if c is None else c + coeff
+        return self._make(out, a.variables)
 
     __radd__ = __add__
 
@@ -85,6 +114,24 @@ class Poly(MultiPoly):
         except VariableMismatch:
             return False
         return a.terms == b.terms
+
+    def coeff_of(self, var, power):
+        """Polynomial coefficient of var**power, over the same variables."""
+        i = self._index(var)
+        return self._make({e[:i] + (0,) + e[i + 1:]: c
+                           for e, c in self.terms.items() if e[i] == power},
+                          self.variables)
+
+    def constant(self):
+        """The constant term (all exponents zero)."""
+        return self.terms.get((0,) * len(self.variables), Fraction(0))
+
+    def _index(self, var):
+        try:
+            return self.variables.index(var)
+        except ValueError:
+            raise VariableMismatch(
+                f"{var!r} not among variables {self.variables!r}") from None
 
     def differentiate(self, var):
         """Exact termwise partial derivative (Laurent rule included)."""

@@ -202,6 +202,10 @@ class TestMain:
          "--domain", "25", "--n", "200"],
         ["--command", "gexpand", "--potential", "y^2"],
         ["--command", "oracle", "--potential", "0.5*r^2", "--n", "200"],
+        # a symbol outside x with a zero coefficient, once read as x alone
+        # where coulomb already rejected r^2 + 0*u
+        ["--command", "gexpand", "--potential", "0.5*x^2 + 0*y"],
+        ["--command", "oracle", "--potential", "0.5*x^2 + 0*y", "--n", "200"],
         # a radial potential is U(r) alone: the oracle once read r*u at
         # u = 0, and coulomb read eps*r^2 as ε²·r² where the oracle read ε·r²
         ["--command", "oracle", "--mode", "radial", "--potential", "r*u",

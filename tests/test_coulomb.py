@@ -129,7 +129,7 @@ def integral_shift_check(sol, g, eps):
         raise ValueError("need the full ε-linear wave function (order >= 3)")
 
     linear = [(g ** (-(2 * n - 2)), part) for n in range(1, sol.order + 1)
-              if (part := sol.s_terms[n].coeff_of(VAR_EPS, 1))]
+              if (part := lift(sol.s_terms[n]).coeff_of(VAR_EPS, 1))]
 
     def a_profile(r):
         total = 0.0
@@ -325,15 +325,15 @@ class TestStark:
 
     def test_higher_wave_terms_epsilon_graded(self, stark):
         # printed values cover the leading ε-order of S₈..S₁₁
-        assert stark.s_terms[8].coeff_of(VAR_EPS, 3) == P("53/16 * r^2 * u")
-        assert stark.s_terms[8].coeff_of(VAR_EPS, 4) == \
+        assert lift(stark.s_terms[8]).coeff_of(VAR_EPS, 3) == P("53/16 * r^2 * u")
+        assert lift(stark.s_terms[8]).coeff_of(VAR_EPS, 4) == \
             P("-1/128 * r^5") * P("1 + 10 * u^2 + 5 * u^4")
-        assert stark.s_terms[9].coeff_of(VAR_EPS, 3) == P("53/8 * r * u")
-        assert stark.s_terms[9].coeff_of(VAR_EPS, 4) == \
+        assert lift(stark.s_terms[9]).coeff_of(VAR_EPS, 3) == P("53/8 * r * u")
+        assert lift(stark.s_terms[9]).coeff_of(VAR_EPS, 4) == \
             P("-99/512 * r^4") * P("1 + 6 * u^2 + u^4")
-        assert stark.s_terms[10].coeff_of(VAR_EPS, 4) == \
+        assert lift(stark.s_terms[10]).coeff_of(VAR_EPS, 4) == \
             P("-761/384 * r^3") * P("1 + 3 * u^2")
-        assert stark.s_terms[11].coeff_of(VAR_EPS, 4) == \
+        assert lift(stark.s_terms[11]).coeff_of(VAR_EPS, 4) == \
             P("-3131/256 * r^2") * P("1 + u^2")
 
     def test_energies(self, stark):
@@ -575,7 +575,7 @@ class TestIntegralShift:
         # ⟨U⟩ under e^{-2g²r} r²: Σ c_k (k+2)!/(2·(2g²)^k)
         first = sum(c * math.factorial(k + 2) / (2 * (2 * g * g) ** k)
                     for k, c in powers.items())
-        second = sum(float(e.coeff_of(VAR_EPS, 2).constant()) * g ** (4 - 2 * n)
+        second = sum(float(lift(e).coeff_of(VAR_EPS, 2).constant()) * g ** (4 - 2 * n)
                      for n, e in enumerate(sol.e_terms))
         assert chk.first_order == pytest.approx(first, rel=1e-10)
         assert chk.second_order == pytest.approx(second, rel=1e-10)

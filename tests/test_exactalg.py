@@ -2,7 +2,10 @@
 reference ring and calculus operators the other tests check kernels with."""
 
 import random
+import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,17 +14,24 @@ from hypothesis import strategies as st
 
 from trajquad.errors import LogSingularity, VariableMismatch
 from trajquad.exactalg import (
+    _ALIASES,
+    _FACTOR_RE,
+    _LAURENT_OK,
+    _NUMBER_RE,
     VAR_EPS,
     VAR_GHAT,
     VAR_R,
     VAR_U,
     VAR_X,
     MultiPoly,
+    _split_factors,
+    _split_terms,
     _var_key,
     parse_poly,
 )
 
 from polyring import Poly, parse
+from test_cli import readme_examples
 from test_coulomb import grad_dot, integrate_r, laplacian
 
 RU = (VAR_R, VAR_U)
@@ -218,7 +228,7 @@ class TestProperties:
 
 class TestGrammar:
     def test_render_canonical(self):
-        p = MultiPoly.monomial(Fraction(-21, 8), {VAR_EPS: 2, VAR_GHAT: 5})
+        p = Poly.monomial(Fraction(-21, 8), {VAR_EPS: 2, VAR_GHAT: 5})
         assert p.render() == "-21/8 * ε^2 * ĝ^5"
 
     def test_render_sum_signs(self):
@@ -230,7 +240,7 @@ class TestGrammar:
         assert P("x - x^2").render() == "x - x^2"
 
     def test_parse_decimal_is_exact(self):
-        assert P("0.5 * x^2") == MultiPoly.monomial(Fraction(1, 2), {VAR_X: 2})
+        assert P("0.5 * x^2") == Poly.monomial(Fraction(1, 2), {VAR_X: 2})
 
     def test_parse_aliases_and_laurent(self):
         assert P("eps * ghat") == P("ε * ĝ")
@@ -252,7 +262,7 @@ class TestGrammar:
 
     def test_laurent_only_for_r(self):
         with pytest.raises(VariableMismatch):
-            MultiPoly.monomial(1, {VAR_EPS: -1})
+            MultiPoly({(-1,): 1}, (VAR_EPS,))
         # the parser rejects the text itself; a term's net power decides
         for text in ("eps^-1", "r * u^-1", "x + x^-2", "ghat^(-1)"):
             with pytest.raises(ValueError, match="negative power"):
@@ -289,3 +299,115 @@ class TestGrammar:
         assert all(type(w) is float for w in want)
         np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps,
                                    atol=0)
+
+
+def parse_by_sums(text, variables=None):
+    """parse_poly as it was first built: the same grammar, then one
+    Poly.monomial per term summed onto Poly.zero over every name seen, and
+    the sum embedded over ``variables``."""
+    text = re.sub(r"\s+", "", text)
+    if not text:
+        raise ValueError("empty polynomial text")
+    seen = set(variables) if variables is not None else set()
+    parsed = []
+    for term in _split_terms(text):
+        sign = Fraction(1)
+        while term and term[0] in "+-":
+            if term[0] == "-":
+                sign = -sign
+            term = term[1:]
+        coeff = sign
+        powers = {}
+        for factor in _split_factors(term):
+            if not factor:
+                raise ValueError(f"empty factor in term {term!r}")
+            if _NUMBER_RE.match(factor):
+                coeff *= Fraction(factor)
+                continue
+            m = _FACTOR_RE.match(factor)
+            if not m:
+                raise ValueError(f"cannot parse factor {factor!r}")
+            name = _ALIASES.get(m.group(1), m.group(1))
+            power = int(m.group(2).strip("()")) if m.group(2) else 1
+            powers[name] = powers.get(name, 0) + power
+            seen.add(name)
+        for name, power in powers.items():
+            if power < 0 and name not in _LAURENT_OK:
+                raise ValueError(f"negative power of non-Laurent variable "
+                                 f"{name!r} in term {term!r}")
+        parsed.append((coeff, powers))
+    names = tuple(sorted(seen, key=_var_key))
+    result = Poly.zero(names)
+    for coeff, powers in parsed:
+        result = result + Poly.monomial(coeff, powers, names)
+    if variables is not None:
+        extra = set(result.variables) - set(variables)
+        if extra:
+            raise ValueError(f"unexpected symbols {sorted(extra)!r}")
+        result = result.embedded(tuple(variables))
+    return result
+
+
+def _outcome(parser, text, variables):
+    try:
+        poly = parser(text, variables)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return poly.variables, poly.terms
+
+
+def _potentials():
+    """Every potential string the README's examples and the bench's
+    workloads pass."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+    argvs = readme_examples()
+    for workload in workloads.WORKLOADS:
+        argvs += [job.argv for unit in next(workloads.decks(workload, 1))
+                  for job in unit]
+    argvs += list(workloads.warmup_argvs("grid-validate"))
+    argvs += [job.argv for job in workloads.exact_jobs()]
+    return sorted({argv[i + 1] for argv in argvs
+                   for i, a in enumerate(argv) if a == "--potential"})
+
+
+# the variable lists parse_poly is called with: none, each command
+# family's, and the Coulomb and full alphabets
+_PARSE_VARIABLES = (None, (VAR_X,), (VAR_R,), RUE, XRUEG)
+_TOKENS = st.lists(st.sampled_from(
+    ["x", "r", "u", "eps", "ghat", "y", "2", "1/3", "0.5", "0", "^", "^2",
+     "^-1", "**3", "^(-2)", "*", "+", "-", " ", "(", ")"]),
+    max_size=12).map("".join)
+
+
+class TestParseMatchesSummedMonomials:
+    """parse_poly fills one term dict; it must equal the sum of monomials."""
+
+    def test_readme_and_bench_potentials(self):
+        texts = _potentials()
+        assert "0.5*x^2 + 0.1*x^4" in texts and "r^2 + r^3" in texts
+        for text in texts + ["0.5*x^2 + 0*y", "r^2 + 0*u", "0.5*ghat*x^2",
+                             "x - x + 0", "r^-2 - r^-2 + 2*r^-2", "5", ""]:
+            for variables in _PARSE_VARIABLES:
+                assert _outcome(parse_poly, text, variables) == \
+                    _outcome(parse_by_sums, text, variables), (text, variables)
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(sparse_polys)
+    def test_rendered_sums(self, a):
+        # the round-trip text, and the same terms repeated and cancelled
+        one = a.render()
+        for text in (one, f"{one} + {one} - {one} - {one}"):
+            for variables in _PARSE_VARIABLES:
+                assert _outcome(parse_poly, text, variables) == \
+                    _outcome(parse_by_sums, text, variables)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(_TOKENS)
+    def test_token_soup(self, text):
+        # malformed text and negative powers raise the same error
+        for variables in _PARSE_VARIABLES:
+            assert _outcome(parse_poly, text, variables) == \
+                _outcome(parse_by_sums, text, variables)

@@ -90,6 +90,16 @@ class TestSpec:
         with pytest.raises(ValueError):
             ExcitedSpec((0,), (1,))
 
+    def test_zero_denominator_frequency_is_a_bad_value(self, capsys):
+        # Fraction("1/0") raises ZeroDivisionError, which the CLI once
+        # reported as a floating-point range error
+        assert main(["--command", "excited", "--freqs", "1,1/0",
+                     "--occupations", "1,0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("config error: bad frequency in ('1', '1/0'): "
+                       "zero denominator\n")
+
 
 class TestChi0:
     def test_single_mode(self):

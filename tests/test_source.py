@@ -161,6 +161,21 @@ def test_every_multipoly_method_is_called_by_a_command(monkeypatch, capsys):
     assert not uncalled, f"MultiPoly methods no command calls: {uncalled}"
 
 
+# the operators tests/polyring.py's Poly adds to MultiPoly for the references
+_ARITHMETIC = {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+               "__rmul__", "__neg__", "__pow__", "__truediv__", "__eq__",
+               "__hash__"}
+
+
+def test_multipoly_has_no_arithmetic():
+    # the exact kernels compute on integer numerators and the parser fills
+    # one term dict, so no command needs a sum, product or comparison of
+    # MultiPolys; one defined here would bring ring arithmetic back into
+    # src/ (the command rule above only sees whether a method is called)
+    found = sorted(_ARITHMETIC & set(vars(MultiPoly)))
+    assert not found, f"arithmetic or comparison on MultiPoly: {found}"
+
+
 def test_every_error_is_raised():
     # an error class that src/ neither raises nor derives a raised class
     # from can never reach a caller
