@@ -3,9 +3,9 @@
 The package splits into exact-symbolic and grid-numeric halves that check
 each other:
 
-exactalg   the exact half's boundary type: sparse Laurent polynomials
-           over the rationals, parsed, rendered and evaluated, with no
-           arithmetic; the integer format the kernels share
+exactalg   the exact half's one format: sparse Laurent polynomials as
+           integer numerators over one denominator, which the kernels
+           build and the CLI parses, renders and evaluates; no arithmetic
 oscpert    exact ε-series for the harmonic oscillator with a monomial
            perturbation, by one resolvent sweep on integer numerators
 coulomb    closed-form recursion for the perturbed Coulomb ground state,

@@ -37,11 +37,13 @@ is made and reused by every later order.  The sum in K_n is symmetric under
 m ↔ n-m, so each unordered pair is multiplied once, off-diagonal pairs
 counted twice, and the ½ is applied to the finished sum.  The angular
 average that fixes E_n also checks every finished S_n, whose r¹ part must
-average to zero.  The pairs follow ``exactalg``'s integer format, and S_n
-and E_n become ``MultiPoly`` only at the boundary, in ``solve_perturbed``,
-after the invariants have been checked on the integers.
+average to zero.  The pairs are ``exactalg``'s integer format: U enters
+as its ``MultiPoly``'s numerators and denominator, and S_n and E_n take
+their variable names, becoming ``MultiPoly``, only at the boundary in
+``solve_perturbed``, after the invariants have been checked on the
+integers.
 This kernel is the package's only radial-polar ∇² and ∇·∇;
-``tests/test_coulomb.py`` holds an independent MultiPoly form of both and
+``tests/test_coulomb.py`` holds an independent polynomial form of both and
 checks every retained grade of the wave equation with it.
 """
 
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 
 from .errors import LogSingularity, MethodError
 from .exactalg import (VAR_EPS, VAR_R, VAR_U, MultiPoly, _add_product,
-                       _from_poly, _nonzero, _reduced, _to_poly)
+                       _nonzero, _reduced)
 
 RUE = (VAR_R, VAR_U, VAR_EPS)
 
@@ -184,7 +186,7 @@ def _integer_chain(u_num: dict, u_den: int, order: int) -> tuple:
         bad = {(0, b, e): c for (a, b, e), c in k_num.items() if a == -1}
         if bad:
             raise LogSingularity(
-                f"r^-1 source with angular coefficient {_to_poly(bad, k_den, RUE).render()}")
+                f"r^-1 source with angular coefficient {MultiPoly(bad, k_den, RUE).render()}")
         span = math.lcm(*(a + 1 for a, _, _ in k_num))
         s_n = _reduced({(a + 1, b, e): c * (span // (a + 1))
                         for (a, b, e), c in k_num.items()}, k_den * span)
@@ -210,7 +212,7 @@ def solve_perturbed(u_poly: MultiPoly, order: int) -> CoulombSolution:
     ``TestRandomizedResiduals``).
     """
     u_poly = u_poly.embedded(RUE)
-    u_num, u_den = _from_poly(u_poly)
+    u_num, u_den = u_poly.terms, u_poly.den
     if any(e for _, _, e in u_num):
         raise ValueError("perturbation must not depend on ε")
     if any(a < 1 for a, _, _ in u_num):
@@ -218,8 +220,8 @@ def solve_perturbed(u_poly: MultiPoly, order: int) -> CoulombSolution:
     s_terms, e_terms = _integer_chain(u_num, u_den, order)
     _check_invariants(s_terms, e_terms)
     return CoulombSolution(u_perturbation=u_poly, order=order,
-                           s_terms=[_to_poly(*s, RUE) for s in s_terms],
-                           e_terms=[_to_poly(*e, RUE) for e in e_terms])
+                           s_terms=[MultiPoly(*s, RUE) for s in s_terms],
+                           e_terms=[MultiPoly(*e, RUE) for e in e_terms])
 
 
 def solve_isotropic(u_poly: MultiPoly, order: int) -> CoulombSolution:
@@ -233,7 +235,7 @@ def solve_stark(order: int) -> CoulombSolution:
     """Recursion for the uniform-field perturbation U = r·cos a."""
     if order < 2:
         raise ValueError("the Stark chain starts contributing at order 2")
-    return solve_perturbed(MultiPoly({(1, 1, 0): 1}, RUE), order)
+    return solve_perturbed(MultiPoly({(1, 1, 0): 1}, 1, RUE), order)
 
 
 def _check_invariants(s_terms: list, e_terms: list) -> None:

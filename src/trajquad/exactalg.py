@@ -1,41 +1,33 @@
 """Exact rational scalars and sparse multivariate Laurent polynomials.
 
-Every exact result of the package is one of these objects: coefficients
-are arbitrary-precision rationals (``fractions.Fraction``), monomials are
-exponent tuples over a named, canonically ordered variable list.  Negative
-exponents are permitted only for the radial variable ``r``; the perturbation
-strength ``ε`` and the inverse-scale marker ``ĝ`` (which stands for 1/g)
-never carry negative powers.
+Every exact result of the package is one of these objects: integer
+numerators over one positive denominator, keyed by exponent tuples over a
+named, canonically ordered variable list.  Negative exponents are
+permitted only for the radial variable ``r``; the perturbation strength
+``ε`` and the inverse-scale marker ``ĝ`` (which stands for 1/g) never
+carry negative powers.
 
 ``MultiPoly`` is the boundary of the exact half: user text is parsed into
-it, results are built into it from the kernels' integer numerators, and
-the CLI renders and evaluates it.  It carries no arithmetic: besides
+it, the kernels of ``coulomb`` and ``oscpert`` build their results as it,
+and the CLI renders and evaluates it.  It carries no arithmetic: besides
 embedding into more variables it answers only whether it depends on a
 variable, evaluates and renders.  Sums, products, derivatives, angular
-averages and the radial-polar Laplacian and gradient live in the integer
-kernels of ``coulomb`` and ``oscpert``, the recursions that need them.
+averages and the radial-polar Laplacian and gradient live in those
+integer kernels, the recursions that need them.
 
-This module owns those kernels' integer format: a polynomial is a pair
-(numerators, denominator), a dict of integer numerators keyed by exponent
-tuples over one positive denominator.  ``_nonzero`` drops zero numerators,
-``_reduced`` divides numerators and denominator by their gcd,
-``_add_product`` accumulates a scaled product, and ``_to_poly`` and
-``_from_poly`` cross the boundary, the only places where a pair meets a
-``Fraction``.
+This module owns the kernels' integer format, and ``MultiPoly`` is that
+format with its variable names attached: a dict of integer numerators
+keyed by exponent tuples over one positive denominator.  ``_nonzero``
+drops zero numerators, ``_reduced`` divides numerators and denominator by
+their gcd, and ``_add_product`` accumulates a scaled product.  A rational
+appears only where text meets the format: ``parse_poly`` brings its sums
+to the lcm of their denominators, and ``render`` prints each term as the
+``Fraction`` of its numerator over the denominator.
 
 A canonical text rendering ("-21/8 * ε^2 * ĝ^5") and a round-trip parser
 for the same grammar serve the CLI and the golden tests.  Terms are ordered
 graded-lexicographically: by total degree, then by exponents in the fixed
 variable order x < r < u < ε < ĝ (other symbols sort after these by name).
-
-``MultiPoly(terms, variables)`` validates its input: it sorts the
-variables, checks exponent lengths and Laurent signs, converts and sums
-coefficients.  ``parse_poly``, ``embedded`` and ``_to_poly`` skip that work
-and go through the private classmethod ``_make(terms, variables)``, which
-``embedded`` calls on its operand so that a result keeps its class.  Its
-contract is: ``variables`` is already in collation order, every key is an
-int tuple of matching length, every coefficient is a ``Fraction``;
-``_make`` only drops zero coefficients.
 """
 
 from __future__ import annotations
@@ -67,57 +59,25 @@ def _var_key(name: str) -> tuple[int, str]:
     return (_CORE_ORDER.get(name, len(_CORE_ORDER)), name)
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"exact coefficient expected, got {type(value).__name__}")
-
-
 class MultiPoly:
     """Sparse multivariate Laurent polynomial over the rationals.
 
     ``terms`` maps exponent tuples (one signed integer per variable) to
-    nonzero Fraction coefficients; ``variables`` is the canonically sorted
-    name tuple.  Instances are value-like: no method mutates ``self``.
+    nonzero integer numerators over the one positive denominator ``den``;
+    ``variables`` is the name tuple.  The constructor trusts its caller
+    and only drops zero numerators: the variables must be distinct and in
+    collation order, every key an int tuple of their length, every
+    numerator an int and ``den`` a positive int.  Instances are
+    value-like: no method mutates ``self``.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("terms", "den", "variables")
 
-    def __init__(self, terms: Mapping[tuple[int, ...], Fraction] | None = None,
-                 variables: Iterable[str] = ()):
-        names = tuple(variables)
-        if len(set(names)) != len(names):
-            raise VariableMismatch(f"duplicate variable in {names!r}")
-        order = sorted(range(len(names)), key=lambda i: _var_key(names[i]))
-        self.variables = tuple(names[i] for i in order)
-        store: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in (terms or {}).items():
-            coeff = _as_fraction(coeff)
-            if coeff == 0:
-                continue
-            if len(exps) != len(names):
-                raise VariableMismatch(
-                    f"exponent tuple {exps!r} does not match variables {names!r}")
-            exps = tuple(int(exps[i]) for i in order)
-            for name, e in zip(self.variables, exps):
-                if e < 0 and name not in _LAURENT_OK:
-                    raise VariableMismatch(
-                        f"negative exponent on non-Laurent variable {name!r}")
-            c = store.get(exps)
-            store[exps] = coeff if c is None else c + coeff
-        self.terms = {e: c for e, c in store.items() if c}
-
-    @classmethod
-    def _make(cls, terms: dict, variables: tuple) -> "MultiPoly":
-        """Trusted constructor for operator results (see the module docstring)."""
-        poly = object.__new__(cls)
-        poly.variables = variables
-        poly.terms = {e: c for e, c in terms.items() if c}
-        return poly
+    def __init__(self, terms: Mapping[tuple[int, ...], int], den: int,
+                 variables: tuple[str, ...]):
+        self.terms = {e: c for e, c in terms.items() if c}
+        self.den = den
+        self.variables = variables
 
     # ------------------------------------------------------------ alignment
 
@@ -130,13 +90,13 @@ class MultiPoly:
         if len(set(names)) != len(names):
             raise VariableMismatch(f"duplicate variable in {names!r}")
         pos = {v: i for i, v in enumerate(names)}
-        new_terms: dict[tuple[int, ...], Fraction] = {}
+        new_terms: dict[tuple[int, ...], int] = {}
         for exps, coeff in self.terms.items():
             row = [0] * len(names)
             for v, e in zip(self.variables, exps):
                 row[pos[v]] = e
             new_terms[tuple(row)] = coeff
-        return self._make(new_terms, names)
+        return MultiPoly(new_terms, self.den, names)
 
     def __bool__(self):
         return bool(self.terms)
@@ -162,9 +122,9 @@ class MultiPoly:
         missing = [v for v in self.variables if v not in assignments and self.depends_on(v)]
         if missing:
             raise VariableMismatch(f"no value supplied for {missing!r}")
-        total = 0.0
+        total, den = 0.0, self.den
         for exps, coeff in self._sorted_terms():
-            term = float(coeff)
+            term = coeff / den
             for v, k in zip(self.variables, exps):
                 if k:
                     term *= assignments[v] ** k
@@ -187,7 +147,7 @@ class MultiPoly:
                 if k == 0:
                     continue
                 factors.append(v if k == 1 else f"{v}^{k}")
-            mag = abs(coeff)
+            mag = Fraction(abs(coeff), self.den)
             if not factors:
                 body = str(mag)
             elif mag == 1:
@@ -205,9 +165,8 @@ class MultiPoly:
         return f"MultiPoly({self.render()!r})"
 
 
-# The integer format of the exact kernels (``coulomb``, ``oscpert``): a
-# polynomial is a pair (num, den), num a dict of nonzero integer numerators
-# keyed by exponent tuples, den > 0 shared by every term.
+# The exact kernels (``coulomb``, ``oscpert``) carry a polynomial as the
+# pair (num, den) of a MultiPoly's terms and denominator, without names.
 
 
 def _nonzero(num: dict) -> dict:
@@ -230,19 +189,6 @@ def _add_product(out: dict, x: dict, y: dict, scale: int) -> None:
         for (ay, by, ey), cy in y.items():
             key = (ax + ay, bx + by, ex + ey)
             out[key] = get(key, 0) + cx * cy
-
-
-def _to_poly(num: dict, den: int, variables: tuple) -> MultiPoly:
-    """The MultiPoly of num/den, zero numerators dropped; ``variables`` in
-    collation order."""
-    return MultiPoly._make({k: Fraction(c, den) for k, c in num.items()}, variables)
-
-
-def _from_poly(poly: MultiPoly) -> tuple:
-    """``poly`` as numerators over the lcm of its denominators."""
-    den = math.lcm(*(c.denominator for c in poly.terms.values()))
-    return {k: c.numerator * (den // c.denominator)
-            for k, c in poly.terms.items()}, den
 
 
 _NUMBER_RE = re.compile(r"^[0-9]+(/[0-9]+|\.[0-9]*)?$|^\.[0-9]+$")
@@ -330,8 +276,10 @@ def parse_poly(text: str, variables: Iterable[str] | None = None) -> MultiPoly:
         if extra:
             raise ValueError(f"unexpected symbols {sorted(extra)!r}")
     names = tuple(sorted(seen, key=_var_key))
-    terms: dict[tuple[int, ...], Fraction] = {}
+    sums: dict[tuple[int, ...], Fraction] = {}
     for coeff, powers in parsed:
         exps = tuple(powers.get(v, 0) for v in names)
-        terms[exps] = terms.get(exps, 0) + coeff
-    return MultiPoly._make(terms, names)
+        sums[exps] = sums.get(exps, 0) + coeff
+    den = math.lcm(*(c.denominator for c in sums.values()))
+    return MultiPoly({e: c.numerator * (den // c.denominator)
+                      for e, c in sums.items()}, den, names)

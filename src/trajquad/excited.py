@@ -18,10 +18,11 @@ fit is a reference in ``tests/test_excited.py``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import MultiPoly
+from .exactalg import MultiPoly, _var_key
 
 
 @dataclass(frozen=True)
@@ -57,10 +58,18 @@ class ExcitedSpec:
         return tuple(f"q{i+1}" for i in range(self.dim))
 
 
+def _over_q(spec: ExcitedSpec, terms: dict, den: int) -> MultiPoly:
+    """terms/den over the q names in collation order, the exponents permuted
+    to match: q10 sorts between q1 and q2."""
+    names = spec.variables()
+    order = sorted(range(spec.dim), key=lambda i: _var_key(names[i]))
+    return MultiPoly({tuple(e[i] for i in order): c for e, c in terms.items()},
+                     den, tuple(names[i] for i in order))
+
+
 def chi0_e0(spec: ExcitedSpec):
     """χ₀ = Π q_i^{n_i} and 𝓔₀ = Σ n_i ν_i, both exact."""
-    names = spec.variables()
-    chi0 = MultiPoly({spec.occupation: 1}, names)
+    chi0 = _over_q(spec, {spec.occupation: 1}, 1)
     energy = sum((n * f for n, f in zip(spec.occupation, spec.freqs)),
                  Fraction(0))
     return chi0, energy
@@ -69,6 +78,8 @@ def chi0_e0(spec: ExcitedSpec):
 def chi1_harmonic(spec: ExcitedSpec) -> MultiPoly:
     """χ₁ = -(χ₀/4) Σ n_i(n_i-1)/(ν_i q_i²); χ₀ cancels every pole."""
     occ = spec.occupation
-    terms = {occ[:i] + (n - 2,) + occ[i + 1:]: Fraction(-n * (n - 1), 4) / nu
-             for i, (n, nu) in enumerate(zip(occ, spec.freqs)) if n >= 2}
-    return MultiPoly(terms, spec.variables())
+    coeffs = {occ[:i] + (n - 2,) + occ[i + 1:]: Fraction(-n * (n - 1), 4) / nu
+              for i, (n, nu) in enumerate(zip(occ, spec.freqs)) if n >= 2}
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    return _over_q(spec, {e: c.numerator * (den // c.denominator)
+                          for e, c in coeffs.items()}, den)

@@ -42,8 +42,8 @@ so no rational is normalised inside the recursion.  A source is brought
 to the lcm of its parts' denominators.  On a source over D whose top key
 is J, the sweep carries the integer A_j = 2^t·S_j + (j+1)·A_{j+2},
 t = (J-j)/2, with T_j = A_j/(D·2^t), and puts every image over
-D·2^t_max·lcm of the j.  These pairs are ``exactalg``'s integer format,
-and they become ``MultiPoly`` through its ``_to_poly`` only where a caller
+D·2^t_max·lcm of the j.  These pairs are ``exactalg``'s integer format;
+they take the names ĝ (and ε) and become ``MultiPoly`` only where a caller
 reads Δ(k) or the shift polynomial.
 
 The series is solved order by order in ε with no truncation other than the
@@ -63,7 +63,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import MethodError
-from .exactalg import VAR_EPS, VAR_GHAT, MultiPoly, _reduced, _to_poly
+from .exactalg import VAR_EPS, VAR_GHAT, MultiPoly, _reduced
 
 _G = (VAR_GHAT,)
 _EG = (VAR_EPS, VAR_GHAT)
@@ -113,16 +113,16 @@ class PerturbSeries:
 
     def delta(self, k: int) -> MultiPoly:
         """Δ(k) = -(the ε^k coefficient of x²), with εΔ = Σ_k ε^k Δ(k)."""
-        return _to_poly({(self._power(k, 2),): -self.levels[k].get(2, 0)},
-                        self.denominators[k], _G)
+        return MultiPoly({(self._power(k, 2),): -self.levels[k].get(2, 0)},
+                         self.denominators[k], _G)
 
     def shift_polynomial(self) -> MultiPoly:
         """εΔ as an exact polynomial in (ε, ĝ), over one denominator."""
         orders = [k for k in range(1, len(self.levels)) if 2 in self.levels[k]]
         den = math.lcm(*(self.denominators[k] for k in orders))
-        return _to_poly({(k, self._power(k, 2)):
-                         -self.levels[k][2] * (den // self.denominators[k])
-                         for k in orders}, den, _EG)
+        return MultiPoly({(k, self._power(k, 2)):
+                          -self.levels[k][2] * (den // self.denominators[k])
+                          for k in orders}, den, _EG)
 
 
 def _solve(P: int, order: int) -> PerturbSeries:

@@ -77,7 +77,7 @@ class Potential1D:
         poly = parse_poly(text, (VAR_X,))
         coeffs = np.zeros(1 + max((e[0] for e in poly.terms), default=0))
         for (k,), coeff in poly.terms.items():
-            coeffs[k] = float(coeff)
+            coeffs[k] = coeff / poly.den
         stack = []
         cur = coeffs
         for _ in range(_POLY_LEVELS):
@@ -144,7 +144,8 @@ def build_grid(potential: Potential1D, x_max: float, n: int,
     """Construct the trajectory grid out to distance x_max from the origin.
 
     S₀ sums per-panel adaptive Simpson integrals of √(2v), each panel
-    refined until its error estimate drops below ``_PANEL_TOL`` or
+    refined until its error estimate drops below ``_PANEL_TOL``, floored
+    at 64 rounding units of the largest √(2v) over one panel, or
     ``_PANEL_DEPTH`` levels are spent.
     """
     if n < 16:
@@ -180,7 +181,12 @@ def build_grid(potential: Potential1D, x_max: float, n: int,
     def integrand(x):
         return np.sqrt(np.maximum(2.0 * potential.v(x), 0.0))
 
-    inc = adaptive_panels(integrand, nodes, tol=_PANEL_TOL,
+    # a panel's integral carries rounding of ≈eps·√(2v)·h, which no error
+    # estimate can beat: below 64 such units a steep v (x¹⁷¹ on 2.5) refines
+    # every panel to _PANEL_DEPTH, for minutes, without gaining a digit
+    h = x_max / (n - 1)
+    floor = 64.0 * np.finfo(float).eps * math.sqrt(scale) * h
+    inc = adaptive_panels(integrand, nodes, tol=max(_PANEL_TOL, floor),
                           max_depth=_PANEL_DEPTH)
     s0 = np.concatenate(([0.0], np.cumsum(np.abs(inc))))
 

@@ -1,29 +1,97 @@
-"""The ring and calculus operators on MultiPoly: the tests' reference algebra.
+"""The ring and calculus operators on polynomials: the tests' reference algebra.
 
 The package builds no polynomial by arithmetic.  Its exact kernels run on
-integer numerators, and ``MultiPoly`` is their parse, render and evaluate
-boundary.  The tests check those kernels against independent recursions
-written on polynomials (the Coulomb ∇² and ∇·∇, the oscillator operator
-chain, the excited transport equation), so the operators those
-recursions need live here: zero and monomial builders, sums, negation,
-subtraction, products, exact equality, coefficient extraction, partial
-derivatives, exponent shifts and the angular average.
+integer numerators over one denominator, and ``MultiPoly`` is that format
+with names attached: their parse, render and evaluate boundary.  The tests
+check those kernels against independent recursions written on polynomials
+(the Coulomb ∇² and ∇·∇, the oscillator operator chain, the excited
+transport equation), so the operators those recursions need live here:
+zero and monomial builders, sums, negation, subtraction, products, exact
+equality, coefficient extraction, partial derivatives, exponent shifts and
+the angular average.
 
-``Poly`` is a ``MultiPoly`` whose results are again ``Poly``s; ints and
-Fractions act as constants.  A package result enters the algebra through
-``lift``.  When either side of ``==``, ``+``, ``-`` or ``*`` is a
-``Poly``, Python calls the ``Poly`` method first, so ``result == P(...)``
-compares exactly without a lift.
+``Poly`` stores one Fraction per term and validates what it is given:
+its constructor sorts the variables into collation order, checks exponent
+lengths and Laurent signs, converts and sums coefficients.  Its results
+are again ``Poly``s; ints and Fractions act as constants.  A package
+result enters the algebra through ``lift``, and a ``Poly`` reaches the
+package through ``lower``, through which it also renders and evaluates.
+``MultiPoly`` defines no operators, so when either side of ``==``, ``+``,
+``-`` or ``*`` is a ``Poly`` the ``Poly`` method runs, and
+``result == P(...)`` compares exactly without a lift.
 """
 
+import math
 from fractions import Fraction
 
 from trajquad.errors import VariableMismatch
-from trajquad.exactalg import _LAURENT_OK, VAR_U, MultiPoly, parse_poly
+from trajquad.exactalg import _LAURENT_OK, VAR_U, MultiPoly, _var_key, parse_poly
 
 
-class Poly(MultiPoly):
-    __slots__ = ()
+def _as_fraction(value):
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        return Fraction(value)
+    raise TypeError(f"exact coefficient expected, got {type(value).__name__}")
+
+
+class Poly:
+    """Sparse Laurent polynomial with one Fraction coefficient per term.
+
+    ``terms`` maps exponent tuples to nonzero Fractions; ``variables`` is
+    the sorted name tuple.  No method mutates ``self``.
+    """
+
+    __slots__ = ("variables", "terms")
+
+    def __init__(self, terms=None, variables=()):
+        names = tuple(variables)
+        if len(set(names)) != len(names):
+            raise VariableMismatch(f"duplicate variable in {names!r}")
+        order = sorted(range(len(names)), key=lambda i: _var_key(names[i]))
+        self.variables = tuple(names[i] for i in order)
+        store = {}
+        for exps, coeff in (terms or {}).items():
+            coeff = _as_fraction(coeff)
+            if coeff == 0:
+                continue
+            if len(exps) != len(names):
+                raise VariableMismatch(
+                    f"exponent tuple {exps!r} does not match variables {names!r}")
+            exps = tuple(int(exps[i]) for i in order)
+            for name, e in zip(self.variables, exps):
+                if e < 0 and name not in _LAURENT_OK:
+                    raise VariableMismatch(
+                        f"negative exponent on non-Laurent variable {name!r}")
+            c = store.get(exps)
+            store[exps] = coeff if c is None else c + coeff
+        self.terms = {e: c for e, c in store.items() if c}
+
+    @classmethod
+    def _make(cls, terms, variables):
+        """Trusted constructor: sorted variables, Fraction coefficients."""
+        poly = object.__new__(cls)
+        poly.variables = variables
+        poly.terms = {e: c for e, c in terms.items() if c}
+        return poly
+
+    def embedded(self, variables):
+        return lift(lower(self).embedded(variables))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def evaluate(self, assignments):
+        return lower(self).evaluate(assignments)
+
+    def render(self):
+        return lower(self).render()
+
+    def __repr__(self):
+        return f"Poly({self.render()!r})"
 
     @classmethod
     def const(cls, value, variables):
@@ -47,7 +115,7 @@ class Poly(MultiPoly):
         return cls({tuple(int(v == name) for v in names): 1}, names)
 
     def _coerced(self, other):
-        if isinstance(other, MultiPoly):
+        if isinstance(other, (Poly, MultiPoly)):
             return lift(other)
         if isinstance(other, (int, Fraction)):
             return Poly.const(other, self.variables)
@@ -93,9 +161,10 @@ class Poly(MultiPoly):
         if isinstance(other, (int, Fraction)):
             return self._make({e: c * other for e, c in self.terms.items()},
                               self.variables)
-        if not isinstance(other, MultiPoly):
+        rhs = self._coerced(other)
+        if rhs is None:
             return NotImplemented
-        a, b = self._aligned(self, other)
+        a, b = self._aligned(self, rhs)
         out = {}
         for ea, ca in a.terms.items():
             for eb, cb in b.terms.items():
@@ -165,8 +234,19 @@ class Poly(MultiPoly):
 
 
 def lift(poly):
-    """The same polynomial as a Poly."""
-    return Poly._make(poly.terms, poly.variables)
+    """The same polynomial as a Poly; a Poly is returned as it is."""
+    if isinstance(poly, Poly):
+        return poly
+    return Poly._make({k: Fraction(c, poly.den) for k, c in poly.terms.items()},
+                      poly.variables)
+
+
+def lower(poly):
+    """The package's MultiPoly of a Poly: numerators over the lcm of its
+    denominators."""
+    den = math.lcm(*(c.denominator for c in poly.terms.values()))
+    return MultiPoly({k: c.numerator * (den // c.denominator)
+                      for k, c in poly.terms.items()}, den, poly.variables)
 
 
 def parse(text, variables=None):

@@ -169,6 +169,25 @@ class TestMain:
         assert lines[3].endswith(",0") and lines[4].endswith(",0")
         assert lines[5].endswith(",1")
 
+    def test_excited_q_names_collate_by_name(self, capsys):
+        # q10 and q11 sort between q1 and q2, so χ's exponents follow the
+        # names' collation, not the frequencies' order
+        assert main(["--command", "excited", "--freqs", ",".join(["1"] * 11),
+                     "--occupations",
+                     "0,0,0,0,0,0,0,0,0,2,1;2,0,0,0,0,0,0,0,0,0,3"]) == 0
+        assert capsys.readouterr().out.splitlines()[2:] == [
+            "occupation,E0,E1,chi0,chi1,multiplet",
+            '"0,0,0,0,0,0,0,0,0,2,1",3,0,"q10^2 * q11","-1/2 * q11",0',
+            '"2,0,0,0,0,0,0,0,0,0,3",5,0,"q1^2 * q11^3",'
+            '"-1/2 * q11^3 - 3/2 * q1^2 * q11",1',
+        ]
+        # numbered order would print q2 before q10 here
+        assert main(["--command", "excited", "--freqs", ",".join(["1"] * 11),
+                     "--occupations", "0,4,0,0,0,0,0,0,0,4,0"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            '"0,4,0,0,0,0,0,0,0,4,0",8,0,"q10^4 * q2^4",'
+            '"-3 * q10^2 * q2^4 - 3 * q10^4 * q2^2",0')
+
     def test_config_error_exit_code(self, capsys):
         assert main(["--command", "stark", "--order", "1"]) == 1
 
@@ -344,6 +363,18 @@ class TestMain:
         assert done.stdout == ""
         assert done.stderr.startswith(
             "config error: values out of floating-point range")
+
+    def test_steep_potential_gexpand_finishes(self):
+        # √(2v) reaches 1e34 on [0, 2.5], so S₀'s rounding alone exceeds an
+        # absolute 1e-12 per panel and every panel refined to full depth,
+        # for minutes; the tolerance is floored at that rounding.  The run
+        # must end, with a result or a clean breakdown
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run(
+            [sys.executable, "-m", "trajquad.cli", "--command", "gexpand",
+             "--potential", "0.5*x^2 + x^171", "--n", "201"],
+            capture_output=True, text=True, env=env, timeout=30)
+        assert done.returncode in (0, 2), done.stderr
 
     def test_coarse_gexpand_breaks_down_without_warning(self, capsys):
         # at 17 nodes the origin patch band would repeat a node (0/0 in

@@ -32,7 +32,7 @@ from trajquad.errors import LogSingularity, MethodError
 from trajquad.exactalg import VAR_EPS, VAR_R, VAR_U
 from trajquad.numerics import adaptive_panels
 
-from polyring import Poly, lift, parse
+from polyring import Poly, lift, lower, parse
 
 RUE = (VAR_R, VAR_U, VAR_EPS)
 
@@ -235,7 +235,7 @@ ANISOTROPIC = st.dictionaries(
 
 @pytest.fixture(scope="module")
 def quadratic():
-    return solve_isotropic(P("r^2"), 8)
+    return solve_isotropic(lower(P("r^2")), 8)
 
 
 @pytest.fixture(scope="module")
@@ -274,13 +274,13 @@ class TestIsotropic:
             assert not quadratic.e_terms[k]
 
     def test_linear_perturbation(self):
-        sol = solve_isotropic(P("r"), 4)
+        sol = solve_isotropic(lower(P("r")), 4)
         assert sol.e_terms[3] == P("3/2 * eps")
 
     def test_cubic_perturbation(self):
         # first-order shift of U=r^l sits at E_{l+2} = <r^l> coefficient;
         # hydrogen ground state gives <r^3> = 15/(2g^6)
-        sol = solve_isotropic(P("r^3"), 6)
+        sol = solve_isotropic(lower(P("r^3")), 6)
         for k in (1, 2, 3, 4):
             assert not sol.e_terms[k]
         assert sol.e_terms[5] == P("15/2 * eps")
@@ -289,18 +289,18 @@ class TestIsotropic:
 
     def test_rejects_angular_content(self):
         with pytest.raises(ValueError):
-            solve_isotropic(P("r * u"), 4)
+            solve_isotropic(lower(P("r * u")), 4)
 
     def test_rejects_origin_offset(self):
         with pytest.raises(ValueError):
-            solve_perturbed(P("1 + r^2"), 4)
+            solve_perturbed(lower(P("1 + r^2")), 4)
 
     def test_rejects_epsilon_in_perturbation(self):
         # the recursion multiplies U by ε itself; ε·r² must not run as ε²·r²
         with pytest.raises(ValueError, match="must not depend on ε"):
-            solve_isotropic(P("eps * r^2"), 6)
+            solve_isotropic(lower(P("eps * r^2")), 6)
         with pytest.raises(ValueError, match="must not depend on ε"):
-            solve_perturbed(P("eps * r * u"), 6)
+            solve_perturbed(lower(P("eps * r * u")), 6)
 
     def test_no_odd_angular_terms(self, quadratic):
         for s in quadratic.s_terms:
@@ -381,7 +381,7 @@ class TestStark:
         # form, the one-step Richardson value A_N = N·r_N - (N-1)·r_{N-1}
         # removes the 1/N correction and climbs towards 1.
         def ratio(big_n):
-            e_2n = stark90.e_terms[6 * big_n].terms[(0, 0, 2 * big_n)]
+            e_2n = lift(stark90.e_terms[6 * big_n]).terms[(0, 0, 2 * big_n)]
             leading = Fraction(3, 2) ** (2 * big_n + 1) * math.factorial(2 * big_n)
             return -math.pi / 4 * float(e_2n / leading)
 
@@ -397,7 +397,7 @@ class TestZeeman:
         # U = r² - r²u², and the ground-state series
         # -1/2 + B²/4 - 53B⁴/192 + 5581B⁶/4608 (Čížek & Vrscay, Int. J.
         # Quantum Chem. 21 (1982) 27) reads 2ε, -53/3·ε², 5581/9·ε³
-        sol = solve_perturbed(P("r^2 - r^2 * u^2"), 12)
+        sol = solve_perturbed(lower(P("r^2 - r^2 * u^2")), 12)
         want = {4: P("2 * eps"), 8: P("-53/3 * eps^2"),
                 12: P("5581/9 * eps^3")}
         for n in range(1, 13):
@@ -408,8 +408,8 @@ class TestZeeman:
         # (Avron, Ann. Phys. 131 (1981) 73); q_k = e_{k+1}/(e_k k²) and the
         # one-step Richardson value A_k = k·q_k - (k-1)·q_{k-1} fall
         # towards -32/π², still 2.9% short at k = 14
-        sol = solve_perturbed(P("r^2 - r^2 * u^2"), 60)
-        e = {k: sol.e_terms[4 * k].terms[(0, 0, k)] for k in range(4, 16)}
+        sol = solve_perturbed(lower(P("r^2 - r^2 * u^2")), 60)
+        e = {k: lift(sol.e_terms[4 * k]).terms[(0, 0, k)] for k in range(4, 16)}
         q = {k: float(e[k + 1] / e[k] / k ** 2) for k in range(4, 15)}
         a = [k * q[k] - (k - 1) * q[k - 1] for k in range(5, 15)]
         assert all(x > y for x, y in zip(a, a[1:])), a
@@ -428,14 +428,14 @@ class TestIntegerKernel:
     def test_isotropic_orders(self, text):
         reference = reference_chain(P(text), 16)
         for order in range(6, 17):
-            assert_matches_reference(solve_isotropic(P(text), order), reference)
+            assert_matches_reference(solve_isotropic(lower(P(text)), order), reference)
 
     @settings(max_examples=30, deadline=None, derandomize=True,
               database=None)
     @given(ANISOTROPIC)
     def test_random_anisotropic(self, terms):
         u_poly = Poly(terms, RUE)
-        assert_matches_reference(solve_perturbed(u_poly, 6),
+        assert_matches_reference(solve_perturbed(lower(u_poly), 6),
                                  reference_chain(u_poly, 6))
 
     # r²u⁴ + r sends a u²- and u⁴-dependent r⁰ part into E_4's angular
@@ -447,7 +447,7 @@ class TestIntegerKernel:
     def test_log_singularity_message(self, text, coefficient):
         for solve in (solve_perturbed, reference_chain):
             with pytest.raises(LogSingularity) as info:
-                solve(P(text), 6)
+                solve(lower(P(text)), 6)
             assert str(info.value) == \
                 f"r^-1 source with angular coefficient {coefficient}"
 
@@ -539,7 +539,7 @@ class TestAssembly:
 
     def test_exponent_evaluator(self, quadratic):
         # the order-3 chain is the order-8 chain cut after S₃
-        short = solve_isotropic(P("r^2"), 3)
+        short = solve_isotropic(lower(P("r^2")), 3)
         assert [lift(s) for s in short.s_terms] == quadratic.s_terms[:4]
 
 
@@ -566,7 +566,7 @@ class TestIntegralShift:
         # at g = 0.8 the integrals grow like r_cut^(deg U + 2), r_cut = 62.5;
         # an absolute tolerance took seconds (r³) or did not return (r² + r⁴)
         g = 0.8
-        sol = solve_isotropic(P(" + ".join(f"r^{k}" for k in powers)), 12)
+        sol = solve_isotropic(lower(P(" + ".join(f"r^{k}" for k in powers))), 12)
         start = time.perf_counter()
         chk = integral_shift_check(sol, g=g, eps=1e-3)
         assert time.perf_counter() - start < 1.0
@@ -586,7 +586,7 @@ class TestOracleAgreement:
         # U=r², g=1.2, ε=0.002: N=8 assembly against the radial oracle;
         # the ε³ series tail sits near 3e-7 here, inside the 1e-6 budget
         from trajquad.oracle import solve_radial
-        sol = solve_isotropic(P("r^2"), 8)
+        sol = solve_isotropic(lower(P("r^2")), 8)
         g, eps = 1.2, 0.002
         assembled = assemble(sol, g=g, eps=eps)
         oracle = solve_radial(g, lambda r: r * r, eps, 22.0, 2200)
@@ -595,7 +595,7 @@ class TestOracleAgreement:
     def test_linear_isotropic_eigenvalue(self):
         # U=r: first-order shift (3/2)ε/g² against the radial oracle
         from trajquad.oracle import solve_radial
-        sol = solve_isotropic(P("r"), 12)
+        sol = solve_isotropic(lower(P("r")), 12)
         g, eps = 1.1, 1e-3
         assembled = assemble(sol, g=g, eps=eps)
         oracle = solve_radial(g, lambda r: r, eps, 22.0, 2200)
@@ -612,12 +612,12 @@ class TestRandomizedResiduals:
             u_poly = Poly(terms, RUE)
             if not u_poly:
                 continue
-            sol = solve_perturbed(u_poly, 6)
+            sol = solve_perturbed(lower(u_poly), 6)
             assert all(not r for r in defining_residuals(sol))
 
     def test_mixed_anisotropic(self):
         u_poly = P("r + 1/2 * r * u")
-        sol = solve_perturbed(u_poly, 6)
+        sol = solve_perturbed(lower(u_poly), 6)
         assert all(not r for r in defining_residuals(sol))
 
     # the residuals come from grad_dot, which the recursion's own cached
@@ -626,7 +626,7 @@ class TestRandomizedResiduals:
               database=None)
     @given(ANISOTROPIC)
     def test_random_anisotropic_fuzzed(self, terms):
-        sol = solve_perturbed(Poly(terms, RUE), 6)
+        sol = solve_perturbed(lower(Poly(terms, RUE)), 6)
         assert all(not r for r in defining_residuals(sol))
 
     @pytest.mark.parametrize("a", range(1, 6))
@@ -634,14 +634,14 @@ class TestRandomizedResiduals:
         # a polynomial in z and ρ² gives r^a·u^b with b ≤ a, b ≡ a (mod 2):
         # each runs to order 8, and the first b past the domain breaks down
         for b in range(a % 2, a + 1, 2):
-            sol = solve_perturbed(P(f"r^{a} * u^{b}"), 8)
+            sol = solve_perturbed(lower(P(f"r^{a} * u^{b}")), 8)
             assert all(not r for r in defining_residuals(sol))
         with pytest.raises(LogSingularity):
-            solve_perturbed(P(f"r^{a} * u^{a + 2}"), 8)
+            solve_perturbed(lower(P(f"r^{a} * u^{a + 2}")), 8)
 
     @pytest.mark.parametrize("text", ["r * u^3", "r^2 * u^4 + r"])
     def test_high_angular_degree_breaks_down(self, text):
         # r^a·u^b with b > a + 1 feeds an r^-1 source into a later order,
         # which the radial rule cannot absorb: a clean breakdown
         with pytest.raises(LogSingularity):
-            solve_perturbed(P(text), 6)
+            solve_perturbed(lower(P(text)), 6)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trajquad.cli import main
 from trajquad.errors import LogSingularity, VariableMismatch
 from trajquad.exactalg import (
     _ALIASES,
@@ -30,7 +31,7 @@ from trajquad.exactalg import (
     parse_poly,
 )
 
-from polyring import Poly, parse
+from polyring import Poly, lift, parse
 from test_cli import readme_examples
 from test_coulomb import grad_dot, integrate_r, laplacian
 
@@ -262,7 +263,7 @@ class TestGrammar:
 
     def test_laurent_only_for_r(self):
         with pytest.raises(VariableMismatch):
-            MultiPoly({(-1,): 1}, (VAR_EPS,))
+            Poly({(-1,): 1}, (VAR_EPS,))
         # the parser rejects the text itself; a term's net power decides
         for text in ("eps^-1", "r * u^-1", "x + x^-2", "ghat^(-1)"):
             with pytest.raises(ValueError, match="negative power"):
@@ -277,10 +278,9 @@ class TestGrammar:
         # ⅒ + ⅕ + 3⁄10 rounds differently by summation order; equal
         # polynomials must evaluate to the same bits
         xyz = ("x", "y", "z")
-        terms = {(1, 0, 0): Fraction(1, 10), (0, 1, 0): Fraction(1, 5),
-                 (0, 0, 1): Fraction(3, 10)}
-        forward = MultiPoly(terms, xyz)
-        backward = MultiPoly(dict(reversed(terms.items())), xyz)
+        terms = {(1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): 3}
+        forward = MultiPoly(terms, 10, xyz)
+        backward = MultiPoly(dict(reversed(terms.items())), 10, xyz)
         assert forward.terms == backward.terms
         ones = dict.fromkeys(xyz, 1.0)
         assert forward.evaluate(ones) == backward.evaluate(ones)
@@ -353,7 +353,7 @@ def _outcome(parser, text, variables):
         poly = parser(text, variables)
     except Exception as exc:
         return type(exc), str(exc)
-    return poly.variables, poly.terms
+    return poly.variables, lift(poly).terms
 
 
 def _potentials():
@@ -411,3 +411,73 @@ class TestParseMatchesSummedMonomials:
         for variables in _PARSE_VARIABLES:
             assert _outcome(parse_poly, text, variables) == \
                 _outcome(parse_by_sums, text, variables)
+
+
+def _exact_argvs():
+    """The README examples, every exact bench job, and an excited level over
+    eleven q names, whose collation (q1, q10, q11, q2, ...) is not their
+    numbering."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+    return readme_examples() + [list(job.argv) for job in workloads.exact_jobs()] + [
+        ["--command", "excited", "--freqs", ",".join(["1"] * 11),
+         "--occupations", "0,0,0,0,0,0,0,0,0,2,1;2,0,0,0,0,0,0,0,0,0,3"]]
+
+
+class TestBoundaryFormat:
+    """MultiPoly trusts its caller; pin what every caller hands it."""
+
+    def test_every_command_builds_canonical_polys(self, monkeypatch, capsys):
+        built = []
+        init = MultiPoly.__init__
+
+        def checked(self, terms, den, variables):
+            init(self, terms, den, variables)
+            built.append((self.terms, den, variables))
+
+        monkeypatch.setattr(MultiPoly, "__init__", checked)
+        for argv in _exact_argvs():
+            assert main(argv) == 0, argv
+        capsys.readouterr()
+        assert len(built) > 1000
+        for terms, den, variables in built:
+            assert type(den) is int and den > 0
+            assert type(variables) is tuple
+            assert len(set(variables)) == len(variables)
+            assert list(variables) == sorted(variables, key=_var_key)
+            for exps, c in terms.items():
+                assert type(c) is int and c != 0
+                assert type(exps) is tuple and len(exps) == len(variables)
+                assert all(type(e) is int for e in exps)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(-3, 3)),
+                           st.integers(-10 ** 400, 10 ** 400), max_size=5),
+           st.integers(1, 10 ** 400), st.floats(-2.0, 2.0), st.floats(0.25, 4.0))
+    def test_evaluate_sums_fractions_in_render_order(self, terms, den, x, r):
+        # each term's c/den is float(Fraction(c, den)), the same correctly
+        # rounded quotient, so the sum matches bit for bit and overflows
+        # on the same inputs
+        poly = MultiPoly(terms, den, (VAR_X, VAR_R))
+
+        def fraction_sum():
+            total = 0.0
+            for (i, j), c in sorted(poly.terms.items(),
+                                    key=lambda item: (sum(item[0]), item[0])):
+                term = float(Fraction(c, den))
+                if i:
+                    term *= x ** i
+                if j:
+                    term *= r ** j
+                total += term
+            return total
+
+        def outcome(fn):
+            try:
+                return fn().hex()
+            except OverflowError:
+                return OverflowError
+
+        assert outcome(lambda: poly.evaluate({VAR_X: x, VAR_R: r})) == \
+            outcome(fraction_sum)
