@@ -171,8 +171,11 @@ def _tail_beyond(f: WaveProfile, g: float, side: int) -> float:
     return math.exp(-2.0 * g * f.s[edge]) * total
 
 
-def apply_Dbar(f: WaveProfile, g: float,
-               solvability_rtol: float = 1e-10) -> WaveProfile:
+# a weighted total this small against the absolute mass counts as zero
+_SOLVABILITY_RTOL = 1e-10
+
+
+def apply_Dbar(f: WaveProfile, g: float) -> WaveProfile:
     """Double-integral operator with tail-stable inner quadrature.
 
     The inner integral I(y) = ∫_{-∞}^y e^{-2gS} f dz is accumulated from
@@ -181,7 +184,7 @@ def apply_Dbar(f: WaveProfile, g: float,
     outer weight e^{2gS} turns flat quadrature residue into garbage.
     The integrand beyond the grid is completed asymptotically (the edge
     values are e^{-2gS}-small, but the outer weight re-amplifies them).
-    A total within ``solvability_rtol`` of zero, relative to the absolute
+    A total within ``_SOLVABILITY_RTOL`` of zero, relative to the absolute
     mass, is treated as exactly zero: that is the boundary condition
     selecting the bounded solution.  A domain where the outer weight
     e^{2gS} overflows a float raises ValueError.
@@ -214,7 +217,7 @@ def apply_Dbar(f: WaveProfile, g: float,
     mass = float(cumulative_integral(np.abs(wf), xf, start=0)[-1]) or 1.0
     total = float(left[-1]) + tail_plus
     inner = left.copy()
-    if abs(total) <= solvability_rtol * mass:
+    if abs(total) <= _SOLVABILITY_RTOL * mass:
         # bounded branch: the inner tail is taken from the decaying side,
         # so its quadrature error dies off with the integrand
         inner[i0 + 1:] = -right[i0 + 1:]

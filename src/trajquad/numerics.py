@@ -10,8 +10,8 @@ stencils run as whole-array kernels: every interior node is one row of a
 nodes at each end take their own one-sided weights.
 
 ``adaptive_panels`` is the one adaptive Simpson rule, used where the
-integrand is a callable rather than a sampled array (trajectory panels,
-Green's-operator tails, radial moments).  It integrates every panel of a
+integrand is a callable rather than a sampled array (the trajectory's S₀
+panels and the Green's-operator tails).  It integrates every panel of a
 partition at once: each bisection level is one array step over all the
 panels whose Richardson error estimate still misses the tolerance, so the
 integrand is called on arrays, a few times per level, never per panel.

@@ -40,14 +40,10 @@ _POLY_LEVELS = 10
 
 @dataclass(frozen=True)
 class Potential1D:
-    """Scaled potential v with derivatives and a chosen minimum.
+    """Scaled polynomial potential v with derivatives and a chosen minimum.
 
-    ``derivatives[m]`` evaluates v^(m); polynomial potentials carry
-    ``_POLY_LEVELS`` levels, more than the hierarchy reads, and black-box
-    ones the required minimum of two.  Every callable is
-    evaluated on whole node arrays: ``from_poly`` builds array-valued
-    polynomials and ``from_callables`` wraps scalar user callables in
-    ``np.vectorize``, so one array path serves both.
+    ``derivatives[m]`` evaluates v^(m) on whole node arrays; ``from_poly``
+    builds ``_POLY_LEVELS`` levels, more than the hierarchy reads.
     """
 
     derivatives: tuple
@@ -65,11 +61,6 @@ class Potential1D:
     def d2v(self) -> Callable[[float], float]:
         return self.derivatives[2]
 
-    @property
-    def depth(self) -> int:
-        """Highest analytically available derivative order."""
-        return len(self.derivatives) - 1
-
     @classmethod
     def from_poly(cls, text: str, origin: float = 0.0) -> "Potential1D":
         """The polynomial in x that ``text`` spells; any other symbol is a
@@ -84,14 +75,6 @@ class Potential1D:
             stack.append((lambda c: lambda x: npoly.polyval(x, c))(cur))
             cur = npoly.polyder(cur) if len(cur) > 1 else np.zeros(1)
         return cls(derivatives=tuple(stack), origin=origin)
-
-    @classmethod
-    def from_callables(cls, v, dv, d2v) -> "Potential1D":
-        if dv is None or d2v is None:
-            raise InvalidPotential("black-box potentials must supply two derivatives")
-        derivatives = tuple(np.vectorize(fn, otypes=[float])
-                            for fn in (v, dv, d2v))
-        return cls(derivatives=derivatives)
 
 
 @dataclass

@@ -143,7 +143,7 @@ def test_criterion_6_hierarchy_sanity():
         sol = gexpand_mod.hierarchy(quartic, 3)
         from test_gexpand import pde_residual
         for k in (1, 2, 3):
-            assert np.max(pde_residual(sol, k)) < 1e-7
+            assert np.max(pde_residual(sol, quartic, k)) < 1e-7
 
 
 def test_criterion_7_oracle_cross_checks():

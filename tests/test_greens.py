@@ -304,11 +304,14 @@ class TestShift:
 
 
 class TestSeriesFixedPoint:
-    def test_exp_tau_solves_resolvent_equation(self, profile):
+    def test_exp_tau_solves_resolvent_equation(self, profile, monkeypatch):
         # whole-method consistency: the exact series coefficients must
         # satisfy e^{-τ} - 1 = D̄[ε(-U+Δ)e^{-τ}] up to the truncation
-        # order, so the residual scales like ε³ for a K = 2 series
+        # order, so the residual scales like ε³ for a K = 2 series.  The
+        # truncated source has a mean of O(ε³), far above the threshold
+        # that selects D̄'s bounded branch, so the threshold is raised
         from trajquad.oscpert import solve_even
+        monkeypatch.setattr(greens, "_SOLVABILITY_RTOL", 1e-4)
         g = 1.0
         series = solve_even(2, 2)
         x = profile.nodes
@@ -330,7 +333,7 @@ class TestSeriesFixedPoint:
             tau_fn = series_fn(eps)
             src = profile.with_values(
                 lambda z: eps * (-z ** 4 + shift) * tau_fn(z))
-            rhs = apply_Dbar(src, g, solvability_rtol=1e-4).values
+            rhs = apply_Dbar(src, g).values
             lhs = tau_fn(x) - 1.0
             mask = np.abs(x) <= 3.0
             residuals[eps] = np.max(np.abs(lhs - rhs)[mask])

@@ -262,11 +262,3 @@ def test_build_grid_equals_scalar_quadrature(poly, origin, x_max, n, direction):
     assert np.array_equal(grid.s0, s0)
     assert np.array_equal(grid.speed, speed)
 
-
-def test_black_box_potential_matches_polynomial():
-    poly = Potential1D.from_poly("0.5*x^2 + 0.1*x^4")
-    box = Potential1D.from_callables(lambda x: 0.5 * x * x + 0.1 * x ** 4,
-                                     lambda x: x + 0.4 * x ** 3,
-                                     lambda x: 1.0 + 1.2 * x * x)
-    a, b = build_grid(poly, 2.5, 801), build_grid(box, 2.5, 801)
-    assert np.max(np.abs(a.s0 - b.s0)) < 1e-13

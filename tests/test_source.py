@@ -87,22 +87,12 @@ def test_kernels_leave_the_integer_format_through_exactalg():
     assert not found, f"a second exact format beside MultiPoly: {found}"
 
 
-# (module, class, method) of public methods that only tests call
-_CALLED_BY_TESTS = {
-    # black-box potentials with hand-written derivatives, which no command
-    # takes, drive the grid layer tests
-    ("trajectory.py", "Potential1D", "from_callables"),
-}
-
-
 def test_every_public_function_is_used():
     # a public module-level function or class that no other src/ code uses
     # is a test-only reference; it belongs in its test.  The public methods,
     # classmethods and properties of public classes are held to the same
-    # rule, bar the entries of _CALLED_BY_TESTS, which must each name a
-    # method src/ does not use: a method is used when src/ reads an
-    # attribute of its name outside the method's own body.  Private and
-    # dunder methods are exempt.
+    # rule: a method is used when src/ reads an attribute of its name
+    # outside the method's own body.  Private and dunder methods are exempt.
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted(SRC.glob("*.py"))}
     # (module, top-level statement, every name and attribute it references)
@@ -118,7 +108,7 @@ def test_every_public_function_is_used():
     assert not unused, f"public names nothing in src/trajquad uses: {unused}"
     attributes = [n for tree in trees.values() for n in ast.walk(tree)
                   if isinstance(n, ast.Attribute)]
-    unused_methods = set()
+    unused_methods = []
     for name, cls, _ in statements:
         if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
             continue
@@ -127,11 +117,9 @@ def test_every_public_function_is_used():
                 own = {id(n) for n in ast.walk(fn)}
                 if not any(a.attr == fn.name and id(a) not in own
                            for a in attributes):
-                    unused_methods.add((name, cls.name, fn.name))
-    extra = [f"{m}:{c}.{f}" for m, c, f in sorted(unused_methods - _CALLED_BY_TESTS)]
-    stale = [f"{m}:{c}.{f}" for m, c, f in sorted(_CALLED_BY_TESTS - unused_methods)]
-    assert not extra, f"public methods nothing in src/trajquad uses: {extra}"
-    assert not stale, f"allow-list entries src/ uses or lacks: {stale}"
+                    unused_methods.append(f"{name}:{cls.name}.{fn.name}")
+    assert not unused_methods, \
+        f"public methods nothing in src/trajquad uses: {unused_methods}"
 
 
 def test_every_multipoly_method_is_called_by_a_command(monkeypatch, capsys):
@@ -223,9 +211,6 @@ def _optional_parameters(fn: ast.FunctionDef, is_method: bool) -> list:
 _SET_BY_TESTS = {
     # the console entry point reads sys.argv; tests pass an argv list
     ("cli.py", "main", "argv"),
-    # the series-inversion test's source has a mean of O(ε³) by truncation,
-    # far above the default threshold that selects the bounded branch
-    ("greens.py", "apply_Dbar", "solvability_rtol"),
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from trajquad.errors import DegenerateMinimum, InvalidPotential
-from trajquad.gexpand import hierarchy
+from trajquad.gexpand import MAX_ORDER, hierarchy
 from trajquad.trajectory import Potential1D, build_grid
 
 
@@ -27,7 +27,7 @@ class TestPotential:
         # as deep as the degree overflowed its derivative coefficients at
         # degree 171, a RuntimeWarning (an error under the test settings)
         pot = Potential1D.from_poly(f"0.5*x^2 + x^{degree}")
-        assert pot.depth == 9
+        assert len(pot.derivatives) == 10
         coeffs = np.zeros(degree + 1)
         coeffs[2], coeffs[degree] = 0.5, 1.0
         x = np.linspace(-0.5, 0.5, 11)
@@ -40,9 +40,12 @@ class TestPotential:
         sol = hierarchy(build_grid(pot, 0.5, 201), 3)
         assert np.isfinite(sol.e_terms).all()
 
-    def test_from_callables_requires_derivatives(self):
-        with pytest.raises(InvalidPotential):
-            Potential1D.from_callables(lambda x: x * x, None, None)
+    def test_poly_stack_covers_the_hierarchy(self):
+        # the hierarchy reads v..v⁽ᵏ⁺²⁾ at order k and has no other source
+        # of derivatives, so the stack must reach MAX_ORDER + 2 even for a
+        # polynomial of lower degree
+        pot = Potential1D.from_poly("0.5*x^2")
+        assert len(pot.derivatives) >= MAX_ORDER + 3
 
     def test_rejects_non_x_symbols(self):
         # a potential in the wrong variable is an input error, not a
