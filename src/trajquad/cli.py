@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from . import __version__
-from .errors import ConfigError, MethodError, ToleranceError, TrajquadError
+from .errors import (ConfigError, MethodError, TailDivergence, ToleranceError,
+                     TrajquadError)
 from .exactalg import VAR_GHAT, VAR_R, parse_poly
 from . import coulomb as coulomb_mod
 from . import excited as excited_mod
@@ -115,6 +116,8 @@ class RunConfig:
             raise ConfigError(f"unknown keys for {self.command}: {sorted(unknown)}")
         resolved = {}
         for key, (default, check) in schema.items():
+            if key not in self.parameters and callable(default):
+                default = default(resolved)  # follows the keys before it
             value = self.parameters.get(key, default)
             if value is None:
                 raise ConfigError(f"{self.command} requires --{key}")
@@ -156,8 +159,9 @@ def _run_gexpand(p: dict):
     lines += [f"{k},{e!r}" for k, e in enumerate(sol.e_terms)]
     lines.append(f"assembled,{energy!r}")
     lines.append("x," + ",".join(f"S_{k}" for k in range(1, sol.order + 1)))
-    table = (",".join(map(repr, row))
-             for row in zip(payload["nodes"], *payload["s_terms"]))
+    # repr a column at a time: one map per column, not one per row
+    columns = [payload["nodes"], *payload["s_terms"]]
+    table = map(",".join, zip(*(map(repr, c) for c in columns)))
     return payload, chain(lines, table), None
 
 
@@ -205,7 +209,11 @@ def _run_stark(p: dict):
 
 
 def _run_greens_check(p: dict):
-    report = greens_mod.identity_report(p["g"], p["n"], p["half-width"])
+    try:
+        report = greens_mod.identity_report(p["g"], p["n"], p["half-width"])
+    except TailDivergence as exc:
+        raise TailDivergence(f"{exc} at half-width {p['half-width']!r}; "
+                             f"a wider --half-width may pass") from exc
     payload = {"checks": report}
     lines = ["identity,grid,max_residual,tolerance,pass"]
     lines += [f"{r['identity']},{r['grid']},{r['max_residual']!r},"
@@ -264,7 +272,8 @@ def _run_oracle(p: dict):
 
 
 # command -> (runner, key -> (default, validator)); required keys default to
-# None.  A runner returns (payload, iterable of csv lines, failure or None).
+# None, and a callable default is computed from the keys resolved before it.
+# A runner returns (payload, iterable of csv lines, failure or None).
 _COMMANDS = {
     "gexpand": (_run_gexpand, {
         "potential": (None, None),
@@ -295,7 +304,10 @@ _COMMANDS = {
     "greens-check": (_run_greens_check, {
         "g": (1.0, _positive),
         "n": (4001, lambda v: v >= 101 and v % 2 == 1),
-        "half-width": (8.0, _positive),
+        # the identities scale with z = √g·x, so at g > 1 the grid shrinks
+        # with the Gaussian e^{-gx²}; at g ≤ 1 it stays 8 (no rule fits
+        # there: g = 0.25 needs a half-width near 11, set by hand)
+        "half-width": (lambda p: min(8.0, 8.0 / math.sqrt(p["g"])), _positive),
     }),
     "excited": (_run_excited, {
         "freqs": ("1", None),
@@ -314,11 +326,35 @@ _COMMANDS = {
 COMMANDS = tuple(_COMMANDS)
 
 
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+
+    With an indent, json.dumps runs its pure-Python encoder.  Here a list
+    of scalars is encoded by the C encoder in one call and its ", "
+    separators become line breaks, which is exact when the text holds no
+    string, list or dict (no '"', '[' or '{'); else it goes item by item.
+    Dict keys are strings.
+    """
+    inner = indent + "  "
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return json.dumps(value)
+    if isinstance(value, dict):
+        items = (f"{json.dumps(k)}: {_json(v, inner)}"
+                 for k, v in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if not isinstance(value[0], (dict, list, tuple, str)):
+        body = json.dumps(value)[1:-1]
+        if not ('"' in body or "[" in body or "{" in body):
+            return "[" + inner + body.replace(", ", "," + inner) + indent + "]"
+    items = (_json(v, inner) for v in value)
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+
 def _write(out, fmt: str, config: RunConfig, payload: dict, lines) -> None:
     if fmt == "json":
         document = {"version": __version__, "config": config.to_dict(),
                     "results": payload}
-        text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+        text = _json(document) + "\n"
     else:
         header = [f"# trajquad {__version__}",
                   f"# config: {json.dumps(config.to_dict(), sort_keys=True)}"]

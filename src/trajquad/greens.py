@@ -187,7 +187,7 @@ def apply_Dbar(f: WaveProfile, g: float) -> WaveProfile:
     A total within ``_SOLVABILITY_RTOL`` of zero, relative to the absolute
     mass, is treated as exactly zero: that is the boundary condition
     selecting the bounded solution.  A domain where the outer weight
-    e^{2gS} overflows a float raises ValueError.
+    e^{2gS} overflows a float, or the source beyond it, raises ValueError.
     """
     x, s = f.nodes, f.s
     exponent = 2.0 * g * float(np.max(s))
@@ -200,8 +200,15 @@ def apply_Dbar(f: WaveProfile, g: float) -> WaveProfile:
     if edge > 1e-10 * max(float(np.max(np.abs(w))), 1e-300):
         raise TailDivergence(
             f"weighted source does not decay at the ends (edge {edge:.2e})")
-    tail_minus = _tail_beyond(f, g, side=-1)
-    tail_plus = _tail_beyond(f, g, side=+1)
+    try:
+        # the tails start a unit beyond the edge, not a Gaussian width: at
+        # huge g the source overflows there while the weight underflows
+        with np.errstate(over="raise", invalid="raise"):
+            tail_minus = _tail_beyond(f, g, side=-1)
+            tail_plus = _tail_beyond(f, g, side=+1)
+    except FloatingPointError as exc:
+        raise ValueError(f"the source overflows beyond the grid edge: "
+                         f"{exc}") from exc
     if f.s_fn is not None and f.f_fn is not None:
         # profiles that know their functions get a 4x-refined inner grid,
         # which is what keeps the re-amplified inner error below the

@@ -238,10 +238,13 @@ class TestMain:
         ["--command", "coulomb", "--potential", "u^-1"],
         ["--command", "gexpand", "--potential", "x^-2"],
         ["--command", "oracle", "--potential", "x^-1", "--n", "200"],
-        # a weight e^(2gS) that overflows, once after H_l(√g·z) had warned
+        # the default half-width 8/√g keeps the weight e^(2gS) in range,
+        # but the tail a unit beyond the edge reaches H_l(√g·z) = inf
         ["--command", "greens-check", "--g", "1e300"],
         # an even grid has no node at the origin, where S must vanish
         ["--command", "greens-check", "--n", "4000"],
+        # a weight e^(2gS) that overflows, once after H_l(√g·z) had warned
+        ["--command", "greens-check", "--g", "1e300", "--half-width", "8"],
     ])
     def test_invalid_input_exits_1(self, argv, capsys):
         assert main(argv) == 1
@@ -391,6 +394,44 @@ class TestMain:
         assert code == 0
         assert "dbar_hermite_l4" in out.read_text()
 
+    @pytest.mark.parametrize("g, n, half_width, code", [
+        # the default half-width is min(8, 8/√g): at g = 2 the old fixed 8
+        # fails dbar_hermite_l4 at 3.14e-6, 8/√2 passes at 2.30e-8 (n = 4001)
+        # and 4.36e-9 (n = 6001)
+        ("2", "4001", "8", 3),
+        ("2", "4001", None, 0),
+        ("2", "6001", None, 0),
+        # with 8 the weight e^(2gS) overflowed above g = 11 (exit 1)
+        ("16", "4001", None, 0),
+        # at g < 1 the default stays 8 (worst rows 1.95e-9 at n = 4001);
+        # 8/√g passes too, at 92 % of its tolerance
+        ("0.5", "4001", None, 0),
+        ("0.5", "6001", None, 0),
+        ("0.5", "4001", "11.313708498984761", 0),
+        # at g = 0.25 the edge has not decayed at 8 (exit 2); 11 passes at
+        # 6.20e-9
+        ("0.25", "4001", "11", 0),
+    ])
+    def test_greens_check_half_width(self, g, n, half_width, code):
+        argv = ["--command", "greens-check", "--g", g, "--n", n]
+        if half_width is not None:
+            argv += ["--half-width", half_width]
+        assert main(argv) == code
+
+    def test_greens_default_echoes_half_width(self, capsys):
+        assert main(["--command", "greens-check", "--g", "4"]) == 0
+        config = parse_config_echo(capsys.readouterr().out)
+        assert config.parameters["half-width"] == 4.0
+
+    def test_undecayed_greens_edge_names_the_half_width(self, capsys):
+        assert main(["--command", "greens-check", "--g", "0.25"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("method breakdown: weighted source does not "
+                              "decay at the ends (edge 9.00e-07)")
+        assert err.rstrip().endswith(
+            "at half-width 8.0; a wider --half-width may pass")
+
     def test_overflowing_greens_weight_exits_1(self, capsys):
         # e^{2gS} at x = 30 is e^900: reject the domain before any nan row
         with warnings.catch_warnings():
@@ -403,11 +444,11 @@ class TestMain:
     def test_tolerance_failure_writes_full_report(self, tmp_path, capsys):
         out = tmp_path / "greens.csv"
         assert main(["--command", "greens-check", "--g", "2", "--n", "401",
-                     "--out", str(out)]) == 3
+                     "--half-width", "8", "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith("tolerance failure: identity ")
         text = out.read_text()
-        assert parse_config_echo(text) == RunConfig("greens-check",
-                                                    {"g": 2, "n": 401})
+        assert parse_config_echo(text) == RunConfig(
+            "greens-check", {"g": 2, "n": 401, "half-width": 8})
         lines = text.splitlines()
         assert lines[2] == "identity,grid,max_residual,tolerance,pass"
         rows = [line.split(",") for line in lines[3:]]

@@ -262,3 +262,13 @@ def test_every_optional_parameter_is_passed():
     stale = [f"{m}:{n}({a}=)" for m, n, a in sorted(_SET_BY_TESTS - unpassed)]
     assert not extra, f"optional parameters no src/ call passes: {extra}"
     assert not stale, f"allow-list entries src/ passes or lacks: {stale}"
+
+
+def test_one_json_writer():
+    # json.dumps(indent=...) runs the pure-Python encoder; cli._json writes
+    # its bytes through the C encoder, and a second emitter could drift
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and any(k.arg == "indent" for k in node.keywords)]
+    assert not found, f"calls passing indent= in src/trajquad: {found}"
