@@ -10,6 +10,9 @@ The command table ``_COMMANDS`` and the parameter table ``_PARAMS`` are
 the single source of truth: the command list and the flags derive from
 them, and ``RunConfig`` alone converts and checks values.
 
+The grid layers, which import numpy, load on first use, so the exact
+commands (perturb, coulomb, stark, excited) start without numpy.
+
 Exit codes: 0 ok, 1 config error (any invalid value, format or command),
 2 method breakdown (e.g. a radial log singularity), 3 tolerance failure
 (an identity check above bound; the report is still written).  argparse
@@ -19,6 +22,7 @@ itself exits 2 only on malformed argv, such as a flag without its value.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import sys
@@ -31,11 +35,29 @@ from .errors import (ConfigError, MethodError, TailDivergence, ToleranceError,
 from .exactalg import VAR_GHAT, VAR_R, parse_poly
 from . import coulomb as coulomb_mod
 from . import excited as excited_mod
-from . import gexpand as gexpand_mod
-from . import greens as greens_mod
-from . import oracle as oracle_mod
 from . import oscpert as oscpert_mod
-from . import trajectory as trajectory_mod
+
+
+def _lazy(name: str):
+    """The layer ``trajquad.<name>``, executed on its first attribute access.
+
+    ``sys.modules`` and the package hold it under its usual name, so a
+    later ``import trajquad.<name>`` returns this same module.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# numerics too, so that sys.modules names every layer as an eager import did
+_, trajectory_mod, gexpand_mod, greens_mod, oracle_mod = map(
+    _lazy, ("numerics", "trajectory", "gexpand", "greens", "oracle"))
 
 FORMATS = ("csv", "json")
 

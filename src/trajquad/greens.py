@@ -114,7 +114,8 @@ def apply_C(f: WaveProfile, g: float) -> WaveProfile:
     scale = float(np.max(np.abs(f.values))) or 1.0
     if abs(f.values[i0]) > 1e-9 * scale:
         raise DivergentAtOrigin(
-            f"source value {f.values[i0]!r} at the origin feeds C a constant")
+            f"source value {float(f.values[i0])!r} at the origin feeds C a "
+            f"constant")
     sp = _slope(f)
     integrand = np.empty_like(f.values)
     nz = np.arange(len(sp)) != i0
@@ -148,7 +149,9 @@ def _tail_beyond(f: WaveProfile, g: float, side: int) -> float:
     if f.s_fn is not None and f.f_fn is not None:
         b = float(f.nodes[edge])
         s_edge = float(f.s[edge])
-        span = abs(b) + 1.0
+        # the weight e^{-2gS} falls over a width 1/√g, and at large g the
+        # source overflows a fixed unit beyond the edge
+        span = (abs(b) + 1.0) / max(1.0, math.sqrt(g))
         while f.s_fn(b + side * span) - s_edge < 40.0 / g:
             span *= 2.0
         scale = max(abs(float(f.values[edge])) * span, 1e-300)
@@ -201,8 +204,6 @@ def apply_Dbar(f: WaveProfile, g: float) -> WaveProfile:
         raise TailDivergence(
             f"weighted source does not decay at the ends (edge {edge:.2e})")
     try:
-        # the tails start a unit beyond the edge, not a Gaussian width: at
-        # huge g the source overflows there while the weight underflows
         with np.errstate(over="raise", invalid="raise"):
             tail_minus = _tail_beyond(f, g, side=-1)
             tail_plus = _tail_beyond(f, g, side=+1)

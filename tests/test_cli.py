@@ -238,9 +238,6 @@ class TestMain:
         ["--command", "coulomb", "--potential", "u^-1"],
         ["--command", "gexpand", "--potential", "x^-2"],
         ["--command", "oracle", "--potential", "x^-1", "--n", "200"],
-        # the default half-width 8/√g keeps the weight e^(2gS) in range,
-        # but the tail a unit beyond the edge reaches H_l(√g·z) = inf
-        ["--command", "greens-check", "--g", "1e300"],
         # an even grid has no node at the origin, where S must vanish
         ["--command", "greens-check", "--n", "4000"],
         # a weight e^(2gS) that overflows, once after H_l(√g·z) had warned
@@ -396,13 +393,17 @@ class TestMain:
 
     @pytest.mark.parametrize("g, n, half_width, code", [
         # the default half-width is min(8, 8/√g): at g = 2 the old fixed 8
-        # fails dbar_hermite_l4 at 3.14e-6, 8/√2 passes at 2.30e-8 (n = 4001)
-        # and 4.36e-9 (n = 6001)
+        # fails dbar_hermite_l4 at 3.14e-6, 8/√2 passes at 2.31e-8 (n = 4001)
+        # and 4.45e-9 (n = 6001)
         ("2", "4001", "8", 3),
         ("2", "4001", None, 0),
         ("2", "6001", None, 0),
         # with 8 the weight e^(2gS) overflowed above g = 11 (exit 1)
         ("16", "4001", None, 0),
+        # the adaptive tail starts a Gaussian width 1/√g beyond the edge;
+        # from a unit beyond it greens_residual[H2] failed from g ≈ 1e50
+        ("1e50", "4001", None, 0),
+        ("1e100", "4001", None, 0),
         # at g < 1 the default stays 8 (worst rows 1.95e-9 at n = 4001);
         # 8/√g passes too, at 92 % of its tolerance
         ("0.5", "4001", None, 0),
@@ -431,6 +432,19 @@ class TestMain:
                               "decay at the ends (edge 9.00e-07)")
         assert err.rstrip().endswith(
             "at half-width 8.0; a wider --half-width may pass")
+
+    def test_underflowing_greens_source_exits_2(self, capsys):
+        # D̄(x² - ⟨x²⟩) underflows, so T·D̄f - f is -f: its value ⟨x²⟩ =
+        # 5e-301 at the origin feeds C a constant.  The tail a unit beyond
+        # the edge once overflowed H_l(√g·z) first (exit 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--command", "greens-check", "--g", "1e300"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("method breakdown: source value 5e-301 at the origin "
+                       "feeds C a constant\n")
+        assert "np.float64" not in err
 
     def test_overflowing_greens_weight_exits_1(self, capsys):
         # e^{2gS} at x = 30 is e^900: reject the domain before any nan row
@@ -467,6 +481,50 @@ class TestMain:
         columns = [results["nodes"], *results["s_terms"]]
         assert [[float(v) for v in row.split(",")] for row in table] \
             == [list(row) for row in zip(*columns)]
+
+
+_GEXPAND = ["--command", "gexpand", "--potential", "0.5*x^2 + 0.1*x^4",
+            "--n", "401", "--order", "2"]
+_LAZY_PROBE = f"""
+import contextlib, io, json, sys
+import trajquad.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [trajquad.cli.main(argv) for argv in [
+        ["--command", "perturb", "--parity", "even", "--p", "2"],
+        ["--command", "stark", "--order", "8"],
+        ["--command", "coulomb", "--order", "6"],
+        ["--command", "excited", "--freqs", "1,2", "--occupations", "1,0;0,1"]]]
+numpy = "numpy" in sys.modules
+names = sorted(n for n in sys.modules if n.split(".")[0] == "trajquad")
+import trajquad.gexpand
+same = trajquad.gexpand is trajquad.cli.gexpand_mod
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    codes.append(trajquad.cli.main({_GEXPAND!r}))
+print(json.dumps({{"codes": codes, "numpy": numpy, "names": names,
+                  "same": same, "gexpand": out.getvalue()}}))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_exact_commands_load_no_numpy(flags, capsys):
+    # the grid layers load on first use: sys.modules names every layer, as
+    # an eager import would, but the exact commands leave numpy unloaded.
+    # The probe reports rather than asserts, so that -O keeps its checks
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, *flags, "-W", "error::RuntimeWarning", "-c",
+         _LAZY_PROBE], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    probe = json.loads(done.stdout)
+    assert probe["codes"] == [0] * 5
+    assert probe["numpy"] is False
+    layers = ("exactalg", "oscpert", "coulomb", "excited", "trajectory",
+              "numerics", "gexpand", "greens", "oracle", "cli", "errors")
+    assert probe["names"] == sorted(["trajquad"] + [f"trajquad.{m}" for m in layers])
+    assert probe["same"] is True
+    assert main(_GEXPAND) == 0
+    assert probe["gexpand"] == capsys.readouterr().out
 
 
 def test_readme_examples_run(capsys):
