@@ -242,6 +242,8 @@ class TestMain:
         ["--command", "greens-check", "--n", "4000"],
         # a weight e^(2gS) that overflows, once after H_l(√g·z) had warned
         ["--command", "greens-check", "--g", "1e300", "--half-width", "8"],
+        # the default half-width 8/√g is computed only after g > 0 holds
+        ["--command", "greens-check", "--g", "0"],
     ])
     def test_invalid_input_exits_1(self, argv, capsys):
         assert main(argv) == 1
