@@ -70,12 +70,13 @@ _D2_WEIGHTS = _table([0, 0, 2, 0, 0], range(5))
 
 
 def grid_spacing(x: np.ndarray) -> float:
-    """Spacing of a uniform grid; raises if the grid is not uniform."""
+    """Spacing h of a uniform grid; raises unless h is finite and every
+    step lies within 1e-9·|h| of it."""
     dx = np.diff(x)
-    h = dx[0]
-    if not np.allclose(dx, h, rtol=1e-9, atol=0.0):
+    h = float(dx[0])
+    if not (np.isfinite(h) and np.max(np.abs(dx - h)) <= 1e-9 * abs(h)):
         raise ValueError("grid is not uniform")
-    return float(h)
+    return h
 
 
 def derivative(y: np.ndarray, x: np.ndarray, order: int = 1) -> np.ndarray:

@@ -16,9 +16,13 @@ decisions.  A guessed eigenvalue is refined by Newton passes on the
 determinant, each a sweep of the same pivot recurrence that also counts,
 and then bracketed by counts close around the Newton value.  The n-point
 grid takes its guesses from every 8th row (the same operator at spacing
-8h, bisected from counts climbing from its Gershgorin floor) and the
-2n-point grid from the n-point eigenvalues.  Newton only places counts,
-so it never sets a value.
+8h, bisected from counts climbing from its Gershgorin floor, and only to
+a width of 1e-6, since it supplies guesses and no value) and the 2n-point
+grid from the n-point eigenvalues.  Newton only places counts, so it
+never sets a value.  The count and Newton loops make no per-row zero
+test: a sweep that meets an exact zero pivot raises ZeroDivisionError
+and reruns on ``_pivots``, the one recurrence that nudges such a pivot,
+so every count and iterate is that of a nudging loop.
 Each solve runs at two resolutions (n and 2n); the h² Richardson
 extrapolation supplies both the reported eigenvalue and its error
 estimate.  The fine grid's eigenvectors, built from the Sturm count's own
@@ -57,47 +61,60 @@ def _sturm_count(diag, off2: float, lam: float) -> int:
 
     ``diag`` is the diagonal as a list and ``off2`` the square of the
     constant off-diagonal.  The pivot starts at +inf so that the first
-    row's ``off2 / q`` term is exactly 0.
+    row's ``off2 / q`` term is exactly 0.  The loop makes no zero test.
+    An exact zero pivot is not counted, and the next row's division by it
+    raises ZeroDivisionError; that rare sweep reruns on ``_pivots``, which
+    nudges the pivot to 1e-300, so the count is that of a loop nudging on
+    every row.  A zero last pivot raises nothing and counts nothing.
     """
     count = 0
     q = math.inf
-    for d in diag:
-        q = d - lam - off2 / q
-        if q == 0.0:
-            q = 1e-300
-        elif q < 0.0:
-            count += 1
+    try:
+        for d in diag:
+            q = d - lam - off2 / q
+            if q < 0.0:
+                count += 1
+    except ZeroDivisionError:
+        return sum(q < 0.0 for q in _pivots(diag, off2, lam))
     return count
 
 
 def _newton_pass(diag, off2: float, lam: float) -> tuple:
     """``_sturm_count`` at lam and the Newton iterate lam - det/det′.
 
-    The sweep runs ``_sturm_count``'s pivot recurrence and zero-pivot
-    nudge, so the count is its count bit for bit.  It also sums
-    u_i = q_i′/q_i, and the sum is (log|det|)′.  With r_i = off2/q_{i-1},
-    the λ-derivative of q_i = d_i - λ - r_i is r_i·u_{i-1} - 1, so
-    u_i = (r_i·u_{i-1} - 1)/q_i.  A zero sum gives a nan iterate; a sum
-    out of float range gives inf or nan, never an exception.
+    The sweep runs ``_sturm_count``'s pivot recurrence, so the count is
+    its count bit for bit.  It also sums u_i = q_i′/q_i, and the sum is
+    (log|det|)′.  With r_i = off2/q_{i-1}, the λ-derivative of
+    q_i = d_i - λ - r_i is r_i·u_{i-1} - 1, so u_i = (r_i·u_{i-1} - 1)/q_i.
+    An exact zero pivot raises ZeroDivisionError at its own row, and the
+    pass reruns on ``_pivots``, taking each r_i from consecutive nudged
+    pivots.  A zero sum gives a nan iterate; a sum out of float range
+    gives inf or nan, never an exception.
     """
     count = 0
     q = math.inf
     u = total = 0.0
-    for d in diag:
-        r = off2 / q
-        q = d - lam - r
-        if q == 0.0:
-            q = 1e-300
-        elif q < 0.0:
-            count += 1
-        u = (r * u - 1.0) / q
-        total += u
+    try:
+        for d in diag:
+            r = off2 / q
+            q = d - lam - r
+            if q < 0.0:
+                count += 1
+            u = (r * u - 1.0) / q
+            total += u
+    except ZeroDivisionError:
+        pivots = [math.inf, *_pivots(diag, off2, lam)]
+        count = sum(q < 0.0 for q in pivots)
+        u = total = 0.0
+        for prev, q in zip(pivots, pivots[1:]):
+            u = (off2 / prev * u - 1.0) / q
+            total += u
     return count, (lam - 1.0 / total if total else math.nan)
 
 
 def _bisect_eigenvalues(diag: np.ndarray, off: float, k: int,
-                        guesses: tuple = ()) -> list:
-    """Bracket the k lowest eigenvalues to width 1e-12 (abs + rel).
+                        guesses: tuple = (), width: float = 1e-12) -> list:
+    """Bracket the k lowest eigenvalues to ``width`` (abs + rel).
 
     Each eigenvalue bisects the Gershgorin interval [lo₀, hi₀], but a
     midpoint is counted only when no count (λ′, c) already made on this
@@ -116,6 +133,8 @@ def _bisect_eigenvalues(diag: np.ndarray, off: float, k: int,
     loop ends: the Newton steps halve, and the widening counts reach
     ±inf, where k ≤ rows eigenvalues lie below and none above, once the
     entries are finite.  Entries out of float range raise OverflowError.
+    ``width`` sets only where each bisection stops; ``_solve`` passes 1e-6
+    for the every-8th-row grid, whose values serve as guesses alone.
     """
     off2 = off * off
     dlist = diag.tolist()
@@ -176,7 +195,7 @@ def _bisect_eigenvalues(diag: np.ndarray, off: float, k: int,
                 hi = above = mid
             else:
                 lo = below = mid
-            if hi - lo <= 1e-12 * (1.0 + abs(mid)):
+            if hi - lo <= width * (1.0 + abs(mid)):
                 break
         values.append(0.5 * (lo + hi))
     return values
@@ -185,7 +204,9 @@ def _bisect_eigenvalues(diag: np.ndarray, off: float, k: int,
 def _pivots(rows, off2: float, lam: float):
     """LDLᵀ pivots q_i = d_i - lam - off2/q_{i-1} of the rows, in order.
 
-    The recurrence and its zero-pivot nudge are those of ``_sturm_count``.
+    ``_sturm_count``'s recurrence, with an exact zero pivot nudged to
+    1e-300 so that the next row divides by it; the count and Newton
+    sweeps rerun on it when they meet a zero pivot.
     """
     q = math.inf
     for d in rows:
@@ -237,9 +258,10 @@ def _solve(potential: _Potential, a: float, b: float, n: int, k: int,
     guesses = ()
     if n // 8 >= k:
         # every 8th node: the same operator at spacing 8h seeds the n-point
-        # grid
+        # grid; its values are off by O((8h)²), so they stop at 1e-6
         sub = diag[7::8] - 1.0 / h ** 2 + 1.0 / (8.0 * h) ** 2
-        guesses = tuple(_bisect_eigenvalues(sub, -0.5 / (8.0 * h) ** 2, k))
+        guesses = tuple(_bisect_eigenvalues(sub, -0.5 / (8.0 * h) ** 2, k,
+                                            width=1e-6))
     coarse = _bisect_eigenvalues(diag, -0.5 / h ** 2, k, guesses)
     diag, h = _dirichlet(potential, a, b, 2 * n)
     off = -0.5 / h ** 2

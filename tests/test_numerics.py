@@ -110,6 +110,38 @@ def test_cumulative_integral_matches_loop(n):
                      np.max(np.abs(want)))
 
 
+def _moved(node: int, by) -> np.ndarray:
+    # 41 nodes on [-1.3, 2.1] with one node moved by ``by`` (times h when
+    # finite) or set to it (nan, ±inf)
+    x = np.linspace(-1.3, 2.1, 41)
+    x[node] = x[node] + by * (x[1] - x[0]) if np.isfinite(by) else by
+    return x
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kernel", (derivative, cumulative_integral))
+class TestUniformGridGuard:
+    """``grid_spacing`` decides |dx - h| ≤ 1e-9·|h| for every step."""
+
+    @pytest.mark.parametrize("node", (0, 1, 20, 40))
+    def test_node_moved_past_tolerance_raises(self, kernel, node):
+        x = _moved(node, 1e-8)
+        with pytest.raises(ValueError, match="grid is not uniform"):
+            kernel(np.sin(x), x)
+
+    @pytest.mark.parametrize("node", (0, 1, 20, 40))
+    def test_node_moved_within_tolerance_passes(self, kernel, node):
+        x = _moved(node, 1e-10)
+        assert np.all(np.isfinite(kernel(np.sin(x), x)))
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    @pytest.mark.parametrize("node", (0, 1, 20, 40))
+    def test_non_finite_node_raises(self, kernel, node, bad):
+        x = _moved(node, bad)
+        with pytest.raises(ValueError, match="grid is not uniform"):
+            kernel(np.zeros(len(x)), x)
+
+
 def test_stencils_exact_on_quartics():
     x = np.linspace(0.0, 2.0, 11)
     y = x ** 4 - 2.0 * x

@@ -1,6 +1,8 @@
 """Brute-force eigensolver: ladder values, Sturm counts, Newton passes,
 convergence order, count reuse against the full-interval bisection."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,11 @@ def sturm_count(potential, domain: tuple, n: int, lam: float) -> int:
     return _sturm_count(diag.tolist(), (0.5 / h ** 2) ** 2, lam)
 
 
-def full_interval_bisection(diag, off: float, k: int, guesses=()) -> list:
+def full_interval_bisection(diag, off: float, k: int, guesses=(),
+                            width: float = 1e-12) -> list:
     """The reference bisection: every eigenvalue from the full Gershgorin
-    interval, one Sturm count of the oracle per step, no count reused and
-    no guess used."""
+    interval to ``width`` (abs + rel), one Sturm count of the oracle per
+    step, no count reused and no guess used."""
     off2 = off * off
     dlist = diag.tolist()
     radius = 2.0 * abs(off)
@@ -35,10 +38,41 @@ def full_interval_bisection(diag, off: float, k: int, guesses=()) -> list:
                 hi = mid
             else:
                 lo = mid
-            if hi - lo <= 1e-12 * (1.0 + abs(mid)):
+            if hi - lo <= width * (1.0 + abs(mid)):
                 break
         values.append(0.5 * (lo + hi))
     return values
+
+
+def nudged_sturm_count(diag, off2: float, lam: float) -> int:
+    """The count loop with a zero test on every row: an exact zero pivot
+    becomes 1e-300 and is not counted."""
+    count = 0
+    q = math.inf
+    for d in diag:
+        q = d - lam - off2 / q
+        if q == 0.0:
+            q = 1e-300
+        elif q < 0.0:
+            count += 1
+    return count
+
+
+def nudged_newton_pass(diag, off2: float, lam: float) -> tuple:
+    """The Newton pass with the same per-row zero test."""
+    count = 0
+    q = math.inf
+    u = total = 0.0
+    for d in diag:
+        r = off2 / q
+        q = d - lam - r
+        if q == 0.0:
+            q = 1e-300
+        elif q < 0.0:
+            count += 1
+        u = (r * u - 1.0) / q
+        total += u
+    return count, (lam - 1.0 / total if total else math.nan)
 
 
 class TestSolve1D:
@@ -190,8 +224,8 @@ def solve_with(monkeypatch, bisect, solve, args):
     """
     seen = []
 
-    def recording(diag, off, k, guesses=()):
-        values = bisect(diag, off, k, guesses)
+    def recording(diag, off, k, guesses=(), width=1e-12):
+        values = bisect(diag, off, k, guesses, width)
         seen.append([v.hex() for v in values])
         return values
 
@@ -205,7 +239,11 @@ def solve_with(monkeypatch, bisect, solve, args):
 
 
 def rows_swept(monkeypatch, solve, args) -> int:
-    """Pivot rows solve(*args) sweeps; a Newton pass counts as two sweeps."""
+    """Pivot rows solve(*args) sweeps; a Newton pass counts as two sweeps.
+
+    Every row ``_pivots`` yields counts too: the eigenvector's two sweeps
+    behind the box check, and the rerun of a sweep that met a zero pivot.
+    """
     rows = [0]
 
     def counting(diag, off2, lam):
@@ -216,9 +254,15 @@ def rows_swept(monkeypatch, solve, args) -> int:
         rows[0] += 2 * len(diag)
         return _newton_pass(diag, off2, lam)
 
+    def pivots(diag, off2, lam):
+        for q in _pivots(diag, off2, lam):
+            rows[0] += 1
+            yield q
+
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "_sturm_count", counting)
         patch.setattr(oracle, "_newton_pass", newton)
+        patch.setattr(oracle, "_pivots", pivots)
         try:
             solve(*args)
         except DomainTooSmall:
@@ -254,18 +298,19 @@ BISECTION_CASES = {
                                (1.0, _square, 1e-3, 25.0, 1600)),
 }
 
-# pivot rows swept per case: (plain count-reusing bisection, Newton-seeded);
+# pivot rows swept per case, the eigenvector's two sweeps per level behind
+# the box check included: (plain count-reusing bisection, Newton-seeded);
 # near-degenerate levels (the double well) must stay no costlier
 ROWS_SWEPT = {
-    "harmonic ladder": (708_000, 308_550),
-    "double well": (166_500, 163_854),
-    "steep well": (22_600, 7_925),
-    "free box": (255_300, 97_825),
-    "coulomb": (138_000, 47_850),
-    "scaled coulomb": (139_200, 50_400),
-    "perturbed coulomb": (277_500, 107_788),
-    "perturbed coulomb 800": (90_400, 38_800),
-    "perturbed coulomb 1600": (184_000, 74_800),
+    "harmonic ladder": (736_800, 319_500),
+    "double well": (178_500, 171_740),
+    "steep well": (23_400, 8_225),
+    "free box": (256_500, 92_242),
+    "coulomb": (142_800, 49_650),
+    "scaled coulomb": (144_000, 48_600),
+    "perturbed coulomb": (287_500, 111_548),
+    "perturbed coulomb 800": (93_600, 40_000),
+    "perturbed coulomb 1600": (190_400, 78_800),
 }
 
 
@@ -300,19 +345,37 @@ class TestCountReuse:
         # every grid of the case, seeded with finite but wrong guesses
         grids = []
 
-        def recording(diag, off, k, guesses=()):
-            grids.append((diag, off, k))
-            return _bisect_eigenvalues(diag, off, k, guesses)
+        def recording(diag, off, k, guesses=(), width=1e-12):
+            grids.append((diag, off, k, width))
+            return _bisect_eigenvalues(diag, off, k, guesses, width)
 
         solve_with(monkeypatch, recording, *BISECTION_CASES[case])
         assert len(grids) == 3
-        for diag, off, k in grids:
-            values = full_interval_bisection(diag, off, k + 1)
+        for diag, off, k, width in grids:
+            values = full_interval_bisection(diag, off, k + 1, (), width)
             lo0 = float(np.min(diag)) - 2.0 * abs(off)
             hi0 = float(np.max(diag)) + 2.0 * abs(off)
             guesses = tuple(wrong(values, lo0, hi0))
-            got = _bisect_eigenvalues(diag, off, k, guesses)
+            got = _bisect_eigenvalues(diag, off, k, guesses, width)
             assert [v.hex() for v in got] == [v.hex() for v in values[:k]]
+
+    @pytest.mark.parametrize("case", BISECTION_CASES)
+    def test_seed_width_moves_counts_not_values(self, case, monkeypatch):
+        # the seed grid bisected to 1e-12 as well, as before it stopped at
+        # 1e-6: its guesses move, and no other grid's value, no result and
+        # no DomainTooSmall message does
+        solve, args = BISECTION_CASES[case]
+
+        def full_width(diag, off, k, guesses=(), width=1e-12):
+            return _bisect_eigenvalues(diag, off, k, guesses)
+
+        got = solve_with(monkeypatch, _bisect_eigenvalues, solve, args)
+        want = solve_with(monkeypatch, full_width, solve, args)
+        assert got[0][1:] == want[0][1:]
+        assert got[1] == want[1]
+        for seed, full in zip(*(map(float.fromhex, run[0][0])
+                                for run in (got, want))):
+            assert abs(seed - full) <= 1e-6 * (1.0 + abs(full))
 
     @pytest.mark.parametrize("case", BISECTION_CASES)
     def test_rows_swept_pinned(self, case, monkeypatch):
@@ -321,12 +384,15 @@ class TestCountReuse:
         assert rows_swept(monkeypatch, solve, args) == after <= before
 
     def test_sturm_counts_pinned(self, monkeypatch):
-        # a bench oracle-1d job sweeps 161,500 pivot rows (the plain
-        # count-reusing bisection swept 356,000: 66 counts over 4000 and
-        # 8000 rows); the full-interval bisection makes 118 counts on
-        # those two grids and 52 on the 500-row seed grid
+        # a bench oracle-1d job sweeps 159,500 pivot rows, the eigenvector's
+        # two 8000-row sweeps included: 23 counts on the 500-row seed grid,
+        # 5 counts and 3 Newton passes on 4000 rows, 7 and 2 on 8000 (the
+        # seed grid bisected to 1e-12 took 177,500; the plain count-reusing
+        # bisection 372,000: 66 counts over 4000 and 8000 rows); the
+        # full-interval bisection makes 118 counts on those two grids and,
+        # stopping at the seed grid's 1e-6, 32 on the seed grid
         args = (lambda x: 18.0 * x * x + 3.6 * x ** 4, (-3, 3), 4000, 1)
-        assert rows_swept(monkeypatch, solve_1d, args) == 161_500
+        assert rows_swept(monkeypatch, solve_1d, args) == 159_500
         got = solve_1d(*args)
         calls = []
 
@@ -339,7 +405,7 @@ class TestCountReuse:
                             full_interval_bisection)
         assert solve_1d(*args) == got
         assert (calls.count(4000) + calls.count(8000), calls.count(500),
-                len(calls)) == (118, 52, 170)
+                len(calls)) == (118, 32, 150)
 
 
 MONOTONE_CASES = {
@@ -363,27 +429,23 @@ def _switch(dlist, off2: float, m: int, lo: float, hi: float) -> float:
             lo = mid
 
 
-@pytest.mark.parametrize("case", MONOTONE_CASES)
-def test_sturm_count_is_monotone(case):
-    # the property count reuse rests on: the serial count never decreases
-    # as λ grows, in IEEE arithmetic (Demmel, Dhillon & Ren 1995); the
-    # Newton pass counts as _sturm_count does at every λ, so a seed never
-    # changes a midpoint decision
+def monotone_ladders(case) -> tuple:
+    """The λ sweeps of ``test_sturm_count_is_monotone`` for one case.
+
+    Returns the count's arguments dlist and off2, then (m, ladder) pairs:
+    m = 0 with 257 λ across the Gershgorin interval plus λ = d₀, which
+    zeroes the first pivot, and for each of the k lowest levels m the 65
+    adjacent floats around the λ where the count first reaches m.
+    """
     potential, a, b, n, k = MONOTONE_CASES[case]
     diag, h = _dirichlet(potential, a, b, n)
     off = -0.5 / h ** 2
     dlist, off2 = diag.tolist(), off * off
     radius = 2.0 * abs(off)
-    # λ = d₀ zeroes the first pivot, which takes the 1e-300 nudge
-    nudged = float(diag[0])
-    assert 1e-300 in _pivots(dlist, off2, nudged)
-    sweep = sorted([nudged, *np.linspace(float(np.min(diag)) - radius,
-                                         float(np.max(diag)) + radius, 257)])
-    counts = [_sturm_count(dlist, off2, float(lam)) for lam in sweep]
-    assert counts == sorted(counts)
-    assert counts[0] == 0
-    assert [_newton_pass(dlist, off2, float(lam))[0]
-            for lam in sweep] == counts
+    sweep = sorted([float(diag[0]),
+                    *np.linspace(float(np.min(diag)) - radius,
+                                 float(np.max(diag)) + radius, 257)])
+    ladders = [(0, [float(lam) for lam in sweep])]
     for m, value in enumerate(_bisect_eigenvalues(diag, off, k), 1):
         width = 1e-11 * (1.0 + abs(value))
         lam = _switch(dlist, off2, m, value - width, value + width)
@@ -393,8 +455,85 @@ def test_sturm_count_is_monotone(case):
             for _ in range(32):
                 x = float(np.nextafter(x, step))
                 ladder.append(x)
-        counts = [_sturm_count(dlist, off2, x) for x in sorted(ladder)]
+        ladders.append((m, sorted(ladder)))
+    return dlist, off2, ladders
+
+
+@pytest.mark.parametrize("case", MONOTONE_CASES)
+def test_sturm_count_is_monotone(case):
+    # the property count reuse rests on: the serial count never decreases
+    # as λ grows, in IEEE arithmetic (Demmel, Dhillon & Ren 1995); the
+    # Newton pass counts as _sturm_count does at every λ, so a seed never
+    # changes a midpoint decision
+    dlist, off2, ladders = monotone_ladders(case)
+    # λ = d₀ zeroes the first pivot, which takes the 1e-300 nudge
+    assert 1e-300 in _pivots(dlist, off2, dlist[0])
+    for m, ladder in ladders:
+        counts = [_sturm_count(dlist, off2, lam) for lam in ladder]
         assert counts == sorted(counts)
-        assert counts[0] < m <= counts[-1]
-        assert [_newton_pass(dlist, off2, x)[0]
-                for x in sorted(ladder)] == counts
+        if m:
+            assert counts[0] < m <= counts[-1]
+        else:
+            assert counts[0] == 0
+        assert [_newton_pass(dlist, off2, lam)[0] for lam in ladder] == counts
+
+
+def _pass_bits(result) -> tuple:
+    count, iterate = result
+    return count, iterate.hex()
+
+
+@pytest.mark.filterwarnings("error")
+class TestZeroPivotRerun:
+    """The zero-test-free sweeps against loops that nudge on every row."""
+
+    @staticmethod
+    def _recording_pivots(monkeypatch) -> list:
+        calls = []
+
+        def pivots(diag, off2, lam):
+            calls.append(lam)
+            return _pivots(diag, off2, lam)
+
+        monkeypatch.setattr(oracle, "_pivots", pivots)
+        return calls
+
+    @pytest.mark.parametrize("case", MONOTONE_CASES)
+    def test_first_pivot_zero_reruns(self, case, monkeypatch):
+        dlist, off2, _ = monotone_ladders(case)
+        lam = dlist[0]
+        calls = self._recording_pivots(monkeypatch)
+        assert _sturm_count(dlist, off2, lam) == nudged_sturm_count(
+            dlist, off2, lam)
+        assert calls == [lam]
+        assert _pass_bits(_newton_pass(dlist, off2, lam)) == _pass_bits(
+            nudged_newton_pass(dlist, off2, lam))
+        assert calls == [lam, lam]
+
+    def test_last_pivot_zero_counts_without_rerun(self, monkeypatch):
+        # the harmonic grid with its last diagonal entry set so that at
+        # λ = 1.5 only the last pivot is exactly 0: the count never divides
+        # by it, while the Newton pass does and reruns
+        dlist, off2, _ = monotone_ladders("harmonic")
+        lam = 1.5
+        last = list(_pivots(dlist[:-1], off2, lam))[-1]
+        dlist = dlist[:-1] + [lam + off2 / last]
+        pivots = list(_pivots(dlist, off2, lam))
+        assert pivots.index(1e-300) == len(dlist) - 1
+        calls = self._recording_pivots(monkeypatch)
+        count = _sturm_count(dlist, off2, lam)
+        assert count == nudged_sturm_count(dlist, off2, lam) == 2
+        assert calls == []
+        assert _pass_bits(_newton_pass(dlist, off2, lam)) == _pass_bits(
+            nudged_newton_pass(dlist, off2, lam))
+        assert calls == [lam]
+
+    @pytest.mark.parametrize("case", MONOTONE_CASES)
+    def test_ladders_bitwise_equal(self, case):
+        dlist, off2, ladders = monotone_ladders(case)
+        for _, ladder in ladders:
+            for lam in ladder:
+                assert _sturm_count(dlist, off2, lam) == nudged_sturm_count(
+                    dlist, off2, lam)
+                assert _pass_bits(_newton_pass(dlist, off2, lam)) == (
+                    _pass_bits(nudged_newton_pass(dlist, off2, lam)))
