@@ -397,7 +397,9 @@ def run(config: RunConfig, out=None, fmt: str = "csv") -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     except (OverflowError, ZeroDivisionError) as exc:
-        raise ConfigError(f"values out of floating-point range: {exc}") from exc
+        # float ** raises OverflowError(errno, reason); print the reason alone
+        reason = exc.args[-1] if exc.args else exc
+        raise ConfigError(f"values out of floating-point range: {reason}") from exc
     _write(out, fmt, config, payload, lines)
     if failure is not None:
         raise ToleranceError(failure)

@@ -27,21 +27,29 @@ several ε powers, so the tests compare single-ε results through the
 ε-coefficient of their reference algebra (``tests/polyring.py``).
 
 The recursion runs on a private integer kernel.  Each polynomial is a
-dict (a, b, e) → int of numerators of r^a·u^b·ε^e over one positive
-denominator, reduced by the gcd of all numerators after every order, so
-no rational is normalised inside a product.  The radial-polar Laplacian
-and the gradient scale numerators by integers; a sum brings its parts to
-the lcm of their denominators, and the radial antiderivative to the lcm
-of its (a+1).  ∂_r S_m, ∂_u S_m and r⁻²(1-u²)∂_u S_m are formed when S_m
-is made and reused by every later order.  The sum in K_n is symmetric under
+dict of numerators of r^a·u^b·ε^e over one positive denominator, reduced
+by the gcd of all numerators after every order, so no rational is
+normalised inside a product.  A term's key is the packed int
+(a << 2W) + (b << W) + e (``exactalg._packed``), so the key of a product
+is one integer add; the field width W is sized from U and the order so
+that no u- or ε-field of any product carries into the next (see
+``_field_width``), and a negative a sits in the top field, where floor
+shifts recover it.  The radial-polar Laplacian and the gradient scale
+numerators by integers; a sum brings its parts to the lcm of their
+denominators, and the radial antiderivative to the lcm of its (a+1).
+The gradient pair (∂_r S_m, ∂_u S_m) is formed when S_m is made and
+reused by every later order.  The sum in K_n is symmetric under
 m ↔ n-m, so each unordered pair is multiplied once, off-diagonal pairs
-counted twice, and the ½ is applied to the finished sum.  The angular
-average that fixes E_n also checks every finished S_n, whose r¹ part must
-average to zero.  The pairs are ``exactalg``'s integer format: U enters
-as its ``MultiPoly``'s numerators and denominator, and S_n and E_n take
-their variable names, becoming ``MultiPoly``, only at the boundary in
-``solve_perturbed``, after the invariants have been checked on the
-integers.
+counted twice, and the ½ is applied to the finished sum.  Its angular
+part r⁻²(1-u²)∂_u S_m·∂_u S_{n-m} is linear in the product, so the
+scaled ∂_u products of all pairs are summed first and r⁻²(1-u²) is
+applied once per order.  The angular average that fixes E_n also checks
+every finished S_n, whose r¹ part must average to zero.  The pairs are
+``exactalg``'s integer format: U enters as its ``MultiPoly``'s
+numerators and denominator, keyed by (a, b, e) triples and packed on
+entry; S_n and E_n are unpacked on exit and take their variable names,
+becoming ``MultiPoly``, only at the boundary in ``solve_perturbed``,
+after the invariants have been checked on the integers.
 This kernel is the package's only radial-polar ∇² and ∇·∇;
 ``tests/test_coulomb.py`` holds an independent polynomial form of both and
 checks every retained grade of the wave equation with it.
@@ -54,7 +62,7 @@ from dataclasses import dataclass
 
 from .errors import LogSingularity, MethodError
 from .exactalg import (VAR_EPS, VAR_R, VAR_U, MultiPoly, _add_product,
-                       _nonzero, _reduced)
+                       _nonzero, _packed, _reduced, _unpacked)
 
 RUE = (VAR_R, VAR_U, VAR_EPS)
 
@@ -91,69 +99,80 @@ class CoulombSolution:
 
 
 # ---------------------------------------------------------- integer kernel
-# A polynomial is a pair (num, den): num maps (a, b, e) to the integer
-# numerator of r^a·u^b·ε^e, den > 0 is shared by every term.
+# A polynomial is a pair (num, den): num maps the packed key
+# (a << 2W) + (b << W) + e of r^a·u^b·ε^e to its integer numerator, and
+# den > 0 is shared by every term.
 
 
-def _laplacian_rule(a: int, b: int) -> tuple:
-    """∇²(r^a·u^b) = f·r^(a-2)·u^b + h·r^(a-2)·u^(b-2); returns (f, h)."""
-    return a * (a + 1) - b * (b + 1), b * (b - 1)
+def _field_width(u_num: dict, order: int) -> int:
+    """Bits W of the u- and ε-fields of the chain's packed keys.
+
+    Every term r^a·u^b·ε^e the chain of U forms up to ``order``, products
+    included, has e ≤ ⌊order/2⌋ (ε enters once, at n = 2) and
+    b ≤ max(1, b_U)·e, b_U being U's highest u-power: ∂_u takes one u from
+    each factor of a product and (1-u²) gives two back.  Both fit below 2^W.
+    """
+    b_u = max((b for _, b, _ in u_num), default=0)
+    return max(1, (max(1, b_u) * (order // 2)).bit_length())
 
 
-def _add_laplacian(out: dict, num: dict, scale: int) -> None:
-    """out += scale·∇²num (radial-polar)."""
+def _add_laplacian(out: dict, num: dict, scale: int, width: int) -> None:
+    """out += scale·∇²num (radial-polar), keys packed at ``width``.
+
+    ∇²(r^a·u^b) = [a(a+1) - b(b+1)]·r^(a-2)·u^b + b(b-1)·r^(a-2)·u^(b-2).
+    """
     get = out.get
-    for (a, b, e), c in num.items():
-        f, h = _laplacian_rule(a, b)
+    shift, mask = 2 * width, (1 << width) - 1
+    r2, u2 = 2 << shift, 2 << width
+    for k, c in num.items():
+        a, b = k >> shift, (k >> width) & mask
+        f, h = a * (a + 1) - b * (b + 1), b * (b - 1)
         c *= scale
         if f:
-            key = (a - 2, b, e)
+            key = k - r2
             out[key] = get(key, 0) + f * c
         if h:
-            key = (a - 2, b - 2, e)
+            key = k - r2 - u2
             out[key] = get(key, 0) + h * c
 
 
-def _add_grad_dot(out: dict, grad_x: tuple, grad_y: tuple, scale: int) -> None:
-    """out += scale·∇x·∇y = scale·[∂_r x ∂_r y + r^-2 (1-u²)∂_u x ∂_u y].
-
-    Each gradient is the cached triple (∂_r, ∂_u, r⁻²(1-u²)∂_u) of numerators.
-    """
-    _add_product(out, grad_x[0], grad_y[0], scale)
-    _add_product(out, grad_x[2], grad_y[1], scale)
-
-
-def _gradient(num: dict) -> tuple:
-    """(∂_r, ∂_u, r⁻²(1-u²)∂_u) of ``num``, over the same denominator."""
-    dr = {(a - 1, b, e): a * c for (a, b, e), c in num.items() if a}
-    du = {(a, b - 1, e): b * c for (a, b, e), c in num.items() if b}
-    w = {(a - 2, b, e): c for (a, b, e), c in du.items()}
-    for (a, b, e), c in du.items():
-        key = (a - 2, b + 2, e)
-        w[key] = w.get(key, 0) - c
-    return dr, du, _nonzero(w)
+def _gradient(num: dict, width: int) -> tuple:
+    """(∂_r, ∂_u) of ``num``, over the same denominator."""
+    shift, mask = 2 * width, (1 << width) - 1
+    r1, u1 = 1 << shift, 1 << width
+    dr = {k - r1: a * c for k, c in num.items() if (a := k >> shift)}
+    du = {k - u1: b * c for k, c in num.items() if (b := (k >> width) & mask)}
+    return dr, du
 
 
-def _angular_average(num: dict, a: int) -> tuple:
-    """(1/2)∫du of the r^a part of ``num``, keyed (0, 0, e), and its scale.
+def _angular_average(level: list) -> tuple:
+    """(1/2)∫du of Σ c·u^b·ε^e over (b, e, c) triples, keyed by e, and its scale.
 
     (1/2)∫u^b du = 1/(b+1) for even b and 0 for odd b, so the average is
-    the returned numerators over ``num``'s denominator times the returned
-    lcm of the (b+1).
+    the returned numerators over the terms' denominator times the returned
+    lcm of the even b's (b+1).
     """
-    level = [(b, e, c) for (ak, b, e), c in num.items() if ak == a and b % 2 == 0]
-    scale = math.lcm(*(b + 1 for b, _, _ in level))
+    scale = math.lcm(*(b + 1 for b, _, _ in level if b % 2 == 0))
     out = {}
     for b, e, c in level:
-        out[(0, 0, e)] = out.get((0, 0, e), 0) + c * (scale // (b + 1))
+        if b % 2 == 0:
+            out[e] = out.get(e, 0) + c * (scale // (b + 1))
     return _nonzero(out), scale
 
 
 def _integer_chain(u_num: dict, u_den: int, order: int) -> tuple:
-    """S_n and E_n, n = 0..order, as reduced (numerators, denominator) pairs."""
-    s_terms = [({(1, 0, 0): 1}, 1)]
-    e_terms = [({(0, 0, 0): -1}, 2)]
-    grads = [None]                # (gradient triple, den) of S_m, 1 <= m < order
+    """S_n and E_n, n = 0..order, as reduced (numerators, denominator) pairs.
+
+    U's numerators and the results are keyed by (a, b, e) triples; the
+    chain itself runs on keys packed at ``_field_width``.
+    """
+    width = _field_width(u_num, order)
+    shift, mask = 2 * width, (1 << width) - 1
+    r1 = 1 << shift
+    u_eps = {k + 1: c for k, c in _packed(u_num, width).items()}   # ε·U
+    s_terms = [({r1: 1}, 1)]
+    e_terms = [({0: -1}, 2)]
+    grads = [None]                # ((∂_r, ∂_u), den) of S_m, 1 <= m < order
     for n in range(1, order + 1):
         prev, prev_den = s_terms[n - 1]
         pairs = [(grads[m], grads[n - m], 1 if 2 * m == n else 2)
@@ -161,20 +180,31 @@ def _integer_chain(u_num: dict, u_den: int, order: int) -> tuple:
         den = math.lcm(prev_den, u_den if n == 2 else 1,
                        *(ga[1] * gb[1] for ga, gb, _ in pairs))
         # 2·K_n over den:
-        # ∇²S_{n-1} - Σ_{m=1}^{n-1} ∇S_m·∇S_{n-m} - 2δ_{n,1}/r + 2δ_{n,2}εU
-        total = {}
-        _add_laplacian(total, prev, den // prev_den)
-        for (grad_a, den_a), (grad_b, den_b), twice in pairs:
-            _add_grad_dot(total, grad_a, grad_b, -twice * (den // (den_a * den_b)))
+        # ∇²S_{n-1} - Σ_{m=1}^{n-1} ∇S_m·∇S_{n-m} - 2δ_{n,1}/r + 2δ_{n,2}εU,
+        # with ∇x·∇y = ∂_r x ∂_r y + r⁻²(1-u²)∂_u x ∂_u y and the r⁻²(1-u²)
+        # applied once to the summed ∂_u products
+        total, angular = {}, {}
+        _add_laplacian(total, prev, den // prev_den, width)
+        for ((dr_a, du_a), den_a), ((dr_b, du_b), den_b), twice in pairs:
+            scale = -twice * (den // (den_a * den_b))
+            _add_product(total, dr_a, dr_b, scale)
+            if du_a and du_b:       # both empty for an isotropic U
+                _add_product(angular, du_a, du_b, scale)
+        get = total.get
+        for k, c in angular.items():
+            key = k - 2 * r1
+            total[key] = get(key, 0) + c
+            key += 2 << width
+            total[key] = get(key, 0) - c
         if n == 1:
-            total[(-1, 0, 0)] = total.get((-1, 0, 0), 0) - 2 * den
+            total[-r1] = get(-r1, 0) - 2 * den
         if n == 2:
-            for (a, b, e), c in u_num.items():
-                key = (a, b, e + 1)
-                total[key] = total.get(key, 0) + 2 * c * (den // u_den)
+            for k, c in u_eps.items():
+                total[k] = get(k, 0) + 2 * c * (den // u_den)
         k_num, k_den = _nonzero(total), 2 * den
-        # E_n: the angular average of K_n's r⁰ part
-        e_num, avg = _angular_average(k_num, 0)
+        # E_n: the angular average of K_n's r⁰ part, whose packed key is e
+        e_num, avg = _angular_average([((k >> width) & mask, k & mask, c)
+                                       for k, c in k_num.items() if 0 <= k < r1])
         k_den *= avg
         if avg > 1:
             k_num = {k: c * avg for k, c in k_num.items()}
@@ -183,17 +213,19 @@ def _integer_chain(u_num: dict, u_den: int, order: int) -> tuple:
         k_num = _nonzero(k_num)
         e_terms.append(_reduced(e_num, k_den))
         # S_n = ∫ (K_n - E_n) dr with zero constant
-        bad = {(0, b, e): c for (a, b, e), c in k_num.items() if a == -1}
+        bad = _unpacked({k + r1: c for k, c in k_num.items() if k >> shift == -1},
+                        width)
         if bad:
             raise LogSingularity(
                 f"r^-1 source with angular coefficient {MultiPoly(bad, k_den, RUE).render()}")
-        span = math.lcm(*(a + 1 for a, _, _ in k_num))
-        s_n = _reduced({(a + 1, b, e): c * (span // (a + 1))
-                        for (a, b, e), c in k_num.items()}, k_den * span)
+        span = math.lcm(*((k >> shift) + 1 for k in k_num))
+        s_n = _reduced({k + r1: c * (span // ((k >> shift) + 1))
+                        for k, c in k_num.items()}, k_den * span)
         s_terms.append(s_n)
         if n < order:
-            grads.append((_gradient(s_n[0]), s_n[1]))
-    return s_terms, e_terms
+            grads.append((_gradient(s_n[0], width), s_n[1]))
+    return ([(_unpacked(num, width), den) for num, den in s_terms],
+            [(_unpacked(num, width), den) for num, den in e_terms])
 
 
 def solve_perturbed(u_poly: MultiPoly, order: int) -> CoulombSolution:
@@ -247,7 +279,8 @@ def _check_invariants(s_terms: list, e_terms: list) -> None:
     for n, (s_num, _) in enumerate(s_terms):
         if any(a < 1 for a, _, _ in s_num):
             raise MethodError(f"S_{n} does not vanish at the origin")
-        if n >= 1 and _angular_average(s_num, 1)[0]:
+        if n >= 1 and _angular_average([(b, e, c) for (a, b, e), c in s_num.items()
+                                        if a == 1])[0]:
             raise MethodError(f"S_{n} keeps a radially-constant slope at r=0")
     for n, (e_num, _) in enumerate(e_terms):
         if any(a or b for a, b, _ in e_num):

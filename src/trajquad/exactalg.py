@@ -18,11 +18,14 @@ integer kernels, the recursions that need them.
 This module owns the kernels' integer format, and ``MultiPoly`` is that
 format with its variable names attached: a dict of integer numerators
 keyed by exponent tuples over one positive denominator.  ``_nonzero``
-drops zero numerators, ``_reduced`` divides numerators and denominator by
-their gcd, and ``_add_product`` accumulates a scaled product.  A rational
+drops zero numerators and ``_reduced`` divides numerators and denominator
+by their gcd.  Inside a kernel the keys may be packed: ``_packed`` turns an
+(a, b, e) triple into one int of fixed-width bit fields and ``_unpacked``
+turns it back, so that ``_add_product``, which accumulates a scaled
+product, forms each product key with one integer add.  A rational
 appears only where text meets the format: ``parse_poly`` brings its sums
-to the lcm of their denominators, and ``render`` prints each term as the
-``Fraction`` of its numerator over the denominator.
+to the lcm of their denominators, and ``render`` prints each term's
+numerator and the denominator divided by their gcd.
 
 A canonical text rendering ("-21/8 * ε^2 * ĝ^5") and a round-trip parser
 for the same grammar serve the CLI and the golden tests.  Terms are ordered
@@ -140,20 +143,19 @@ class MultiPoly:
         """Canonical text form, e.g. ``-21/8 * ε^2 * ĝ^5``."""
         if not self.terms:
             return "0"
-        pieces = []
+        pieces, den = [], self.den
         for exps, coeff in self._sorted_terms():
             factors = []
             for v, k in zip(self.variables, exps):
                 if k == 0:
                     continue
                 factors.append(v if k == 1 else f"{v}^{k}")
-            mag = Fraction(abs(coeff), self.den)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
+            g = math.gcd(coeff, den)
+            mag = f"{abs(coeff) // g}" if g == den else f"{abs(coeff) // g}/{den // g}"
+            if mag == "1" and factors:
                 body = " * ".join(factors)
             else:
-                body = " * ".join([str(mag)] + factors)
+                body = " * ".join([mag] + factors)
             pieces.append((coeff < 0, body))
         first_neg, first_body = pieces[0]
         text = ("-" if first_neg else "") + first_body
@@ -181,13 +183,36 @@ def _reduced(num: dict, den: int) -> tuple:
     return {k: c // g for k, c in num.items()}, den // g
 
 
+def _packed(num: dict, width: int) -> dict:
+    """Re-key (a, b, e) exponent triples as ints of ``width``-bit fields.
+
+    (a, b, e) becomes (a << 2·width) + (b << width) + e, so the key of a
+    product is the sum of its factors' keys while b and e stay in
+    [0, 2^width).  a, on top, may be negative (r⁻¹): floor shifts recover it.
+    """
+    return {(a << 2 * width) + (b << width) + e: c for (a, b, e), c in num.items()}
+
+
+def _unpacked(num: dict, width: int) -> dict:
+    """The (a, b, e) triples back from ``_packed`` keys."""
+    top, mask = 2 * width, (1 << width) - 1
+    out = {}
+    for k, c in num.items():   # a loop: a kernel unpacks many small dicts
+        out[(k >> top, (k >> width) & mask, k & mask)] = c
+    return out
+
+
 def _add_product(out: dict, x: dict, y: dict, scale: int) -> None:
-    """out += scale·x·y on numerators keyed by exponent triples."""
+    """out += scale·x·y on numerators keyed by packed exponents.
+
+    A product's key is one int add; the caller sizes the fields so that no
+    field of a sum overflows into the next.
+    """
     get = out.get
-    for (ax, bx, ex), cx in x.items():
+    for kx, cx in x.items():
         cx *= scale
-        for (ay, by, ey), cy in y.items():
-            key = (ax + ay, bx + by, ex + ey)
+        for ky, cy in y.items():
+            key = kx + ky
             out[key] = get(key, 0) + cx * cy
 
 

@@ -351,6 +351,7 @@ class TestMain:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("config error: values out of floating-point range")
+        assert "(34," not in err   # float **'s errno tuple, not its reason
 
     def test_overflowing_oracle_matrix_exits_1(self):
         # at domain 1e-100 the squared off-diagonal is inf, so no Sturm count

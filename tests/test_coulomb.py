@@ -5,6 +5,7 @@ the integral shift formula below are independent references: the solver
 runs on its own integer kernel and never calls them.
 """
 
+import hashlib
 import math
 import os
 import random
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 from trajquad.coulomb import (
     _check_invariants,
+    _field_width,
     _integer_chain,
     assemble,
     solve_isotropic,
@@ -183,9 +185,11 @@ def integrate_r(poly):
 def reference_chain(u_poly, order):
     """The recursion on polynomial arithmetic: (s_terms, e_terms).
 
-    An independent reference for the solver's integer kernel, with the
-    same shortcuts: ∂_r S_m, ∂_u S_m and (1-u²)∂_u S_m cached per order,
-    each unordered pair {m, n-m} of K_n's sum multiplied once.
+    An independent reference for the solver's integer kernel, with two of
+    its shortcuts: the gradients cached per order and each unordered pair
+    {m, n-m} of K_n's sum multiplied once.  It keeps (1-u²)∂_u S_m in its
+    cache and multiplies it by ∂_u S_{n-m} pair by pair, where the kernel
+    sums the ∂_u products first and applies (1-u²) to the sum.
     """
     u_poly = lift(u_poly).embedded(RUE)
     s_terms = [Poly.var(VAR_R, RUE)]
@@ -373,6 +377,14 @@ class TestStark:
         with pytest.raises(ValueError):
             solve_stark(1)
 
+    def test_order_90_text_pinned(self, stark90):
+        # every S_n and E_n of the deepest chain the tests run, where the u-
+        # and ε-powers reach 45, as the tuple-keyed kernel rendered them
+        # before the kernel's keys were packed
+        text = "\n".join(p.render() for p in stark90.s_terms + stark90.e_terms)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "9631c8487914d4fb239efa6a56dfc64f745e4a9539dc108595a2e12e14434f02"
+
     def test_dispersion_relation_large_order(self, stark90):
         # the ground-state width Γ(F) = (4/F)e^{-2/(3F)} fixes, through the
         # dispersion relation, E_{2N} ≈ -(4/π)(3/2)^{2N+1}(2N)! (Benassi,
@@ -437,6 +449,30 @@ class TestIntegerKernel:
         u_poly = Poly(terms, RUE)
         assert_matches_reference(solve_perturbed(lower(u_poly), 6),
                                  reference_chain(u_poly, 6))
+
+    # the widest u-degrees of the axial domain, where each ε brings up to
+    # five powers of u into the packed u-field
+    @pytest.mark.parametrize("text", ["r^5 * u^5", "r^4 * u^4 + r"])
+    def test_wide_angular_degree(self, text):
+        reference = reference_chain(P(text), 8)
+        assert_matches_reference(solve_perturbed(lower(P(text)), 8), reference)
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(ANISOTROPIC)
+    def test_packed_fields_fit(self, terms):
+        # every term r^a·u^b·ε^e of the chain, as the reference forms it,
+        # keeps the bound _field_width is sized from, e ≤ ⌊order/2⌋ and
+        # b ≤ max(1, b_U)·e, so its u- and ε-fields fit below 2^W
+        order = 8
+        u_poly = Poly(terms, RUE)
+        width = _field_width(lower(u_poly).terms, order)
+        per_eps = max(1, *(b for _, b, _ in terms))
+        s_ref, e_ref = reference_chain(u_poly, order)
+        for poly in s_ref + e_ref:
+            for _, b, e in poly.terms:
+                assert e <= order // 2 and b <= per_eps * e
+                assert b < 1 << width and e < 1 << width
 
     # r²u⁴ + r sends a u²- and u⁴-dependent r⁰ part into E_4's angular
     # average, so its r^-1 coefficient also checks that step
