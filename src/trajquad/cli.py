@@ -383,9 +383,12 @@ def _write(out, fmt: str, config: RunConfig, payload: dict, lines) -> None:
         text = "\n".join(chain(header, lines)) + "\n"
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
 
 
 def run(config: RunConfig, out=None, fmt: str = "csv") -> int:
@@ -429,7 +432,8 @@ def _config_from_args(args) -> RunConfig:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
+            # JSONDecodeError and UnicodeDecodeError are ValueErrors
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")

@@ -13,9 +13,11 @@ kernel and the ε-series.  C acts only on sources vanishing at the origin
 decaying Gaussian-weighted tails, but only sources of zero weighted mean
 produce a bounded result; for those the inner integral is evaluated from
 the decaying side on each half-line, which is also what keeps the huge
-e^{2gS} weight from amplifying quadrature residue.  When the computed
-mean is above the solvability threshold the growing branch is returned
-unchanged (that growth is a real feature of the operator, not an error).
+e^{2gS} weight from amplifying quadrature residue.  Its tails beyond the
+grid are one adaptive quadrature, on the profile's callables or on a
+quartic continuation of its samples.  When the computed mean is above
+the solvability threshold the growing branch is returned unchanged (that
+growth is a real feature of the operator, not an error).
 
 All identity checks run on the harmonic profile S = x²/2 where every
 quantity has a closed Hermite form; ``identity_report`` packages them for
@@ -41,10 +43,10 @@ class WaveProfile:
     """Sampled function on a uniform grid carrying the exponent S(x).
 
     ``s`` holds S itself (the g factor stays explicit in the operators);
-    S must vanish at the node nearest the origin.  When the profile knows
-    its S and f as callables (``s_fn``/``f_fn``) the double-integral
-    operator completes its tails beyond the grid by quadrature; sampled-
-    only profiles fall back to an asymptotic completion.
+    S must vanish at the node nearest the origin.  The double-integral
+    operator completes its tails beyond the grid by quadrature, reading S
+    and f from the callables ``s_fn``/``f_fn`` where the profile knows
+    them and from a quartic continuation of the samples otherwise.
     """
 
     nodes: np.ndarray
@@ -57,6 +59,8 @@ class WaveProfile:
         self.nodes = np.asarray(self.nodes, dtype=float)
         self.s = np.asarray(self.s, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
+        if len(self.nodes) < 5:
+            raise ValueError("need at least five samples")
         self.origin = int(np.argmin(np.abs(self.nodes)))
         if abs(self.s[self.origin]) > 1e-12:
             raise ValueError("S must vanish at the origin node")
@@ -133,45 +137,39 @@ def apply_C(f: WaveProfile, g: float) -> WaveProfile:
 
 
 def _tail_beyond(f: WaveProfile, g: float, side: int) -> float:
-    """Completion of ∫ e^{-2gS} f dz beyond the grid edge.
+    """Completion of ∫ e^{-2gS} f dz beyond the grid edge b.
 
-    With the profile's S and f known as callables the tail is integrated
-    adaptively in the scaled form e^{-2g(S-S_edge)} f (no underflow) out
-    to where that factor drops below 1e-34.  Sampled-only profiles use
-    the asymptotic integration-by-parts series instead, at the edge b:
-
-        ∫ e^{-2gS} u_k dz = ± e^{-2gS(b)} u_k(b)/(2gS'(b)) + ∫ e^{-2gS} u_{k+1},
-        u_{k+1} = (u_k / (2gS'))',
-
-    summed until the terms stop decreasing (optimal truncation).
+    The tail is integrated adaptively in the scaled form e^{-2g(S-S(b))} f
+    (no underflow) out to where that factor drops below 1e-34.  S and f
+    are the profile's ``s_fn``/``f_fn`` where it has them, and otherwise
+    the quartic through five samples spread over the grid's last eighth,
+    in units of their spacing from b (raw units underflow on tiny grids).
+    An S not risen by 40/g after 64 span doublings raises TailDivergence.
     """
     edge = -1 if side > 0 else 0
-    if f.s_fn is not None and f.f_fn is not None:
-        b = float(f.nodes[edge])
-        s_edge = float(f.s[edge])
-        # the weight e^{-2gS} falls over a width 1/√g, and at large g the
-        # source overflows a fixed unit beyond the edge
-        span = (abs(b) + 1.0) / max(1.0, math.sqrt(g))
-        while f.s_fn(b + side * span) - s_edge < 40.0 / g:
-            span *= 2.0
-        scale = max(abs(float(f.values[edge])) * span, 1e-300)
-        val = adaptive_panels(
-            lambda z: np.exp(-2.0 * g * (f.s_fn(z) - s_edge)) * f.f_fn(z),
-            np.array([b, b + side * span]), tol=1e-13 * scale)[0]
-        return side * math.exp(-2.0 * g * s_edge) * val
-    sp = _slope(f)
-    safe = np.where(np.abs(sp) < 1e-12, 1e-12, sp)
-    sign = 1.0 if side > 0 else -1.0
-    u = f.values.copy()
-    total, prev = 0.0, math.inf
-    for _ in range(8):
-        term = sign * u[edge] / (2.0 * g * safe[edge])
-        if abs(term) >= abs(prev):
+    b = float(f.nodes[edge])
+    s_edge = float(f.s[edge])
+    fit = edge - side * max(1, (len(f.nodes) - 1) // 32) * np.arange(5)
+    step = (float(f.nodes[fit[4]]) - b) / 4.0
+
+    def continued(ys):
+        return lambda z: neville_at(range(5), ys, (z - b) / step)
+    s_fn = continued(f.s[fit]) if f.s_fn is None else f.s_fn
+    f_fn = continued(f.values[fit]) if f.f_fn is None else f.f_fn
+    # the weight e^{-2gS} falls over a width 1/√g, and at large g the
+    # source overflows a fixed unit beyond the edge
+    span = (abs(b) + 1.0) / max(1.0, math.sqrt(g))
+    for _ in range(64):
+        if s_fn(b + side * span) - s_edge >= 40.0 / g:
             break
-        total += term
-        prev = term
-        u = derivative(u / (2.0 * g * safe), f.nodes)
-    return math.exp(-2.0 * g * f.s[edge]) * total
+        span *= 2.0
+    else:
+        raise TailDivergence(f"S does not rise beyond the grid edge {b!r}")
+    scale = max(abs(float(f.values[edge])) * span, 1e-300)
+    val = adaptive_panels(
+        lambda z: np.exp(-2.0 * g * (s_fn(z) - s_edge)) * f_fn(z),
+        np.array([b, b + side * span]), tol=1e-13 * scale)[0]
+    return side * math.exp(-2.0 * g * s_edge) * val
 
 
 # a weighted total this small against the absolute mass counts as zero
@@ -185,7 +183,7 @@ def apply_Dbar(f: WaveProfile, g: float) -> WaveProfile:
     the left for y ≤ 0 and from the right tail for y > 0, so that its
     absolute error decays together with the integrand; otherwise the
     outer weight e^{2gS} turns flat quadrature residue into garbage.
-    The integrand beyond the grid is completed asymptotically (the edge
+    The integrand beyond the grid is completed by quadrature (the edge
     values are e^{-2gS}-small, but the outer weight re-amplifies them).
     A total within ``_SOLVABILITY_RTOL`` of zero, relative to the absolute
     mass, is treated as exactly zero: that is the boundary condition

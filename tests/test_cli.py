@@ -50,6 +50,15 @@ def readme_examples() -> list:
             if line.startswith("trajquad ")]
 
 
+def _config_file(content: bytes):
+    """An argv builder that reads a config file holding ``content``."""
+    def argv(tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        return ["--config", str(cfg)]
+    return argv
+
+
 @st.composite
 def run_configs(draw):
     """A command with parameters drawn mostly from its own keys."""
@@ -260,6 +269,39 @@ class TestMain:
         cfg.write_text(text)
         assert main(["--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(_config_file(b'{"command": "st\xffrk"}'),
+                     "cannot read config file: ", id="config-not-utf8"),
+        pytest.param(_config_file(b"[" * 100_000 + b"]" * 100_000),
+                     "cannot read config file: ", id="config-nested-deep"),
+        pytest.param(_config_file(b'{"command": "stark", "order": '
+                                  + b"1" * 5000 + b"}"),
+                     "cannot read config file: ", id="config-5000-digits"),
+        pytest.param(lambda d: ["--command", "stark", "--order", "4",
+                                "--out", str(d / "missing" / "x.csv")],
+                     "cannot write output: ", id="out-missing-dir"),
+        pytest.param(lambda d: ["--command", "stark", "--order", "4",
+                                "--out", str(d)],
+                     "cannot write output: ", id="out-is-directory"),
+        pytest.param(lambda d: ["--order", "3"],
+                     "config must name a command", id="no-command-flags"),
+        pytest.param(_config_file(b"{}"),
+                     "config must name a command", id="no-command-config"),
+        pytest.param(lambda d: ["--config", str(d / "absent.json")],
+                     "cannot read config file: ", id="config-absent"),
+        pytest.param(_config_file(b"[1, 2]"),
+                     "config file must hold a JSON object", id="config-list"),
+    ])
+    def test_file_boundary_error_exits_1(self, argv, message, tmp_path,
+                                         capsys):
+        # unreadable or malformed config files and unwritable --out paths
+        # are the user's input, so they end in a config error, not a trace
+        assert main(argv(tmp_path)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: " + message)
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("text", [
         '{"command": "stark", "order": 12.9}',

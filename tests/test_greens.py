@@ -6,6 +6,7 @@ Wronskian form, the second checks the ε-series' Δ₁ + εΔ₂.
 """
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -200,23 +201,63 @@ class TestApplyDbar:
         got = apply_Dbar(profile.with_values(lambda z: z ** 2), G).values
         assert abs(got[-1]) > 1e10
 
-    @pytest.mark.parametrize("fn", [
-        *(pytest.param(lambda z, l=l: hermite_value(l, z), id=f"H{l}")
-          for l in (1, 2, 3, 4)),
-        pytest.param(lambda z: z ** 3, id="x^3"),
-        pytest.param(lambda z: z ** 2 - gaussian_even_moment(1, G), id="x^2-<x^2>"),
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fn, upper, parity", [
+        *(pytest.param(lambda z, l=l: hermite_value(l, z),
+                       lambda b, l=l: math.exp(-b * b) * hermite_value(l - 1, b),
+                       (-1) ** l, id=f"H{l}") for l in (1, 2, 3, 4)),
+        pytest.param(lambda z: z ** 3,
+                     lambda b: 0.5 * math.exp(-b * b) * (b * b + 1), -1,
+                     id="x^3"),
+        pytest.param(lambda z: z ** 2 - gaussian_even_moment(1, G),
+                     lambda b: 0.5 * b * math.exp(-b * b), 1, id="x^2-<x^2>"),
     ])
-    def test_sampled_tail_series_matches_quadrature(self, fn):
-        # a sampled-only profile completes ∫ e^{-2gS} f beyond each edge by
-        # the asymptotic series; a profile that knows f integrates the same
-        # tail adaptively.  At x = ±6 they agree to 2.4e-6; keeping only
-        # the series' leading term misses by 1-4%, a sign slip by 200%
-        prof = harmonic_profile(4001, 6.0)
-        known, sampled = prof.with_values(fn), prof.with_values(fn(prof.nodes))
-        for side in (-1, 1):
-            quadrature = _tail_beyond(known, G, side)
-            assert _tail_beyond(sampled, G, side) == pytest.approx(
-                quadrature, rel=5e-6, abs=0.0)
+    def test_sampled_tail_matches_closed_form(self, fn, upper, parity):
+        # upper(b) = ∫_b^∞ e^{-z²} f dz in closed form, and the left tail
+        # ∫_{-∞}^a is parity·upper(-a).  Sampled S and f continue past the
+        # edge as quartics, met to 2.1e-13 at every n: the tail's error
+        # must not grow as h shrinks
+        for n in (101, 4001, 16001):
+            prof = harmonic_profile(n, 8.0)
+            values = fn(prof.nodes)
+            for f in (prof.with_values(values),
+                      WaveProfile(prof.nodes, prof.s, values)):
+                assert _tail_beyond(f, G, -1) == pytest.approx(
+                    parity * upper(-prof.nodes[0]), rel=1e-12, abs=0.0)
+                assert _tail_beyond(f, G, 1) == pytest.approx(
+                    upper(prof.nodes[-1]), rel=1e-12, abs=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_sampled_source_accurate_up_to_the_edge(self):
+        # dbar_hermite_l4 on a sampled source: the tail adds no excess at
+        # the edge, so the worst node anywhere is within a small factor of
+        # the worst inside and meets the report's tolerance at n = 16001
+        def worst(n, inside):
+            prof = harmonic_profile(n, 8.0)
+            f = prof.with_values(hermite_value(4, prof.nodes))
+            expect = (f.values - hermite_value(4, 0.0)) / 4.0
+            residual = np.abs(apply_Dbar(f, G).values - expect)
+            return float(np.max(residual[np.abs(prof.nodes) < inside]))
+        assert worst(16001, math.inf) < 1e-7
+        assert worst(8001, math.inf) < 3.0 * worst(8001, 7.2)
+
+    def test_non_rising_continued_exponent_raises(self):
+        # S = x²/2 - x⁴/400 sampled on ±8 continues past the edge as a
+        # quartic that peaks 3.2 above its edge value and then falls, so
+        # the weight e^{-2gS} never decays; the bounded span search stops
+        x = np.linspace(-8.0, 8.0, 4001)
+        f = WaveProfile(x, 0.5 * x * x - x ** 4 / 400.0, x * x - 0.5)
+        start = time.perf_counter()
+        with pytest.raises(TailDivergence, match="does not rise"):
+            apply_Dbar(f, G)
+        assert time.perf_counter() - start < 2.0
+
+    def test_fewer_than_five_nodes_rejected(self):
+        # the sampled tail fits a quartic through five nodes, as every
+        # stencil does
+        x = np.linspace(-1.0, 1.0, 3)
+        with pytest.raises(ValueError, match="five samples"):
+            apply_Dbar(WaveProfile(x, 0.5 * x * x, x), G)
 
     def test_overflowing_weight_rejected(self):
         # 2g·max S = 900 > log(float max): e^{2gS} would be inf
