@@ -13,9 +13,10 @@ kernel and the ε-series.  C acts only on sources vanishing at the origin
 decaying Gaussian-weighted tails, but only sources of zero weighted mean
 produce a bounded result; for those the inner integral is evaluated from
 the decaying side on each half-line, which is also what keeps the huge
-e^{2gS} weight from amplifying quadrature residue.  Its tails beyond the
-grid are one adaptive quadrature, on the profile's callables or on a
-quartic continuation of its samples.  When the computed mean is above
+e^{2gS} weight from amplifying quadrature residue.  A profile is samples
+alone: D̄ integrates on a 4×-refined grid filled by quartic interpolation,
+and its tails beyond the grid are one adaptive quadrature on a quartic
+continuation of the samples.  When the computed mean is above
 the solvability threshold the growing branch is returned unchanged (that
 growth is a real feature of the operator, not an error).
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import DivergentAtOrigin, TailDivergence
 from .numerics import (adaptive_panels, cumulative_integral, derivative,
-                       neville_at)
+                       neville_at, quartic_fit, refine_quarters)
 
 
 @dataclass
@@ -43,17 +44,14 @@ class WaveProfile:
     """Sampled function on a uniform grid carrying the exponent S(x).
 
     ``s`` holds S itself (the g factor stays explicit in the operators);
-    S must vanish at the node nearest the origin.  The double-integral
-    operator completes its tails beyond the grid by quadrature, reading S
-    and f from the callables ``s_fn``/``f_fn`` where the profile knows
-    them and from a quartic continuation of the samples otherwise.
+    S must vanish at the node nearest the origin.  The operators read S
+    and f from these samples alone, between the nodes and beyond the grid
+    edge through quartic interpolants.
     """
 
     nodes: np.ndarray
     s: np.ndarray
     values: np.ndarray
-    s_fn: object = None
-    f_fn: object = None
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
@@ -65,18 +63,14 @@ class WaveProfile:
         if abs(self.s[self.origin]) > 1e-12:
             raise ValueError("S must vanish at the origin node")
 
-    def with_values(self, values) -> "WaveProfile":
-        if callable(values):
-            return WaveProfile(self.nodes, self.s, values(self.nodes),
-                               s_fn=self.s_fn, f_fn=values)
-        return WaveProfile(self.nodes, self.s, values, s_fn=self.s_fn)
+    def with_values(self, values: np.ndarray) -> "WaveProfile":
+        return WaveProfile(self.nodes, self.s, values)
 
 
 def harmonic_profile(n: int, half_width: float) -> WaveProfile:
     """Zero source on n nodes of [-half_width, half_width] for S = x²/2."""
     x = np.linspace(-half_width, half_width, n)
-    s_fn = lambda z: 0.5 * z * z
-    return WaveProfile(nodes=x, s=s_fn(x), values=np.zeros_like(x), s_fn=s_fn)
+    return WaveProfile(nodes=x, s=0.5 * x * x, values=np.zeros_like(x))
 
 
 @functools.cache
@@ -96,16 +90,18 @@ def hermite_coefficients(l: int) -> tuple:
     return tuple(cur)
 
 
-def hermite_value(l: int, z):
-    """H_l evaluated with exact integer coefficients (Horner).
-
-    Starting from the float 0.0, a scalar ``z`` runs on Python floats and
-    an array ``z`` broadcasts, with no array made per scalar call.
-    """
+def _horner(coeffs, z):
+    """Σ_k coeffs[k]·z^k; from the float 0.0 a scalar ``z`` runs on Python
+    floats and an array broadcasts, with no array made per scalar call."""
     out = 0.0
-    for c in reversed(hermite_coefficients(l)):
+    for c in reversed(coeffs):
         out = out * z + c
     return out
+
+
+def hermite_value(l: int, z):
+    """H_l evaluated with exact integer coefficients (Horner)."""
+    return _horner(hermite_coefficients(l), z)
 
 
 def _slope(profile: WaveProfile) -> np.ndarray:
@@ -139,37 +135,35 @@ def apply_C(f: WaveProfile, g: float) -> WaveProfile:
 def _tail_beyond(f: WaveProfile, g: float, side: int) -> float:
     """Completion of ∫ e^{-2gS} f dz beyond the grid edge b.
 
-    The tail is integrated adaptively in the scaled form e^{-2g(S-S(b))} f
-    (no underflow) out to where that factor drops below 1e-34.  S and f
-    are the profile's ``s_fn``/``f_fn`` where it has them, and otherwise
-    the quartic through five samples spread over the grid's last eighth,
-    in units of their spacing from b (raw units underflow on tiny grids).
-    An S not risen by 40/g after 64 span doublings raises TailDivergence.
+    S and f continue as the quartics through five samples spread over the
+    grid's last eighth, fitted once in units t of their spacing from b
+    (raw units underflow on tiny grids), so the tail lies at t < 0.  The
+    scaled integrand e^{-2g(S-S(b))} f is integrated adaptively out to
+    where that factor drops below e^{-80}, on panels halving toward b for
+    the bump of width 1/(2gS'(b)) of a source vanishing at b.  An S not
+    risen by 40/g in 64 span doublings raises TailDivergence.
     """
     edge = -1 if side > 0 else 0
     b = float(f.nodes[edge])
-    s_edge = float(f.s[edge])
     fit = edge - side * max(1, (len(f.nodes) - 1) // 32) * np.arange(5)
-    step = (float(f.nodes[fit[4]]) - b) / 4.0
-
-    def continued(ys):
-        return lambda z: neville_at(range(5), ys, (z - b) / step)
-    s_fn = continued(f.s[fit]) if f.s_fn is None else f.s_fn
-    f_fn = continued(f.values[fit]) if f.f_fn is None else f.f_fn
+    step = abs(float(f.nodes[fit[4]]) - b) / 4.0
+    # -2g and S(b) folded into the exponent's coefficients
+    exponent = -2.0 * g * quartic_fit(f.s[fit] - f.s[edge])
+    source = quartic_fit(f.values[fit])
     # the weight e^{-2gS} falls over a width 1/√g, and at large g the
     # source overflows a fixed unit beyond the edge
-    span = (abs(b) + 1.0) / max(1.0, math.sqrt(g))
+    span = (abs(b) + 1.0) / max(1.0, math.sqrt(g)) / step
     for _ in range(64):
-        if s_fn(b + side * span) - s_edge >= 40.0 / g:
+        if _horner(exponent, -span) <= -80.0:
             break
         span *= 2.0
     else:
         raise TailDivergence(f"S does not rise beyond the grid edge {b!r}")
-    scale = max(abs(float(f.values[edge])) * span, 1e-300)
-    val = adaptive_panels(
-        lambda z: np.exp(-2.0 * g * (s_fn(z) - s_edge)) * f_fn(z),
-        np.array([b, b + side * span]), tol=1e-13 * scale)[0]
-    return side * math.exp(-2.0 * g * s_edge) * val
+    tol = 1e-14 * max(float(np.max(np.abs(f.values[fit]))), 1e-300)
+    edges = np.append(-span * 0.5 ** np.arange(48), 0.0)
+    val = adaptive_panels(lambda t: np.exp(_horner(exponent, t))
+                          * _horner(source, t), edges, tol=tol).sum()
+    return math.exp(-2.0 * g * float(f.s[edge])) * step * val
 
 
 # a weighted total this small against the absolute mass counts as zero
@@ -179,10 +173,11 @@ _SOLVABILITY_RTOL = 1e-10
 def apply_Dbar(f: WaveProfile, g: float) -> WaveProfile:
     """Double-integral operator with tail-stable inner quadrature.
 
-    The inner integral I(y) = ∫_{-∞}^y e^{-2gS} f dz is accumulated from
-    the left for y ≤ 0 and from the right tail for y > 0, so that its
-    absolute error decays together with the integrand; otherwise the
-    outer weight e^{2gS} turns flat quadrature residue into garbage.
+    The inner integral I(y) = ∫_{-∞}^y e^{-2gS} f dz is accumulated on a
+    4×-refined grid (S and f interpolated by quartics) from the left for
+    y ≤ 0 and from the right tail for y > 0, so that its absolute error
+    decays together with the integrand; otherwise the outer weight e^{2gS}
+    turns flat quadrature residue into garbage.
     The integrand beyond the grid is completed by quadrature (the edge
     values are e^{-2gS}-small, but the outer weight re-amplifies them).
     A total within ``_SOLVABILITY_RTOL`` of zero, relative to the absolute
@@ -196,9 +191,10 @@ def apply_Dbar(f: WaveProfile, g: float) -> WaveProfile:
         raise ValueError(f"outer weight e^(2gS) overflows on this domain "
                          f"(2g·max S = {exponent:.6g})")
     i0 = f.origin
-    w = np.exp(-2.0 * g * s) * f.values
-    edge = max(abs(w[0]), abs(w[-1]))
-    if edge > 1e-10 * max(float(np.max(np.abs(w))), 1e-300):
+    xf = np.linspace(x[0], x[-1], 4 * len(x) - 3)
+    wf = np.exp(-2.0 * g * refine_quarters(s)) * refine_quarters(f.values)
+    edge = max(abs(wf[0]), abs(wf[-1]))
+    if edge > 1e-10 * max(float(np.max(np.abs(wf))), 1e-300):
         raise TailDivergence(
             f"weighted source does not decay at the ends (edge {edge:.2e})")
     try:
@@ -208,18 +204,8 @@ def apply_Dbar(f: WaveProfile, g: float) -> WaveProfile:
     except FloatingPointError as exc:
         raise ValueError(f"the source overflows beyond the grid edge: "
                          f"{exc}") from exc
-    if f.s_fn is not None and f.f_fn is not None:
-        # profiles that know their functions get a 4x-refined inner grid,
-        # which is what keeps the re-amplified inner error below the
-        # Hermite-identity tolerance on the standard 4001-point grid
-        refine = 4
-        xf = np.linspace(x[0], x[-1], refine * (len(x) - 1) + 1)
-        wf = np.exp(-2.0 * g * np.asarray(f.s_fn(xf), dtype=float)) \
-            * np.asarray(f.f_fn(xf), dtype=float)
-    else:
-        refine, xf, wf = 1, x, w
-    left = tail_minus + cumulative_integral(wf, xf, start=0)[::refine]
-    right = tail_plus - cumulative_integral(wf, xf, start=len(xf) - 1)[::refine]
+    left = tail_minus + cumulative_integral(wf, xf, start=0)[::4]
+    right = tail_plus - cumulative_integral(wf, xf, start=len(xf) - 1)[::4]
     mass = float(cumulative_integral(np.abs(wf), xf, start=0)[-1]) or 1.0
     total = float(left[-1]) + tail_plus
     inner = left.copy()
@@ -289,15 +275,15 @@ def identity_report(g: float, n: int, half_width: float) -> list:
     that needs D̄f reads that one image.
     """
     prof = harmonic_profile(n, half_width)
-    sqrt_g = math.sqrt(g)
     moment = gaussian_even_moment(1, g)
     # a g at which H_l(√g·z) overflows also overflows the weight e^(2gS),
     # which apply_Dbar rejects before it reads any source value
+    x = prof.nodes
     with np.errstate(over="ignore", invalid="ignore"):
-        sources = {f"H{l}": prof.with_values(
-            lambda z, l=l: hermite_value(l, sqrt_g * z)) for l in (1, 2, 3, 4)}
-    sources["x^2 - <x^2>"] = prof.with_values(lambda z: z ** 2 - moment)
-    sources["x^3"] = prof.with_values(lambda z: z ** 3)
+        sources = {f"H{l}": prof.with_values(hermite_value(l, math.sqrt(g) * x))
+                   for l in (1, 2, 3, 4)}
+    sources["x^2 - <x^2>"] = prof.with_values(x ** 2 - moment)
+    sources["x^3"] = prof.with_values(x ** 3)
     images = {name: apply_Dbar(f, g) for name, f in sources.items()}
 
     rows = []  # (identity, residual on the grid, tolerance)
@@ -312,7 +298,7 @@ def identity_report(g: float, n: int, half_width: float) -> list:
               greens_function_residual(sources[name], images[name], g), 1e-5)
              for name in ("H2", "x^3")]
     rows.append(("c_left_inverse[x^4]",
-                 c_gradient_residual(prof.with_values(lambda z: z ** 4), g),
+                 c_gradient_residual(prof.with_values(x ** 4), g),
                  1e-6))
     checks = []
     for name, residual, tolerance in rows:

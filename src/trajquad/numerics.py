@@ -7,7 +7,8 @@ cumulative integral integrates quartics exactly (5th-order composite).
 Edge nodes use shifted one-sided stencils of the same width.  The
 stencils run as whole-array kernels: every interior node is one row of a
 ``sliding_window_view(y, 5) @ weights`` product, and only the two edge
-nodes at each end take their own one-sided weights.
+nodes at each end take their own one-sided weights.  ``refine_quarters``
+samples the same quartics at every quarter step for a 4×-refined grid.
 
 ``adaptive_panels`` is the one adaptive Simpson rule, used where the
 integrand is a callable rather than a sampled array (the trajectory's S₀
@@ -19,12 +20,14 @@ integrand is called on arrays, a few times per level, never per panel.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 
+@functools.cache
 def _lagrange_poly(offsets, j):
     """Coefficients (ascending) of the j-th Lagrange basis on the offsets."""
     coeffs = [Fraction(1)]
@@ -67,6 +70,15 @@ _CUM_WEIGHTS = _table([Fraction(1, k + 1) for k in range(5)], range(4))
 # L(t^k) = d^r t^k/dt^r at t = 0 = r!·δ_kr
 _D1_WEIGHTS = _table([0, 1, 0, 0, 0], range(5))
 _D2_WEIGHTS = _table([0, 0, 2, 0, 0], range(5))
+
+# interval [i, i+1] at t = j/4 on _CUM_WEIGHTS' stencils: L(t^k) = (j/4)^k
+_QUARTER_WEIGHTS = {s: np.column_stack([
+    _table([Fraction(j, 4) ** k for k in range(5)], [s])[s] for j in (1, 2, 3)])
+    for s in range(4)}
+
+# row j: ascending coefficients of the j-th Lagrange basis on t = 0..4
+_QUARTIC_FIT = np.array([[float(c) for c in _lagrange_poly(tuple(range(5)), j)]
+                         for j in range(5)])
 
 
 def grid_spacing(x: np.ndarray) -> float:
@@ -128,6 +140,23 @@ def cumulative_integral(y: np.ndarray, x: np.ndarray, start: int = 0) -> np.ndar
     if start > 0:
         out[:start] = -np.cumsum(inc[:start][::-1])[::-1]
     return out
+
+
+def refine_quarters(y: np.ndarray) -> np.ndarray:
+    """Samples at every quarter step: the nodes' values, and inside each
+    interval the quartic through the window ``cumulative_integral`` uses."""
+    n = len(y)
+    out = np.empty((n - 1, 4))
+    out[:, 0] = y[:-1]
+    out[2:n - 2, 1:] = sliding_window_view(y, 5) @ _QUARTER_WEIGHTS[2]
+    out[:2, 1:] = [y[:5] @ _QUARTER_WEIGHTS[s] for s in (0, 1)]
+    out[n - 2, 1:] = y[n - 5:] @ _QUARTER_WEIGHTS[3]
+    return np.append(out, y[-1])
+
+
+def quartic_fit(y: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of the quartic through (t, y[t]), t = 0..4."""
+    return y @ _QUARTIC_FIT
 
 
 def neville_at(xs, ys, x: float | np.ndarray) -> float | np.ndarray:

@@ -110,20 +110,19 @@ def test_criterion_5_greens_identities():
     with criterion(5, "Green's identities on [-8,8]x4001, g=1: 1e-7/1e-6/1e-5"):
         g = 1.0
         prof = greens_mod.harmonic_profile(4001, 8.0)
+        x = prof.nodes
         for l in (1, 2, 3, 4):
-            f = prof.with_values(
-                lambda z, l=l: greens_mod.hermite_value(l, math.sqrt(g) * z))
+            f = prof.with_values(greens_mod.hermite_value(l, math.sqrt(g) * x))
             got = greens_mod.apply_Dbar(f, g).values
             expect = (f.values - float(greens_mod.hermite_value(l, 0.0))) / (l * g)
             assert np.max(np.abs(got - expect)) < 1e-7
         moment = greens_mod.gaussian_even_moment(1, g)
-        even = prof.with_values(lambda z: z ** 2 - moment)
-        odd = prof.with_values(lambda z: z ** 3)
+        even = prof.with_values(x ** 2 - moment)
+        odd = prof.with_values(x ** 3)
         for f in (even, odd):
             dbar = greens_mod.apply_Dbar(f, g)
             assert np.max(greens_mod.resolvent_residual(f, dbar, g)) < 1e-6
-        h2 = prof.with_values(
-            lambda z: greens_mod.hermite_value(2, math.sqrt(g) * z))
+        h2 = prof.with_values(greens_mod.hermite_value(2, math.sqrt(g) * x))
         for f in (h2, odd):
             dbar = greens_mod.apply_Dbar(f, g)
             assert np.max(greens_mod.greens_function_residual(f, dbar, g)) < 1e-5

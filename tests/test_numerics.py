@@ -20,7 +20,8 @@ from trajquad import numerics
 from trajquad.greens import hermite_value
 from trajquad.numerics import (_CUM_WEIGHTS, _D1_WEIGHTS, _D2_WEIGHTS,
                                adaptive_panels, cumulative_integral,
-                               derivative, neville_at)
+                               derivative, neville_at, quartic_fit,
+                               refine_quarters)
 from trajquad.trajectory import Potential1D, build_grid
 
 SIZES = (5, 6, 7, 16, 1001)
@@ -163,6 +164,38 @@ def test_stencil_tables_pinned():
     assert np.array_equal(_CUM_WEIGHTS[2],
                           floats("11/720", "-37/360", "19/30", "173/360",
                                  "-19/720"))
+
+
+@pytest.mark.parametrize("n", (5, 6, 7, 101))
+def test_refine_quarters_is_exact_on_quartics(n):
+    # every quarter point of every interval, edge windows included, reads
+    # a quartic exactly; the nodes keep their own values bit for bit
+    x = np.linspace(-1.0, 2.0, n)
+    p = lambda z: 3.0 * z ** 4 - z ** 3 + 2.0 * z - 1.0
+    got = refine_quarters(p(x))
+    assert np.array_equal(got[::4], p(x))
+    assert np.max(np.abs(got - p(np.linspace(-1.0, 2.0, 4 * n - 3)))) < 1e-13
+
+
+def test_refine_quarters_reads_the_cumulative_integral_windows():
+    # interval i is filled from the window starting at clip(i-2, 0, n-5):
+    # a spike at node k moves only the intervals whose window holds k
+    n = 11
+    for k in range(n):
+        y = np.zeros(n)
+        y[k] = 1.0
+        touched = {i for i in range(n - 1) if np.any(
+            refine_quarters(y)[4 * i + 1:4 * i + 4])}
+        starts = np.clip(np.arange(n - 1) - 2, 0, n - 5)
+        windows = {i for i, s in enumerate(starts) if s <= k < s + 5}
+        assert touched == windows
+
+
+def test_quartic_fit_coefficients():
+    # the quartic through (t, p(t)), t = 0..4, is p itself
+    want = np.array([-1.0, 2.0, 0.5, -1.0, 3.0])
+    ys = np.array([sum(c * t ** k for k, c in enumerate(want)) for t in range(5)])
+    assert np.allclose(quartic_fit(ys), want, rtol=0.0, atol=1e-12)
 
 
 def test_neville_on_an_array_equals_scalar_calls():

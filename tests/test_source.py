@@ -1,11 +1,13 @@
 """Rules on the package source itself."""
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
 from trajquad.cli import main
 from trajquad.exactalg import MultiPoly
+from trajquad.greens import WaveProfile
 
 from test_cli import readme_examples
 
@@ -85,6 +87,19 @@ def test_kernels_leave_the_integer_format_through_exactalg():
             if any(m.split(".")[0] == "fractions" for m in modules):
                 found.append(f"{name}:{node.lineno}: imports fractions")
     assert not found, f"a second exact format beside MultiPoly: {found}"
+
+
+def test_one_sampled_dbar_path():
+    # a WaveProfile is samples alone, so greens-check runs the D̄ that a
+    # sampled source gets.  A field holding S or f as a function, or a
+    # callable test in greens.py, would bring back a second branch that
+    # only profiles carrying functions reach
+    fields = tuple(f.name for f in dataclasses.fields(WaveProfile))
+    assert fields == ("nodes", "s", "values"), f"WaveProfile fields: {fields}"
+    text = (SRC / "greens.py").read_text()
+    found = [f"greens.py:{i}" for i, line in enumerate(text.splitlines(), 1)
+             if "callable(" in line]
+    assert not found, f"callable tests in greens.py: {found}"
 
 
 def test_every_public_function_is_used():
