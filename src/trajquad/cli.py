@@ -10,8 +10,10 @@ The command table ``_COMMANDS`` and the parameter table ``_PARAMS`` are
 the single source of truth: the command list and the flags derive from
 them, and ``RunConfig`` alone converts and checks values.
 
-The grid layers, which import numpy, load on first use, so the exact
-commands (perturb, coulomb, stark, excited) start without numpy.
+Every layer but ``errors`` and ``exactalg``, which each invocation uses,
+loads on first use, so a command executes only its own layer: perturb
+runs ``oscpert``, coulomb and stark run ``coulomb``, excited runs
+``excited``, and no exact command loads numpy.
 
 Exit codes: 0 ok, 1 config error (any invalid value, format or command),
 2 method breakdown (e.g. a radial log singularity), 3 tolerance failure
@@ -26,16 +28,12 @@ import importlib.util
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from itertools import chain
 
 from . import __version__
 from .errors import (ConfigError, MethodError, TailDivergence, ToleranceError,
                      TrajquadError)
 from .exactalg import VAR_GHAT, VAR_R, parse_poly
-from . import coulomb as coulomb_mod
-from . import excited as excited_mod
-from . import oscpert as oscpert_mod
 
 
 def _lazy(name: str):
@@ -56,8 +54,9 @@ def _lazy(name: str):
 
 
 # numerics too, so that sys.modules names every layer as an eager import did
-_, trajectory_mod, gexpand_mod, greens_mod, oracle_mod = map(
-    _lazy, ("numerics", "trajectory", "gexpand", "greens", "oracle"))
+(coulomb_mod, excited_mod, oscpert_mod, _, trajectory_mod, gexpand_mod,
+ greens_mod, oracle_mod) = map(_lazy, "coulomb excited oscpert numerics "
+                               "trajectory gexpand greens oracle".split())
 
 FORMATS = ("csv", "json")
 
@@ -122,27 +121,23 @@ _PARAMS = {
 }
 
 
-@dataclass
 class RunConfig:
     """Validated command plus parameter map (unknown keys rejected)."""
 
-    command: str
-    parameters: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ConfigError(f"unknown command {self.command!r}")
-        schema = _COMMANDS[self.command][1]
-        unknown = set(self.parameters) - set(schema)
+    def __init__(self, command: str, parameters: dict):
+        if command not in COMMANDS:
+            raise ConfigError(f"unknown command {command!r}")
+        schema = _COMMANDS[command][1]
+        unknown = set(parameters) - set(schema)
         if unknown:
-            raise ConfigError(f"unknown keys for {self.command}: {sorted(unknown)}")
+            raise ConfigError(f"unknown keys for {command}: {sorted(unknown)}")
         resolved = {}
         for key, (default, check) in schema.items():
-            if key not in self.parameters and callable(default):
+            if key not in parameters and callable(default):
                 default = default(resolved)  # follows the keys before it
-            value = self.parameters.get(key, default)
+            value = parameters.get(key, default)
             if value is None:
-                raise ConfigError(f"{self.command} requires --{key}")
+                raise ConfigError(f"{command} requires --{key}")
             try:
                 value = _PARAMS[key][0](value)
             except (TypeError, ValueError, OverflowError) as exc:
@@ -150,7 +145,13 @@ class RunConfig:
             if check is not None and not check(value):
                 raise ConfigError(f"value out of range for {key!r}: {value!r}")
             resolved[key] = value
-        self.parameters = resolved
+        self.command, self.parameters = command, resolved
+
+    def __eq__(self, other):
+        return type(other) is RunConfig and vars(self) == vars(other)
+
+    def __repr__(self):
+        return f"RunConfig({self.command!r}, {self.parameters!r})"
 
     def to_dict(self) -> dict:
         return {"command": self.command, **self.parameters}

@@ -58,7 +58,6 @@ checks every retained grade of the wave equation with it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import LogSingularity, MethodError
 from .exactalg import (VAR_EPS, VAR_R, VAR_U, MultiPoly, _add_product,
@@ -67,7 +66,6 @@ from .exactalg import (VAR_EPS, VAR_R, VAR_U, MultiPoly, _add_product,
 RUE = (VAR_R, VAR_U, VAR_EPS)
 
 
-@dataclass
 class CoulombSolution:
     """Exact S_n and E_n lists in the Coulomb grading.
 
@@ -76,10 +74,10 @@ class CoulombSolution:
     and E the weight g^{-(2n-4)}.
     """
 
-    u_perturbation: MultiPoly
-    order: int
-    s_terms: list
-    e_terms: list
+    def __init__(self, u_perturbation: MultiPoly, order: int, s_terms: list,
+                 e_terms: list):
+        self.u_perturbation, self.order = u_perturbation, order
+        self.s_terms, self.e_terms = s_terms, e_terms
 
     def assemble_energy_symbolic(self) -> str:
         """Rendered energy with explicit g powers, lowest order first."""

@@ -22,10 +22,12 @@ drops zero numerators and ``_reduced`` divides numerators and denominator
 by their gcd.  Inside a kernel the keys may be packed: ``_packed`` turns an
 (a, b, e) triple into one int of fixed-width bit fields and ``_unpacked``
 turns it back, so that ``_add_product``, which accumulates a scaled
-product, forms each product key with one integer add.  A rational
-appears only where text meets the format: ``parse_poly`` brings its sums
-to the lcm of their denominators, and ``render`` prints each term's
-numerator and the denominator divided by their gcd.
+product, forms each product key with one integer add.  No rational type
+appears even where text meets the format: ``parse_poly`` reads each
+number as an integer (numerator, denominator) pair, sums equal terms as
+reduced pairs and brings the sums to the lcm of their denominators, and
+``render`` prints each term's numerator and the denominator divided by
+their gcd.
 
 A canonical text rendering ("-21/8 * ε^2 * ĝ^5") and a round-trip parser
 for the same grammar serve the CLI and the golden tests.  Terms are ordered
@@ -37,8 +39,7 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .errors import VariableMismatch
 
@@ -267,20 +268,25 @@ def parse_poly(text: str, variables: Iterable[str] | None = None) -> MultiPoly:
     if not text:
         raise ValueError("empty polynomial text")
     seen: set[str] = set(variables) if variables is not None else set()
-    parsed: list[tuple[Fraction, dict[str, int]]] = []
+    parsed: list[tuple[int, int, dict[str, int]]] = []
     for term in _split_terms(text):
-        sign = Fraction(1)
+        num, den = 1, 1
         while term and term[0] in "+-":
             if term[0] == "-":
-                sign = -sign
+                num = -num
             term = term[1:]
-        coeff = sign
         powers: dict[str, int] = {}
         for factor in _split_factors(term):
             if not factor:
                 raise ValueError(f"empty factor in term {term!r}")
             if _NUMBER_RE.match(factor):
-                coeff *= Fraction(factor)
+                top, slash, bottom = factor.partition("/")
+                if not slash:   # a decimal: its digits over a power of ten
+                    whole, _, digits = factor.partition(".")
+                    top, bottom = whole + digits, 10 ** len(digits)
+                if not int(bottom):
+                    raise ValueError(f"zero denominator in factor {factor!r}")
+                num, den = num * int(top), den * int(bottom)
                 continue
             m = _FACTOR_RE.match(factor)
             if not m:
@@ -295,16 +301,19 @@ def parse_poly(text: str, variables: Iterable[str] | None = None) -> MultiPoly:
             if power < 0 and name not in _LAURENT_OK:
                 raise ValueError(f"negative power of non-Laurent variable "
                                  f"{name!r} in term {term!r}")
-        parsed.append((coeff, powers))
+        parsed.append((num, den, powers))
     if variables is not None:
         extra = seen - set(variables)
         if extra:
             raise ValueError(f"unexpected symbols {sorted(extra)!r}")
     names = tuple(sorted(seen, key=_var_key))
-    sums: dict[tuple[int, ...], Fraction] = {}
-    for coeff, powers in parsed:
+    sums: dict[tuple[int, ...], tuple[int, int]] = {}
+    for num, den, powers in parsed:
         exps = tuple(powers.get(v, 0) for v in names)
-        sums[exps] = sums.get(exps, 0) + coeff
-    den = math.lcm(*(c.denominator for c in sums.values()))
-    return MultiPoly({e: c.numerator * (den // c.denominator)
-                      for e, c in sums.items()}, den, names)
+        top, bottom = sums.get(exps, (0, 1))
+        top, bottom = top * den + num * bottom, bottom * den
+        g = math.gcd(top, bottom)
+        sums[exps] = top // g, bottom // g
+    den = math.lcm(*(d for _, d in sums.values()))
+    return MultiPoly({e: n * (den // d) for e, (n, d) in sums.items()},
+                     den, names)

@@ -19,28 +19,22 @@ fit is a reference in ``tests/test_excited.py``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import MultiPoly, _var_key
 
 
-@dataclass(frozen=True)
 class ExcitedSpec:
     """Frequencies ν_i and occupation numbers n_i of an excited level."""
 
-    freqs: tuple
-    occupation: tuple
-
-    def __post_init__(self):
+    def __init__(self, freqs: tuple, occupation: tuple):
         try:
-            freqs = tuple(Fraction(f) for f in self.freqs)
+            freqs = tuple(Fraction(f) for f in freqs)
         except ZeroDivisionError:
-            raise ValueError(f"bad frequency in {self.freqs!r}: "
+            raise ValueError(f"bad frequency in {freqs!r}: "
                              f"zero denominator") from None
-        occ = tuple(int(n) for n in self.occupation)
-        object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "occupation", occ)
+        occ = tuple(int(n) for n in occupation)
+        self.freqs, self.occupation = freqs, occ
         if len(freqs) != len(occ):
             raise ValueError("freqs and occupation must have equal length")
         if any(f <= 0 for f in freqs):

@@ -60,7 +60,6 @@ monomials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import MethodError
 from .exactalg import VAR_EPS, VAR_GHAT, MultiPoly, _reduced
@@ -89,7 +88,6 @@ def _chain(source: dict, den: int) -> tuple:
     return _reduced(image, den * span << shift)
 
 
-@dataclass
 class PerturbSeries:
     """Exact ε-series for ε·x^P: energy shifts Δ(k) and e^{-τ} coefficients.
 
@@ -100,9 +98,8 @@ class PerturbSeries:
     The accessors take the paper's k and build c and ĝ^s on demand.
     """
 
-    P: int
-    levels: list
-    denominators: list
+    def __init__(self, P: int, levels: list, denominators: list):
+        self.P, self.levels, self.denominators = P, levels, denominators
 
     @property
     def order(self) -> int:

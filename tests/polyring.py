@@ -19,13 +19,20 @@ package through ``lower``, through which it also renders and evaluates.
 ``MultiPoly`` defines no operators, so when either side of ``==``, ``+``,
 ``-`` or ``*`` is a ``Poly`` the ``Poly`` method runs, and
 ``result == P(...)`` compares exactly without a lift.
+
+``parse_poly_fractions`` is the package's parser as it was when it read
+numbers as Fractions: the reference its integer-pair parser is checked
+against.
 """
 
 import math
+import re
 from fractions import Fraction
 
 from trajquad.errors import VariableMismatch
-from trajquad.exactalg import _LAURENT_OK, VAR_U, MultiPoly, _var_key, parse_poly
+from trajquad.exactalg import (_ALIASES, _FACTOR_RE, _LAURENT_OK, _NUMBER_RE,
+                               VAR_U, MultiPoly, _split_factors, _split_terms,
+                               _var_key, parse_poly)
 
 
 def _as_fraction(value):
@@ -251,3 +258,52 @@ def lower(poly):
 
 def parse(text, variables=None):
     return lift(parse_poly(text, variables))
+
+
+def parse_poly_fractions(text, variables=None):
+    """``exactalg.parse_poly`` with Fraction coefficients: each number factor
+    is ``Fraction(factor)`` and equal terms are summed as Fractions, brought
+    to the lcm of their denominators at the end."""
+    text = re.sub(r"\s+", "", text)
+    if not text:
+        raise ValueError("empty polynomial text")
+    seen = set(variables) if variables is not None else set()
+    parsed = []
+    for term in _split_terms(text):
+        sign = Fraction(1)
+        while term and term[0] in "+-":
+            if term[0] == "-":
+                sign = -sign
+            term = term[1:]
+        coeff = sign
+        powers = {}
+        for factor in _split_factors(term):
+            if not factor:
+                raise ValueError(f"empty factor in term {term!r}")
+            if _NUMBER_RE.match(factor):
+                coeff *= Fraction(factor)
+                continue
+            m = _FACTOR_RE.match(factor)
+            if not m:
+                raise ValueError(f"cannot parse factor {factor!r}")
+            name = _ALIASES.get(m.group(1), m.group(1))
+            power = int(m.group(2).strip("()")) if m.group(2) else 1
+            powers[name] = powers.get(name, 0) + power
+            seen.add(name)
+        for name, power in powers.items():
+            if power < 0 and name not in _LAURENT_OK:
+                raise ValueError(f"negative power of non-Laurent variable "
+                                 f"{name!r} in term {term!r}")
+        parsed.append((coeff, powers))
+    if variables is not None:
+        extra = seen - set(variables)
+        if extra:
+            raise ValueError(f"unexpected symbols {sorted(extra)!r}")
+    names = tuple(sorted(seen, key=_var_key))
+    sums = {}
+    for coeff, powers in parsed:
+        exps = tuple(powers.get(v, 0) for v in names)
+        sums[exps] = sums.get(exps, 0) + coeff
+    den = math.lcm(*(c.denominator for c in sums.values()))
+    return MultiPoly({e: c.numerator * (den // c.denominator)
+                      for e, c in sums.items()}, den, names)

@@ -395,6 +395,20 @@ class TestMain:
         assert err.startswith("config error: values out of floating-point range")
         assert "(34," not in err   # float **'s errno tuple, not its reason
 
+    @pytest.mark.parametrize("argv, factor", [
+        (["coulomb", "--potential", "1/0*r^2"], "1/0"),
+        (["gexpand", "--potential", "0.5*x^2 + 1/0*x^4"], "1/0"),
+        (["coulomb", "--potential", "r^2 + 0/0*r"], "0/0"),
+    ])
+    def test_zero_denominator_exits_1(self, argv, factor, capsys):
+        # a Fraction's ZeroDivisionError once reached the float-range
+        # handler: "values out of floating-point range: Fraction(1, 0)"
+        assert main(["--command"] + argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"config error: zero denominator in factor {factor!r}\n"
+        assert "Traceback" not in err
+
     def test_overflowing_oracle_matrix_exits_1(self):
         # at domain 1e-100 the squared off-diagonal is inf, so no Sturm count
         # ever reaches k and the bracket search never ended; a subprocess
@@ -570,6 +584,55 @@ def test_exact_commands_load_no_numpy(flags, capsys):
     assert probe["same"] is True
     assert main(_GEXPAND) == 0
     assert probe["gexpand"] == capsys.readouterr().out
+
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys, types
+absent = ("dataclasses", "fractions", "decimal", "inspect", "numpy")
+def state():
+    # type(), not vars(): vars() of a lazy module executes it
+    return {"loaded": [m for m in absent if m in sys.modules],
+            "registered": sorted(n for n in sys.modules
+                                 if n.split(".")[0] == "trajquad"),
+            "executed": sorted(n for n in sys.modules
+                               if n.split(".")[0] == "trajquad"
+                               and type(sys.modules[n]) is types.ModuleType)}
+import trajquad.cli
+codes, states = [], [state()]
+for argv in (["--command", "perturb", "--parity", "even", "--p", "2"],
+             ["--command", "stark", "--order", "8"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(trajquad.cli.main(argv))
+    states.append(state())
+print(json.dumps({"codes": codes, "states": states}))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_each_command_executes_only_its_layer(flags):
+    # cli imports errors and exactalg and registers every other layer
+    # unexecuted; perturb then executes oscpert alone, and stark coulomb
+    # alone.  The exact path leaves dataclasses, fractions (with decimal),
+    # inspect and numpy unloaded
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, *flags, "-W", "error::RuntimeWarning", "-c",
+         _IMPORT_PROBE], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    probe = json.loads(done.stdout)
+    assert probe["codes"] == [0, 0]
+    start, perturb, stark = probe["states"]
+    package = ["trajquad"] + [f"trajquad.{m}" for m in (
+        "cli", "errors", "exactalg", "oscpert", "coulomb", "excited",
+        "numerics", "trajectory", "gexpand", "greens", "oracle")]
+    base = ["trajquad", "trajquad.cli", "trajquad.errors", "trajquad.exactalg"]
+    for state in (start, perturb, stark):
+        assert state["loaded"] == []
+        assert state["registered"] == sorted(package)
+    assert start["executed"] == sorted(base)
+    assert perturb["executed"] == sorted(base + ["trajquad.oscpert"])
+    assert stark["executed"] == sorted(base + ["trajquad.oscpert",
+                                               "trajquad.coulomb"])
 
 
 def test_readme_examples_run(capsys):

@@ -31,7 +31,7 @@ from trajquad.exactalg import (
     parse_poly,
 )
 
-from polyring import Poly, lift, parse
+from polyring import Poly, lift, parse, parse_poly_fractions
 from test_cli import readme_examples
 from test_coulomb import grad_dot, integrate_r, laplacian
 
@@ -411,6 +411,51 @@ class TestParseMatchesSummedMonomials:
         for variables in _PARSE_VARIABLES:
             assert _outcome(parse_poly, text, variables) == \
                 _outcome(parse_by_sums, text, variables)
+
+
+# number spellings: digits with leading zeros, a/b with a nonzero b,
+# decimals with trailing zeros, a bare fraction part and a bare point
+_DIGITS = st.text("0123456789", min_size=1, max_size=4)
+_NUMBERS = st.one_of(
+    st.sampled_from(["0.50", ".25", "3.", "007", "0", "00/01"]),
+    _DIGITS,
+    st.builds("{}/{}".format, _DIGITS, _DIGITS.filter(lambda d: int(d))),
+    st.builds("{}.{}".format, _DIGITS, st.text("0123456789", max_size=4)),
+    st.builds(".{}".format, _DIGITS))
+_TERMS = st.builds(
+    lambda sign, numbers, power: sign + "*".join(numbers + power),
+    st.sampled_from(["", "-", "+", "--", "+-", "-+-"]),
+    st.lists(_NUMBERS, max_size=2),
+    st.sampled_from([[], ["x"], ["r^2"], ["r^-1"], ["eps"], ["ghat^2"],
+                     ["x", "r"], ["u**3"], ["r^(-2)", "ε"]]),
+).filter(lambda term: term.lstrip("+-"))
+
+
+def _parsed(parser, text, variables):
+    try:
+        poly = parser(text, variables)
+    except ValueError as exc:
+        return str(exc)
+    return poly.terms, poly.den, poly.variables, poly.render()
+
+
+class TestParseMatchesFractions:
+    """parse_poly reads numbers as integer pairs; the parser that read
+    them as Fractions is the reference."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(st.lists(_TERMS, min_size=1, max_size=5),
+           st.sampled_from(["+", " + ", " - ", "-"]))
+    def test_integer_pairs_match_fractions(self, terms, joiner):
+        # the terms, each repeated, and each cancelled by its negation
+        text = joiner.join(terms)
+        plus = "+".join(terms)
+        for each in (text, f"{plus}+{plus}",
+                     plus + "+" + "+".join("-" + t for t in terms)):
+            for variables in (None, XRUEG):
+                assert _parsed(parse_poly, each, variables) == \
+                    _parsed(parse_poly_fractions, each, variables), each
 
 
 def _exact_argvs():

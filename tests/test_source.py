@@ -89,6 +89,50 @@ def test_kernels_leave_the_integer_format_through_exactalg():
     assert not found, f"a second exact format beside MultiPoly: {found}"
 
 
+def _imported_modules(node) -> list:
+    """The full names an import statement loads; ``from . import x`` in
+    the package loads ``trajquad.x``."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    base = node.module or ""
+    if node.level:
+        base = f"trajquad.{base}" if base else "trajquad"
+    if base == "trajquad":
+        return [f"trajquad.{alias.name}" for alias in node.names]
+    return [base]
+
+
+# the modules one exact command executes: cli, the two layers it imports
+# at module level, and the command's own layer
+_EXACT_PATH = ("cli.py", "exactalg.py", "oscpert.py", "coulomb.py",
+               "excited.py")
+
+
+def test_exact_path_imports_no_heavy_stdlib():
+    # dataclasses pulls in inspect, ast, dis and tokenize, fractions pulls
+    # in decimal, and typing costs ≈8 ms where site has not loaded it: in
+    # all, more than an exact command's job.  Of the exact path only
+    # excited, whose frequencies are rationals, takes fractions.  cli
+    # imports at module level only the layers every command uses and
+    # loads the others through _lazy on first use
+    found = []
+    for name in _EXACT_PATH:
+        for node in ast.walk(ast.parse((SRC / name).read_text(), name)):
+            for module in _imported_modules(node):
+                top = module.split(".")[0]
+                if top in ("dataclasses", "typing") or \
+                        (top == "fractions" and name != "excited.py"):
+                    found.append(f"{name}:{node.lineno}: imports {module}")
+    deferred = {f"trajquad.{path.stem}" for path in SRC.glob("*.py")} - {
+        "trajquad.__init__", "trajquad.errors", "trajquad.exactalg"}
+    for node in ast.parse((SRC / "cli.py").read_text()).body:
+        found += [f"cli.py:{node.lineno}: imports {module} eagerly"
+                  for module in _imported_modules(node) if module in deferred]
+    assert not found, f"imports off the light exact path: {found}"
+
+
 def test_one_sampled_dbar_path():
     # a WaveProfile is samples alone, so greens-check runs the D̄ that a
     # sampled source gets.  A field holding S or f as a function, or a
