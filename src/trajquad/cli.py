@@ -15,15 +15,17 @@ loads on first use, so a command executes only its own layer: perturb
 runs ``oscpert``, coulomb and stark run ``coulomb``, excited runs
 ``excited``, and no exact command loads numpy.
 
-Exit codes: 0 ok, 1 config error (any invalid value, format or command),
-2 method breakdown (e.g. a radial log singularity), 3 tolerance failure
-(an identity check above bound; the report is still written).  argparse
-itself exits 2 only on malformed argv, such as a flag without its value.
+Flags come from the table ``_FLAGS``, spelled in full, as ``--flag value``
+or ``--flag=value``; the value is taken verbatim and the last repeat wins.
+
+Exit codes: 0 ok (also for ``--help``), 1 config error (any invalid flag,
+value, format or command), 2 method breakdown (e.g. a radial log
+singularity), 3 tolerance failure (an identity check above bound; the
+report is still written).
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib.util
 import json
 import math
@@ -410,48 +412,60 @@ def run(config: RunConfig, out=None, fmt: str = "csv") -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="trajquad",
-        description="Trajectory-quadrature energies, series and checks")
-    parser.add_argument("--config", help="JSON config file (flags override it)")
-    parser.add_argument("--command", help="one of " + ", ".join(COMMANDS))
-    parser.add_argument("--out", help="output path (stdout when omitted)")
-    parser.add_argument("--format", default="csv", help=" or ".join(FORMATS))
-    for key, (_, help_text) in _PARAMS.items():
-        parser.add_argument(f"--{key}", dest=key, help=help_text)
-    return parser
+# flag -> help: the front end's own four, then every parameter
+_FLAGS = {"config": "JSON config file (flags override it)",
+          "command": "one of " + ", ".join(COMMANDS),
+          "out": "output path (stdout when omitted)",
+          "format": " or ".join(FORMATS) + " (default csv)",
+          **{key: help_text for key, (_, help_text) in _PARAMS.items()}}
 
 
-# parse_args keeps no state between calls, so one parser serves every main()
-_PARSER = build_parser()
+def _read_flags(argv) -> dict | None:
+    """argv as {flag: value}; None when it asks for help."""
+    flags, tokens = {}, iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        name, eq, value = token.partition("=")
+        if name[:2] != "--" or name[2:] not in _FLAGS:
+            raise ConfigError(f"unknown flag {name!r} (flags are spelled in "
+                              f"full; --help lists them)")
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise ConfigError(f"{name} needs a value")
+        flags[name[2:]] = value
+    return flags
 
 
-def _config_from_args(args) -> RunConfig:
+def _config_from_args(flags: dict) -> RunConfig:
     data: dict = {}
-    if args.config:
+    if flags.get("config"):
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
+            with open(flags["config"], "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         except (OSError, ValueError, RecursionError) as exc:
             # JSONDecodeError and UnicodeDecodeError are ValueErrors
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-    for key in _PARAMS:
-        value = getattr(args, key)
-        if value is not None:
-            data[key] = value
-    if args.command:
-        data["command"] = args.command
+    data.update((key, value) for key, value in flags.items() if key in _PARAMS)
+    if flags.get("command"):
+        data["command"] = flags["command"]
     return RunConfig.from_dict(data)
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return run(config, out=args.out, fmt=args.format)
+        flags = _read_flags(sys.argv[1:] if argv is None else argv)
+        if flags is None:
+            width = max(map(len, _FLAGS)) + 2
+            print("usage: trajquad [--flag VALUE | --flag=VALUE]...",
+                  *(f"  --{f:<{width}}{text}" for f, text in _FLAGS.items()),
+                  sep="\n")
+            return 0
+        return run(_config_from_args(flags), out=flags.get("out"),
+                   fmt=flags.get("format", "csv"))
     except BrokenPipeError:
         return 0
     except ConfigError as exc:

@@ -253,12 +253,23 @@ class TestMain:
         ["--command", "greens-check", "--g", "1e300", "--half-width", "8"],
         # the default half-width 8/√g is computed only after g > 0 holds
         ["--command", "greens-check", "--g", "0"],
+        # malformed argv, once argparse's exit 2: an unknown flag, a stray
+        # token, a flag without its value, an abbreviation, a short flag
+        ["--command", "stark", "--frobnicate", "1"],
+        ["--command", "stark", "stray"],
+        ["--order", "4", "--command"],
+        ["--command", "coulomb", "--pot", "r^2"],
+        ["--command", "stark", "-g", "2"],
+        ["--command=stark", "--g=2", "--order="],
+        # a value is the next token verbatim, so -h here is a potential
+        ["--command", "coulomb", "--potential", "-h"],
     ])
     def test_invalid_input_exits_1(self, argv, capsys):
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("config error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("text", ['{"command": "stark", "order": 1e400}',
                                       '{"command": "stark", "g": 1e400}'])
@@ -588,7 +599,8 @@ def test_exact_commands_load_no_numpy(flags, capsys):
 
 _IMPORT_PROBE = """
 import contextlib, io, json, sys, types
-absent = ("dataclasses", "fractions", "decimal", "inspect", "numpy")
+absent = ("dataclasses", "fractions", "decimal", "inspect", "numpy",
+          "argparse", "gettext", "locale")
 def state():
     # type(), not vars(): vars() of a lazy module executes it
     return {"loaded": [m for m in absent if m in sys.modules],
@@ -613,7 +625,7 @@ def test_each_command_executes_only_its_layer(flags):
     # cli imports errors and exactalg and registers every other layer
     # unexecuted; perturb then executes oscpert alone, and stark coulomb
     # alone.  The exact path leaves dataclasses, fractions (with decimal),
-    # inspect and numpy unloaded
+    # inspect, numpy and argparse (with gettext and locale) unloaded
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
         [sys.executable, *flags, "-W", "error::RuntimeWarning", "-c",
@@ -641,10 +653,58 @@ def test_readme_examples_run(capsys):
     for argv in examples:
         assert main(argv) == 0, argv
         out = capsys.readouterr().out
+        # the same flags written --flag=value give the same bytes
+        joined = [f"{flag}={value}" for flag, value in zip(argv[::2], argv[1::2])]
+        assert main(joined) == 0, joined
+        assert capsys.readouterr().out == out, joined
         if out.startswith("{"):
             out = json.dumps(json.loads(out), ensure_ascii=False)
         for value in README_VALUES.get(argv[1], ()):
             assert value in out, (argv, value)
+
+
+class TestFlags:
+    def test_negative_values(self, capsys):
+        outputs = []
+        for argv in (["--command", "stark", "--order", "4", "--eps", "-0.001"],
+                     ["--command", "stark", "--order", "4", "--eps=-0.001"]):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert parse_config_echo(outputs[0]).parameters["eps"] == -0.001
+        assert main(["--command", "coulomb", "--potential", "-r^2",
+                     "--order", "2"]) == 0
+        assert '"potential": "-r^2"' in capsys.readouterr().out
+
+    def test_flags_override_file_and_last_repeat_wins(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"command": "stark", "order": 6, "g": 3}')
+        assert main(["--config", str(cfg), "--order", "5", "--order=4"]) == 0
+        echoed = parse_config_echo(capsys.readouterr().out)
+        assert echoed == RunConfig("stark", {"order": 4, "g": 3})
+        # an empty --config reads no file
+        assert main(["--config", "", "--command", "stark", "--order", "4",
+                     "--g", "3"]) == 0
+        assert parse_config_echo(capsys.readouterr().out) == echoed
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"],
+                                      ["--command", "stark", "-h"]])
+    def test_help_names_every_flag(self, argv, capsys):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        listed = {line.split()[0] for line in out.splitlines()
+                  if line.startswith("  --")}
+        assert listed == {f"--{flag}" for flag in
+                          ("config", "command", "out", "format", *_PARAMS)}
+
+    def test_console_script_reads_sys_argv(self, monkeypatch, capsys):
+        argv = ["--command", "stark", "--order", "4"]
+        assert main(argv) == 0
+        expect = capsys.readouterr().out
+        monkeypatch.setattr(sys, "argv", ["trajquad", *argv])
+        assert main() == 0
+        assert capsys.readouterr().out == expect
 
 
 class TestGoldenFiles:

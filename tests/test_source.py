@@ -113,7 +113,9 @@ _EXACT_PATH = ("cli.py", "exactalg.py", "oscpert.py", "coulomb.py",
 def test_exact_path_imports_no_heavy_stdlib():
     # dataclasses pulls in inspect, ast, dis and tokenize, fractions pulls
     # in decimal, and typing costs ≈8 ms where site has not loaded it: in
-    # all, more than an exact command's job.  Of the exact path only
+    # all, more than an exact command's job.  argparse, which loads gettext
+    # and locale, took a fifth of the smallest job and half the import;
+    # cli reads argv from its own flag table.  Of the exact path only
     # excited, whose frequencies are rationals, takes fractions.  cli
     # imports at module level only the layers every command uses and
     # loads the others through _lazy on first use
@@ -122,7 +124,7 @@ def test_exact_path_imports_no_heavy_stdlib():
         for node in ast.walk(ast.parse((SRC / name).read_text(), name)):
             for module in _imported_modules(node):
                 top = module.split(".")[0]
-                if top in ("dataclasses", "typing") or \
+                if top in ("dataclasses", "typing", "argparse") or \
                         (top == "fractions" and name != "excited.py"):
                     found.append(f"{name}:{node.lineno}: imports {module}")
     deferred = {f"trajquad.{path.stem}" for path in SRC.glob("*.py")} - {
