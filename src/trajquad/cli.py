@@ -33,8 +33,7 @@ import sys
 from itertools import chain
 
 from . import __version__
-from .errors import (ConfigError, MethodError, TailDivergence, ToleranceError,
-                     TrajquadError)
+from .errors import ConfigError, MethodError, TailDivergence, ToleranceError
 from .exactalg import VAR_GHAT, VAR_R, parse_poly
 
 
@@ -183,7 +182,7 @@ def _run_gexpand(p: dict):
     lines = ["k,E_k"]
     lines += [f"{k},{e!r}" for k, e in enumerate(sol.e_terms)]
     lines.append(f"assembled,{energy!r}")
-    lines.append("x," + ",".join(f"S_{k}" for k in range(1, sol.order + 1)))
+    lines.append(",".join(["x", *(f"S_{k}" for k in range(1, sol.order + 1))]))
     # repr a column at a time: one map per column, not one per row
     columns = [payload["nodes"], *payload["s_terms"]]
     table = map(",".join, zip(*(map(repr, c) for c in columns)))
@@ -476,9 +475,6 @@ def main(argv=None) -> int:
         return 3
     except MethodError as exc:
         print(f"method breakdown: {exc}", file=sys.stderr)
-        return 2
-    except TrajquadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -74,10 +74,8 @@ class CoulombSolution:
     and E the weight g^{-(2n-4)}.
     """
 
-    def __init__(self, u_perturbation: MultiPoly, order: int, s_terms: list,
-                 e_terms: list):
-        self.u_perturbation, self.order = u_perturbation, order
-        self.s_terms, self.e_terms = s_terms, e_terms
+    def __init__(self, order: int, s_terms: list, e_terms: list):
+        self.order, self.s_terms, self.e_terms = order, s_terms, e_terms
 
     def assemble_energy_symbolic(self) -> str:
         """Rendered energy with explicit g powers, lowest order first."""
@@ -249,7 +247,7 @@ def solve_perturbed(u_poly: MultiPoly, order: int) -> CoulombSolution:
         raise ValueError("perturbation must vanish at the origin")
     s_terms, e_terms = _integer_chain(u_num, u_den, order)
     _check_invariants(s_terms, e_terms)
-    return CoulombSolution(u_perturbation=u_poly, order=order,
+    return CoulombSolution(order=order,
                            s_terms=[MultiPoly(*s, RUE) for s in s_terms],
                            e_terms=[MultiPoly(*e, RUE) for e in e_terms])
 

@@ -75,11 +75,8 @@ class _Towers:
         if len(set(self.band.tolist())) < 6:
             raise HierarchyBreakdown(
                 f"grid too coarse for the origin patch ({self.n} nodes)")
-        # V^(m)(a) = direction^m v^(m)(x)
-        self.v_der = [grid.direction ** m * fn(grid.nodes) for m, fn
-                      in enumerate(grid.potential.derivatives[:order + 3])]
         self.s = {0: [grid.speed]}
-        self._s0_tower(order + 1)
+        self._s0_tower(grid, order + 1)
 
     def _patched(self, out: np.ndarray) -> np.ndarray:
         out[:self.patch] = neville_at(self.arc[self.band], out[self.band],
@@ -92,11 +89,13 @@ class _Towers:
         out[0] = 0.0
         return self._patched(out)
 
-    def _s0_tower(self, height: int) -> None:
+    def _s0_tower(self, grid: TrajectoryGrid, height: int) -> None:
         tower = self.s[0]
         for m in range(1, height + 1):
-            # Leibniz on S₀'·S₀' = 2V:  Σ C(m,j) t[j] t[m-j] = 2 V^(m)
-            rhs = 2.0 * self.v_der[m]
+            # Leibniz on S₀'·S₀' = 2V:  Σ C(m,j) t[j] t[m-j] = 2 V^(m),
+            # with V^(m)(a) = direction^m v^(m)(x)
+            fn = grid.potential.derivatives[m]
+            rhs = 2.0 * (grid.direction ** m * fn(grid.nodes))
             for j in range(1, m):
                 rhs = rhs - comb(m, j) * tower[j] * tower[m - j]
             tower.append(self._ratio(0.5 * rhs))

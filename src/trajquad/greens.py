@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentAtOrigin, TailDivergence
-from .numerics import (adaptive_panels, cumulative_integral, derivative,
-                       neville_at, quartic_fit, refine_quarters)
+from .numerics import (_horner, adaptive_panels, cumulative_integral,
+                       derivative, neville_at, quartic_fit, refine_quarters)
 
 
 @dataclass
@@ -88,15 +88,6 @@ def hermite_coefficients(l: int) -> tuple:
             nxt[j] -= 2 * k * c
         prev, cur = cur, nxt
     return tuple(cur)
-
-
-def _horner(coeffs, z):
-    """Σ_k coeffs[k]·z^k; from the float 0.0 a scalar ``z`` runs on Python
-    floats and an array broadcasts, with no array made per scalar call."""
-    out = 0.0
-    for c in reversed(coeffs):
-        out = out * z + c
-    return out
 
 
 def hermite_value(l: int, z):

@@ -4,11 +4,13 @@ Every grid in the package is uniform, so the workhorses below use fixed
 5-point stencils whose weights are derived once, exactly, from Lagrange
 interpolation: first and second derivatives are 4th-order accurate and the
 cumulative integral integrates quartics exactly (5th-order composite).
-Edge nodes use shifted one-sided stencils of the same width.  The
-stencils run as whole-array kernels: every interior node is one row of a
-``sliding_window_view(y, 5) @ weights`` product, and only the two edge
-nodes at each end take their own one-sided weights.  ``refine_quarters``
-samples the same quartics at every quarter step for a 4×-refined grid.
+Edge nodes use shifted one-sided stencils of the same width.  One window
+kernel, ``_windows``, runs every such rule: each interior target is a row
+of one ``sliding_window_view(y, 5) @ weights`` product, and the targets at
+the ends take the first or last window's one-sided weights.  The
+derivatives, the cumulative integral and ``refine_quarters`` (the same
+quartics at every quarter step, a 4×-refined grid) are one call each.
+``_horner`` evaluates every polynomial of the grid half.
 
 ``adaptive_panels`` is the one adaptive Simpson rule, used where the
 integrand is a callable rather than a sampled array (the trajectory's S₀
@@ -91,25 +93,31 @@ def grid_spacing(x: np.ndarray) -> float:
     return h
 
 
-def derivative(y: np.ndarray, x: np.ndarray, order: int = 1) -> np.ndarray:
-    """4th-order-accurate derivative of sampled values on a uniform grid."""
+def _windows(y: np.ndarray, table: dict) -> np.ndarray:
+    """A 5-point rule on every window of ``y``, one row per target:
+    ``table[s]`` weighs a target s points right of its window's start, and
+    anchors 0 and 1 read the first window, anchor 2 every window (each
+    interior target at its window's centre), anchors above 2 the last."""
     y = np.asarray(y, dtype=float)
     n = len(y)
     if n < 5:
         raise ValueError("need at least five samples")
-    h = grid_spacing(np.asarray(x, dtype=float))
+    out = np.empty((n - 5 + len(table),) + table[2].shape[1:])
+    np.matmul(sliding_window_view(y, 5), table[2], out=out[2:n - 2])
+    for s in (0, 1):
+        out[s] = y[:5] @ table[s]
+    for s in range(3, len(table)):
+        out[n - 5 + s] = y[-5:] @ table[s]
+    return out
+
+
+def derivative(y: np.ndarray, x: np.ndarray, order: int = 1) -> np.ndarray:
+    """4th-order-accurate derivative of sampled values on a uniform grid."""
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    table = _D1_WEIGHTS if order == 1 else _D2_WEIGHTS
-    out = np.empty(n)
-    # interior nodes sit at the centre (offset 2) of their window; the two
-    # edge nodes at each end share the first or last window off-centre
-    out[2:n - 2] = sliding_window_view(y, 5) @ table[2]
-    out[0] = table[0] @ y[:5]
-    out[1] = table[1] @ y[:5]
-    out[n - 2] = table[3] @ y[n - 5:]
-    out[n - 1] = table[4] @ y[n - 5:]
-    return out / h ** order
+    out = _windows(y, _D1_WEIGHTS if order == 1 else _D2_WEIGHTS)
+    out /= grid_spacing(np.asarray(x, dtype=float)) ** order
+    return out
 
 
 def cumulative_integral(y: np.ndarray, x: np.ndarray, start: int = 0) -> np.ndarray:
@@ -118,40 +126,31 @@ def cumulative_integral(y: np.ndarray, x: np.ndarray, start: int = 0) -> np.ndar
     Entries left of ``start`` carry the (negative) integral from that node
     backwards, so out[i] = ∫_{x[start]}^{x[i]} y dx for every i.
     """
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    n = len(y)
-    if n < 5:
-        raise ValueError("need at least five samples")
-    h = grid_spacing(x)
-    # interval [i, i+1] on the window starting at node s = clip(i-2, 0, n-5):
-    # windows 0..n-5 serve intervals 2..n-3 at offset 2, and the first and
-    # last window also serve intervals 0, 1 and n-2 off-centre
-    inc = np.empty(n - 1)
-    inc[2:n - 2] = sliding_window_view(y, 5) @ _CUM_WEIGHTS[2]
-    inc[0] = _CUM_WEIGHTS[0] @ y[:5]
-    inc[1] = _CUM_WEIGHTS[1] @ y[:5]
-    inc[n - 2] = _CUM_WEIGHTS[3] @ y[n - 5:]
-    inc *= h
-    out = np.empty(n)
-    out[start] = 0.0
-    if start < n - 1:
-        out[start + 1:] = np.cumsum(inc[start:])
-    if start > 0:
-        out[:start] = -np.cumsum(inc[:start][::-1])[::-1]
+    # interval [i, i+1] on the window starting at node clip(i-2, 0, n-5)
+    inc = _windows(y, _CUM_WEIGHTS)
+    inc *= grid_spacing(np.asarray(x, dtype=float))
+    out = np.zeros(len(inc) + 1)
+    out[start + 1:] = np.cumsum(inc[start:])
+    out[:start] = -np.cumsum(inc[:start][::-1])[::-1]
     return out
 
 
 def refine_quarters(y: np.ndarray) -> np.ndarray:
     """Samples at every quarter step: the nodes' values, and inside each
     interval the quartic through the window ``cumulative_integral`` uses."""
-    n = len(y)
-    out = np.empty((n - 1, 4))
-    out[:, 0] = y[:-1]
-    out[2:n - 2, 1:] = sliding_window_view(y, 5) @ _QUARTER_WEIGHTS[2]
-    out[:2, 1:] = [y[:5] @ _QUARTER_WEIGHTS[s] for s in (0, 1)]
-    out[n - 2, 1:] = y[n - 5:] @ _QUARTER_WEIGHTS[3]
-    return np.append(out, y[-1])
+    out = np.empty(4 * len(y) - 3)
+    out[::4] = y
+    out[1:].reshape(-1, 4)[:, :3] = _windows(y, _QUARTER_WEIGHTS)
+    return out
+
+
+def _horner(coeffs, z):
+    """Σ_k coeffs[k]·z^k; from the float 0.0 a scalar ``z`` runs on scalars
+    and an array broadcasts, with no array made per scalar call."""
+    out = 0.0
+    for c in reversed(coeffs):
+        out = out * z + c
+    return out
 
 
 def quartic_fit(y: np.ndarray) -> np.ndarray:

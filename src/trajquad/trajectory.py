@@ -24,15 +24,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import DegenerateMinimum, InvalidPotential
 from .exactalg import VAR_X, parse_poly
-from .numerics import adaptive_panels
+from .numerics import _horner, adaptive_panels
 
 
 # v, v', …, v⁽⁹⁾ of a polynomial potential: the hierarchy reads v⁽ᵐ⁾ for
-# m ≤ gexpand.MAX_ORDER + 2 = 5 and the oracle reads v alone.  A stack as
+# m ≤ gexpand.MAX_ORDER + 1 = 4 and the oracle reads v alone.  A stack as
 # deep as the degree would cost O(degree²) to build, and past degree ≈ 170
 # its derivative coefficients overflow
 _POLY_LEVELS = 10
@@ -72,8 +71,8 @@ class Potential1D:
         stack = []
         cur = coeffs
         for _ in range(_POLY_LEVELS):
-            stack.append((lambda c: lambda x: npoly.polyval(x, c))(cur))
-            cur = npoly.polyder(cur) if len(cur) > 1 else np.zeros(1)
+            stack.append((lambda c: lambda x: _horner(c, x))(cur))
+            cur = cur[1:] * np.arange(1, len(cur)) if len(cur) > 1 else np.zeros(1)
         return cls(derivatives=tuple(stack), origin=origin)
 
 

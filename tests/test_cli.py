@@ -552,6 +552,20 @@ class TestMain:
         assert [[float(v) for v in row.split(",")] for row in table] \
             == [list(row) for row in zip(*columns)]
 
+    @pytest.mark.parametrize("order", range(4))
+    def test_gexpand_table_rows_match_header(self, order, capsys):
+        # the header declares exactly the columns every row holds: at
+        # order 0 that is "x" alone, not "x," with an empty second column
+        assert main(["--command", "gexpand", "--potential", "0.5*x^2",
+                     "--n", "101", "--order", str(order)]) == 0
+        csv = capsys.readouterr().out.splitlines()
+        start = next(i for i, line in enumerate(csv)
+                     if line.startswith("assembled,")) + 1
+        header, *rows = [line.split(",") for line in csv[start:]]
+        assert header == ["x"] + [f"S_{k}" for k in range(1, order + 1)]
+        assert len(rows) == 101
+        assert all(len(row) == len(header) for row in rows)
+
 
 _GEXPAND = ["--command", "gexpand", "--potential", "0.5*x^2 + 0.1*x^4",
             "--n", "401", "--order", "2"]
@@ -571,8 +585,10 @@ same = trajquad.gexpand is trajquad.cli.gexpand_mod
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     codes.append(trajquad.cli.main({_GEXPAND!r}))
+polynomial = "numpy.polynomial" in sys.modules
 print(json.dumps({{"codes": codes, "numpy": numpy, "names": names,
-                  "same": same, "gexpand": out.getvalue()}}))
+                  "same": same, "gexpand": out.getvalue(),
+                  "polynomial": polynomial}}))
 """
 
 
@@ -595,6 +611,8 @@ def test_exact_commands_load_no_numpy(flags, capsys):
     assert probe["same"] is True
     assert main(_GEXPAND) == 0
     assert probe["gexpand"] == capsys.readouterr().out
+    # the grid half evaluates its polynomials with numerics._horner alone
+    assert probe["polynomial"] is False
 
 
 _IMPORT_PROBE = """

@@ -78,7 +78,7 @@ def grad_dot(a, b):
     return out
 
 
-def defining_residuals(sol):
+def defining_residuals(sol, u):
     """Exact residual of every retained grade of the full wave equation.
 
     Substituting the graded expansions into -½(∇S)² + ½∇²S - g²/r + εU = E
@@ -86,8 +86,9 @@ def defining_residuals(sol):
 
         -½ Σ_{m+k=n} ∇S_m·∇S_k + ½∇²S_{n-1} - δ_{n,1}/r + δ_{n,2} εU - E_n
 
-    which must vanish identically.  Grades beyond the truncation involve
-    dropped S_n and are not asserted.
+    which must vanish identically, U being the perturbation ``sol`` was
+    solved for.  Grades beyond the truncation involve dropped S_n and are
+    not asserted.
     """
     eps = Poly.var(VAR_EPS, RUE)
     residuals = []
@@ -100,7 +101,7 @@ def defining_residuals(sol):
         if n == 1:
             total = total - Poly.monomial(1, {VAR_R: -1}, RUE)
         if n == 2:
-            total = total + eps * sol.u_perturbation
+            total = total + eps * u
         residuals.append(total - sol.e_terms[n])
     return residuals
 
@@ -114,7 +115,7 @@ class ShiftCheck:
     second_order: float
 
 
-def integral_shift_check(sol, g, eps):
+def integral_shift_check(sol, u, g, eps):
     """Cross-check the isotropic series against the integral shift formula.
 
     With ψ ≈ e^{-g²r}(1 - εA(r)), A the complete ε-linear part of S, the
@@ -125,7 +126,7 @@ def integral_shift_check(sol, g, eps):
     whose ε and ε² Taylor coefficients must reproduce the recursion's
     energies (first-order wave function → second-order energy).
     """
-    if sol.u_perturbation.depends_on(VAR_U):
+    if u.differentiate(VAR_U):
         raise ValueError("integral check is for isotropic perturbations")
     if sol.order < 3:
         raise ValueError("need the full ε-linear wave function (order >= 3)")
@@ -140,7 +141,7 @@ def integral_shift_check(sol, g, eps):
         return total
 
     def u_of(r):
-        return sol.u_perturbation.evaluate({VAR_R: r, VAR_U: 0.0, VAR_EPS: 1.0})
+        return u.evaluate({VAR_R: r, VAR_U: 0.0, VAR_EPS: 1.0})
 
     r_cut = 40.0 / g ** 2
     weight = lambda r: np.exp(-2.0 * g ** 2 * r) * r ** 2
@@ -288,7 +289,7 @@ class TestIsotropic:
         for k in (1, 2, 3, 4):
             assert not sol.e_terms[k]
         assert sol.e_terms[5] == P("15/2 * eps")
-        resid = defining_residuals(sol)
+        resid = defining_residuals(sol, P("r^3"))
         assert all(not r for r in resid)
 
     def test_rejects_angular_content(self):
@@ -349,7 +350,7 @@ class TestStark:
             "g^4 * -1/2 + g^-8 * -9/4 * ε^2 + g^-20 * -3555/64 * ε^4"
 
     def test_defining_residuals_vanish(self, stark):
-        assert all(not r for r in defining_residuals(stark))
+        assert all(not r for r in defining_residuals(stark, P("r * u")))
 
     def test_sixth_order_literature_coefficient(self):
         # the classic hydrogen ground-state field series continues
@@ -581,30 +582,31 @@ class TestAssembly:
 
 class TestIntegralShift:
     def test_first_order_coefficient(self, quadratic):
-        chk = integral_shift_check(quadratic, g=1.0, eps=1e-3)
+        chk = integral_shift_check(quadratic, P("r^2"), g=1.0, eps=1e-3)
         assert chk.first_order == pytest.approx(3.0, abs=1e-8)
 
     def test_second_order_coefficient(self, quadratic):
         for g in (1.0, 1.3):
-            chk = integral_shift_check(quadratic, g=g, eps=1e-3)
+            chk = integral_shift_check(quadratic, P("r^2"), g=g, eps=1e-3)
             assert chk.second_order == pytest.approx(-129 / 4 / g ** 12, rel=1e-6)
 
     def test_energy_at_zero_coupling(self, quadratic):
-        chk = integral_shift_check(quadratic, g=1.0, eps=0.0)
+        chk = integral_shift_check(quadratic, P("r^2"), g=1.0, eps=0.0)
         assert chk.energy == pytest.approx(-0.5, abs=1e-12)
 
     def test_rejects_anisotropic(self, stark):
         with pytest.raises(ValueError):
-            integral_shift_check(stark, g=1.0, eps=1e-3)
+            integral_shift_check(stark, P("r * u"), g=1.0, eps=1e-3)
 
     @pytest.mark.parametrize("powers", [{3: 1}, {2: 1, 4: 1}])
     def test_growing_integrals_at_small_g(self, powers):
         # at g = 0.8 the integrals grow like r_cut^(deg U + 2), r_cut = 62.5;
         # an absolute tolerance took seconds (r³) or did not return (r² + r⁴)
         g = 0.8
-        sol = solve_isotropic(lower(P(" + ".join(f"r^{k}" for k in powers))), 12)
+        u = P(" + ".join(f"r^{k}" for k in powers))
+        sol = solve_isotropic(lower(u), 12)
         start = time.perf_counter()
-        chk = integral_shift_check(sol, g=g, eps=1e-3)
+        chk = integral_shift_check(sol, u, g=g, eps=1e-3)
         assert time.perf_counter() - start < 1.0
         assert all(type(v) is float
                    for v in (chk.energy, chk.first_order, chk.second_order))
@@ -649,12 +651,12 @@ class TestRandomizedResiduals:
             if not u_poly:
                 continue
             sol = solve_perturbed(lower(u_poly), 6)
-            assert all(not r for r in defining_residuals(sol))
+            assert all(not r for r in defining_residuals(sol, u_poly))
 
     def test_mixed_anisotropic(self):
         u_poly = P("r + 1/2 * r * u")
         sol = solve_perturbed(lower(u_poly), 6)
-        assert all(not r for r in defining_residuals(sol))
+        assert all(not r for r in defining_residuals(sol, u_poly))
 
     # the residuals come from grad_dot, which the recursion's own cached
     # ∇S products do not use
@@ -662,16 +664,18 @@ class TestRandomizedResiduals:
               database=None)
     @given(ANISOTROPIC)
     def test_random_anisotropic_fuzzed(self, terms):
-        sol = solve_perturbed(lower(Poly(terms, RUE)), 6)
-        assert all(not r for r in defining_residuals(sol))
+        u_poly = Poly(terms, RUE)
+        sol = solve_perturbed(lower(u_poly), 6)
+        assert all(not r for r in defining_residuals(sol, u_poly))
 
     @pytest.mark.parametrize("a", range(1, 6))
     def test_axial_polynomial_domain(self, a):
         # a polynomial in z and ρ² gives r^a·u^b with b ≤ a, b ≡ a (mod 2):
         # each runs to order 8, and the first b past the domain breaks down
         for b in range(a % 2, a + 1, 2):
-            sol = solve_perturbed(lower(P(f"r^{a} * u^{b}")), 8)
-            assert all(not r for r in defining_residuals(sol))
+            u_poly = P(f"r^{a} * u^{b}")
+            sol = solve_perturbed(lower(u_poly), 8)
+            assert all(not r for r in defining_residuals(sol, u_poly))
         with pytest.raises(LogSingularity):
             solve_perturbed(lower(P(f"r^{a} * u^{a + 2}")), 8)
 

@@ -148,6 +148,28 @@ def test_one_sampled_dbar_path():
     assert not found, f"callable tests in greens.py: {found}"
 
 
+def test_one_window_kernel_and_one_horner():
+    # every 5-point rule runs through numerics._windows, and every grid-half
+    # polynomial through numerics._horner: a second window layout or a
+    # numpy.polynomial evaluator would be a second copy of either
+    tree = ast.parse((SRC / "numerics.py").read_text())
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "sliding_window_view"]
+    assert len(calls) == 1, f"sliding_window_view calls in numerics.py: {calls}"
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            modules = _imported_modules(node)
+            if isinstance(node, ast.ImportFrom) and not node.level:
+                # "from numpy import polynomial" names it among the aliases
+                modules += [f"{node.module}.{a.name}" for a in node.names]
+            found += [f"{path.name}:{node.lineno}: imports {module}"
+                      for module in modules
+                      if module.startswith("numpy.polynomial")]
+    assert not found, f"numpy.polynomial in src/trajquad: {found}"
+
+
 def test_every_public_function_is_used():
     # a public module-level function or class that no other src/ code uses
     # is a test-only reference; it belongs in its test.  The public methods,

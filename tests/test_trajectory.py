@@ -23,7 +23,7 @@ class TestPotential:
 
     @pytest.mark.parametrize("degree", [4, 9, 10, 171])
     def test_poly_stack_depth_is_fixed(self, degree):
-        # v..v⁽⁹⁾ at any degree: the hierarchy reads v⁽⁵⁾ at most.  A stack
+        # v..v⁽⁹⁾ at any degree: the hierarchy reads v⁽⁴⁾ at most.  A stack
         # as deep as the degree overflowed its derivative coefficients at
         # degree 171, a RuntimeWarning (an error under the test settings)
         pot = Potential1D.from_poly(f"0.5*x^2 + x^{degree}")
@@ -41,9 +41,9 @@ class TestPotential:
         assert np.isfinite(sol.e_terms).all()
 
     def test_poly_stack_covers_the_hierarchy(self):
-        # the hierarchy reads v..v⁽ᵏ⁺²⁾ at order k and has no other source
-        # of derivatives, so the stack must reach MAX_ORDER + 2 even for a
-        # polynomial of lower degree
+        # the hierarchy reads v′..v⁽ᵏ⁺¹⁾ at order k and has no other source
+        # of derivatives, so the stack must reach past MAX_ORDER + 1 even
+        # for a polynomial of lower degree
         pot = Potential1D.from_poly("0.5*x^2")
         assert len(pot.derivatives) >= MAX_ORDER + 3
 
