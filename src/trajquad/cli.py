@@ -65,8 +65,9 @@ FORMATS = ("csv", "json")
 def _finite(value) -> float:
     """float() that also rejects bools, nan and ±inf.
 
-    Checks config values and the floats the exact commands evaluate; a
-    runner's nan or ±inf exits 1 as a value out of floating-point range.
+    Checks config values, the floats the exact commands evaluate and
+    gexpand's energies; a runner's nan or ±inf exits 1 as a value out of
+    floating-point range.
     """
     if isinstance(value, bool):
         raise TypeError("a bool is not a number")
@@ -172,15 +173,15 @@ def _run_gexpand(p: dict):
     grid = trajectory_mod.build_grid(pot, p["x-max"], p["n"],
                                      direction=p["direction"])
     sol = gexpand_mod.hierarchy(grid, p["order"])
-    energy = gexpand_mod.assemble_energy(sol, p["g"])
+    energy = _finite(gexpand_mod.assemble_energy(sol, p["g"]))
     payload = {
-        "e_terms": list(sol.e_terms),
+        "e_terms": [_finite(e) for e in sol.e_terms],
         "assembled_energy": energy,
         "nodes": grid.nodes.tolist(),
         "s_terms": [s.tolist() for s in sol.s_terms],
     }
     lines = ["k,E_k"]
-    lines += [f"{k},{e!r}" for k, e in enumerate(sol.e_terms)]
+    lines += [f"{k},{e!r}" for k, e in enumerate(payload["e_terms"])]
     lines.append(f"assembled,{energy!r}")
     lines.append(",".join(["x", *(f"S_{k}" for k in range(1, sol.order + 1))]))
     # repr a column at a time: one map per column, not one per row

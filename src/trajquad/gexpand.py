@@ -108,9 +108,9 @@ class _Towers:
                 total = total - comb(m, l) * self.s[i][l] * self.s[k - i][m - l]
         return 0.5 * total
 
-    def add_slope(self, k: int, e_prev: float, height: int) -> None:
-        """Build the tower of S_k' from S_k'·S₀' = B_k - E_{k-1}."""
-        tower = [self._ratio(self.bracket(k, 0) - e_prev)]
+    def add_slope(self, k: int, source: np.ndarray, height: int) -> None:
+        """Build the tower of S_k' from S_k'·S₀' = source = B_k - E_{k-1}."""
+        tower = [self._ratio(source)]
         for m in range(1, height + 1):
             rhs = self.bracket(k, m)
             for j in range(m):
@@ -118,9 +118,9 @@ class _Towers:
             tower.append(self._ratio(rhs))
         self.s[k] = tower
 
-    def energy(self, k: int) -> float:
-        """E_{k-1} as the origin limit of B_k, cross-checked on two ladders."""
-        values = self.bracket(k, 0)
+    def energy(self, k: int, values: np.ndarray) -> float:
+        """E_{k-1} as the origin limit of ``values`` = B_k, cross-checked on
+        two ladders."""
         a = self.arc
         h = a[1] - a[0]
         a_hi = min(0.5 * self.length_scale, a[-1] / 3.0)
@@ -156,11 +156,13 @@ def hierarchy(grid: TrajectoryGrid, order: int) -> SeriesSolution:
 
     towers = _Towers(grid, order)
     arc = grid.arc
+    bracket = towers.bracket(1, 0)
     for k in range(1, order + 1):
-        e_prev = sol.e_terms[k - 1]
-        towers.add_slope(k, e_prev, height=order + 1 - k)
+        # B_{k+1}(·, 0) is built once, for E_k and for S_{k+1}'
+        towers.add_slope(k, bracket - sol.e_terms[k - 1], height=order + 1 - k)
         sol.s_terms.append(cumulative_integral(towers.s[k][0], arc, start=0))
-        sol.e_terms.append(towers.energy(k + 1))
+        bracket = towers.bracket(k + 1, 0)
+        sol.e_terms.append(towers.energy(k + 1, bracket))
     return sol
 
 

@@ -251,12 +251,9 @@ def c_gradient_residual(f: WaveProfile, g: float) -> np.ndarray:
     return np.abs(res[2:-2]) / max(float(np.max(np.abs(f.values))), 1e-300)
 
 
-def gaussian_even_moment(n: int, g: float) -> float:
-    """⟨x^{2n}⟩ under e^{-gx²}: (2n-1)!!/(2g)^n, the C-chain subtraction."""
-    value = 1.0
-    for j in range(1, n + 1):
-        value *= (2 * j - 1) / (2.0 * g)
-    return value
+def gaussian_even_moment(g: float) -> float:
+    """⟨x²⟩ under e^{-gx²}: 1/(2g), the C-chain subtraction."""
+    return 1.0 / (2.0 * g)
 
 
 def identity_report(g: float, n: int, half_width: float) -> list:
@@ -266,7 +263,7 @@ def identity_report(g: float, n: int, half_width: float) -> list:
     that needs D̄f reads that one image.
     """
     prof = harmonic_profile(n, half_width)
-    moment = gaussian_even_moment(1, g)
+    moment = gaussian_even_moment(g)
     # a g at which H_l(√g·z) overflows also overflows the weight e^(2gS),
     # which apply_Dbar rejects before it reads any source value
     x = prof.nodes

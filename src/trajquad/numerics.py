@@ -1,14 +1,15 @@
 """Shared numerical kernels: stencils, cumulative quadrature, extrapolation.
 
 Every grid in the package is uniform, so the workhorses below use fixed
-5-point stencils whose weights are derived once, exactly, from Lagrange
-interpolation: first and second derivatives are 4th-order accurate and the
-cumulative integral integrates quartics exactly (5th-order composite).
-Edge nodes use shifted one-sided stencils of the same width.  One window
-kernel, ``_windows``, runs every such rule: each interior target is a row
-of one ``sliding_window_view(y, 5) @ weights`` product, and the targets at
-the ends take the first or last window's one-sided weights.  The
-derivatives, the cumulative integral and ``refine_quarters`` (the same
+5-point stencils: first and second derivatives are 4th-order accurate and
+the cumulative integral integrates quartics exactly (5th-order composite).
+Edge nodes use shifted one-sided stencils of the same width.  Every rule's
+weights are one exact Lagrange basis on the window t = 0..4 (the quartic
+fit's) times the rule's moments at its target, each rounded once.  One
+window kernel, ``_windows``, runs every such rule: each interior target is
+a row of one ``sliding_window_view(y, 5) @ weights`` product, and the
+targets at the ends take the first or last window's one-sided weights.
+The derivatives, the cumulative integral and ``refine_quarters`` (the same
 quartics at every quarter step, a 4×-refined grid) are one call each.
 ``_horner`` evaluates every polynomial of the grid half.
 
@@ -22,65 +23,48 @@ integrand is called on arrays, a few times per level, never per panel.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 
-@functools.cache
-def _lagrange_poly(offsets, j):
-    """Coefficients (ascending) of the j-th Lagrange basis on the offsets."""
+def _lagrange_poly(j):
+    """Ascending coefficients of the j-th Lagrange basis on t = 0..4."""
     coeffs = [Fraction(1)]
-    denom = Fraction(1)
-    for m, t in enumerate(offsets):
-        if m == j:
-            continue
-        # multiply polynomial by (t_var - t)
-        new = [Fraction(0)] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            new[k] -= c * t
-            new[k + 1] += c
-        coeffs = new
-        denom *= offsets[j] - t
-    return [c / denom for c in coeffs]
+    for m in range(5):
+        if m != j:
+            # multiply by (t - m)/(j - m)
+            coeffs = [(a - m * b) / (j - m) for a, b in
+                      zip([0, *coeffs], [*coeffs, 0])]
+    return coeffs
 
 
-def _weights(offsets, moments):
-    """Exact weights of the linear functional L with moments L(t^k) = m_k.
-
-    w_j = Σ_k c_jk m_k with c_jk the coefficients of the j-th Lagrange basis
-    polynomial, so Σ_j w_j f(t_j) is L applied to the interpolant of f.
-    """
-    return [sum(c * m for c, m in zip(_lagrange_poly(offsets, j), moments))
-            for j in range(len(offsets))]
+# row j: the exact basis B_j(t) = Σ_k B_jk t^k with B_j(i) = δ_ij
+_BASIS = [_lagrange_poly(j) for j in range(5)]
+_QUARTIC_FIT = np.array([[float(b) for b in row] for row in _BASIS])
 
 
-def _table(moments, anchors):
-    """Float weights of L, keyed by s, on the 5-point stencil t = -s .. 4-s."""
-    return {s: np.array([float(w) for w in
-                         _weights(tuple(range(-s, 5 - s)), moments)])
-            for s in anchors}
+def _rule(moments):
+    """Weights of the functional L with moments m_k = L(t^k) on t = 0..4:
+    w_j = Σ_k B_jk·m_k = L(B_j), each exact and rounded once."""
+    return np.array([float(sum(b * m for b, m in zip(row, moments)))
+                     for row in _BASIS])
 
 
-# interval [i, i+1] integrated on the stencil anchored s points left of i:
-# L(t^k) = ∫_0^1 t^k dt = 1/(k+1)
-_CUM_WEIGHTS = _table([Fraction(1, k + 1) for k in range(5)], range(4))
-
-# r-th derivative at the node c points right of the stencil start:
-# L(t^k) = d^r t^k/dt^r at t = 0 = r!·δ_kr
-_D1_WEIGHTS = _table([0, 1, 0, 0, 0], range(5))
-_D2_WEIGHTS = _table([0, 0, 2, 0, 0], range(5))
-
-# interval [i, i+1] at t = j/4 on _CUM_WEIGHTS' stencils: L(t^k) = (j/4)^k
-_QUARTER_WEIGHTS = {s: np.column_stack([
-    _table([Fraction(j, 4) ** k for k in range(5)], [s])[s] for j in (1, 2, 3)])
+# keyed by the anchor s, the target's offset from its window's start:
+# interval [s, s+1] integrated, L(t^k) = ∫_s^{s+1} t^k dt
+_CUM_WEIGHTS = {s: _rule([Fraction((s + 1) ** (k + 1) - s ** (k + 1), k + 1)
+                          for k in range(5)]) for s in range(4)}
+# first and second derivative at node s, L(t^k) = d^r t^k/dt^r at t = s
+_D1_WEIGHTS = {s: _rule([k * s ** max(k - 1, 0) for k in range(5)])
+               for s in range(5)}
+_D2_WEIGHTS = {s: _rule([k * (k - 1) * s ** max(k - 2, 0) for k in range(5)])
+               for s in range(5)}
+# interval [s, s+1] at its quarter points, L(t^k) = (s + j/4)^k, j = 1, 2, 3
+_QUARTER_WEIGHTS = {s: np.column_stack(
+    [_rule([(s + Fraction(j, 4)) ** k for k in range(5)]) for j in (1, 2, 3)])
     for s in range(4)}
-
-# row j: ascending coefficients of the j-th Lagrange basis on t = 0..4
-_QUARTIC_FIT = np.array([[float(c) for c in _lagrange_poly(tuple(range(5)), j)]
-                         for j in range(5)])
 
 
 def grid_spacing(x: np.ndarray) -> float:

@@ -116,7 +116,7 @@ def test_criterion_5_greens_identities():
             got = greens_mod.apply_Dbar(f, g).values
             expect = (f.values - float(greens_mod.hermite_value(l, 0.0))) / (l * g)
             assert np.max(np.abs(got - expect)) < 1e-7
-        moment = greens_mod.gaussian_even_moment(1, g)
+        moment = greens_mod.gaussian_even_moment(g)
         even = prof.with_values(x ** 2 - moment)
         odd = prof.with_values(x ** 3)
         for f in (even, odd):

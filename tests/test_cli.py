@@ -263,6 +263,9 @@ class TestMain:
         ["--command=stark", "--g=2", "--order="],
         # a value is the next token verbatim, so -h here is a potential
         ["--command", "coulomb", "--potential", "-h"],
+        # an assembled gexpand energy past the float range, once inf, exit 0
+        ["--command", "gexpand", "--potential", "8*x^2", "--g", "1e308",
+         "--n", "201"],
     ])
     def test_invalid_input_exits_1(self, argv, capsys):
         assert main(argv) == 1

@@ -30,9 +30,8 @@ def rhs_terms(sol, grid):
     towers = _Towers(grid, sol.order)
     out = []
     for k in range(1, sol.order + 1):
-        e_prev = sol.e_terms[k - 1]
-        towers.add_slope(k, e_prev, height=sol.order + 1 - k)
-        out.append(towers.bracket(k, 0) - e_prev)
+        out.append(towers.bracket(k, 0) - sol.e_terms[k - 1])
+        towers.add_slope(k, out[-1], height=sol.order + 1 - k)
     return out
 
 

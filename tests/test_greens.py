@@ -108,7 +108,7 @@ def reference_report(g: float, n: int, half_width: float = 8.0) -> list:
         checks.append({"identity": f"dbar_hermite_l{l}", "grid": n,
                        "max_residual": float(np.max(np.abs(got - expect))),
                        "tolerance": 1e-7})
-    moment = gaussian_even_moment(1, g)
+    moment = gaussian_even_moment(g)
     even = prof.with_values(x ** 2 - moment)
     odd = prof.with_values(x ** 3)
     h3 = prof.with_values(hermite_value(3, sqrt_g * x))
@@ -153,8 +153,12 @@ class TestHermite:
             assert np.allclose(lhs, rhs, rtol=0, atol=1e-9)
 
     def test_gaussian_moment(self):
-        assert gaussian_even_moment(1, 2.0) == pytest.approx(0.25)
-        assert gaussian_even_moment(2, 1.0) == pytest.approx(0.75)
+        assert gaussian_even_moment(2.0) == 0.25
+        # the plain node sum is spectrally accurate for a decayed Gaussian
+        x = np.linspace(-12.0, 12.0, 4001)
+        w = np.exp(-0.5 * x * x)
+        assert np.sum(x * x * w) / np.sum(w) == \
+            pytest.approx(gaussian_even_moment(0.5), rel=1e-12)
 
 
 class TestApplyC:
@@ -193,7 +197,7 @@ class TestApplyDbar:
 
     def test_subtracted_even_power(self, profile):
         # direct evaluation of the Hermite-sum identity at n = 1
-        f = profile.with_values(profile.nodes ** 2 - gaussian_even_moment(1, G))
+        f = profile.with_values(profile.nodes ** 2 - gaussian_even_moment(G))
         got = apply_Dbar(f, G).values
         assert np.max(np.abs(got - profile.nodes ** 2 / (2 * G))) < 1e-7
 
@@ -210,7 +214,7 @@ class TestApplyDbar:
         pytest.param(lambda z: z ** 3,
                      lambda b: 0.5 * math.exp(-b * b) * (b * b + 1), -1,
                      id="x^3"),
-        pytest.param(lambda z: z ** 2 - gaussian_even_moment(1, G),
+        pytest.param(lambda z: z ** 2 - gaussian_even_moment(G),
                      lambda b: 0.5 * b * math.exp(-b * b), 1, id="x^2-<x^2>"),
         # zero at the edges ±8: the whole tail is a bump of width ≈ 1/16
         pytest.param(lambda z: z ** 2 - 64.0,
@@ -285,7 +289,7 @@ class TestApplyDbar:
             apply_Dbar(profile.with_values(np.exp(profile.nodes ** 2)), G)
 
     def test_resolvent_identity(self, profile):
-        moment = gaussian_even_moment(1, G)
+        moment = gaussian_even_moment(G)
         x = profile.nodes
         cases = [profile.with_values(x ** 2 - moment),
                  profile.with_values(x ** 3),

@@ -19,6 +19,7 @@ import pytest
 from trajquad import numerics
 from trajquad.greens import hermite_value
 from trajquad.numerics import (_CUM_WEIGHTS, _D1_WEIGHTS, _D2_WEIGHTS,
+                               _QUARTER_WEIGHTS, _QUARTIC_FIT,
                                adaptive_panels, cumulative_integral,
                                derivative, neville_at, quartic_fit,
                                refine_quarters)
@@ -164,6 +165,55 @@ def test_stencil_tables_pinned():
     assert np.array_equal(_CUM_WEIGHTS[2],
                           floats("11/720", "-37/360", "19/30", "173/360",
                                  "-19/720"))
+
+
+def _solve(matrix, rhs):
+    """Gauss-Jordan solution of matrix · w = rhs in Fractions."""
+    rows = [[Fraction(a) for a in row] + [Fraction(b)]
+            for row, b in zip(matrix, rhs)]
+    for col in range(len(rows)):
+        pivot = next(r for r in range(col, len(rows)) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [a / rows[col][col] for a in rows[col]]
+        for r in range(len(rows)):
+            if r != col:
+                rows[r] = [a - rows[r][col] * b
+                           for a, b in zip(rows[r], rows[col])]
+    return [row[-1] for row in rows]
+
+
+def _stencil(s, moments):
+    """Float weights w_j of Σ_j w_j t_j^k = moments[k] on t_j = j - s."""
+    offsets = range(-s, 5 - s)
+    return np.array([float(w) for w in _solve(
+        [[t ** k for t in offsets] for k in range(5)], moments)])
+
+
+def test_stencil_tables_solve_their_moment_systems():
+    # every anchor of every table, each weight solved on its own window
+    # t = -s..4-s and rounded once, equals the table's float bit for bit
+    cases = [(_CUM_WEIGHTS, 4, [Fraction(1, k + 1) for k in range(5)]),
+             (_D1_WEIGHTS, 5, [0, 1, 0, 0, 0]),
+             (_D2_WEIGHTS, 5, [0, 0, 2, 0, 0])]
+    for table, anchors, moments in cases:
+        assert sorted(table) == list(range(anchors))
+        for s in range(anchors):
+            assert np.array_equal(table[s], _stencil(s, moments))
+    assert sorted(_QUARTER_WEIGHTS) == list(range(4))
+    for s in range(4):
+        want = np.column_stack([_stencil(s, [Fraction(j, 4) ** k
+                                             for k in range(5)])
+                                for j in (1, 2, 3)])
+        assert np.array_equal(_QUARTER_WEIGHTS[s], want)
+
+
+def test_quartic_fit_table_solves_its_vandermonde_system():
+    # row j holds the coefficients of the quartic that is 1 at t = j and 0
+    # at the other nodes t = 0..4
+    for j in range(5):
+        want = _solve([[t ** k for k in range(5)] for t in range(5)],
+                      [int(t == j) for t in range(5)])
+        assert np.array_equal(_QUARTIC_FIT[j], [float(c) for c in want])
 
 
 @pytest.mark.parametrize("n", (5, 6, 7, 101))
