@@ -38,7 +38,8 @@ class DegenerateMinimum(InvalidPotential):
 
 
 class HierarchyBreakdown(MethodError):
-    """Origin limit of a hierarchy integrand failed to converge."""
+    """The g⁻¹ hierarchy cannot run: a kink on the grid, S₀' = 0 away from
+    the origin, or slopes that overflow floating point."""
 
 
 class DivergentAtOrigin(MethodError):

@@ -11,29 +11,34 @@ and each E_{k-1} is the origin value of B_k, exactly the choice that
 cancels the 0/0 of the integrand there, keeping every S_k analytic at the
 minimum.
 
-Derivatives of the slopes are never taken by finite differences: the
-potential supplies its own, and every S_k' obeys S_k'·S₀' = (known right
-side), so its higher arc-derivatives follow from the Leibniz rule as a
-tower of exact pointwise expressions, each closed by one division by S₀'
-whose origin value is filled by polynomial extrapolation from nearby
-nodes.  Those near-origin divisions by S₀' are what cap the numeric
-hierarchy at k ≤ 3: past it the two origin ladders of E₄ disagree by
-6–11 % for ½x² + 0.1x⁴, and a finer grid does not close the gap.  Exact
-origin jets of a polynomial v would go past the cap.
+The potential is a polynomial, so with P(a) = 2v(origin + direction·a)
+and S₀' = u = √P each function of the hierarchy has two exact forms:
+
+- its Taylor jet at the origin.  P has a double zero there, so S₀' = a·r(a)
+  with r = √(P/a²), and dividing by S₀' is a shift and one product with the
+  jet of 1/r.  E_{k-1} is the constant term of B_k's jet;
+- (A + C·u)/P^m with polynomials A and C, a form that d/da, products and
+  division by u keep, because u' = P'u/(2P).
+
+S_k' is read from the jet up to half the radius of the nearest complex
+zero of P/a², and from the closed form beyond, where A and C·u no longer
+cancel; past a = 1 the closed form runs in t = 1/a, so that P^m cannot
+overflow.  S_k is the cumulative integral of S_k'.  The kernel is float:
+ν = √v''(origin) is irrational in general, and the origin is a float.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
 from .errors import HierarchyBreakdown
-from .numerics import cumulative_integral, neville_at
+from .numerics import _horner, cumulative_integral
 from .trajectory import TrajectoryGrid
 
 MAX_ORDER = 3
+_JET = 60      # Taylor terms of each origin jet
 
 
 @dataclass
@@ -50,93 +55,86 @@ def e0(grid: TrajectoryGrid) -> float:
     return 0.5 * grid.nu
 
 
-class _Towers:
-    """Arc-derivative towers of the slopes S_k' on the grid.
+def _sum(p, q):
+    """Sum of two ascending coefficient arrays of any lengths."""
+    out = np.zeros(max(len(p), len(q)))
+    out[:len(p)] += p
+    out[:len(q)] += q
+    return out
 
-    Each division by S₀' multiplies near-origin rounding noise by ~1/a,
-    so after every division the nodes inside the patch radius are refilled
-    by Neville interpolation from the adjacent clean band; the functions
-    are analytic there, which is the same fact that defines the E_k.
-    Energies are extracted on a geometric ladder spanning roughly a tenth
-    to a half of the oscillator length 1/√ν, far enough out that the
-    1/a²-shaped footprint of the previous energy's error has died off.
-    """
 
-    def __init__(self, grid: TrajectoryGrid, order: int):
-        self.arc = grid.arc
-        self.n = len(self.arc)
-        h = self.arc[1] - self.arc[0]
-        self.length_scale = 1.0 / np.sqrt(grid.nu)
-        self.patch = int(min(max(12, round(0.02 * self.length_scale / h)),
-                             self.n // 8))
-        # the patch interpolant needs six distinct band nodes; on tiny grids
-        # the rounded band repeats one, and Neville would divide by zero
-        self.band = np.linspace(self.patch, 3 * self.patch, 6).astype(int)
-        if len(set(self.band.tolist())) < 6:
-            raise HierarchyBreakdown(
-                f"grid too coarse for the origin patch ({self.n} nodes)")
-        self.s = {0: [grid.speed]}
-        self._s0_tower(grid, order + 1)
+def _d(p):
+    """d/da of ascending coefficients, one shorter (a constant gives 0)."""
+    return p[1:] * np.arange(1, len(p)) if len(p) > 1 else np.zeros(1)
 
-    def _patched(self, out: np.ndarray) -> np.ndarray:
-        out[:self.patch] = neville_at(self.arc[self.band], out[self.band],
-                                      self.arc[:self.patch])
-        return out
 
-    def _ratio(self, numer: np.ndarray) -> np.ndarray:
-        out = np.empty(self.n)
-        out[1:] = numer[1:] / self.s[0][0][1:]
-        out[0] = 0.0
-        return self._patched(out)
+class _Forms:
+    """Functions f of the hierarchy as (jet, A, C, m): f's Taylor jet at the
+    origin in b = a/scale, and f = (A + C·u)/P^m."""
 
-    def _s0_tower(self, grid: TrajectoryGrid, height: int) -> None:
-        tower = self.s[0]
-        for m in range(1, height + 1):
-            # Leibniz on S₀'·S₀' = 2V:  Σ C(m,j) t[j] t[m-j] = 2 V^(m),
-            # with V^(m)(a) = direction^m v^(m)(x)
-            fn = grid.potential.derivatives[m]
-            rhs = 2.0 * (grid.direction ** m * fn(grid.nodes))
-            for j in range(1, m):
-                rhs = rhs - comb(m, j) * tower[j] * tower[m - j]
-            tower.append(self._ratio(0.5 * rhs))
+    def __init__(self, grid: TrajectoryGrid):
+        pot = grid.potential
+        P = np.zeros(1)
+        for c in reversed(pot.coeffs):
+            P = np.convolve(P, [pot.origin, grid.direction])
+            P[0] += 2.0 * c
+        # build_grid refused an origin where v or v' is not 0
+        self.P = P = np.append([0.0, 0.0], P[2:])
+        radii = np.abs(np.roots(P[:1:-1]))
+        self.switch = 0.5 * radii.min() if radii.size else np.inf
+        # a jet's n-th term grows like radius^-n in a, and not in b = a/scale
+        self.scale = s = min(self.switch, 1.0)
+        q = np.append(P[2:], np.zeros(_JET))[:_JET] * s ** np.arange(_JET)
+        r, inv = np.zeros(_JET), np.zeros(_JET)
+        r[0], inv[0] = np.sqrt(q[0]), 1.0 / np.sqrt(q[0])
+        for n in range(1, _JET):
+            r[n] = 0.5 * inv[0] * (q[n] - r[1:n] @ r[n - 1:0:-1])
+            inv[n] = -inv[0] * (r[1:n + 1] @ inv[n - 1::-1])
+        self.inv_r = inv
+        self.s0 = (s * np.append(0.0, r[:-1]), np.zeros(1), np.ones(1), 0)
 
-    def bracket(self, k: int, m: int) -> np.ndarray:
-        """m-th arc-derivative of B_k = ½[S_{k-1}''-Σ_{i+j=k} S_i'S_j']."""
-        total = self.s[k - 1][m + 1].copy()
-        for i in range(1, k):
-            for l in range(m + 1):
-                total = total - comb(m, l) * self.s[i][l] * self.s[k - i][m - l]
-        return 0.5 * total
+    def bracket(self, slopes):
+        """B_k = ½[S_{k-1}'' - Σ_{i+j=k} S_i'·S_j'] from S₀'..S_{k-1}'."""
+        jet, A, C, m = slopes[-1]
+        P, dP = self.P, _d(self.P)
+        # ((A + C·u)/P^m)' = (P·A' - m·P'·A + (P·C' + (½ - m)·P'·C)·u)/P^(m+1)
+        jet = np.append(_d(jet), 0.0) / self.scale
+        A = _sum(np.convolve(P, _d(A)), -m * np.convolve(dP, A))
+        C = _sum(np.convolve(P, _d(C)), (0.5 - m) * np.convolve(dP, C))
+        m += 1
+        if len(slopes) > 1:   # S_i' is over P^(3i-1), S_i'·S_{k-i}' over P^(3k-2)
+            A, C, m = np.convolve(A, P), np.convolve(C, P), m + 1
+        for (fj, fa, fc, _), (gj, ga, gc, _) in zip(slopes[1:], slopes[:0:-1]):
+            jet = jet - np.convolve(fj, gj)[:_JET]
+            A = _sum(A, -_sum(np.convolve(fa, ga),
+                              np.convolve(P, np.convolve(fc, gc))))
+            C = _sum(C, -_sum(np.convolve(fa, gc), np.convolve(fc, ga)))
+        return 0.5 * jet, 0.5 * A, 0.5 * C, m
 
-    def add_slope(self, k: int, source: np.ndarray, height: int) -> None:
-        """Build the tower of S_k' from S_k'·S₀' = source = B_k - E_{k-1}."""
-        tower = [self._ratio(source)]
-        for m in range(1, height + 1):
-            rhs = self.bracket(k, m)
-            for j in range(m):
-                rhs = rhs - comb(m, j) * tower[j] * self.s[0][m - j]
-            tower.append(self._ratio(rhs))
-        self.s[k] = tower
+    def slope(self, bracket):
+        """S_k' = (B_k - E_{k-1})/S₀', E_{k-1} being the constant term of B_k's
+        jet: (A - E·P^m + C·u)/(u·P^m) = (C·P + (A - E·P^m)·u)/P^(m+1)."""
+        jet, A, C, m = bracket
+        power = np.ones(1)
+        for _ in range(m):
+            power = np.convolve(power, self.P)
+        return (np.convolve(jet[1:], self.inv_r)[:_JET] / self.scale,
+                np.convolve(C, self.P), _sum(A, -jet[0] * power), m + 1)
 
-    def energy(self, k: int, values: np.ndarray) -> float:
-        """E_{k-1} as the origin limit of ``values`` = B_k, cross-checked on
-        two ladders."""
-        a = self.arc
-        h = a[1] - a[0]
-        a_hi = min(0.5 * self.length_scale, a[-1] / 3.0)
-        a_lo = max(a_hi / 8.0, 10.0 * h)
-        targets = np.exp(np.linspace(np.log(a_hi), np.log(a_lo), 10))
-        idx = sorted({max(6, int(np.searchsorted(a, t))) for t in targets})
-        if len(idx) < 4:
-            raise HierarchyBreakdown("grid too coarse for the origin ladder")
-        first = neville_at(a[idx], values[idx], 0.0)
-        second = neville_at(a[idx[1:]], values[idx[1:]], 0.0)
-        scale = max(1.0, float(np.max(np.abs(values[idx]))))
-        if abs(first - second) > 1e-4 * scale + 1e-9:
-            raise HierarchyBreakdown(
-                f"origin limit of order-{k} source did not converge: "
-                f"{first!r} vs {second!r}")
-        return first
+    def sample(self, f, a):
+        """f at sorted arcs a: the jet, then the closed form in a, then in
+        t = 1/a, where p(a) = a^(len(p)-1)·(p reversed)(t)."""
+        jet, A, C, m = f
+        d = len(self.P) - 1
+        i = np.searchsorted(a, self.switch, "right")
+        j = max(i, np.searchsorted(a, 1.0, "right"))
+        out = [_horner(jet, a[:i] / self.scale)]
+        for z, step, w in ((a[i:j], 1, 1.0), (1.0 / a[j:], -1, a[j:])):
+            pz = _horner(self.P[::step], z)
+            out.append((_horner(A[::step], z) * w ** (len(A) - 1 - d * m)
+                        + _horner(C[::step], z) * np.sqrt(pz)
+                        * w ** (len(C) - 1 + d / 2 - d * m)) / pz ** m)
+        return np.concatenate(out)
 
 
 def hierarchy(grid: TrajectoryGrid, order: int) -> SeriesSolution:
@@ -153,16 +151,18 @@ def hierarchy(grid: TrajectoryGrid, order: int) -> SeriesSolution:
     sol = SeriesSolution(order=order, e_terms=[e0(grid)], s_terms=[])
     if order == 0:
         return sol
-
-    towers = _Towers(grid, order)
-    arc = grid.arc
-    bracket = towers.bracket(1, 0)
-    for k in range(1, order + 1):
-        # B_{k+1}(·, 0) is built once, for E_k and for S_{k+1}'
-        towers.add_slope(k, bracket - sol.e_terms[k - 1], height=order + 1 - k)
-        sol.s_terms.append(cumulative_integral(towers.s[k][0], arc, start=0))
-        bracket = towers.bracket(k + 1, 0)
-        sol.e_terms.append(towers.energy(k + 1, bracket))
+    with np.errstate(all="ignore"):
+        forms = _Forms(grid)
+        slopes = [forms.s0]
+        bracket = forms.bracket(slopes)
+        for k in range(1, order + 1):
+            slopes.append(forms.slope(bracket))
+            sol.s_terms.append(cumulative_integral(
+                forms.sample(slopes[k], grid.arc), grid.arc, start=0))
+            bracket = forms.bracket(slopes)     # for E_k and S_{k+1}'
+            sol.e_terms.append(float(bracket[0][0]))
+    if not (np.isfinite(sol.e_terms).all() and np.isfinite(sol.s_terms).all()):
+        raise HierarchyBreakdown("the hierarchy overflows floating point")
     return sol
 
 

@@ -30,22 +30,17 @@ from .exactalg import VAR_X, parse_poly
 from .numerics import _horner, adaptive_panels
 
 
-# v, v', …, v⁽⁹⁾ of a polynomial potential: the hierarchy reads v⁽ᵐ⁾ for
-# m ≤ gexpand.MAX_ORDER + 1 = 4 and the oracle reads v alone.  A stack as
-# deep as the degree would cost O(degree²) to build, and past degree ≈ 170
-# its derivative coefficients overflow
-_POLY_LEVELS = 10
-
-
 @dataclass(frozen=True)
 class Potential1D:
-    """Scaled polynomial potential v with derivatives and a chosen minimum.
+    """Polynomial potential v with a chosen minimum.
 
-    ``derivatives[m]`` evaluates v^(m) on whole node arrays; ``from_poly``
-    builds ``_POLY_LEVELS`` levels, more than the hierarchy reads.
+    ``coeffs`` holds v's ascending float coefficients in x, which the
+    hierarchy shifts to the origin; ``derivatives`` evaluates v, v' and v''
+    on whole node arrays.
     """
 
     derivatives: tuple
+    coeffs: tuple
     origin: float = 0.0
 
     @property
@@ -70,10 +65,11 @@ class Potential1D:
             coeffs[k] = coeff / poly.den
         stack = []
         cur = coeffs
-        for _ in range(_POLY_LEVELS):
+        for _ in range(3):
             stack.append((lambda c: lambda x: _horner(c, x))(cur))
             cur = cur[1:] * np.arange(1, len(cur)) if len(cur) > 1 else np.zeros(1)
-        return cls(derivatives=tuple(stack), origin=origin)
+        return cls(derivatives=tuple(stack), coeffs=tuple(coeffs.tolist()),
+                   origin=origin)
 
 
 @dataclass
@@ -140,8 +136,11 @@ def build_grid(potential: Potential1D, x_max: float, n: int,
     origin = potential.origin
     with np.errstate(over="ignore", invalid="ignore"):
         v_origin, curvature = potential.v(origin), potential.d2v(origin)
+        slope = potential.dv(origin)
     if abs(v_origin) > 1e-10:
         raise InvalidPotential("v(origin) must vanish")
+    if abs(slope) > 1e-10:
+        raise InvalidPotential("v'(origin) must vanish")
     if curvature <= 0.0:
         raise DegenerateMinimum("v''(origin) must be positive")
 

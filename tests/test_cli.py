@@ -450,13 +450,53 @@ class TestMain:
         assert done.returncode in (0, 2), done.stderr
 
     def test_coarse_gexpand_breaks_down_without_warning(self, capsys):
-        # at 17 nodes the origin patch band would repeat a node (0/0 in
-        # Neville); it must fail cleanly, not warn on the way
+        # at 17 nodes the origin patch of the float towers repeated a node
+        # (0/0 in Neville) and exited 2; the E_k come from the origin jets,
+        # so no grid is too coarse for them
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["--command", "gexpand", "--potential",
-                         "0.5*x^2 + 0.1*x^4", "--n", "17"]) == 2
-        assert capsys.readouterr().err.startswith("method breakdown: ")
+                         "0.5*x^2 + 0.1*x^4", "--n", "17",
+                         "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        exact = [1 / 2, 3 / 4 * 0.1, -21 / 8 * 0.01, 333 / 16 * 0.001]
+        got = json.loads(out)["results"]["e_terms"]
+        assert got == pytest.approx(exact, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("text, k, exact", [
+        # the float towers' origin ladders disagreed by more than 1e-4 on
+        # both, and they exited 2 at the default grid
+        ("0.5*x^2 + 0.1*x^6", 2, 3 / 16),
+        ("0.5*x^2 + 0.1*x^8", 3, 21 / 32),
+    ])
+    def test_gexpand_high_powers_at_defaults(self, text, k, exact, capsys):
+        assert main(["--command", "gexpand", "--potential", text,
+                     "--format", "json"]) == 0
+        got = json.loads(capsys.readouterr().out)["results"]["e_terms"]
+        assert got[k] == pytest.approx(exact, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("text, order", [
+        # neither origin is a minimum: v' = 1 and v' = 1e-6 there
+        ("x + x^2", "0"),
+        ("0.000001*x + x^2", "1"),
+    ])
+    def test_gexpand_refuses_a_sloped_origin(self, text, order, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--command", "gexpand", "--potential", text,
+                         "--order", order]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("method breakdown: v'(origin) must vanish")
+
+    @pytest.mark.parametrize("text, origin", [
+        ("x^2 - 0.2*x + 0.01", "0.1"),
+        ("0.5 - x^2 + 0.5*x^4", "1"),
+    ])
+    def test_gexpand_accepts_shifted_minima(self, text, origin, capsys):
+        assert main(["--command", "gexpand", "--potential", text,
+                     "--origin", origin, "--x-max", "0.9"]) == 0
 
     def test_greens_check_passes(self, tmp_path):
         out = tmp_path / "greens.csv"

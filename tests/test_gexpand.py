@@ -1,8 +1,9 @@
-"""g⁻¹ hierarchy: harmonic exactness, quartic anchors, residuals, separable.
+"""g⁻¹ hierarchy: harmonic exactness, exact E_k, residuals, separable.
 
-The PDE residual and the separable sum below are references that no
-command runs: the residual replays the hierarchy's own slope towers, and a
-separable potential's E_k are the sums of its axes' E_k.
+The PDE residual, the oscillator series and the separable sum below are
+references that no command runs: the residual differentiates the returned
+samples alone, ``oscpert``'s exact Δ(k) regrade into the E_k of
+½x² + c·x^P, and a separable potential's E_k are the sums of its axes' E_k.
 """
 
 from dataclasses import dataclass
@@ -11,28 +12,25 @@ import numpy as np
 import pytest
 
 from trajquad.errors import HierarchyBreakdown
-from trajquad.gexpand import (
-    _Towers,
-    assemble_energy,
-    e0,
-    hierarchy,
-)
+from trajquad.exactalg import VAR_GHAT
+from trajquad.gexpand import assemble_energy, e0, hierarchy
 from trajquad.numerics import derivative
+from trajquad.oscpert import solve_even, solve_odd
 from trajquad.trajectory import Potential1D, build_grid
 
 
 def rhs_terms(sol, grid):
-    """RHS_k = B_k - E_{k-1}, k = 1..order, on the towers ``hierarchy`` built.
+    """RHS_k = B_k - E_{k-1}, k = 1..order, from the returned samples alone.
 
-    The towers are replayed step for step as ``hierarchy`` builds them on
-    ``grid``, so every array is the one its S_k came from.
+    S₀' is the grid's speed and S_k' the derivative of the S_k samples;
+    every second derivative is a ``numerics.derivative`` of those samples.
     """
-    towers = _Towers(grid, sol.order)
-    out = []
-    for k in range(1, sol.order + 1):
-        out.append(towers.bracket(k, 0) - sol.e_terms[k - 1])
-        towers.add_slope(k, out[-1], height=sol.order + 1 - k)
-    return out
+    slopes = [grid.speed] + [derivative(s, grid.arc) for s in sol.s_terms]
+    curvatures = [derivative(grid.speed, grid.arc)] + [
+        derivative(s, grid.arc, order=2) for s in sol.s_terms]
+    return [0.5 * (curvatures[k - 1] - sum(slopes[i] * slopes[k - i]
+                                           for i in range(1, k)))
+            - sol.e_terms[k - 1] for k in range(1, sol.order + 1)]
 
 
 def pde_residual(sol, grid, k):
@@ -120,14 +118,43 @@ class TestHarmonic:
         assert assemble_energy(empty, 3.0) == 0.0
 
 
+def assert_energies(got, exact):
+    """Each E_k to 1e-14 relative, or to 1e-15 absolute where it is 0."""
+    assert len(got) == len(exact)
+    for k, (e, want) in enumerate(zip(got, exact)):
+        bound = 1e-14 * abs(want) if want else 1e-15
+        assert abs(e - want) <= bound, (k, e, want)
+
+
+def oscillator_energies(P, c):
+    """E₀..E₃ of ½x² + c·x^P from ``oscpert``'s Δ(k) at g = 1.
+
+    At coupling g the perturbation is c·g^(1-k(P-2)/2)·Δ(k) at ε-order k,
+    so E_j = Σ_{k(P-2) = 2j} Δ(k)·c^k.
+    """
+    top = 6 // (P - 2)
+    series = solve_even(P // 2, top) if P % 2 == 0 else solve_odd(P // 2, top)
+    energies = [0.5, 0.0, 0.0, 0.0]
+    for k in range(1, top + 1):
+        if k * (P - 2) % 2 == 0:
+            delta = series.delta(k).evaluate({VAR_GHAT: 1.0})
+            energies[k * (P - 2) // 2] += delta * c ** k
+    return energies
+
+
 class TestQuartic:
     def test_energies_match_exact_coefficients(self):
         sol = hierarchy(grid_for("0.5*x^2 + 0.1*x^4"), 3)
-        exact = quartic_energies(0.1)
-        assert sol.e_terms[0] == pytest.approx(exact[0], abs=1e-12)
-        assert sol.e_terms[1] == pytest.approx(exact[1], abs=1e-9)
-        assert sol.e_terms[2] == pytest.approx(exact[2], abs=1e-6)
-        assert sol.e_terms[3] == pytest.approx(exact[3], abs=1e-4)
+        assert_energies(sol.e_terms, quartic_energies(0.1))
+
+    @pytest.mark.parametrize("lam", [0.05, 0.1, 0.2])
+    def test_first_correction_closed_form(self, lam):
+        # S₀' = x·r with r = √(1 + 2λx²), and S₁ = ½ln r + ½ln((1+r)/2)
+        grid = grid_for(f"0.5*x^2 + {lam}*x^4")
+        r = np.sqrt(1.0 + 2.0 * lam * grid.nodes ** 2)
+        exact = 0.5 * np.log(r) + 0.5 * np.log((1.0 + r) / 2.0)
+        sol = hierarchy(grid, 1)
+        assert np.max(np.abs(sol.s_terms[0] - exact)) < 1e-12
 
     def test_pde_residuals(self):
         grid = grid_for("0.5*x^2 + 0.1*x^4")
@@ -161,6 +188,41 @@ class TestQuartic:
             scaled[g] = (oracle - series) * g * g
         extrap = 2.0 * scaled[16.0] - scaled[8.0]
         assert extrap == pytest.approx(sol.e_terms[3], rel=0.05)
+
+
+class TestExactEnergies:
+    @pytest.mark.parametrize("direction", [1, -1])
+    @pytest.mark.parametrize("P", range(3, 9))
+    def test_oscillator_series(self, P, direction):
+        # on x-max 1 the potential is positive on both sides for every P
+        grid = grid_for(f"0.5*x^2 + 0.1*x^{P}", x_max=1.0, direction=direction)
+        assert_energies(hierarchy(grid, 3).e_terms, oscillator_energies(P, 0.1))
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    @pytest.mark.parametrize("n", [801, 1001, 2001, 4001, 8001])
+    def test_double_well_at_every_grid_size(self, n, direction):
+        # v = ½(x²-1)² about x = 1; the origin ladders this replaced passed
+        # at one grid size per direction and gave E₃ to 4 digits there
+        grid = grid_for("0.5 - x^2 + 0.5*x^4", x_max=0.9, n=n, origin=1.0,
+                        direction=direction)
+        assert_energies(hierarchy(grid, 3).e_terms,
+                        [1.0, -1 / 4, -9 / 64, -89 / 512])
+
+    @pytest.mark.parametrize("beta", ["10", "1000000000000"])
+    def test_stiff_quartic(self, beta):
+        # P/a² has its zeros at radius 1/√(2β); the jets run in a/scale,
+        # so their terms do not grow like that radius^-n and overflow
+        sol = hierarchy(grid_for(f"0.5*x^2 + {beta}*x^4"), 3)
+        assert_energies(sol.e_terms, quartic_energies(float(beta)))
+        assert all(np.isfinite(s).all() for s in sol.s_terms)
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_shifted_harmonic_well(self, direction):
+        # v = (x - 0.1)²: every correction vanishes exactly
+        grid = grid_for("x^2 - 0.2*x + 0.01", origin=0.1, direction=direction)
+        sol = hierarchy(grid, 3)
+        assert_energies(sol.e_terms, [2 ** -0.5, 0.0, 0.0, 0.0])
+        assert max(np.max(np.abs(s)) for s in sol.s_terms) < 1e-15
 
 
 class TestBreakdown:

@@ -148,6 +148,22 @@ def test_one_sampled_dbar_path():
     assert not found, f"callable tests in greens.py: {found}"
 
 
+def test_hierarchy_differentiates_nothing_on_the_grid():
+    # every slope of the g⁻¹ hierarchy comes from the polynomial: origin
+    # jets and closed forms.  A Neville fill or a stencil derivative in
+    # gexpand.py would bring back the float towers and their origin noise,
+    # and Fractions would bring back an exact kernel the float origin and
+    # ν = √v'' cannot feed
+    found = []
+    for node in ast.walk(ast.parse((SRC / "gexpand.py").read_text())):
+        names = [a.name for a in node.names] \
+            if isinstance(node, ast.ImportFrom) else []
+        found += [f"gexpand.py:{node.lineno}: imports {name}" for name in
+                  names + _imported_modules(node)
+                  if name in ("neville_at", "derivative", "fractions")]
+    assert not found, f"grid or exact tools in gexpand.py: {found}"
+
+
 def test_one_window_kernel_and_one_horner():
     # every 5-point rule runs through numerics._windows, and every grid-half
     # polynomial through numerics._horner: a second window layout or a

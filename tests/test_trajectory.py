@@ -1,11 +1,13 @@
 """Trajectory grids: S₀ quadrature, kinks, convergence order."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
 from trajquad.errors import DegenerateMinimum, InvalidPotential
-from trajquad.gexpand import MAX_ORDER, hierarchy
+from trajquad.gexpand import hierarchy
 from trajquad.trajectory import Potential1D, build_grid
 
 
@@ -19,15 +21,17 @@ class TestPotential:
         assert pot.v(2.0) == pytest.approx(2.0 + 1.6)
         assert pot.dv(2.0) == pytest.approx(2.0 + 3.2)
         assert pot.d2v(2.0) == pytest.approx(1.0 + 4.8)
-        assert pot.derivatives[4](2.0) == pytest.approx(2.4)
+        assert len(pot.derivatives) == 3
+        assert pot.coeffs == (0.0, 0.0, 0.5, 0.0, 0.1)
 
     @pytest.mark.parametrize("degree", [4, 9, 10, 171])
     def test_poly_stack_depth_is_fixed(self, degree):
-        # v..v⁽⁹⁾ at any degree: the hierarchy reads v⁽⁴⁾ at most.  A stack
-        # as deep as the degree overflowed its derivative coefficients at
-        # degree 171, a RuntimeWarning (an error under the test settings)
+        # v, v', v'' at any degree: the hierarchy reads the coefficients,
+        # and the grid no derivative past v''.  A stack as deep as the
+        # degree overflowed its derivative coefficients at degree 171, a
+        # RuntimeWarning (an error under the test settings)
         pot = Potential1D.from_poly(f"0.5*x^2 + x^{degree}")
-        assert len(pot.derivatives) == 10
+        assert len(pot.derivatives) == 3
         coeffs = np.zeros(degree + 1)
         coeffs[2], coeffs[degree] = 0.5, 1.0
         x = np.linspace(-0.5, 0.5, 11)
@@ -39,13 +43,6 @@ class TestPotential:
         pot = Potential1D.from_poly("0.5*x^2 + x^171")
         sol = hierarchy(build_grid(pot, 0.5, 201), 3)
         assert np.isfinite(sol.e_terms).all()
-
-    def test_poly_stack_covers_the_hierarchy(self):
-        # the hierarchy reads v′..v⁽ᵏ⁺¹⁾ at order k and has no other source
-        # of derivatives, so the stack must reach past MAX_ORDER + 1 even
-        # for a polynomial of lower degree
-        pot = Potential1D.from_poly("0.5*x^2")
-        assert len(pot.derivatives) >= MAX_ORDER + 3
 
     def test_rejects_non_x_symbols(self):
         # a potential in the wrong variable is an input error, not a
@@ -139,7 +136,8 @@ class TestBuildGrid:
             points.append(np.size(x))
             return pot.v(x)
 
-        counted = Potential1D(derivatives=(v,) + pot.derivatives[1:])
+        counted = dataclasses.replace(
+            pot, derivatives=(v,) + pot.derivatives[1:])
         grid = build_grid(counted, 3.0, 2001)
         assert grid.kinks == [1334]
         assert grid.nodes[1333] < 2.0 < grid.nodes[1334]
