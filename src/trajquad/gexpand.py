@@ -123,18 +123,32 @@ class _Forms:
 
     def sample(self, f, a):
         """f at sorted arcs a: the jet, then the closed form in a, then in
-        t = 1/a, where p(a) = a^(len(p)-1)·(p reversed)(t)."""
+        t = 1/a.  Horner runs over each of A and C from its first nonzero
+        coefficient p_lo to its last p_hi alone, so p(a) = a^lo·q(a) and
+        p(a) = a^hi·(q reversed)(t) with q = p_lo..p_hi."""
         jet, A, C, m = f
         d = len(self.P) - 1
         i = np.searchsorted(a, self.switch, "right")
         j = max(i, np.searchsorted(a, 1.0, "right"))
+        (A, a_lo, a_hi), (C, c_lo, c_hi) = _span(A), _span(C)
         out = [_horner(jet, a[:i] / self.scale)]
-        for z, step, w in ((a[i:j], 1, 1.0), (1.0 / a[j:], -1, a[j:])):
+        for z, step, w, ea, ec in (
+                (a[i:j], 1, a[i:j], a_lo, c_lo),
+                (1.0 / a[j:], -1, a[j:], a_hi - d * m, c_hi + d / 2 - d * m)):
             pz = _horner(self.P[::step], z)
-            out.append((_horner(A[::step], z) * w ** (len(A) - 1 - d * m)
-                        + _horner(C[::step], z) * np.sqrt(pz)
-                        * w ** (len(C) - 1 + d / 2 - d * m)) / pz ** m)
+            out.append((_horner(A[::step], z) * w ** ea
+                        + _horner(C[::step], z) * np.sqrt(pz) * w ** ec)
+                       / pz ** m)
         return np.concatenate(out)
+
+
+def _span(p):
+    """p's coefficients from its first nonzero one to its last, with the
+    powers lo and hi of those two (a zero p is the constant 0)."""
+    nz = np.flatnonzero(p)
+    if not nz.size:
+        return np.zeros(1), 0, 0
+    return p[nz[0]:nz[-1] + 1], nz[0], nz[-1]
 
 
 def hierarchy(grid: TrajectoryGrid, order: int) -> SeriesSolution:

@@ -18,7 +18,8 @@ alone: D̄ integrates on a 4×-refined grid filled by quartic interpolation,
 and its tails beyond the grid are one adaptive quadrature on a quartic
 continuation of the samples.  When the computed mean is above
 the solvability threshold the growing branch is returned unchanged (that
-growth is a real feature of the operator, not an error).
+growth is a real feature of the operator, not an error).  D̄ also takes
+a stack of sources on one profile, as the identity report applies it.
 
 All identity checks run on the harmonic profile S = x²/2 where every
 quantity has a closed Hermite form; ``identity_report`` packages them for
@@ -36,7 +37,8 @@ import numpy as np
 
 from .errors import DivergentAtOrigin, TailDivergence
 from .numerics import (_horner, adaptive_panels, cumulative_integral,
-                       derivative, neville_at, quartic_fit, refine_quarters)
+                       derivative, grid_spacing, increments, neville_at,
+                       quartic_fit, refine_quarters)
 
 
 @dataclass
@@ -46,7 +48,8 @@ class WaveProfile:
     ``s`` holds S itself (the g factor stays explicit in the operators);
     S must vanish at the node nearest the origin.  The operators read S
     and f from these samples alone, between the nodes and beyond the grid
-    edge through quartic interpolants.
+    edge through quartic interpolants.  For D̄, ``values`` may be a stack
+    of shape (m, n), one source per row.
     """
 
     nodes: np.ndarray
@@ -123,8 +126,8 @@ def apply_C(f: WaveProfile, g: float) -> WaveProfile:
     return f.with_values(out)
 
 
-def _tail_beyond(f: WaveProfile, g: float, side: int) -> float:
-    """Completion of ∫ e^{-2gS} f dz beyond the grid edge b.
+def _tail_beyond(f: WaveProfile, g: float, side: int) -> np.ndarray:
+    """Completion of ∫ e^{-2gS} f dz beyond the grid edge b, one per source.
 
     S and f continue as the quartics through five samples spread over the
     grid's last eighth, fitted once in units t of their spacing from b
@@ -132,15 +135,20 @@ def _tail_beyond(f: WaveProfile, g: float, side: int) -> float:
     scaled integrand e^{-2g(S-S(b))} f is integrated adaptively out to
     where that factor drops below e^{-80}, on panels halving toward b for
     the bump of width 1/(2gS'(b)) of a source vanishing at b.  An S not
-    risen by 40/g in 64 span doublings raises TailDivergence.
+    risen by 40/g in 64 span doublings raises TailDivergence.  The rows of
+    a stacked source share the exponent and panels and run as one stacked
+    quadrature, each with its own quartic and tolerance.
     """
+    rows = np.atleast_2d(f.values)
     edge = -1 if side > 0 else 0
     b = float(f.nodes[edge])
     fit = edge - side * max(1, (len(f.nodes) - 1) // 32) * np.arange(5)
     step = abs(float(f.nodes[fit[4]]) - b) / 4.0
     # -2g and S(b) folded into the exponent's coefficients
     exponent = -2.0 * g * quartic_fit(f.s[fit] - f.s[edge])
-    source = quartic_fit(f.values[fit])
+    # row k of the coefficients is every source's t^k column; each quartic
+    # is fitted as a lone source's is, so that the stack rounds alike
+    source = np.array([quartic_fit(v[fit]) for v in rows]).T[:, :, None]
     # the weight e^{-2gS} falls over a width 1/√g, and at large g the
     # source overflows a fixed unit beyond the edge
     span = (abs(b) + 1.0) / max(1.0, math.sqrt(g)) / step
@@ -150,10 +158,11 @@ def _tail_beyond(f: WaveProfile, g: float, side: int) -> float:
         span *= 2.0
     else:
         raise TailDivergence(f"S does not rise beyond the grid edge {b!r}")
-    tol = 1e-14 * max(float(np.max(np.abs(f.values[fit]))), 1e-300)
+    tol = 1e-14 * np.maximum(np.max(np.abs(rows[:, fit]), axis=1), 1e-300)
     edges = np.append(-span * 0.5 ** np.arange(48), 0.0)
     val = adaptive_panels(lambda t: np.exp(_horner(exponent, t))
-                          * _horner(source, t), edges, tol=tol).sum()
+                          * _horner(source, t), edges,
+                          tol=tol[:, None]).sum(axis=-1)
     return math.exp(-2.0 * g * float(f.s[edge])) * step * val
 
 
@@ -175,6 +184,11 @@ def apply_Dbar(f: WaveProfile, g: float) -> WaveProfile:
     mass, is treated as exactly zero: that is the boundary condition
     selecting the bounded solution.  A domain where the outer weight
     e^{2gS} overflows a float, or the source beyond it, raises ValueError.
+
+    ``f.values`` of shape (m, n) is a stack of m sources, and each row of
+    the image is bitwise the image of its source alone.  What depends on S
+    and g alone is computed once and the tails are one quadrature per side;
+    the refined-grid passes run a row at a time, to keep memory flat.
     """
     x, s = f.nodes, f.s
     exponent = 2.0 * g * float(np.max(s))
@@ -182,12 +196,24 @@ def apply_Dbar(f: WaveProfile, g: float) -> WaveProfile:
         raise ValueError(f"outer weight e^(2gS) overflows on this domain "
                          f"(2g·max S = {exponent:.6g})")
     i0 = f.origin
-    xf = np.linspace(x[0], x[-1], 4 * len(x) - 3)
-    wf = np.exp(-2.0 * g * refine_quarters(s)) * refine_quarters(f.values)
-    edge = max(abs(wf[0]), abs(wf[-1]))
-    if edge > 1e-10 * max(float(np.max(np.abs(wf))), 1e-300):
-        raise TailDivergence(
-            f"weighted source does not decay at the ends (edge {edge:.2e})")
+    rows = np.atleast_2d(f.values)
+    h = grid_spacing(np.linspace(x[0], x[-1], 4 * len(x) - 3))
+    decay = np.exp(-2.0 * g * refine_quarters(s))
+    # per row, of w = e^{-2gS} f: ∫ w from the left edge to each node,
+    # -∫ w from each node right of the origin to the right edge, and ∫ |w|
+    inner = np.zeros(rows.shape)
+    backward = np.zeros((len(rows), len(x) - 1 - i0))
+    mass = np.empty(len(rows))
+    for k, v in enumerate(rows):
+        wf = decay * refine_quarters(v)
+        edge = max(abs(wf[0]), abs(wf[-1]))
+        if edge > 1e-10 * max(float(np.max(np.abs(wf))), 1e-300):
+            raise TailDivergence(
+                f"weighted source does not decay at the ends (edge {edge:.2e})")
+        inc = increments(wf, h)
+        inner[k, 1:] = np.cumsum(inc)[3::4]
+        backward[k, :-1] = -np.cumsum(inc[4 * i0 + 4:][::-1])[::-1][::4]
+        mass[k] = np.cumsum(increments(np.abs(wf, out=wf), h))[-1] or 1.0
     try:
         with np.errstate(over="raise", invalid="raise"):
             tail_minus = _tail_beyond(f, g, side=-1)
@@ -195,17 +221,15 @@ def apply_Dbar(f: WaveProfile, g: float) -> WaveProfile:
     except FloatingPointError as exc:
         raise ValueError(f"the source overflows beyond the grid edge: "
                          f"{exc}") from exc
-    left = tail_minus + cumulative_integral(wf, xf, start=0)[::4]
-    right = tail_plus - cumulative_integral(wf, xf, start=len(xf) - 1)[::4]
-    mass = float(cumulative_integral(np.abs(wf), xf, start=0)[-1]) or 1.0
-    total = float(left[-1]) + tail_plus
-    inner = left.copy()
-    if abs(total) <= _SOLVABILITY_RTOL * mass:
-        # bounded branch: the inner tail is taken from the decaying side,
-        # so its quadrature error dies off with the integrand
-        inner[i0 + 1:] = -right[i0 + 1:]
-    outer = np.exp(2.0 * g * s) * inner
-    return f.with_values(-2.0 * cumulative_integral(outer, x, start=i0))
+    inner += tail_minus[:, None]
+    # bounded branch: the inner tail is taken from the decaying side, so
+    # its quadrature error dies off with the integrand
+    bounded = np.abs(inner[:, -1] + tail_plus) <= _SOLVABILITY_RTOL * mass
+    inner[bounded, i0 + 1:] = -(tail_plus[bounded, None] - backward[bounded])
+    inner *= np.exp(2.0 * g * s)
+    for w in inner:
+        w[:] = -2.0 * cumulative_integral(w, x, start=i0)
+    return f.with_values(inner.reshape(f.values.shape))
 
 
 def kinetic(profile: WaveProfile) -> np.ndarray:
@@ -259,20 +283,21 @@ def gaussian_even_moment(g: float) -> float:
 def identity_report(g: float, n: int, half_width: float) -> list:
     """Run the operator identity checks; one JSON-able record per identity.
 
-    D̄ is applied once to each of the six sources, and every identity
-    that needs D̄f reads that one image.
+    D̄ is applied once, to the stack of the six sources, and every identity
+    that needs D̄f reads that source's row of the one image.
     """
     prof = harmonic_profile(n, half_width)
     moment = gaussian_even_moment(g)
     # a g at which H_l(√g·z) overflows also overflows the weight e^(2gS),
     # which apply_Dbar rejects before it reads any source value
     x = prof.nodes
+    names = ["H1", "H2", "H3", "H4", "x^2 - <x^2>", "x^3"]
     with np.errstate(over="ignore", invalid="ignore"):
-        sources = {f"H{l}": prof.with_values(hermite_value(l, math.sqrt(g) * x))
-                   for l in (1, 2, 3, 4)}
-    sources["x^2 - <x^2>"] = prof.with_values(x ** 2 - moment)
-    sources["x^3"] = prof.with_values(x ** 3)
-    images = {name: apply_Dbar(f, g) for name, f in sources.items()}
+        hermite = [hermite_value(l, math.sqrt(g) * x) for l in (1, 2, 3, 4)]
+    stack = np.stack(hermite + [x ** 2 - moment, x ** 3])
+    sources = {name: prof.with_values(v) for name, v in zip(names, stack)}
+    images = {name: prof.with_values(v) for name, v in
+              zip(names, apply_Dbar(prof.with_values(stack), g).values)}
 
     rows = []  # (identity, residual on the grid, tolerance)
     for l in (1, 2, 3, 4):

@@ -9,8 +9,9 @@ fit's) times the rule's moments at its target, each rounded once.  One
 window kernel, ``_windows``, runs every such rule: each interior target is
 a row of one ``sliding_window_view(y, 5) @ weights`` product, and the
 targets at the ends take the first or last window's one-sided weights.
-The derivatives, the cumulative integral and ``refine_quarters`` (the same
-quartics at every quarter step, a 4×-refined grid) are one call each.
+The derivatives, the cumulative integral (the running sum of
+``increments``) and ``refine_quarters`` (the same quartics at every
+quarter step, a 4×-refined grid) are one call each.
 ``_horner`` evaluates every polynomial of the grid half.
 
 ``adaptive_panels`` is the one adaptive Simpson rule, used where the
@@ -19,6 +20,8 @@ panels and the Green's-operator tails).  It integrates every panel of a
 partition at once: each bisection level is one array step over all the
 panels whose Richardson error estimate still misses the tolerance, so the
 integrand is called on arrays, a few times per level, never per panel.
+A stack of integrands (one row each, a column of tolerances) runs in the
+same calls, each row bitwise as it would come out alone.
 """
 
 from __future__ import annotations
@@ -104,15 +107,22 @@ def derivative(y: np.ndarray, x: np.ndarray, order: int = 1) -> np.ndarray:
     return out
 
 
+def increments(y: np.ndarray, h: float) -> np.ndarray:
+    """∫ y dx over each interval [i, i+1] of a uniform grid of spacing h,
+    quartic-exact: ``cumulative_integral`` is their running sum."""
+    # interval [i, i+1] on the window starting at node clip(i-2, 0, n-5)
+    inc = _windows(y, _CUM_WEIGHTS)
+    inc *= h
+    return inc
+
+
 def cumulative_integral(y: np.ndarray, x: np.ndarray, start: int = 0) -> np.ndarray:
     """Cumulative ∫ y dx from node ``start``, quartic-exact per interval.
 
     Entries left of ``start`` carry the (negative) integral from that node
     backwards, so out[i] = ∫_{x[start]}^{x[i]} y dx for every i.
     """
-    # interval [i, i+1] on the window starting at node clip(i-2, 0, n-5)
-    inc = _windows(y, _CUM_WEIGHTS)
-    inc *= grid_spacing(np.asarray(x, dtype=float))
+    inc = increments(y, grid_spacing(np.asarray(x, dtype=float)))
     out = np.zeros(len(inc) + 1)
     out[start + 1:] = np.cumsum(inc[start:])
     out[:start] = -np.cumsum(inc[:start][::-1])[::-1]
@@ -172,7 +182,9 @@ def _refine(f, lo, hi, flo, fmid, fhi, whole, eps, depth):
     into their two halves, which recurse together with ``eps/2``, at most
     ``_CHUNK`` panels at a time.  Each value is the sum of its two halves'
     values, so the result is the one a depth-first recursion on each panel
-    would return, bit for bit.
+    would return, bit for bit.  A stack (values of shape (m, panels),
+    ``eps`` a column) bisects a panel when any row misses and takes the
+    halves' sum only in the rows that missed.
     """
     mid = 0.5 * (lo + hi)
     flm = f(0.5 * (lo + mid))
@@ -181,14 +193,18 @@ def _refine(f, lo, hi, flo, fmid, fhi, whole, eps, depth):
     right = _simpson(mid, hi, fmid, frm, fhi)
     err = (left + right - whole) / 15.0
     out = left + right + err
-    go = np.flatnonzero(~(np.abs(err) <= eps)) if depth > 0 else []
+    if depth <= 0:
+        return out
+    miss = ~(np.abs(err) <= eps)
+    go = np.flatnonzero(miss.reshape(-1, miss.shape[-1]).any(axis=0))
     for start in range(0, len(go), _CHUNK):
         idx = go[start:start + _CHUNK]
-        halves = [np.concatenate((a[idx], b[idx])) for a, b in
-                  ((lo, mid), (mid, hi), (flo, fmid), (flm, frm), (fmid, fhi),
-                   (left, right))]
+        halves = [np.concatenate((a[..., idx], b[..., idx]), axis=-1) for a, b
+                  in ((lo, mid), (mid, hi), (flo, fmid), (flm, frm),
+                      (fmid, fhi), (left, right))]
         sub = _refine(f, *halves, eps / 2.0, depth - 1)
-        out[idx] = sub[:len(idx)] + sub[len(idx):]
+        out[..., idx] = np.where(miss[..., idx], sub[..., :len(idx)]
+                                 + sub[..., len(idx):], out[..., idx])
     return out
 
 
@@ -203,6 +219,8 @@ def adaptive_panels(f, edges: np.ndarray, tol: float = 1e-12,
     A panel is bisected until its Richardson error estimate is within
     ``tol`` (halved per level) or ``max_depth`` levels are spent; a
     zero-width panel of a finite ``f`` gives 0.0 with an estimate of 0.
+    An ``f`` returning m rows, shape (m, len(z)), with ``tol`` a column of
+    m tolerances, gives one row per integrand, each bitwise its own call.
     """
     edges = np.asarray(edges, dtype=float)
     lo, hi = edges[:-1], edges[1:]

@@ -8,9 +8,9 @@ The Hamilton–Jacobi exponent of the leading wave-function factor solves
 with the trajectory launched from a chosen minimum of v (v = 0 there,
 positive curvature).  The grid stores, at uniformly spaced nodes ordered
 along the trajectory (nodes[0] is the origin; for direction -1 the x
-values descend), the arc distance from the origin, S₀, its slope
-S₀' = √(2v), the origin curvature ν = ∇²S₀(origin) = √(v''(origin)) and
-the kink flags.
+values descend), the arc distance from the origin, S₀ (by quadrature on
+its first read, since no command reads it), its slope S₀' = √(2v), the
+origin curvature ν = ∇²S₀(origin) = √(v''(origin)) and the kink flags.
 
 Where -v has another maximum on the path, √(2v) vanishes and ∇S₀
 develops a kink: a kink on a node flags that node, one between two nodes
@@ -19,6 +19,7 @@ flags the first node past it, and quadrature panels split at a node kink.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -78,12 +79,25 @@ class TrajectoryGrid:
 
     nodes: np.ndarray
     arc: np.ndarray     # distance from the origin along the trajectory
-    s0: np.ndarray
     speed: np.ndarray   # dS₀/d(arc) = √(2v) ≥ 0
     nu: float           # ∇²S₀ at the origin = √(v''(origin))
     kinks: list
     direction: int
     potential: Potential1D
+    s0_tol: float       # error target of each panel of the S₀ quadrature
+
+    @functools.cached_property
+    def s0(self) -> np.ndarray:
+        """S₀ at the nodes, computed on first read: the sum of per-panel
+        adaptive Simpson integrals of √(2v), each panel refined until its
+        error estimate drops below ``s0_tol`` or ``_PANEL_DEPTH`` levels
+        are spent."""
+        def integrand(x):
+            return np.sqrt(np.maximum(2.0 * self.potential.v(x), 0.0))
+
+        inc = adaptive_panels(integrand, self.nodes, tol=self.s0_tol,
+                              max_depth=_PANEL_DEPTH)
+        return np.concatenate(([0.0], np.cumsum(np.abs(inc))))
 
 
 _KINK_SLACK = 1e3 * np.finfo(float).eps
@@ -121,10 +135,8 @@ def build_grid(potential: Potential1D, x_max: float, n: int,
                direction: int = 1) -> TrajectoryGrid:
     """Construct the trajectory grid out to distance x_max from the origin.
 
-    S₀ sums per-panel adaptive Simpson integrals of √(2v), each panel
-    refined until its error estimate drops below ``_PANEL_TOL``, floored
-    at 64 rounding units of the largest √(2v) over one panel, or
-    ``_PANEL_DEPTH`` levels are spent.
+    The panels of S₀'s quadrature aim at ``_PANEL_TOL``, floored at 64
+    rounding units of the largest √(2v) over one panel.
     """
     if n < 16:
         raise ValueError("need at least 16 nodes")
@@ -159,18 +171,13 @@ def build_grid(potential: Potential1D, x_max: float, n: int,
     scale = max(1.0, float(np.max(grad2)))
     kinks = _kinks(potential, nodes, grad2, dvv, direction, _KINK_SLACK * scale)
 
-    def integrand(x):
-        return np.sqrt(np.maximum(2.0 * potential.v(x), 0.0))
-
     # a panel's integral carries rounding of ≈eps·√(2v)·h, which no error
     # estimate can beat: below 64 such units a steep v (x¹⁷¹ on 2.5) refines
     # every panel to _PANEL_DEPTH, for minutes, without gaining a digit
     h = x_max / (n - 1)
     floor = 64.0 * np.finfo(float).eps * math.sqrt(scale) * h
-    inc = adaptive_panels(integrand, nodes, tol=max(_PANEL_TOL, floor),
-                          max_depth=_PANEL_DEPTH)
-    s0 = np.concatenate(([0.0], np.cumsum(np.abs(inc))))
 
-    return TrajectoryGrid(nodes=nodes, arc=np.abs(nodes - nodes[0]), s0=s0,
+    return TrajectoryGrid(nodes=nodes, arc=np.abs(nodes - nodes[0]),
                           speed=np.sqrt(grad2), nu=math.sqrt(curvature),
-                          kinks=kinks, direction=direction, potential=potential)
+                          kinks=kinks, direction=direction, potential=potential,
+                          s0_tol=max(_PANEL_TOL, floor))

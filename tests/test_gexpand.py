@@ -13,8 +13,8 @@ import pytest
 
 from trajquad.errors import HierarchyBreakdown
 from trajquad.exactalg import VAR_GHAT
-from trajquad.gexpand import assemble_energy, e0, hierarchy
-from trajquad.numerics import derivative
+from trajquad.gexpand import _Forms, assemble_energy, e0, hierarchy
+from trajquad.numerics import _horner, cumulative_integral, derivative
 from trajquad.oscpert import solve_even, solve_odd
 from trajquad.trajectory import Potential1D, build_grid
 
@@ -223,6 +223,49 @@ class TestExactEnergies:
         sol = hierarchy(grid, 3)
         assert_energies(sol.e_terms, [2 ** -0.5, 0.0, 0.0, 0.0])
         assert max(np.max(np.abs(s)) for s in sol.s_terms) < 1e-15
+
+
+def full_sample(forms, f, a):
+    """The closed forms of f by Horner over every stored coefficient of A
+    and C, zeros included: p(a) = a^(len(p)-1)·(p reversed)(1/a)."""
+    jet, A, C, m = f
+    d = len(forms.P) - 1
+    i = np.searchsorted(a, forms.switch, "right")
+    j = max(i, np.searchsorted(a, 1.0, "right"))
+    out = [_horner(jet, a[:i] / forms.scale)]
+    for z, step, w in ((a[i:j], 1, 1.0), (1.0 / a[j:], -1, a[j:])):
+        pz = _horner(forms.P[::step], z)
+        out.append((_horner(A[::step], z) * w ** (len(A) - 1 - d * m)
+                    + _horner(C[::step], z) * np.sqrt(pz)
+                    * w ** (len(C) - 1 + d / 2 - d * m)) / pz ** m)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("text, x_max, origin, direction", [
+    ("0.5*x^2 + 0.05*x^4", 2.5, 0.0, 1),
+    ("0.5*x^2 + 0.2*x^4", 2.5, 0.0, 1),
+    ("0.5*x^2 + 0.1*x^3", 1.0, 0.0, -1),
+    ("0.5*x^2 + 0.1*x^7", 1.0, 0.0, 1),
+    ("0.5 - x^2 + 0.5*x^4", 0.9, 1.0, -1),
+    ("0.5*x^2 + 1000000000000*x^4", 2.5, 0.0, 1),
+])
+def test_sampling_skips_zero_coefficients(text, x_max, origin, direction):
+    # A and C of the quartic well vanish in their lowest powers and cancel
+    # in their top ones; evaluating the nonzero span alone moves S_k by
+    # rounding only
+    grid = grid_for(text, x_max=x_max, n=8001, origin=origin,
+                    direction=direction)
+    forms = _Forms(grid)
+    slopes = [forms.s0]
+    for _ in range(3):
+        slopes.append(forms.slope(forms.bracket(slopes)))
+        got = cumulative_integral(forms.sample(slopes[-1], grid.arc), grid.arc)
+        want = cumulative_integral(full_sample(forms, slopes[-1], grid.arc),
+                                   grid.arc)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    _, A, C, _ = slopes[-1]
+    if text.endswith("x^4") and origin == 0.0:
+        assert A[0] == C[0] == A[-1] == C[-1] == 0.0
 
 
 class TestBreakdown:

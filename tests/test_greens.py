@@ -304,6 +304,36 @@ class TestApplyDbar:
             assert np.max(greens_function_residual(f, apply_Dbar(f, G),
                                                    G)) < 1e-5
 
+    @pytest.mark.parametrize("g", [0.5, 1.0, 2.0])
+    def test_stack_equals_calls_on_each_source(self, profile, g):
+        # the report's six sources and x² unsubtracted, whose mean puts it
+        # on the growing branch while the six take the bounded one: each
+        # row of the stacked image is bitwise the image of its source alone
+        x = profile.nodes
+        rows = [hermite_value(l, math.sqrt(g) * x) for l in (1, 2, 3, 4)]
+        rows += [x ** 2 - gaussian_even_moment(g), x ** 3, x ** 2]
+        got = apply_Dbar(profile.with_values(np.stack(rows)), g).values
+        assert got.shape == (len(rows), len(x))
+        for row, v in zip(got, rows):
+            want = apply_Dbar(profile.with_values(v), g).values
+            assert np.array_equal(row, want)
+            assert np.array_equal(np.signbit(row), np.signbit(want))
+        assert np.max(np.abs(got[:-1, -1])) < 1e6 < abs(got[-1, -1])
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_stack_raises_as_its_failing_row(self, profile, k):
+        # a row whose weighted source does not decay fails the stack with
+        # the message it raises alone
+        x = profile.nodes
+        rows = [x ** 3, hermite_value(2, x), x ** 2 - gaussian_even_moment(G)]
+        rows[k] = np.exp(0.75 * x * x)
+        with pytest.raises(TailDivergence) as alone:
+            apply_Dbar(profile.with_values(rows[k]), G)
+        with pytest.raises(TailDivergence) as stacked:
+            apply_Dbar(profile.with_values(np.stack(rows)), G)
+        assert "does not decay" in str(alone.value)
+        assert str(stacked.value) == str(alone.value)
+
 
 @pytest.fixture(scope="module")
 def half():
@@ -419,14 +449,19 @@ class TestReport:
 
     @pytest.mark.parametrize("g", [1.0, 2.0])
     def test_matches_reference_with_one_dbar_per_source(self, g, monkeypatch):
-        # the report applies D̄ once to each of its six sources and reuses
-        # the image; the check-by-check reference recomputes three of them
-        calls = []
-        apply = greens.apply_Dbar
+        # the report applies D̄ once, to the stack of its six sources, and
+        # reads each image from it; the check-by-check reference applies it
+        # per identity and recomputes three of them.  The stack's tails are
+        # one quadrature per side for all six sources
+        calls, tails = [], []
+        apply, panels = greens.apply_Dbar, greens.adaptive_panels
         monkeypatch.setattr(greens, "apply_Dbar",
                             lambda *a, **kw: calls.append(1) or apply(*a, **kw))
+        monkeypatch.setattr(greens, "adaptive_panels",
+                            lambda *a, **kw: tails.append(1) or panels(*a, **kw))
         report = identity_report(g, 401, 8.0)
-        assert len(calls) == 6
+        assert len(calls) == 1
+        assert len(tails) == 2
         calls.clear()
         reference = reference_report(g, 401)
         assert len(calls) == 9

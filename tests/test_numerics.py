@@ -343,6 +343,39 @@ class TestAdaptivePanels:
         assert np.array_equal(got, self.scalar(
             lambda z: np.sqrt(np.abs(z)) + np.exp(-z), edges, 1e-9, 40))
 
+    def test_stack_equals_calls_on_each_row(self):
+        # one bisection serves every row: a panel splits when any row
+        # misses, and a row keeps its own value where it met its own
+        # tolerance.  z² converges at level 0, √|z| at tolerance 1e-300
+        # refines to the depth cap, e^{-z} stops in between
+        rows = (lambda z: z * z, lambda z: np.sqrt(np.abs(z)),
+                lambda z: np.exp(-z))
+        tols = np.array([1e-12, 1e-300, 1e-9])
+        edges = np.array([-1.0, -0.25, 0.0, 0.0, 0.125, 0.5, 2.0])
+        alone, calls = [], []
+        for f, tol in zip(rows, tols):
+            calls.append(0)
+
+            def counted(z, f=f):
+                calls[-1] += 1
+                return f(z)
+
+            alone.append(adaptive_panels(counted, edges, tol=tol, max_depth=6))
+        # three whole-panel calls, then two per level: depths 6 down to 0
+        assert calls[0] == 5 and calls[1] == 3 + 2 * 7 and 5 < calls[2] < 17
+        stacked = []
+
+        def stack(z):
+            stacked.append(np.shape(z))
+            return np.array([f(z) for f in rows])
+
+        got = adaptive_panels(stack, edges, tol=tols[:, None], max_depth=6)
+        assert got.shape == (3, len(edges) - 1)
+        assert len(stacked) == calls[1]
+        for row, want in zip(got, alone):
+            assert np.array_equal(row, want)
+            assert np.array_equal(np.signbit(row), np.signbit(want))
+
 
 def scalar_grid(pot, x_max, n, direction):
     """build_grid's S₀, S₀' and kinks, one node and panel at a time."""

@@ -59,6 +59,19 @@ class TestBuildGrid:
             [grid.potential.v(x) for x in grid.nodes])))
         assert grid.nu == pytest.approx(1.0)
 
+    def test_s0_is_computed_on_first_read(self, monkeypatch):
+        # no command reads S₀, so building a grid runs no quadrature; the
+        # first read runs it once and later reads return the same array
+        from trajquad import trajectory
+        calls = []
+        panels = trajectory.adaptive_panels
+        monkeypatch.setattr(trajectory, "adaptive_panels",
+                            lambda *a, **kw: calls.append(1) or panels(*a, **kw))
+        grid = build_grid(Potential1D.from_poly("0.5*x^2 + 0.1*x^4"), 2.5, 401)
+        assert calls == []
+        s0 = grid.s0
+        assert calls == [1] and grid.s0 is s0
+
     def test_negative_potential_rejected(self):
         pot = Potential1D.from_poly("0.5*x^2 - 0.2*x^4")
         with pytest.raises(InvalidPotential):
