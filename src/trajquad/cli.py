@@ -54,10 +54,10 @@ def _lazy(name: str):
     return module
 
 
-# numerics too, so that sys.modules names every layer as an eager import did
-(coulomb_mod, excited_mod, oscpert_mod, _, trajectory_mod, gexpand_mod,
- greens_mod, oracle_mod) = map(_lazy, "coulomb excited oscpert numerics "
-                               "trajectory gexpand greens oracle".split())
+(coulomb_mod, excited_mod, oscpert_mod, numerics_mod, trajectory_mod,
+ gexpand_mod, greens_mod, oracle_mod) = map(
+    _lazy, "coulomb excited oscpert numerics trajectory gexpand greens "
+    "oracle".split())
 
 FORMATS = ("csv", "json")
 
@@ -169,9 +169,9 @@ class RunConfig:
 
 
 def _run_gexpand(p: dict):
-    pot = trajectory_mod.Potential1D.from_poly(p["potential"], origin=p["origin"])
-    grid = trajectory_mod.build_grid(pot, p["x-max"], p["n"],
-                                     direction=p["direction"])
+    grid = trajectory_mod.build_grid(
+        trajectory_mod.coefficients(p["potential"]), p["x-max"], p["n"],
+        origin=p["origin"], direction=p["direction"])
     sol = gexpand_mod.hierarchy(grid, p["order"])
     energy = _finite(gexpand_mod.assemble_energy(sol, p["g"]))
     payload = {
@@ -277,9 +277,10 @@ def _run_oracle(p: dict):
         if p["g"] != 1.0 or p["eps"] != 0.0:
             raise ValueError("the 1d oracle takes no g or eps; "
                              "write them into the potential")
-        pot = trajectory_mod.Potential1D.from_poly(p["potential"])
-        result = oracle_mod.solve_1d(pot.v, (-p["domain"], p["domain"]),
-                                     p["n"], p["k"])
+        coeffs = trajectory_mod.coefficients(p["potential"])
+        result = oracle_mod.solve_1d(
+            lambda x: numerics_mod._horner(coeffs, x),
+            (-p["domain"], p["domain"]), p["n"], p["k"])
     else:
         if p["k"] != 1:
             raise ValueError("the radial oracle returns the ground state only")

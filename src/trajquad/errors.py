@@ -38,8 +38,8 @@ class DegenerateMinimum(InvalidPotential):
 
 
 class HierarchyBreakdown(MethodError):
-    """The g⁻¹ hierarchy cannot run: a kink on the grid, S₀' = 0 away from
-    the origin, or slopes that overflow floating point."""
+    """The g⁻¹ hierarchy cannot run: v vanishes on the trajectory, a kink
+    that ``build_grid`` refuses, or its slopes overflow floating point."""
 
 
 class DivergentAtOrigin(MethodError):

@@ -11,8 +11,9 @@ and each E_{k-1} is the origin value of B_k, exactly the choice that
 cancels the 0/0 of the integrand there, keeping every S_k analytic at the
 minimum.
 
-The potential is a polynomial, so with P(a) = 2v(origin + direction·a)
-and S₀' = u = √P each function of the hierarchy has two exact forms:
+The potential is a polynomial, so with the trajectory grid's
+P(a) = 2v(origin + direction·a) and S₀' = u = √P each function of the
+hierarchy has two exact forms:
 
 - its Taylor jet at the origin.  P has a double zero there, so S₀' = a·r(a)
   with r = √(P/a²), and dividing by S₀' is a shift and one product with the
@@ -21,10 +22,11 @@ and S₀' = u = √P each function of the hierarchy has two exact forms:
   division by u keep, because u' = P'u/(2P).
 
 S_k' is read from the jet up to half the radius of the nearest complex
-zero of P/a², and from the closed form beyond, where A and C·u no longer
-cancel; past a = 1 the closed form runs in t = 1/a, so that P^m cannot
-overflow.  S_k is the cumulative integral of S_k'.  The kernel is float:
-ν = √v''(origin) is irrational in general, and the origin is a float.
+zero of P/a² (the grid's ``radius``), and from the closed form beyond,
+where A and C·u no longer cancel; past a = 1 the closed form runs in
+t = 1/a, so that P^m cannot overflow.  S_k is the cumulative integral of
+S_k'.  The kernel is float: ν = √v''(origin) is irrational in general,
+and the origin is a float.
 """
 
 from __future__ import annotations
@@ -73,15 +75,8 @@ class _Forms:
     origin in b = a/scale, and f = (A + C·u)/P^m."""
 
     def __init__(self, grid: TrajectoryGrid):
-        pot = grid.potential
-        P = np.zeros(1)
-        for c in reversed(pot.coeffs):
-            P = np.convolve(P, [pot.origin, grid.direction])
-            P[0] += 2.0 * c
-        # build_grid refused an origin where v or v' is not 0
-        self.P = P = np.append([0.0, 0.0], P[2:])
-        radii = np.abs(np.roots(P[:1:-1]))
-        self.switch = 0.5 * radii.min() if radii.size else np.inf
+        self.P = P = grid.P
+        self.switch = 0.5 * grid.radius
         # a jet's n-th term grows like radius^-n in a, and not in b = a/scale
         self.scale = s = min(self.switch, 1.0)
         q = np.append(P[2:], np.zeros(_JET))[:_JET] * s ** np.arange(_JET)
@@ -152,15 +147,10 @@ def _span(p):
 
 
 def hierarchy(grid: TrajectoryGrid, order: int) -> SeriesSolution:
-    """Compute S_k (k ≤ order ≤ 3) and E_k (k ≤ order) on a kink-free grid."""
+    """Compute S_k (k ≤ order ≤ 3) and E_k (k ≤ order) on a grid, which
+    ``build_grid`` leaves kink-free."""
     if order < 0 or order > MAX_ORDER:
         raise ValueError(f"order must be between 0 and {MAX_ORDER}")
-    if grid.kinks:
-        raise HierarchyBreakdown(
-            "hierarchy requires a kink-free grid; higher orders are not "
-            "analytic across a kink")
-    if np.min(grid.speed[1:]) <= 0.0:
-        raise HierarchyBreakdown("∇S₀ vanishes away from the origin")
 
     sol = SeriesSolution(order=order, e_terms=[e0(grid)], s_terms=[])
     if order == 0:

@@ -15,11 +15,11 @@ quarter step, a 4×-refined grid) are one call each.
 ``_horner`` evaluates every polynomial of the grid half.
 
 ``adaptive_panels`` is the one adaptive Simpson rule, used where the
-integrand is a callable rather than a sampled array (the trajectory's S₀
-panels and the Green's-operator tails).  It integrates every panel of a
-partition at once: each bisection level is one array step over all the
-panels whose Richardson error estimate still misses the tolerance, so the
-integrand is called on arrays, a few times per level, never per panel.
+integrand is a callable rather than a sampled array (the Green's-operator
+tails beyond the grid).  It integrates every panel of a partition at
+once: each bisection level is one array step over all the panels whose
+Richardson error estimate still misses the tolerance, so the integrand is
+called on arrays, a few times per level, never per panel.
 A stack of integrands (one row each, a column of tolerances) runs in the
 same calls, each row bitwise as it would come out alone.
 """
@@ -172,6 +172,7 @@ def _simpson(lo, hi, flo, fmid, fhi):
 # never meets its tolerance doubles the failing panels per level, so
 # without a cap the arrays of a deep level could reach 2^depth entries
 _CHUNK = 4096
+_MAX_DEPTH = 40   # bisection levels per panel of adaptive_panels
 
 
 def _refine(f, lo, hi, flo, fmid, fhi, whole, eps, depth):
@@ -208,8 +209,7 @@ def _refine(f, lo, hi, flo, fmid, fhi, whole, eps, depth):
     return out
 
 
-def adaptive_panels(f, edges: np.ndarray, tol: float = 1e-12,
-                    max_depth: int = 40) -> np.ndarray:
+def adaptive_panels(f, edges: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Adaptive Simpson quadrature of every panel [edges[i], edges[i+1]].
 
     ``f`` takes arrays.  The whole-panel rule takes three calls of ``f``
@@ -217,7 +217,7 @@ def adaptive_panels(f, edges: np.ndarray, tol: float = 1e-12,
     to ``_CHUNK`` per call), so the call count grows with the depth, not
     with the number of panels.
     A panel is bisected until its Richardson error estimate is within
-    ``tol`` (halved per level) or ``max_depth`` levels are spent; a
+    ``tol`` (halved per level) or ``_MAX_DEPTH`` levels are spent; a
     zero-width panel of a finite ``f`` gives 0.0 with an estimate of 0.
     An ``f`` returning m rows, shape (m, len(z)), with ``tol`` a column of
     m tolerances, gives one row per integrand, each bitwise its own call.
@@ -226,4 +226,4 @@ def adaptive_panels(f, edges: np.ndarray, tol: float = 1e-12,
     lo, hi = edges[:-1], edges[1:]
     flo, fmid, fhi = f(lo), f(0.5 * (lo + hi)), f(hi)
     whole = _simpson(lo, hi, flo, fmid, fhi)
-    return _refine(f, lo, hi, flo, fmid, fhi, whole, tol, max_depth)
+    return _refine(f, lo, hi, flo, fmid, fhi, whole, tol, _MAX_DEPTH)

@@ -20,7 +20,7 @@ from trajquad import greens as greens_mod
 from trajquad import oracle as oracle_mod
 from trajquad import oscpert as oscpert_mod
 from trajquad import trajectory as trajectory_mod
-from trajquad.numerics import adaptive_panels
+from trajquad.numerics import cumulative_integral
 
 from polyring import Poly, lift, lower, parse
 from test_oscpert import level
@@ -131,13 +131,13 @@ def test_criterion_5_greens_identities():
 def test_criterion_6_hierarchy_sanity():
     with criterion(6, "hierarchy: harmonic corrections < 1e-8, residuals < 1e-7"):
         harmonic = trajectory_mod.build_grid(
-            trajectory_mod.Potential1D.from_poly("0.5*x^2"), 3.0, 1201)
+            trajectory_mod.coefficients("0.5*x^2"), 3.0, 1201)
         sol = gexpand_mod.hierarchy(harmonic, 2)
         assert abs(sol.e_terms[1]) < 1e-8 and abs(sol.e_terms[2]) < 1e-8
         assert np.max(np.abs(sol.s_terms[0])) < 1e-8
         assert np.max(np.abs(sol.s_terms[1])) < 1e-8
         quartic = trajectory_mod.build_grid(
-            trajectory_mod.Potential1D.from_poly("0.5*x^2 + 0.1*x^4"),
+            trajectory_mod.coefficients("0.5*x^2 + 0.1*x^4"),
             2.5, 2001)
         sol = gexpand_mod.hierarchy(quartic, 3)
         from test_gexpand import pde_residual
@@ -179,7 +179,7 @@ def test_criterion_8_excited_states():
                     {"q1": n - 2, VAR_GHAT: 1}, names)
             assert total == expect
         grid = trajectory_mod.build_grid(
-            trajectory_mod.Potential1D.from_poly("0.5*x^2"), 3.0, 1601)
+            trajectory_mod.coefficients("0.5*x^2"), 3.0, 1601)
         sol = gexpand_mod.hierarchy(grid, 1)
         from test_excited import excited_e1_numeric
         assert abs(excited_e1_numeric(grid, sol.s_terms[0], 1)) < 1e-6
@@ -229,17 +229,13 @@ def test_criterion_9_property_suites():
                     Poly.monomial(1, {VAR_X: 2 * m + 1}, (VAR_X, VAR_GHAT))
             assert total_odd == expect
 
-        from test_numerics import adaptive_integral
-        pot = trajectory_mod.Potential1D.from_poly("0.5*x^2 + x^4")
+        # S₀ of ½x² + x⁴ is ((1 + 2x²)^{3/2} - 1)/6; the cumulative integral
+        # of the grid's slope converges at least 4x per doubling of nodes
+        coeffs = trajectory_mod.coefficients("0.5*x^2 + x^4")
         errors = []
         for n in (17, 33):
-            # the plain per-panel Simpson rule on the grid's nodes
-            nodes = trajectory_mod.build_grid(pot, 3.0, n).nodes
-            panels = adaptive_panels(lambda y: np.sqrt(2 * pot.v(y)), nodes,
-                                     max_depth=0)
-            s0 = np.concatenate(([0.0], np.cumsum(panels)))
-            ref = np.array([adaptive_integral(
-                lambda y: math.sqrt(2 * pot.v(y)), 0.0, x, tol=1e-15)
-                for x in nodes])
-            errors.append(np.max(np.abs(s0 - ref)))
+            grid = trajectory_mod.build_grid(coeffs, 3.0, n)
+            s0 = cumulative_integral(grid.speed, grid.arc)
+            exact = ((1.0 + 2.0 * grid.nodes ** 2) ** 1.5 - 1.0) / 6.0
+            errors.append(np.max(np.abs(s0 - exact)))
         assert errors[0] / errors[1] >= 4.0

@@ -380,6 +380,23 @@ class TestMain:
         assert out == ""
         assert err.startswith("method breakdown: potential is not finite")
 
+    @pytest.mark.parametrize("n", ["16", "401", "2001"])
+    @pytest.mark.parametrize("argv, x", [
+        (["--potential", "0.2205*x^2 - 0.63*x^3 + 0.45*x^4"], "0.7"),
+        (["--potential", "0.2205*x^2 + 0.63*x^3 + 0.45*x^4",
+          "--direction", "-1"], "-0.7"),
+    ])
+    def test_kink_on_last_node_exits_2(self, argv, x, n, capsys):
+        # v = 0.45x²(x ∓ 0.7)² has its double zero on the last node, where
+        # the hierarchy once printed S₂ ≈ 2e61 and S₃ ≈ -1e112 with exit 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--command", "gexpand", *argv, "--x-max", "0.7",
+                         "--n", n]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"method breakdown: v vanishes at x = {x} ")
+
     def test_overflowing_origin_value_exits_2(self, capsys):
         # v(origin) overflows; the check rejects it without a warning first
         with warnings.catch_warnings():

@@ -32,6 +32,7 @@ from trajquad.coulomb import (
 )
 from trajquad.errors import LogSingularity, MethodError
 from trajquad.exactalg import VAR_EPS, VAR_R, VAR_U
+from trajquad import numerics
 from trajquad.numerics import adaptive_panels
 
 from polyring import Poly, lift, lower, parse
@@ -149,8 +150,10 @@ def integral_shift_check(sol, u, g, eps):
     def integral(f):
         # the integrals grow like r_cut^(deg U + 2), so the tolerance is
         # relative: 1e-12 of the summed |one-level estimates| on 64 panels
-        size = np.sum(np.abs(adaptive_panels(f, np.linspace(0.0, r_cut, 65),
-                                             max_depth=0)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(numerics, "_MAX_DEPTH", 0)
+            size = np.sum(np.abs(adaptive_panels(
+                f, np.linspace(0.0, r_cut, 65))))
         return float(adaptive_panels(f, np.array([0.0, r_cut]),
                                      tol=1e-12 * size)[0])
 

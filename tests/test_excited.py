@@ -24,7 +24,7 @@ from trajquad.excited import (
 from trajquad.gexpand import hierarchy
 from trajquad.greens import hermite_coefficients
 from trajquad.numerics import derivative, neville_at
-from trajquad.trajectory import Potential1D, build_grid
+from trajquad.trajectory import build_grid, coefficients
 
 from polyring import Poly, lift
 
@@ -175,7 +175,7 @@ class TestDegeneracy:
 
 class TestNumericE1:
     def test_harmonic_vanishes(self):
-        grid = build_grid(Potential1D.from_poly("0.5*x^2"), 3.0, 1601)
+        grid = build_grid(coefficients("0.5*x^2"), 3.0, 1601)
         sol = hierarchy(grid, 1)
         for n in (1, 2, 3):
             assert abs(excited_e1_numeric(grid, sol.s_terms[0], n)) < 1e-6
@@ -184,7 +184,7 @@ class TestNumericE1:
         # two grid densities must agree on the extracted coefficient
         values = []
         for nodes in (1201, 2401):
-            grid = build_grid(Potential1D.from_poly("0.5*x^2 + 0.05*x^4"),
+            grid = build_grid(coefficients("0.5*x^2 + 0.05*x^4"),
                               2.5, nodes)
             sol = hierarchy(grid, 1)
             values.append(excited_e1_numeric(grid, sol.s_terms[0], 1))
@@ -193,7 +193,7 @@ class TestNumericE1:
     def test_quartic_known_gap_coefficient(self):
         # gap(1↔0) = g·ν + 3β + O(1/g) for v = x²/2 + βx⁴
         beta = 0.05
-        grid = build_grid(Potential1D.from_poly(f"0.5*x^2 + {beta}*x^4"),
+        grid = build_grid(coefficients(f"0.5*x^2 + {beta}*x^4"),
                           2.5, 2001)
         sol = hierarchy(grid, 1)
         got = excited_e1_numeric(grid, sol.s_terms[0], 1)
@@ -203,7 +203,7 @@ class TestNumericE1:
         # residual of gap - (g𝓔₀ + 𝓔₁) decays like 1/g across g = 4, 8
         from trajquad.oracle import solve_1d
         beta = 0.05
-        grid = build_grid(Potential1D.from_poly(f"0.5*x^2 + {beta}*x^4"),
+        grid = build_grid(coefficients(f"0.5*x^2 + {beta}*x^4"),
                           2.5, 2001)
         sol = hierarchy(grid, 1)
         e1 = excited_e1_numeric(grid, sol.s_terms[0], 1)
@@ -217,7 +217,7 @@ class TestNumericE1:
         assert resid[8.0] / resid[4.0] == pytest.approx(0.5, abs=0.15)
 
     def test_extraction_failure_on_hopeless_grid(self):
-        grid = build_grid(Potential1D.from_poly("0.5*x^2"), 2.0, 33)
+        grid = build_grid(coefficients("0.5*x^2"), 2.0, 33)
         rough = np.sin(37.0 * grid.arc) * 1e-2
         with pytest.raises(ExtractionFailure):
             excited_e1_numeric(grid, rough, 1, tol=1e-12)

@@ -433,10 +433,10 @@ class TestTrajectoryProfile:
     def test_c_operator_on_classical_action(self):
         # the leading-order operator is apply_C with the classical S₀ from
         # a trajectory grid; its left-inverse identity must hold there too
-        from trajquad.trajectory import Potential1D, build_grid
-        grid = build_grid(Potential1D.from_poly("0.5*x^2 + 0.1*x^4"),
-                          4.0, 2001)
-        prof = WaveProfile(grid.arc, grid.s0, grid.arc ** 4)
+        from trajquad.trajectory import build_grid, coefficients
+        grid = build_grid(coefficients("0.5*x^2 + 0.1*x^4"), 4.0, 2001)
+        prof = WaveProfile(grid.arc, cumulative_integral(grid.speed, grid.arc),
+                           grid.arc ** 4)
         assert np.max(c_gradient_residual(prof, 2.0)) < 1e-6
 
 

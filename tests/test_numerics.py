@@ -5,8 +5,8 @@ product per node, so they may differ from the loops by a few ulp of the
 summed terms (about max|y|, times h^-order for a derivative, where the
 terms cancel).  The array adaptive Simpson kernel does the same IEEE
 operations as the scalar depth-first recursion kept here as its reference
-(``adaptive_integral``, also used by the trajectory and acceptance tests)
-and must agree with it bitwise.
+(``adaptive_integral``, also used by the trajectory tests) and must agree
+with it bitwise.
 """
 
 import math
@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from trajquad import numerics
 from trajquad.greens import hermite_value
@@ -23,7 +24,8 @@ from trajquad.numerics import (_CUM_WEIGHTS, _D1_WEIGHTS, _D2_WEIGHTS,
                                adaptive_panels, cumulative_integral,
                                derivative, neville_at, quartic_fit,
                                refine_quarters)
-from trajquad.trajectory import Potential1D, build_grid
+from trajquad.errors import HierarchyBreakdown
+from trajquad.trajectory import build_grid, coefficients
 
 SIZES = (5, 6, 7, 16, 1001)
 RTOL = 1e-12
@@ -273,16 +275,17 @@ class TestAdaptivePanels:
         return f, np.array([b, b + span]), 1e-13 * abs(f(b)) * span
 
     @pytest.mark.parametrize("max_depth", (0, 3, 40))
-    def test_bitwise_equal_to_adaptive_integral(self, max_depth):
+    def test_bitwise_equal_to_adaptive_integral(self, max_depth, monkeypatch):
         # √|x| refines near its cusp at 0; the flat far panels do not
+        monkeypatch.setattr(numerics, "_MAX_DEPTH", max_depth)
         f = lambda z: np.sqrt(np.abs(z)) + np.exp(-z)
         edges = np.array([-1.0, -0.25, 0.0, 0.0, 0.125, 0.5, 0.5, 2.0, 6.0])
-        got = adaptive_panels(f, edges, tol=1e-9, max_depth=max_depth)
+        got = adaptive_panels(f, edges, tol=1e-9)
         want = self.scalar(f, edges, 1e-9, max_depth)
         assert np.array_equal(got, want)
         assert got[2] == got[5] == 0.0   # zero-width panels
         f, edges, tol = self.greens_tail()
-        got = adaptive_panels(f, edges, tol=tol, max_depth=max_depth)
+        got = adaptive_panels(f, edges, tol=tol)
         assert np.array_equal(got, self.scalar(f, edges, tol, max_depth))
 
     def test_first_level_is_five_array_calls(self):
@@ -323,7 +326,7 @@ class TestAdaptivePanels:
             calls.append(np.shape(z))
             return f(z)
 
-        adaptive_panels(g, edges, tol=1e-10, max_depth=40)
+        adaptive_panels(g, edges, tol=1e-10)
         assert calls[:5] == [(3,)] * 5
         assert calls[5:] == [(n,) for n in panels[1:] for _ in range(2)]
 
@@ -343,7 +346,7 @@ class TestAdaptivePanels:
         assert np.array_equal(got, self.scalar(
             lambda z: np.sqrt(np.abs(z)) + np.exp(-z), edges, 1e-9, 40))
 
-    def test_stack_equals_calls_on_each_row(self):
+    def test_stack_equals_calls_on_each_row(self, monkeypatch):
         # one bisection serves every row: a panel splits when any row
         # misses, and a row keeps its own value where it met its own
         # tolerance.  z² converges at level 0, √|z| at tolerance 1e-300
@@ -352,6 +355,7 @@ class TestAdaptivePanels:
                 lambda z: np.exp(-z))
         tols = np.array([1e-12, 1e-300, 1e-9])
         edges = np.array([-1.0, -0.25, 0.0, 0.0, 0.125, 0.5, 2.0])
+        monkeypatch.setattr(numerics, "_MAX_DEPTH", 6)
         alone, calls = [], []
         for f, tol in zip(rows, tols):
             calls.append(0)
@@ -360,7 +364,7 @@ class TestAdaptivePanels:
                 calls[-1] += 1
                 return f(z)
 
-            alone.append(adaptive_panels(counted, edges, tol=tol, max_depth=6))
+            alone.append(adaptive_panels(counted, edges, tol=tol))
         # three whole-panel calls, then two per level: depths 6 down to 0
         assert calls[0] == 5 and calls[1] == 3 + 2 * 7 and 5 < calls[2] < 17
         stacked = []
@@ -369,7 +373,7 @@ class TestAdaptivePanels:
             stacked.append(np.shape(z))
             return np.array([f(z) for f in rows])
 
-        got = adaptive_panels(stack, edges, tol=tols[:, None], max_depth=6)
+        got = adaptive_panels(stack, edges, tol=tols[:, None])
         assert got.shape == (3, len(edges) - 1)
         assert len(stacked) == calls[1]
         for row, want in zip(got, alone):
@@ -377,23 +381,27 @@ class TestAdaptivePanels:
             assert np.array_equal(np.signbit(row), np.signbit(want))
 
 
-def scalar_grid(pot, x_max, n, direction):
-    """build_grid's S₀, S₀' and kinks, one node and panel at a time."""
+def scalar_grid(coeffs, origin, x_max, n, direction):
+    """build_grid's S₀' and S₀ (by adaptive quadrature) and the nodes of the
+    old per-node kink scan: 2v below the kink slack where v' changes sign
+    across the node, one node and panel at a time."""
     slack = 1e3 * np.finfo(float).eps
-    nodes = pot.origin + direction * np.linspace(0.0, x_max, n)
-    grad2 = 2.0 * np.maximum(np.array([pot.v(x) for x in nodes]), 0.0)
+    v = lambda x: npoly.polyval(x, coeffs)
+    dv = lambda x: npoly.polyval(x, npoly.polyder(coeffs))
+    nodes = origin + direction * np.linspace(0.0, x_max, n)
+    grad2 = 2.0 * np.maximum(np.array([v(x) for x in nodes]), 0.0)
     scale = max(1.0, float(np.max(grad2)))
     kinks = [i for i in range(1, n - 1) if grad2[i] < slack * scale
-             and pot.dv(nodes[i - 1]) * pot.dv(nodes[i + 1]) < 0.0]
+             and dv(nodes[i - 1]) * dv(nodes[i + 1]) < 0.0]
 
     def integrand(x):
-        return math.sqrt(max(2.0 * pot.v(x), 0.0))
+        return math.sqrt(max(2.0 * v(x), 0.0))
 
     s0 = np.zeros(n)
     for i in range(n - 1):
         s0[i + 1] = s0[i] + abs(adaptive_integral(integrand, nodes[i],
                                                   nodes[i + 1], tol=1e-12))
-    return s0, np.sqrt(grad2), kinks
+    return nodes, s0, np.sqrt(grad2), kinks
 
 
 @pytest.mark.parametrize("poly, origin, x_max, n, direction", [
@@ -403,10 +411,19 @@ def scalar_grid(pot, x_max, n, direction):
     ("0.5*x^2 + 0.1*x^4", 0.0, 2.5, 401, 1),
 ])
 def test_build_grid_equals_scalar_quadrature(poly, origin, x_max, n, direction):
-    pot = Potential1D.from_poly(poly, origin=origin)
-    grid = build_grid(pot, x_max, n, direction=direction)
-    s0, speed, kinks = scalar_grid(pot, x_max, n, direction)
-    assert grid.kinks == kinks
-    assert np.array_equal(grid.s0, s0)
+    # a grid with a kink is refused at the node the scalar scan flags; one
+    # without has the scalar S₀' bit for bit, and its cumulative integral
+    # is the scalar adaptive S₀ to 1e-12
+    coeffs = coefficients(poly)
+    nodes, s0, speed, kinks = scalar_grid(coeffs, origin, x_max, n, direction)
+    if kinks:
+        assert len(kinks) == 1
+        with pytest.raises(HierarchyBreakdown,
+                           match=f"x = {nodes[kinks[0]]:.6g} "):
+            build_grid(coeffs, x_max, n, origin=origin, direction=direction)
+        return
+    grid = build_grid(coeffs, x_max, n, origin=origin, direction=direction)
+    assert np.array_equal(grid.nodes, nodes)
     assert np.array_equal(grid.speed, speed)
-
+    assert np.max(np.abs(cumulative_integral(grid.speed, grid.arc) - s0)) \
+        < 1e-12 * s0[-1]
