@@ -34,7 +34,7 @@ from itertools import chain
 
 from . import __version__
 from .errors import ConfigError, MethodError, TailDivergence, ToleranceError
-from .exactalg import VAR_GHAT, VAR_R, parse_poly
+from .exactalg import VAR_R, parse_poly
 
 
 def _lazy(name: str):
@@ -193,25 +193,22 @@ def _run_gexpand(p: dict):
 def _run_perturb(p: dict):
     solver = oscpert_mod.solve_even if p["parity"] == "even" \
         else oscpert_mod.solve_odd
-    series = solver(p["p"], p["order"])
-    rows = []
-    for k in range(1, series.order + 1):
-        delta = series.delta(k)
-        at_g = _finite(delta.evaluate({VAR_GHAT: 1.0 / p["g"]}))
-        rows.append({"k": k, "delta_exact": delta.render(), "delta_at_g": at_g})
-    payload = {"parity": p["parity"], "p": p["p"], "deltas": rows,
-               "shift_polynomial": series.shift_polynomial().render()}
+    rows, shift = solver(p["p"], p["order"]).table(1.0 / p["g"], _finite)
+    payload = {"parity": p["parity"], "p": p["p"], "shift_polynomial": shift,
+               "deltas": [{"k": k, "delta_exact": text, "delta_at_g": value}
+                          for k, text, value in rows]}
     lines = ["k,delta_exact,delta_at_g"]
-    lines += [f"{r['k']},\"{r['delta_exact']}\",{r['delta_at_g']!r}" for r in rows]
+    lines += [f"{k},\"{text}\",{value!r}" for k, text, value in rows]
     return payload, lines, None
 
 
 def _coulomb_tables(sol, g: float, eps: float):
     energy = _finite(coulomb_mod.assemble(sol, g, eps))
+    e_terms = [e.render() for e in sol.e_terms]
     payload = {
-        "e_terms": [e.render() for e in sol.e_terms],
+        "e_terms": e_terms,
         "s_terms": [s.render() for s in sol.s_terms],
-        "assembled_symbolic": sol.assemble_energy_symbolic(),
+        "assembled_symbolic": coulomb_mod.assemble_energy_symbolic(e_terms),
         "assembled_energy": energy,
     }
     lines = ["n,E_n,S_n"]

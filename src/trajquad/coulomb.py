@@ -77,21 +77,17 @@ class CoulombSolution:
     def __init__(self, order: int, s_terms: list, e_terms: list):
         self.order, self.s_terms, self.e_terms = order, s_terms, e_terms
 
-    def assemble_energy_symbolic(self) -> str:
-        """Rendered energy with explicit g powers, lowest order first."""
-        pieces = []
-        for n, poly in enumerate(self.e_terms):
-            if not poly:
-                continue
-            power = -(2 * n - 4)
-            body = poly.render()
+
+def assemble_energy_symbolic(e_texts: list) -> str:
+    """The energy with explicit g powers, lowest order first, from the
+    rendered E_n, n = 0, 1, …; an E_n rendered "0" is left out."""
+    pieces = []
+    for n, body in enumerate(e_texts):
+        if body != "0":
             if " + " in body or " - " in body[1:]:
                 body = f"({body})"
-            if power == 0:
-                pieces.append(body)
-            else:
-                pieces.append(f"g^{power} * {body}")
-        return " + ".join(pieces) if pieces else "0"
+            pieces.append(body if n == 2 else f"g^{4 - 2 * n} * {body}")
+    return " + ".join(pieces) or "0"
 
 
 # ---------------------------------------------------------- integer kernel

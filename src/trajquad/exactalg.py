@@ -8,7 +8,7 @@ permitted only for the radial variable ``r``; the perturbation strength
 carry negative powers.
 
 ``MultiPoly`` is the boundary of the exact half: user text is parsed into
-it, the kernels of ``coulomb`` and ``oscpert`` build their results as it,
+it, the kernels of ``coulomb`` and ``excited`` build their results as it,
 and the CLI renders and evaluates it.  It carries no arithmetic: besides
 embedding into more variables it answers only whether it depends on a
 variable, evaluates and renders.  Sums, products, derivatives, angular
@@ -25,9 +25,10 @@ turns it back, so that ``_add_product``, which accumulates a scaled
 product, forms each product key with one integer add.  No rational type
 appears even where text meets the format: ``parse_poly`` reads each
 number as an integer (numerator, denominator) pair, sums equal terms as
-reduced pairs and brings the sums to the lcm of their denominators, and
-``render`` prints each term's numerator and the denominator divided by
-their gcd.
+reduced pairs and brings the sums to the lcm of their denominators.  One
+term formatter leads out: ``_term`` prints a term over its gcd-reduced
+denominator, ``_joined`` signs and joins terms and ``_term_value``
+evaluates one; ``render``, ``evaluate`` and ``oscpert``'s rows use them.
 
 A canonical text rendering ("-21/8 * ε^2 * ĝ^5") and a round-trip parser
 for the same grammar serve the CLI and the golden tests.  Terms are ordered
@@ -102,9 +103,6 @@ class MultiPoly:
             new_terms[tuple(row)] = coeff
         return MultiPoly(new_terms, self.den, names)
 
-    def __bool__(self):
-        return bool(self.terms)
-
     # -------------------------------------------------------------- queries
 
     def depends_on(self, var: str) -> bool:
@@ -123,49 +121,62 @@ class MultiPoly:
         order of ``render``, so equal polynomials evaluate to the same bits
         however their terms were built.
         """
+        if not self.terms:   # as the sum below gives it, without the set-up
+            return 0.0
         missing = [v for v in self.variables if v not in assignments and self.depends_on(v)]
         if missing:
             raise VariableMismatch(f"no value supplied for {missing!r}")
-        total, den = 0.0, self.den
-        for exps, coeff in self._sorted_terms():
-            term = coeff / den
-            for v, k in zip(self.variables, exps):
-                if k:
-                    term *= assignments[v] ** k
-            total += term
+        values, total = list(map(assignments.get, self.variables)), 0.0
+        for _, exps, coeff in self._sorted_terms():
+            total += _term_value(coeff, self.den, zip(values, exps))
         return total
 
     # ------------------------------------------------------------- rendering
 
-    def _sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
+    def _sorted_terms(self):   # (degree, exponents, numerator), graded
+        return sorted([(sum(e), e, c) for e, c in self.terms.items()])
 
     def render(self) -> str:
         """Canonical text form, e.g. ``-21/8 * ε^2 * ĝ^5``."""
-        if not self.terms:
-            return "0"
-        pieces, den = [], self.den
-        for exps, coeff in self._sorted_terms():
-            factors = []
-            for v, k in zip(self.variables, exps):
-                if k == 0:
-                    continue
-                factors.append(v if k == 1 else f"{v}^{k}")
-            g = math.gcd(coeff, den)
-            mag = f"{abs(coeff) // g}" if g == den else f"{abs(coeff) // g}/{den // g}"
-            if mag == "1" and factors:
-                body = " * ".join(factors)
-            else:
-                body = " * ".join([mag] + factors)
-            pieces.append((coeff < 0, body))
-        first_neg, first_body = pieces[0]
-        text = ("-" if first_neg else "") + first_body
-        for neg, body in pieces[1:]:
-            text += (" - " if neg else " + ") + body
-        return text
+        den, names, terms = self.den, self.variables, []
+        for _, exps, coeff in self._sorted_terms():
+            terms.append((coeff < 0, _term(coeff, den, zip(names, exps))))
+        return _joined(terms)
 
     def __repr__(self):
         return f"MultiPoly({self.render()!r})"
+
+
+def _term(num: int, den: int, factors) -> str:
+    """|num|/den over their gcd, then ``v`` or ``v^k`` for each (name, power)
+    factor with a nonzero power; the sign is ``_joined``'s."""
+    g = math.gcd(num, den)
+    parts = [f"{abs(num) // g}" if g == den else f"{abs(num) // g}/{den // g}"]
+    for v, k in factors:   # a loop: a comprehension's frame costs more here
+        if k:
+            parts.append(v if k == 1 else f"{v}^{k}")
+    if parts[0] == "1" and len(parts) > 1:   # a bare 1 before a factor
+        del parts[0]
+    return " * ".join(parts)
+
+
+def _joined(terms: list) -> str:
+    """(negative, body) pairs as one signed sum; ``0`` when there are none."""
+    if not terms:
+        return "0"
+    text = ("-" if terms[0][0] else "") + terms[0][1]
+    for neg, body in terms[1:]:
+        text += (" - " if neg else " + ") + body
+    return text
+
+
+def _term_value(num: int, den: int, factors):
+    """num/den times each value**power, in ``evaluate``'s order: same bits."""
+    term = num / den
+    for value, k in factors:
+        if k:
+            term *= value ** k
+    return term
 
 
 # The exact kernels (``coulomb``, ``oscpert``) carry a polynomial as the

@@ -98,19 +98,14 @@ def hermite_value(l: int, z):
     return _horner(hermite_coefficients(l), z)
 
 
-def _slope(profile: WaveProfile) -> np.ndarray:
-    return derivative(profile.s, profile.nodes)
-
-
-def apply_C(f: WaveProfile, g: float) -> WaveProfile:
-    """Single-integral operator; the source must vanish at the origin."""
+def apply_C(f: WaveProfile, g: float, sp: np.ndarray) -> WaveProfile:
+    """Single-integral operator, S' = ``sp``; f must vanish at the origin."""
     i0 = f.origin
     scale = float(np.max(np.abs(f.values))) or 1.0
     if abs(f.values[i0]) > 1e-9 * scale:
         raise DivergentAtOrigin(
             f"source value {float(f.values[i0])!r} at the origin feeds C a "
             f"constant")
-    sp = _slope(f)
     integrand = np.empty_like(f.values)
     nz = np.arange(len(sp)) != i0
     integrand[nz] = f.values[nz] / sp[nz]
@@ -237,17 +232,17 @@ def kinetic(profile: WaveProfile) -> np.ndarray:
     return -0.5 * derivative(profile.values, profile.nodes, order=2)
 
 
-def resolvent_residual(f: WaveProfile, dbar: WaveProfile,
-                       g: float) -> np.ndarray:
+def resolvent_residual(f: WaveProfile, dbar: WaveProfile, g: float,
+                       sp: np.ndarray) -> np.ndarray:
     """|D̄f + C(TD̄f - f)| on interior nodes: the (1+CT)D̄ = C identity.
 
-    ``dbar`` is the image D̄f.  The two log-divergent pieces of CTD̄f and
-    Cf cancel structurally, so C is applied once to their difference,
-    which vanishes at the origin whenever f is an admissible
-    even-subtracted or odd source.
+    ``dbar`` is the image D̄f and ``sp`` is S'.  The two log-divergent
+    pieces of CTD̄f and Cf cancel structurally, so C is applied once to
+    their difference, which vanishes at the origin whenever f is an
+    admissible even-subtracted or odd source.
     """
     combo = f.with_values(kinetic(dbar) - f.values)
-    residual = dbar.values + apply_C(combo, g).values
+    residual = dbar.values + apply_C(combo, g, sp).values
     return np.abs(residual[2:-2])
 
 
@@ -267,10 +262,10 @@ def greens_function_residual(f: WaveProfile, dbar: WaveProfile,
     return np.abs(res[2:-2])
 
 
-def c_gradient_residual(f: WaveProfile, g: float) -> np.ndarray:
+def c_gradient_residual(f: WaveProfile, g: float,
+                        sp: np.ndarray) -> np.ndarray:
     """|g S'·(Cf)' - f| / max|f| on interior nodes (resolvent left inverse)."""
-    cf = apply_C(f, g)
-    sp = _slope(f)
+    cf = apply_C(f, g, sp)
     res = g * sp * derivative(cf.values, f.nodes) - f.values
     return np.abs(res[2:-2]) / max(float(np.max(np.abs(f.values))), 1e-300)
 
@@ -287,6 +282,7 @@ def identity_report(g: float, n: int, half_width: float) -> list:
     that needs D̄f reads that source's row of the one image.
     """
     prof = harmonic_profile(n, half_width)
+    sp = derivative(prof.s, prof.nodes)   # S', for every application of C
     moment = gaussian_even_moment(g)
     # a g at which H_l(√g·z) overflows also overflows the weight e^(2gS),
     # which apply_Dbar rejects before it reads any source value
@@ -305,14 +301,13 @@ def identity_report(g: float, n: int, half_width: float) -> list:
         rows.append((f"dbar_hermite_l{l}",
                      np.abs(images[f"H{l}"].values - expect), 1e-7))
     rows += [(f"resolvent[{name}]",
-              resolvent_residual(sources[name], images[name], g), 1e-6)
+              resolvent_residual(sources[name], images[name], g, sp), 1e-6)
              for name in ("x^2 - <x^2>", "x^3", "H3")]
     rows += [(f"greens_residual[{name}]",
               greens_function_residual(sources[name], images[name], g), 1e-5)
              for name in ("H2", "x^3")]
     rows.append(("c_left_inverse[x^4]",
-                 c_gradient_residual(prof.with_values(x ** 4), g),
-                 1e-6))
+                 c_gradient_residual(prof.with_values(x ** 4), g, sp), 1e-6))
     checks = []
     for name, residual, tolerance in rows:
         worst = float(np.max(residual))

@@ -29,8 +29,8 @@ of mixed parity would otherwise lose terms silently.
 
 Everything is exact.  Every table entry, every e^{-τ} coefficient and every
 energy shift is a single ĝ-monomial c·ĝ^s (ĝ = 1/g, c rational) whose power
-s is fixed by scaling, so the recursion runs on the rationals c alone and a
-ĝ-monomial is built only when a caller asks for one.  The e^{-τ}
+s is fixed by scaling, so the recursion runs on the rationals c alone and
+no ĝ-monomial is ever built as a polynomial.  The e^{-τ}
 coefficients are keyed by their x-power n, and one rule gives every power:
 
     image at x^j of x^n    s = (n - j)/2 + 1,  so s = n - m + 1 for Γ_mn, γ_mn
@@ -43,8 +43,8 @@ to the lcm of its parts' denominators.  On a source over D whose top key
 is J, the sweep carries the integer A_j = 2^t·S_j + (j+1)·A_{j+2},
 t = (J-j)/2, with T_j = A_j/(D·2^t), and puts every image over
 D·2^t_max·lcm of the j.  These pairs are ``exactalg``'s integer format;
-they take the names ĝ (and ε) and become ``MultiPoly`` only where a caller
-reads Δ(k) or the shift polynomial.
+``PerturbSeries.table`` writes Δ(k) and the shift polynomial from them in
+one pass, with the term formatter ``MultiPoly.render`` is built on.
 
 The series is solved order by order in ε with no truncation other than the
 requested order.  At ε-order k the coefficients live on n ≤ kP with
@@ -62,10 +62,7 @@ from __future__ import annotations
 import math
 
 from .errors import MethodError
-from .exactalg import VAR_EPS, VAR_GHAT, MultiPoly, _reduced
-
-_G = (VAR_GHAT,)
-_EG = (VAR_EPS, VAR_GHAT)
+from .exactalg import VAR_EPS, VAR_GHAT, _joined, _reduced, _term, _term_value
 
 
 def _chain(source: dict, den: int) -> tuple:
@@ -95,31 +92,35 @@ class PerturbSeries:
     rational c of the ε^k coefficient c·ĝ^s of x^n in e^{-τ},
     s = (k(P+2) - n)/2; ``denominators[k]`` is the one positive denominator
     of order k, coprime to its numerators.  ``levels[0]`` is {0: 1} over 1.
-    The accessors take the paper's k and build c and ĝ^s on demand.
     """
 
     def __init__(self, P: int, levels: list, denominators: list):
         self.P, self.levels, self.denominators = P, levels, denominators
 
-    @property
-    def order(self) -> int:
-        return len(self.levels) - 1
+    def deltas(self):
+        """(k, c, d, s) for k = 1..order: Δ(k) = (c/d)·ĝ^s, c = -(the x²
+        numerator), d the order's denominator, s = (k(P+2) - 2)/2."""
+        for k in range(1, len(self.levels)):
+            yield (k, -self.levels[k].get(2, 0), self.denominators[k],
+                   (k * (self.P + 2) - 2) // 2)
 
-    def _power(self, k: int, n: int) -> int:
-        return (k * (self.P + 2) - n) // 2
+    def table(self, ghat: float, check) -> tuple:
+        """Rows (k, text, check(value at ĝ)) of Δ(k) and the text of εΔ.
 
-    def delta(self, k: int) -> MultiPoly:
-        """Δ(k) = -(the ε^k coefficient of x²), with εΔ = Σ_k ε^k Δ(k)."""
-        return MultiPoly({(self._power(k, 2),): -self.levels[k].get(2, 0)},
-                         self.denominators[k], _G)
-
-    def shift_polynomial(self) -> MultiPoly:
-        """εΔ as an exact polynomial in (ε, ĝ), over one denominator."""
-        orders = [k for k in range(1, len(self.levels)) if 2 in self.levels[k]]
-        den = math.lcm(*(self.denominators[k] for k in orders))
-        return MultiPoly({(k, self._power(k, 2)):
-                          -self.levels[k][2] * (den // self.denominators[k])
-                          for k in orders}, den, _EG)
+        Text and value are ``MultiPoly``'s render and evaluate of c·ĝ^s;
+        ``check`` sees each value before the next is made, so the lowest
+        order out of range raises.  εΔ = Σ_k ε^k Δ(k) has its terms in
+        render's graded order: k + s = (k(P+4) - 2)/2 rises with k.
+        """
+        rows, shift = [], []
+        for k, c, d, s in self.deltas():
+            terms, value = [], 0.0
+            if c:
+                terms.append((c < 0, _term(c, d, ((VAR_GHAT, s),))))
+                value += _term_value(c, d, ((ghat, s),))
+                shift.append((c < 0, _term(c, d, ((VAR_EPS, k), (VAR_GHAT, s)))))
+            rows.append((k, _joined(terms), check(value)))
+        return rows, _joined(shift)
 
 
 def _solve(P: int, order: int) -> PerturbSeries:

@@ -122,7 +122,7 @@ class TestChi1:
             Poly.const(Fraction(-1, 2), ("q1",))
 
     def test_low_occupation_vanishes(self):
-        assert not chi1_harmonic(ExcitedSpec((1, 1), (1, 1)))
+        assert not chi1_harmonic(ExcitedSpec((1, 1), (1, 1))).terms
 
     def test_n3_linear(self):
         got = chi1_harmonic(ExcitedSpec((1,), (3,)))

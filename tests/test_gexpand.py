@@ -18,6 +18,8 @@ from trajquad.numerics import _horner, cumulative_integral, derivative
 from trajquad.oscpert import solve_even, solve_odd
 from trajquad.trajectory import build_grid, coefficients
 
+from test_oscpert import delta
+
 
 def rhs_terms(sol, grid):
     """RHS_k = B_k - E_{k-1}, k = 1..order, from the returned samples alone.
@@ -137,8 +139,8 @@ def oscillator_energies(P, c):
     energies = [0.5, 0.0, 0.0, 0.0]
     for k in range(1, top + 1):
         if k * (P - 2) % 2 == 0:
-            delta = series.delta(k).evaluate({VAR_GHAT: 1.0})
-            energies[k * (P - 2) // 2] += delta * c ** k
+            shift = delta(series, k).evaluate({VAR_GHAT: 1.0})
+            energies[k * (P - 2) // 2] += shift * c ** k
     return energies
 
 

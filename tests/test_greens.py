@@ -31,13 +31,18 @@ from trajquad.greens import (
 )
 from trajquad.numerics import cumulative_integral, derivative
 
-from test_oscpert import coeff
+from test_oscpert import coeff, delta
 
 G = 1.0
 
 
 class DegenerateProfile(MethodError):
     """Energy-shift quadrature has vanishing normalization."""
+
+
+def slope(profile):
+    """S' on the nodes, as apply_C and the residuals that apply it take it."""
+    return derivative(profile.s, profile.nodes)
 
 
 def irregular_solution(profile, g):
@@ -113,7 +118,7 @@ def reference_report(g: float, n: int, half_width: float = 8.0) -> list:
     odd = prof.with_values(x ** 3)
     h3 = prof.with_values(hermite_value(3, sqrt_g * x))
     for name, f in (("x^2 - <x^2>", even), ("x^3", odd), ("H3", h3)):
-        residual = resolvent_residual(f, dbar(f), g)
+        residual = resolvent_residual(f, dbar(f), g, slope(f))
         checks.append({"identity": f"resolvent[{name}]", "grid": n,
                        "max_residual": float(np.max(residual)),
                        "tolerance": 1e-6})
@@ -125,7 +130,7 @@ def reference_report(g: float, n: int, half_width: float = 8.0) -> list:
                        "tolerance": 1e-5})
     quartic = prof.with_values(x ** 4)
     checks.append({"identity": "c_left_inverse[x^4]", "grid": n,
-                   "max_residual": float(np.max(c_gradient_residual(quartic, g))),
+                   "max_residual": float(np.max(c_gradient_residual(quartic, g, slope(quartic)))),
                    "tolerance": 1e-6})
     for rec in checks:
         rec["pass"] = bool(rec["max_residual"] < rec["tolerance"])
@@ -163,24 +168,28 @@ class TestHermite:
 
 class TestApplyC:
     def test_even_power_rule(self, profile):
-        got = apply_C(profile.with_values(profile.nodes ** 4), G).values
+        got = apply_C(profile.with_values(profile.nodes ** 4), G,
+                      slope(profile)).values
         assert np.max(np.abs(got - profile.nodes ** 4 / 4)) < 1e-8
 
     def test_odd_power_rule(self, profile):
-        got = apply_C(profile.with_values(profile.nodes ** 3), G).values
+        got = apply_C(profile.with_values(profile.nodes ** 3), G,
+                      slope(profile)).values
         assert np.max(np.abs(got - profile.nodes ** 3 / 3)) < 1e-8
 
     def test_zero_source(self, profile):
-        got = apply_C(profile.with_values(np.zeros_like(profile.nodes)), G)
+        got = apply_C(profile.with_values(np.zeros_like(profile.nodes)), G,
+                      slope(profile))
         assert not np.any(got.values)
 
     def test_constant_source_rejected(self, profile):
         with pytest.raises(DivergentAtOrigin):
-            apply_C(profile.with_values(np.ones_like(profile.nodes)), G)
+            apply_C(profile.with_values(np.ones_like(profile.nodes)), G,
+                    slope(profile))
 
     def test_left_inverse(self, profile):
         f = profile.with_values(profile.nodes ** 4)
-        assert np.max(c_gradient_residual(f, G)) < 1e-6
+        assert np.max(c_gradient_residual(f, G, slope(f))) < 1e-6
 
 
 class TestApplyDbar:
@@ -295,7 +304,8 @@ class TestApplyDbar:
                  profile.with_values(x ** 3),
                  profile.with_values(hermite_value(3, math.sqrt(G) * x))]
         for f in cases:
-            assert np.max(resolvent_residual(f, apply_Dbar(f, G), G)) < 1e-6
+            assert np.max(resolvent_residual(f, apply_Dbar(f, G), G,
+                                             slope(f))) < 1e-6
 
     def test_greens_function_residual(self, profile):
         for fn in (lambda z: hermite_value(2, math.sqrt(G) * z),
@@ -386,9 +396,9 @@ class TestShift:
         tau_vals = -eps * (a1 * x ** 2 + a2 * x ** 4)
         u = profile.with_values(x ** 4)
         got = shift_from_boundary(u, profile.with_values(tau_vals), g)
-        expect = series.delta(1).evaluate(ginv) \
-            + eps * series.delta(2).evaluate(ginv)
-        bound = 2.0 * eps ** 2 * abs(series.delta(3).evaluate(ginv))
+        expect = delta(series, 1).evaluate(ginv) \
+            + eps * delta(series, 2).evaluate(ginv)
+        bound = 2.0 * eps ** 2 * abs(delta(series, 3).evaluate(ginv))
         assert abs(got - expect) < bound
 
 
@@ -409,7 +419,7 @@ class TestSeriesFixedPoint:
         def series_fn(eps):
             def fn(z):
                 out = np.ones_like(np.asarray(z, dtype=float))
-                for k in range(1, series.order + 1):
+                for k in range(1, len(series.levels)):
                     for n in series.levels[k]:
                         out = out + eps ** k * coeff(series, k, n).evaluate(ginv) * z ** n
                 return out
@@ -417,8 +427,8 @@ class TestSeriesFixedPoint:
 
         residuals = {}
         for eps in (1e-3, 5e-4):
-            shift = sum(eps ** (k - 1) * series.delta(k).evaluate(ginv)
-                        for k in range(1, series.order + 1))
+            shift = sum(eps ** (k - 1) * delta(series, k).evaluate(ginv)
+                        for k in range(1, len(series.levels)))
             tau_fn = series_fn(eps)
             src = profile.with_values(eps * (-x ** 4 + shift) * tau_fn(x))
             rhs = apply_Dbar(src, g).values
@@ -437,7 +447,7 @@ class TestTrajectoryProfile:
         grid = build_grid(coefficients("0.5*x^2 + 0.1*x^4"), 4.0, 2001)
         prof = WaveProfile(grid.arc, cumulative_integral(grid.speed, grid.arc),
                            grid.arc ** 4)
-        assert np.max(c_gradient_residual(prof, 2.0)) < 1e-6
+        assert np.max(c_gradient_residual(prof, 2.0, slope(prof))) < 1e-6
 
 
 class TestReport:
@@ -446,6 +456,21 @@ class TestReport:
         assert all(rec["pass"] for rec in report)
         names = {rec["identity"] for rec in report}
         assert "dbar_hermite_l4" in names
+
+    def test_differentiates_s_once(self, monkeypatch):
+        # C divides by S' in the three resolvent checks and the left-inverse
+        # check, which also multiplies by it: one stencil pass over S serves
+        # all four (the check-by-check reference takes five)
+        x = np.linspace(-8.0, 8.0, 401)
+        passes, real = [], greens.derivative
+
+        def counted(values, nodes, *args, **kwargs):
+            passes.append(np.array_equal(values, 0.5 * x * x))
+            return real(values, nodes, *args, **kwargs)
+
+        monkeypatch.setattr(greens, "derivative", counted)
+        identity_report(1.0, 401, 8.0)
+        assert sum(passes) == 1
 
     @pytest.mark.parametrize("g", [1.0, 2.0])
     def test_matches_reference_with_one_dbar_per_source(self, g, monkeypatch):

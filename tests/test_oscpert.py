@@ -10,9 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from trajquad import oscpert
+from trajquad import cli, oscpert
 from trajquad.errors import MethodError
-from trajquad.exactalg import VAR_GHAT, VAR_X
+from trajquad.exactalg import VAR_EPS, VAR_GHAT, VAR_X, MultiPoly
 from trajquad.oscpert import solve_even, solve_odd
 
 from polyring import Poly, lift
@@ -157,10 +157,34 @@ def fraction_solve(P: int, order: int) -> list:
     return levels
 
 
+def power(series, k, n):
+    """The ĝ-power s = (k(P+2) - n)/2 of the ε^k coefficient of x^n."""
+    return (k * (series.P + 2) - n) // 2
+
+
 def coeff(series, k, n):
     """The ε^k coefficient of x^n in e^{-τ} as a ĝ-monomial."""
     return ghat(Fraction(series.levels[k].get(n, 0), series.denominators[k]),
-                series._power(k, n))
+                power(series, k, n))
+
+
+# Δ(k) and εΔ as MultiPolys, the reference the rows and the shift text of
+# PerturbSeries.table are checked against through render and evaluate
+
+
+def delta(series, k) -> MultiPoly:
+    """Δ(k) = -(the ε^k coefficient of x²), with εΔ = Σ_k ε^k Δ(k)."""
+    return MultiPoly({(power(series, k, 2),): -series.levels[k].get(2, 0)},
+                     series.denominators[k], _G)
+
+
+def shift_polynomial(series) -> MultiPoly:
+    """εΔ as an exact polynomial in (ε, ĝ), over one denominator."""
+    orders = [k for k in range(1, len(series.levels)) if 2 in series.levels[k]]
+    den = math.lcm(*(series.denominators[k] for k in orders))
+    return MultiPoly({(k, power(series, k, 2)):
+                      -series.levels[k][2] * (den // series.denominators[k])
+                      for k in orders}, den, (VAR_EPS, VAR_GHAT))
 
 
 def level(series, k):
@@ -232,16 +256,16 @@ class TestTables:
 class TestEvenSeries:
     def test_quartic_first_two_orders(self):
         series = solve_even(p=2, order=2)
-        assert series.delta(1) == ghat(Fraction(3, 4), 2)
-        assert series.delta(2) == ghat(Fraction(-21, 8), 5)
+        assert delta(series, 1) == ghat(Fraction(3, 4), 2)
+        assert delta(series, 2) == ghat(Fraction(-21, 8), 5)
 
     def test_quartic_known_higher_orders(self):
         # classic quartic anharmonic ground-state coefficients at g = 1
         series = solve_even(p=2, order=4)
-        assert series.delta(3).evaluate({VAR_GHAT: 1.0}) == pytest.approx(333 / 16)
-        assert series.delta(4).evaluate({VAR_GHAT: 1.0}) == pytest.approx(-30885 / 128)
-        assert series.delta(3) == ghat(Fraction(333, 16), 8)
-        assert series.delta(4) == ghat(Fraction(-30885, 128), 11)
+        assert delta(series, 3).evaluate({VAR_GHAT: 1.0}) == pytest.approx(333 / 16)
+        assert delta(series, 4).evaluate({VAR_GHAT: 1.0}) == pytest.approx(-30885 / 128)
+        assert delta(series, 3) == ghat(Fraction(333, 16), 8)
+        assert delta(series, 4) == ghat(Fraction(-30885, 128), 11)
 
     def test_quadratic_matches_exact_frequency_shift(self):
         # V + εx² is harmonic: E = √(g²+2ε)/2, so Δ(k) follows binomially
@@ -249,7 +273,7 @@ class TestEvenSeries:
         expected = [ghat(Fraction(1, 2), 1), ghat(Fraction(-1, 4), 3),
                     ghat(Fraction(1, 4), 5), ghat(Fraction(-5, 16), 7),
                     ghat(Fraction(7, 16), 9)]
-        assert [series.delta(k) for k in range(1, 6)] == expected
+        assert [delta(series, k) for k in range(1, 6)] == expected
 
     def test_order_zero_is_empty(self):
         assert solve_even(p=2, order=0).levels[1:] == []
@@ -260,7 +284,7 @@ class TestEvenSeries:
 
     def test_support_bound(self):
         series = solve_even(p=3, order=3)
-        for k in range(1, series.order + 1):
+        for k in range(1, len(series.levels)):
             assert all(n <= 6 * k for n in series.levels[k])
 
     def test_quartic_bender_wu_large_order(self):
@@ -271,7 +295,7 @@ class TestEvenSeries:
 
         def ratio(k):
             # r_k in log space: Δ(80) and its leading form are near 1e155
-            (coeff,) = lift(series.delta(k)).terms.values()
+            (coeff,) = lift(delta(series, k)).terms.values()
             assert (coeff > 0) == (k % 2 == 1)
             log_delta = math.log(abs(coeff.numerator)) - math.log(coeff.denominator)
             log_leading = 0.5 * math.log(6) - 1.5 * math.log(math.pi) \
@@ -291,11 +315,11 @@ class TestEvenSeries:
 class TestOddSeries:
     def test_linear_perturbation_exact(self):
         series = solve_odd(p=0, order=6)
-        assert series.delta(2) == ghat(Fraction(-1, 2), 2)
+        assert delta(series, 2) == ghat(Fraction(-1, 2), 2)
         for k in (1, 3, 5):
-            assert not series.delta(k)
+            assert not delta(series, k).terms
         for k in (4, 6):
-            assert not series.delta(k)
+            assert not delta(series, k).terms
 
     def test_linear_wavefunction_coefficients(self):
         # e^{-τ} = e^{-εx/g}: b_n carries ε^n (-ĝ)^n / n!
@@ -312,22 +336,22 @@ class TestOddSeries:
         # exact shift is -ε²/2g², entirely at second order
         series = solve_odd(p=0, order=6)
         ginv = {VAR_GHAT: 1.0 / 2.0}
-        shift = sum(series.delta(k).evaluate(ginv) * 0.3 ** k
-                    for k in range(1, series.order + 1))
+        shift = sum(delta(series, k).evaluate(ginv) * 0.3 ** k
+                    for k in range(1, len(series.levels)))
         assert shift == pytest.approx(-0.3 ** 2 / 8)
 
     def test_cubic_parity_structure(self):
         series = solve_odd(p=1, order=6)
         for k in (1, 3, 5):
-            assert not series.delta(k)
-        for k in range(1, series.order + 1):
+            assert not delta(series, k).terms
+        for k in range(1, len(series.levels)):
             assert all(n % 2 == k % 2 for n in series.levels[k])
             assert all(n <= 3 * k for n in series.levels[k])
 
     def test_cubic_first_shift(self):
         # known cubic result: ΔE = -(11/8) ε²/g⁴ at leading order
         series = solve_odd(p=1, order=2)
-        assert series.delta(2) == ghat(Fraction(-11, 8), 4)
+        assert delta(series, 2) == ghat(Fraction(-11, 8), 4)
 
 
 class TestIntegerKernel:
@@ -401,3 +425,73 @@ class TestOperatorChains:
                 expected = expected + gamma_odd(m, n).embedded((VAR_X, VAR_GHAT)) * \
                     Poly.monomial(1, {VAR_X: 2 * m + 1}, (VAR_X, VAR_GHAT))
             assert total == expected
+
+
+# --------------------------------------------------------------------------
+# PerturbSeries.table against the MultiPoly path it replaced: the perturb
+# runner that built Δ(k) and εΔ as MultiPolys, then evaluated and rendered
+
+
+def reference_run_perturb(p):
+    solver = solve_even if p["parity"] == "even" else solve_odd
+    series = solver(p["p"], p["order"])
+    rows = []
+    for k in range(1, len(series.levels)):
+        d = delta(series, k)
+        at_g = cli._finite(d.evaluate({VAR_GHAT: 1.0 / p["g"]}))
+        rows.append({"k": k, "delta_exact": d.render(), "delta_at_g": at_g})
+    payload = {"parity": p["parity"], "p": p["p"], "deltas": rows,
+               "shift_polynomial": shift_polynomial(series).render()}
+    lines = ["k,delta_exact,delta_at_g"]
+    lines += [f"{r['k']},\"{r['delta_exact']}\",{r['delta_at_g']!r}"
+              for r in rows]
+    return payload, lines, None
+
+
+class TestTable:
+    @pytest.mark.parametrize("P", range(1, 9))
+    def test_shift_terms_come_in_graded_order(self, P):
+        # k + s(k) = (k(P+4) - 2)/2 rises strictly with k (floored where kP
+        # is odd and Δ(k) vanishes), so the orders are render's term order
+        series = oscpert._solve(P, 24)
+        grades = [k + s for k, _, _, s in series.deltas()]
+        assert all(a < b for a, b in zip(grades, grades[1:]))
+        nonzero = [(k, s) for k, c, _, s in series.deltas() if c]
+        assert [e for _, e, _ in shift_polynomial(series)._sorted_terms()] \
+            == nonzero
+
+    @pytest.mark.parametrize("P", range(9))
+    def test_cli_matches_the_multipoly_reference(self, P, monkeypatch, capsys):
+        # stdout (csv and json), exit code and stderr, byte for byte, for
+        # orders 0-24 and g from 1e-12 (where ĝ^s overflows) to 1e3; P = 0,
+        # even p = 0, is a config error on both paths
+        runner, schema = cli._COMMANDS["perturb"]
+        parity = "odd" if P % 2 else "even"
+        seen = set()
+        for order in range(25):
+            for g in ("1e-12", "1e-3", "0.5", "1", "3", "1e3"):
+                for fmt in ("csv", "json"):
+                    argv = ["--command", "perturb", "--parity", parity,
+                            "--p", str(P // 2), "--order", str(order),
+                            "--g", g, "--format", fmt]
+                    got = cli.main(argv), *capsys.readouterr()
+                    monkeypatch.setitem(cli._COMMANDS, "perturb",
+                                        (reference_run_perturb, schema))
+                    want = cli.main(argv), *capsys.readouterr()
+                    monkeypatch.setitem(cli._COMMANDS, "perturb",
+                                        (runner, schema))
+                    assert got == want, argv
+                    seen.add(got[0])
+                    if got[0] == 0 and fmt == "csv":
+                        seen.add("zero row" if ',"0",' in got[1] else None)
+        if P == 0:
+            assert seen == {1}
+        else:
+            # ĝ^s overflows at g = 1e-12 by order 24, bar P = 1, whose one
+            # shift is Δ(2) = -ĝ²/2
+            assert 0 in seen and (1 in seen) == (P > 1)
+            assert ("zero row" in seen) == (P % 2 == 1)
+
+    def test_order_zero_has_no_rows_and_a_zero_shift(self):
+        rows, shift = solve_even(2, 0).table(1.0, float)
+        assert (rows, shift) == ([], "0")

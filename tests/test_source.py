@@ -186,14 +186,33 @@ def test_one_window_kernel_and_one_horner():
     assert not found, f"numpy.polynomial in src/trajquad: {found}"
 
 
-def test_every_public_function_is_used():
-    # a public module-level function or class that no other src/ code uses
-    # is a test-only reference; it belongs in its test.  The public methods,
-    # classmethods and properties of public classes are held to the same
-    # rule: a method is used when src/ reads an attribute of its name
-    # outside the method's own body.  Private and dunder methods are exempt.
-    trees = {path.name: ast.parse(path.read_text(), str(path))
-             for path in sorted(SRC.glob("*.py"))}
+def _defined_names(cls: ast.ClassDef) -> set:
+    """The names a class defines: its methods, class attributes and the
+    attributes its methods assign on ``self``."""
+    names = set()
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)}
+    return names | {n.attr for n in ast.walk(cls)
+                    if isinstance(n, ast.Attribute)
+                    and isinstance(n.ctx, ast.Store)
+                    and isinstance(n.value, ast.Name) and n.value.id == "self"}
+
+
+def _unused_public_names(trees: dict) -> tuple:
+    """(functions and classes, methods) of ``trees`` that no other code uses.
+
+    A public module-level function or class is used when another top-level
+    statement references its name.  A public method of a public class is
+    used when an attribute of its name is read outside the method's own
+    body, except inside another class that defines that name itself: there
+    the read is of that class's own member.
+    """
     # (module, top-level statement, every name and attribute it references)
     statements = [(name, node, {n.id if isinstance(n, ast.Name) else n.attr
                                 for n in ast.walk(node)
@@ -204,7 +223,12 @@ def test_every_public_function_is_used():
               and not node.name.startswith("_")
               and not any(node.name in refs for _, other, refs in statements
                           if other is not node)]
-    assert not unused, f"public names nothing in src/trajquad uses: {unused}"
+    # each attribute with the innermost class around it, if any
+    classes = [n for tree in trees.values() for n in ast.walk(tree)
+               if isinstance(n, ast.ClassDef)]
+    defines = {id(c): _defined_names(c) for c in classes}
+    inside = {id(a): c for c in classes for a in ast.walk(c)
+              if isinstance(a, ast.Attribute)}
     attributes = [n for tree in trees.values() for n in ast.walk(tree)
                   if isinstance(n, ast.Attribute)]
     unused_methods = []
@@ -215,10 +239,53 @@ def test_every_public_function_is_used():
             if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
                 own = {id(n) for n in ast.walk(fn)}
                 if not any(a.attr == fn.name and id(a) not in own
+                           and (inside.get(id(a), cls) is cls
+                                or fn.name not in defines[id(inside[id(a)])])
                            for a in attributes):
                     unused_methods.append(f"{name}:{cls.name}.{fn.name}")
+    return unused, unused_methods
+
+
+def test_every_public_function_is_used():
+    # a public module-level function or class that no other src/ code uses
+    # is a test-only reference; it belongs in its test.  The public methods,
+    # classmethods and properties of public classes are held to the same
+    # rule, owner by owner.  Private and dunder methods are exempt.
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    unused, unused_methods = _unused_public_names(trees)
+    assert not unused, f"public names nothing in src/trajquad uses: {unused}"
     assert not unused_methods, \
         f"public methods nothing in src/trajquad uses: {unused_methods}"
+
+
+# a public property read only inside another class that keeps an attribute
+# of the same name, as TrajectoryGrid.s0 once was read only as _Forms.s0
+_SHADOWED = """
+class Grid:
+    @property
+    def s0(self):
+        return 0.0
+
+
+class _Forms:
+    def __init__(self, grid: Grid):
+        self.s0 = 1.0
+
+    def value(self):
+        return self.s0
+"""
+
+
+def test_use_rule_counts_reads_per_owner():
+    tree = ast.parse(_SHADOWED)
+    assert _unused_public_names({"m.py": tree}) == ([], ["m.py:Grid.s0"])
+    # a read outside any class, or in a class without its own s0, counts
+    for use in ("def use(grid):\n    return grid.s0\n",
+                "class Reader:\n    def use(self, grid):\n"
+                "        return grid.s0\n"):
+        tree = ast.parse(_SHADOWED + use)
+        assert "m.py:Grid.s0" not in _unused_public_names({"m.py": tree})[1]
 
 
 def test_every_multipoly_method_is_called_by_a_command(monkeypatch, capsys):
