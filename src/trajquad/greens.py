@@ -15,8 +15,8 @@ produce a bounded result; for those the inner integral is evaluated from
 the decaying side on each half-line, which is also what keeps the huge
 e^{2gS} weight from amplifying quadrature residue.  A profile is samples
 alone: D̄ integrates on a 4×-refined grid filled by quartic interpolation,
-and its tails beyond the grid are one adaptive quadrature on a quartic
-continuation of the samples.  When the computed mean is above
+and its tails beyond the grid are one fixed Gauss–Legendre quadrature on a
+quartic continuation of the samples.  When the computed mean is above
 the solvability threshold the growing branch is returned unchanged (that
 growth is a real feature of the operator, not an error).  D̄ also takes
 a stack of sources on one profile, as the identity report applies it.
@@ -36,9 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentAtOrigin, TailDivergence
-from .numerics import (_horner, adaptive_panels, cumulative_integral,
-                       derivative, grid_spacing, increments, neville_at,
-                       quartic_fit, refine_quarters)
+from .numerics import (_horner, cumulative_integral, derivative, gauss_panels,
+                       grid_spacing, increments, quartic_fit, refine_quarters)
 
 
 @dataclass
@@ -106,17 +105,12 @@ def apply_C(f: WaveProfile, g: float, sp: np.ndarray) -> WaveProfile:
         raise DivergentAtOrigin(
             f"source value {float(f.values[i0])!r} at the origin feeds C a "
             f"constant")
-    integrand = np.empty_like(f.values)
-    nz = np.arange(len(sp)) != i0
-    integrand[nz] = f.values[nz] / sp[nz]
-    left = neville_at(f.nodes[i0 - 4:i0], integrand[i0 - 4:i0], f.nodes[i0]) \
-        if i0 >= 4 else 0.0
-    right = neville_at(f.nodes[i0 + 1:i0 + 5], integrand[i0 + 1:i0 + 5],
-                       f.nodes[i0]) if i0 + 5 <= len(sp) else 0.0
-    if i0 >= 4 and i0 + 5 <= len(sp):
-        integrand[i0] = 0.5 * (left + right)
-    else:
-        integrand[i0] = left + right
+    integrand = f.values / np.where(np.arange(len(sp)) == i0, 1.0, sp)
+    # at the origin f/S' is 0/0: its limit f'/S'' by the stencils there
+    lo = min(max(i0 - 2, 0), len(sp) - 5)
+    x = f.nodes[lo:lo + 5]
+    integrand[i0] = (derivative(f.values[lo:lo + 5], x)[i0 - lo]
+                     / derivative(sp[lo:lo + 5], x)[i0 - lo])
     out = cumulative_integral(integrand, f.nodes, start=i0) / g
     return f.with_values(out)
 
@@ -127,12 +121,12 @@ def _tail_beyond(f: WaveProfile, g: float, side: int) -> np.ndarray:
     S and f continue as the quartics through five samples spread over the
     grid's last eighth, fitted once in units t of their spacing from b
     (raw units underflow on tiny grids), so the tail lies at t < 0.  The
-    scaled integrand e^{-2g(S-S(b))} f is integrated adaptively out to
-    where that factor drops below e^{-80}, on panels halving toward b for
-    the bump of width 1/(2gS'(b)) of a source vanishing at b.  An S not
+    scaled integrand e^{-2g(S-S(b))} f is integrated by 16-point Gauss out
+    to where that factor drops below e^{-80}, on 48 panels halving toward b
+    for the bump of width 1/(2gS'(b)) of a source vanishing at b.  An S not
     risen by 40/g in 64 span doublings raises TailDivergence.  The rows of
     a stacked source share the exponent and panels and run as one stacked
-    quadrature, each with its own quartic and tolerance.
+    quadrature, each with its own quartic.
     """
     rows = np.atleast_2d(f.values)
     edge = -1 if side > 0 else 0
@@ -141,9 +135,10 @@ def _tail_beyond(f: WaveProfile, g: float, side: int) -> np.ndarray:
     step = abs(float(f.nodes[fit[4]]) - b) / 4.0
     # -2g and S(b) folded into the exponent's coefficients
     exponent = -2.0 * g * quartic_fit(f.s[fit] - f.s[edge])
-    # row k of the coefficients is every source's t^k column; each quartic
-    # is fitted as a lone source's is, so that the stack rounds alike
-    source = np.array([quartic_fit(v[fit]) for v in rows]).T[:, :, None]
+    # row k of the coefficients is every source's t^k column, broadcast over
+    # the (panels, 16) Gauss nodes; each quartic is fitted as a lone
+    # source's is, so that the stack rounds alike
+    source = np.array([quartic_fit(v[fit]) for v in rows]).T[..., None, None]
     # the weight e^{-2gS} falls over a width 1/√g, and at large g the
     # source overflows a fixed unit beyond the edge
     span = (abs(b) + 1.0) / max(1.0, math.sqrt(g)) / step
@@ -153,11 +148,9 @@ def _tail_beyond(f: WaveProfile, g: float, side: int) -> np.ndarray:
         span *= 2.0
     else:
         raise TailDivergence(f"S does not rise beyond the grid edge {b!r}")
-    tol = 1e-14 * np.maximum(np.max(np.abs(rows[:, fit]), axis=1), 1e-300)
     edges = np.append(-span * 0.5 ** np.arange(48), 0.0)
-    val = adaptive_panels(lambda t: np.exp(_horner(exponent, t))
-                          * _horner(source, t), edges,
-                          tol=tol[:, None]).sum(axis=-1)
+    val = gauss_panels(lambda t: np.exp(_horner(exponent, t))
+                       * _horner(source, t), edges).sum(axis=-1)
     return math.exp(-2.0 * g * float(f.s[edge])) * step * val
 
 

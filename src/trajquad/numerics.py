@@ -1,4 +1,4 @@
-"""Shared numerical kernels: stencils, cumulative quadrature, extrapolation.
+"""Shared numerical kernels: stencils, cumulative quadrature, Gauss panels.
 
 Every grid in the package is uniform, so the workhorses below use fixed
 5-point stencils: first and second derivatives are 4th-order accurate and
@@ -14,14 +14,11 @@ The derivatives, the cumulative integral (the running sum of
 quarter step, a 4×-refined grid) are one call each.
 ``_horner`` evaluates every polynomial of the grid half.
 
-``adaptive_panels`` is the one adaptive Simpson rule, used where the
-integrand is a callable rather than a sampled array (the Green's-operator
-tails beyond the grid).  It integrates every panel of a partition at
-once: each bisection level is one array step over all the panels whose
-Richardson error estimate still misses the tolerance, so the integrand is
-called on arrays, a few times per level, never per panel.
-A stack of integrands (one row each, a column of tolerances) runs in the
-same calls, each row bitwise as it would come out alone.
+``gauss_panels`` is the one rule for an integrand that is a callable
+rather than samples (the Green's-operator tails beyond the grid): fixed
+16-point Gauss–Legendre on every panel of a partition, in one array call
+of the integrand, with no refinement and no tolerance.  A stack of
+integrands runs in the same call, each bitwise as it would come alone.
 """
 
 from __future__ import annotations
@@ -152,78 +149,23 @@ def quartic_fit(y: np.ndarray) -> np.ndarray:
     return y @ _QUARTIC_FIT
 
 
-def neville_at(xs, ys, x: float | np.ndarray) -> float | np.ndarray:
-    """Neville evaluation of the (xs, ys) interpolant at x, or elementwise."""
-    xs = [float(v) for v in xs]
-    p = [float(v) for v in ys]
-    m = len(p)
-    for j in range(1, m):
-        for i in range(m - j):
-            p[i] = ((x - xs[i]) * p[i + 1] - (x - xs[i + j]) * p[i]) \
-                / (xs[i + j] - xs[i])
-    return p[0]
+# 16-point Gauss–Legendre on [-1, 1] by Golub–Welsch: the nodes are the
+# eigenvalues of Legendre's Jacobi matrix, the weights 2·(first components)²
+_k = np.arange(1.0, 16.0)
+_GAUSS_NODES, _vectors = np.linalg.eigh(
+    np.diag(_k / np.sqrt(4.0 * _k * _k - 1.0), -1))
+_GAUSS_WEIGHTS = 2.0 * _vectors[0] ** 2
 
 
-def _simpson(lo, hi, flo, fmid, fhi):
-    return (hi - lo) * (flo + 4.0 * fmid + fhi) / 6.0
+def gauss_panels(f, edges: np.ndarray) -> np.ndarray:
+    """16-point Gauss–Legendre on every panel [edges[i], edges[i+1]], exact
+    to rounding for polynomials of degree 31.
 
-
-# largest number of panels bisected in one array step: a refinement that
-# never meets its tolerance doubles the failing panels per level, so
-# without a cap the arrays of a deep level could reach 2^depth entries
-_CHUNK = 4096
-_MAX_DEPTH = 40   # bisection levels per panel of adaptive_panels
-
-
-def _refine(f, lo, hi, flo, fmid, fhi, whole, eps, depth):
-    """Adaptive Simpson on arrays of panels whose ends and midpoints are sampled.
-
-    One bisection level runs on every panel at once; the panels whose
-    Richardson estimate misses ``eps`` (and that have depth left) are split
-    into their two halves, which recurse together with ``eps/2``, at most
-    ``_CHUNK`` panels at a time.  Each value is the sum of its two halves'
-    values, so the result is the one a depth-first recursion on each panel
-    would return, bit for bit.  A stack (values of shape (m, panels),
-    ``eps`` a column) bisects a panel when any row misses and takes the
-    halves' sum only in the rows that missed.
-    """
-    mid = 0.5 * (lo + hi)
-    flm = f(0.5 * (lo + mid))
-    frm = f(0.5 * (mid + hi))
-    left = _simpson(lo, mid, flo, flm, fmid)
-    right = _simpson(mid, hi, fmid, frm, fhi)
-    err = (left + right - whole) / 15.0
-    out = left + right + err
-    if depth <= 0:
-        return out
-    miss = ~(np.abs(err) <= eps)
-    go = np.flatnonzero(miss.reshape(-1, miss.shape[-1]).any(axis=0))
-    for start in range(0, len(go), _CHUNK):
-        idx = go[start:start + _CHUNK]
-        halves = [np.concatenate((a[..., idx], b[..., idx]), axis=-1) for a, b
-                  in ((lo, mid), (mid, hi), (flo, fmid), (flm, frm),
-                      (fmid, fhi), (left, right))]
-        sub = _refine(f, *halves, eps / 2.0, depth - 1)
-        out[..., idx] = np.where(miss[..., idx], sub[..., :len(idx)]
-                                 + sub[..., len(idx):], out[..., idx])
-    return out
-
-
-def adaptive_panels(f, edges: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Adaptive Simpson quadrature of every panel [edges[i], edges[i+1]].
-
-    ``f`` takes arrays.  The whole-panel rule takes three calls of ``f``
-    and each bisection level two more, over all panels still refining (up
-    to ``_CHUNK`` per call), so the call count grows with the depth, not
-    with the number of panels.
-    A panel is bisected until its Richardson error estimate is within
-    ``tol`` (halved per level) or ``_MAX_DEPTH`` levels are spent; a
-    zero-width panel of a finite ``f`` gives 0.0 with an estimate of 0.
-    An ``f`` returning m rows, shape (m, len(z)), with ``tol`` a column of
-    m tolerances, gives one row per integrand, each bitwise its own call.
+    ``f`` is called once, elementwise on the nodes z of shape (panels, 16).
+    An ``f`` broadcasting to m rows, shape (m,) + z.shape, gives one row
+    per integrand, each bitwise its own call.
     """
     edges = np.asarray(edges, dtype=float)
-    lo, hi = edges[:-1], edges[1:]
-    flo, fmid, fhi = f(lo), f(0.5 * (lo + hi)), f(hi)
-    whole = _simpson(lo, hi, flo, fmid, fhi)
-    return _refine(f, lo, hi, flo, fmid, fhi, whole, tol, _MAX_DEPTH)
+    half = 0.5 * np.diff(edges)
+    z = (edges[:-1] + half)[:, None] + half[:, None] * _GAUSS_NODES
+    return (f(z) * _GAUSS_WEIGHTS).sum(axis=-1) * half

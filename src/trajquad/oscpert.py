@@ -149,10 +149,11 @@ def _solve(P: int, order: int) -> PerturbSeries:
             for n, c in part.items():
                 source[n] = get(n, 0) - c * factor
         level, den = _chain(source, den)
-        if any(n > k * P for n in level):
-            raise MethodError(f"support bound violated at order {k}")
-        if any((n - k * P) % 2 for n in level):
-            raise MethodError(f"parity structure violated at order {k}")
+        for n in level:
+            if n > k * P:
+                raise MethodError(f"support bound violated at order {k}")
+            if (n - k * P) % 2:
+                raise MethodError(f"parity structure violated at order {k}")
         levels.append(level)
         dens.append(den)
     return PerturbSeries(P, levels, dens)

@@ -76,6 +76,8 @@ def build_grid(coeffs, x_max: float, n: int, origin: float = 0.0,
         for c in reversed(coeffs):
             P = np.convolve(P, [origin, direction])
             P[0] += 2.0 * c
+    # drop the exact 0 the zero start leaves on top: len(P) - 1 is v's degree
+    P = P[:max(len(coeffs), 3)]
     if abs(P[0]) > 2e-10:
         raise InvalidPotential("v(origin) must vanish")
     if abs(P[1]) > 2e-10:

@@ -530,7 +530,7 @@ class TestMain:
         ("2", "6001", None, 0),
         # with 8 the weight e^(2gS) overflowed above g = 11 (exit 1)
         ("16", "4001", None, 0),
-        # the adaptive tail starts a Gaussian width 1/√g beyond the edge;
+        # the tail's quadrature spans a Gaussian width 1/√g past the edge;
         # from a unit beyond it greens_residual[H2] failed from g ≈ 1e50
         ("1e50", "4001", None, 0),
         ("1e100", "4001", None, 0),

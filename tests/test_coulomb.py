@@ -33,8 +33,7 @@ from trajquad.coulomb import (
 )
 from trajquad.errors import LogSingularity, MethodError
 from trajquad.exactalg import VAR_EPS, VAR_R, VAR_U
-from trajquad import numerics
-from trajquad.numerics import adaptive_panels
+from trajquad.numerics import gauss_panels
 
 from polyring import Poly, lift, lower, parse
 
@@ -149,14 +148,10 @@ def integral_shift_check(sol, u, g, eps):
     weight = lambda r: np.exp(-2.0 * g ** 2 * r) * r ** 2
 
     def integral(f):
-        # the integrals grow like r_cut^(deg U + 2), so the tolerance is
-        # relative: 1e-12 of the summed |one-level estimates| on 64 panels
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(numerics, "_MAX_DEPTH", 0)
-            size = np.sum(np.abs(adaptive_panels(
-                f, np.linspace(0.0, r_cut, 65))))
-        return float(adaptive_panels(f, np.array([0.0, r_cut]),
-                                     tol=1e-12 * size)[0])
+        # 16-point Gauss on 64 panels of [0, r_cut]: each spans 1.25 units
+        # of the exponent 2g²r, so the rule meets the integrals to rounding
+        # however they grow with r_cut
+        return float(np.sum(gauss_panels(f, np.linspace(0.0, r_cut, 65))))
 
     d0 = integral(weight)
     d1 = integral(lambda r: weight(r) * a_profile(r))

@@ -23,10 +23,22 @@ from trajquad.excited import (
 )
 from trajquad.gexpand import hierarchy
 from trajquad.greens import hermite_coefficients
-from trajquad.numerics import derivative, neville_at
+from trajquad.numerics import derivative
 from trajquad.trajectory import build_grid, coefficients
 
 from polyring import Poly, lift
+
+
+def neville_at(xs, ys, x: float) -> float:
+    """Neville evaluation of the (xs, ys) interpolant at x."""
+    xs = [float(v) for v in xs]
+    p = [float(v) for v in ys]
+    m = len(p)
+    for j in range(1, m):
+        for i in range(m - j):
+            p[i] = ((x - xs[i]) * p[i + 1] - (x - xs[i + j]) * p[i]) \
+                / (xs[i + j] - xs[i])
+    return p[0]
 
 
 class ExtractionFailure(MethodError):

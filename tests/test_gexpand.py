@@ -252,9 +252,9 @@ def full_sample(forms, f, a):
     ("0.5*x^2 + 1000000000000*x^4", 2.5, 0.0, 1),
 ])
 def test_sampling_skips_zero_coefficients(text, x_max, origin, direction):
-    # A and C of the quartic well vanish in their lowest powers and cancel
-    # in their top ones; evaluating the nonzero span alone moves S_k by
-    # rounding only
+    # A and C of the quartic well vanish in their lowest powers, and may
+    # cancel in their top ones; evaluating the nonzero span alone moves
+    # S_k by rounding only.  P ends at v's top degree, with no zero above
     grid = grid_for(text, x_max=x_max, n=8001, origin=origin,
                     direction=direction)
     forms = _Forms(grid)
@@ -266,8 +266,9 @@ def test_sampling_skips_zero_coefficients(text, x_max, origin, direction):
                                    grid.arc)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     _, A, C, _ = slopes[-1]
+    assert len(grid.P) == len(coefficients(text)) and grid.P[-1] != 0.0
     if text.endswith("x^4") and origin == 0.0:
-        assert A[0] == C[0] == A[-1] == C[-1] == 0.0
+        assert A[0] == C[0] == 0.0
 
 
 class TestBreakdown:

@@ -191,6 +191,22 @@ class TestApplyC:
         f = profile.with_values(profile.nodes ** 4)
         assert np.max(c_gradient_residual(f, G, slope(f))) < 1e-6
 
+    @pytest.mark.parametrize("k", (3, 1, 0))
+    def test_origin_value_is_the_limit_near_an_edge(self, k, monkeypatch):
+        # f/S' is 0/0 at the origin node, k nodes from the left edge; C
+        # integrates its limit f'(0)/S''(0) = 2/1, read by the (one-sided)
+        # stencils there to their 4th order in h = 0.025
+        x = 0.025 * np.arange(-k, 80)
+        f = WaveProfile(x, 0.5 * x * x + x ** 4, np.sin(2.0 * x) + x * x)
+        seen = []
+        real = greens.cumulative_integral
+        monkeypatch.setattr(greens, "cumulative_integral", lambda y, *a, **kw:
+                            seen.append(y.copy()) or real(y, *a, **kw))
+        apply_C(f, G, x + 4.0 * x ** 3)
+        assert f.origin == k
+        assert seen[0][k] == pytest.approx(2.0, abs=1e-5)
+        assert np.all(np.isfinite(seen[0]))
+
 
 class TestApplyDbar:
     def test_hermite_identity(self, profile):
@@ -244,9 +260,47 @@ class TestApplyDbar:
             assert _tail_beyond(f, G, 1) == pytest.approx(
                 upper(prof.nodes[-1]), rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("g", (0.05, 0.25, 1.0, 4.0, 100.0, 1e4))
+    @pytest.mark.parametrize("n", (101, 401, 4001, 6001))
+    def test_unit_source_tail_matches_erfc(self, g, n):
+        # ∫_b^∞ e^{-gz²} dz = √π/(2√g)·erfc(√g·b) on either side, met to
+        # 1.2e-13 (g = 0.05, n ≤ 401) and to ≤ 6e-14 elsewhere
+        prof = harmonic_profile(n, min(8.0, 8.0 / math.sqrt(g)))
+        b = prof.nodes[-1]
+        want = math.sqrt(math.pi / g) / 2.0 * math.erfc(math.sqrt(g) * b)
+        f = prof.with_values(np.ones(n))
+        for side in (-1, 1):
+            assert _tail_beyond(f, g, side)[0] == pytest.approx(
+                want, rel=5e-13, abs=0.0)
+
+    @pytest.mark.parametrize("lam", (0.1, 1.0, 10.0))
+    @pytest.mark.parametrize("g", (0.25, 1.0, 8.0))
+    def test_quartic_potential_tails_match_32_point_gauss(self, lam, g,
+                                                          monkeypatch):
+        # S₀ of ½x² + λx⁴ is ((1 + 2λx²)^{3/2} - 1)/(6λ), sampled out to
+        # where gS₀ = 15; each tail of a stack of three sources agrees with
+        # the same panels under 32-point Gauss to ≤ 2.3e-15
+        half = math.sqrt(((1.0 + 90.0 * lam / g) ** (2.0 / 3.0) - 1.0)
+                         / (2.0 * lam))
+        x = np.linspace(-half, half, 2001)
+        s = ((1.0 + 2.0 * lam * x * x) ** 1.5 - 1.0) / (6.0 * lam)
+        f = WaveProfile(x, s, np.stack([np.ones_like(x), x * x - half ** 2,
+                                        x ** 3 + x]))
+        got = [_tail_beyond(f, g, side) for side in (-1, 1)]
+        nodes, weights = np.polynomial.legendre.leggauss(32)
+
+        def gauss32(fn, edges):
+            mid, width = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+            return (fn(mid[:, None] + width[:, None] * nodes) @ weights) * width
+
+        monkeypatch.setattr(greens, "gauss_panels", gauss32)
+        for side, tail in zip((-1, 1), got):
+            want = _tail_beyond(f, g, side)
+            assert np.all(np.abs(tail - want) <= 2e-14 * np.abs(want))
+
     def test_source_vanishing_at_the_edge_returns(self, profile):
-        # x² - 64 is 0 at both edges, so a tolerance relative to the edge
-        # value would send the tail's bisection to its depth cap
+        # x² - 64 is 0 at both edges: its tail is a bump of width ≈ 1/16
+        # at the edge, which the panels halving toward it resolve
         start = time.perf_counter()
         apply_Dbar(profile.with_values(profile.nodes ** 2 - 64.0), G)
         assert time.perf_counter() - start < 2.0
@@ -479,10 +533,10 @@ class TestReport:
         # per identity and recomputes three of them.  The stack's tails are
         # one quadrature per side for all six sources
         calls, tails = [], []
-        apply, panels = greens.apply_Dbar, greens.adaptive_panels
+        apply, panels = greens.apply_Dbar, greens.gauss_panels
         monkeypatch.setattr(greens, "apply_Dbar",
                             lambda *a, **kw: calls.append(1) or apply(*a, **kw))
-        monkeypatch.setattr(greens, "adaptive_panels",
+        monkeypatch.setattr(greens, "gauss_panels",
                             lambda *a, **kw: tails.append(1) or panels(*a, **kw))
         report = identity_report(g, 401, 8.0)
         assert len(calls) == 1

@@ -3,10 +3,10 @@
 The stencils sum each window with a matrix product instead of one dot
 product per node, so they may differ from the loops by a few ulp of the
 summed terms (about max|y|, times h^-order for a derivative, where the
-terms cancel).  The array adaptive Simpson kernel does the same IEEE
-operations as the scalar depth-first recursion kept here as its reference
-(``adaptive_integral``, also used by the trajectory tests) and must agree
-with it bitwise.
+terms cancel).  The fixed Gauss–Legendre panels are checked against
+polynomial integrals and numpy's Legendre nodes.  The scalar adaptive
+Simpson rule kept here (``adaptive_integral``) is the tests' reference
+for integrals of callables to a tolerance: S₀ on a trajectory grid.
 """
 
 import math
@@ -15,15 +15,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre as npoly_legendre
 from numpy.polynomial import polynomial as npoly
 
 from trajquad import numerics
 from trajquad.greens import hermite_value
 from trajquad.numerics import (_CUM_WEIGHTS, _D1_WEIGHTS, _D2_WEIGHTS,
                                _QUARTER_WEIGHTS, _QUARTIC_FIT,
-                               adaptive_panels, cumulative_integral,
-                               derivative, neville_at, quartic_fit,
-                               refine_quarters)
+                               cumulative_integral, derivative, gauss_panels,
+                               quartic_fit, refine_quarters)
 from trajquad.errors import HierarchyBreakdown
 from trajquad.trajectory import build_grid, coefficients
 
@@ -250,132 +250,52 @@ def test_quartic_fit_coefficients():
     assert np.allclose(quartic_fit(ys), want, rtol=0.0, atol=1e-12)
 
 
-def test_neville_on_an_array_equals_scalar_calls():
-    # the origin patch of the g⁻¹ hierarchy: six band nodes, many targets
-    xs = np.linspace(0.3, 0.9, 6)
-    ys = np.cos(3.0 * xs) / xs
-    targets = np.linspace(0.0, 0.35, 37)
-    want = [neville_at(xs, ys, t) for t in targets.tolist()]
-    assert np.array_equal(neville_at(xs, ys, targets), want)
-
-
-class TestAdaptivePanels:
+class TestGaussPanels:
     @staticmethod
-    def scalar(f, edges, tol, max_depth):
-        return np.array([adaptive_integral(f, a, b, tol=tol, max_depth=max_depth)
-                         for a, b in zip(edges[:-1], edges[1:])])
+    def exact(k, edges):
+        return (edges[1:] ** (k + 1) - edges[:-1] ** (k + 1)) / (k + 1)
 
-    @staticmethod
-    def greens_tail():
-        # _tail_beyond's integrand for H₄ on S = z²/2, g = 1, past the
-        # edge b = 6 out to where e^{-2g(S-S_b)} falls below e^{-40}
-        g, b, span = 1.0, 6.0, 7.0
-        f = lambda z: np.exp(-2.0 * g * (0.5 * z * z - 0.5 * b * b)) \
-            * hermite_value(4, math.sqrt(g) * z)
-        return f, np.array([b, b + span]), 1e-13 * abs(f(b)) * span
+    def test_nodes_and_weights_are_legendre_gauss(self):
+        nodes, weights = npoly_legendre.leggauss(16)
+        assert np.max(np.abs(numerics._GAUSS_NODES - nodes)) < 1e-15
+        assert np.max(np.abs(numerics._GAUSS_WEIGHTS - weights)) < 1e-14
 
-    @pytest.mark.parametrize("max_depth", (0, 3, 40))
-    def test_bitwise_equal_to_adaptive_integral(self, max_depth, monkeypatch):
-        # √|x| refines near its cusp at 0; the flat far panels do not
-        monkeypatch.setattr(numerics, "_MAX_DEPTH", max_depth)
-        f = lambda z: np.sqrt(np.abs(z)) + np.exp(-z)
-        edges = np.array([-1.0, -0.25, 0.0, 0.0, 0.125, 0.5, 0.5, 2.0, 6.0])
-        got = adaptive_panels(f, edges, tol=1e-9)
-        want = self.scalar(f, edges, 1e-9, max_depth)
-        assert np.array_equal(got, want)
-        assert got[2] == got[5] == 0.0   # zero-width panels
-        f, edges, tol = self.greens_tail()
-        got = adaptive_panels(f, edges, tol=tol)
-        assert np.array_equal(got, self.scalar(f, edges, tol, max_depth))
+    def test_each_panel_is_exact_through_degree_31(self):
+        # to rounding of ∫|t^k| on each panel; a zero-width panel gives 0.0
+        edges = np.array([-1.3, -0.4, 0.2, 0.2, 1.0, 2.5])
+        for k in range(32):
+            got = gauss_panels(lambda t: t ** k, edges)
+            scale = np.diff(np.sign(edges) * np.abs(edges) ** (k + 1)) / (k + 1)
+            assert np.all(np.abs(got - self.exact(k, edges)) <= 1e-14 * scale), k
+            assert got[2] == 0.0
+        # and no further: t^32 on [-1, 1] misses by the 16-point error term
+        # 2^33 (16!)^4 / (33 (32!)^2) ≈ 7.2e-10
+        edges = np.array([-1.0, 1.0])
+        miss = self.exact(32, edges) - gauss_panels(lambda t: t ** 32, edges)
+        assert 7e-10 < miss[0] < 7.5e-10
 
-    def test_first_level_is_five_array_calls(self):
+    def test_one_array_call_over_all_panels(self):
         calls = []
 
         def f(z):
             calls.append(np.shape(z))
-            return z * z
+            return np.exp(-z)
 
         edges = np.linspace(0.0, 1.0, 101)
-        got = adaptive_panels(f, edges, tol=1e-12)
-        assert calls == [(100,)] * 5   # Simpson is exact on x², none recurse
-        assert np.array_equal(got, self.scalar(lambda z: z * z, edges, 1e-12, 40))
+        got = gauss_panels(f, edges)
+        assert calls == [(100, 16)]
+        # to the rounding of the closed form's difference of two values ≈ 1
+        assert np.max(np.abs(got + np.diff(np.exp(-edges)))) < 4e-16
 
-    def test_only_failing_panels_recurse(self, monkeypatch):
-        # the scalar reference runs _recurse once per panel and level, and
-        # a panel that misses its estimate has two halves at the next level;
-        # the kernel samples each level's panels in one pair of array calls
-        f = lambda z: np.sqrt(np.abs(z))
-        edges = np.array([-2.0, -1.0, 0.0, 1.0])
-        depths = []
-        reference = _recurse
-
-        def counted(*args):
-            depths.append(args[-1])
-            return reference(*args)
-
-        monkeypatch.setattr(sys.modules[__name__], "_recurse", counted)
-        self.scalar(f, edges, 1e-10, 40)
-        monkeypatch.undo()
-        panels = [depths.count(d) for d in range(40, min(depths) - 1, -1)]
-        assert panels[0] == 3 and len(panels) > 1
-        assert all(n % 2 == 0 for n in panels[1:])
-
-        calls = []
-
-        def g(z):
-            calls.append(np.shape(z))
-            return f(z)
-
-        adaptive_panels(g, edges, tol=1e-10)
-        assert calls[:5] == [(3,)] * 5
-        assert calls[5:] == [(n,) for n in panels[1:] for _ in range(2)]
-
-    def test_levels_bisect_at_most_chunk_panels_per_call(self, monkeypatch):
-        # a level with more failing panels than _CHUNK runs them in chunks:
-        # the arrays stay bounded and the values bitwise equal
-        monkeypatch.setattr(numerics, "_CHUNK", 2)
-        calls = []
-
-        def f(z):
-            calls.append(len(z))
-            return np.sqrt(np.abs(z)) + np.exp(-z)
-
-        edges = np.linspace(-1.0, 2.0, 8)
-        got = adaptive_panels(f, edges, tol=1e-9)
-        assert calls[:5] == [7] * 5 and max(calls[5:]) == 4
-        assert np.array_equal(got, self.scalar(
-            lambda z: np.sqrt(np.abs(z)) + np.exp(-z), edges, 1e-9, 40))
-
-    def test_stack_equals_calls_on_each_row(self, monkeypatch):
-        # one bisection serves every row: a panel splits when any row
-        # misses, and a row keeps its own value where it met its own
-        # tolerance.  z² converges at level 0, √|z| at tolerance 1e-300
-        # refines to the depth cap, e^{-z} stops in between
+    def test_stack_equals_calls_on_each_row(self):
+        # one call serves every row, and each row keeps the value it gets
+        # alone, sign bits of its zeros included
         rows = (lambda z: z * z, lambda z: np.sqrt(np.abs(z)),
-                lambda z: np.exp(-z))
-        tols = np.array([1e-12, 1e-300, 1e-9])
+                lambda z: np.exp(-z), lambda z: 0.0 * z - 0.0)
         edges = np.array([-1.0, -0.25, 0.0, 0.0, 0.125, 0.5, 2.0])
-        monkeypatch.setattr(numerics, "_MAX_DEPTH", 6)
-        alone, calls = [], []
-        for f, tol in zip(rows, tols):
-            calls.append(0)
-
-            def counted(z, f=f):
-                calls[-1] += 1
-                return f(z)
-
-            alone.append(adaptive_panels(counted, edges, tol=tol))
-        # three whole-panel calls, then two per level: depths 6 down to 0
-        assert calls[0] == 5 and calls[1] == 3 + 2 * 7 and 5 < calls[2] < 17
-        stacked = []
-
-        def stack(z):
-            stacked.append(np.shape(z))
-            return np.array([f(z) for f in rows])
-
-        got = adaptive_panels(stack, edges, tol=tols[:, None])
-        assert got.shape == (3, len(edges) - 1)
-        assert len(stacked) == calls[1]
+        alone = [gauss_panels(f, edges) for f in rows]
+        got = gauss_panels(lambda z: np.array([f(z) for f in rows]), edges)
+        assert got.shape == (len(rows), len(edges) - 1)
         for row, want in zip(got, alone):
             assert np.array_equal(row, want)
             assert np.array_equal(np.signbit(row), np.signbit(want))

@@ -186,6 +186,18 @@ def test_one_window_kernel_and_one_horner():
     assert not found, f"numpy.polynomial in src/trajquad: {found}"
 
 
+def test_no_numerics_function_calls_itself():
+    # the kernels are whole-array rules of a fixed size: one call of the
+    # integrand or one matrix product, never a recursion whose depth
+    # depends on the data
+    tree = ast.parse((SRC / "numerics.py").read_text())
+    found = [f"numerics.py:{call.lineno}: {fn.name}"
+             for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             for call in ast.walk(fn) if isinstance(call, ast.Call)
+             and getattr(call.func, "id", None) == fn.name]
+    assert not found, f"recursive functions in numerics.py: {found}"
+
+
 def _defined_names(cls: ast.ClassDef) -> set:
     """The names a class defines: its methods, class attributes and the
     attributes its methods assign on ``self``."""

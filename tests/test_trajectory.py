@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from trajquad import numerics, trajectory
+from trajquad import trajectory
 from trajquad.errors import (DegenerateMinimum, HierarchyBreakdown,
                              InvalidPotential)
 from trajquad.gexpand import hierarchy
@@ -102,27 +102,23 @@ class TestBuildGrid:
                           origin=1.0, direction=-1)
         assert np.all(np.diff(s0_of(grid)) > 0)
 
-    def test_quadrature_order(self, monkeypatch):
-        # fixed per-panel rule (no refinement) on the grid's nodes: doubling
-        # nodes cuts the S₀ error at least 4x for a smooth quartic with
-        # known integral (coarse grids, so the error sits well above the
-        # rounding floor)
+    def test_quadrature_order(self):
+        # the S₀ rule the tests use, the cumulative integral of the grid's
+        # slope: doubling nodes cuts its error at least 4x for a smooth
+        # quartic against a scalar adaptive reference (coarse grids, so the
+        # error sits well above the rounding floor)
         from test_numerics import adaptive_integral
-        from trajquad.numerics import adaptive_panels
         coeffs = coefficients("0.5*x^2 + x^4")
         speed = lambda y: np.sqrt(2 * _horner(coeffs, y))
 
         def exact(x):
             return adaptive_integral(speed, 0.0, x, tol=1e-15)
 
-        monkeypatch.setattr(numerics, "_MAX_DEPTH", 0)
         errs = []
         for n in (17, 33):
-            nodes = build_grid(coeffs, 3.0, n).nodes
-            panels = adaptive_panels(speed, nodes)
-            s0 = np.concatenate(([0.0], np.cumsum(panels)))
-            ref = np.array([exact(x) for x in nodes])
-            errs.append(np.max(np.abs(s0 - ref)))
+            grid = build_grid(coeffs, 3.0, n)
+            ref = np.array([exact(x) for x in grid.nodes])
+            errs.append(np.max(np.abs(s0_of(grid) - ref)))
         assert errs[0] / errs[1] >= 4.0
 
     def test_grad_consistency(self):
