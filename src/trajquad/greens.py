@@ -14,8 +14,8 @@ decaying Gaussian-weighted tails, but only sources of zero weighted mean
 produce a bounded result; for those the inner integral is evaluated from
 the decaying side on each half-line, which is also what keeps the huge
 e^{2gS} weight from amplifying quadrature residue.  A profile is samples
-alone: D̄ integrates on a 4×-refined grid filled by quartic interpolation,
-and its tails beyond the grid are one fixed Gauss–Legendre quadrature on a
+alone, and D̄ integrates by one 16-point Gauss–Legendre rule: inside the
+grid on each interval's quartic interpolant of S and f, beyond it on a
 quartic continuation of the samples.  When the computed mean is above
 the solvability threshold the growing branch is returned unchanged (that
 growth is a real feature of the operator, not an error).  D̄ also takes
@@ -36,8 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentAtOrigin, TailDivergence
-from .numerics import (_horner, cumulative_integral, derivative, gauss_panels,
-                       grid_spacing, increments, quartic_fit, refine_quarters)
+from .numerics import (_GAUSS_WEIGHTS, _horner, cumulative_integral,
+                       derivative, gauss_panels, gauss_samples, grid_spacing,
+                       quartic_fit)
 
 
 @dataclass
@@ -158,12 +159,24 @@ def _tail_beyond(f: WaveProfile, g: float, side: int) -> np.ndarray:
 _SOLVABILITY_RTOL = 1e-10
 
 
+def _refuse_overflowing_weight(g: float, *s_max: float) -> None:
+    """Raise ValueError where the outer weight e^{2gS} overflows a float,
+    max S being the product of ``s_max``: a half-width too wide to square
+    is refused unsquared, its 2g·max S shown as a power of ten."""
+    exponent = 2.0 * g * math.prod(s_max)
+    if exponent > math.log(sys.float_info.max):
+        shown = f"{exponent:.6g}" if math.isfinite(exponent) else \
+            f"10^{sum(map(math.log10, (2.0 * g, *s_max))):.6g}"
+        raise ValueError(f"outer weight e^(2gS) overflows on this domain "
+                         f"(2g·max S = {shown})")
+
+
 def apply_Dbar(f: WaveProfile, g: float) -> WaveProfile:
     """Double-integral operator with tail-stable inner quadrature.
 
-    The inner integral I(y) = ∫_{-∞}^y e^{-2gS} f dz is accumulated on a
-    4×-refined grid (S and f interpolated by quartics) from the left for
-    y ≤ 0 and from the right tail for y > 0, so that its absolute error
+    The inner integral I(y) = ∫_{-∞}^y e^{-2gS} f dz sums 16-point
+    Gauss–Legendre on each interval's quartics of S and f, from the left
+    for y ≤ 0 and from the right tail for y > 0, so that its absolute error
     decays together with the integrand; otherwise the outer weight e^{2gS}
     turns flat quadrature residue into garbage.
     The integrand beyond the grid is completed by quadrature (the edge
@@ -176,32 +189,32 @@ def apply_Dbar(f: WaveProfile, g: float) -> WaveProfile:
     ``f.values`` of shape (m, n) is a stack of m sources, and each row of
     the image is bitwise the image of its source alone.  What depends on S
     and g alone is computed once and the tails are one quadrature per side;
-    the refined-grid passes run a row at a time, to keep memory flat.
+    the Gauss-node passes run a row at a time, in place, to keep memory flat.
     """
     x, s = f.nodes, f.s
-    exponent = 2.0 * g * float(np.max(s))
-    if exponent > math.log(sys.float_info.max):
-        raise ValueError(f"outer weight e^(2gS) overflows on this domain "
-                         f"(2g·max S = {exponent:.6g})")
+    _refuse_overflowing_weight(g, float(np.max(s)))
     i0 = f.origin
     rows = np.atleast_2d(f.values)
-    h = grid_spacing(np.linspace(x[0], x[-1], 4 * len(x) - 3))
-    decay = np.exp(-2.0 * g * refine_quarters(s))
+    weights = 0.5 * grid_spacing(x) * _GAUSS_WEIGHTS
+    decay = gauss_samples(s)   # e^{-2gS} at the Gauss nodes, in place
+    np.exp(np.multiply(decay, -2.0 * g, out=decay), out=decay)
     # per row, of w = e^{-2gS} f: ∫ w from the left edge to each node,
     # -∫ w from each node right of the origin to the right edge, and ∫ |w|
     inner = np.zeros(rows.shape)
     backward = np.zeros((len(rows), len(x) - 1 - i0))
     mass = np.empty(len(rows))
     for k, v in enumerate(rows):
-        wf = decay * refine_quarters(v)
-        edge = max(abs(wf[0]), abs(wf[-1]))
-        if edge > 1e-10 * max(float(np.max(np.abs(wf))), 1e-300):
+        wf = gauss_samples(v)
+        wf *= decay
+        inc = wf @ weights
+        inner[k, 1:] = np.cumsum(inc)
+        backward[k, :-1] = -np.cumsum(inc[i0 + 1:][::-1])[::-1]
+        np.abs(wf, out=wf)
+        edge = max(wf[0, 0], wf[-1, -1])
+        if edge > 1e-10 * max(float(np.max(wf)), 1e-300):
             raise TailDivergence(
                 f"weighted source does not decay at the ends (edge {edge:.2e})")
-        inc = increments(wf, h)
-        inner[k, 1:] = np.cumsum(inc)[3::4]
-        backward[k, :-1] = -np.cumsum(inc[4 * i0 + 4:][::-1])[::-1][::4]
-        mass[k] = np.cumsum(increments(np.abs(wf, out=wf), h))[-1] or 1.0
+        mass[k] = np.sum(wf @ weights) or 1.0
     try:
         with np.errstate(over="raise", invalid="raise"):
             tail_minus = _tail_beyond(f, g, side=-1)
@@ -274,15 +287,15 @@ def identity_report(g: float, n: int, half_width: float) -> list:
     D̄ is applied once, to the stack of the six sources, and every identity
     that needs D̄f reads that source's row of the one image.
     """
+    # max S = (half_width/2)·half_width as the profile rounds it; on what
+    # passes, |√g·x| ≤ √(2g·max S) < 27 and every H_l(√g·x) is finite
+    _refuse_overflowing_weight(g, 0.5 * half_width, half_width)
     prof = harmonic_profile(n, half_width)
     sp = derivative(prof.s, prof.nodes)   # S', for every application of C
     moment = gaussian_even_moment(g)
-    # a g at which H_l(√g·z) overflows also overflows the weight e^(2gS),
-    # which apply_Dbar rejects before it reads any source value
     x = prof.nodes
     names = ["H1", "H2", "H3", "H4", "x^2 - <x^2>", "x^3"]
-    with np.errstate(over="ignore", invalid="ignore"):
-        hermite = [hermite_value(l, math.sqrt(g) * x) for l in (1, 2, 3, 4)]
+    hermite = [hermite_value(l, math.sqrt(g) * x) for l in (1, 2, 3, 4)]
     stack = np.stack(hermite + [x ** 2 - moment, x ** 3])
     sources = {name: prof.with_values(v) for name, v in zip(names, stack)}
     images = {name: prof.with_values(v) for name, v in

@@ -5,20 +5,20 @@ Every grid in the package is uniform, so the workhorses below use fixed
 the cumulative integral integrates quartics exactly (5th-order composite).
 Edge nodes use shifted one-sided stencils of the same width.  Every rule's
 weights are one exact Lagrange basis on the window t = 0..4 (the quartic
-fit's) times the rule's moments at its target, each rounded once.  One
-window kernel, ``_windows``, runs every such rule: each interior target is
-a row of one ``sliding_window_view(y, 5) @ weights`` product, and the
-targets at the ends take the first or last window's one-sided weights.
-The derivatives, the cumulative integral (the running sum of
-``increments``) and ``refine_quarters`` (the same quartics at every
-quarter step, a 4×-refined grid) are one call each.
-``_horner`` evaluates every polynomial of the grid half.
+fit's) times the rule's moments at its target, each rounded once (its
+product form at ``gauss_samples``' irrational targets).  One window kernel,
+``_windows``, runs every such rule: each interior target is a row of one
+``sliding_window_view(y, 5) @ weights`` product, and the targets at the
+ends take the first or last window's one-sided weights.  The derivatives,
+the cumulative integral and ``gauss_samples`` (the same quartics at the
+16 Gauss–Legendre nodes of every interval) are one call each.  ``_horner``
+evaluates every polynomial of the grid half.
 
-``gauss_panels`` is the one rule for an integrand that is a callable
-rather than samples (the Green's-operator tails beyond the grid): fixed
-16-point Gauss–Legendre on every panel of a partition, in one array call
-of the integrand, with no refinement and no tolerance.  A stack of
-integrands runs in the same call, each bitwise as it would come alone.
+``gauss_panels`` runs the same 16-point rule on an integrand that is a
+callable (the Green's-operator tails beyond the grid): every panel of a
+partition in one array call of the integrand, with no refinement and no
+tolerance.  A stack of integrands runs in the same call, each bitwise as
+it would come alone.
 """
 
 from __future__ import annotations
@@ -61,10 +61,18 @@ _D1_WEIGHTS = {s: _rule([k * s ** max(k - 1, 0) for k in range(5)])
                for s in range(5)}
 _D2_WEIGHTS = {s: _rule([k * (k - 1) * s ** max(k - 2, 0) for k in range(5)])
                for s in range(5)}
-# interval [s, s+1] at its quarter points, L(t^k) = (s + j/4)^k, j = 1, 2, 3
-_QUARTER_WEIGHTS = {s: np.column_stack(
-    [_rule([(s + Fraction(j, 4)) ** k for k in range(5)]) for j in (1, 2, 3)])
-    for s in range(4)}
+
+# 16-point Gauss–Legendre on [-1, 1] by Golub–Welsch: the nodes are the
+# eigenvalues of Legendre's Jacobi matrix, the weights 2·(first components)²
+_k = np.arange(1.0, 16.0)
+_GAUSS_NODES, _vectors = np.linalg.eigh(
+    np.diag(_k / np.sqrt(4.0 * _k * _k - 1.0), -1))
+_GAUSS_WEIGHTS = 2.0 * _vectors[0] ** 2
+# interval [s, s+1] at its Gauss nodes t_m = s + (1 + ξ_m)/2: entry (j, m)
+# is the basis B_j(t_m) as its product Π_{i≠j} (t_m - i)/(j - i) in floats
+_GAUSS_TABLE = {s: np.array([np.prod(
+    [(s + 0.5 + 0.5 * _GAUSS_NODES - i) / (j - i) for i in range(5) if i != j],
+    axis=0) for j in range(5)]) for s in range(4)}
 
 
 def grid_spacing(x: np.ndarray) -> float:
@@ -104,35 +112,25 @@ def derivative(y: np.ndarray, x: np.ndarray, order: int = 1) -> np.ndarray:
     return out
 
 
-def increments(y: np.ndarray, h: float) -> np.ndarray:
-    """∫ y dx over each interval [i, i+1] of a uniform grid of spacing h,
-    quartic-exact: ``cumulative_integral`` is their running sum."""
-    # interval [i, i+1] on the window starting at node clip(i-2, 0, n-5)
-    inc = _windows(y, _CUM_WEIGHTS)
-    inc *= h
-    return inc
-
-
 def cumulative_integral(y: np.ndarray, x: np.ndarray, start: int = 0) -> np.ndarray:
     """Cumulative ∫ y dx from node ``start``, quartic-exact per interval.
 
     Entries left of ``start`` carry the (negative) integral from that node
     backwards, so out[i] = ∫_{x[start]}^{x[i]} y dx for every i.
     """
-    inc = increments(y, grid_spacing(np.asarray(x, dtype=float)))
+    # interval [i, i+1] on the window starting at node clip(i-2, 0, n-5)
+    inc = grid_spacing(np.asarray(x, dtype=float)) * _windows(y, _CUM_WEIGHTS)
     out = np.zeros(len(inc) + 1)
     out[start + 1:] = np.cumsum(inc[start:])
     out[:start] = -np.cumsum(inc[:start][::-1])[::-1]
     return out
 
 
-def refine_quarters(y: np.ndarray) -> np.ndarray:
-    """Samples at every quarter step: the nodes' values, and inside each
-    interval the quartic through the window ``cumulative_integral`` uses."""
-    out = np.empty(4 * len(y) - 3)
-    out[::4] = y
-    out[1:].reshape(-1, 4)[:, :3] = _windows(y, _QUARTER_WEIGHTS)
-    return out
+def gauss_samples(y: np.ndarray) -> np.ndarray:
+    """Shape (n - 1, 16): row i is the quartic through the window that
+    ``cumulative_integral`` uses for interval [i, i+1], at that interval's
+    Gauss nodes; ``row @ _GAUSS_WEIGHTS · h/2`` integrates it."""
+    return _windows(y, _GAUSS_TABLE)
 
 
 def _horner(coeffs, z):
@@ -147,14 +145,6 @@ def _horner(coeffs, z):
 def quartic_fit(y: np.ndarray) -> np.ndarray:
     """Ascending coefficients of the quartic through (t, y[t]), t = 0..4."""
     return y @ _QUARTIC_FIT
-
-
-# 16-point Gauss–Legendre on [-1, 1] by Golub–Welsch: the nodes are the
-# eigenvalues of Legendre's Jacobi matrix, the weights 2·(first components)²
-_k = np.arange(1.0, 16.0)
-_GAUSS_NODES, _vectors = np.linalg.eigh(
-    np.diag(_k / np.sqrt(4.0 * _k * _k - 1.0), -1))
-_GAUSS_WEIGHTS = 2.0 * _vectors[0] ** 2
 
 
 def gauss_panels(f, edges: np.ndarray) -> np.ndarray:

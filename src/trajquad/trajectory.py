@@ -9,10 +9,9 @@ polynomial deciding the whole grid:
 
 The grid stores, at uniformly spaced nodes ordered along the trajectory
 (nodes[0] is the origin; for direction -1 the x values descend), the arc
-distance from the origin, the slope S₀' = √P, the origin curvature
-ν = ∇²S₀(origin) = √P₂ (P₂ = v''(origin) is P's a² coefficient), P itself
-and the radius of the nearest zero of P/a²; S₀ is the cumulative integral
-of the slope, which no command reads.
+distance from the origin, P, ν = ∇²S₀(origin) = √P₂ (P₂ = v''(origin) is
+P's a² coefficient) and the radius of the nearest zero of P/a²; no command
+reads the slope S₀' = √P or its integral S₀, so neither is stored.
 
 Where v has another zero on the path, √P vanishes and ∇S₀ develops a
 kink, across which the hierarchy is not analytic.  Such a zero is a
@@ -46,11 +45,10 @@ def coefficients(text: str) -> np.ndarray:
 
 @dataclass
 class TrajectoryGrid:
-    """Uniform trajectory grid: arc, S₀' and ν, from P along the path."""
+    """Uniform trajectory grid: arc and ν, from P along the path."""
 
     nodes: np.ndarray
     arc: np.ndarray     # distance from the origin along the trajectory
-    speed: np.ndarray   # dS₀/d(arc) = √P ≥ 0
     nu: float           # ∇²S₀ at the origin = √(v''(origin))
     P: np.ndarray       # 2v(origin + direction·a), ascending in the arc a
     radius: float       # smallest |zero| of P/a², inf when it has none
@@ -94,7 +92,6 @@ def build_grid(coeffs, x_max: float, n: int, origin: float = 0.0,
         raise InvalidPotential("potential is not finite on the trajectory grid")
     if np.min(p) < -2e-10 * max(1.0, np.max(np.abs(p))):
         raise InvalidPotential(f"v < 0 at x = {nodes[int(np.argmin(p))]:.6g}")
-    p = np.maximum(p, 0.0)
 
     # P's real critical points ahead, the zeros of P'/a.  P rises from the
     # origin, so they alternate maximum, minimum, ...; after an odd count
@@ -114,6 +111,5 @@ def build_grid(coeffs, x_max: float, n: int, origin: float = 0.0,
                 "kink there, and the hierarchy is not analytic across it")
 
     zeros = np.roots(P[:1:-1])
-    return TrajectoryGrid(nodes=nodes, arc=arc, speed=np.sqrt(p),
-                          nu=math.sqrt(P[2]), P=P,
+    return TrajectoryGrid(nodes=nodes, arc=arc, nu=math.sqrt(P[2]), P=P,
                           radius=np.abs(zeros).min() if zeros.size else np.inf)

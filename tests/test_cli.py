@@ -522,12 +522,22 @@ class TestMain:
         assert "dbar_hermite_l4" in out.read_text()
 
     @pytest.mark.parametrize("g, n, half_width, code", [
-        # the default half-width is min(8, 8/√g): at g = 2 the old fixed 8
-        # fails dbar_hermite_l4 at 3.14e-6, 8/√2 passes at 2.31e-8 (n = 4001)
-        # and 4.45e-9 (n = 6001)
-        ("2", "4001", "8", 3),
+        # the default half-width is min(8, 8/√g).  At g = 2 the old fixed 8
+        # failed dbar_hermite_l4 at 3.14e-6 while D̄ integrated on a
+        # quarter-step grid; on each interval's Gauss nodes it passes at
+        # 6.97e-9 (n = 4001)
+        ("2", "4001", "8", 0),
         ("2", "4001", None, 0),
         ("2", "6001", None, 0),
+        # S and the six sources are quartics, which each interval's Gauss
+        # nodes read exactly: all ten rows pass on 401 nodes, where the
+        # quarter-step grid failed the D̄ rows by up to 4·10⁴×
+        ("0.5", "401", None, 0),
+        ("1", "401", None, 0),
+        ("2", "401", None, 0),
+        # a grid too coarse for the stencils of T: greens_residual[H2]
+        # fails at 64× its tolerance, with every D̄ row passing
+        ("1", "101", None, 3),
         # with 8 the weight e^(2gS) overflowed above g = 11 (exit 1)
         ("16", "4001", None, 0),
         # the tail's quadrature spans a Gaussian width 1/√g past the edge;
@@ -585,18 +595,34 @@ class TestMain:
         assert out == ""
         assert err.startswith("config error: outer weight e^(2gS) overflows")
 
+    @pytest.mark.parametrize("half_width, exponent", [
+        ("1e103", "1e+206"), ("1e155", "10^310"), ("1e300", "10^600")])
+    def test_huge_greens_half_width_is_refused_before_sampling(
+            self, half_width, exponent, capsys):
+        # x³ overflowed from 1e103, x²/2 from 1.9e154, and from 1e155 the
+        # exponent 2g·max S = half-width² is past the float range itself
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--command", "greens-check", "--half-width",
+                         half_width, "--n", "101"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("config error: outer weight e^(2gS) overflows on this "
+                       f"domain (2g·max S = {exponent})\n")
+
     def test_tolerance_failure_writes_full_report(self, tmp_path, capsys):
+        # on 101 nodes greens_residual[H2] fails at 64× its tolerance
         out = tmp_path / "greens.csv"
-        assert main(["--command", "greens-check", "--g", "2", "--n", "401",
+        assert main(["--command", "greens-check", "--g", "1", "--n", "101",
                      "--half-width", "8", "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith("tolerance failure: identity ")
         text = out.read_text()
         assert parse_config_echo(text) == RunConfig(
-            "greens-check", {"g": 2, "n": 401, "half-width": 8})
+            "greens-check", {"g": 1, "n": 101, "half-width": 8})
         lines = text.splitlines()
         assert lines[2] == "identity,grid,max_residual,tolerance,pass"
         rows = [line.split(",") for line in lines[3:]]
-        expected = [r["identity"] for r in identity_report(2.0, 401, 8.0)]
+        expected = [r["identity"] for r in identity_report(1.0, 101, 8.0)]
         assert [row[0] for row in rows] == expected
         assert "False" in [row[-1] for row in rows]
 

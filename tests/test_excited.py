@@ -23,7 +23,7 @@ from trajquad.excited import (
 )
 from trajquad.gexpand import hierarchy
 from trajquad.greens import hermite_coefficients
-from trajquad.numerics import derivative
+from trajquad.numerics import _horner, derivative
 from trajquad.trajectory import build_grid, coefficients
 
 from polyring import Poly, lift
@@ -59,7 +59,7 @@ def excited_e1_numeric(grid, s1, n, tol=1e-6):
     if n < 1:
         raise ValueError("need an excited state (n >= 1)")
     arc = grid.arc
-    speed = grid.speed
+    speed = np.sqrt(_horner(grid.P, arc))
     nu = grid.nu
     e0 = n * nu
 

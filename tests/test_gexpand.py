@@ -24,11 +24,12 @@ from test_oscpert import delta
 def rhs_terms(sol, grid):
     """RHS_k = B_k - E_{k-1}, k = 1..order, from the returned samples alone.
 
-    S₀' is the grid's speed and S_k' the derivative of the S_k samples;
+    S₀' is √P at the nodes and S_k' the derivative of the S_k samples;
     every second derivative is a ``numerics.derivative`` of those samples.
     """
-    slopes = [grid.speed] + [derivative(s, grid.arc) for s in sol.s_terms]
-    curvatures = [derivative(grid.speed, grid.arc)] + [
+    s0p = np.sqrt(_horner(grid.P, grid.arc))
+    slopes = [s0p] + [derivative(s, grid.arc) for s in sol.s_terms]
+    curvatures = [derivative(s0p, grid.arc)] + [
         derivative(s, grid.arc, order=2) for s in sol.s_terms]
     return [0.5 * (curvatures[k - 1] - sum(slopes[i] * slopes[k - i]
                                            for i in range(1, k)))
@@ -43,7 +44,8 @@ def pde_residual(sol, grid, k):
     nodes only.
     """
     fresh = derivative(sol.s_terms[k - 1], grid.arc)
-    res = grid.speed * fresh - rhs_terms(sol, grid)[k - 1]
+    res = np.sqrt(_horner(grid.P, grid.arc)) * fresh \
+        - rhs_terms(sol, grid)[k - 1]
     return np.abs(res[2:-2])
 
 

@@ -29,7 +29,7 @@ from trajquad.greens import (
     identity_report,
     resolvent_residual,
 )
-from trajquad.numerics import cumulative_integral, derivative
+from trajquad.numerics import _horner, cumulative_integral, derivative
 
 from test_oscpert import coeff, delta
 
@@ -384,6 +384,30 @@ class TestApplyDbar:
             assert np.array_equal(np.signbit(row), np.signbit(want))
         assert np.max(np.abs(got[:-1, -1])) < 1e6 < abs(got[-1, -1])
 
+    def test_non_harmonic_profile_converges(self):
+        # S = x²/2 + 0.05x⁴ on [-5, 5] with a source on the growing branch
+        # and one on the bounded branch, neither a polynomial: on |x| ≤ 3,
+        # n = 1001 and 4001 meet n = 16001 to 1.2e-6 and 1.2e-9 (growing)
+        # and 5.3e-10 and 1.2e-12 (bounded), relative, and each row of the
+        # stack is its lone image
+        def images(n):
+            x = np.linspace(-5.0, 5.0, n)
+            rows = np.stack([np.cos(2.0 * x) * np.exp(0.3 * x),
+                             np.sin(3.0 * x) / (1.0 + x * x)])
+            f = WaveProfile(x, 0.5 * x * x + 0.05 * x ** 4, rows)
+            got = apply_Dbar(f, G).values
+            for row, v in zip(got, rows):
+                assert np.array_equal(row, apply_Dbar(f.with_values(v),
+                                                      G).values)
+            return got, np.abs(x) <= 3.0
+
+        fine, _ = images(16001)
+        for n, bounds in ((1001, (3e-6, 2e-9)), (4001, (3e-9, 5e-12))):
+            coarse, inside = images(n)
+            want = fine[:, ::16000 // (n - 1)][:, inside]
+            for row, ref, bound in zip(coarse[:, inside], want, bounds):
+                assert np.max(np.abs(row - ref)) <= bound * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("k", [0, 2])
     def test_stack_raises_as_its_failing_row(self, profile, k):
         # a row whose weighted source does not decay fails the stack with
@@ -499,8 +523,8 @@ class TestTrajectoryProfile:
         # a trajectory grid; its left-inverse identity must hold there too
         from trajquad.trajectory import build_grid, coefficients
         grid = build_grid(coefficients("0.5*x^2 + 0.1*x^4"), 4.0, 2001)
-        prof = WaveProfile(grid.arc, cumulative_integral(grid.speed, grid.arc),
-                           grid.arc ** 4)
+        s0 = cumulative_integral(np.sqrt(_horner(grid.P, grid.arc)), grid.arc)
+        prof = WaveProfile(grid.arc, s0, grid.arc ** 4)
         assert np.max(c_gradient_residual(prof, 2.0, slope(prof))) < 1e-6
 
 

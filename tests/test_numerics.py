@@ -21,9 +21,9 @@ from numpy.polynomial import polynomial as npoly
 from trajquad import numerics
 from trajquad.greens import hermite_value
 from trajquad.numerics import (_CUM_WEIGHTS, _D1_WEIGHTS, _D2_WEIGHTS,
-                               _QUARTER_WEIGHTS, _QUARTIC_FIT,
+                               _GAUSS_TABLE, _QUARTIC_FIT,
                                cumulative_integral, derivative, gauss_panels,
-                               quartic_fit, refine_quarters)
+                               gauss_samples, quartic_fit)
 from trajquad.errors import HierarchyBreakdown
 from trajquad.trajectory import build_grid, coefficients
 
@@ -201,12 +201,15 @@ def test_stencil_tables_solve_their_moment_systems():
         assert sorted(table) == list(range(anchors))
         for s in range(anchors):
             assert np.array_equal(table[s], _stencil(s, moments))
-    assert sorted(_QUARTER_WEIGHTS) == list(range(4))
+    # the Gauss table's column m solves the system of the point evaluation
+    # at its node t_m = s + (1 + ξ_m)/2.  The table evaluates the basis as
+    # a product in floats, so it meets the solution to rounding (4.4e-16),
+    # not bit for bit
+    assert sorted(_GAUSS_TABLE) == list(range(4))
     for s in range(4):
-        want = np.column_stack([_stencil(s, [Fraction(j, 4) ** k
-                                             for k in range(5)])
-                                for j in (1, 2, 3)])
-        assert np.array_equal(_QUARTER_WEIGHTS[s], want)
+        for m, t in enumerate(s + 0.5 + 0.5 * numerics._GAUSS_NODES):
+            want = _stencil(s, [(Fraction(t) - s) ** k for k in range(5)])
+            assert np.max(np.abs(_GAUSS_TABLE[s][:, m] - want)) < 2e-15
 
 
 def test_quartic_fit_table_solves_its_vandermonde_system():
@@ -218,29 +221,44 @@ def test_quartic_fit_table_solves_its_vandermonde_system():
         assert np.array_equal(_QUARTIC_FIT[j], [float(c) for c in want])
 
 
+def _gauss_points(x):
+    """The 16 Gauss–Legendre nodes of every interval of the grid ``x``."""
+    half = 0.5 * (x[1] - x[0])
+    return x[:-1, None] + half * (1.0 + numerics._GAUSS_NODES)
+
+
 @pytest.mark.parametrize("n", (5, 6, 7, 101))
-def test_refine_quarters_is_exact_on_quartics(n):
-    # every quarter point of every interval, edge windows included, reads
-    # a quartic exactly; the nodes keep their own values bit for bit
+def test_gauss_samples_are_exact_on_quartics(n):
+    # every Gauss node of every interval, edge windows included, reads a
+    # quartic to rounding
     x = np.linspace(-1.0, 2.0, n)
     p = lambda z: 3.0 * z ** 4 - z ** 3 + 2.0 * z - 1.0
-    got = refine_quarters(p(x))
-    assert np.array_equal(got[::4], p(x))
-    assert np.max(np.abs(got - p(np.linspace(-1.0, 2.0, 4 * n - 3)))) < 1e-13
+    got = gauss_samples(p(x))
+    assert got.shape == (n - 1, 16)
+    assert np.max(np.abs(got - p(_gauss_points(x)))) < 1e-13
 
 
-def test_refine_quarters_reads_the_cumulative_integral_windows():
-    # interval i is filled from the window starting at clip(i-2, 0, n-5):
-    # a spike at node k moves only the intervals whose window holds k
+def test_gauss_samples_read_the_cumulative_integral_windows():
+    # interval i is read from the window starting at clip(i-2, 0, n-5): a
+    # spike at node k moves only the intervals whose window holds k
     n = 11
     for k in range(n):
         y = np.zeros(n)
         y[k] = 1.0
-        touched = {i for i in range(n - 1) if np.any(
-            refine_quarters(y)[4 * i + 1:4 * i + 4])}
+        touched = {i for i, row in enumerate(gauss_samples(y)) if np.any(row)}
         starts = np.clip(np.arange(n - 1) - 2, 0, n - 5)
         windows = {i for i, s in enumerate(starts) if s <= k < s + 5}
         assert touched == windows
+
+
+def test_gauss_samples_weigh_to_the_cumulative_integral():
+    # on samples of a quartic both rules are exact, so each interval's
+    # Gauss sum is the cumulative integral's step to rounding
+    x = np.linspace(-1.3, 2.1, 41)
+    y = x ** 4 - 2.0 * x ** 3 + 0.5
+    got = gauss_samples(y) @ numerics._GAUSS_WEIGHTS * (0.5 * (x[1] - x[0]))
+    want = np.diff(cumulative_integral(y, x))
+    assert np.max(np.abs(got - want)) < 1e-15 * np.max(np.abs(y))
 
 
 def test_quartic_fit_coefficients():
@@ -344,6 +362,7 @@ def test_build_grid_equals_scalar_quadrature(poly, origin, x_max, n, direction):
         return
     grid = build_grid(coeffs, x_max, n, origin=origin, direction=direction)
     assert np.array_equal(grid.nodes, nodes)
-    assert np.array_equal(grid.speed, speed)
-    assert np.max(np.abs(cumulative_integral(grid.speed, grid.arc) - s0)) \
+    s0p = np.sqrt(numerics._horner(grid.P, grid.arc))
+    assert np.array_equal(s0p, speed)
+    assert np.max(np.abs(cumulative_integral(s0p, grid.arc) - s0)) \
         < 1e-12 * s0[-1]

@@ -18,9 +18,14 @@ def harmonic(nu2: float = 1.0):
     return coefficients(f"{nu2 / 2}*x^2")
 
 
+def slope(grid):
+    """S₀' = √P at the nodes."""
+    return np.sqrt(_horner(grid.P, grid.arc))
+
+
 def s0_of(grid):
     """S₀ at the nodes: the cumulative integral of the grid's slope."""
-    return cumulative_integral(grid.speed, grid.arc)
+    return cumulative_integral(slope(grid), grid.arc)
 
 
 class TestPotential:
@@ -50,7 +55,7 @@ class TestPotential:
             shifted = 2.0 * want * direction ** np.arange(degree + 1)
             assert np.array_equal(np.trim_zeros(grid.P, "b"), shifted)
             assert np.array_equal(
-                grid.speed, np.sqrt(2.0 * _horner(coeffs, grid.nodes)))
+                slope(grid), np.sqrt(2.0 * _horner(coeffs, grid.nodes)))
 
     def test_high_degree_hierarchy_runs(self):
         # gexpand --potential "0.5*x^2+x^171" --x-max 0.5 --n 201
@@ -69,7 +74,7 @@ class TestBuildGrid:
     def test_harmonic_action(self):
         grid = build_grid(harmonic(), 3.0, 1201)
         assert np.max(np.abs(s0_of(grid) - grid.nodes ** 2 / 2)) < 1e-10
-        assert np.array_equal(grid.speed, np.sqrt(
+        assert np.array_equal(slope(grid), np.sqrt(
             2.0 * _horner(harmonic(), grid.nodes)))
         assert grid.nu == pytest.approx(1.0)
 
@@ -126,7 +131,7 @@ class TestBuildGrid:
         from trajquad.numerics import derivative
         grid = build_grid(coefficients("0.5*x^2 + 0.1*x^4"), 2.5, 2001)
         fd = derivative(s0_of(grid), grid.arc)
-        grad2 = grid.speed ** 2
+        grad2 = slope(grid) ** 2
         rel = np.abs(fd[2:-2] ** 2 - grad2[2:-2]) / grad2[2:-2].max()
         assert np.max(rel) < 1e-6
 
@@ -159,7 +164,7 @@ class TestBuildGrid:
         # v = x²(½ - ½x + 0.13x²) dips to a positive minimum near x = 2
         grid = build_grid(coefficients("0.5*x^2 - 0.5*x^3 + 0.13*x^4"),
                           3.0, 2001)
-        assert grid.speed[1:].min() > 0.0
+        assert slope(grid)[1:].min() > 0.0
 
     @pytest.mark.parametrize("text, x_max", [
         # on 2.5, P spans 68 decades and rises throughout: no critical point
@@ -174,7 +179,7 @@ class TestBuildGrid:
     ])
     def test_rising_potential_has_no_kink(self, text, x_max):
         grid = build_grid(coefficients(text), x_max, 2001)
-        assert grid.speed[1:].min() > 0.0
+        assert slope(grid)[1:].min() > 0.0
 
     def test_minimum_node_count(self):
         with pytest.raises(ValueError):
@@ -205,4 +210,4 @@ class TestKinkRule:
                         (direction * beyond * x_max, 0.0)):
             coeffs = np.array([0.0, 0.0, c * a0 * a0 + dip, -2.0 * c * a0, c])
             grid = build_grid(coeffs, x_max, 401, direction=direction)
-            assert grid.speed[1:].min() > 0.0
+            assert slope(grid)[1:].min() > 0.0
