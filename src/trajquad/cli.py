@@ -203,18 +203,13 @@ def _run_perturb(p: dict):
 
 
 def _coulomb_tables(sol, g: float, eps: float):
-    energy = _finite(coulomb_mod.assemble(sol, g, eps))
-    e_terms = [e.render() for e in sol.e_terms]
-    payload = {
-        "e_terms": e_terms,
-        "s_terms": [s.render() for s in sol.s_terms],
-        "assembled_symbolic": coulomb_mod.assemble_energy_symbolic(e_terms),
-        "assembled_energy": energy,
-    }
+    e_terms, s_terms, symbolic, energy = sol.table(g, eps, _finite)
+    payload = {"e_terms": e_terms, "s_terms": s_terms,
+               "assembled_symbolic": symbolic, "assembled_energy": energy}
     lines = ["n,E_n,S_n"]
     lines += [f"{n},\"{e}\",\"{s}\"" for n, (e, s)
-              in enumerate(zip(payload["e_terms"], payload["s_terms"]))]
-    lines.append(f"assembled_symbolic,\"{payload['assembled_symbolic']}\"")
+              in enumerate(zip(e_terms, s_terms))]
+    lines.append(f"assembled_symbolic,\"{symbolic}\"")
     lines.append(f"assembled_energy,{energy!r}")
     return payload, lines, None
 

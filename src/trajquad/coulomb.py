@@ -47,9 +47,11 @@ applied once per order.  The angular average that fixes E_n also checks
 every finished S_n, whose r¹ part must average to zero.  The pairs are
 ``exactalg``'s integer format: U enters as its ``MultiPoly``'s
 numerators and denominator, keyed by (a, b, e) triples and packed on
-entry; S_n and E_n are unpacked on exit and take their variable names,
-becoming ``MultiPoly``, only at the boundary in ``solve_perturbed``,
-after the invariants have been checked on the integers.
+entry.  S_n and E_n stay packed: the invariants are checked on the
+packed keys, and ``CoulombSolution.table`` writes every text and the
+energy straight from them through ``exactalg``'s one term formatter, so
+no result becomes a ``MultiPoly`` (``tests/test_coulomb_table.py``
+keeps that view as the reference the tables are checked against).
 This kernel is the package's only radial-polar ∇² and ∇·∇;
 ``tests/test_coulomb.py`` holds an independent polynomial form of both and
 checks every retained grade of the wave equation with it.
@@ -61,21 +63,41 @@ import math
 
 from .errors import LogSingularity, MethodError
 from .exactalg import (VAR_EPS, VAR_R, VAR_U, MultiPoly, _add_product,
-                       _nonzero, _packed, _reduced, _unpacked)
+                       _factors, _joined, _nonzero, _packed, _reduced, _term,
+                       _term_value)
 
 RUE = (VAR_R, VAR_U, VAR_EPS)
 
 
 class CoulombSolution:
-    """Exact S_n and E_n lists in the Coulomb grading.
+    """The chain's S_n and E_n, n = 0..order, as (numerators, denominator)
+    pairs keyed by r^a·u^b·ε^e packed at ``width`` (``exactalg._packed``).
 
-    ``s_terms[n]`` is S_n over (r, u, ε); ``e_terms[n]`` is E_n over the
-    same variables but free of r and u.  S carries the weight g^{-(2n-2)}
-    and E the weight g^{-(2n-4)}.
+    Every S_n has a ≥ 1, so the key order is the exponents' lexicographic
+    order; every E_n has a = b = 0, so its keys are its ε-powers.  S carries
+    the weight g^{-(2n-2)} and E the weight g^{-(2n-4)}.
     """
 
-    def __init__(self, order: int, s_terms: list, e_terms: list):
-        self.order, self.s_terms, self.e_terms = order, s_terms, e_terms
+    def __init__(self, order: int, width: int, s_terms: list, e_terms: list):
+        self.order, self.width = order, width
+        self.s_terms, self.e_terms = s_terms, e_terms
+
+    def table(self, g: float, eps: float, check) -> tuple:
+        """(E_n texts, S_n texts, symbolic energy, checked energy) in one pass.
+
+        The texts are ``MultiPoly.render``'s over (r, u, ε), each key's
+        factor text built once.  The energy Σ g^{-(2n-4)} E_n(ε) sums each
+        E_n in ``MultiPoly.evaluate``'s term order, so its bits are the
+        same; ``check`` sees it before any text is made.
+        """
+        if g <= 0:
+            raise ValueError("g must be positive")
+        energy = check(sum(g ** (4 - 2 * n) * _value(num, den, eps)
+                           for n, (num, den) in enumerate(self.e_terms)))
+        factors = {}
+        e_texts = [_render(*e, self.width, factors) for e in self.e_terms]
+        s_texts = [_render(*s, self.width, factors) for s in self.s_terms]
+        return e_texts, s_texts, assemble_energy_symbolic(e_texts), energy
 
 
 def assemble_energy_symbolic(e_texts: list) -> str:
@@ -88,6 +110,34 @@ def assemble_energy_symbolic(e_texts: list) -> str:
                 body = f"({body})"
             pieces.append(body if n == 2 else f"g^{4 - 2 * n} * {body}")
     return " + ".join(pieces) or "0"
+
+
+def _render(num: dict, den: int, width: int, factors: dict) -> str:
+    """``MultiPoly.render`` of a pair keyed at ``width``, every a ≥ 0.
+
+    ``factors`` maps each key met so far to (degree, key, factor text);
+    sorted, these are render's graded order.
+    """
+    top, mask = 2 * width, (1 << width) - 1
+    terms = []
+    for k in num:
+        term = factors.get(k)
+        if term is None:
+            a, b, e = k >> top, (k >> width) & mask, k & mask
+            text = _factors(((VAR_R, a), (VAR_U, b), (VAR_EPS, e)))
+            term = factors[k] = (a + b + e, k, text)
+        terms.append(term)
+    terms.sort()
+    return _joined([(num[k] < 0, _term(num[k], den, text))
+                    for _, k, text in terms])
+
+
+def _value(num: dict, den: int, eps: float) -> float:
+    """``MultiPoly.evaluate`` of an E_n at ε: its terms summed by ε-power."""
+    value = 0.0
+    for e in sorted(num):
+        value += _term_value(num[e], den, ((eps, e),))
+    return value
 
 
 # ---------------------------------------------------------- integer kernel
@@ -152,11 +202,11 @@ def _angular_average(level: list) -> tuple:
     return _nonzero(out), scale
 
 
-def _integer_chain(u_num: dict, u_den: int, order: int) -> tuple:
+def _integer_chain(u_num: dict, u_den: int, order: int) -> CoulombSolution:
     """S_n and E_n, n = 0..order, as reduced (numerators, denominator) pairs.
 
-    U's numerators and the results are keyed by (a, b, e) triples; the
-    chain itself runs on keys packed at ``_field_width``.
+    U's numerators are keyed by (a, b, e) triples; the chain runs on keys
+    packed at ``_field_width`` and returns them so, its invariants checked.
     """
     width = _field_width(u_num, order)
     shift, mask = 2 * width, (1 << width) - 1
@@ -205,19 +255,18 @@ def _integer_chain(u_num: dict, u_den: int, order: int) -> tuple:
         k_num = _nonzero(k_num)
         e_terms.append(_reduced(e_num, k_den))
         # S_n = ∫ (K_n - E_n) dr with zero constant
-        bad = _unpacked({k + r1: c for k, c in k_num.items() if k >> shift == -1},
-                        width)
+        bad = {k + r1: c for k, c in k_num.items() if k >> shift == -1}
         if bad:
-            raise LogSingularity(
-                f"r^-1 source with angular coefficient {MultiPoly(bad, k_den, RUE).render()}")
+            raise LogSingularity("r^-1 source with angular coefficient "
+                                 f"{_render(bad, k_den, width, {})}")
         span = math.lcm(*((k >> shift) + 1 for k in k_num))
         s_n = _reduced({k + r1: c * (span // ((k >> shift) + 1))
                         for k, c in k_num.items()}, k_den * span)
         s_terms.append(s_n)
         if n < order:
             grads.append((_gradient(s_n[0], width), s_n[1]))
-    return ([(_unpacked(num, width), den) for num, den in s_terms],
-            [(_unpacked(num, width), den) for num, den in e_terms])
+    _check_invariants(s_terms, e_terms, width)
+    return CoulombSolution(order, width, s_terms, e_terms)
 
 
 def solve_perturbed(u_poly: MultiPoly, order: int) -> CoulombSolution:
@@ -241,11 +290,7 @@ def solve_perturbed(u_poly: MultiPoly, order: int) -> CoulombSolution:
         raise ValueError("perturbation must not depend on ε")
     if any(a < 1 for a, _, _ in u_num):
         raise ValueError("perturbation must vanish at the origin")
-    s_terms, e_terms = _integer_chain(u_num, u_den, order)
-    _check_invariants(s_terms, e_terms)
-    return CoulombSolution(order=order,
-                           s_terms=[MultiPoly(*s, RUE) for s in s_terms],
-                           e_terms=[MultiPoly(*e, RUE) for e in e_terms])
+    return _integer_chain(u_num, u_den, order)
 
 
 def solve_isotropic(u_poly: MultiPoly, order: int) -> CoulombSolution:
@@ -259,29 +304,24 @@ def solve_stark(order: int) -> CoulombSolution:
     """Recursion for the uniform-field perturbation U = r·cos a."""
     if order < 2:
         raise ValueError("the Stark chain starts contributing at order 2")
-    return solve_perturbed(MultiPoly({(1, 1, 0): 1}, 1, RUE), order)
+    return _integer_chain({(1, 1, 0): 1}, 1, order)
 
 
-def _check_invariants(s_terms: list, e_terms: list) -> None:
-    """Raise MethodError unless the chain's (numerators, denominator) pairs hold.
+def _check_invariants(s_terms: list, e_terms: list, width: int) -> None:
+    """Raise MethodError unless the chain's pairs, keyed at ``width``, hold.
 
-    Every S_n vanishes at r = 0, every S_n past S_0 has an r¹ part of zero
-    angular average, and every E_n is free of r and u.
+    Every S_n vanishes at r = 0 (a < 1 is exactly key < 1 << 2W), every
+    S_n past S_0 has an r¹ part of zero angular average, and every E_n is
+    free of r and u (0 ≤ key < 1 << W).
     """
+    r1, mask = 1 << 2 * width, (1 << width) - 1
     for n, (s_num, _) in enumerate(s_terms):
-        if any(a < 1 for a, _, _ in s_num):
+        if s_num and min(s_num) < r1:
             raise MethodError(f"S_{n} does not vanish at the origin")
-        if n >= 1 and _angular_average([(b, e, c) for (a, b, e), c in s_num.items()
-                                        if a == 1])[0]:
+        if n >= 1 and _angular_average([((k >> width) & mask, k & mask, c)
+                                        for k, c in s_num.items()
+                                        if k < 2 * r1])[0]:
             raise MethodError(f"S_{n} keeps a radially-constant slope at r=0")
     for n, (e_num, _) in enumerate(e_terms):
-        if any(a or b for a, b, _ in e_num):
+        if e_num and (min(e_num) < 0 or max(e_num) > mask):
             raise MethodError(f"E_{n} is not a pure ε-polynomial")
-
-
-def assemble(sol: CoulombSolution, g: float, eps: float) -> float:
-    """Numeric energy E = Σ g^{-(2n-4)} E_n(ε) at given g, ε."""
-    if g <= 0:
-        raise ValueError("g must be positive")
-    return sum(g ** (-(2 * n - 4)) * sol.e_terms[n].evaluate({VAR_EPS: eps})
-               for n in range(sol.order + 1))

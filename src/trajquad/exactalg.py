@@ -1,15 +1,16 @@
 """Exact rational scalars and sparse multivariate Laurent polynomials.
 
-Every exact result of the package is one of these objects: integer
-numerators over one positive denominator, keyed by exponent tuples over a
-named, canonically ordered variable list.  Negative exponents are
+Every exact result of the package is in this module's format: integer
+numerators over one positive denominator, keyed by exponent tuples (or
+their packed ints) over a named, canonically ordered variable list.  Negative exponents are
 permitted only for the radial variable ``r``; the perturbation strength
 ``ε`` and the inverse-scale marker ``ĝ`` (which stands for 1/g) never
 carry negative powers.
 
 ``MultiPoly`` is the boundary of the exact half: user text is parsed into
-it, the kernels of ``coulomb`` and ``excited`` build their results as it,
-and the CLI renders and evaluates it.  It carries no arithmetic: besides
+it, the ``excited`` kernel builds its results as it, and the CLI renders
+and evaluates it (``oscpert`` and ``coulomb`` write their tables from
+their own integer pairs).  It carries no arithmetic: besides
 embedding into more variables it answers only whether it depends on a
 variable, evaluates and renders.  Sums, products, derivatives, angular
 averages and the radial-polar Laplacian and gradient live in those
@@ -20,15 +21,17 @@ format with its variable names attached: a dict of integer numerators
 keyed by exponent tuples over one positive denominator.  ``_nonzero``
 drops zero numerators and ``_reduced`` divides numerators and denominator
 by their gcd.  Inside a kernel the keys may be packed: ``_packed`` turns an
-(a, b, e) triple into one int of fixed-width bit fields and ``_unpacked``
-turns it back, so that ``_add_product``, which accumulates a scaled
-product, forms each product key with one integer add.  No rational type
+(a, b, e) triple into one int of fixed-width bit fields, so that
+``_add_product``, which accumulates a scaled product, forms each product
+key with one integer add.  No rational type
 appears even where text meets the format: ``parse_poly`` reads each
 number as an integer (numerator, denominator) pair, sums equal terms as
 reduced pairs and brings the sums to the lcm of their denominators.  One
-term formatter leads out: ``_term`` prints a term over its gcd-reduced
-denominator, ``_joined`` signs and joins terms and ``_term_value``
-evaluates one; ``render``, ``evaluate`` and ``oscpert``'s rows use them.
+term formatter leads out: ``_factors`` writes a term's factor text,
+``_term`` prints the term over its gcd-reduced denominator before it,
+``_joined`` signs and joins terms and ``_term_value`` evaluates one;
+``render``, ``evaluate`` and the ``oscpert`` and ``coulomb`` tables use
+them.
 
 A canonical text rendering ("-21/8 * ε^2 * ĝ^5") and a round-trip parser
 for the same grammar serve the CLI and the golden tests.  Terms are ordered
@@ -140,24 +143,32 @@ class MultiPoly:
         """Canonical text form, e.g. ``-21/8 * ε^2 * ĝ^5``."""
         den, names, terms = self.den, self.variables, []
         for _, exps, coeff in self._sorted_terms():
-            terms.append((coeff < 0, _term(coeff, den, zip(names, exps))))
+            text = _term(coeff, den, _factors(zip(names, exps)))
+            terms.append((coeff < 0, text))
         return _joined(terms)
 
     def __repr__(self):
         return f"MultiPoly({self.render()!r})"
 
 
-def _term(num: int, den: int, factors) -> str:
-    """|num|/den over their gcd, then ``v`` or ``v^k`` for each (name, power)
-    factor with a nonzero power; the sign is ``_joined``'s."""
-    g = math.gcd(num, den)
-    parts = [f"{abs(num) // g}" if g == den else f"{abs(num) // g}/{den // g}"]
-    for v, k in factors:   # a loop: a comprehension's frame costs more here
+def _factors(pairs) -> str:
+    """``v`` or ``v^k`` for each (name, power) pair with a nonzero power,
+    joined by `` * ``: the factor text that ``_term`` takes."""
+    parts = []
+    for v, k in pairs:   # a loop: a comprehension's frame costs more here
         if k:
             parts.append(v if k == 1 else f"{v}^{k}")
-    if parts[0] == "1" and len(parts) > 1:   # a bare 1 before a factor
-        del parts[0]
     return " * ".join(parts)
+
+
+def _term(num: int, den: int, factors: str) -> str:
+    """|num|/den over their gcd, then the factor text of ``_factors``, a
+    bare 1 before a factor left out; the sign is ``_joined``'s."""
+    g = math.gcd(num, den)
+    coeff = f"{abs(num) // g}" if g == den else f"{abs(num) // g}/{den // g}"
+    if not factors:
+        return coeff
+    return factors if coeff == "1" else f"{coeff} * {factors}"
 
 
 def _joined(terms: list) -> str:
@@ -203,15 +214,6 @@ def _packed(num: dict, width: int) -> dict:
     [0, 2^width).  a, on top, may be negative (r⁻¹): floor shifts recover it.
     """
     return {(a << 2 * width) + (b << width) + e: c for (a, b, e), c in num.items()}
-
-
-def _unpacked(num: dict, width: int) -> dict:
-    """The (a, b, e) triples back from ``_packed`` keys."""
-    top, mask = 2 * width, (1 << width) - 1
-    out = {}
-    for k, c in num.items():   # a loop: a kernel unpacks many small dicts
-        out[(k >> top, (k >> width) & mask, k & mask)] = c
-    return out
 
 
 def _add_product(out: dict, x: dict, y: dict, scale: int) -> None:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentAtOrigin, TailDivergence
+from .errors import DivergentAtOrigin, MethodError, TailDivergence
 from .numerics import (_GAUSS_WEIGHTS, _horner, cumulative_integral,
                        derivative, gauss_panels, gauss_samples, grid_spacing,
                        quartic_fit)
@@ -171,6 +171,21 @@ def _refuse_overflowing_weight(g: float, *s_max: float) -> None:
                          f"(2g·max S = {shown})")
 
 
+def _refuse_overflowing_values(g: float, half_width: float) -> None:
+    """Raise MethodError where the identity report's values overflow a float.
+
+    The largest it forms is C(x⁴) = x⁴/(4g) at the edge, or x⁴ itself
+    where 4g > 1; the D̄ images, ≈ x³/(3g) for x³, stay below it.  It is
+    weighed in powers of ten, with three to spare for the stencils that
+    difference it, before any source is formed.
+    """
+    digits = 4.0 * math.log10(half_width) - min(0.0, math.log10(4.0 * g))
+    if digits > math.log10(sys.float_info.max) - 3.0:
+        raise MethodError(f"identity report overflows on this domain "
+                          f"(half-width {half_width!r}, g = {g!r}: "
+                          f"max(x^4, x^4/(4g)) = 10^{digits:.6g})")
+
+
 def apply_Dbar(f: WaveProfile, g: float) -> WaveProfile:
     """Double-integral operator with tail-stable inner quadrature.
 
@@ -285,11 +300,14 @@ def identity_report(g: float, n: int, half_width: float) -> list:
     """Run the operator identity checks; one JSON-able record per identity.
 
     D̄ is applied once, to the stack of the six sources, and every identity
-    that needs D̄f reads that source's row of the one image.
+    that needs D̄f reads that source's row of the one image.  A domain where
+    the weight e^{2gS} or the report's own values overflow is refused
+    before anything is sampled.
     """
     # max S = (half_width/2)·half_width as the profile rounds it; on what
     # passes, |√g·x| ≤ √(2g·max S) < 27 and every H_l(√g·x) is finite
     _refuse_overflowing_weight(g, 0.5 * half_width, half_width)
+    _refuse_overflowing_values(g, half_width)
     prof = harmonic_profile(n, half_width)
     sp = derivative(prof.s, prof.nodes)   # S', for every application of C
     moment = gaussian_even_moment(g)

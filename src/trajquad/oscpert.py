@@ -62,7 +62,8 @@ from __future__ import annotations
 import math
 
 from .errors import MethodError
-from .exactalg import VAR_EPS, VAR_GHAT, _joined, _reduced, _term, _term_value
+from .exactalg import (VAR_EPS, VAR_GHAT, _factors, _joined, _reduced, _term,
+                       _term_value)
 
 
 def _chain(source: dict, den: int) -> tuple:
@@ -116,9 +117,10 @@ class PerturbSeries:
         for k, c, d, s in self.deltas():
             terms, value = [], 0.0
             if c:
-                terms.append((c < 0, _term(c, d, ((VAR_GHAT, s),))))
+                terms.append((c < 0, _term(c, d, _factors(((VAR_GHAT, s),)))))
                 value += _term_value(c, d, ((ghat, s),))
-                shift.append((c < 0, _term(c, d, ((VAR_EPS, k), (VAR_GHAT, s)))))
+                text = _factors(((VAR_EPS, k), (VAR_GHAT, s)))
+                shift.append((c < 0, _term(c, d, text)))
             rows.append((k, _joined(terms), check(value)))
         return rows, _joined(shift)
 

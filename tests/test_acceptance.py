@@ -23,6 +23,7 @@ from trajquad import trajectory as trajectory_mod
 from trajquad.numerics import _horner, cumulative_integral, derivative
 
 from polyring import Poly, lift, lower, parse
+from test_coulomb_table import PolyView
 from test_oscpert import delta, level
 
 RUE = (VAR_R, VAR_U, VAR_EPS)
@@ -71,7 +72,7 @@ def test_criterion_2_linear_oscillator_series():
 
 def test_criterion_3_coulomb_quadratic_perturbation():
     with criterion(3, "Coulomb U=r²: printed S₂..S₄, E₄, E₈ and assembly, exact"):
-        sol = coulomb_mod.solve_isotropic(lower(P("r^2")), 8)
+        sol = PolyView(coulomb_mod.solve_isotropic(lower(P("r^2")), 8))
         assert sol.s_terms[2] == P("1/3 * eps * r^3")
         assert sol.s_terms[3] == P("eps * r^2")
         assert sol.s_terms[4] == P("-1/10 * eps^2 * r^5")
@@ -84,7 +85,7 @@ def test_criterion_3_coulomb_quadratic_perturbation():
 
 def test_criterion_4_stark_series():
     with criterion(4, "Stark: every printed S₂..S₁₁ term, E₆, E₁₂ and assembly, exact"):
-        sol = coulomb_mod.solve_stark(12)
+        sol = PolyView(coulomb_mod.solve_stark(12))
         assert sol.s_terms[2] == P("1/2 * eps * r^2 * u")
         assert sol.s_terms[3] == P("eps * r * u")
         assert sol.s_terms[4] == P("-1/24 * eps^2 * r^3") * P("1 + 3 * u^2")
@@ -161,7 +162,7 @@ def test_criterion_7_oracle_cross_checks():
         assert abs(oracle.eigenvalues[0] - energy) <= bound
 
         sol = coulomb_mod.solve_isotropic(lower(P("r^2")), 12)
-        assembled = coulomb_mod.assemble(sol, g=1.0, eps=1e-3)
+        assembled = sol.table(1.0, 1e-3, float)[3]
         radial = oracle_mod.solve_radial(1.0, lambda r: r * r, 1e-3, 25.0, 2500)
         assert abs(assembled - radial.eigenvalues[0]) < 5e-7
 

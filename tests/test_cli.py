@@ -610,6 +610,24 @@ class TestMain:
         assert err == ("config error: outer weight e^(2gS) overflows on this "
                        f"domain (2g·max S = {exponent})\n")
 
+    @pytest.mark.parametrize("g, half_width, digits", [
+        ("1e-210", "1e103", "621.398"), ("1e-190", "1e96", "573.398"),
+        ("1e-150", "1e76", "453.398"), ("1e-110", "1e56", "333.398")])
+    def test_overflowing_greens_values_exit_2(self, g, half_width, digits,
+                                              capsys):
+        # the weight passes, 2g·max S ≤ 709, but x³ overflowed from 1e103,
+        # and where the weight decays the D̄ sums, D̄x³ ≈ x³/(3g) or
+        # C(x⁴) = x⁴/(4g) did, each with a RuntimeWarning on its way out
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--command", "greens-check", "--g", g,
+                         "--half-width", half_width, "--n", "101"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("method breakdown: identity report overflows on this "
+                       f"domain (half-width {float(half_width)!r}, g = "
+                       f"{float(g)!r}: max(x^4, x^4/(4g)) = 10^{digits})\n")
+
     def test_tolerance_failure_writes_full_report(self, tmp_path, capsys):
         # on 101 nodes greens_residual[H2] fails at 64× its tolerance
         out = tmp_path / "greens.csv"

@@ -25,17 +25,17 @@ from trajquad.coulomb import (
     _check_invariants,
     _field_width,
     _integer_chain,
-    assemble,
     assemble_energy_symbolic,
     solve_isotropic,
     solve_perturbed,
     solve_stark,
 )
 from trajquad.errors import LogSingularity, MethodError
-from trajquad.exactalg import VAR_EPS, VAR_R, VAR_U
+from trajquad.exactalg import VAR_EPS, VAR_R, VAR_U, _packed
 from trajquad.numerics import gauss_panels
 
 from polyring import Poly, lift, lower, parse
+from test_coulomb_table import PolyView
 
 RUE = (VAR_R, VAR_U, VAR_EPS)
 
@@ -91,6 +91,7 @@ def defining_residuals(sol, u):
     solved for.  Grades beyond the truncation involve dropped S_n and are
     not asserted.
     """
+    sol = PolyView(sol)
     eps = Poly.var(VAR_EPS, RUE)
     residuals = []
     for n in range(sol.order + 1):
@@ -222,6 +223,7 @@ def reference_chain(u_poly, order):
 def assert_matches_reference(sol, reference):
     """Every S_n and E_n of ``sol`` equals the reference's, as value and text."""
     s_ref, e_ref = reference
+    sol = PolyView(sol)
     for got, want in zip((sol.s_terms, sol.e_terms), (s_ref, e_ref)):
         assert len(got) == sol.order + 1 <= len(want)
         for n, poly in enumerate(got):
@@ -237,19 +239,24 @@ ANISOTROPIC = st.dictionaries(
     min_size=1, max_size=3)
 
 
+def energy(sol, g, eps):
+    """The numeric energy the CLI prints, ``CoulombSolution.table``'s."""
+    return sol.table(g, eps, float)[3]
+
+
 @pytest.fixture(scope="module")
 def quadratic():
-    return solve_isotropic(lower(P("r^2")), 8)
+    return PolyView(solve_isotropic(lower(P("r^2")), 8))
 
 
 @pytest.fixture(scope="module")
 def stark():
-    return solve_stark(12)
+    return PolyView(solve_stark(12))
 
 
 @pytest.fixture(scope="module")
 def stark30():
-    return solve_stark(30)
+    return PolyView(solve_stark(30))
 
 
 @pytest.fixture(scope="module")
@@ -278,16 +285,17 @@ class TestIsotropic:
             assert not quadratic.e_terms[k].terms
 
     def test_linear_perturbation(self):
-        sol = solve_isotropic(lower(P("r")), 4)
+        sol = PolyView(solve_isotropic(lower(P("r")), 4))
         assert sol.e_terms[3] == P("3/2 * eps")
 
     def test_cubic_perturbation(self):
         # first-order shift of U=r^l sits at E_{l+2} = <r^l> coefficient;
         # hydrogen ground state gives <r^3> = 15/(2g^6)
         sol = solve_isotropic(lower(P("r^3")), 6)
+        view = PolyView(sol)
         for k in (1, 2, 3, 4):
-            assert not sol.e_terms[k].terms
-        assert sol.e_terms[5] == P("15/2 * eps")
+            assert not view.e_terms[k].terms
+        assert view.e_terms[5] == P("15/2 * eps")
         resid = defining_residuals(sol, P("r^3"))
         assert all(not r for r in resid)
 
@@ -349,14 +357,15 @@ class TestStark:
             [e.render() for e in stark.e_terms]) == \
             "g^4 * -1/2 + g^-8 * -9/4 * ε^2 + g^-20 * -3555/64 * ε^4"
 
-    def test_defining_residuals_vanish(self, stark):
-        assert all(not r for r in defining_residuals(stark, P("r * u")))
+    def test_defining_residuals_vanish(self):
+        resid = defining_residuals(solve_stark(12), P("r * u"))
+        assert all(not r for r in resid)
 
     def test_sixth_order_literature_coefficient(self):
         # the classic hydrogen ground-state field series continues
         # -1/2 - (9/4)F² - (3555/64)F⁴ - (2512779/512)F⁶; the recursion
         # must reproduce the sixth-order coefficient it was never shown
-        sol = solve_stark(18)
+        sol = PolyView(solve_stark(18))
         assert sol.e_terms[18] == P("-2512779/512 * eps^6")
         for k in (13, 14, 15, 16, 17):
             assert not sol.e_terms[k].terms
@@ -382,7 +391,8 @@ class TestStark:
         # every S_n and E_n of the deepest chain the tests run, where the u-
         # and ε-powers reach 45, as the tuple-keyed kernel rendered them
         # before the kernel's keys were packed
-        text = "\n".join(p.render() for p in stark90.s_terms + stark90.e_terms)
+        e_texts, s_texts, _, _ = stark90.table(1.0, 0.0, float)
+        text = "\n".join(s_texts + e_texts)
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "9631c8487914d4fb239efa6a56dfc64f745e4a9539dc108595a2e12e14434f02"
 
@@ -394,7 +404,8 @@ class TestStark:
         # form, the one-step Richardson value A_N = N·r_N - (N-1)·r_{N-1}
         # removes the 1/N correction and climbs towards 1.
         def ratio(big_n):
-            e_2n = lift(stark90.e_terms[6 * big_n]).terms[(0, 0, 2 * big_n)]
+            num, den = stark90.e_terms[6 * big_n]   # keyed by ε-power
+            e_2n = Fraction(num[2 * big_n], den)
             leading = Fraction(3, 2) ** (2 * big_n + 1) * math.factorial(2 * big_n)
             return -math.pi / 4 * float(e_2n / leading)
 
@@ -410,7 +421,7 @@ class TestZeeman:
         # U = r² - r²u², and the ground-state series
         # -1/2 + B²/4 - 53B⁴/192 + 5581B⁶/4608 (Čížek & Vrscay, Int. J.
         # Quantum Chem. 21 (1982) 27) reads 2ε, -53/3·ε², 5581/9·ε³
-        sol = solve_perturbed(lower(P("r^2 - r^2 * u^2")), 12)
+        sol = PolyView(solve_perturbed(lower(P("r^2 - r^2 * u^2")), 12))
         want = {4: P("2 * eps"), 8: P("-53/3 * eps^2"),
                 12: P("5581/9 * eps^3")}
         for n in range(1, 13):
@@ -421,7 +432,7 @@ class TestZeeman:
         # (Avron, Ann. Phys. 131 (1981) 73); q_k = e_{k+1}/(e_k k²) and the
         # one-step Richardson value A_k = k·q_k - (k-1)·q_{k-1} fall
         # towards -32/π², still 2.9% short at k = 14
-        sol = solve_perturbed(lower(P("r^2 - r^2 * u^2")), 60)
+        sol = PolyView(solve_perturbed(lower(P("r^2 - r^2 * u^2")), 60))
         e = {k: lift(sol.e_terms[4 * k]).terms[(0, 0, k)] for k in range(4, 16)}
         q = {k: float(e[k + 1] / e[k] / k ** 2) for k in range(4, 15)}
         a = [k * q[k] - (k - 1) * q[k - 1] for k in range(5, 15)]
@@ -490,15 +501,17 @@ class TestIntegerKernel:
 
 
 def stark_pairs(order):
-    """The Stark chain's S_n and E_n as (numerators, denominator) pairs."""
-    return _integer_chain({(1, 1, 0): 1}, 1, order)
+    """The Stark chain's S_n and E_n pairs and the width of their keys."""
+    sol = _integer_chain({(1, 1, 0): 1}, 1, order)
+    return sol.s_terms, sol.e_terms, sol.width
 
 
-def with_terms(pairs, n, extra):
-    """A copy of ``pairs`` whose n-th numerators have ``extra`` added."""
+def with_terms(pairs, n, extra, width):
+    """A copy of ``pairs`` whose n-th numerators have ``extra``, keyed by
+    (a, b, e) triples, added at the packed keys of ``width``."""
     num, den = pairs[n]
     added = dict(num)
-    for key, c in extra.items():
+    for key, c in _packed(extra, width).items():
         added[key] = added.get(key, 0) + c
     return pairs[:n] + [(added, den)] + pairs[n + 1:]
 
@@ -512,36 +525,37 @@ class TestInvariantChecks:
     """
 
     @staticmethod
-    def raises(s_terms, e_terms, message):
+    def raises(s_terms, e_terms, width, message):
         with pytest.raises(MethodError) as info:
-            _check_invariants(s_terms, e_terms)
+            _check_invariants(s_terms, e_terms, width)
         if str(info.value) != message:
             pytest.fail(f"{str(info.value)!r} != {message!r}")
 
     def test_sound_chain_passes(self):
-        s_terms, e_terms = stark_pairs(8)
-        _check_invariants(s_terms, e_terms)
+        s_terms, e_terms, width = stark_pairs(8)
+        _check_invariants(s_terms, e_terms, width)
         # an r¹ part of zero angular mean in every ε power is allowed:
         # 3 - 9u² averages to zero and u is odd
         zero_mean = {(1, 0, 1): 3, (1, 2, 1): -9, (1, 1, 2): 4}
-        _check_invariants(with_terms(s_terms, 4, zero_mean), e_terms)
+        _check_invariants(with_terms(s_terms, 4, zero_mean, width), e_terms,
+                          width)
 
     def test_s_with_an_r0_term(self):
-        s_terms, e_terms = stark_pairs(8)
-        self.raises(with_terms(s_terms, 3, {(0, 1, 2): 1}), e_terms,
-                    "S_3 does not vanish at the origin")
+        s_terms, e_terms, width = stark_pairs(8)
+        self.raises(with_terms(s_terms, 3, {(0, 1, 2): 1}, width), e_terms,
+                    width, "S_3 does not vanish at the origin")
 
     def test_s_with_an_averaged_r1_slope(self):
         # the ε¹ part averages to zero, the ε³ part r·u²·ε³ to r·ε³/3
-        s_terms, e_terms = stark_pairs(8)
+        s_terms, e_terms, width = stark_pairs(8)
         slope = {(1, 0, 1): 3, (1, 2, 1): -9, (1, 2, 3): 1}
-        self.raises(with_terms(s_terms, 5, slope), e_terms,
+        self.raises(with_terms(s_terms, 5, slope, width), e_terms, width,
                     "S_5 keeps a radially-constant slope at r=0")
 
     @pytest.mark.parametrize("key", [(1, 0, 0), (0, 2, 1), (-1, 0, 2)])
     def test_e_with_an_r_or_u_power(self, key):
-        s_terms, e_terms = stark_pairs(8)
-        self.raises(s_terms, with_terms(e_terms, 6, {key: 1}),
+        s_terms, e_terms, width = stark_pairs(8)
+        self.raises(s_terms, with_terms(e_terms, 6, {key: 1}, width), width,
                     "E_6 is not a pure ε-polynomial")
 
 
@@ -561,23 +575,24 @@ def test_invariant_checks_survive_python_O():
 
 
 class TestAssembly:
-    def test_unperturbed_energy(self, quadratic):
-        assert assemble(quadratic, g=1.0, eps=0.0) == pytest.approx(-0.5)
+    def test_unperturbed_energy(self):
+        sol = solve_isotropic(lower(P("r^2")), 8)
+        assert energy(sol, g=1.0, eps=0.0) == pytest.approx(-0.5)
 
     def test_symbolic_assembly(self, quadratic):
         assert assemble_energy_symbolic(
             [e.render() for e in quadratic.e_terms]) == \
             "g^4 * -1/2 + g^-4 * 3 * ε + g^-12 * -129/4 * ε^2"
 
-    def test_numeric_assembly_matches_terms(self, quadratic):
-        got = assemble(quadratic, g=1.2, eps=2e-3)
+    def test_numeric_assembly_matches_terms(self):
+        got = energy(solve_isotropic(lower(P("r^2")), 8), g=1.2, eps=2e-3)
         expect = -0.5 * 1.2 ** 4 + 3 * 2e-3 / 1.2 ** 4 \
             - 129 / 4 * (2e-3) ** 2 / 1.2 ** 12
         assert got == pytest.approx(expect, rel=1e-14)
 
     def test_exponent_evaluator(self, quadratic):
         # the order-3 chain is the order-8 chain cut after S₃
-        short = solve_isotropic(lower(P("r^2")), 3)
+        short = PolyView(solve_isotropic(lower(P("r^2")), 3))
         assert [lift(s) for s in short.s_terms] == quadratic.s_terms[:4]
 
 
@@ -605,7 +620,7 @@ class TestIntegralShift:
         # an absolute tolerance took seconds (r³) or did not return (r² + r⁴)
         g = 0.8
         u = P(" + ".join(f"r^{k}" for k in powers))
-        sol = solve_isotropic(lower(u), 12)
+        sol = PolyView(solve_isotropic(lower(u), 12))
         start = time.perf_counter()
         chk = integral_shift_check(sol, u, g=g, eps=1e-3)
         assert time.perf_counter() - start < 1.0
@@ -627,7 +642,7 @@ class TestOracleAgreement:
         from trajquad.oracle import solve_radial
         sol = solve_isotropic(lower(P("r^2")), 8)
         g, eps = 1.2, 0.002
-        assembled = assemble(sol, g=g, eps=eps)
+        assembled = energy(sol, g=g, eps=eps)
         oracle = solve_radial(g, lambda r: r * r, eps, 22.0, 2200)
         assert abs(assembled - oracle.eigenvalues[0]) < 1e-6
 
@@ -636,7 +651,7 @@ class TestOracleAgreement:
         from trajquad.oracle import solve_radial
         sol = solve_isotropic(lower(P("r")), 12)
         g, eps = 1.1, 1e-3
-        assembled = assemble(sol, g=g, eps=eps)
+        assembled = energy(sol, g=g, eps=eps)
         oracle = solve_radial(g, lambda r: r, eps, 22.0, 2200)
         assert abs(assembled - oracle.eigenvalues[0]) < 1e-6
 

@@ -484,7 +484,13 @@ class TestBoundaryFormat:
         for argv in _exact_argvs():
             assert main(argv) == 0, argv
         capsys.readouterr()
-        assert len(built) > 1000
+        # the Coulomb chain's S_n and E_n are no MultiPolys: what is built
+        # is parse_poly's over (r,) and (x,), U's embedding over (r, u, ε)
+        # and excited's χ over its q names, and each of them is reached
+        assert len(built) > 400
+        assert {v for _, _, v in built} == {
+            (VAR_R,), (VAR_X,), RUE, ("q1", "q2"),
+            tuple(sorted((f"q{i}" for i in range(1, 12)), key=_var_key))}
         for terms, den, variables in built:
             assert type(den) is int and den > 0
             assert type(variables) is tuple
