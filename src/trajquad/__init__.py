@@ -8,9 +8,9 @@ exactalg   the exact half's one format: sparse Laurent polynomials as
            build and the CLI parses, renders and evaluates; no arithmetic
 oscpert    exact ε-series for the harmonic oscillator with a monomial
            perturbation, by one resolvent sweep on integer numerators
-coulomb    closed-form recursion for the perturbed Coulomb ground state,
-           including the uniform-field (Stark) chain, on an integer kernel
-           that holds the radial-polar ∇² and ∇·∇
+coulomb    closed-form recursion for the perturbed Coulomb ground state on
+           an integer kernel that holds the radial-polar ∇² and ∇·∇; the
+           uniform-field (Stark) chain runs separated, in parabolic ξ, η
 trajectory classical-action grids along one axis
 gexpand    the g⁻¹ hierarchy S₁..S₃, E₀..E₃ by quadrature
 greens     single-trajectory Green's operators and their identity checks

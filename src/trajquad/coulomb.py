@@ -55,6 +55,15 @@ keeps that view as the reference the tables are checked against).
 This kernel is the package's only radial-polar ∇² and ∇·∇;
 ``tests/test_coulomb.py`` holds an independent polynomial form of both and
 checks every retained grade of the wave equation with it.
+
+The Stark chain, U = z, runs on a kernel of its own (``solve_stark``).
+In the parabolic coordinates ξ, η = r(1 ± u) it separates,
+S_n = A_n(ξ; ε) + B_n(η; ε) with B_n = A_n|_{ε→−ε}, and r times the
+radial ODE leaves one 1-D recursion ξA_n′ = F_n(ξ) − F_n(0), where
+F_n = (ξA′_{n−1})′ − Σ_{m=1}^{n−1} ξA_m′A′_{n−m} + δ_{n2}·εξ²/4 − E_n·ξ/2.
+The rule above reads A_n′(0) + B_n′(0) = 0, so E_n is twice the ε-even
+part of F_n's ξ¹ coefficient.  Each S_n is then written into the packed
+(r, u, ε) pairs above, equal to the general kernel's.
 """
 
 from __future__ import annotations
@@ -301,10 +310,69 @@ def solve_isotropic(u_poly: MultiPoly, order: int) -> CoulombSolution:
 
 
 def solve_stark(order: int) -> CoulombSolution:
-    """Recursion for the uniform-field perturbation U = r·cos a."""
+    """Recursion for the uniform-field perturbation U = r·cos a = z.
+
+    z → −z with ε → −ε leaves H unchanged, so in ξ, η = r(1 ± u)
+    S_n = A_n(ξ; ε) + B_n(η; ε) with B_n = A_n|_{ε→−ε}, and r·∂_r S_n =
+    r·(K_n − E_n) leaves ξA_n′ = F_n(ξ) − F_n(0) from A_0 = ξ/2, where
+    F_n = (ξA′_{n−1})′ − Σ_{m=1}^{n−1} ξA_m′A′_{n−m} + δ_{n2}·εξ²/4 − E_n·ξ/2.
+    S_n's r¹ part has zero angular mean iff A_n′(0) + B_n′(0) = 0, so E_n is
+    twice the ε-even part of F_n's ξ¹ coefficient before its E_n term.
+    A_n′ is keyed by (a << W) + e for ξ^a·ε^e, W being ``_field_width``'s
+    for U = r·u, and each S_n is written into its (r, u, ε) keys by
+    ξ^a + (−1)^e·η^a = 2r^a·Σ_{b ≡ e (mod 2)} C(a, b)·u^b: the same pairs.
+    """
     if order < 2:
         raise ValueError("the Stark chain starts contributing at order 2")
-    return _integer_chain({(1, 1, 0): 1}, 1, order)
+    width = _field_width({(1, 1, 0): 1}, order)
+    x1 = 1 << width                         # ξ¹
+    slopes = [({0: 1}, 2)]                  # A_m′ over its denominator
+    s_terms = [({1 << 2 * width: 1}, 1)]
+    e_terms = [({0: -1}, 2)]
+    for n in range(1, order + 1):
+        prev, prev_den = slopes[n - 1]
+        pairs = [(slopes[m], slopes[n - m], 1 if 2 * m == n else 2)
+                 for m in range(1, n // 2 + 1)]
+        den = math.lcm(prev_den, 4 if n == 2 else 1,
+                       *(a[1] * b[1] for a, b, _ in pairs))
+        products = {}
+        for (slope_a, den_a), (slope_b, den_b), twice in pairs:
+            _add_product(products, slope_a, slope_b,
+                         twice * (den // (den_a * den_b)))
+        # F_n over den, before its E_n term
+        scale = den // prev_den
+        f = {k: ((k >> width) + 1) * c * scale for k, c in prev.items()}
+        get = f.get
+        for k, c in products.items():
+            key = k + x1
+            f[key] = get(key, 0) - c
+        if n == 2:
+            f[2 * x1 + 1] = get(2 * x1 + 1, 0) + den // 4
+        # E_n takes the ε-even ξ¹ terms (W ≥ 1, so e's parity is k's);
+        # what is left above ξ⁰, divided by ξ, is A_n′
+        e_num, slope = {}, {}
+        for k, c in f.items():
+            if c and k >= x1:
+                if k < 2 * x1 and not k & 1:
+                    e_num[k - x1] = 2 * c
+                else:
+                    slope[k - x1] = c
+        e_terms.append(_reduced(e_num, den))
+        slope, den = _reduced(slope, den)
+        if n < order:
+            slopes.append((slope, den))
+        # S_n = A_n(ξ; ε) + A_n(η; −ε), A_n = ∫A_n′ dξ
+        span = math.lcm(*((k >> width) + 1 for k in slope))
+        s_num = {}
+        for k, c in slope.items():
+            a, e = (k >> width) + 1, k & (x1 - 1)
+            c *= 2 * (span // a)
+            base = (a << 2 * width) + e
+            for b in range(e & 1, a + 1, 2):
+                s_num[base + (b << width)] = math.comb(a, b) * c
+        s_terms.append(_reduced(s_num, den * span))
+    _check_invariants(s_terms, e_terms, width)
+    return CoulombSolution(order, width, s_terms, e_terms)
 
 
 def _check_invariants(s_terms: list, e_terms: list, width: int) -> None:

@@ -71,8 +71,13 @@ class WaveProfile:
 
 
 def harmonic_profile(n: int, half_width: float) -> WaveProfile:
-    """Zero source on n nodes of [-half_width, half_width] for S = x²/2."""
+    """Zero source on n nodes of [-half_width, half_width] for S = x²/2.
+
+    n is odd, and the middle node is set to exactly 0, which linspace
+    misses by about half_width·1e-16.
+    """
     x = np.linspace(-half_width, half_width, n)
+    x[n // 2] = 0.0
     return WaveProfile(nodes=x, s=0.5 * x * x, values=np.zeros_like(x))
 
 

@@ -628,6 +628,22 @@ class TestMain:
                        f"domain (half-width {float(half_width)!r}, g = "
                        f"{float(g)!r}: max(x^4, x^4/(4g)) = 10^{digits})\n")
 
+    def test_huge_greens_half_width_keeps_the_origin_node(self, capsys):
+        # linspace's middle node here is ≈ -0.0078, not 0, and S = x²/2
+        # there failed the profile's origin check (exit 1); the node is 0
+        # and the run reaches the decay check on the source
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--command", "greens-check",
+                         "--g", "3.162277660168379e-245",
+                         "--half-width", "69054802549241.414",
+                         "--n", "4001"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("method breakdown: weighted source does not "
+                              "decay at the ends")
+        assert "at half-width 69054802549241.414" in err
+
     def test_tolerance_failure_writes_full_report(self, tmp_path, capsys):
         # on 101 nodes greens_residual[H2] fails at 64× its tolerance
         out = tmp_path / "greens.csv"

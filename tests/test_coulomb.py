@@ -414,6 +414,22 @@ class TestStark:
         assert all(x < y for x, y in zip(a, a[1:])), a
         assert 0.985 < a[-1] < 1, a
 
+    def test_dispersion_relation_order_150(self):
+        # the same Richardson values on the separated chain's E_{2N} to
+        # N = 25, 6N = 150: they keep climbing and close to within 0.5%
+        sol = solve_stark(150)
+
+        def ratio(big_n):
+            num, den = sol.e_terms[6 * big_n]
+            e_2n = Fraction(num[2 * big_n], den)
+            leading = Fraction(3, 2) ** (2 * big_n + 1) * math.factorial(2 * big_n)
+            return -math.pi / 4 * float(e_2n / leading)
+
+        r = {big_n: ratio(big_n) for big_n in range(7, 26)}
+        a = [big_n * r[big_n] - (big_n - 1) * r[big_n - 1] for big_n in range(8, 26)]
+        assert all(x < y for x, y in zip(a, a[1:])), a
+        assert 0.995 < a[-1] < 1, a
+
 
 class TestZeeman:
     def test_literature_coefficients(self):
