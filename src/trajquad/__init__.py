@@ -5,7 +5,7 @@ each other:
 
 exactalg   the exact half's one format: sparse Laurent polynomials as
            integer numerators over one denominator, which the kernels
-           build and the CLI parses, renders and evaluates; no arithmetic
+           build and the CLI parses and renders; no arithmetic
 oscpert    exact ε-series for the harmonic oscillator with a monomial
            perturbation, by one resolvent sweep on integer numerators
 coulomb    closed-form recursion for the perturbed Coulomb ground state on

@@ -19,9 +19,9 @@ Flags come from the table ``_FLAGS``, spelled in full, as ``--flag value``
 or ``--flag=value``; the value is taken verbatim and the last repeat wins.
 
 Exit codes: 0 ok (also for ``--help``), 1 config error (any invalid flag,
-value, format or command), 2 method breakdown (e.g. a radial log
-singularity), 3 tolerance failure (an identity check above bound; the
-report is still written).
+value, format or command, or a run too large for memory), 2 method
+breakdown (e.g. a radial log singularity), 3 tolerance failure (an identity
+check above bound; the report is still written).
 """
 
 from __future__ import annotations
@@ -276,10 +276,10 @@ def _run_oracle(p: dict):
     else:
         if p["k"] != 1:
             raise ValueError("the radial oracle returns the ground state only")
-        u_poly = parse_poly(p["potential"], (VAR_R,))
-        u_fn = lambda r: u_poly.evaluate({VAR_R: r})
-        result = oracle_mod.solve_radial(p["g"], u_fn, p["eps"],
-                                         p["domain"], p["n"])
+        coeffs = trajectory_mod.coefficients(p["potential"], VAR_R)
+        result = oracle_mod.solve_radial(
+            p["g"], lambda r: numerics_mod._horner(coeffs, r), p["eps"],
+            p["domain"], p["n"])
     payload = {"eigenvalues": list(result.eigenvalues),
                "convergence": list(result.convergence),
                "domain": list(result.domain), "points": result.points}
@@ -463,6 +463,11 @@ def main(argv=None) -> int:
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # the text is written whole after the run, so stdout is still empty
+        print(f"config error: out of memory: {str(exc) or 'no reason given'}",
+              file=sys.stderr)
         return 1
     except ToleranceError as exc:
         print(f"tolerance failure: {exc}", file=sys.stderr)

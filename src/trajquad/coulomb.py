@@ -96,8 +96,9 @@ class CoulombSolution:
 
         The texts are ``MultiPoly.render``'s over (r, u, ε), each key's
         factor text built once.  The energy Σ g^{-(2n-4)} E_n(ε) sums each
-        E_n in ``MultiPoly.evaluate``'s term order, so its bits are the
-        same; ``check`` sees it before any text is made.
+        E_n in render's term order, the bits of the tests' float reference
+        (``tests/polyring.py``'s ``evaluate``); ``check`` sees it before
+        any text is made.
         """
         if g <= 0:
             raise ValueError("g must be positive")
@@ -142,7 +143,7 @@ def _render(num: dict, den: int, width: int, factors: dict) -> str:
 
 
 def _value(num: dict, den: int, eps: float) -> float:
-    """``MultiPoly.evaluate`` of an E_n at ε: its terms summed by ε-power."""
+    """E_n at ε, summed by rising ε-power: the tests' ``evaluate``."""
     value = 0.0
     for e in sorted(num):
         value += _term_value(num[e], den, ((eps, e),))

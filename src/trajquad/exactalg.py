@@ -9,12 +9,11 @@ carry negative powers.
 
 ``MultiPoly`` is the boundary of the exact half: user text is parsed into
 it, the ``excited`` kernel builds its results as it, and the CLI renders
-and evaluates it (``oscpert`` and ``coulomb`` write their tables from
-their own integer pairs).  It carries no arithmetic: besides
-embedding into more variables it answers only whether it depends on a
-variable, evaluates and renders.  Sums, products, derivatives, angular
-averages and the radial-polar Laplacian and gradient live in those
-integer kernels, the recursions that need them.
+it (``oscpert`` and ``coulomb`` write their tables from their own integer
+pairs).  It carries no arithmetic: besides embedding into more variables
+it answers only whether it depends on a variable and renders.  Sums,
+products, derivatives, angular averages and the radial-polar Laplacian and
+gradient live in those integer kernels, the recursions that need them.
 
 This module owns the kernels' integer format, and ``MultiPoly`` is that
 format with its variable names attached: a dict of integer numerators
@@ -30,8 +29,7 @@ reduced pairs and brings the sums to the lcm of their denominators.  One
 term formatter leads out: ``_factors`` writes a term's factor text,
 ``_term`` prints the term over its gcd-reduced denominator before it,
 ``_joined`` signs and joins terms and ``_term_value`` evaluates one;
-``render``, ``evaluate`` and the ``oscpert`` and ``coulomb`` tables use
-them.
+``render`` and the ``oscpert`` and ``coulomb`` tables use them.
 
 A canonical text rendering ("-21/8 * ε^2 * ĝ^5") and a round-trip parser
 for the same grammar serve the CLI and the golden tests.  Terms are ordered
@@ -114,26 +112,6 @@ class MultiPoly:
         i = self.variables.index(var)
         return any(e[i] != 0 for e in self.terms)
 
-    # ------------------------------------------------------------ evaluation
-
-    def evaluate(self, assignments: Mapping[str, float]) -> float:
-        """Floating-point evaluation; every variable must be assigned.
-
-        Values may be floats or float arrays, which broadcast; an all-float
-        assignment gives a Python float.  Terms are summed in the canonical
-        order of ``render``, so equal polynomials evaluate to the same bits
-        however their terms were built.
-        """
-        if not self.terms:   # as the sum below gives it, without the set-up
-            return 0.0
-        missing = [v for v in self.variables if v not in assignments and self.depends_on(v)]
-        if missing:
-            raise VariableMismatch(f"no value supplied for {missing!r}")
-        values, total = list(map(assignments.get, self.variables)), 0.0
-        for _, exps, coeff in self._sorted_terms():
-            total += _term_value(coeff, self.den, zip(values, exps))
-        return total
-
     # ------------------------------------------------------------- rendering
 
     def _sorted_terms(self):   # (degree, exponents, numerator), graded
@@ -182,7 +160,8 @@ def _joined(terms: list) -> str:
 
 
 def _term_value(num: int, den: int, factors):
-    """num/den times each value**power, in ``evaluate``'s order: same bits."""
+    """num/den times each value**power: one term of the float sums the
+    ``oscpert`` and ``coulomb`` tables make."""
     term = num / den
     for value, k in factors:
         if k:

@@ -108,10 +108,11 @@ class PerturbSeries:
     def table(self, ghat: float, check) -> tuple:
         """Rows (k, text, check(value at ĝ)) of Δ(k) and the text of εΔ.
 
-        Text and value are ``MultiPoly``'s render and evaluate of c·ĝ^s;
-        ``check`` sees each value before the next is made, so the lowest
-        order out of range raises.  εΔ = Σ_k ε^k Δ(k) has its terms in
-        render's graded order: k + s = (k(P+4) - 2)/2 rises with k.
+        Text and value are c·ĝ^s by ``MultiPoly.render`` and, bit for bit,
+        by ``tests/polyring.py``'s ``evaluate``; ``check`` sees each value
+        before the next is made, so the lowest order out of range raises.
+        εΔ = Σ_k ε^k Δ(k) has its terms in render's graded order:
+        k + s = (k(P+4) - 2)/2 rises with k.
         """
         rows, shift = [], []
         for k, c, d, s in self.deltas():

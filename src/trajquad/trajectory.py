@@ -33,10 +33,14 @@ from .exactalg import VAR_X, parse_poly
 from .numerics import _horner
 
 
-def coefficients(text: str) -> np.ndarray:
-    """Ascending float coefficients of the polynomial in x that ``text``
-    spells; any other symbol is a ValueError."""
-    poly = parse_poly(text, (VAR_X,))
+def coefficients(text: str, var: str = VAR_X) -> np.ndarray:
+    """Ascending float coefficients of the polynomial in ``var`` (v in x, or
+    the radial U in r) that ``text`` spells; any other symbol or a negative
+    power is a ValueError."""
+    poly = parse_poly(text, (var,))
+    if any(k < 0 for (k,) in poly.terms):
+        raise ValueError(f"negative power of {var} in {text!r}: the potential "
+                         f"must be a polynomial in {var}")
     coeffs = np.zeros(1 + max((e[0] for e in poly.terms), default=0))
     for (k,), coeff in poly.terms.items():
         coeffs[k] = coeff / poly.den

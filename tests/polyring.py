@@ -2,7 +2,7 @@
 
 The package builds no polynomial by arithmetic.  Its exact kernels run on
 integer numerators over one denominator, and ``MultiPoly`` is that format
-with names attached: their parse, render and evaluate boundary.  The tests
+with names attached: their parse and render boundary.  The tests
 check those kernels against independent recursions written on polynomials
 (the Coulomb ∇² and ∇·∇, the oscillator operator chain, the excited
 transport equation), so the operators those recursions need live here:
@@ -20,6 +20,12 @@ package through ``lower``, through which it also renders and evaluates.
 ``-`` or ``*`` is a ``Poly`` the ``Poly`` method runs, and
 ``result == P(...)`` compares exactly without a lift.
 
+``evaluate`` is the float reference for ``MultiPoly``s: its terms summed
+in render's order, each by ``exactalg._term_value``.  The float sums of
+``coulomb._value`` (the Coulomb and Stark energies) and
+``PerturbSeries.table`` (the Δ(k) values) are checked against it bit for
+bit.
+
 ``parse_poly_fractions`` is the package's parser as it was when it read
 numbers as Fractions: the reference its integer-pair parser is checked
 against.
@@ -32,7 +38,7 @@ from fractions import Fraction
 from trajquad.errors import VariableMismatch
 from trajquad.exactalg import (_ALIASES, _FACTOR_RE, _LAURENT_OK, _NUMBER_RE,
                                VAR_U, MultiPoly, _split_factors, _split_terms,
-                               _var_key, parse_poly)
+                               _term_value, _var_key, parse_poly)
 
 
 def _as_fraction(value):
@@ -92,7 +98,7 @@ class Poly:
         return bool(self.terms)
 
     def evaluate(self, assignments):
-        return lower(self).evaluate(assignments)
+        return evaluate(lower(self), assignments)
 
     def render(self):
         return lower(self).render()
@@ -254,6 +260,25 @@ def lower(poly):
     den = math.lcm(*(c.denominator for c in poly.terms.values()))
     return MultiPoly({k: c.numerator * (den // c.denominator)
                       for k, c in poly.terms.items()}, den, poly.variables)
+
+
+def evaluate(poly, assignments):
+    """Floating-point evaluation; every variable must be assigned.
+
+    Values may be floats or float arrays, which broadcast; an all-float
+    assignment gives a Python float.  Terms are summed in the canonical
+    order of ``render``, so equal polynomials evaluate to the same bits
+    however their terms were built.
+    """
+    if not poly.terms:   # as the sum below gives it, without the set-up
+        return 0.0
+    missing = [v for v in poly.variables if v not in assignments and poly.depends_on(v)]
+    if missing:
+        raise VariableMismatch(f"no value supplied for {missing!r}")
+    values, total = list(map(assignments.get, poly.variables)), 0.0
+    for _, exps, coeff in poly._sorted_terms():
+        total += _term_value(coeff, poly.den, zip(values, exps))
+    return total
 
 
 def parse(text, variables=None):

@@ -22,7 +22,7 @@ from trajquad import oscpert as oscpert_mod
 from trajquad import trajectory as trajectory_mod
 from trajquad.numerics import _horner, cumulative_integral, derivative
 
-from polyring import Poly, lift, lower, parse
+from polyring import Poly, evaluate, lift, lower, parse
 from test_coulomb_table import PolyView
 from test_oscpert import delta, level
 
@@ -156,8 +156,8 @@ def test_criterion_7_oracle_cross_checks():
         oracle = oracle_mod.solve_1d(
             lambda x: 0.5 * g * g * x * x + eps * x ** 4, (-6, 6), 1500, 1)
         ginv = {VAR_GHAT: 1.0 / g}
-        bound = 2.0 * abs(eps ** 3 * delta(series, 3).evaluate(ginv))
-        energy = 0.5 * g + sum(delta(series, k).evaluate(ginv) * eps ** k
+        bound = 2.0 * abs(eps ** 3 * evaluate(delta(series, 3), ginv))
+        energy = 0.5 * g + sum(evaluate(delta(series, k), ginv) * eps ** k
                                for k in (1, 2))
         assert abs(oracle.eigenvalues[0] - energy) <= bound
 

@@ -1,5 +1,6 @@
 """CLI: config validation, round-trip, exit codes, golden files."""
 
+import importlib
 import json
 import os
 import shlex
@@ -346,6 +347,45 @@ class TestMain:
             cfg.write_text(text)
             assert main(["--config", str(cfg)]) == 0
             assert capsys.readouterr().out == expect
+
+    @pytest.mark.parametrize("text", ["r^-1", "r^-2", "r^2 + r^-3"])
+    def test_negative_power_radial_potential_exits_1(self, text, capsys):
+        # U is a polynomial in r.  r^-2 at ε = -0.2 falls to the centre, yet
+        # the oracle printed -5.466 at n = 2000 and -9.218 at n = 4000 with
+        # exit 0; a 1/r term is the Coulomb term's and belongs in --g
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--command", "oracle", "--mode", "radial",
+                         "--potential", text, "--eps", "-0.2",
+                         "--domain", "25", "--n", "2000"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"config error: negative power of r in {text!r}: "
+                       "the potential must be a polynomial in r\n")
+
+    @pytest.mark.parametrize("argv, layer, name, reason, shown", [
+        (["gexpand", "--potential", "0.5*x^2"], "trajectory", "build_grid",
+         "Unable to allocate 763. MiB for an array with shape (100000000,) "
+         "and data type float64", "Unable to allocate 763. MiB"),
+        (["oracle", "--potential", "0.5*x^2"], "oracle", "solve_1d",
+         "Unable to allocate 9.16 MiB", "Unable to allocate 9.16 MiB"),
+        (["oracle", "--mode", "radial", "--potential", "r^2",
+          "--domain", "25"], "oracle", "solve_radial", "", "no reason given"),
+    ], ids=["gexpand", "oracle-1d", "oracle-radial"])
+    def test_out_of_memory_exits_1(self, argv, layer, name, reason, shown,
+                                   monkeypatch, capsys):
+        # a grid too large for memory (--n 100000000 under a 1.5 GB address
+        # limit) once escaped as numpy's _ArrayMemoryError traceback
+        def exhausted(*args, **kwargs):
+            raise MemoryError(reason)
+
+        monkeypatch.setattr(importlib.import_module(f"trajquad.{layer}"),
+                            name, exhausted)
+        assert main(["--command", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"config error: out of memory: {shown}")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_method_error_exit_code(self, tmp_path, capsys):
         # degenerate minimum: v'' = 0 at the origin

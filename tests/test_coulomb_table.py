@@ -3,8 +3,9 @@
 ``CoulombSolution.table`` writes every E_n and S_n text, the symbolic
 energy and the numeric energy straight from the chain's packed integer
 pairs.  Here the same pairs are unpacked into (a, b, e) keys and given
-their names as ``MultiPoly``s (``PolyView``), rendered and evaluated as
-the CLI once did, and the two are compared byte for byte.
+their names as ``MultiPoly``s (``PolyView``), rendered and evaluated (by
+``polyring.evaluate``) as the CLI once did, and the two are compared byte
+for byte.
 
 This module imports neither numpy nor hypothesis, so the numpy-free CI
 stage runs it: the coulomb and stark table path must never load numpy.
@@ -16,6 +17,8 @@ from trajquad import cli, coulomb, exactalg
 from trajquad.coulomb import solve_isotropic, solve_perturbed, solve_stark
 from trajquad.errors import LogSingularity
 from trajquad.exactalg import VAR_EPS, VAR_R, VAR_U, MultiPoly, parse_poly
+
+from polyring import evaluate
 
 RUE = (VAR_R, VAR_U, VAR_EPS)
 
@@ -44,10 +47,10 @@ class PolyView:
 
 
 def assemble(view, g, eps):
-    """Numeric energy E = Σ g^{-(2n-4)} E_n(ε) by ``MultiPoly.evaluate``."""
+    """Numeric energy E = Σ g^{-(2n-4)} E_n(ε) by ``polyring.evaluate``."""
     if g <= 0:
         raise ValueError("g must be positive")
-    return sum(g ** (-(2 * n - 4)) * view.e_terms[n].evaluate({VAR_EPS: eps})
+    return sum(g ** (-(2 * n - 4)) * evaluate(view.e_terms[n], {VAR_EPS: eps})
                for n in range(view.order + 1))
 
 

@@ -31,7 +31,7 @@ from trajquad.exactalg import (
     parse_poly,
 )
 
-from polyring import Poly, lift, parse, parse_poly_fractions
+from polyring import Poly, evaluate, lift, parse, parse_poly_fractions
 from test_cli import readme_examples
 from test_coulomb import grad_dot, integrate_r, laplacian
 
@@ -283,7 +283,7 @@ class TestGrammar:
         backward = MultiPoly(dict(reversed(terms.items())), 10, xyz)
         assert forward.terms == backward.terms
         ones = dict.fromkeys(xyz, 1.0)
-        assert forward.evaluate(ones) == backward.evaluate(ones)
+        assert evaluate(forward, ones) == evaluate(backward, ones)
 
     def test_evaluate_broadcasts_arrays(self):
         # the oracle samples a potential on its whole grid in one call.
@@ -293,8 +293,8 @@ class TestGrammar:
         p = parse_poly("r^-2 + 2 + r^2 + r * u^2 + 3/7 * r^3 * ε + 5/3 * r^5",
                        RUE)
         r = np.linspace(0.05, 4.0, 1001)
-        got = p.evaluate({VAR_R: r, VAR_U: 0.3, VAR_EPS: 1.5})
-        want = [p.evaluate({VAR_R: float(ri), VAR_U: 0.3, VAR_EPS: 1.5})
+        got = evaluate(p, {VAR_R: r, VAR_U: 0.3, VAR_EPS: 1.5})
+        want = [evaluate(p, {VAR_R: float(ri), VAR_U: 0.3, VAR_EPS: 1.5})
                 for ri in r]
         assert all(type(w) is float for w in want)
         np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps,
@@ -530,5 +530,5 @@ class TestBoundaryFormat:
             except OverflowError:
                 return OverflowError
 
-        assert outcome(lambda: poly.evaluate({VAR_X: x, VAR_R: r})) == \
+        assert outcome(lambda: evaluate(poly, {VAR_X: x, VAR_R: r})) == \
             outcome(fraction_sum)

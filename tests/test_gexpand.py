@@ -18,6 +18,7 @@ from trajquad.numerics import _horner, cumulative_integral, derivative
 from trajquad.oscpert import solve_even, solve_odd
 from trajquad.trajectory import build_grid, coefficients
 
+from polyring import evaluate
 from test_oscpert import delta
 
 
@@ -141,7 +142,7 @@ def oscillator_energies(P, c):
     energies = [0.5, 0.0, 0.0, 0.0]
     for k in range(1, top + 1):
         if k * (P - 2) % 2 == 0:
-            shift = delta(series, k).evaluate({VAR_GHAT: 1.0})
+            shift = evaluate(delta(series, k), {VAR_GHAT: 1.0})
             energies[k * (P - 2) // 2] += shift * c ** k
     return energies
 

@@ -31,6 +31,7 @@ from trajquad.greens import (
 )
 from trajquad.numerics import _horner, cumulative_integral, derivative
 
+from polyring import evaluate
 from test_oscpert import coeff, delta
 
 G = 1.0
@@ -474,9 +475,9 @@ class TestShift:
         tau_vals = -eps * (a1 * x ** 2 + a2 * x ** 4)
         u = profile.with_values(x ** 4)
         got = shift_from_boundary(u, profile.with_values(tau_vals), g)
-        expect = delta(series, 1).evaluate(ginv) \
-            + eps * delta(series, 2).evaluate(ginv)
-        bound = 2.0 * eps ** 2 * abs(delta(series, 3).evaluate(ginv))
+        expect = evaluate(delta(series, 1), ginv) \
+            + eps * evaluate(delta(series, 2), ginv)
+        bound = 2.0 * eps ** 2 * abs(evaluate(delta(series, 3), ginv))
         assert abs(got - expect) < bound
 
 
@@ -505,7 +506,7 @@ class TestSeriesFixedPoint:
 
         residuals = {}
         for eps in (1e-3, 5e-4):
-            shift = sum(eps ** (k - 1) * delta(series, k).evaluate(ginv)
+            shift = sum(eps ** (k - 1) * evaluate(delta(series, k), ginv)
                         for k in range(1, len(series.levels)))
             tau_fn = series_fn(eps)
             src = profile.with_values(eps * (-x ** 4 + shift) * tau_fn(x))

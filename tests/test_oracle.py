@@ -1,12 +1,14 @@
 """Brute-force eigensolver: ladder values, Sturm counts, Newton passes,
 convergence order, count reuse against the full-interval bisection."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from trajquad import oracle
+from trajquad.cli import main
 from trajquad.errors import DomainTooSmall
 from trajquad.oracle import (_bisect_eigenvalues, _dirichlet, _eigenvector,
                              _newton_pass, _pivots, _sturm_count, solve_1d,
@@ -182,6 +184,19 @@ class TestSolveRadial:
     def test_small_box_rejected(self):
         with pytest.raises(DomainTooSmall):
             solve_radial(1.0, lambda r: 0.0, 0.0, 3.0, 400)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    def test_cli_reads_u_through_horner(self, eps, capsys):
+        # the CLI's U is Horner on the ascending coefficients [0, 0, 1]:
+        # ((0·r + 1)·r + 0)·r + 0 is r·r, so the eigenvalues are bitwise
+        # those of the library called with r * r
+        assert main(["--command", "oracle", "--mode", "radial",
+                     "--potential", "r^2", "--eps", repr(eps),
+                     "--domain", "25", "--n", "1200", "--format", "json"]) == 0
+        got = json.loads(capsys.readouterr().out)["results"]
+        want = solve_radial(1.0, lambda r: r * r, eps, 25.0, 1200)
+        assert got["eigenvalues"] == list(want.eigenvalues)
+        assert got["convergence"] == list(want.convergence)
 
 
 class _CountingPotential:

@@ -184,6 +184,16 @@ def test_one_window_kernel_and_one_horner():
                       for module in modules
                       if module.startswith("numpy.polynomial")]
     assert not found, f"numpy.polynomial in src/trajquad: {found}"
+    # both oracles and the trajectory read their potential as float
+    # coefficients for _horner; an exact object's evaluate in a grid
+    # module or the CLI would be a second evaluator
+    for name in ("cli.py", "trajectory.py", "gexpand.py", "greens.py",
+                 "oracle.py", "numerics.py"):
+        found += [f"{name}:{node.lineno}: calls .evaluate"
+                  for node in ast.walk(ast.parse((SRC / name).read_text()))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", None) == "evaluate"]
+    assert not found, f"evaluate calls in the grid half: {found}"
 
 
 def test_no_numerics_function_calls_itself():

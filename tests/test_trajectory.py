@@ -9,6 +9,7 @@ from numpy.polynomial import polynomial as npoly
 from trajquad import trajectory
 from trajquad.errors import (DegenerateMinimum, HierarchyBreakdown,
                              InvalidPotential)
+from trajquad.exactalg import VAR_R
 from trajquad.gexpand import hierarchy
 from trajquad.numerics import _horner, cumulative_integral
 from trajquad.trajectory import build_grid, coefficients
@@ -68,6 +69,22 @@ class TestPotential:
         # breakdown of the method
         with pytest.raises(ValueError):
             coefficients("r^2")
+
+    def test_radial_coefficients(self):
+        # the radial oracle's U is read over r in the same way
+        coeffs = coefficients("r^2 + 3*r", VAR_R)
+        assert coeffs.tolist() == [0.0, 3.0, 1.0]
+        # a term's net power decides, as in the parser
+        assert coefficients("r^-1 * r^3", VAR_R).tolist() == [0.0, 0.0, 1.0]
+        with pytest.raises(ValueError):
+            coefficients("x^2", VAR_R)
+
+    @pytest.mark.parametrize("text", ["r^-1", "r^-2", "r^2 + r^-3",
+                                      "r^-1 * r^-1 + r"])
+    def test_radial_negative_power_rejected(self, text):
+        # the parser lets r carry negative powers; a potential may not
+        with pytest.raises(ValueError, match="negative power of r"):
+            coefficients(text, VAR_R)
 
 
 class TestBuildGrid:
