@@ -4,6 +4,18 @@ Second-order central differences on a uniform grid with Dirichlet walls
 give a symmetric tridiagonal matrix.  Its diagonal comes from one call of
 the potential on the whole node array, so every potential passed here
 takes an array and returns an array (or one scalar, which is broadcast).
+On a box symmetric about 0 with an even number of nodes the right half
+of the nodes is the exact mirror of the left, so a bitwise even V (a
+polynomial with zero odd coefficients, by Horner) samples a palindromic
+diagonal.  Read off the sampled diagonal, a palindrome makes the matrix
+persymmetric, and it splits exactly into an even and an odd block of half
+its rows (Cantoni & Butler, Linear Algebra Appl. 13 (1976) 275): the left
+half, its last row plus the off-diagonal (even) or minus it (odd).  The
+j-th eigenvector of such a Jacobi matrix changes sign j times, so level j
+is level j // 2 of the block of parity j mod 2, and k = 1 solves the even
+block alone.  Any other potential, an odd node count (a centre node at
+x = 0), a box not symmetric about 0 and the radial grid keep the whole
+matrix, on nodes a + h·i.  Each block is solved as a whole matrix is.
 The lowest eigenvalues are bracketed by bisection on the Sturm
 sign-change count, which is deterministic, library-free and much simpler
 than the series machinery it checks.  The serial count is monotone in λ
@@ -17,17 +29,20 @@ determinant, each a sweep of the same pivot recurrence that also counts,
 and then bracketed by counts close around the Newton value.  The n-point
 grid takes its guesses from every 8th row (the same operator at spacing
 8h, bisected from counts climbing from its Gershgorin floor, and only to
-a width of 1e-6, since it supplies guesses and no value) and the 2n-point
-grid from the n-point eigenvalues.  Newton only places counts, so it
-never sets a value.  The count and Newton loops make no per-row zero
-test: a sweep that meets an exact zero pivot raises ZeroDivisionError
-and reruns on ``_pivots``, the one recurrence that nudges such a pivot,
-so every count and iterate is that of a nudging loop.
+a width of 1e-6, since it supplies guesses and no value; a block counts
+them from its centre row, which folds again at 8h) and the 2n-point grid
+from the n-point eigenvalues of the same block.  Newton only places
+counts, so it never sets a value.  The count and Newton loops make no
+per-row zero test: a sweep that meets an exact zero pivot raises
+ZeroDivisionError and reruns on ``_pivots``, the one recurrence that
+nudges such a pivot, so every count and iterate is that of a nudging
+loop.
 Each solve runs at two resolutions (n and 2n); the h² Richardson
 extrapolation supplies both the reported eigenvalue and its error
 estimate.  The fine grid's eigenvectors, built from the Sturm count's own
 pivot recurrence run from both walls (a twisted factorization), serve only
-to confirm that the box was wide enough.
+to confirm that the box was wide enough; a block's unit vector and its
+mirror image, over √2, make the whole matrix's.
 The Sturm count stays private: ``tests/test_oracle.py`` composes it with
 the Dirichlet grid builder to check eigenvalue counts directly.
 """
@@ -236,9 +251,13 @@ def _eigenvector(diag: np.ndarray, off: float, lam: float) -> np.ndarray:
 
 
 def _dirichlet(potential: _Potential, a: float, b: float, m: int) -> tuple:
-    """Diagonal of -½d²/dx² + V on the m interior nodes of (a, b), and h."""
+    """Diagonal of -½d²/dx² + V on the m interior nodes of (a, b), and h;
+    on a box symmetric about 0 with m even the right half of the nodes is
+    the exact negative of the left half."""
     h = (b - a) / (m + 1)
     x = a + h * np.arange(1, m + 1)
+    if a == -b and m % 2 == 0:
+        x[m // 2:] = -x[m // 2 - 1::-1]
     with np.errstate(over="ignore", invalid="ignore"):
         diag = np.broadcast_to(1.0 / h ** 2 + potential(x), (m,))
     if not np.all(np.isfinite(diag)):
@@ -246,32 +265,85 @@ def _dirichlet(potential: _Potential, a: float, b: float, m: int) -> tuple:
     return diag, h
 
 
+def _sectors(diag: np.ndarray, symmetric: bool) -> list:
+    """The matrix's blocks as (rows, fold) pairs; level j of the matrix is
+    level j // len of block j mod len.
+
+    On a box symmetric about 0, an even number of rows whose diagonal is a
+    palindrome splits into the even block (fold +1) and the odd block
+    (fold -1), each the left half of the rows with fold·off added to its
+    last row (``_fold``).  Any other matrix is one block, its rows
+    unfolded (fold 0).
+    """
+    if (symmetric and len(diag) % 2 == 0
+            and np.array_equal(diag, diag[::-1])):
+        half = diag[:len(diag) // 2]
+        return [(half, 1.0), (half, -1.0)]
+    return [(diag, 0.0)]
+
+
+def _fold(rows: np.ndarray, fold: float, off: float) -> np.ndarray:
+    """The rows with fold·off added to the last one: the mirror node's
+    coupling, +off on an even vector and -off on an odd one."""
+    if not fold:
+        return rows
+    block = rows.copy()
+    block[-1] += fold * off
+    return block
+
+
+def _seed(rows: np.ndarray, fold: float, h: float, k: int) -> tuple:
+    """Guesses for a block's k lowest levels from every 8th of its rows.
+
+    The same operator at spacing 8h, its values off by O((8h)²), so they
+    stop at 1e-6.  A full matrix takes rows 7, 15, …; a folded block
+    counts from its centre row, which folds again with ±off at 8h.  No
+    guesses when the sub-grid has fewer than k rows.
+    """
+    start = (len(rows) - 1) % 8 if fold else 7
+    sub = rows[start::8] - 1.0 / h ** 2 + 1.0 / (8.0 * h) ** 2
+    if len(sub) < k:
+        return ()
+    off = -0.5 / (8.0 * h) ** 2
+    return tuple(_bisect_eigenvalues(_fold(sub, fold, off), off, k,
+                                     width=1e-6))
+
+
 def _solve(potential: _Potential, a: float, b: float, n: int, k: int,
            walls: list) -> EigenResult:
     """The k lowest eigenvalues, h²-Richardson extrapolated from n, 2n nodes.
 
-    Each estimate is |E_2n - E_n|/3.  ``walls`` indexes the fine-grid nodes
+    Each grid solves each of its blocks (``_sectors``) for the levels that
+    block holds, so coarse and fine values pair within a block.  Each
+    estimate is |E_2n - E_n|/3.  ``walls`` indexes the fine-grid nodes
     next to the walls where every eigenvector must have decayed to 1e-8 of
     its peak; otherwise the box is too small.
     """
-    diag, h = _dirichlet(potential, a, b, n)
-    guesses = ()
-    if n // 8 >= k:
-        # every 8th node: the same operator at spacing 8h seeds the n-point
-        # grid; its values are off by O((8h)²), so they stop at 1e-6
-        sub = diag[7::8] - 1.0 / h ** 2 + 1.0 / (8.0 * h) ** 2
-        guesses = tuple(_bisect_eigenvalues(sub, -0.5 / (8.0 * h) ** 2, k,
-                                            width=1e-6))
-    coarse = _bisect_eigenvalues(diag, -0.5 / h ** 2, k, guesses)
-    diag, h = _dirichlet(potential, a, b, 2 * n)
-    off = -0.5 / h ** 2
-    fine = _bisect_eigenvalues(diag, off, k, tuple(coarse))
-    pairs = list(zip(coarse, fine))
+    levels = None
+    for m in (n, 2 * n):
+        diag, h = _dirichlet(potential, a, b, m)
+        off = -0.5 / h ** 2
+        sectors = _sectors(diag, a == -b)
+        found = [0.0] * k
+        for first, (rows, fold) in enumerate(sectors):
+            held = range(first, k, len(sectors))
+            if not held:
+                continue
+            guesses = (_seed(rows, fold, h, len(held)) if levels is None
+                       else tuple(levels[j] for j in held))
+            found[first::len(sectors)] = _bisect_eigenvalues(
+                _fold(rows, fold, off), off, len(held), guesses)
+        coarse, levels = levels, found
+    pairs = list(zip(coarse, levels))
     values = tuple((4.0 * ef - ec) / 3.0 for ec, ef in pairs)
     errors = tuple(abs(ef - ec) / 3.0 + 1e-14 * (1.0 + abs(ef))
                    for ec, ef in pairs)
-    for lam in fine:
-        u = np.abs(_eigenvector(diag, off, lam))
+    for j, lam in enumerate(levels):
+        rows, fold = sectors[j % len(sectors)]
+        u = np.abs(_eigenvector(_fold(rows, fold, off), off, lam))
+        if fold:
+            # the unit vector of the whole matrix: the block and its mirror
+            u = np.concatenate((u, u[::-1])) / math.sqrt(2.0)
         peak, edge = float(np.max(u)), float(np.max(u[walls]))
         if edge > 1e-8 * peak:
             raise DomainTooSmall(

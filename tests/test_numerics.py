@@ -15,6 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import legendre as npoly_legendre
 from numpy.polynomial import polynomial as npoly
 
@@ -266,6 +268,28 @@ def test_quartic_fit_coefficients():
     want = np.array([-1.0, 2.0, 0.5, -1.0, 3.0])
     ys = np.array([sum(c * t ** k for k, c in enumerate(want)) for t in range(5)])
     assert np.allclose(quartic_fit(ys), want, rtol=0.0, atol=1e-12)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_finite, min_size=1, max_size=9),
+       st.lists(_finite, min_size=1, max_size=20))
+def test_horner_of_even_polynomial_is_bitwise_even(coeffs, nodes):
+    # what the oracle's reflection split rests on: with every odd
+    # coefficient 0.0, each Horner step maps -x to the exact mirror of x
+    # (an even partial sum times -x is the negated product, and adding
+    # 0.0 keeps it), so V(-x) and V(x) are the same bits, overflow to inf
+    # included; an even coefficient is +0.0 where it is zero, as
+    # trajectory.coefficients writes it (-0.0 there would flip the sign
+    # of a zero at x = ±0)
+    coeffs = [c + 0.0 if k % 2 == 0 else 0.0 for k, c in enumerate(coeffs)]
+    x = np.array(nodes)
+    with np.errstate(over="ignore"):
+        right = numerics._horner(coeffs, x)
+        left = numerics._horner(coeffs, -x)
+    assert np.array_equal(right.view(np.uint64), left.view(np.uint64))
 
 
 class TestGaussPanels:

@@ -10,9 +10,12 @@ import pytest
 from trajquad import oracle
 from trajquad.cli import main
 from trajquad.errors import DomainTooSmall
+from trajquad.exactalg import VAR_R
+from trajquad.numerics import _horner
 from trajquad.oracle import (_bisect_eigenvalues, _dirichlet, _eigenvector,
-                             _newton_pass, _pivots, _sturm_count, solve_1d,
-                             solve_radial)
+                             _fold, _newton_pass, _pivots, _sectors,
+                             _sturm_count, solve_1d, solve_radial)
+from trajquad.trajectory import coefficients
 
 
 def sturm_count(potential, domain: tuple, n: int, lam: float) -> int:
@@ -232,16 +235,18 @@ class TestSamplesOnce:
 def solve_with(monkeypatch, bisect, solve, args):
     """solve(*args) with ``bisect`` as the oracle's bisection.
 
-    Returns every bisection result in call order (the every-8th-row seed
-    grid, the n-point grid, then the 2n-point grid), as float.hex strings,
-    and then the eigenvalues with their estimates, or the DomainTooSmall
-    message when the edge check fails after every grid is solved.
+    Returns every bisection's width and result in call order (on the
+    n-point grid each block's every-8th-row seed grid, then the block;
+    then each block of the 2n-point grid), the values as float.hex
+    strings, and then the eigenvalues with their estimates, or the
+    DomainTooSmall message when the edge check fails after every grid is
+    solved.
     """
     seen = []
 
     def recording(diag, off, k, guesses=(), width=1e-12):
         values = bisect(diag, off, k, guesses, width)
-        seen.append([v.hex() for v in values])
+        seen.append((width, [v.hex() for v in values]))
         return values
 
     with monkeypatch.context() as patch:
@@ -290,8 +295,9 @@ def _harmonic(x):
 
 
 def _double_well(x):
-    # the two lowest levels are split by 8e-11
-    return x ** 4 - 12.0 * x * x
+    # the two lowest levels are split by about 1e-10; x·x·x·x is bitwise
+    # even, so the matrix splits into its even and odd blocks
+    return x * x * x * x - 12.0 * x * x
 
 
 def _square(r):
@@ -313,20 +319,40 @@ BISECTION_CASES = {
                                (1.0, _square, 1e-3, 25.0, 1600)),
 }
 
-# pivot rows swept per case, the eigenvector's two sweeps per level behind
-# the box check included: (plain count-reusing bisection, Newton-seeded);
-# near-degenerate levels (the double well) must stay no costlier
-ROWS_SWEPT = {
-    "harmonic ladder": (736_800, 319_500),
-    "double well": (178_500, 171_740),
-    "steep well": (23_400, 8_225),
-    "free box": (256_500, 92_242),
-    "coulomb": (142_800, 49_650),
-    "scaled coulomb": (144_000, 48_600),
-    "perturbed coulomb": (287_500, 111_548),
-    "perturbed coulomb 800": (93_600, 40_000),
-    "perturbed coulomb 1600": (190_400, 78_800),
+# bisections per case, one per grid and block with levels to find (each
+# block's seed grid counted as a grid): the harmonic ladder and the double
+# well split on both grids and find levels in both blocks, the steep well
+# (k = 1) sweeps its even block alone, and the free box and the radial
+# grids are one block
+BISECTIONS = {
+    "harmonic ladder": 6,
+    "double well": 6,
+    "steep well": 3,
+    "free box": 3,
+    "coulomb": 3,
+    "scaled coulomb": 3,
+    "perturbed coulomb": 3,
+    "perturbed coulomb 800": 3,
+    "perturbed coulomb 1600": 3,
 }
+
+# pivot rows swept per case, the eigenvector's two sweeps per level behind
+# the box check included: (plain count-reusing bisection, Newton-seeded on
+# the whole matrix, Newton-seeded by block); near-degenerate levels (the
+# double well) must stay no costlier, and a case whose matrix splits must
+# sweep fewer rows by block than whole
+ROWS_SWEPT = {
+    "harmonic ladder": (736_800, 319_500, 162_900),
+    "double well": (178_500, 171_740, 66_012),
+    "steep well": (23_400, 8_225, 4_703),
+    "free box": (256_500, 92_242, 92_242),
+    "coulomb": (142_800, 49_650, 49_650),
+    "scaled coulomb": (144_000, 48_600, 48_600),
+    "perturbed coulomb": (287_500, 111_548, 111_548),
+    "perturbed coulomb 800": (93_600, 40_000, 40_000),
+    "perturbed coulomb 1600": (190_400, 78_800, 78_800),
+}
+SPLIT_CASES = {"harmonic ladder", "double well", "steep well"}
 
 
 def _neighbour_level(values, lo0, hi0):
@@ -349,7 +375,7 @@ class TestCountReuse:
         solve, args = BISECTION_CASES[case]
         got = solve_with(monkeypatch, _bisect_eigenvalues, solve, args)
         want = solve_with(monkeypatch, full_interval_bisection, solve, args)
-        assert len(got[0]) == 3
+        assert len(got[0]) == BISECTIONS[case]
         assert got == want
 
     @pytest.mark.parametrize("wrong", [_neighbour_level, _below_spectrum,
@@ -365,7 +391,7 @@ class TestCountReuse:
             return _bisect_eigenvalues(diag, off, k, guesses, width)
 
         solve_with(monkeypatch, recording, *BISECTION_CASES[case])
-        assert len(grids) == 3
+        assert len(grids) == BISECTIONS[case]
         for diag, off, k, width in grids:
             values = full_interval_bisection(diag, off, k + 1, (), width)
             lo0 = float(np.min(diag)) - 2.0 * abs(off)
@@ -376,9 +402,9 @@ class TestCountReuse:
 
     @pytest.mark.parametrize("case", BISECTION_CASES)
     def test_seed_width_moves_counts_not_values(self, case, monkeypatch):
-        # the seed grid bisected to 1e-12 as well, as before it stopped at
-        # 1e-6: its guesses move, and no other grid's value, no result and
-        # no DomainTooSmall message does
+        # the seed grids bisected to 1e-12 as well, as before they stopped
+        # at 1e-6: their guesses move, and no other grid's value, no result
+        # and no DomainTooSmall message does
         solve, args = BISECTION_CASES[case]
 
         def full_width(diag, off, k, guesses=(), width=1e-12):
@@ -386,28 +412,42 @@ class TestCountReuse:
 
         got = solve_with(monkeypatch, _bisect_eigenvalues, solve, args)
         want = solve_with(monkeypatch, full_width, solve, args)
-        assert got[0][1:] == want[0][1:]
         assert got[1] == want[1]
-        for seed, full in zip(*(map(float.fromhex, run[0][0])
-                                for run in (got, want))):
-            assert abs(seed - full) <= 1e-6 * (1.0 + abs(full))
+        assert len(got[0]) == len(want[0])
+        seeds = 0
+        for (width, fast), (_, slow) in zip(got[0], want[0]):
+            if width != 1e-6:
+                assert fast == slow
+                continue
+            seeds += 1
+            for seed, full in zip(map(float.fromhex, fast),
+                                  map(float.fromhex, slow)):
+                assert abs(seed - full) <= 1e-6 * (1.0 + abs(full))
+        # one seed grid per block of the n-point grid
+        assert seeds == BISECTIONS[case] // 3
 
     @pytest.mark.parametrize("case", BISECTION_CASES)
     def test_rows_swept_pinned(self, case, monkeypatch):
         solve, args = BISECTION_CASES[case]
-        before, after = ROWS_SWEPT[case]
-        assert rows_swept(monkeypatch, solve, args) == after <= before
+        plain, whole, blocks = ROWS_SWEPT[case]
+        rows = rows_swept(monkeypatch, solve, args)
+        assert rows == blocks <= whole <= plain
+        assert (blocks < whole) == (case in SPLIT_CASES)
 
     def test_sturm_counts_pinned(self, monkeypatch):
-        # a bench oracle-1d job sweeps 159,500 pivot rows, the eigenvector's
-        # two 8000-row sweeps included: 23 counts on the 500-row seed grid,
-        # 5 counts and 3 Newton passes on 4000 rows, 7 and 2 on 8000 (the
-        # seed grid bisected to 1e-12 took 177,500; the plain count-reusing
-        # bisection 372,000: 66 counts over 4000 and 8000 rows); the
-        # full-interval bisection makes 118 counts on those two grids and,
-        # stopping at the seed grid's 1e-6, 32 on the seed grid
-        args = (lambda x: 18.0 * x * x + 3.6 * x ** 4, (-3, 3), 4000, 1)
-        assert rows_swept(monkeypatch, solve_1d, args) == 159_500
+        # a bench oracle-1d job, its potential in the CLI's Horner form,
+        # sweeps 97,000 pivot rows on the even block alone, the
+        # eigenvector's two 4000-row sweeps included: 44 counts on the
+        # 250-row seed grid, 7 counts and 4 Newton passes on 2000 rows, 8
+        # and 2 on 4000 (the whole matrix took 159,500: 23 counts on its
+        # 500-row seed grid, 5 and 3 on 4000 rows, 7 and 2 on 8000, and two
+        # 8000-row eigenvector sweeps); the full-interval bisection makes
+        # 118 counts on the two blocks and, stopping at the seed grid's
+        # 1e-6, 33 on the seed grid.  NumPy's x ** 4 is no model of the
+        # job: on these nodes it differs from (-x) ** 4 by up to 1.4e-14
+        coeffs = coefficients("18.0*x^2 + 3.6*x^4")
+        args = (lambda x: _horner(coeffs, x), (-3, 3), 4000, 1)
+        assert rows_swept(monkeypatch, solve_1d, args) == 97_000
         got = solve_1d(*args)
         calls = []
 
@@ -419,8 +459,146 @@ class TestCountReuse:
         monkeypatch.setattr(oracle, "_bisect_eigenvalues",
                             full_interval_bisection)
         assert solve_1d(*args) == got
-        assert (calls.count(4000) + calls.count(8000), calls.count(500),
-                len(calls)) == (118, 32, 150)
+        assert (calls.count(2000) + calls.count(4000), calls.count(250),
+                len(calls)) == (118, 33, 151)
+
+
+def _quartic(x):
+    return 0.5 * x * x + 0.05 * x * x * x * x
+
+
+class TestReflectionSectors:
+    """The even and odd blocks of a mirrored grid against dense and
+    whole-matrix references."""
+
+    @pytest.mark.parametrize("m", [300, 301])
+    def test_blocks_match_dense_levels(self, m):
+        # at m = 300 the even block holds levels 0, 2, 4, … of the whole
+        # matrix and the odd block levels 1, 3, 5, …; at m = 301 a centre
+        # node sits at x = 0 and the whole matrix runs
+        diag, h = _dirichlet(_quartic, -6.0, 6.0, m)
+        off = -0.5 / h ** 2
+        dense = np.linalg.eigvalsh(np.diag(diag) + off * np.eye(m, k=1)
+                                   + off * np.eye(m, k=-1))
+        sectors = _sectors(diag, True)
+        assert len(sectors) == (2 if m == 300 else 1)
+        for first, (rows, fold) in enumerate(sectors):
+            block = _fold(rows, fold, off)
+            got = np.array(_bisect_eigenvalues(block, off, 6))
+            want = dense[first::len(sectors)][:6]
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    @pytest.mark.parametrize("n, sizes", [
+        # even n: each block's 19-row seed grid and 150-row block, then
+        # the two 300-row blocks of the fine grid
+        (300, [19, 150, 19, 150, 300, 300]),
+        # odd n: the whole 301-row matrix and its 37-row seed grid, then
+        # the fine grid's two blocks
+        (301, [37, 301, 301, 301]),
+    ])
+    def test_one_bisection_per_grid_and_block(self, n, sizes, monkeypatch):
+        rows = []
+
+        def recording(diag, off, k, guesses=(), width=1e-12):
+            rows.append(len(diag))
+            return _bisect_eigenvalues(diag, off, k, guesses, width)
+
+        monkeypatch.setattr(oracle, "_bisect_eigenvalues", recording)
+        solve_1d(_quartic, (-6, 6), n, 4)
+        assert rows == sizes
+
+    def test_double_well_doublet_even_then_odd(self, monkeypatch):
+        # the doublet: each level is the lowest of its own block on both
+        # grids, the even one below, and both agree with the whole fine
+        # matrix bisected for its two lowest levels; bisected to 3.7e-11
+        # each, the splitting reads 8.2e-11 on the whole matrices and
+        # 1.03e-10 by block
+        seen, (values, _) = solve_with(monkeypatch, _bisect_eigenvalues,
+                                       *BISECTION_CASES["double well"])
+        levels = [float.fromhex(v) for width, (v,) in seen if width != 1e-6]
+        even_n, odd_n, even_2n, odd_2n = levels
+        assert even_n < odd_n and even_2n < odd_2n
+        assert 5e-11 < values[1] - values[0] < 1.5e-10
+        diag, h = _dirichlet(_double_well, -7.0, 7.0, 3000)
+        whole = full_interval_bisection(diag, -0.5 / h ** 2, 2)
+        for got, want in zip((even_2n, odd_2n), whole):
+            assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+
+    # values of the whole-matrix solve on nodes a + h·i, before the right
+    # half of a symmetric box mirrored the left: each moves by at most
+    # 1e-10·(1 + |E|), whether the matrix splits (even n) or not (odd n)
+    WHOLE_MATRIX = {
+        "bench": ((lambda x: _horner(coefficients("18.0*x^2 + 3.6*x^4"), x),
+                   (-3, 3), 4000, 1), ["0x1.891a3a1945350p+1"]),
+        "harmonic ladder": (BISECTION_CASES["harmonic ladder"][1], [
+            "0x1.ffffffe5d8d90p-2", "0x1.7fffffdf8255bp+0",
+            "0x1.3fffffd629543p+1", "0x1.bfffffb04ec33p+1",
+            "0x1.1fffffbf5077fp+2", "0x1.5fffffa0bd485p+2"]),
+        "double well": (BISECTION_CASES["double well"][1], [
+            "-0x1.04a15025558b7p+5", "-0x1.04a1502552bd9p+5"]),
+        "odd n": ((_harmonic, (-8, 8), 1201, 3), [
+            "0x1.ffffffe5d9097p-2", "0x1.7fffffdf9942bp+0",
+            "0x1.3fffffd641d37p+1"]),
+    }
+
+    @pytest.mark.parametrize("case", WHOLE_MATRIX)
+    def test_mirrored_nodes_move_values_little(self, case):
+        args, before = self.WHOLE_MATRIX[case]
+        got = solve_1d(*args).eigenvalues
+        for value, old in zip(got, map(float.fromhex, before)):
+            assert abs(value - old) <= 1e-10 * (1.0 + abs(old))
+
+
+# float.hex of eigenvalues and estimates recorded before the reflection
+# sectors: the radial grids and boxes not symmetric about 0 keep the whole
+# matrix and its nodes a + h·i, so they stay bit for bit
+UNMOVED_RADIAL = {
+    (2000, 0.0005): ("-0x1.fe78da80ee345p-2", "0x1.488dd8176f241p-18"),
+    (2000, 0.00075): ("-0x1.fdb6c9a77f283p-2", "0x1.492ed6b922572p-18"),
+    (2000, 0.001): ("-0x1.fcf5b03aa7707p-2", "0x1.49cd6cb96ae24p-18"),
+    (4000, 0.0005): ("-0x1.fe78dab826edcp-2", "0x1.48c511037c9b1p-20"),
+    (4000, 0.00075): ("-0x1.fdb6c9def4ce5p-2", "0x1.49664c91debccp-20"),
+    (4000, 0.001): ("-0x1.fcf5b0721902bp-2", "0x1.4a04de7e2b93fp-20"),
+}
+
+
+class TestUnmoved:
+    @pytest.mark.parametrize("n, eps", UNMOVED_RADIAL)
+    def test_radial_bench_configs(self, n, eps):
+        # the bench's oracle-radial jobs, U = r^2 in the CLI's Horner form
+        coeffs = coefficients("r^2", VAR_R)
+        res = solve_radial(1.0, lambda r: _horner(coeffs, r), eps, 25.0, n)
+        got = (res.eigenvalues[0].hex(), res.convergence[0].hex())
+        assert got == UNMOVED_RADIAL[n, eps]
+
+    def test_free_box(self, monkeypatch):
+        # V = 0 samples a palindrome, but (0, 4) is no box symmetric about 0
+        seen, message = solve_with(monkeypatch, _bisect_eigenvalues,
+                                   *BISECTION_CASES["free box"])
+        assert message == "edge amplitude 3.02e-04 of peak 5.77e-02"
+        assert [values for _, values in seen] == [
+            ["0x1.3572c31630000p-2", "0x1.34eb7f3098000p+0",
+             "0x1.5a8bb61588000p+1", "0x1.32d029fd78000p+2",
+             "0x1.dcf05e5bd8000p+2", "0x1.553e64ab38000p+3",
+             "0x1.cd070833e8000p+3", "0x1.2a80516e6c000p+4"],
+            ["0x1.3bd310b6f4b80p-2", "0x1.3bd0dd0a3b84dp+0",
+             "0x1.6346d7cf864d0p+1", "0x1.3bc80e76cb8eap+2",
+             "0x1.ed5e44b8682c6p+2", "0x1.63308d6eef035p+3",
+             "0x1.e36541d2257e8p+3", "0x1.3ba4d61ff9bcep+4"],
+            ["0x1.3bd39d7a98012p-2", "0x1.3bd31016c2394p+0",
+             "0x1.634c68feece76p+1", "0x1.3bd0da89712dcp+2",
+             "0x1.ed73beb865116p+2", "0x1.6346d17992216p+3",
+             "0x1.e38e813a61e70p+3", "0x1.3bc80473d5a4ep+4"]]
+
+    def test_cubic_well_off_centre(self):
+        coeffs = coefficients("0.5*x^2 + 0.02*x^3")
+        res = solve_1d(lambda x: _horner(coeffs, x), (-7, 9), 800, 3)
+        assert [v.hex() for v in res.eigenvalues] == [
+            "0x1.ff6f3467e1b9bp-2", "0x1.7f157985b06b3p+0",
+            "0x1.3ec32144dc35ep+1"]
+        assert [c.hex() for c in res.convergence] == [
+            "0x1.a0cb79cb190aep-19", "0x1.03469634f1845p-16",
+            "0x1.4f65fa04e9827p-15"]
 
 
 MONOTONE_CASES = {
