@@ -253,11 +253,6 @@ def apply_Dbar(f: WaveProfile, g: float) -> WaveProfile:
     return f.with_values(inner.reshape(f.values.shape))
 
 
-def kinetic(profile: WaveProfile) -> np.ndarray:
-    """T = -½ d²/dx² applied to the sampled values by 4th-order stencils."""
-    return -0.5 * derivative(profile.values, profile.nodes, order=2)
-
-
 def resolvent_residual(f: WaveProfile, dbar: WaveProfile, g: float,
                        sp: np.ndarray) -> np.ndarray:
     """|D̄f + C(TD̄f - f)| on interior nodes: the (1+CT)D̄ = C identity.
@@ -267,7 +262,8 @@ def resolvent_residual(f: WaveProfile, dbar: WaveProfile, g: float,
     their difference, which vanishes at the origin whenever f is an
     admissible even-subtracted or odd source.
     """
-    combo = f.with_values(kinetic(dbar) - f.values)
+    tdbar = -0.5 * derivative(dbar.values, dbar.nodes, order=2)
+    combo = f.with_values(tdbar - f.values)
     residual = dbar.values + apply_C(combo, g, sp).values
     return np.abs(residual[2:-2])
 

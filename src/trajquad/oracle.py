@@ -26,17 +26,16 @@ practice).  The values stay those of a bisection that counts at every
 step; only the number of counts falls.  Seeds supply those early
 decisions.  A guessed eigenvalue is refined by Newton passes on the
 determinant, each a sweep of the same pivot recurrence that also counts,
-and then bracketed by counts close around the Newton value.  The n-point
-grid takes its guesses from every 8th row (the same operator at spacing
-8h, bisected from counts climbing from its Gershgorin floor, and only to
-a width of 1e-6, since it supplies guesses and no value; a block counts
-them from its centre row, which folds again at 8h) and the 2n-point grid
-from the n-point eigenvalues of the same block.  Newton only places
-counts, so it never sets a value.  The count and Newton loops make no
-per-row zero test: a sweep that meets an exact zero pivot raises
-ZeroDivisionError and reruns on ``_pivots``, the one recurrence that
-nudges such a pivot, so every count and iterate is that of a nudging
-loop.
+and then bracketed by counts close around the Newton value.  Newton only
+places counts, so it never sets a value.  The n-point grid is seeded
+once, from every 8th row of its whole matrix (the same operator at
+spacing 8h, bisected only to a width of 1e-6, since it supplies guesses
+and no value), and the 2n-point grid from the n-point eigenvalues; each
+block takes the guesses of its own levels by the same slice on both.
+The count and Newton loops make no per-row zero test: a sweep that meets
+an exact zero pivot raises ZeroDivisionError and reruns on ``_pivots``,
+the one recurrence that nudges such a pivot, so every count and iterate
+is that of a nudging loop.
 Each solve runs at two resolutions (n and 2n); the h² Richardson
 extrapolation supplies both the reported eigenvalue and its error
 estimate.  The fine grid's eigenvectors, built from the Sturm count's own
@@ -265,47 +264,36 @@ def _dirichlet(potential: _Potential, a: float, b: float, m: int) -> tuple:
     return diag, h
 
 
-def _sectors(diag: np.ndarray, symmetric: bool) -> list:
-    """The matrix's blocks as (rows, fold) pairs; level j of the matrix is
-    level j // len of block j mod len.
+def _sectors(diag: np.ndarray, off: float, symmetric: bool) -> list:
+    """The matrix's blocks; level j of the matrix is level j // len of
+    block j mod len.
 
     On a box symmetric about 0, an even number of rows whose diagonal is a
-    palindrome splits into the even block (fold +1) and the odd block
-    (fold -1), each the left half of the rows with fold·off added to its
-    last row (``_fold``).  Any other matrix is one block, its rows
-    unfolded (fold 0).
+    palindrome splits into the even and the odd block: the left half of
+    the rows with the mirror node's coupling, +off (even) or -off (odd),
+    added to its last row.  Any other matrix is one block, its own rows.
     """
     if (symmetric and len(diag) % 2 == 0
             and np.array_equal(diag, diag[::-1])):
-        half = diag[:len(diag) // 2]
-        return [(half, 1.0), (half, -1.0)]
-    return [(diag, 0.0)]
+        even = diag[:len(diag) // 2].copy()
+        odd = even.copy()
+        even[-1] += off
+        odd[-1] -= off
+        return [even, odd]
+    return [diag]
 
 
-def _fold(rows: np.ndarray, fold: float, off: float) -> np.ndarray:
-    """The rows with fold·off added to the last one: the mirror node's
-    coupling, +off on an even vector and -off on an odd one."""
-    if not fold:
-        return rows
-    block = rows.copy()
-    block[-1] += fold * off
-    return block
+def _seed(diag: np.ndarray, h: float, k: int) -> tuple:
+    """Guesses for the matrix's k lowest levels from every 8th row.
 
-
-def _seed(rows: np.ndarray, fold: float, h: float, k: int) -> tuple:
-    """Guesses for a block's k lowest levels from every 8th of its rows.
-
-    The same operator at spacing 8h, its values off by O((8h)²), so they
-    stop at 1e-6.  A full matrix takes rows 7, 15, …; a folded block
-    counts from its centre row, which folds again with ±off at 8h.  No
-    guesses when the sub-grid has fewer than k rows.
+    Rows 7, 15, … are the same operator at spacing 8h, its values off by
+    O((8h)²), so they stop at 1e-6.  No guesses when the sub-grid has
+    fewer than k rows.
     """
-    start = (len(rows) - 1) % 8 if fold else 7
-    sub = rows[start::8] - 1.0 / h ** 2 + 1.0 / (8.0 * h) ** 2
+    sub = diag[7::8] - 1.0 / h ** 2 + 1.0 / (8.0 * h) ** 2
     if len(sub) < k:
         return ()
-    off = -0.5 / (8.0 * h) ** 2
-    return tuple(_bisect_eigenvalues(_fold(sub, fold, off), off, k,
+    return tuple(_bisect_eigenvalues(sub, -0.5 / (8.0 * h) ** 2, k,
                                      width=1e-6))
 
 
@@ -314,34 +302,32 @@ def _solve(potential: _Potential, a: float, b: float, n: int, k: int,
     """The k lowest eigenvalues, h²-Richardson extrapolated from n, 2n nodes.
 
     Each grid solves each of its blocks (``_sectors``) for the levels that
-    block holds, so coarse and fine values pair within a block.  Each
-    estimate is |E_2n - E_n|/3.  ``walls`` indexes the fine-grid nodes
-    next to the walls where every eigenvector must have decayed to 1e-8 of
-    its peak; otherwise the box is too small.
+    block holds, taking their guesses by the same slice from the n-point
+    grid's one seed (``_seed``) or from the n-point levels, so coarse and
+    fine values pair within a block.  Each estimate is |E_2n - E_n|/3.
+    ``walls`` indexes the fine-grid nodes next to the walls where every
+    eigenvector must have decayed to 1e-8 of its peak; otherwise the box
+    is too small.
     """
     levels = None
     for m in (n, 2 * n):
         diag, h = _dirichlet(potential, a, b, m)
         off = -0.5 / h ** 2
-        sectors = _sectors(diag, a == -b)
+        sectors = _sectors(diag, off, a == -b)
+        guesses = _seed(diag, h, k) if levels is None else levels
         found = [0.0] * k
-        for first, (rows, fold) in enumerate(sectors):
-            held = range(first, k, len(sectors))
-            if not held:
-                continue
-            guesses = (_seed(rows, fold, h, len(held)) if levels is None
-                       else tuple(levels[j] for j in held))
-            found[first::len(sectors)] = _bisect_eigenvalues(
-                _fold(rows, fold, off), off, len(held), guesses)
+        for first, block in enumerate(sectors[:k]):
+            held = slice(first, k, len(sectors))
+            found[held] = _bisect_eigenvalues(block, off, len(found[held]),
+                                              guesses[held])
         coarse, levels = levels, found
     pairs = list(zip(coarse, levels))
     values = tuple((4.0 * ef - ec) / 3.0 for ec, ef in pairs)
     errors = tuple(abs(ef - ec) / 3.0 + 1e-14 * (1.0 + abs(ef))
                    for ec, ef in pairs)
     for j, lam in enumerate(levels):
-        rows, fold = sectors[j % len(sectors)]
-        u = np.abs(_eigenvector(_fold(rows, fold, off), off, lam))
-        if fold:
+        u = np.abs(_eigenvector(sectors[j % len(sectors)], off, lam))
+        if len(sectors) > 1:
             # the unit vector of the whole matrix: the block and its mirror
             u = np.concatenate((u, u[::-1])) / math.sqrt(2.0)
         peak, edge = float(np.max(u)), float(np.max(u[walls]))

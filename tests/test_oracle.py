@@ -1,6 +1,7 @@
 """Brute-force eigensolver: ladder values, Sturm counts, Newton passes,
 convergence order, count reuse against the full-interval bisection."""
 
+import hashlib
 import json
 import math
 
@@ -13,8 +14,8 @@ from trajquad.errors import DomainTooSmall
 from trajquad.exactalg import VAR_R
 from trajquad.numerics import _horner
 from trajquad.oracle import (_bisect_eigenvalues, _dirichlet, _eigenvector,
-                             _fold, _newton_pass, _pivots, _sectors,
-                             _sturm_count, solve_1d, solve_radial)
+                             _newton_pass, _pivots, _sectors, _sturm_count,
+                             solve_1d, solve_radial)
 from trajquad.trajectory import coefficients
 
 
@@ -235,9 +236,9 @@ class TestSamplesOnce:
 def solve_with(monkeypatch, bisect, solve, args):
     """solve(*args) with ``bisect`` as the oracle's bisection.
 
-    Returns every bisection's width and result in call order (on the
-    n-point grid each block's every-8th-row seed grid, then the block;
-    then each block of the 2n-point grid), the values as float.hex
+    Returns every bisection's width and result in call order (the n-point
+    grid's one every-8th-row seed grid, then each block of the n-point
+    grid, then each block of the 2n-point grid), the values as float.hex
     strings, and then the eigenvalues with their estimates, or the
     DomainTooSmall message when the edge check fails after every grid is
     solved.
@@ -319,14 +320,14 @@ BISECTION_CASES = {
                                (1.0, _square, 1e-3, 25.0, 1600)),
 }
 
-# bisections per case, one per grid and block with levels to find (each
-# block's seed grid counted as a grid): the harmonic ladder and the double
-# well split on both grids and find levels in both blocks, the steep well
-# (k = 1) sweeps its even block alone, and the free box and the radial
-# grids are one block
+# bisections per case, one per grid and block with levels to find (the
+# n-point grid's one seed grid counted as a grid): the harmonic ladder and
+# the double well split on both grids and find levels in both blocks, the
+# steep well (k = 1) sweeps its even block alone, and the free box and the
+# radial grids are one block
 BISECTIONS = {
-    "harmonic ladder": 6,
-    "double well": 6,
+    "harmonic ladder": 5,
+    "double well": 5,
     "steep well": 3,
     "free box": 3,
     "coulomb": 3,
@@ -342,9 +343,9 @@ BISECTIONS = {
 # double well) must stay no costlier, and a case whose matrix splits must
 # sweep fewer rows by block than whole
 ROWS_SWEPT = {
-    "harmonic ladder": (736_800, 319_500, 162_900),
-    "double well": (178_500, 171_740, 66_012),
-    "steep well": (23_400, 8_225, 4_703),
+    "harmonic ladder": (736_800, 319_500, 162_300),
+    "double well": (178_500, 171_740, 65_240),
+    "steep well": (23_400, 8_225, 4_625),
     "free box": (256_500, 92_242, 92_242),
     "coulomb": (142_800, 49_650, 49_650),
     "scaled coulomb": (144_000, 48_600, 48_600),
@@ -423,7 +424,7 @@ class TestCountReuse:
             for seed, full in zip(map(float.fromhex, fast),
                                   map(float.fromhex, slow)):
                 assert abs(seed - full) <= 1e-6 * (1.0 + abs(full))
-        # one seed grid per block of the n-point grid
+        # one seed grid per n-point grid
         assert seeds == BISECTIONS[case] // 3
 
     @pytest.mark.parametrize("case", BISECTION_CASES)
@@ -436,18 +437,19 @@ class TestCountReuse:
 
     def test_sturm_counts_pinned(self, monkeypatch):
         # a bench oracle-1d job, its potential in the CLI's Horner form,
-        # sweeps 97,000 pivot rows on the even block alone, the
-        # eigenvector's two 4000-row sweeps included: 44 counts on the
-        # 250-row seed grid, 7 counts and 4 Newton passes on 2000 rows, 8
-        # and 2 on 4000 (the whole matrix took 159,500: 23 counts on its
-        # 500-row seed grid, 5 and 3 on 4000 rows, 7 and 2 on 8000, and two
-        # 8000-row eigenvector sweeps); the full-interval bisection makes
-        # 118 counts on the two blocks and, stopping at the seed grid's
-        # 1e-6, 33 on the seed grid.  NumPy's x ** 4 is no model of the
-        # job: on these nodes it differs from (-x) ** 4 by up to 1.4e-14
+        # sweeps 93,500 pivot rows: 23 counts on the whole matrix's 500-row
+        # seed grid, then on the even block alone 7 counts and 3 Newton
+        # passes on 2000 rows, 8 and 2 on 4000, and the eigenvector's two
+        # 4000-row sweeps (the whole matrix takes 159,500: the same 23
+        # seed counts, 5 and 3 on 4000 rows, 7 and 2 on 8000, and two
+        # 8000-row eigenvector sweeps); the
+        # full-interval bisection makes 118 counts on the two blocks and,
+        # stopping at the seed grid's 1e-6, 32 on the seed grid.  NumPy's
+        # x ** 4 is no model of the job: on these nodes it differs from
+        # (-x) ** 4 by up to 1.4e-14
         coeffs = coefficients("18.0*x^2 + 3.6*x^4")
         args = (lambda x: _horner(coeffs, x), (-3, 3), 4000, 1)
-        assert rows_swept(monkeypatch, solve_1d, args) == 97_000
+        assert rows_swept(monkeypatch, solve_1d, args) == 93_500
         got = solve_1d(*args)
         calls = []
 
@@ -459,8 +461,47 @@ class TestCountReuse:
         monkeypatch.setattr(oracle, "_bisect_eigenvalues",
                             full_interval_bisection)
         assert solve_1d(*args) == got
-        assert (calls.count(2000) + calls.count(4000), calls.count(250),
-                len(calls)) == (118, 33, 151)
+        assert (calls.count(2000) + calls.count(4000), calls.count(500),
+                len(calls)) == (118, 32, 150)
+
+
+# k above the 25 rows of the every-8th sub-grid at n = 200, so the n-point
+# grid bisects unseeded from counts climbing off each block's Gershgorin
+# floor: both blocks on the symmetric box, the whole matrix on the other
+UNSEEDED_CASES = {
+    "symmetric box": ((_harmonic, (-12, 12), 200, 30), 4),
+    "asymmetric box": ((_harmonic, (-12, 13), 200, 30), 2),
+}
+
+# (argv, sha256 of stdout, exit code) recorded before the n-point grid was
+# seeded once from its whole matrix; the cubic keeps the whole matrix
+UNSEEDED_CLI = [
+    (["--potential", "0.5*x^2", "--domain", "12", "--n", "200", "--k", "30"],
+     "3f9a0a7e7ece5dd53040b8474c2339d3524f6643370bc525e0bd50aa7dee1c04"),
+    (["--potential", "0.5*x^2+0.01*x^3", "--domain", "12", "--n", "200",
+      "--k", "30"],
+     "4ed821846c06ad22442005ef7a90c91874e38b66f80c986968034deba5c34a67"),
+]
+
+
+class TestUnseeded:
+    """k beyond the seed grid's rows: no guesses on the n-point grid."""
+
+    @pytest.mark.parametrize("case", UNSEEDED_CASES)
+    def test_bitwise_equal_to_full_interval(self, case, monkeypatch):
+        args, bisections = UNSEEDED_CASES[case]
+        got = solve_with(monkeypatch, _bisect_eigenvalues, solve_1d, args)
+        want = solve_with(monkeypatch, full_interval_bisection, solve_1d,
+                          args)
+        assert [width for width, _ in got[0]] == [1e-12] * bisections
+        assert got == want
+
+    @pytest.mark.parametrize("argv, digest", UNSEEDED_CLI)
+    def test_cli_output_pinned(self, argv, digest, capsys):
+        assert main(["--command", "oracle", *argv]) == 0
+        out, err = capsys.readouterr()
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert err == ""
 
 
 def _quartic(x):
@@ -480,18 +521,17 @@ class TestReflectionSectors:
         off = -0.5 / h ** 2
         dense = np.linalg.eigvalsh(np.diag(diag) + off * np.eye(m, k=1)
                                    + off * np.eye(m, k=-1))
-        sectors = _sectors(diag, True)
+        sectors = _sectors(diag, off, True)
         assert len(sectors) == (2 if m == 300 else 1)
-        for first, (rows, fold) in enumerate(sectors):
-            block = _fold(rows, fold, off)
+        for first, block in enumerate(sectors):
             got = np.array(_bisect_eigenvalues(block, off, 6))
             want = dense[first::len(sectors)][:6]
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
     @pytest.mark.parametrize("n, sizes", [
-        # even n: each block's 19-row seed grid and 150-row block, then
-        # the two 300-row blocks of the fine grid
-        (300, [19, 150, 19, 150, 300, 300]),
+        # even n: the whole matrix's 37-row seed grid and the two 150-row
+        # blocks, then the two 300-row blocks of the fine grid
+        (300, [37, 150, 150, 300, 300]),
         # odd n: the whole 301-row matrix and its 37-row seed grid, then
         # the fine grid's two blocks
         (301, [37, 301, 301, 301]),
@@ -515,8 +555,8 @@ class TestReflectionSectors:
         # 1.03e-10 by block
         seen, (values, _) = solve_with(monkeypatch, _bisect_eigenvalues,
                                        *BISECTION_CASES["double well"])
-        levels = [float.fromhex(v) for width, (v,) in seen if width != 1e-6]
-        even_n, odd_n, even_2n, odd_2n = levels
+        blocks = [block for width, block in seen if width != 1e-6]
+        even_n, odd_n, even_2n, odd_2n = (float.fromhex(v) for (v,) in blocks)
         assert even_n < odd_n and even_2n < odd_2n
         assert 5e-11 < values[1] - values[0] < 1.5e-10
         diag, h = _dirichlet(_double_well, -7.0, 7.0, 3000)
