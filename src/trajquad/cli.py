@@ -216,7 +216,7 @@ def _coulomb_tables(sol, g: float, eps: float):
 
 def _run_coulomb(p: dict):
     u_poly = parse_poly(p["potential"], (VAR_R,))
-    sol = coulomb_mod.solve_isotropic(u_poly, p["order"])
+    sol = coulomb_mod.solve_perturbed(u_poly, p["order"])
     return _coulomb_tables(sol, p["g"], p["eps"])
 
 

@@ -303,13 +303,6 @@ def solve_perturbed(u_poly: MultiPoly, order: int) -> CoulombSolution:
     return _integer_chain(u_num, u_den, order)
 
 
-def solve_isotropic(u_poly: MultiPoly, order: int) -> CoulombSolution:
-    """Recursion for a radial perturbation U(r); rejects angular content."""
-    if u_poly.depends_on(VAR_U):
-        raise ValueError("isotropic perturbation must not depend on u")
-    return solve_perturbed(u_poly, order)
-
-
 def solve_stark(order: int) -> CoulombSolution:
     """Recursion for the uniform-field perturbation U = r·cos a = z.
 

@@ -11,9 +11,9 @@ carry negative powers.
 it, the ``excited`` kernel builds its results as it, and the CLI renders
 it (``oscpert`` and ``coulomb`` write their tables from their own integer
 pairs).  It carries no arithmetic: besides embedding into more variables
-it answers only whether it depends on a variable and renders.  Sums,
-products, derivatives, angular averages and the radial-polar Laplacian and
-gradient live in those integer kernels, the recursions that need them.
+it only renders.  Sums, products, derivatives, angular averages and the
+radial-polar Laplacian and gradient live in those integer kernels, the
+recursions that need them.
 
 This module owns the kernels' integer format, and ``MultiPoly`` is that
 format with its variable names attached: a dict of integer numerators
@@ -103,14 +103,6 @@ class MultiPoly:
                 row[pos[v]] = e
             new_terms[tuple(row)] = coeff
         return MultiPoly(new_terms, self.den, names)
-
-    # -------------------------------------------------------------- queries
-
-    def depends_on(self, var: str) -> bool:
-        if var not in self.variables:
-            return False
-        i = self.variables.index(var)
-        return any(e[i] != 0 for e in self.terms)
 
     # ------------------------------------------------------------- rendering
 

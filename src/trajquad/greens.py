@@ -204,7 +204,7 @@ def apply_Dbar(f: WaveProfile, g: float) -> WaveProfile:
     A total within ``_SOLVABILITY_RTOL`` of zero, relative to the absolute
     mass, is treated as exactly zero: that is the boundary condition
     selecting the bounded solution.  A domain where the outer weight
-    e^{2gS} overflows a float, or the source beyond it, raises ValueError.
+    e^{2gS} or the weighted source overflows a float raises ValueError.
 
     ``f.values`` of shape (m, n) is a stack of m sources, and each row of
     the image is bitwise the image of its source alone.  What depends on S
@@ -213,43 +213,42 @@ def apply_Dbar(f: WaveProfile, g: float) -> WaveProfile:
     """
     x, s = f.nodes, f.s
     _refuse_overflowing_weight(g, float(np.max(s)))
-    i0 = f.origin
-    rows = np.atleast_2d(f.values)
-    weights = 0.5 * grid_spacing(x) * _GAUSS_WEIGHTS
-    decay = gauss_samples(s)   # e^{-2gS} at the Gauss nodes, in place
-    np.exp(np.multiply(decay, -2.0 * g, out=decay), out=decay)
-    # per row, of w = e^{-2gS} f: ∫ w from the left edge to each node,
-    # -∫ w from each node right of the origin to the right edge, and ∫ |w|
-    inner = np.zeros(rows.shape)
-    backward = np.zeros((len(rows), len(x) - 1 - i0))
-    mass = np.empty(len(rows))
-    for k, v in enumerate(rows):
-        wf = gauss_samples(v)
-        wf *= decay
-        inc = wf @ weights
-        inner[k, 1:] = np.cumsum(inc)
-        backward[k, :-1] = -np.cumsum(inc[i0 + 1:][::-1])[::-1]
-        np.abs(wf, out=wf)
-        edge = max(wf[0, 0], wf[-1, -1])
-        if edge > 1e-10 * max(float(np.max(wf)), 1e-300):
-            raise TailDivergence(
-                f"weighted source does not decay at the ends (edge {edge:.2e})")
-        mass[k] = np.sum(wf @ weights) or 1.0
     try:
         with np.errstate(over="raise", invalid="raise"):
-            tail_minus = _tail_beyond(f, g, side=-1)
+            i0 = f.origin
+            rows = np.atleast_2d(f.values)
+            weights = 0.5 * grid_spacing(x) * _GAUSS_WEIGHTS
+            decay = gauss_samples(s)  # e^{-2gS} at the Gauss nodes, in place
+            np.exp(np.multiply(decay, -2.0 * g, out=decay), out=decay)
+            # per row, of w = e^{-2gS} f: ∫ w from the left edge to each node,
+            # -∫ w from each node past the origin to the right edge, and ∫ |w|
+            inner = np.zeros(rows.shape)
+            backward = np.zeros((len(rows), len(x) - 1 - i0))
+            mass = np.empty(len(rows))
+            for k, v in enumerate(rows):
+                wf = gauss_samples(v)
+                wf *= decay
+                inc = wf @ weights
+                inner[k, 1:] = np.cumsum(inc)
+                backward[k, :-1] = -np.cumsum(inc[i0 + 1:][::-1])[::-1]
+                np.abs(wf, out=wf)
+                edge = max(wf[0, 0], wf[-1, -1])
+                if edge > 1e-10 * max(float(np.max(wf)), 1e-300):
+                    raise TailDivergence("weighted source does not decay at "
+                                         f"the ends (edge {edge:.2e})")
+                mass[k] = np.sum(wf @ weights) or 1.0
+            inner += _tail_beyond(f, g, side=-1)[:, None]
             tail_plus = _tail_beyond(f, g, side=+1)
+            # bounded branch: the inner tail is taken from the decaying
+            # side, so its quadrature error dies off with the integrand
+            bounded = np.abs(inner[:, -1] + tail_plus) <= _SOLVABILITY_RTOL * mass
+            inner[bounded, i0 + 1:] = -(tail_plus[bounded, None]
+                                        - backward[bounded])
+            inner *= np.exp(2.0 * g * s)
+            for w in inner:
+                w[:] = -2.0 * cumulative_integral(w, x, start=i0)
     except FloatingPointError as exc:
-        raise ValueError(f"the source overflows beyond the grid edge: "
-                         f"{exc}") from exc
-    inner += tail_minus[:, None]
-    # bounded branch: the inner tail is taken from the decaying side, so
-    # its quadrature error dies off with the integrand
-    bounded = np.abs(inner[:, -1] + tail_plus) <= _SOLVABILITY_RTOL * mass
-    inner[bounded, i0 + 1:] = -(tail_plus[bounded, None] - backward[bounded])
-    inner *= np.exp(2.0 * g * s)
-    for w in inner:
-        w[:] = -2.0 * cumulative_integral(w, x, start=i0)
+        raise ValueError(f"the source overflows on this domain: {exc}") from exc
     return f.with_values(inner.reshape(f.values.shape))
 
 

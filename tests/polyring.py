@@ -272,7 +272,8 @@ def evaluate(poly, assignments):
     """
     if not poly.terms:   # as the sum below gives it, without the set-up
         return 0.0
-    missing = [v for v in poly.variables if v not in assignments and poly.depends_on(v)]
+    missing = [v for i, v in enumerate(poly.variables) if v not in assignments
+               and any(e[i] for e in poly.terms)]
     if missing:
         raise VariableMismatch(f"no value supplied for {missing!r}")
     values, total = list(map(assignments.get, poly.variables)), 0.0

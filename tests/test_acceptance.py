@@ -72,7 +72,7 @@ def test_criterion_2_linear_oscillator_series():
 
 def test_criterion_3_coulomb_quadratic_perturbation():
     with criterion(3, "Coulomb U=r²: printed S₂..S₄, E₄, E₈ and assembly, exact"):
-        sol = PolyView(coulomb_mod.solve_isotropic(lower(P("r^2")), 8))
+        sol = PolyView(coulomb_mod.solve_perturbed(lower(P("r^2")), 8))
         assert sol.s_terms[2] == P("1/3 * eps * r^3")
         assert sol.s_terms[3] == P("eps * r^2")
         assert sol.s_terms[4] == P("-1/10 * eps^2 * r^5")
@@ -161,7 +161,7 @@ def test_criterion_7_oracle_cross_checks():
                                for k in (1, 2))
         assert abs(oracle.eigenvalues[0] - energy) <= bound
 
-        sol = coulomb_mod.solve_isotropic(lower(P("r^2")), 12)
+        sol = coulomb_mod.solve_perturbed(lower(P("r^2")), 12)
         assembled = sol.table(1.0, 1e-3, float)[3]
         radial = oracle_mod.solve_radial(1.0, lambda r: r * r, 1e-3, 25.0, 2500)
         assert abs(assembled - radial.eigenvalues[0]) < 5e-7

@@ -437,6 +437,19 @@ class TestMain:
         assert out == ""
         assert err.startswith(f"method breakdown: v vanishes at x = {x} ")
 
+    def test_overflowing_hierarchy_exits_2(self, capsys):
+        # ½x² + 10⁵⁰x⁶: the hierarchy's closed form leaves the float range;
+        # one line and exit 2, with no warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--command", "gexpand", "--potential",
+                         f"0.5*x^2 + {10 ** 50}*x^6",
+                         "--n", "201"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("method breakdown: the hierarchy overflows floating "
+                       "point\n")
+
     def test_overflowing_origin_value_exits_2(self, capsys):
         # v(origin) overflows; the check rejects it without a warning first
         with warnings.catch_warnings():
@@ -729,6 +742,9 @@ class TestMain:
 
 _GEXPAND = ["--command", "gexpand", "--potential", "0.5*x^2 + 0.1*x^4",
             "--n", "401", "--order", "2"]
+# the README's examples of the four exact commands
+_README_EXACT = [argv for argv in readme_examples()
+                 if argv[1] in ("perturb", "coulomb", "stark", "excited")]
 _LAZY_PROBE = f"""
 import contextlib, io, json, sys
 import trajquad.cli
@@ -737,7 +753,8 @@ with contextlib.redirect_stdout(io.StringIO()):
         ["--command", "perturb", "--parity", "even", "--p", "2"],
         ["--command", "stark", "--order", "8"],
         ["--command", "coulomb", "--order", "6"],
-        ["--command", "excited", "--freqs", "1,2", "--occupations", "1,0;0,1"]]]
+        ["--command", "excited", "--freqs", "1,2", "--occupations", "1,0;0,1"],
+        *{_README_EXACT!r}]]
 numpy = "numpy" in sys.modules
 names = sorted(n for n in sys.modules if n.split(".")[0] == "trajquad")
 import trajquad.gexpand
@@ -755,15 +772,17 @@ print(json.dumps({{"codes": codes, "numpy": numpy, "names": names,
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_exact_commands_load_no_numpy(flags, capsys):
     # the grid layers load on first use: sys.modules names every layer, as
-    # an eager import would, but the exact commands leave numpy unloaded.
-    # The probe reports rather than asserts, so that -O keeps its checks
+    # an eager import would, but the exact commands, the README's examples
+    # of them included, leave numpy unloaded.  The probe reports rather than
+    # asserts, so that -O keeps its checks
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
         [sys.executable, *flags, "-W", "error::RuntimeWarning", "-c",
          _LAZY_PROBE], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     probe = json.loads(done.stdout)
-    assert probe["codes"] == [0] * 5
+    assert len(_README_EXACT) == 4, _README_EXACT
+    assert probe["codes"] == [0] * 9
     assert probe["numpy"] is False
     layers = ("exactalg", "oscpert", "coulomb", "excited", "trajectory",
               "numerics", "gexpand", "greens", "oracle", "cli", "errors")

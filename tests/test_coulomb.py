@@ -26,7 +26,6 @@ from trajquad.coulomb import (
     _field_width,
     _integer_chain,
     assemble_energy_symbolic,
-    solve_isotropic,
     solve_perturbed,
     solve_stark,
 )
@@ -246,7 +245,7 @@ def energy(sol, g, eps):
 
 @pytest.fixture(scope="module")
 def quadratic():
-    return PolyView(solve_isotropic(lower(P("r^2")), 8))
+    return PolyView(solve_perturbed(lower(P("r^2")), 8))
 
 
 @pytest.fixture(scope="module")
@@ -285,23 +284,19 @@ class TestIsotropic:
             assert not quadratic.e_terms[k].terms
 
     def test_linear_perturbation(self):
-        sol = PolyView(solve_isotropic(lower(P("r")), 4))
+        sol = PolyView(solve_perturbed(lower(P("r")), 4))
         assert sol.e_terms[3] == P("3/2 * eps")
 
     def test_cubic_perturbation(self):
         # first-order shift of U=r^l sits at E_{l+2} = <r^l> coefficient;
         # hydrogen ground state gives <r^3> = 15/(2g^6)
-        sol = solve_isotropic(lower(P("r^3")), 6)
+        sol = solve_perturbed(lower(P("r^3")), 6)
         view = PolyView(sol)
         for k in (1, 2, 3, 4):
             assert not view.e_terms[k].terms
         assert view.e_terms[5] == P("15/2 * eps")
         resid = defining_residuals(sol, P("r^3"))
         assert all(not r for r in resid)
-
-    def test_rejects_angular_content(self):
-        with pytest.raises(ValueError):
-            solve_isotropic(lower(P("r * u")), 4)
 
     def test_rejects_origin_offset(self):
         with pytest.raises(ValueError):
@@ -310,13 +305,13 @@ class TestIsotropic:
     def test_rejects_epsilon_in_perturbation(self):
         # the recursion multiplies U by ε itself; ε·r² must not run as ε²·r²
         with pytest.raises(ValueError, match="must not depend on ε"):
-            solve_isotropic(lower(P("eps * r^2")), 6)
+            solve_perturbed(lower(P("eps * r^2")), 6)
         with pytest.raises(ValueError, match="must not depend on ε"):
             solve_perturbed(lower(P("eps * r * u")), 6)
 
     def test_no_odd_angular_terms(self, quadratic):
         for s in quadratic.s_terms:
-            assert not s.depends_on(VAR_U)
+            assert not any(b for _, b, _ in s.terms)
 
 
 class TestStark:
@@ -468,7 +463,7 @@ class TestIntegerKernel:
     def test_isotropic_orders(self, text):
         reference = reference_chain(P(text), 16)
         for order in range(6, 17):
-            assert_matches_reference(solve_isotropic(lower(P(text)), order), reference)
+            assert_matches_reference(solve_perturbed(lower(P(text)), order), reference)
 
     @settings(max_examples=30, deadline=None, derandomize=True,
               database=None)
@@ -592,8 +587,13 @@ def test_invariant_checks_survive_python_O():
 
 class TestAssembly:
     def test_unperturbed_energy(self):
-        sol = solve_isotropic(lower(P("r^2")), 8)
+        sol = solve_perturbed(lower(P("r^2")), 8)
         assert energy(sol, g=1.0, eps=0.0) == pytest.approx(-0.5)
+
+    def test_nonpositive_g_rejected(self):
+        sol = solve_perturbed(lower(P("r^2")), 4)
+        with pytest.raises(ValueError, match="^g must be positive$"):
+            energy(sol, g=0.0, eps=0.0)
 
     def test_symbolic_assembly(self, quadratic):
         assert assemble_energy_symbolic(
@@ -601,14 +601,14 @@ class TestAssembly:
             "g^4 * -1/2 + g^-4 * 3 * ε + g^-12 * -129/4 * ε^2"
 
     def test_numeric_assembly_matches_terms(self):
-        got = energy(solve_isotropic(lower(P("r^2")), 8), g=1.2, eps=2e-3)
+        got = energy(solve_perturbed(lower(P("r^2")), 8), g=1.2, eps=2e-3)
         expect = -0.5 * 1.2 ** 4 + 3 * 2e-3 / 1.2 ** 4 \
             - 129 / 4 * (2e-3) ** 2 / 1.2 ** 12
         assert got == pytest.approx(expect, rel=1e-14)
 
     def test_exponent_evaluator(self, quadratic):
         # the order-3 chain is the order-8 chain cut after S₃
-        short = PolyView(solve_isotropic(lower(P("r^2")), 3))
+        short = PolyView(solve_perturbed(lower(P("r^2")), 3))
         assert [lift(s) for s in short.s_terms] == quadratic.s_terms[:4]
 
 
@@ -636,7 +636,7 @@ class TestIntegralShift:
         # an absolute tolerance took seconds (r³) or did not return (r² + r⁴)
         g = 0.8
         u = P(" + ".join(f"r^{k}" for k in powers))
-        sol = PolyView(solve_isotropic(lower(u), 12))
+        sol = PolyView(solve_perturbed(lower(u), 12))
         start = time.perf_counter()
         chk = integral_shift_check(sol, u, g=g, eps=1e-3)
         assert time.perf_counter() - start < 1.0
@@ -656,7 +656,7 @@ class TestOracleAgreement:
         # U=r², g=1.2, ε=0.002: N=8 assembly against the radial oracle;
         # the ε³ series tail sits near 3e-7 here, inside the 1e-6 budget
         from trajquad.oracle import solve_radial
-        sol = solve_isotropic(lower(P("r^2")), 8)
+        sol = solve_perturbed(lower(P("r^2")), 8)
         g, eps = 1.2, 0.002
         assembled = energy(sol, g=g, eps=eps)
         oracle = solve_radial(g, lambda r: r * r, eps, 22.0, 2200)
@@ -665,7 +665,7 @@ class TestOracleAgreement:
     def test_linear_isotropic_eigenvalue(self):
         # U=r: first-order shift (3/2)ε/g² against the radial oracle
         from trajquad.oracle import solve_radial
-        sol = solve_isotropic(lower(P("r")), 12)
+        sol = solve_perturbed(lower(P("r")), 12)
         g, eps = 1.1, 1e-3
         assembled = energy(sol, g=g, eps=eps)
         oracle = solve_radial(g, lambda r: r, eps, 22.0, 2200)

@@ -14,7 +14,7 @@ stage runs it: the coulomb and stark table path must never load numpy.
 import pytest
 
 from trajquad import cli, coulomb, exactalg
-from trajquad.coulomb import solve_isotropic, solve_perturbed, solve_stark
+from trajquad.coulomb import solve_perturbed, solve_stark
 from trajquad.errors import LogSingularity
 from trajquad.exactalg import VAR_EPS, VAR_R, VAR_U, MultiPoly, parse_poly
 
@@ -75,7 +75,7 @@ def reference_tables(sol, g, eps):
 
 def reference_run_coulomb(p):
     u_poly = parse_poly(p["potential"], (VAR_R,))
-    return reference_tables(solve_isotropic(u_poly, p["order"]),
+    return reference_tables(solve_perturbed(u_poly, p["order"]),
                             p["g"], p["eps"])
 
 
@@ -144,7 +144,7 @@ def test_energy_sums_each_e_n_in_evaluate_order():
     # a sum of two terms is the same in either order, so only an E_n with
     # three or more ε-powers, as r + r² + r³ + r⁴ gives from order 12,
     # tells the order apart: here a reversed sum changes the bits
-    sol = solve_isotropic(parse_poly("r + r^2 + r^3 + r^4", (VAR_R,)), 20)
+    sol = solve_perturbed(parse_poly("r + r^2 + r^3 + r^4", (VAR_R,)), 20)
     assert max(len(num) for num, _ in sol.e_terms) == 4
     for g in (0.5, 1.0, 1.7):
         for eps in (0.001, -0.3, 0.37, 1.7, -2.3):
@@ -177,7 +177,7 @@ def test_table_builds_each_factor_text_once(monkeypatch):
     factors = coulomb._factors
     monkeypatch.setattr(coulomb, "_factors",
                         lambda pairs: calls.append(pairs) or factors(pairs))
-    sol = solve_isotropic(parse_poly("r^2 + r^3", (VAR_R,)), 16)
+    sol = solve_perturbed(parse_poly("r^2 + r^3", (VAR_R,)), 16)
     sol.table(1.0, 0.001, float)
     keys = [k for num, _ in sol.s_terms + sol.e_terms for k in num]
     assert len(keys) > len(set(keys))   # 216 terms on 78 keys

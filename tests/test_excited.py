@@ -94,6 +94,11 @@ class TestSpec:
         with pytest.raises(ValueError):
             ExcitedSpec((1, 2), (0, 0))
 
+    def test_rejects_negative_occupation(self):
+        with pytest.raises(ValueError,
+                           match="^occupation numbers must be non-negative$"):
+            ExcitedSpec(("1", "1"), (1, -1))
+
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             ExcitedSpec((1,), (1, 0))

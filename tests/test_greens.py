@@ -151,6 +151,11 @@ class TestHermite:
         assert hermite_coefficients(3) == (0, -12, 0, 8)
         assert hermite_coefficients(4) == (12, 0, -48, 0, 16)
 
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^Hermite index must be non-negative$"):
+            hermite_coefficients(-1)
+
     def test_recurrence_identity(self):
         z = np.linspace(-2, 2, 11)
         for l in range(2, 8):
@@ -347,6 +352,21 @@ class TestApplyDbar:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflows"):
                 apply_Dbar(prof.with_values(prof.nodes ** 3), G)
+
+    @pytest.mark.parametrize("scale, power", [
+        (1e305, 12),    # e^{-2gS}·f inside the grid
+        (1.7e308, 4),   # the Gauss samples of f
+        (1e307, 8),     # the source's quartic beyond the grid edge
+    ])
+    def test_overflowing_source_rejected(self, scale, power):
+        # the weight e^{2gS} fits, but the weighted source does not: one
+        # ValueError, with no RuntimeWarning on the way and no inf returned
+        prof = harmonic_profile(101, 8.0)
+        source = prof.with_values(scale * (prof.nodes / 8.0) ** power)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^the source overflows"):
+                apply_Dbar(source, G)
 
     def test_non_decaying_tail_rejected(self, profile):
         with pytest.raises(TailDivergence):

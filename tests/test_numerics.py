@@ -116,6 +116,17 @@ def test_cumulative_integral_matches_loop(n):
                      np.max(np.abs(want)))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: derivative(np.zeros(9), np.arange(9.0), order=3),
+     "order must be 1 or 2"),
+    (lambda: cumulative_integral(np.zeros(4), np.arange(4.0)),
+     "need at least five samples"),
+])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def _moved(node: int, by) -> np.ndarray:
     # 41 nodes on [-1.3, 2.1] with one node moved by ``by`` (times h when
     # finite) or set to it (nan, ±inf)

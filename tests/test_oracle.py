@@ -162,6 +162,16 @@ class TestSolve1D:
         with pytest.raises(ValueError):
             solve_1d(lambda x: 0.5 * x * x, (-8, 8), 100, 1)
 
+    @pytest.mark.parametrize("solve, message", [
+        (lambda: solve_1d(lambda x: 0.5 * x * x, (1.0, 1.0), 200),
+         "empty domain"),
+        (lambda: solve_radial(1.0, lambda r: r * r, 0.0, 40.0, 100),
+         "oracle needs at least 200 points"),
+    ])
+    def test_refusals(self, solve, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve()
+
 
 class TestSolveRadial:
     def test_pure_coulomb(self):

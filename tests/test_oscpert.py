@@ -252,6 +252,14 @@ class TestTables:
             with pytest.raises(ValueError):
                 entry(0, -1)
 
+    @pytest.mark.parametrize("solve, message", [
+        (lambda: solve_even(2, -1), "order must be non-negative"),
+        (lambda: solve_odd(-1, 2), "odd perturbation needs p >= 0"),
+    ])
+    def test_series_refusals(self, solve, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve()
+
 
 class TestEvenSeries:
     def test_quartic_first_two_orders(self):

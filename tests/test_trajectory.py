@@ -202,6 +202,14 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(harmonic(), 1.0, 8)
 
+    @pytest.mark.parametrize("x_max, direction, message", [
+        (0.0, 1, "x_max must be positive"),
+        (1.0, 2, r"direction must be \+1 or -1"),
+    ])
+    def test_refusals(self, x_max, direction, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_grid(harmonic(), x_max, 101, direction=direction)
+
 
 class TestKinkRule:
     @settings(max_examples=200, deadline=None)
